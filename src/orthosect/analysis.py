@@ -183,9 +183,23 @@ class Polyline:
     ts: np.ndarray           # (n,)
 
 
+@dataclass(frozen=True)
+class TraceCounts:
+    """Work done and discarded by one ``trace_curve`` call."""
+
+    lattice_nodes: int        # grid * grid
+    nan_nodes: int            # (node, branch) lattice values without a root
+    bisection_rounds: int     # lockstep refinement rounds, one kernel call each
+    refine_evals: int         # bisection midpoints plus saddle-cell centres
+    crossings: int            # refined crossings kept (|f| <= vertex_tol)
+    rejected_crossings: int   # refined crossings dropped (|f| > vertex_tol)
+
+
 @dataclass(frozen=True, eq=False)
 class CurveTrace:
-    """Marching-squares trace of the self-conjugate curve on a face plane."""
+    """Marching-squares trace of the self-conjugate curve on a face plane.
+    ``counts`` is set by ``trace_curve`` and absent on traces read back from
+    a report."""
 
     face: int
     origin: Point
@@ -195,6 +209,7 @@ class CurveTrace:
     grid: int
     window: Tuple[float, float, float, float]
     residual_bound: float
+    counts: Optional[TraceCounts] = None
 
     def to_world(self, uv) -> Point:
         u, v = float(uv[0]), float(uv[1])
@@ -236,18 +251,13 @@ class _FaceFrame:
             out.append((float(np.dot(d, self.axis_u)), float(np.dot(d, self.axis_v))))
         return out
 
-    def world(self, u: float, v: float) -> np.ndarray:
-        return self.origin.array + u * self.axis_u + v * self.axis_v
-
-    def roots_at(self, u: float, v: float):
-        local = self.kernel.to_local(self.world(u, v))
-        return self.kernel.sphericity_roots(local)
-
-    def branch_value(self, u: float, v: float, branch: int):
-        roots = self.roots_at(u, v)
-        if len(roots) <= branch:
-            return math.nan, math.nan
-        return roots[branch]["f"], roots[branch]["t"] * self.kernel.scale
+    def branches(self, uv: np.ndarray):
+        """Both sphericity branches at (M, 2) frame points as ``(t, f)``,
+        each (M, 2): t in world units, f the scale-normalized sixth-foot
+        residual, NaN where a point has no such root."""
+        world = self.origin.array + uv[:, :1] * self.axis_u + uv[:, 1:] * self.axis_v
+        t, f = self.kernel.sphericity_batch(self.kernel.to_local(world))
+        return t * self.kernel.scale, f
 
 
 def default_window(host: Tetrahedron, face: int,
@@ -264,7 +274,7 @@ def default_window(host: Tetrahedron, face: int,
             float(mid[0] + half[0]), float(mid[1] + half[1]))
 
 
-def _link_segments(segments: List[Tuple[int, int]], n_points: int) -> List[List[int]]:
+def _link_segments(segments: List[Tuple[int, int]]) -> List[List[int]]:
     """Chain segment index pairs into maximal paths (open ones first, then
     leftover cycles)."""
     adj: Dict[int, List[int]] = {}
@@ -311,11 +321,12 @@ def trace_curve(host: Tetrahedron, face: int,
     """Trace the isogonally self-conjugate curve on a face plane.
 
     Evaluates the sixth-foot sphericity residual on a ``grid`` x ``grid``
-    lattice for both sphericity branches, extracts sign-change cells per
-    branch, refines each crossing by bisection to ``refine_tol`` times the
-    scene scale, and links the crossings into polylines. Lattice nodes
-    where no real sphericity parameter exists are outside the real locus
-    and skipped; sign flips whose refined residual stays above
+    lattice for both sphericity branches in one batched kernel call,
+    extracts sign-change cells per branch, refines all crossings by
+    bisection in lockstep (one batched call per round) to ``refine_tol``
+    times the scene scale, and links the crossings into polylines. Lattice
+    nodes where no real sphericity parameter exists are outside the real
+    locus and skipped; sign flips whose refined residual stays above
     ``vertex_tol`` are branch-relabeling artifacts near the discriminant
     boundary, not curve points, and terminate the polyline there. An empty
     window yields an empty trace, not an error.
@@ -329,101 +340,106 @@ def trace_curve(host: Tetrahedron, face: int,
     x0, y0, x1, y1 = (float(w) for w in window)
     us = np.linspace(x0, x1, grid)
     vs = np.linspace(y0, y1, grid)
-    fvals = np.full((2, grid, grid), math.nan)
-    tvals = np.full((2, grid, grid), math.nan)
-    for iu in range(grid):
-        for iv in range(grid):
-            roots = frame.roots_at(us[iu], vs[iv])
-            for b in range(min(2, len(roots))):
-                fvals[b, iu, iv] = roots[b]["f"]
-                tvals[b, iu, iv] = roots[b]["t"] * frame.kernel.scale
+    nodes = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+    tvals, fvals = (a.T.reshape(2, grid, grid) for a in frame.branches(nodes))
 
-    position_tol = refine_tol * tol.scene_scale
-    polylines: List[Polyline] = []
-    bound = 0.0
+    # lattice edges with a sign change, numbered in order of first use; each
+    # is refined from the end its first cell lists first
+    edge_ids: Dict[Tuple, int] = {}
+    ends: List[Tuple] = []
 
+    def edge(branch, n1, n2) -> int:
+        key = (branch, min(n1, n2), max(n1, n2))
+        if key not in edge_ids:
+            edge_ids[key] = len(ends)
+            ends.append((branch, *n1, *n2))
+        return edge_ids[key]
+
+    # per branch, in cell order, the edge pairs marching squares joins
+    segments: Tuple[List, List] = ([], [])
+    centre_evals = 0
     for branch in range(2):
         f = fvals[branch]
-        t = tvals[branch]
-        crossing_index: Dict[Tuple, int] = {}
-        crossing_pts: List[np.ndarray] = []
-        crossing_res: List[float] = []
-        crossing_ts: List[float] = []
+        corner = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1)
+        pos = corner > 0
+        flips = pos != np.roll(pos, -1, axis=-1)   # edge e joins corners e, e+1
+        marched = flips.any(axis=-1) & ~np.isnan(corner).any(axis=-1)
+        centre_f = np.full(marched.shape, math.nan)
+        su, sv = np.nonzero(marched & flips.all(axis=-1))
+        if len(su):
+            centres = np.column_stack([0.5 * (us[su] + us[su + 1]), 0.5 * (vs[sv] + vs[sv + 1])])
+            centre_f[su, sv] = frame.branches(centres)[1][:, branch]
+            centre_evals += len(su)
+        for iu, iv in np.argwhere(marched).tolist():
+            corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
+            e = [(corners[k], corners[(k + 1) % 4]) for k in np.flatnonzero(flips[iu, iv])]
+            if len(e) == 2:
+                pairs = [e]
+            elif math.isnan(centre_f[iu, iv]):
+                continue
+            # saddle: connect crossings around corners matching the center
+            elif (centre_f[iu, iv] > 0) == pos[iu, iv, 0]:
+                pairs = [(e[0], e[3]), (e[1], e[2])]
+            else:
+                pairs = [(e[0], e[1]), (e[2], e[3])]
+            segments[branch].extend((edge(branch, *ea), edge(branch, *eb))
+                                    for ea, eb in pairs)
+    points, residuals, ts, rounds, evals = _refine_crossings(
+        frame, us, vs, fvals, tvals, np.array(ends, dtype=int).reshape(-1, 5),
+        refine_tol * tol.scene_scale)
+    accepted = residuals <= vertex_tol
 
-        def refine(pa, fa, ta, pb, fb, tb):
-            while float(np.linalg.norm(pb - pa)) > position_tol:
-                pm = 0.5 * (pa + pb)
-                fm, tm = frame.branch_value(pm[0], pm[1], branch)
-                if math.isnan(fm):
-                    break
-                if (fm > 0) == (fa > 0):
-                    pa, fa, ta = pm, fm, tm
-                else:
-                    pb, fb, tb = pm, fm, tm
-            if abs(fa) <= abs(fb):
-                return pa, abs(fa), ta
-            return pb, abs(fb), tb
+    polylines: List[Polyline] = []
+    bound = 0.0
+    for branch in range(2):
+        kept = [(a, b) for a, b in segments[branch] if accepted[a] and accepted[b]]
+        for path in _link_segments(kept):
+            polylines.append(Polyline(branch=branch, points=points[path],
+                                      residuals=residuals[path], ts=ts[path]))
+            bound = max(bound, float(residuals[path].max()))
 
-        def crossing(n1, n2):
-            key = (min(n1, n2), max(n1, n2))
-            if key in crossing_index:
-                return crossing_index[key]
-            (i1, j1), (i2, j2) = n1, n2
-            pa = np.array([us[i1], vs[j1]])
-            pb = np.array([us[i2], vs[j2]])
-            p, res, tval = refine(pa, f[i1, j1], t[i1, j1], pb, f[i2, j2], t[i2, j2])
-            if res > vertex_tol:
-                crossing_index[key] = None
-                return None
-            idx = len(crossing_pts)
-            crossing_pts.append(p)
-            crossing_res.append(res)
-            crossing_ts.append(tval)
-            crossing_index[key] = idx
-            return idx
-
-        segments: List[Tuple[int, int]] = []
-        for iu in range(grid - 1):
-            for iv in range(grid - 1):
-                corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
-                vals = [f[c] for c in corners]
-                if any(math.isnan(v) for v in vals):
-                    continue
-                signs = [v > 0 for v in vals]
-                edges = []  # cell edges with a sign change
-                for e in range(4):
-                    if signs[e] != signs[(e + 1) % 4]:
-                        edges.append((corners[e], corners[(e + 1) % 4]))
-                if len(edges) == 2:
-                    ca, cb = crossing(*edges[0]), crossing(*edges[1])
-                    if ca is not None and cb is not None:
-                        segments.append((ca, cb))
-                elif len(edges) == 4:
-                    cu = 0.5 * (us[iu] + us[iu + 1])
-                    cv = 0.5 * (vs[iv] + vs[iv + 1])
-                    fc, _ = frame.branch_value(cu, cv, branch)
-                    if math.isnan(fc):
-                        continue
-                    # connect crossings around corners matching the center
-                    if (fc > 0) == signs[0]:
-                        pairs = ((edges[0], edges[3]), (edges[1], edges[2]))
-                    else:
-                        pairs = ((edges[0], edges[1]), (edges[2], edges[3]))
-                    for ea, eb in pairs:
-                        ca, cb = crossing(*ea), crossing(*eb)
-                        if ca is not None and cb is not None:
-                            segments.append((ca, cb))
-        for path in _link_segments(segments, len(crossing_pts)):
-            pts = np.array([crossing_pts[i] for i in path])
-            res = np.array([crossing_res[i] for i in path])
-            ts = np.array([crossing_ts[i] for i in path])
-            polylines.append(Polyline(branch=branch, points=pts, residuals=res, ts=ts))
-            if len(res):
-                bound = max(bound, float(res.max()))
-
+    counts = TraceCounts(lattice_nodes=grid * grid,
+                         nan_nodes=int(np.isnan(fvals).sum()),
+                         bisection_rounds=rounds,
+                         refine_evals=evals + centre_evals,
+                         crossings=int(accepted.sum()),
+                         rejected_crossings=int((~accepted).sum()))
     return CurveTrace(face=face, origin=frame.origin, axis_u=frame.axis_u,
                       axis_v=frame.axis_v, polylines=tuple(polylines),
-                      grid=grid, window=(x0, y0, x1, y1), residual_bound=bound)
+                      grid=grid, window=(x0, y0, x1, y1), residual_bound=bound,
+                      counts=counts)
+
+
+def _refine_crossings(frame: _FaceFrame, us, vs, fvals, tvals, ends: np.ndarray,
+                      position_tol: float):
+    """Bisect the lattice edges ``ends`` (rows branch, iu1, iv1, iu2, iv2)
+    in lockstep, each until its bracket is within ``position_tol`` or a
+    midpoint has no root on its branch. Returns the end of each final
+    bracket with the smaller |f| as (points (E, 2), |f| (E,), t (E,)),
+    then the rounds and the midpoint evaluations made."""
+    br, i1, j1, i2, j2 = ends.T
+    pa = np.column_stack([us[i1], vs[j1]])
+    pb = np.column_stack([us[i2], vs[j2]])
+    fa, ta = fvals[br, i1, j1], tvals[br, i1, j1]
+    fb, tb = fvals[br, i2, j2], tvals[br, i2, j2]
+    active = np.linalg.norm(pb - pa, axis=1) > position_tol
+    rounds = evals = 0
+    while active.any():
+        idx = np.flatnonzero(active)
+        pm = 0.5 * (pa[idx] + pb[idx])
+        tm, fm = (a[np.arange(len(idx)), br[idx]] for a in frame.branches(pm))
+        rounds += 1
+        evals += len(idx)
+        hit = ~np.isnan(fm)
+        active[idx[~hit]] = False
+        idx, pm, fm, tm = idx[hit], pm[hit], fm[hit], tm[hit]
+        left = (fm > 0) == (fa[idx] > 0)
+        for side, (p, fv, tv) in ((left, (pa, fa, ta)), (~left, (pb, fb, tb))):
+            p[idx[side]], fv[idx[side]], tv[idx[side]] = pm[side], fm[side], tm[side]
+        active[idx] = np.linalg.norm(pb[idx] - pa[idx], axis=1) > position_tol
+    take_a = np.abs(fa) <= np.abs(fb)
+    return (np.where(take_a[:, None], pa, pb), np.where(take_a, np.abs(fa), np.abs(fb)),
+            np.where(take_a, ta, tb), rounds, evals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ partner tetrahedron, rebuilt here from the feet planes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -172,38 +171,50 @@ def recover_source(feet, face, tol: Tolerance | None = None):
 # finding and curve tracing
 # ---------------------------------------------------------------------------
 
-_T_NODES = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_VANDER_INV = np.linalg.inv(np.vander(_T_NODES, 5, increasing=True))
+
+def _sphere_fit(points: np.ndarray) -> dict:
+    """Least-squares sphere (or plane) through each stack of >= 4 points in
+    normalized coordinates, ``points`` of shape (K, m, 3).
+
+    Returns arrays keyed ``sphere`` (K,) bool, ``center`` (K, 3), ``radius``
+    (K,), ``normal`` (K, 3), ``offset`` (K,) and ``residual`` (K,), the max
+    absolute point residual. A stack is a sphere when the linear fit has
+    rank 4, r^2 > 0 and radius <= 1e6; otherwise it gets the total
+    least-squares plane. Only the entries of its own kind are meaningful."""
+    k, m, _ = points.shape
+    mat = np.concatenate([points, np.ones((k, m, 1))], axis=2)
+    rhs = -(points * points).sum(axis=2)
+    # minimum-norm least squares with numpy lstsq's default rank cutoff
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m, 4) * s[:, :1]
+    coef = np.where(keep, np.einsum("kij,ki->kj", u, rhs) / np.where(keep, s, 1.0), 0.0)
+    sol = np.einsum("kji,kj->ki", vt, coef)
+    center = -0.5 * sol[:, :3]
+    r2 = (center * center).sum(axis=1) - sol[:, 3]
+    radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
+    sphere = keep.all(axis=1) & (radius <= 1e6)
+    residual = np.abs(np.linalg.norm(points - center[:, None], axis=2)
+                      - radius[:, None]).max(axis=1)
+    normal = np.full((k, 3), np.nan)
+    offset = np.full(k, np.nan)
+    flat = ~sphere
+    if flat.any():
+        pts = points[flat]
+        centroid = pts.mean(axis=1)
+        n = np.linalg.svd(pts - centroid[:, None])[2][:, -1]
+        normal[flat] = n
+        offset[flat] = (n * centroid).sum(axis=1)
+        residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
+    return {"sphere": sphere, "center": center, "radius": radius,
+            "normal": normal, "offset": offset, "residual": residual}
 
 
-def _sphere_fit(points: np.ndarray):
-    """Least-squares sphere (or plane) through >= 4 points in normalized
-    coordinates. Returns (kind, data, max_abs_residual) where data is
-    (center, radius) or (normal, offset)."""
-    m = np.hstack([points, np.ones((len(points), 1))])
-    rhs = -(points * points).sum(axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
-    if rank == 4:
-        center = -0.5 * sol[:3]
-        r2 = float(np.dot(center, center) - sol[3])
-        if r2 > 0:
-            radius = math.sqrt(r2)
-            if radius <= 1e6:
-                res = np.abs(np.linalg.norm(points - center, axis=1) - radius)
-                return "sphere", (center, radius), float(res.max())
-    centroid = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - centroid)
-    n = vt[-1]
-    res = np.abs((points - centroid) @ n)
-    return "plane", (n, float(np.dot(n, centroid))), float(res.max())
-
-
-def _carrier_distance(kind, data, p: np.ndarray) -> float:
-    if kind == "sphere":
-        center, radius = data
-        return float(np.linalg.norm(p - center) - radius)
-    n, off = data
-    return float(np.dot(n, p) - off)
+def _carrier_distance(fit: dict, p: np.ndarray) -> np.ndarray:
+    """Signed distance of ``p`` (..., 3) from fitted carriers broadcast
+    against it."""
+    to_sphere = np.linalg.norm(p - fit["center"], axis=-1) - fit["radius"]
+    to_plane = (p * fit["normal"]).sum(axis=-1) - fit["offset"]
+    return np.where(fit["sphere"], to_sphere, to_plane)
 
 
 class _LineData:
@@ -214,17 +225,19 @@ class _LineData:
         self.direction = direction
 
     def foot(self, p):
-        return self.anchor + np.dot(p - self.anchor, self.direction) * self.direction
+        """Foot of the perpendicular from ``p`` (3,) or (N, 3)."""
+        along = np.dot(p - self.anchor, self.direction)
+        return self.anchor + np.multiply.outer(along, self.direction)
 
 
 def _intersect_in_plane(a1, d1, a2, d2, n):
     """Intersection of two coplanar lines (anchor, direction) lying in the
-    plane with unit normal n."""
-    denom = float(np.dot(np.cross(d1, d2), n))
+    plane with unit normal n; anchors may be stacked as (N, 3)."""
+    m = np.cross(d2, n)   # (x cross d2) . n == x . (d2 cross n)
+    denom = float(np.dot(d1, m))
     if abs(denom) < 1e-12:
         raise DegenerateError("parallel in-plane perpendiculars")
-    alpha = float(np.dot(np.cross(a2 - a1, d2), n)) / denom
-    return a1 + alpha * d1
+    return a1 + np.multiply.outer(np.dot(a2 - a1, m) / denom, d1)
 
 
 class ChainKernel:
@@ -266,6 +279,9 @@ class ChainKernel:
         if np.dot(u, toward4) < 0:
             u = -u
         self.u = u
+        # feet 14 and 24 move along their edges by these per unit of t
+        self.g14 = np.dot(u, d14) * d14
+        self.g24 = np.dot(u, d24) * d24
         self.n134 = unit(np.cross(a[2] - a[0], a[3] - a[0]))
         self.n234 = unit(np.cross(a[2] - a[1], a[3] - a[1]))
         self.p13 = np.cross(self.n134, d13)
@@ -279,7 +295,9 @@ class ChainKernel:
     # -- coordinate maps ----------------------------------------------------
 
     def to_local(self, p) -> np.ndarray:
-        return (as_array(p) - self.shift) / self.scale
+        """Local coordinates of a point, or of (N, 3) stacked points."""
+        p = p.array if isinstance(p, Point) else np.asarray(p, dtype=float)
+        return (p - self.shift) / self.scale
 
     def to_world(self, p) -> Point:
         return Point.of(p * self.scale + self.shift)
@@ -297,22 +315,105 @@ class ChainKernel:
                 self.line13.foot(b4_local),
                 self.line23.foot(b4_local))
 
-    def _sphericity_polynomial(self, v12, v13, v23):
-        """Coefficients (ascending) of the 5-point co-sphericity determinant
-        as a polynomial in the source-3 displacement parameter."""
-        base14 = self.line14.foot(v12)
-        g14 = np.dot(self.u, self.line14.direction) * self.line14.direction
-        base24 = self.line24.foot(v12)
-        g24 = np.dot(self.u, self.line24.direction) * self.line24.direction
-        mats = np.empty((len(_T_NODES), 5, 5))
-        fixed = np.array([v12, v13, v23])
-        for idx, t in enumerate(_T_NODES):
-            pts = np.vstack([fixed, base14 + t * g14, base24 + t * g24])
-            mats[idx, :, 0] = (pts * pts).sum(axis=1)
-            mats[idx, :, 1:4] = pts
-            mats[idx, :, 4] = 1.0
-        dets = np.linalg.det(mats)
-        return _VANDER_INV @ dets, (base14, g14, base24, g24)
+    def _five_feet(self, feet, t) -> np.ndarray:
+        """Feet 12, 13, 23, 14, 24 as (N, k, 5, 3) from ``_sphericity``'s
+        base feet and displacement parameters t of shape (k,) or (N, k)."""
+        v12, v13, v23, base14, base24 = feet
+        t = np.asarray(t)[..., None]
+        pts = np.empty((len(v12), t.shape[-2], 5, 3))
+        pts[:, :, 0], pts[:, :, 1], pts[:, :, 2] = v12[:, None], v13[:, None], v23[:, None]
+        pts[:, :, 3] = base14[:, None] + t * self.g14
+        pts[:, :, 4] = base24[:, None] + t * self.g24
+        return pts
+
+    def _sphericity(self, b4_local: np.ndarray, validate_tol: float | None) -> dict:
+        """Sphericity roots of N local face points as arrays with a leading
+        (N, 2) shape, one column per root of the quadratic (unsorted); t and
+        f are NaN where a root is missing or fails validation."""
+        if validate_tol is None:
+            validate_tol = self.tol.eps_rel
+        p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
+        n = len(p)
+        v12, v13, v23 = self.base_feet(p)
+        feet = (v12, v13, v23, self.line14.foot(v12), self.line24.foot(v12))
+        # the co-sphericity determinant of the five feet is exactly quadratic
+        # in t: sample it at t = -1, 0, 1
+        dets = []
+        for t in (-1.0, 0.0, 1.0):
+            pts = self._five_feet(feet, [t])[:, 0]
+            dets.append(np.linalg.det(np.concatenate(
+                [(pts * pts).sum(axis=2, keepdims=True), pts, np.ones((n, 5, 1))], axis=2)))
+        d_lo, c0, d_hi = dets
+        c1 = 0.5 * (d_hi - d_lo)
+        c2 = 0.5 * (d_hi + d_lo) - c0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mag = np.maximum(np.maximum(np.abs(c0), np.abs(c1)), np.abs(c2))
+            # mag <= 1e-12: the determinant vanishes identically (collinear
+            # base feet); coefficients below 1e-10 * mag are trimmed
+            live = mag > 1e-12
+            quad = live & (np.abs(c2) > 1e-10 * mag)
+            lin = live & ~quad & (np.abs(c1) > 1e-10 * mag)
+            disc = c1 * c1 - 4.0 * c2 * c0
+            root = np.sqrt(np.abs(disc))
+            q = -0.5 * (c1 + np.copysign(root, c1))
+            r_a = q / c2
+            r_b = np.where(q != 0.0, c0 / q, r_a)
+            vertex = -c1 / (2.0 * c2)
+            # a complex pair within 1e-8 (1 + |re|) of the axis is a real
+            # double root
+            near = (disc < 0) & (root / (2.0 * np.abs(c2)) <= 1e-8 * (1.0 + np.abs(vertex)))
+            t = np.full((n, 2), np.nan)
+            real = quad & (disc >= 0)
+            t[real, 0] = np.minimum(r_a, r_b)[real]
+            t[real, 1] = np.maximum(r_a, r_b)[real]
+            t[quad & near] = vertex[quad & near, None]
+            t[lin, 0] = -c0[lin] / c1[lin]
+            # two Newton steps on the trimmed polynomial
+            a2 = np.where(quad, c2, 0.0)[:, None]
+            a1 = c1[:, None]
+            a0 = c0[:, None]
+            polish = np.isfinite(t)
+            for _ in range(2):
+                slope = 2.0 * a2 * t + a1
+                polish &= np.abs(slope) >= 1e-300
+                t = np.where(polish, t - ((a2 * t + a1) * t + a0) / slope, t)
+
+        cand = np.isfinite(t)
+        five = self._five_feet(feet, t)
+        fit = {"sphere": np.zeros((n, 2), bool), "center": np.full((n, 2, 3), np.nan),
+               "radius": np.full((n, 2), np.nan), "normal": np.full((n, 2, 3), np.nan),
+               "offset": np.full((n, 2), np.nan), "residual": np.full((n, 2), np.inf)}
+        for k in range(2):   # one root column at a time halves the working set
+            rows = np.flatnonzero(cand[:, k])
+            if len(rows):
+                for key, val in _sphere_fit(five[rows, k]).items():
+                    fit[key][rows, k] = val
+        valid = fit["residual"] <= validate_tol
+        # a second root within 1e-9 of a validated first one is the same root
+        valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
+                                         <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
+        try:
+            b2 = _intersect_in_plane(five[:, :, 1], self.p13, five[:, :, 3], self.p14,
+                                     self.n134)
+        except DegenerateError:
+            valid[:] = False
+            b2 = np.full((n, 2, 3), np.nan)
+        v34 = self.line34.foot(b2)
+        f = _carrier_distance(fit, v34)
+        return {"t": np.where(valid, t, np.nan), "f": np.where(valid, f, np.nan),
+                "v12": v12, "v13": v13, "v23": v23, "v14": five[:, :, 3],
+                "v24": five[:, :, 4], "v34": v34, "b2": b2, **fit}
+
+    def sphericity_batch(self, b4_local: np.ndarray):
+        """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
+        ``(t, f)``: column k holds the k-th validated root by ascending t and
+        the signed residual of the sixth foot against the carrier through
+        the other five, NaN where a point has fewer roots. See
+        ``sphericity_roots`` for units; roots are validated against eps_rel."""
+        r = self._sphericity(b4_local, None)
+        order = np.argsort(r["t"], axis=1)   # NaN last
+        return (np.take_along_axis(r["t"], order, axis=1),
+                np.take_along_axis(r["f"], order, axis=1))
 
     def sphericity_roots(self, b4_local: np.ndarray,
                          validate_tol: float | None = None) -> List[dict]:
@@ -320,59 +421,29 @@ class ChainKernel:
         co-spherical (or co-planar), with per-root carrier and the signed
         residual of the sixth foot against that carrier.
 
+        A root is validated when the least-squares sphere (or plane) through
+        its five feet fits them within ``validate_tol`` (default eps_rel).
         Returns a list of dicts sorted by t with keys: t, f, kind, carrier
         data and the local-frame chain points. Coordinates are local; t and
         f are in normalized units (multiply t by the scene scale to get
-        world units; f is already the scale-normalized residual).
+        world units; f is already the scale-normalized residual). This is
+        the single-point view of ``sphericity_batch``.
         """
-        if validate_tol is None:
-            validate_tol = self.tol.eps_rel
-        v12, v13, v23 = self.base_feet(b4_local)
-        coeffs, (base14, g14, base24, g24) = self._sphericity_polynomial(v12, v13, v23)
-        mag = float(np.abs(coeffs).max())
-        if mag <= 1e-12:
-            # determinant vanishes identically (collinear base feet)
-            return []
-        desc = coeffs[::-1].copy()
-        while len(desc) > 1 and abs(desc[0]) <= 1e-10 * mag:
-            desc = desc[1:]
-        if len(desc) <= 1:
-            return []
-        roots = np.roots(desc)
-        deriv = np.polyder(desc)
+        r = {k: v[0] for k, v in self._sphericity(b4_local, validate_tol).items()}
         out = []
-        seen: List[float] = []
-        for r in roots:
-            if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-                continue
-            t = float(r.real)
-            for _ in range(2):  # Newton polish on the exact-degree fit
-                dp = np.polyval(deriv, t)
-                if abs(dp) < 1e-300:
-                    break
-                t -= np.polyval(desc, t) / dp
-            if any(abs(t - s) <= 1e-9 * (1.0 + abs(t)) for s in seen):
-                continue
-            v14 = base14 + t * g14
-            v24 = base24 + t * g24
-            five = np.array([v12, v13, v23, v14, v24])
-            kind, data, fit_res = _sphere_fit(five)
-            if fit_res > validate_tol:
-                continue
-            seen.append(t)
-            try:
-                b2 = _intersect_in_plane(v13, self.p13, v14, self.p14, self.n134)
-            except DegenerateError:
-                continue
-            v34 = self.line34.foot(b2)
-            f = _carrier_distance(kind, data, v34)
+        for k in np.argsort(r["t"]):
+            if np.isnan(r["t"][k]):
+                break
+            sphere = bool(r["sphere"][k])
             out.append({
-                "t": t, "f": f, "kind": kind, "carrier": data,
-                "v12": v12, "v13": v13, "v23": v23,
-                "v14": v14, "v24": v24, "v34": v34, "b2": b2,
-                "fit_residual": fit_res,
+                "t": float(r["t"][k]), "f": float(r["f"][k]),
+                "kind": "sphere" if sphere else "plane",
+                "carrier": ((r["center"][k], float(r["radius"][k])) if sphere
+                            else (r["normal"][k], float(r["offset"][k]))),
+                "v12": r["v12"], "v13": r["v13"], "v23": r["v23"],
+                **{key: r[key][k] for key in ("v14", "v24", "v34", "b2")},
+                "fit_residual": float(r["residual"][k]),
             })
-        out.sort(key=lambda d: d["t"])
         return out
 
     def complete_local(self, b4_local: np.ndarray, t: float) -> dict:
@@ -491,17 +562,15 @@ def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
     tol = tol or Tolerance.for_points(chain.host.vertices)
     pts = np.array([as_array(p) for p in chain.feet.values()])
     shift = pts.mean(axis=0)
-    kind, data, _ = _sphere_fit((pts - shift) / tol.scene_scale)
-    residual = max(abs(_carrier_distance(kind, data, (p - shift) / tol.scene_scale))
-                   for p in pts) * tol.scene_scale
-    if kind == "sphere":
-        center, radius = data
-        carrier = SphereOrPlane.sphere(Point.of(center * tol.scene_scale + shift),
-                                       radius * tol.scene_scale)
+    fit = {k: v[0] for k, v in _sphere_fit((pts - shift)[None] / tol.scene_scale).items()}
+    residual = float(fit["residual"]) * tol.scene_scale
+    if fit["sphere"]:
+        carrier = SphereOrPlane.sphere(Point.of(fit["center"] * tol.scene_scale + shift),
+                                       float(fit["radius"]) * tol.scene_scale)
     else:
-        n, off = data
-        carrier = SphereOrPlane.plane(Plane(normal=n, offset=off * tol.scene_scale
-                                            + float(np.dot(n, shift))))
+        n = fit["normal"]
+        carrier = SphereOrPlane.plane(Plane(normal=n, offset=float(fit["offset"])
+                                            * tol.scene_scale + float(np.dot(n, shift))))
     return carrier, residual
 
 
