@@ -17,8 +17,6 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
 from .geom_core import Point, Tolerance
@@ -158,11 +156,7 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
     report.results["volumes"] = [t.signed_volume for t in branch.samples]
     report.results["stop_reason"] = branch.stop_reason
     report.add_verdict("samples_residual", max(branch.max_residuals), FAMILY_RESIDUAL_TOL)
-    sys_ = solver.OrthosectSystem(a, tol)
-    worst_ratio = 0.0
-    for t in branch.samples:
-        sv = np.linalg.svd(sys_.jacobian(t.array.reshape(12)), compute_uv=False)
-        worst_ratio = max(worst_ratio, float(sv[-1] / max(sv[-2], 1e-300)))
+    worst_ratio = max(float(sv[-1] / max(sv[-2], 1e-300)) for sv in branch.singular_values)
     report.results["max_nullity_ratio"] = worst_ratio
     report.add_verdict("nullity_one", worst_ratio, NULLITY_RATIO_TOL)
 

@@ -212,9 +212,10 @@ class LineClosest:
 def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClosest:
     """Closest points of two lines, their gap, and the angle cosine.
 
-    Parallel lines are flagged and report the distance between them;
-    identical lines are additionally flagged and return the first anchor
-    as both closest points.
+    Parallel lines are flagged and report the distance between them, the
+    smaller of the two anchors' distances to the other line, and p1 at the
+    first anchor; they are identical (first anchor as both closest points)
+    only when both anchors lie on the other line.
     """
     tol = tol or DEFAULT_TOL
     u, v = l1.direction, l2.direction
@@ -223,12 +224,13 @@ def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClos
     w0 = p - q
     denom = 1.0 - b * b
     if denom <= 1e-14:
-        # parallel: gap is the distance from l1's anchor to l2
+        # parallel: perp runs from l2 to l1's anchor, perp_q from l1 to l2's
         perp = w0 - np.dot(w0, v) * v
-        gap = float(np.linalg.norm(perp))
-        if gap <= tol.eps_abs * tol.scene_scale:
+        perp_q = -w0 - np.dot(-w0, u) * u
+        gap, gap_q = float(np.linalg.norm(perp)), float(np.linalg.norm(perp_q))
+        if max(gap, gap_q) <= tol.eps_abs * tol.scene_scale:
             return LineClosest(l1.anchor, l1.anchor, 0.0, b, parallel=True, identical=True)
-        return LineClosest(l1.anchor, Point.of(p - perp), gap, b, parallel=True)
+        return LineClosest(l1.anchor, Point.of(p - perp), min(gap, gap_q), b, parallel=True)
     d = float(np.dot(u, w0))
     e = float(np.dot(v, w0))
     t = (b * e - d) / denom

@@ -37,6 +37,13 @@ class ResidualVector:
         return float(np.abs(self.values).max())
 
 
+# degeneracy filters shared by solve and trace_family, in scene scales: a
+# partner edge shorter than MIN_EDGE_FACTOR, or a partner vertex farther
+# than MAX_COORD_FACTOR from the host's centroid, is rejected
+MIN_EDGE_FACTOR = 1e-3
+MAX_COORD_FACTOR = 50.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int
@@ -47,8 +54,8 @@ class SolverConfig:
     lambda_down: float = 3.0
     target_residual: float = 1e-12
     accept_residual: float = 1e-11
-    min_edge_factor: float = 1e-3
-    max_coord_factor: float = 50.0
+    min_edge_factor: float = MIN_EDGE_FACTOR
+    max_coord_factor: float = MAX_COORD_FACTOR
     dedupe_factor: float = 1e-3
 
     def __post_init__(self):
@@ -58,10 +65,14 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolutionBranch:
+    """Samples of a traced family with, per sample, the max residual and
+    the singular values of the Jacobian (descending)."""
+
     samples: Tuple[Tetrahedron, ...]
     step_size: float
     max_residuals: Tuple[float, ...]
     stop_reason: str
+    singular_values: Tuple[np.ndarray, ...]
 
     def __len__(self):
         return len(self.samples)
@@ -86,9 +97,36 @@ class _Collapse(Exception):
     """Partner collapsed onto a degenerate configuration mid-iteration."""
 
 
+# 0-based host edge A_i A_j and partner edge B_k B_l of each pairing, in
+# EDGE_PAIRINGS order; the partner edges are the six edges of B, each once
+_I, _J, _K, _L = (np.array(c) - 1 for c in zip(*(ij + kl for ij, kl in EDGE_PAIRINGS)))
+# Jacobian columns of the coordinates of B_k and of B_l, per pairing
+_COLS_K = 3 * _K[:, None] + np.arange(3)
+_COLS_L = 3 * _L[:, None] + np.arange(3)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays; matmul runs np.dot's
+    kernel on each row, so every value is bit-identical to np.dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays, in np.cross's
+    operation order: component c is a[c+1] * b[c+2] - a[c+2] * b[c+1]."""
+    return a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+
+
 class OrthosectSystem:
     """Residuals and analytic Jacobian of the orthosecting conditions for a
-    fixed host, as functions of the twelve partner coordinates."""
+    fixed host, as functions of the twelve partner coordinates.
+
+    Each is a few array operations over the six pairings: row p uses host
+    edge vector U[p] = A_i - A_j and partner edge vector W[p] = B_k - B_l.
+    """
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None,
                  skip_intersection: Pairing | None = None):
@@ -96,75 +134,72 @@ class OrthosectSystem:
         self.tol = tol or Tolerance.for_points(host.vertices)
         self.scale = self.tol.scene_scale
         self.a = host.array
-        self.rows = []
-        for (i, j), (k, l) in EDGE_PAIRINGS:
-            u = self.a[i - 1] - self.a[j - 1]
-            self.rows.append(((i, j), (k, l), u, float(np.linalg.norm(u)),
-                              self.a[i - 1]))
+        self.ai = self.a[_I]
+        self.u = self.ai - self.a[_J]
+        self.nu = np.sqrt(_dot(self.u, self.u))
         self.skip_intersection = skip_intersection
-        self.n_rows = 6 + sum(1 for r in self.rows
-                              if ((r[0], r[1]) != skip_intersection))
+        # pairings that keep their intersection row; the pairing of each
+        # residual row fixes the Jacobian columns the row writes
+        self.keep_inter = np.array([p != skip_intersection for p in EDGE_PAIRINGS])
+        row_pairing = np.concatenate((np.arange(6), np.flatnonzero(self.keep_inter)))
+        self.n_rows = len(row_pairing)
+        self._rows = np.arange(self.n_rows)[:, None]
+        self._cols_k, self._cols_l = _COLS_K[row_pairing], _COLS_L[row_pairing]
 
     def orthogonality_matrix(self) -> np.ndarray:
         """Constant 6x12 matrix of the (unnormalized) linear orthogonality
         conditions; its rank is five for a generic host."""
         m = np.zeros((6, 12))
-        for row, (_, (k, l), u, _, _) in enumerate(self.rows):
-            m[row, 3 * (k - 1):3 * k] = u
-            m[row, 3 * (l - 1):3 * l] = -u
+        rows = np.arange(6)[:, None]
+        m[rows, _COLS_K] = self.u
+        m[rows, _COLS_L] = -self.u
         return m
 
-    def _edges(self, x: np.ndarray):
+    def _partner_edges(self, x: np.ndarray):
+        """Vertices B_k, edge vectors W and their norms; raises _Collapse
+        on the first collapsed edge in pairing order."""
         b = x.reshape(4, 3)
-        out = []
-        for (i, j), (k, l), u, nu, ai in self.rows:
-            w = b[k - 1] - b[l - 1]
-            nw = float(np.linalg.norm(w))
-            if nw <= 1e-9 * self.scale:
-                raise _Collapse(f"edge B{k}{l} collapsed")
-            out.append((k, l, u, nu, ai, b[k - 1], w, nw))
-        return out
+        bk = b.take(_K, 0)
+        w = bk - b.take(_L, 0)
+        nw = np.sqrt(_dot(w, w))
+        collapsed = nw <= 1e-9 * self.scale
+        if collapsed.any():
+            p = int(np.argmax(collapsed))
+            raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
+        return bk, w, nw
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        vals = np.empty(self.n_rows)
-        edges = self._edges(x)
-        for idx, (_, _, u, nu, _, _, w, nw) in enumerate(edges):
-            vals[idx] = float(np.dot(u, w)) / (nu * nw)
-        pos = 6
-        for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
-            if self.rows[idx][0:2] == self.skip_intersection:
-                continue
-            m = bk - ai
-            vals[pos] = float(np.dot(np.cross(u, w), m)) / (nu * nw * self.scale)
-            pos += 1
-        return vals
+        bk, w, nw = self._partner_edges(x)
+        den = self.nu * nw
+        ortho = _dot(self.u, w) / den
+        inter = _dot(_cross(self.u, w), bk - self.ai) / (den * self.scale)
+        return np.concatenate((ortho, inter[self.keep_inter]))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
+        bk, w, nw = self._partner_edges(x)
+        u = self.u
+        den = self.nu * nw
+        nw2 = (nw * nw)[:, None]
+        # orthogonality row: g = U.W / (|U||W|), a function of W only
+        g = _dot(u, w) / den
+        dg = u / den[:, None] - g[:, None] * w / nw2
+        # intersection row: h = (U x W).M / (|U||W| scale), M = B_k - A_i
+        m = bk - self.ai
+        uxw = _cross(u, w)
+        denom = den * self.scale
+        h = _dot(uxw, m) / denom
+        dh = _cross(m, u) / denom[:, None] - h[:, None] * w / nw2
+        dm = uxw / denom[:, None]
+        keep = self.keep_inter
         jac = np.zeros((self.n_rows, 12))
-        edges = self._edges(x)
-        for idx, (k, l, u, nu, _, _, w, nw) in enumerate(edges):
-            g = float(np.dot(u, w)) / (nu * nw)
-            dw = u / (nu * nw) - g * w / (nw * nw)
-            jac[idx, 3 * (k - 1):3 * k] = dw
-            jac[idx, 3 * (l - 1):3 * l] = -dw
-        pos = 6
-        for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
-            if self.rows[idx][0:2] == self.skip_intersection:
-                continue
-            m = bk - ai
-            denom = nu * nw * self.scale
-            h = float(np.dot(np.cross(u, w), m)) / denom
-            dw = np.cross(m, u) / denom - h * w / (nw * nw)
-            dm = np.cross(u, w) / denom
-            jac[pos, 3 * (k - 1):3 * k] = dw + dm
-            jac[pos, 3 * (l - 1):3 * l] = -dw
-            pos += 1
+        jac[self._rows, self._cols_k] = np.concatenate((dg, dh[keep] + dm[keep]))
+        jac[self._rows, self._cols_l] = -np.concatenate((dg, dh[keep]))
         return jac
 
     def min_edge(self, x: np.ndarray) -> float:
         b = x.reshape(4, 3)
-        return min(float(np.linalg.norm(b[i] - b[j]))
-                   for i in range(4) for j in range(i + 1, 4))
+        w = b.take(_K, 0) - b.take(_L, 0)
+        return float(np.sqrt(_dot(w, w)).min())
 
 
 def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
@@ -361,7 +396,8 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     step). The corrector re-converges with least squares augmented by a
     pseudo-arclength row. Stops early on branch points (numerical nullity
     of two or more), corrector failure after step halving, or degeneracy
-    filters, and reports the reason.
+    filters, and reports the reason. The Jacobian's singular values at
+    each sample come from the SVD that yields the tangent there.
     """
     tol = tol or pair_tolerance(a, b0)
     sys = OrthosectSystem(a, tol)
@@ -374,18 +410,14 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     residuals = [float(np.abs(r).max())]
     tau, s = _tangent(sys.jacobian(x))
     tau = float(direction) * _canonical_sign(tau)
+    singular_values = [s]
     stop = "steps exhausted"
     center = a.array.mean(axis=0)
     weight = 1.0 / scale
     for _ in range(steps):
-        jac = sys.jacobian(x)
-        tau_new, s = _tangent(jac)
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
-        if float(np.dot(tau_new, tau)) < 0:
-            tau_new = -tau_new
-        tau = tau_new
         step = h
         accepted = None
         for _ in range(7):
@@ -417,16 +449,23 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
             break
         x = accepted
         r = sys.residuals(x)
-        if sys.min_edge(x) < 1e-3 * scale:
+        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
-        if np.abs(x.reshape(4, 3) - center).max() > 50.0 * scale:
+        if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
             stop = "degenerate: out of range"
             break
         samples.append(Tetrahedron.of(x.reshape(4, 3)))
         residuals.append(float(np.abs(r).max()))
+        # tangent at the new sample, sign-aligned with the step just taken
+        tau_new, s = _tangent(sys.jacobian(x))
+        if float(np.dot(tau_new, tau)) < 0:
+            tau_new = -tau_new
+        tau = tau_new
+        singular_values.append(s)
     return SolutionBranch(samples=tuple(samples), step_size=h,
-                          max_residuals=tuple(residuals), stop_reason=stop)
+                          max_residuals=tuple(residuals), stop_reason=stop,
+                          singular_values=tuple(singular_values))
 
 
 def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,

@@ -1,6 +1,7 @@
 """Primitive operations against independent brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,19 @@ def test_closest_points_parallel_and_identical():
     r = closest_points(base, same)
     assert r.identical and r.gap == 0.0
     assert r.p1 == base.anchor
+
+
+def test_closest_points_nearly_parallel_gap_is_order_free():
+    # lines meeting at (0, 0, 1) at 6e-8 rad, below the parallel cut-off:
+    # l2's anchor lies on l1, while l1's anchor is 6e-8 away from l2
+    angle = 6e-8
+    l1 = Line(Point(0, 0, 0), np.array([0, 0, 1.0]))
+    l2 = Line(Point(0, 0, 1), np.array([math.sin(angle), 0, math.cos(angle)]))
+    r12 = closest_points(l1, l2)
+    r21 = closest_points(l2, l1)
+    assert r12.parallel and r21.parallel
+    assert r12.gap == r21.gap
+    assert not r12.identical and not r21.identical
 
 
 @given(a1=point3, d1=point3, a2=point3, d2=point3)

@@ -3,14 +3,16 @@ the constructive curve-point solver."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.errors import CurvePointError, DegenerateError
-from orthosect.geom_core import Point, project_to_plane
-from orthosect.orthology import Tetrahedron, find_labeling
+from orthosect.geom_core import Point, Tolerance, project_to_plane
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, find_labeling
 from orthosect.pedal import chain_sphere_residual
 from orthosect.solver import (
     OrthosectSystem,
+    _Collapse,
     SolverConfig,
     intersection_gaps,
     orthosect_residuals,
@@ -74,6 +76,112 @@ def test_jacobian_matches_central_differences():
         fd[:, c] = (sys.residuals(xp) - sys.residuals(xm)) / (2 * h)
     denom = max(np.abs(jac).max(), 1e-12)
     assert np.abs(jac - fd).max() / denom < 1e-6
+
+
+class _LoopSystem:
+    """Reference: the orthosecting system evaluated one pairing at a time
+    with np.dot, np.cross and np.linalg.norm on 3-vectors."""
+
+    def __init__(self, host, scale, skip_intersection):
+        self.scale = scale
+        self.skip = skip_intersection
+        self.rows = []
+        for (i, j), (k, l) in EDGE_PAIRINGS:
+            u = host[i - 1] - host[j - 1]
+            self.rows.append(((i, j), (k, l), u, float(np.linalg.norm(u)), host[i - 1]))
+        self.n_rows = 6 + sum(1 for r in self.rows if (r[0], r[1]) != self.skip)
+
+    def _edges(self, x):
+        b = x.reshape(4, 3)
+        out = []
+        for _, (k, l), u, nu, ai in self.rows:
+            w = b[k - 1] - b[l - 1]
+            nw = float(np.linalg.norm(w))
+            if nw <= 1e-9 * self.scale:
+                raise _Collapse(f"edge B{k}{l} collapsed")
+            out.append((k, l, u, nu, ai, b[k - 1], w, nw))
+        return out
+
+    def residuals(self, x):
+        vals = np.empty(self.n_rows)
+        edges = self._edges(x)
+        for idx, (_, _, u, nu, _, _, w, nw) in enumerate(edges):
+            vals[idx] = float(np.dot(u, w)) / (nu * nw)
+        pos = 6
+        for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
+            if self.rows[idx][0:2] == self.skip:
+                continue
+            vals[pos] = float(np.dot(np.cross(u, w), bk - ai)) / (nu * nw * self.scale)
+            pos += 1
+        return vals
+
+    def jacobian(self, x):
+        jac = np.zeros((self.n_rows, 12))
+        edges = self._edges(x)
+        for idx, (k, l, u, nu, _, _, w, nw) in enumerate(edges):
+            g = float(np.dot(u, w)) / (nu * nw)
+            dw = u / (nu * nw) - g * w / (nw * nw)
+            jac[idx, 3 * (k - 1):3 * k] = dw
+            jac[idx, 3 * (l - 1):3 * l] = -dw
+        pos = 6
+        for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
+            if self.rows[idx][0:2] == self.skip:
+                continue
+            m = bk - ai
+            denom = nu * nw * self.scale
+            h = float(np.dot(np.cross(u, w), m)) / denom
+            dw = np.cross(m, u) / denom - h * w / (nw * nw)
+            dm = np.cross(u, w) / denom
+            jac[pos, 3 * (k - 1):3 * k] = dw + dm
+            jac[pos, 3 * (l - 1):3 * l] = -dw
+            pos += 1
+        return jac
+
+    def min_edge(self, x):
+        b = x.reshape(4, 3)
+        return min(float(np.linalg.norm(b[i] - b[j]))
+                   for i in range(4) for j in range(i + 1, 4))
+
+
+def _evaluate(fn, x):
+    try:
+        return fn(x), None
+    except _Collapse as exc:
+        return None, str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       skip=st.sampled_from((None,) + EDGE_PAIRINGS),
+       merged=st.sampled_from(((), (0, 1), (1, 3), (2, 3), (0, 2, 3), (3, 2, 1))))
+@settings(max_examples=120, deadline=None)
+def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, skip, merged):
+    """The array kernel reproduces the per-pairing loop exactly: the same
+    residuals, Jacobian and min edge bits, and the same collapse message
+    (merging partner vertices collapses edges; the first in pairing order
+    is named)."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    shift = rng.normal(size=3) * scale
+    host = random_tetrahedron(rng).array * scale @ q.T + shift
+    partner = random_tetrahedron(rng).array * scale @ q.T + shift
+    for j in merged[1:]:
+        partner[j] = partner[merged[0]]
+    x = partner.reshape(12)
+    tol = Tolerance.for_points(host)
+    system = OrthosectSystem(Tetrahedron.of(host), tol, skip_intersection=skip)
+    ref = _LoopSystem(host, tol.scene_scale, skip)
+    assert system.n_rows == ref.n_rows
+    for name in ("residuals", "jacobian"):
+        got, got_msg = _evaluate(getattr(system, name), x)
+        want, want_msg = _evaluate(getattr(ref, name), x)
+        assert got_msg == want_msg
+        assert (got_msg is None) == (not merged)
+        if not merged:
+            assert np.array_equal(got, want)
+    assert system.min_edge(x) == ref.min_edge(x)
 
 
 def test_solve_finds_verified_solutions():
