@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -192,7 +193,9 @@ class TraceCounts:
     bisection_rounds: int     # lockstep refinement rounds, one kernel call each
     refine_evals: int         # bisection midpoints plus saddle-cell centres
     crossings: int            # refined crossings kept (|f| <= vertex_tol)
-    rejected_crossings: int   # refined crossings dropped (|f| > vertex_tol)
+    rejected_crossings: int   # refined crossings dropped (|f| > vertex_tol): f jumps
+                              # sign (sphere/plane switch, opposite plane normals,
+                              # t jump) or a midpoint had no root
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,10 +329,13 @@ def trace_curve(host: Tetrahedron, face: int,
     bisection in lockstep (one batched call per round) to ``refine_tol``
     times the scene scale, and links the crossings into polylines. Lattice
     nodes where no real sphericity parameter exists are outside the real
-    locus and skipped; sign flips whose refined residual stays above
-    ``vertex_tol`` are branch-relabeling artifacts near the discriminant
-    boundary, not curve points, and terminate the polyline there. An empty
-    window yields an empty trace, not an error.
+    locus and skipped. Sign flips whose refined residual stays above
+    ``vertex_tol`` are not curve points and terminate the polyline there:
+    the sign of f jumps without passing through zero where the carrier
+    switches between sphere and plane at the radius cut, between two plane
+    fits with opposite normals, or where the branch's t jumps, and some
+    brackets stop at a midpoint with no root. An empty window yields an
+    empty trace, not an error.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -464,27 +470,21 @@ def estimate_degree(trace: CurveTrace, trials: int = 200,
     x0, y0, x1, y1 = trace.window
     center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
     half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
-    seg_len = []
-    for poly in trace.polylines:
-        if len(poly.points) > 1:
-            seg_len.extend(np.linalg.norm(np.diff(poly.points, axis=0), axis=1))
-    tang_tol = float(np.median(seg_len)) * 0.05 if seg_len else 1e-9
-    counts: Dict[int, int] = {}
-    flagged = 0
-    for _ in range(trials):
-        theta = rng.uniform(0.0, math.pi)
-        normal = np.array([math.cos(theta), math.sin(theta)])
-        c = float(np.dot(normal, center) + rng.uniform(-1.4, 1.4) * half_diag)
-        count = 0
-        tangent_hit = False
-        for poly in trace.polylines:
-            s = poly.points @ normal - c
-            if np.abs(s).min(initial=math.inf) <= tang_tol:
-                tangent_hit = True
-            count += int(np.count_nonzero((s[:-1] > 0) != (s[1:] > 0)))
-        counts[count] = counts.get(count, 0) + 1
-        if tangent_hit:
-            flagged += 1
+    runs = [poly.points for poly in trace.polylines if len(poly.points)]
+    points = np.concatenate(runs) if runs else np.empty((0, 2))
+    # segment k joins points k and k + 1 unless a polyline ends at k
+    joined = np.ones(max(len(points) - 1, 0), dtype=bool)
+    joined[np.cumsum([len(run) for run in runs], dtype=int)[:-1] - 1] = False
+    seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)[joined]
+    tang_tol = float(np.median(seg_len)) * 0.05 if len(seg_len) else 1e-9
+    # per line (theta, offset), drawn in that order line after line
+    draws = rng.uniform((0.0, -1.4), (math.pi, 1.4), size=(trials, 2))
+    normals = np.array([(math.cos(theta), math.sin(theta)) for theta in draws[:, 0]])
+    offsets = normals[:, 0] * center[0] + normals[:, 1] * center[1] + draws[:, 1] * half_diag
+    s = points[:, :1] * normals[:, 0] + points[:, 1:] * normals[:, 1] - offsets  # (points, lines)
+    flagged = int((np.abs(s).min(axis=0, initial=math.inf) <= tang_tol).sum())
+    crossings = ((s[:-1] > 0) != (s[1:] > 0)) & joined[:, None]
+    counts = dict(Counter(crossings.sum(axis=0).tolist()))
     return DegreeEstimate(counts=counts, max_count=max(counts), lines=trials,
                           tangency_flagged=flagged)
 

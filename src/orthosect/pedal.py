@@ -179,25 +179,54 @@ def _sphere_fit(points: np.ndarray) -> dict:
     Returns arrays keyed ``sphere`` (K,) bool, ``center`` (K, 3), ``radius``
     (K,), ``normal`` (K, 3), ``offset`` (K,) and ``residual`` (K,), the max
     absolute point residual. A stack is a sphere when the linear fit has
-    rank 4, r^2 > 0 and radius <= 1e6; otherwise it gets the total
-    least-squares plane. Only the entries of its own kind are meaningful."""
+    full rank 4, r^2 > 0 and radius <= 1e6; otherwise it gets the total
+    least-squares plane. Only the entries of its own kind are meaningful;
+    stacks with non-finite points get NaN throughout."""
     k, m, _ = points.shape
-    mat = np.concatenate([points, np.ones((k, m, 1))], axis=2)
-    rhs = -(points * points).sum(axis=2)
-    # minimum-norm least squares with numpy lstsq's default rank cutoff
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(m, 4) * s[:, :1]
-    coef = np.where(keep, np.einsum("kij,ki->kj", u, rhs) / np.where(keep, s, 1.0), 0.0)
-    sol = np.einsum("kji,kj->ki", vt, coef)
-    center = -0.5 * sol[:, :3]
-    r2 = (center * center).sum(axis=1) - sol[:, 3]
-    radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
-    sphere = keep.all(axis=1) & (radius <= 1e6)
-    residual = np.abs(np.linalg.norm(points - center[:, None], axis=2)
-                      - radius[:, None]).max(axis=1)
+    # modified Gram-Schmidt QR of the columns [x, y, z, 1], then -|p|^2
+    # projected onto Q and back-substituted; every step is an elementwise
+    # operation on (m, K) arrays
+    xyz = np.ascontiguousarray(points.transpose(2, 1, 0))
+    cols = [xyz[0], xyz[1], xyz[2], np.ones((m, k))]
+    rhs = -(xyz * xyz).sum(axis=0)
+    q: List[np.ndarray] = []
+    r = np.zeros((4, 4, k))
+    # right-hand sides: Q^T rhs, then the identity, so that back-substitution
+    # yields the solution and R^-1 together
+    y = np.zeros((4, 5, k))
+    y[:, 1:] = np.eye(4)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, v in enumerate(cols):
+            for i, qi in enumerate(q):
+                r[i, j] = (qi * v).sum(axis=0)
+                v = v - r[i, j] * qi
+            r[j, j] = np.sqrt((v * v).sum(axis=0))
+            q.append(v / r[j, j])
+        for j, qj in enumerate(q):
+            y[j, 0] = (qj * rhs).sum(axis=0)
+            rhs = rhs - y[j, 0] * qj
+        for j in range(3, -1, -1):
+            for i in range(j + 1, 4):
+                y[j] = y[j] - r[j, i] * y[i]
+            y[j] = y[j] / r[j, j]
+        sol = y[:, 0]
+        # rank 4 when the condition number of R, bounded above by
+        # |R|_F |R^-1|_F (at most 4x the 2-norm one), is below numpy lstsq's
+        # cutoff; the diagonal of R alone reads coplanar stacks as full rank
+        cond = np.sqrt((r * r).sum(axis=(0, 1)) * (y[:, 1:] * y[:, 1:]).sum(axis=(0, 1)))
+        full_rank = np.finfo(float).eps * max(m, 4) * cond < 1.0
+        center = -0.5 * sol[:3]
+        r2 = (center * center).sum(axis=0) - sol[3]
+        radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
+        sphere = full_rank & (radius <= 1e6)
+        # a rank-deficient solution may be huge: planes carry no sphere
+        center = np.where(sphere, center, np.nan)
+        radius = np.where(sphere, radius, np.nan)
+        d = xyz - center[:, None]
+        residual = np.abs(np.sqrt((d * d).sum(axis=0)) - radius).max(axis=0)
     normal = np.full((k, 3), np.nan)
     offset = np.full(k, np.nan)
-    flat = ~sphere
+    flat = ~sphere & np.isfinite(points).all(axis=(1, 2))
     if flat.any():
         pts = points[flat]
         centroid = pts.mean(axis=1)
@@ -205,7 +234,7 @@ def _sphere_fit(points: np.ndarray) -> dict:
         normal[flat] = n
         offset[flat] = (n * centroid).sum(axis=1)
         residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
-    return {"sphere": sphere, "center": center, "radius": radius,
+    return {"sphere": sphere, "center": center.T, "radius": radius,
             "normal": normal, "offset": offset, "residual": residual}
 
 
@@ -326,12 +355,11 @@ class ChainKernel:
         pts[:, :, 4] = base24[:, None] + t * self.g24
         return pts
 
-    def _sphericity(self, b4_local: np.ndarray, validate_tol: float | None) -> dict:
+    def _sphericity(self, b4_local: np.ndarray) -> dict:
         """Sphericity roots of N local face points as arrays with a leading
         (N, 2) shape, one column per root of the quadratic (unsorted); t and
-        f are NaN where a root is missing or fails validation."""
-        if validate_tol is None:
-            validate_tol = self.tol.eps_rel
+        f are NaN where a root is missing or fails validation against
+        eps_rel."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         n = len(p)
         v12, v13, v23 = self.base_feet(p)
@@ -378,17 +406,10 @@ class ChainKernel:
                 polish &= np.abs(slope) >= 1e-300
                 t = np.where(polish, t - ((a2 * t + a1) * t + a0) / slope, t)
 
-        cand = np.isfinite(t)
         five = self._five_feet(feet, t)
-        fit = {"sphere": np.zeros((n, 2), bool), "center": np.full((n, 2, 3), np.nan),
-               "radius": np.full((n, 2), np.nan), "normal": np.full((n, 2, 3), np.nan),
-               "offset": np.full((n, 2), np.nan), "residual": np.full((n, 2), np.inf)}
-        for k in range(2):   # one root column at a time halves the working set
-            rows = np.flatnonzero(cand[:, k])
-            if len(rows):
-                for key, val in _sphere_fit(five[rows, k]).items():
-                    fit[key][rows, k] = val
-        valid = fit["residual"] <= validate_tol
+        fit = {key: val.reshape(n, 2, *val.shape[1:])
+               for key, val in _sphere_fit(five.reshape(-1, 5, 3)).items()}
+        valid = fit["residual"] <= self.tol.eps_rel
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
@@ -410,26 +431,25 @@ class ChainKernel:
         the signed residual of the sixth foot against the carrier through
         the other five, NaN where a point has fewer roots. See
         ``sphericity_roots`` for units; roots are validated against eps_rel."""
-        r = self._sphericity(b4_local, None)
+        r = self._sphericity(b4_local)
         order = np.argsort(r["t"], axis=1)   # NaN last
         return (np.take_along_axis(r["t"], order, axis=1),
                 np.take_along_axis(r["f"], order, axis=1))
 
-    def sphericity_roots(self, b4_local: np.ndarray,
-                         validate_tol: float | None = None) -> List[dict]:
+    def sphericity_roots(self, b4_local: np.ndarray) -> List[dict]:
         """Validated displacement parameters making the first five feet
         co-spherical (or co-planar), with per-root carrier and the signed
         residual of the sixth foot against that carrier.
 
         A root is validated when the least-squares sphere (or plane) through
-        its five feet fits them within ``validate_tol`` (default eps_rel).
+        its five feet fits them within eps_rel.
         Returns a list of dicts sorted by t with keys: t, f, kind, carrier
         data and the local-frame chain points. Coordinates are local; t and
         f are in normalized units (multiply t by the scene scale to get
         world units; f is already the scale-normalized residual). This is
         the single-point view of ``sphericity_batch``.
         """
-        r = {k: v[0] for k, v in self._sphericity(b4_local, validate_tol).items()}
+        r = {k: v[0] for k, v in self._sphericity(b4_local).items()}
         out = []
         for k in np.argsort(r["t"]):
             if np.isnan(r["t"][k]):

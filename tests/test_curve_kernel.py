@@ -1,6 +1,7 @@
 """The batched closed-form sphericity kernel: agreement with the
-degree-4 fit it replaced, batch/single-point consistency, and the curve
-tracer's crossing counts."""
+degree-4 fit it replaced, agreement of its Gram-Schmidt sphere fit with the
+SVD fit it replaced, batch/single-point consistency, and the curve tracer's
+crossing counts."""
 
 import math
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.analysis import _FaceFrame, default_window, trace_curve
-from orthosect.pedal import ChainKernel
+from orthosect.pedal import ChainKernel, _sphere_fit
 from orthosect.scene import load_scene
 
 DEMO_SCENE = Path(__file__).parent.parent / "scenes" / "demo.json"
@@ -117,6 +118,153 @@ def test_closed_form_matches_degree4_fit(seed, log_scale):
     assert compared > 0
 
 
+# --- reference: the batched-SVD sphere fit the Gram-Schmidt one replaced ----
+
+
+def _svd_sphere_fit(points):
+    k, m, _ = points.shape
+    mat = np.concatenate([points, np.ones((k, m, 1))], axis=2)
+    rhs = -(points * points).sum(axis=2)
+    # minimum-norm least squares with numpy lstsq's default rank cutoff
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m, 4) * s[:, :1]
+    coef = np.where(keep, np.einsum("kij,ki->kj", u, rhs) / np.where(keep, s, 1.0), 0.0)
+    sol = np.einsum("kji,kj->ki", vt, coef)
+    center = -0.5 * sol[:, :3]
+    r2 = (center * center).sum(axis=1) - sol[:, 3]
+    radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
+    sphere = keep.all(axis=1) & (radius <= 1e6)
+    residual = np.abs(np.linalg.norm(points - center[:, None], axis=2)
+                      - radius[:, None]).max(axis=1)
+    normal = np.full((k, 3), np.nan)
+    offset = np.full(k, np.nan)
+    flat = ~sphere
+    if flat.any():
+        pts = points[flat]
+        centroid = pts.mean(axis=1)
+        n = np.linalg.svd(pts - centroid[:, None])[2][:, -1]
+        normal[flat] = n
+        offset[flat] = (n * centroid).sum(axis=1)
+        residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
+    return {"sphere": sphere, "center": center, "radius": radius,
+            "normal": normal, "offset": offset, "residual": residual}
+
+
+EPS = np.finfo(float).eps
+# Fixed before comparing: two backward-stable least-squares solvers agree to
+# FIT_FACTOR * eps * kappa * (1 + kappa * rho) * max(1, |x|) in the solution
+# x = (-2 c, |c|^2 - r^2), where kappa is the condition number of [x y z 1]
+# and rho its relative residual; a normal-equations fit errs by kappa^2 eps.
+FIT_FACTOR = 100.0
+# |R|_F |R^-1|_F reads kappa up to 4x high, so rank verdicts may differ
+# where the reference's kappa * eps * max(m, 4) lies in this band
+RANK_BAND = (1.0 / 8.0, 2.0)
+
+
+def _fit_disagreements(fit, points):
+    """Stacks where ``fit`` departs from the SVD reference by more than the
+    least-squares forward-error bound: a different sphere flag, centre,
+    radius, residual or residual <= 1e-7 verdict, or (for planes) any
+    difference at all. Returns (stack, what) pairs."""
+    ref = _svd_sphere_fit(points)
+    m = points.shape[1]
+    mat = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
+    rhs = -(points * points).sum(axis=2)
+    s = np.linalg.svd(mat, compute_uv=False)
+    kappa = s[:, 0] / s[:, -1]
+    x = np.concatenate([-2.0 * ref["center"], (ref["center"] ** 2).sum(axis=1, keepdims=True)
+                        - ref["radius"][:, None] ** 2], axis=1)
+    with np.errstate(invalid="ignore"):
+        rho = (np.linalg.norm(np.einsum("kmi,ki->km", mat, x) - rhs, axis=1)
+               / (s[:, 0] * np.linalg.norm(x, axis=1)))
+    tol = FIT_FACTOR * EPS * kappa * (1.0 + kappa * rho) * np.maximum(1.0, np.linalg.norm(x, axis=1))
+    out = []
+    for k in range(len(points)):
+        if RANK_BAND[0] <= kappa[k] * EPS * max(m, 4) <= RANK_BAND[1]:
+            continue
+        if not ref["sphere"][k]:
+            if fit["sphere"][k] or not all(np.array_equal(fit[key][k], ref[key][k])
+                                           for key in ("normal", "offset", "residual")):
+                out.append((k, "plane"))
+            continue
+        c, r = ref["center"][k], ref["radius"][k]
+        d_r = tol[k] * (1.0 + np.linalg.norm(c)) / r
+        if abs(r - 1e6) <= d_r:
+            continue   # at the radius cut
+        if not fit["sphere"][k]:
+            out.append((k, "sphere flag"))
+            continue
+        d_res = tol[k] + d_r
+        if np.linalg.norm(fit["center"][k] - c) > tol[k]:
+            out.append((k, "centre"))
+        if abs(fit["radius"][k] - r) > d_r:
+            out.append((k, "radius"))
+        if abs(fit["residual"][k] - ref["residual"][k]) > d_res:
+            out.append((k, "residual"))
+        if (abs(ref["residual"][k] - 1e-7) > d_res
+                and (fit["residual"][k] <= 1e-7) != (ref["residual"][k] <= 1e-7)):
+            out.append((k, "verdict"))
+    return out
+
+
+def _fit_stacks(rng, m, n):
+    """n stacks of m points of each kind: co-spherical (whole sphere and a
+    unit-size cap) at radii 1e-3..1e5 with relative noise 0 or 1e-16..1e-6,
+    near-coplanar (1e-12..1e-9 off a plane), coplanar, and repeated points
+    (2, 3 or 4 distinct)."""
+    stacks = []
+    for _ in range(n):
+        radius = 10.0 ** rng.uniform(-3.0, 5.0)
+        c = rng.uniform(-1.0, 1.0, 3)
+        d = rng.normal(size=(m, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        noise = (rng.random() < 0.7) * 10.0 ** rng.uniform(-16.0, -6.0) * radius
+        stacks.append(c + radius * d + noise * rng.normal(size=(m, 3)))
+        axis = d[0]
+        cap = axis + min(1.0, radius) / radius * rng.normal(size=(m, 3))
+        cap /= np.linalg.norm(cap, axis=1)[:, None]
+        stacks.append(c + radius * (cap - axis) + noise * rng.normal(size=(m, 3)))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        u = np.cross(normal, rng.normal(size=3))
+        u /= np.linalg.norm(u)
+        v = np.cross(normal, u)
+        ab = rng.uniform(-1.0, 1.0, (m, 2)) * scale
+        flat = c * scale + ab[:, :1] * u + ab[:, 1:] * v
+        stacks.append(flat)
+        stacks.append(flat + 10.0 ** rng.uniform(-12.0, -9.0) * scale
+                      * rng.normal(size=(m, 1)) * normal)
+        distinct = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 5)), 3)) * scale + c
+        stacks.append(distinct[np.concatenate([np.arange(len(distinct)),
+                                               rng.integers(0, len(distinct), m - len(distinct))])])
+    return np.array(stacks)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([5, 6]))
+@settings(max_examples=40, deadline=None)
+def test_sphere_fit_matches_svd_reference(seed, m):
+    points = _fit_stacks(np.random.default_rng(seed), m, 8)
+    assert _fit_disagreements(_sphere_fit(points), points) == []
+
+
+def test_fit_bound_rejects_normal_equations():
+    """The bound above is tight enough to tell a normal-equations fit, which
+    squares the condition number, from a stable one (on the cap stacks)."""
+    points = _fit_stacks(np.random.default_rng(7), 5, 40)[1::5]
+    mat = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
+    rhs = -(points * points).sum(axis=2)
+    gram = np.einsum("kmi,kmj->kij", mat, mat)
+    sol = np.linalg.solve(gram, np.einsum("kmi,km->ki", mat, rhs)[..., None])[..., 0]
+    fit = _svd_sphere_fit(points)
+    fit["center"] = -0.5 * sol[:, :3]
+    with np.errstate(invalid="ignore"):
+        fit["radius"] = np.sqrt((fit["center"] ** 2).sum(axis=1) - sol[:, 3])
+    fit["residual"] = np.abs(np.linalg.norm(points - fit["center"][:, None], axis=2)
+                             - fit["radius"][:, None]).max(axis=1)
+    assert "centre" in {what for _, what in _fit_disagreements(fit, points)}
+
+
 def test_batch_equals_single_point_calls():
     host = load_scene(DEMO_SCENE).tetrahedron("A")
     frame = _FaceFrame(host, 4, None)
@@ -142,15 +290,19 @@ def test_batch_equals_single_point_calls():
 # --- trace_curve ------------------------------------------------------------
 
 
-# vertices per face of the demo scene's host at grid 16, measured with the
-# per-point tracer; a lower count means crossings were dropped
-DEMO_GRID16_VERTICES = {1: 47, 2: 48, 3: 36, 4: 63}
+# vertices per (grid, face) of the demo scene's host, at grid 16 measured
+# with the per-point tracer and at grid 32 with the SVD sphere fit; a lower
+# count means crossings were dropped
+DEMO_VERTICES = {(16, 1): 47, (16, 2): 48, (16, 3): 36, (16, 4): 63,
+                 (32, 1): 127, (32, 2): 111, (32, 3): 94, (32, 4): 122}
 
 
-@pytest.mark.parametrize("face", [1, 2, 3, 4])
-def test_trace_curve_vertex_counts(face):
+@pytest.mark.parametrize("grid, face", [
+    pytest.param(grid, face, id=str(face) if grid == 16 else f"grid{grid}-{face}")
+    for grid, face in DEMO_VERTICES])
+def test_trace_curve_vertex_counts(grid, face):
     host = load_scene(DEMO_SCENE).tetrahedron("A")
-    assert trace_curve(host, face, grid=16).vertex_count == DEMO_GRID16_VERTICES[face]
+    assert trace_curve(host, face, grid=grid).vertex_count == DEMO_VERTICES[grid, face]
 
 
 def _marched_edges(host, face, grid):
