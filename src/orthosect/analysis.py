@@ -5,7 +5,6 @@ and repeated-conjugation sequences.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -13,38 +12,24 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateError,
-    GeometryError,
-    NotOrthologicError,
-    NotOrthosectingError,
-)
-from .geom_core import (
-    Point,
-    SphereOrPlane,
-    Tolerance,
-    _fit_plane,
-    closest_points,
-    sphere_through,
-    unit,
-)
+from .errors import DegenerateError, GeometryError, NotOrthologicError
+from .geom_core import Point, SphereOrPlane, Tolerance, unit
 from .orthology import (
-    EDGE_PAIRINGS,
     Pairing,
     Tetrahedron,
-    edge_orthogonality_residuals,
     orthology_centers,
     pair_tolerance,
+    require_orthosecting,
 )
 from .pedal import (
     ChainKernel,
     PedalChain,
+    carrier_through,
     isogonal_conjugate,
     pedal_triangle,
     reconstruct_tetrahedron,
     spherical_chain,
 )
-from .solver import intersection_gaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,52 +49,21 @@ class SphereReport:
         return max(abs(r) for r in self.residuals.values())
 
 
-def _best_four_subset(points: List[np.ndarray], tol: Tolerance):
-    best = (-1.0, None)
-    for subset in itertools.combinations(range(len(points)), 4):
-        p = [points[i] for i in subset]
-        vol = abs(float(np.linalg.det(np.array(p[1:]) - p[0])))
-        if vol > best[0]:
-            best = (vol, subset)
-    return best
-
-
 def verify_sphere(a: Tetrahedron, b: Tetrahedron,
                   five_point: bool = False,
                   tol: Tolerance | None = None) -> SphereReport:
     """Check that the edge intersection points of an orthosecting pair lie
-    on one sphere (or plane) centered at the orthology-center midpoint.
+    on one sphere (or plane) centered at the orthology-center midpoint: the
+    carrier is the least-squares sphere (or plane) through the points.
 
     With ``five_point`` the pairing with the worst gap is dropped and only
     the five remaining intersection points are checked (five intersecting
     edge pairs suffice for co-sphericity).
     """
     tol = tol or pair_tolerance(a, b)
-    ortho = edge_orthogonality_residuals(a, b, tol)
-    if max(ortho.values()) > tol.eps_rel:
-        raise NotOrthologicError(
-            f"pair is not orthologic: max residual {max(ortho.values()):.3e}",
-            residuals=ortho)
-    gaps = intersection_gaps(a, b, tol)
-    pairings = list(EDGE_PAIRINGS)
-    if five_point:
-        worst = max(pairings, key=lambda p: gaps[p])
-        pairings.remove(worst)
-    bad = {p: g for p, g in gaps.items() if p in pairings and g > tol.eps_rel}
-    if bad:
-        raise NotOrthosectingError(
-            f"{len(bad)} edge pair(s) fail to intersect (max gap "
-            f"{max(bad.values()):.3e} of scene scale)", gaps=gaps)
-    pts: Dict[Pairing, Point] = {}
-    for (i, j), (k, l) in pairings:
-        cp = closest_points(a.edge_line(i, j), b.edge_line(k, l), tol)
-        pts[((i, j), (k, l))] = cp.midpoint
-    arrs = [p.array for p in pts.values()]
-    vol, subset = _best_four_subset(arrs, tol)
-    if vol <= tol.eps_rel * tol.scene_scale**3:
-        carrier = SphereOrPlane.plane(_fit_plane(np.array(arrs)))
-    else:
-        carrier = sphere_through(*(arrs[i] for i in subset), tol=tol)
+    pairings, feet = require_orthosecting(a, b, tol, drop_worst_gap=five_point)
+    carrier, _ = carrier_through(feet, tol)
+    pts = {p: Point.of(q) for p, q in zip(pairings, feet)}
     residuals = {p: carrier.signed_distance(q) / tol.scene_scale
                  for p, q in pts.items()}
     midpoint_gap = None
@@ -137,18 +91,13 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     carrier sphere of their intersection points.
     """
     tol = tol or pair_tolerance(a, b)
-    ortho = edge_orthogonality_residuals(a, b, tol)
-    gaps = intersection_gaps(a, b, tol)
-    if max(ortho.values()) > tol.eps_rel or max(gaps.values()) > tol.eps_rel:
-        raise NotOrthosectingError(
-            f"pair does not orthosect (orthogonality {max(ortho.values()):.3e}, "
-            f"gap {max(gaps.values()):.3e})", gaps=gaps)
+    require_orthosecting(a, b, tol)
     faces = {i: tuple(a.vertex(m) for m in (1, 2, 3, 4) if m != i) for i in (1, 2, 3, 4)}
     face_indices = {i: [m for m in (1, 2, 3, 4) if m != i] for i in (1, 2, 3, 4)}
     sources = []
     for i in (1, 2, 3, 4):
-        proj = np.asarray(b.vertex(i).array - a.face_plane(i).signed_distance(b.vertex(i))
-                          * a.face_plane(i).normal)
+        plane = a.face_plane(i)
+        proj = b.vertex(i).array - plane.signed_distance(b.vertex(i)) * plane.normal
         conj = isogonal_conjugate(Point.of(proj), faces[i], tol)
         sources.append(conj)
     candidates: Dict[frozenset, List[Point]] = {}
@@ -530,11 +479,7 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     orthology centers of all pairs clustered at the given radius. A
     degeneracy mid-run truncates the sequence and reports the step."""
     tol = tol or pair_tolerance(b0, b1)
-    ortho = edge_orthogonality_residuals(b0, b1, tol)
-    gaps = intersection_gaps(b0, b1, tol)
-    if max(ortho.values()) > tol.eps_rel or max(gaps.values()) > tol.eps_rel:
-        raise NotOrthosectingError(
-            "seed tetrahedra do not form an orthosecting pair", gaps=gaps)
+    require_orthosecting(b0, b1, tol)
     seq: List[Tetrahedron] = [b0, b1]
     truncated_at = None
     reason = None

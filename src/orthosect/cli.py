@@ -20,12 +20,7 @@ from typing import List, Optional, Tuple
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
 from .geom_core import Point, Tolerance
-from .orthology import (
-    Tetrahedron,
-    edge_orthogonality_residuals,
-    orthology_centers,
-    pairing_key,
-)
+from .orthology import EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures, pairing_key
 from .scene import Report, Scene, load_scene
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
@@ -85,11 +80,11 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     tol = _scene_tolerance(scene, list(a.vertices) + list(b.vertices))
     report.results["pair"] = [a_name, b_name]
     report.results["scene_scale"] = tol.scene_scale
-    ortho = edge_orthogonality_residuals(a, b, tol)
-    gaps = solver.intersection_gaps(a, b, tol)
-    report.results["orthogonality_residuals"] = {pairing_key(p): v for p, v in ortho.items()}
-    report.results["gaps"] = {pairing_key(p): v for p, v in gaps.items()}
-    max_ortho = max(ortho.values())
+    ortho, gaps, _ = pair_measures(a, b, tol)
+    keys = [pairing_key(p) for p in EDGE_PAIRINGS]
+    report.results["orthogonality_residuals"] = dict(zip(keys, ortho.tolist()))
+    report.results["gaps"] = dict(zip(keys, gaps.tolist()))
+    max_ortho = float(ortho.max())
     orthologic = max_ortho <= tol.eps_rel
     report.add_verdict("orthologic", max_ortho, tol.eps_rel)
     if orthologic:
@@ -98,8 +93,7 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
             "center_a": _point_list(rep.center_a), "center_b": _point_list(rep.center_b),
             "spread_a": rep.spread_a, "spread_b": rep.spread_b}
     if args.corollary4:
-        sorted_gaps = sorted(gaps.values())
-        worst_kept = max(max_ortho, sorted_gaps[-2])  # five smallest of six
+        worst_kept = max(max_ortho, float(sorted(gaps)[-2]))  # five smallest of six
         report.add_verdict("five_intersections", worst_kept, tol.eps_rel)
         if worst_kept > tol.eps_rel:
             return
@@ -109,7 +103,7 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
                                               for p, v in rep.residuals.items()}
         report.add_verdict("cospherical_5", rep.max_abs_residual, SPHERE_TOL)
         return
-    worst = max(max_ortho, max(gaps.values()))
+    worst = max(max_ortho, float(gaps.max()))
     report.add_verdict("orthosecting", worst, tol.eps_rel)
     if worst > tol.eps_rel:
         return

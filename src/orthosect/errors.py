@@ -17,8 +17,18 @@ class SimsonDegenerateError(DegenerateError):
     circumcircle of the host triangle; no pedal circle exists."""
 
 
-class NotOrthologicError(GeometryError):
-    """The two tetrahedra are not orthologic under the given labeling.
+class NotOrthosectingError(GeometryError):
+    """Some non-corresponding edges fail to intersect (or, for the
+    NotOrthologicError subclass, are not even orthogonal)."""
+
+    def __init__(self, message, gaps=None):
+        super().__init__(message)
+        self.gaps = gaps
+
+
+class NotOrthologicError(NotOrthosectingError):
+    """The two tetrahedra are not orthologic under the given labeling; a
+    pair that is not orthologic does not orthosect either.
 
     Carries the six edge-orthogonality residuals for diagnostics.
     """
@@ -26,14 +36,6 @@ class NotOrthologicError(GeometryError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals
-
-
-class NotOrthosectingError(GeometryError):
-    """Orthology holds but some non-corresponding edges fail to intersect."""
-
-    def __init__(self, message, gaps=None):
-        super().__init__(message)
-        self.gaps = gaps
 
 
 class ReconstructionError(GeometryError):

@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import CurveTrace, Polyline, verify_sphere
 from .errors import GeometryError, SceneError
 from .geom_core import Point, circle_through, unit
+from .orthology import require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
@@ -171,7 +172,7 @@ def _auto_pair(scene: Scene) -> Optional[Tuple[str, str]]:
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             try:
-                verify_sphere(scene.tetrahedra[a], scene.tetrahedra[b])
+                require_orthosecting(scene.tetrahedra[a], scene.tetrahedra[b])
                 return a, b
             except GeometryError:
                 continue

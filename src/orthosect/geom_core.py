@@ -40,10 +40,6 @@ class Tolerance:
             scale = 1.0
         return cls(eps_abs=eps_abs, eps_rel=eps_rel, scene_scale=scale)
 
-    @property
-    def length_tol(self) -> float:
-        return self.eps_rel * self.scene_scale
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -209,35 +205,55 @@ class LineClosest:
         return Point.of(0.5 * (self.p1.array + self.p2.array))
 
 
-def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClosest:
-    """Closest points of two lines, their gap, and the angle cosine.
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays; matmul runs np.dot's
+    kernel on each row, so every value is bit-identical to np.dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    Parallel lines are flagged and report the distance between them, the
-    smaller of the two anchors' distances to the other line, and p1 at the
-    first anchor; they are identical (first anchor as both closest points)
-    only when both anchors lie on the other line.
+
+def closest_rows(p: np.ndarray, u: np.ndarray, q: np.ndarray, v: np.ndarray,
+                 tol: Tolerance | None = None):
+    """Closest approach of n line pairs at once: row k pairs the line
+    through ``p[k]`` with unit direction ``u[k]`` and the line through
+    ``q[k]`` with unit direction ``v[k]``, all (n, 3).
+
+    Returns ``(c1, c2, gap, cos, parallel, identical)``: the closest points
+    (n, 3) on the first and second lines, the gap and the angle cosine (n,),
+    and two (n,) flags. Parallel lines report the distance between them,
+    the smaller of the two anchors' distances to the other line, and c1 at
+    the first anchor; they are identical (first anchor as both closest
+    points, gap 0) only when both anchors lie on the other line. Every
+    value is the one the scalar formulas give for that row alone.
     """
     tol = tol or DEFAULT_TOL
-    u, v = l1.direction, l2.direction
-    p, q = l1.anchor.array, l2.anchor.array
-    b = float(np.dot(u, v))
+    b = dot_rows(u, v)
     w0 = p - q
     denom = 1.0 - b * b
-    if denom <= 1e-14:
-        # parallel: perp runs from l2 to l1's anchor, perp_q from l1 to l2's
-        perp = w0 - np.dot(w0, v) * v
-        perp_q = -w0 - np.dot(-w0, u) * u
-        gap, gap_q = float(np.linalg.norm(perp)), float(np.linalg.norm(perp_q))
-        if max(gap, gap_q) <= tol.eps_abs * tol.scene_scale:
-            return LineClosest(l1.anchor, l1.anchor, 0.0, b, parallel=True, identical=True)
-        return LineClosest(l1.anchor, Point.of(p - perp), min(gap, gap_q), b, parallel=True)
-    d = float(np.dot(u, w0))
-    e = float(np.dot(v, w0))
-    t = (b * e - d) / denom
-    s = (e - b * d) / denom
-    c1 = p + t * u
-    c2 = q + s * v
-    return LineClosest(Point.of(c1), Point.of(c2), float(np.linalg.norm(c1 - c2)), b)
+    parallel = denom <= 1e-14
+    # parallel: perp runs from the second line to p, perp_q from the first to q
+    perp = w0 - dot_rows(w0, v)[:, None] * v
+    perp_q = -w0 - dot_rows(-w0, u)[:, None] * u
+    gap_p, gap_q = np.sqrt(dot_rows(perp, perp)), np.sqrt(dot_rows(perp_q, perp_q))
+    identical = parallel & (np.maximum(gap_p, gap_q) <= tol.eps_abs * tol.scene_scale)
+    denom = np.where(parallel, 1.0, denom)
+    d = dot_rows(u, w0)
+    e = dot_rows(v, w0)
+    c1 = p + ((b * e - d) / denom)[:, None] * u
+    c2 = q + ((e - b * d) / denom)[:, None] * v
+    gap = np.where(parallel, np.minimum(gap_p, gap_q), np.sqrt(dot_rows(c1 - c2, c1 - c2)))
+    c1 = np.where(parallel[:, None], p, c1)
+    c2 = np.where(parallel[:, None], np.where(identical[:, None], p, p - perp), c2)
+    return c1, c2, np.where(identical, 0.0, gap), b, parallel, identical
+
+
+def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClosest:
+    """Closest points of two lines, their gap, and the angle cosine: the
+    one-row view of :func:`closest_rows`."""
+    c1, c2, gap, cos, parallel, identical = closest_rows(
+        l1.anchor.array[None], l1.direction[None], l2.anchor.array[None],
+        l2.direction[None], tol)
+    return LineClosest(Point.of(c1[0]), Point.of(c2[0]), float(gap[0]), float(cos[0]),
+                       parallel=bool(parallel[0]), identical=bool(identical[0]))
 
 
 def project_to_plane(p, pl: Plane) -> Point:

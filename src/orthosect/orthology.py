@@ -16,14 +16,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateError, NotOrthologicError
+from .errors import DegenerateError, NotOrthologicError, NotOrthosectingError
 from .geom_core import (
     Line,
     Plane,
     Point,
     Tolerance,
     as_array,
+    closest_rows,
     concurrency_point,
+    dot_rows,
     meet_planes,
     unit,
 )
@@ -42,9 +44,9 @@ EDGE_PAIRINGS: Tuple[Pairing, ...] = (
     ((3, 4), (1, 2)),
 )
 
-# Complement of each unordered edge {i,j} within {1,2,3,4}.
-EDGE_COMPLEMENT = {frozenset(a): tuple(sorted({1, 2, 3, 4} - set(a)))
-                   for a, _ in EDGE_PAIRINGS}
+# 0-based host edge A_i A_j and partner edge B_k B_l of each pairing, in
+# EDGE_PAIRINGS order; the partner edges are the six edges of B, each once
+_I, _J, _K, _L = (np.array(c) - 1 for c in zip(*(ij + kl for ij, kl in EDGE_PAIRINGS)))
 
 
 def pairing_key(pairing: Pairing) -> str:
@@ -96,9 +98,6 @@ class Tetrahedron:
     def vertex(self, i: int) -> Point:
         return self.vertices[i - 1]
 
-    def edge_vector(self, i: int, j: int) -> np.ndarray:
-        return self.array[i - 1] - self.array[j - 1]
-
     def edge_line(self, i: int, j: int) -> Line:
         return Line.through(self.vertex(i), self.vertex(j))
 
@@ -148,22 +147,79 @@ class OrthologyReport:
         return max(self.residuals.values())
 
 
+def _edge_line_rows(pts: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Anchors and unit directions of the lines through rows i and j of
+    ``pts``, anchored as ``Line.through`` anchors them: at the endpoint
+    nearer the origin."""
+    p, q = pts[i], pts[j]
+    swap = (dot_rows(q, q) < dot_rows(p, p))[:, None]
+    anchor = np.where(swap, q, p)
+    d = np.where(swap, p, q) - anchor
+    return anchor, d / np.sqrt(dot_rows(d, d))[:, None]
+
+
+def pair_measures(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None):
+    """The six non-corresponding edge pairings of a pair, in EDGE_PAIRINGS
+    order, as three arrays: ``ortho`` (6,), the normalized |cos| of the
+    angle between the two edges; ``gaps`` (6,), the closest-approach gap of
+    the two edge lines over the scene scale; and ``feet`` (6, 3), the
+    midpoint of the two closest points, which is the intersection point of
+    an orthosecting pair. Raises DegenerateError on a zero-length edge."""
+    tol = tol or pair_tolerance(a, b)
+    pa, pb = a.array, b.array
+    u = pa[_I] - pa[_J]
+    w = pb[_K] - pb[_L]
+    nu = np.sqrt(dot_rows(u, u))
+    nw = np.sqrt(dot_rows(w, w))
+    short_a, short_b = nu <= tol.eps_abs, nw <= tol.eps_abs
+    if (short_a | short_b).any():
+        p = int(np.argmax(short_a | short_b))
+        (i, j), (k, l) = EDGE_PAIRINGS[p]
+        raise DegenerateError(f"zero-length edge {f'A{i}{j}' if short_a[p] else f'B{k}{l}'}")
+    ortho = np.abs(dot_rows(u, w)) / (nu * nw)
+    c1, c2, gap, _, _, _ = closest_rows(*_edge_line_rows(pa, _I, _J),
+                                        *_edge_line_rows(pb, _K, _L), tol)
+    return ortho, gap / tol.scene_scale, 0.5 * (c1 + c2)
+
+
+def by_pairing(values) -> Dict[Pairing, float]:
+    """Six per-pairing values, in EDGE_PAIRINGS order, as a dict."""
+    return dict(zip(EDGE_PAIRINGS, np.asarray(values, dtype=float).tolist()))
+
+
 def edge_orthogonality_residuals(a: Tetrahedron, b: Tetrahedron,
                                  tol: Tolerance | None = None) -> Dict[Pairing, float]:
     """Normalized |cos| of the angle between each pair of non-corresponding
     edges; all six vanish iff the pair is orthologic under this labeling."""
+    return by_pairing(pair_measures(a, b, tol)[0])
+
+
+def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None,
+                         drop_worst_gap: bool = False):
+    """The one check that a pair orthosects: every pair of non-corresponding
+    edges is orthogonal and intersects, within ``tol.eps_rel``.
+
+    Raises NotOrthologicError when some pair is not orthogonal, then
+    NotOrthosectingError when some pair fails to intersect. With
+    ``drop_worst_gap`` the pairing with the largest gap is exempt from the
+    intersection check (five intersecting pairs suffice for
+    co-sphericity). Returns the checked pairings, in EDGE_PAIRINGS order,
+    and their intersection points as a (5 or 6, 3) array.
+    """
     tol = tol or pair_tolerance(a, b)
-    out: Dict[Pairing, float] = {}
-    for (i, j), (k, l) in EDGE_PAIRINGS:
-        u = a.edge_vector(i, j)
-        w = b.edge_vector(k, l)
-        nu = float(np.linalg.norm(u))
-        nw = float(np.linalg.norm(w))
-        if nu <= tol.eps_abs or nw <= tol.eps_abs:
-            side = f"A{i}{j}" if nu <= tol.eps_abs else f"B{k}{l}"
-            raise DegenerateError(f"zero-length edge {side}")
-        out[((i, j), (k, l))] = abs(float(np.dot(u, w))) / (nu * nw)
-    return out
+    ortho, gaps, feet = pair_measures(a, b, tol)
+    if ortho.max() > tol.eps_rel:
+        raise NotOrthologicError(f"pair is not orthologic: max residual {ortho.max():.3e}",
+                                 residuals=by_pairing(ortho))
+    kept = np.ones(6, dtype=bool)
+    if drop_worst_gap:
+        kept[np.argmax(gaps)] = False
+    bad = kept & (gaps > tol.eps_rel)
+    if bad.any():
+        raise NotOrthosectingError(
+            f"{int(bad.sum())} edge pair(s) fail to intersect (max gap "
+            f"{gaps[bad].max():.3e} of scene scale)", gaps=by_pairing(gaps))
+    return [p for p, k in zip(EDGE_PAIRINGS, kept) if k], feet[kept]
 
 
 def _perpendicular_bundle(source: Tetrahedron, target: Tetrahedron) -> Tuple[Line, ...]:

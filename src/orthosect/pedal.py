@@ -28,14 +28,13 @@ from .geom_core import (
     Tolerance,
     as_array,
     circle_through,
-    closest_points,
     concurrency_point,
     foot_on_line,
     meet_planes,
     project_to_plane,
     unit,
 )
-from .orthology import EDGE_PAIRINGS, Tetrahedron, edge_orthogonality_residuals
+from .orthology import EDGE_PAIRINGS, Tetrahedron, by_pairing, pair_measures, pair_tolerance
 
 # |dist(source, circumcenter) - circumradius| below this (times scene scale)
 # counts as the Simson degeneracy: collinear feet, no pedal circle.
@@ -429,42 +428,15 @@ class ChainKernel:
         """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
         ``(t, f)``: column k holds the k-th validated root by ascending t and
         the signed residual of the sixth foot against the carrier through
-        the other five, NaN where a point has fewer roots. See
-        ``sphericity_roots`` for units; roots are validated against eps_rel."""
+        the other five, NaN where a point has fewer roots. A root is
+        validated when the least-squares sphere (or plane) through its five
+        feet fits them within eps_rel. t is in normalized units (multiply
+        by the scene scale for world units); f is the scale-normalized
+        residual."""
         r = self._sphericity(b4_local)
         order = np.argsort(r["t"], axis=1)   # NaN last
         return (np.take_along_axis(r["t"], order, axis=1),
                 np.take_along_axis(r["f"], order, axis=1))
-
-    def sphericity_roots(self, b4_local: np.ndarray) -> List[dict]:
-        """Validated displacement parameters making the first five feet
-        co-spherical (or co-planar), with per-root carrier and the signed
-        residual of the sixth foot against that carrier.
-
-        A root is validated when the least-squares sphere (or plane) through
-        its five feet fits them within eps_rel.
-        Returns a list of dicts sorted by t with keys: t, f, kind, carrier
-        data and the local-frame chain points. Coordinates are local; t and
-        f are in normalized units (multiply t by the scene scale to get
-        world units; f is already the scale-normalized residual). This is
-        the single-point view of ``sphericity_batch``.
-        """
-        r = {k: v[0] for k, v in self._sphericity(b4_local).items()}
-        out = []
-        for k in np.argsort(r["t"]):
-            if np.isnan(r["t"][k]):
-                break
-            sphere = bool(r["sphere"][k])
-            out.append({
-                "t": float(r["t"][k]), "f": float(r["f"][k]),
-                "kind": "sphere" if sphere else "plane",
-                "carrier": ((r["center"][k], float(r["radius"][k])) if sphere
-                            else (r["normal"][k], float(r["offset"][k]))),
-                "v12": r["v12"], "v13": r["v13"], "v23": r["v23"],
-                **{key: r[key][k] for key in ("v14", "v24", "v34", "b2")},
-                "fit_residual": float(r["residual"][k]),
-            })
-        return out
 
     def complete_local(self, b4_local: np.ndarray, t: float) -> dict:
         """All six feet, all four sources and the closure distance for a
@@ -504,6 +476,17 @@ def _chain_from_local(kernel: ChainKernel, data: dict) -> PedalChain:
                       closure_spread=data["closure"] * kernel.scale)
 
 
+def _face_source(kernel: ChainKernel, b4) -> np.ndarray:
+    """Local position of ``b4`` projected onto face (1, 2, 3); raises
+    SimsonDegenerateError on the face circumcircle, where the base pedal
+    feet are collinear."""
+    b4_local = kernel.project_to_face(kernel.to_local(b4))
+    if kernel.simson_distance(b4_local) <= SIMSON_TOL:
+        raise SimsonDegenerateError(
+            "source on the face circumcircle: base pedal feet collinear")
+    return b4_local
+
+
 def complete_chain(host: Tetrahedron, b4, t: float,
                    tol: Tolerance | None = None) -> PedalChain:
     """Complete a pedal chain from one pedal triangle and one parameter.
@@ -516,11 +499,7 @@ def complete_chain(host: Tetrahedron, b4, t: float,
     zero (to round-off) for every valid input.
     """
     kernel = ChainKernel(host, tol)
-    b4_local = kernel.project_to_face(kernel.to_local(b4))
-    if kernel.simson_distance(b4_local) <= SIMSON_TOL:
-        raise SimsonDegenerateError(
-            "source on the face circumcircle: base pedal feet collinear")
-    data = kernel.complete_local(b4_local, float(t) / kernel.scale)
+    data = kernel.complete_local(_face_source(kernel, b4), float(t) / kernel.scale)
     return _chain_from_local(kernel, data)
 
 
@@ -530,11 +509,8 @@ def spherical_parameters(host: Tetrahedron, b4,
     from ``b4`` are co-spherical or co-planar; empty when no real validated
     parameter exists."""
     kernel = ChainKernel(host, tol)
-    b4_local = kernel.project_to_face(kernel.to_local(b4))
-    if kernel.simson_distance(b4_local) <= SIMSON_TOL:
-        raise SimsonDegenerateError(
-            "source on the face circumcircle: base pedal feet collinear")
-    return [r["t"] * kernel.scale for r in kernel.sphericity_roots(b4_local)]
+    t = kernel.sphericity_batch(_face_source(kernel, b4))[0][0]
+    return (t[~np.isnan(t)] * kernel.scale).tolist()
 
 
 def chain_sphere_residual(host: Tetrahedron, b4,
@@ -546,11 +522,8 @@ def chain_sphere_residual(host: Tetrahedron, b4,
     face plane.
     """
     kernel = ChainKernel(host, tol)
-    b4_local = kernel.project_to_face(kernel.to_local(b4))
-    if kernel.simson_distance(b4_local) <= SIMSON_TOL:
-        raise SimsonDegenerateError(
-            "source on the face circumcircle: base pedal feet collinear")
-    return [r["f"] for r in kernel.sphericity_roots(b4_local)]
+    t, f = (v[0] for v in kernel.sphericity_batch(_face_source(kernel, b4)))
+    return f[~np.isnan(t)].tolist()
 
 
 def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
@@ -558,13 +531,9 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
     """Extract the pedal chain of an orthosecting pair: feet are the edge
     intersection points (closest-approach midpoints), sources the
     projections of the partner's vertices onto the host's face planes."""
-    from .orthology import pair_tolerance
-
     tol = tol or pair_tolerance(a, b)
-    feet: Dict[EdgeKey, Point] = {}
-    for (i, j), (k, l) in EDGE_PAIRINGS:
-        cp = closest_points(a.edge_line(i, j), b.edge_line(k, l), tol)
-        feet[frozenset((i, j))] = cp.midpoint
+    feet: Dict[EdgeKey, Point] = {frozenset(ij): Point.of(foot) for (ij, _), foot
+                                  in zip(EDGE_PAIRINGS, pair_measures(a, b, tol)[2])}
     sources = tuple(project_to_plane(b.vertex(i), a.face_plane(i))
                     for i in (1, 2, 3, 4))
     spread = 0.0
@@ -576,11 +545,10 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
     return PedalChain(host=a, feet=feet, sources=sources, closure_spread=spread)
 
 
-def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
-    """Least-squares sphere or plane through the six chain feet, with the
-    worst absolute foot residual."""
-    tol = tol or Tolerance.for_points(chain.host.vertices)
-    pts = np.array([as_array(p) for p in chain.feet.values()])
+def carrier_through(points, tol: Tolerance):
+    """Least-squares sphere or plane through m >= 4 points (m, 3), with the
+    worst absolute point residual."""
+    pts = np.asarray(points, dtype=float)
     shift = pts.mean(axis=0)
     fit = {k: v[0] for k, v in _sphere_fit((pts - shift)[None] / tol.scene_scale).items()}
     residual = float(fit["residual"]) * tol.scene_scale
@@ -592,6 +560,13 @@ def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
         carrier = SphereOrPlane.plane(Plane(normal=n, offset=float(fit["offset"])
                                             * tol.scene_scale + float(np.dot(n, shift))))
     return carrier, residual
+
+
+def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
+    """Least-squares sphere or plane through the six chain feet, with the
+    worst absolute foot residual."""
+    tol = tol or Tolerance.for_points(chain.host.vertices)
+    return carrier_through([as_array(p) for p in chain.feet.values()], tol)
 
 
 def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
@@ -659,18 +634,12 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None,
             except DegenerateError as exc:
                 raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
         b = Tetrahedron(tuple(verts))
-    ortho = edge_orthogonality_residuals(host, b, tol)
-    gaps = {}
-    for (i, j), (k, l) in EDGE_PAIRINGS:
-        cp = closest_points(host.edge_line(i, j), b.edge_line(k, l), tol)
-        gaps[((i, j), (k, l))] = cp.gap / tol.scene_scale
-    worst_o = max(ortho.values())
-    worst_g = max(gaps.values())
-    if worst_o > postcondition_tol or worst_g > postcondition_tol:
+    ortho, gaps, _ = pair_measures(host, b, tol)
+    if ortho.max() > postcondition_tol or gaps.max() > postcondition_tol:
         raise ReconstructionError(
             f"reconstructed tetrahedron fails orthosection: orthogonality "
-            f"{worst_o:.3e}, gap {worst_g:.3e} (tol {postcondition_tol:.1e})",
-            orthogonality=ortho, gaps=gaps)
+            f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {postcondition_tol:.1e})",
+            orthogonality=by_pairing(ortho), gaps=by_pairing(gaps))
     return b
 
 

@@ -17,9 +17,26 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import CurvePointError, DegenerateError
-from .geom_core import Tolerance, as_array, closest_points
-from .orthology import EDGE_PAIRINGS, Pairing, Tetrahedron, pair_tolerance
-from .pedal import ChainKernel, _chain_from_local, reconstruct_tetrahedron, spherical_chain
+from .geom_core import Tolerance, as_array, dot_rows
+from .orthology import (
+    EDGE_PAIRINGS,
+    Pairing,
+    Tetrahedron,
+    _I,
+    _J,
+    _K,
+    _L,
+    by_pairing,
+    pair_measures,
+    pair_tolerance,
+)
+from .pedal import (
+    ChainKernel,
+    _chain_from_local,
+    _face_source,
+    reconstruct_tetrahedron,
+    spherical_chain,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +114,9 @@ class _Collapse(Exception):
     """Partner collapsed onto a degenerate configuration mid-iteration."""
 
 
-# 0-based host edge A_i A_j and partner edge B_k B_l of each pairing, in
-# EDGE_PAIRINGS order; the partner edges are the six edges of B, each once
-_I, _J, _K, _L = (np.array(c) - 1 for c in zip(*(ij + kl for ij, kl in EDGE_PAIRINGS)))
 # Jacobian columns of the coordinates of B_k and of B_l, per pairing
 _COLS_K = 3 * _K[:, None] + np.arange(3)
 _COLS_L = 3 * _L[:, None] + np.arange(3)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, 3) arrays; matmul runs np.dot's
-    kernel on each row, so every value is bit-identical to np.dot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -136,7 +144,7 @@ class OrthosectSystem:
         self.a = host.array
         self.ai = self.a[_I]
         self.u = self.ai - self.a[_J]
-        self.nu = np.sqrt(_dot(self.u, self.u))
+        self.nu = np.sqrt(dot_rows(self.u, self.u))
         self.skip_intersection = skip_intersection
         # pairings that keep their intersection row; the pairing of each
         # residual row fixes the Jacobian columns the row writes
@@ -161,7 +169,7 @@ class OrthosectSystem:
         b = x.reshape(4, 3)
         bk = b.take(_K, 0)
         w = bk - b.take(_L, 0)
-        nw = np.sqrt(_dot(w, w))
+        nw = np.sqrt(dot_rows(w, w))
         collapsed = nw <= 1e-9 * self.scale
         if collapsed.any():
             p = int(np.argmax(collapsed))
@@ -171,8 +179,8 @@ class OrthosectSystem:
     def residuals(self, x: np.ndarray) -> np.ndarray:
         bk, w, nw = self._partner_edges(x)
         den = self.nu * nw
-        ortho = _dot(self.u, w) / den
-        inter = _dot(_cross(self.u, w), bk - self.ai) / (den * self.scale)
+        ortho = dot_rows(self.u, w) / den
+        inter = dot_rows(_cross(self.u, w), bk - self.ai) / (den * self.scale)
         return np.concatenate((ortho, inter[self.keep_inter]))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -181,13 +189,13 @@ class OrthosectSystem:
         den = self.nu * nw
         nw2 = (nw * nw)[:, None]
         # orthogonality row: g = U.W / (|U||W|), a function of W only
-        g = _dot(u, w) / den
+        g = dot_rows(u, w) / den
         dg = u / den[:, None] - g[:, None] * w / nw2
         # intersection row: h = (U x W).M / (|U||W| scale), M = B_k - A_i
         m = bk - self.ai
         uxw = _cross(u, w)
         denom = den * self.scale
-        h = _dot(uxw, m) / denom
+        h = dot_rows(uxw, m) / denom
         dh = _cross(m, u) / denom[:, None] - h[:, None] * w / nw2
         dm = uxw / denom[:, None]
         keep = self.keep_inter
@@ -199,7 +207,7 @@ class OrthosectSystem:
     def min_edge(self, x: np.ndarray) -> float:
         b = x.reshape(4, 3)
         w = b.take(_K, 0) - b.take(_L, 0)
-        return float(np.sqrt(_dot(w, w)).min())
+        return float(np.sqrt(dot_rows(w, w)).min())
 
 
 def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
@@ -210,19 +218,10 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
     given labeling: orthogonal non-corresponding edges that also intersect.
     """
     tol = tol or pair_tolerance(a, b)
-    sys = OrthosectSystem(a, tol)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for tet, name in ((a, "A"), (b, "B")):
-                if np.linalg.norm(tet.array[i] - tet.array[j]) <= tol.eps_abs:
-                    raise DegenerateError(f"zero-length edge {name}{i + 1}{j + 1}")
-    vals = sys.residuals(b.array.reshape(12))
-    ortho = {}
-    inter = {}
-    for idx, pairing in enumerate(EDGE_PAIRINGS):
-        ortho[pairing] = float(vals[idx])
-        inter[pairing] = float(vals[6 + idx])
-    return ResidualVector(orthogonality=ortho, intersection=inter, values=vals)
+    pair_measures(a, b, tol)    # raises DegenerateError on a zero-length edge
+    vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
+    return ResidualVector(orthogonality=by_pairing(vals[:6]),
+                          intersection=by_pairing(vals[6:]), values=vals)
 
 
 def intersection_gaps(a: Tetrahedron, b: Tetrahedron,
@@ -230,10 +229,7 @@ def intersection_gaps(a: Tetrahedron, b: Tetrahedron,
     """Unsigned closest-approach gaps of the six non-corresponding edge
     pairs, normalized by the scene scale (verification companion to the
     signed triple products)."""
-    tol = tol or pair_tolerance(a, b)
-    return {((i, j), (k, l)):
-            closest_points(a.edge_line(i, j), b.edge_line(k, l), tol).gap / tol.scene_scale
-            for (i, j), (k, l) in EDGE_PAIRINGS}
+    return by_pairing(pair_measures(a, b, tol)[1])
 
 
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray, cfg: SolverConfig):
@@ -477,23 +473,25 @@ def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
 
     ``root_index`` selects among the sphericity parameters at ``b4``
     (sorted ascending). Raises CurvePointError when the point's sixth-foot
-    residual exceeds ``eps``, i.e. the point is not on the curve.
+    residual exceeds ``eps``, i.e. the point is not on the curve, and
+    SimsonDegenerateError when it lies on the face circumcircle.
     """
     tol = tol or Tolerance.for_points(list(a.vertices) + [as_array(b4)])
     kernel = ChainKernel(a, tol)
-    b4_local = kernel.project_to_face(kernel.to_local(b4))
-    roots = kernel.sphericity_roots(b4_local)
-    if root_index < 0 or root_index >= len(roots):
+    b4_local = _face_source(kernel, b4)
+    ts, fs = (v[0] for v in kernel.sphericity_batch(b4_local))
+    found = int((~np.isnan(ts)).sum())
+    if root_index < 0 or root_index >= found:
         raise CurvePointError(
             f"no sphericity root with index {root_index} at this point "
-            f"({len(roots)} found)")
-    root = roots[root_index]
-    if abs(root["f"]) > eps:
+            f"({found} found)")
+    t, f = float(ts[root_index]), float(fs[root_index])
+    if abs(f) > eps:
         raise CurvePointError(
-            f"point is off the curve: |residual| {abs(root['f']):.3e} > {eps:.1e}",
-            residual=root["f"])
-    data = kernel.complete_local(b4_local, root["t"])
+            f"point is off the curve: |residual| {abs(f):.3e} > {eps:.1e}",
+            residual=f)
+    data = kernel.complete_local(b4_local, t)
     chain = _chain_from_local(kernel, data)
-    allowed = max(2.0 * abs(root["f"]), tol.eps_rel) * kernel.scale
+    allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
     sc = spherical_chain(chain, tol, max_residual=allowed)
     return reconstruct_tetrahedron(sc, tol, postcondition_tol=postcondition_tol)

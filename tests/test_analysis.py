@@ -1,10 +1,12 @@
 """Sphere verification, conjugation, curve tracing, degree estimation and
 conjugate sequences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_tetrahedron
+from conftest import find_partner, random_tetrahedron
 from orthosect.analysis import (
     conjugate,
     default_window,
@@ -14,8 +16,8 @@ from orthosect.analysis import (
     verify_sphere,
 )
 from orthosect.errors import NotOrthologicError, NotOrthosectingError
-from orthosect.geom_core import project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron
+from orthosect.geom_core import Plane, SphereOrPlane, project_to_plane, sphere_through
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
 from orthosect.solver import (
     SolverConfig,
@@ -72,6 +74,80 @@ def test_verify_sphere_five_point_variant():
     rep = verify_sphere(a, b, five_point=True)
     assert len(rep.residuals) == 5
     assert rep.max_abs_residual <= 1e-7
+
+
+def _best_four_carrier(points, tol):
+    """Reference: the carrier verify_sphere used to fit, the exact sphere
+    through the four points spanning the largest volume, or the SVD plane
+    of all the points when those four are flat."""
+    best, subset = -1.0, None
+    for quad in itertools.combinations(range(len(points)), 4):
+        vol = abs(float(np.linalg.det(points[list(quad[1:])] - points[quad[0]])))
+        if vol > best:
+            best, subset = vol, quad
+    if best <= tol.eps_rel * tol.scene_scale**3:
+        centroid = points.mean(axis=0)
+        n = np.linalg.svd(points - centroid)[2][-1]
+        return SphereOrPlane.plane(Plane(normal=n, offset=float(np.dot(n, centroid))))
+    return sphere_through(*points[list(subset)], tol=tol)
+
+
+# how far the least-squares carrier may sit from the best-four one: centre
+# and radius relative to the radius (plane normal and offset relative to
+# the scene scale), and the max point residual in scene scales
+FIT_BOUND = 1e-11
+RESIDUAL_BOUND = 1e-12
+
+
+def test_verify_sphere_fit_matches_best_four_reference(demo_pair, flat_pair):
+    rng = np.random.default_rng(17)
+    pairs = [demo_pair[:2], flat_pair]
+    for log_scale in (-6.0, 0.0, 6.0):
+        a = random_tetrahedron(rng)
+        b = find_partner(a, base_seed=int(rng.integers(1 << 20)))
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        shift = rng.normal(size=3) * 2.0 * 10.0 ** log_scale
+        pairs.append(tuple(Tetrahedron.of(10.0 ** log_scale * t.array @ q.T + shift)
+                           for t in (a, b)))
+    kinds = []
+    for a, b in pairs:
+        tol = pair_tolerance(a, b)
+        rep = verify_sphere(a, b, tol=tol)
+        points = np.array([p.array for p in rep.points.values()])
+        ref = _best_four_carrier(points, tol)
+        assert rep.carrier.kind == ref.kind
+        kinds.append(ref.kind)
+        if ref.kind == "sphere":
+            assert rep.carrier.center.distance_to(ref.center) <= FIT_BOUND * ref.radius
+            assert abs(rep.carrier.radius - ref.radius) <= FIT_BOUND * ref.radius
+        else:
+            got, want = rep.carrier.carrier, ref.carrier
+            sign = 1.0 if np.dot(got.normal, want.normal) > 0 else -1.0
+            assert np.abs(got.normal - sign * want.normal).max() <= FIT_BOUND
+            assert abs(got.offset - sign * want.offset) <= FIT_BOUND * tol.scene_scale
+        ref_residual = max(abs(ref.signed_distance(p)) for p in points) / tol.scene_scale
+        assert abs(rep.max_abs_residual - ref_residual) <= RESIDUAL_BOUND
+    assert kinds == ["sphere", "plane", "sphere", "sphere", "sphere"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: verify_sphere(a, b),
+    lambda a, b: conjugate(a, b),
+    lambda a, b: iterate_sequence(a, b, 3),
+], ids=["verify_sphere", "conjugate", "iterate_sequence"])
+def test_orthosecting_guard_exception_classes(call):
+    """A pair that is not orthologic raises NotOrthologicError, which
+    callers catching NotOrthosectingError catch too; an orthologic pair
+    whose edges miss raises NotOrthosectingError only."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(NotOrthologicError) as err:
+        call(random_tetrahedron(rng), random_tetrahedron(rng))
+    assert isinstance(err.value, NotOrthosectingError)
+    assert max(err.value.residuals.values()) > 1e-7
+    with pytest.raises(NotOrthosectingError) as err:
+        call(T_REG, T_REG)
+    assert not isinstance(err.value, NotOrthologicError)
+    assert max(err.value.gaps.values()) > 1e-7
 
 
 # --- conjugate --------------------------------------------------------------

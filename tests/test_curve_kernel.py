@@ -276,14 +276,14 @@ def test_batch_equals_single_point_calls():
     t_batch, f_batch = frame.kernel.sphericity_batch(local)
     counts = set()
     for k, p in enumerate(local):
-        roots = frame.kernel.sphericity_roots(p)
+        t_one, f_one = (v[0] for v in frame.kernel.sphericity_batch(p[None]))
         got = np.isfinite(t_batch[k])
-        assert got.sum() == len(roots)
+        assert got.tolist() == np.isfinite(t_one).tolist()
         assert got.tolist() == sorted(got.tolist(), reverse=True)  # missing roots last
-        counts.add(len(roots))
-        for r, t, f in zip(roots, t_batch[k][got], f_batch[k][got]):
-            assert abs(t - r["t"]) <= 1e-12 * max(1.0, abs(r["t"]))
-            assert abs(f - r["f"]) <= 1e-12 * max(1.0, abs(r["t"]))
+        counts.add(int(got.sum()))
+        for t, f, t1, f1 in zip(t_batch[k][got], f_batch[k][got], t_one[got], f_one[got]):
+            assert abs(t - t1) <= 1e-12 * max(1.0, abs(t1))
+            assert abs(f - f1) <= 1e-12 * max(1.0, abs(t1))
     assert counts >= {0, 2}  # the lattice straddles the real sphericity locus
 
 

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.errors import DegenerateError, NotOrthologicError
-from orthosect.geom_core import Point
+from orthosect.geom_core import Point, closest_points
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
@@ -15,6 +16,7 @@ from orthosect.orthology import (
     edge_orthogonality_residuals,
     find_labeling,
     orthology_centers,
+    pair_measures,
     pair_tolerance,
 )
 
@@ -72,6 +74,116 @@ def test_zero_length_edge_error():
     bad = Tetrahedron.of([(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(DegenerateError, match="A12"):
         edge_orthogonality_residuals(bad, T_REG)
+
+
+# --- pair_measures against the per-pairing loop it replaced -----------------
+
+
+def _ref_line_through(p, q):
+    """Line.through as it was: anchor at the endpoint nearer the origin."""
+    if np.dot(q, q) < np.dot(p, p):
+        p, q = q, p
+    d = q - p
+    return p, d / float(np.linalg.norm(d))
+
+
+def _ref_closest(p, u, q, v, tol):
+    """The scalar closest_points body: (c1, c2, gap, cos, parallel, identical)."""
+    b = float(np.dot(u, v))
+    w0 = p - q
+    denom = 1.0 - b * b
+    if denom <= 1e-14:
+        perp = w0 - np.dot(w0, v) * v
+        perp_q = -w0 - np.dot(-w0, u) * u
+        gap, gap_q = float(np.linalg.norm(perp)), float(np.linalg.norm(perp_q))
+        if max(gap, gap_q) <= tol.eps_abs * tol.scene_scale:
+            return p, p, 0.0, b, True, True
+        return p, p - perp, min(gap, gap_q), b, True, False
+    d = float(np.dot(u, w0))
+    e = float(np.dot(v, w0))
+    c1 = p + (b * e - d) / denom * u
+    c2 = q + (e - b * d) / denom * v
+    return c1, c2, float(np.linalg.norm(c1 - c2)), b, False, False
+
+
+def _ref_pair_measures(a, b, tol):
+    ortho, gaps, feet = [], [], []
+    for (i, j), (k, l) in EDGE_PAIRINGS:
+        u = a[i - 1] - a[j - 1]
+        w = b[k - 1] - b[l - 1]
+        nu, nw = float(np.linalg.norm(u)), float(np.linalg.norm(w))
+        if nu <= tol.eps_abs or nw <= tol.eps_abs:
+            side = f"A{i}{j}" if nu <= tol.eps_abs else f"B{k}{l}"
+            raise DegenerateError(f"zero-length edge {side}")
+        ortho.append(abs(float(np.dot(u, w))) / (nu * nw))
+        c1, c2, gap, _, _, _ = _ref_closest(*_ref_line_through(a[i - 1], a[j - 1]),
+                                            *_ref_line_through(b[k - 1], b[l - 1]), tol)
+        gaps.append(gap / tol.scene_scale)
+        feet.append(0.5 * (c1 + c2))
+    return np.array(ortho), np.array(gaps), np.array(feet)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except DegenerateError as exc:
+        return None, str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       force=st.sampled_from(("none", "parallel", "near_parallel", "identical")),
+       pairing=st.integers(0, 5), scaled_eps=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_pair_measures_match_loop_reference_bit_for_bit(seed, log_scale, force, pairing,
+                                                        scaled_eps):
+    """pair_measures and closest_points reproduce the per-pairing loop of
+    Line.through, the scalar closest_points and |cos| exactly, under a
+    random rigid motion at scales 1e-12..1e12, with one pairing forced to
+    parallel (exactly, or within the 1e-14 cut-off) or identical lines."""
+    rng = np.random.default_rng(seed)
+    a = random_tetrahedron(rng).array.copy()
+    b = random_tetrahedron(rng).array.copy()
+    (i, j), (k, l) = EDGE_PAIRINGS[pairing]
+    along = a[j - 1] - a[i - 1]
+    if force in ("parallel", "near_parallel"):
+        b[l - 1] = b[k - 1] + rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0) * along
+        if force == "near_parallel":
+            # tilt by up to 5e-8 rad, inside the 1e-14 cut-off on 1 - cos^2,
+            # so that the two anchors lie at different distances
+            tilt = np.cross(along, rng.normal(size=3))
+            tilt *= np.linalg.norm(b[l - 1] - b[k - 1]) / np.linalg.norm(tilt)
+            b[l - 1] += rng.uniform(0.0, 5e-8) * tilt
+    elif force == "identical":
+        b[k - 1], b[l - 1] = (a[i - 1] + t * along for t in rng.uniform(-2.0, 3.0, size=2))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    scale = 10.0 ** log_scale
+    shift = rng.normal(size=3) * scale * rng.uniform(0.0, 3.0)
+    a, b = (scale * p @ q.T + shift for p in (a, b))
+    ta, tb = Tetrahedron.of(a), Tetrahedron.of(b)
+    # an eps_abs shrunk with the scene lets tiny scenes past the zero-edge check
+    tol = pair_tolerance(ta, tb, eps_abs=1e-9 * min(scale, 1.0) if scaled_eps else 1e-9)
+    got, got_msg = _outcome(pair_measures, ta, tb, tol)
+    want, want_msg = _outcome(_ref_pair_measures, a, b, tol)
+    assert got_msg == want_msg
+    if want_msg is not None:
+        return
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    flags = []
+    for (m, n), (r, s) in EDGE_PAIRINGS:
+        cp = closest_points(ta.edge_line(m, n), tb.edge_line(r, s), tol)
+        ref = _ref_closest(*_ref_line_through(a[m - 1], a[n - 1]),
+                           *_ref_line_through(b[r - 1], b[s - 1]), tol)
+        assert np.array_equal(cp.p1.array, ref[0]) and np.array_equal(cp.p2.array, ref[1])
+        assert (cp.gap, cp.cos_angle, cp.parallel, cp.identical) == ref[2:]
+        flags.append((cp.parallel, cp.identical))
+    if force != "none":
+        assert flags[pairing][0]
+        # below unit scale a shrunk eps_abs also shrinks the identity cut-off
+        # past round-off
+        assert flags[pairing][1] == (force == "identical") or scaled_eps
 
 
 def test_construct_orthologic_default_offsets():
