@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateError, GeometryError, NotOrthologicError
 from .geom_core import Point, SphereOrPlane, Tolerance, unit
 from .orthology import (
+    OrthologyReport,
     Pairing,
     Tetrahedron,
     orthology_centers,
@@ -37,12 +38,14 @@ class SphereReport:
     """Common quadric of the edge intersection points with per-point signed
     residuals (normalized) and the gap between the carrier center and the
     midpoint of the two orthology centers (None when a center is
-    unavailable, e.g. for flat partners)."""
+    unavailable, e.g. for flat partners), and the orthology centers that
+    gap was measured from (None likewise)."""
 
     carrier: SphereOrPlane
     residuals: Dict[Pairing, float]
     midpoint_gap: Optional[float]
     points: Dict[Pairing, Point]
+    orthology: Optional[OrthologyReport] = None
 
     @property
     def max_abs_residual(self) -> float:
@@ -66,7 +69,7 @@ def verify_sphere(a: Tetrahedron, b: Tetrahedron,
     pts = {p: Point.of(q) for p, q in zip(pairings, feet)}
     residuals = {p: carrier.signed_distance(q) / tol.scene_scale
                  for p, q in pts.items()}
-    midpoint_gap = None
+    midpoint_gap = rep = None
     try:
         rep = orthology_centers(a, b, tol)
         mid = 0.5 * (rep.center_a.array + rep.center_b.array)
@@ -77,7 +80,7 @@ def verify_sphere(a: Tetrahedron, b: Tetrahedron,
     except (DegenerateError, NotOrthologicError):
         pass
     return SphereReport(carrier=carrier, residuals=residuals,
-                        midpoint_gap=midpoint_gap, points=pts)
+                        midpoint_gap=midpoint_gap, points=pts, orthology=rep)
 
 
 def conjugate(a: Tetrahedron, b: Tetrahedron,
@@ -495,7 +498,8 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     for m in range(len(seq) - 1):
         rep = verify_sphere(seq[m], seq[m + 1], tol=tol)
         reports.append(rep)
-        oc = orthology_centers(seq[m], seq[m + 1], tol)
+        # verify_sphere swallowed the error when it has no centers; raise it here
+        oc = rep.orthology or orthology_centers(seq[m], seq[m + 1], tol)
         centers.extend([oc.center_a, oc.center_b])
     carrier = reports[0].carrier
     shared = 0.0

@@ -10,6 +10,7 @@ goes to stderr so that reports stay byte-identical across runs;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -259,7 +260,10 @@ def cmd_export(args, scene_doc, report: Report) -> None:
     report.results["bytes"] = len(text.encode("utf-8"))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="orthosect",
         description="Construct, solve and verify orthosecting tetrahedra.")

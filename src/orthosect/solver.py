@@ -176,33 +176,41 @@ class OrthosectSystem:
             raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
         return bk, w, nw
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
+    def _residual_rows(self, x: np.ndarray):
+        """The orthogonality row g = U.W / (|U||W|), a function of W only,
+        and the intersection row h = (U x W).M / (|U||W| scale) with
+        M = B_k - A_i, per pairing, with the intermediates the Jacobian
+        reuses."""
         bk, w, nw = self._partner_edges(x)
         den = self.nu * nw
-        ortho = dot_rows(self.u, w) / den
-        inter = dot_rows(_cross(self.u, w), bk - self.ai) / (den * self.scale)
-        return np.concatenate((ortho, inter[self.keep_inter]))
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        bk, w, nw = self._partner_edges(x)
-        u = self.u
-        den = self.nu * nw
-        nw2 = (nw * nw)[:, None]
-        # orthogonality row: g = U.W / (|U||W|), a function of W only
-        g = dot_rows(u, w) / den
-        dg = u / den[:, None] - g[:, None] * w / nw2
-        # intersection row: h = (U x W).M / (|U||W| scale), M = B_k - A_i
+        g = dot_rows(self.u, w) / den
         m = bk - self.ai
-        uxw = _cross(u, w)
+        uxw = _cross(self.u, w)
         denom = den * self.scale
         h = dot_rows(uxw, m) / denom
+        return (g, h), (w, nw, den, m, uxw, denom)
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        (g, h), _ = self._residual_rows(x)
+        return np.concatenate((g, h[self.keep_inter]))
+
+    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Residual vector and Jacobian at ``x`` from one pass over the
+        pairings; each equals what ``residuals`` and ``jacobian`` return."""
+        (g, h), (w, nw, den, m, uxw, denom) = self._residual_rows(x)
+        u = self.u
+        nw2 = (nw * nw)[:, None]
+        dg = u / den[:, None] - g[:, None] * w / nw2
         dh = _cross(m, u) / denom[:, None] - h[:, None] * w / nw2
         dm = uxw / denom[:, None]
         keep = self.keep_inter
         jac = np.zeros((self.n_rows, 12))
         jac[self._rows, self._cols_k] = np.concatenate((dg, dh[keep] + dm[keep]))
         jac[self._rows, self._cols_l] = -np.concatenate((dg, dh[keep]))
-        return jac
+        return np.concatenate((g, h[keep])), jac
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[1]
 
     def min_edge(self, x: np.ndarray) -> float:
         b = x.reshape(4, 3)
@@ -219,7 +227,10 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
     """
     tol = tol or pair_tolerance(a, b)
     pair_measures(a, b, tol)    # raises DegenerateError on a zero-length edge
-    vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
+    try:
+        vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
+    except _Collapse as exc:    # an edge longer than eps_abs but below the collapse cut
+        raise DegenerateError(str(exc)) from exc
     return ResidualVector(orthogonality=by_pairing(vals[:6]),
                           intersection=by_pairing(vals[6:]), values=vals)
 
@@ -399,12 +410,12 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     sys = OrthosectSystem(a, tol)
     scale = sys.scale
     x = b0.array.reshape(12).copy()
-    r = sys.residuals(x)
+    r, jac = sys.evaluate(x)
     if np.abs(r).max() > 1e-9:
         raise ValueError(f"start is not on the family: max residual {np.abs(r).max():.3e}")
     samples = [Tetrahedron.of(x.reshape(4, 3))]
     residuals = [float(np.abs(r).max())]
-    tau, s = _tangent(sys.jacobian(x))
+    tau, s = _tangent(jac)
     tau = float(direction) * _canonical_sign(tau)
     singular_values = [s]
     stop = "steps exhausted"
@@ -422,17 +433,17 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
             ok = False
             try:
                 for _ in range(25):
-                    ry = sys.residuals(y)
-                    if np.abs(ry).max() <= 1e-12:
+                    r, jac = sys.evaluate(y)
+                    if np.abs(r).max() <= 1e-12:
                         ok = True
                         break
-                    jy = sys.jacobian(y)
-                    aug = np.vstack([jy, weight * tau])
-                    rhs = np.concatenate([ry, [weight * float(np.dot(tau, y - x_pred))]])
+                    aug = np.vstack([jac, weight * tau])
+                    rhs = np.concatenate([r, [weight * float(np.dot(tau, y - x_pred))]])
                     delta = np.linalg.lstsq(aug, -rhs, rcond=1e-13)[0]
                     y = y + delta
                     if np.linalg.norm(delta) < 1e-16 * scale:
-                        ok = np.abs(sys.residuals(y)).max() <= 1e-12
+                        r, jac = sys.evaluate(y)
+                        ok = np.abs(r).max() <= 1e-12
                         break
             except _Collapse:
                 ok = False
@@ -443,8 +454,8 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         if accepted is None:
             stop = "corrector divergence"
             break
+        # r and jac were evaluated at the accepted point
         x = accepted
-        r = sys.residuals(x)
         if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
@@ -454,7 +465,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         samples.append(Tetrahedron.of(x.reshape(4, 3)))
         residuals.append(float(np.abs(r).max()))
         # tangent at the new sample, sign-aligned with the step just taken
-        tau_new, s = _tangent(sys.jacobian(x))
+        tau_new, s = _tangent(jac)
         if float(np.dot(tau_new, tau)) < 0:
             tau_new = -tau_new
         tau = tau_new

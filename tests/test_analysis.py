@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import find_partner, random_tetrahedron
+from orthosect import analysis
 from orthosect.analysis import (
     conjugate,
     default_window,
@@ -15,7 +16,7 @@ from orthosect.analysis import (
     trace_curve,
     verify_sphere,
 )
-from orthosect.errors import NotOrthologicError, NotOrthosectingError
+from orthosect.errors import DegenerateError, NotOrthologicError, NotOrthosectingError
 from orthosect.geom_core import Plane, SphereOrPlane, project_to_plane, sphere_through
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
@@ -328,3 +329,41 @@ def test_sequence_shared_sphere_and_two_centers(demo_pair):
 def test_sequence_rejects_nonpair():
     with pytest.raises(NotOrthosectingError):
         iterate_sequence(T_REG, T_REG, 3)
+
+
+def _count_orthology_centers(monkeypatch) -> list:
+    calls = []
+    real = analysis.orthology_centers
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "orthology_centers", counted)
+    return calls
+
+
+def test_sequence_one_orthology_centers_call_per_pair(monkeypatch, demo_pair):
+    """The centers of each consecutive pair come from its sphere report,
+    not from a second orthology_centers call."""
+    a, b, tol = demo_pair
+    calls = _count_orthology_centers(monkeypatch)
+    run = iterate_sequence(a, b, 6, tol)
+    pairs = list(zip(run.tetrahedra, run.tetrahedra[1:]))
+    assert len(pairs) == 6
+    assert [(id(x), id(y)) for x, y in calls] == [(id(x), id(y)) for x, y in pairs]
+    assert list(run.centers) == [c for rep in run.reports
+                                 for c in (rep.orthology.center_a, rep.orthology.center_b)]
+
+
+def test_sequence_raises_where_verify_sphere_swallowed(monkeypatch, flat_pair):
+    """A flat partner has no orthology center: verify_sphere leaves its
+    midpoint gap and centers empty, and iterate_sequence raises the
+    flat-partner error."""
+    a, flat = flat_pair
+    rep = verify_sphere(a, flat)
+    assert rep.orthology is None and rep.midpoint_gap is None
+    calls = _count_orthology_centers(monkeypatch)
+    with pytest.raises(DegenerateError, match="^flat partner: "):
+        iterate_sequence(a, flat, 1)
+    assert len(calls) == 2

@@ -3,10 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from orthosect.cli import main
-from orthosect.scene import Scene, save_scene
+from orthosect import analysis, solver
+from orthosect.cli import build_parser, main
+from orthosect.errors import DegenerateError
+from orthosect.orthology import Tetrahedron, pair_tolerance
+from orthosect.scene import Scene, load_scene, save_scene
 
 DEMO_SCENE = str(Path(__file__).parent.parent / "scenes" / "demo.json")
 
@@ -191,3 +195,66 @@ def test_export_obj_cli(tmp_path, capsys, pair_scene):
     capsys.readouterr()
     text = out.read_text()
     assert sum(1 for l in text.splitlines() if l.startswith("# vpoint ")) == 6
+
+
+def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, monkeypatch):
+    """A partner edge longer than eps_abs but inside the solver's collapse
+    cut (1e-9 scene scales) is a DegenerateError from orthosect_residuals,
+    and conjugate reports it instead of crashing."""
+    demo = load_scene(DEMO_SCENE)
+    a = demo.tetrahedron("A").array * 1e3
+    b = demo.tetrahedron("B").array * 1e3
+    b[1] = b[0] + np.array([1e-7, 0.0, 0.0])
+    a, b = Tetrahedron.of(a), Tetrahedron.of(b)
+    tol = pair_tolerance(a, b)
+    assert tol.eps_abs < 1e-7 < 1e-9 * tol.scene_scale
+    with pytest.raises(DegenerateError, match="^edge B12 collapsed$"):
+        solver.orthosect_residuals(a, b, tol)
+    # the conjugate command checks the partner it built with
+    # orthosect_residuals; here the "conjugate" is the collapsed partner
+    path = tmp_path / "collapse.json"
+    save_scene(Scene(tetrahedra={"A": a, "B": b}), path)
+    monkeypatch.setattr(analysis, "conjugate", lambda host, partner, tol: partner)
+    code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
+    assert code == 1
+    assert report["error"] == "DegenerateError: edge B12 collapsed"
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    """One parser serves every in-process call: a mixed run, with an
+    argparse rejection in the middle, prints what fresh parsers print."""
+    assert build_parser() is build_parser()
+    calls = [
+        ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", "--corollary4"],
+        ["solve", "--scene", DEMO_SCENE, "--tet", "A", "--seed", "3", "--restarts", "2"],
+        ["trace-family", "--scene", DEMO_SCENE, "--tet", "A", "--start", "B",
+         "--steps", "3", "--step", "0.03", "--direction", "-1"],
+        ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"],
+        ["curve", "--scene", DEMO_SCENE, "--tet", "A", "--face", "4", "--grid", "16"],
+        ["sequence", "--scene", DEMO_SCENE, "--pair", "A,B", "--n", "2"],
+        ["export", "--scene", DEMO_SCENE, "--format", "svg", "--face", "4",
+         "--out", str(tmp_path / "demo.svg")],
+        ["verify", "--scene", DEMO_SCENE, "--pair", "A,B"],
+    ]
+    rejected = ["curve", "--scene", DEMO_SCENE, "--tet", "A", "--face", "5"]
+    calls.insert(4, rejected)
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        # stderr carries the wall time, except for argparse's rejection
+        return code, out.out, out.err if code == ("exit", 2) else ""
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = build_parser()
+    mixed = [run(argv) for argv in calls]
+    assert build_parser() is parser
+    assert mixed == fresh
+    assert [code for code, _, _ in mixed] == [0, 0, 0, 0, ("exit", 2), 0, 0, 0, 0]
+    assert "invalid choice" in mixed[4][2]

@@ -1,16 +1,21 @@
 """Orthosecting system residuals, the restarted solver, continuation and
 the constructive curve-point solver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Point, Tolerance, project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, find_labeling
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, find_labeling, pair_tolerance
 from orthosect.pedal import chain_sphere_residual
+from orthosect.scene import load_scene
 from orthosect.solver import (
+    MAX_COORD_FACTOR,
+    MIN_EDGE_FACTOR,
     OrthosectSystem,
     _Collapse,
     SolverConfig,
@@ -156,9 +161,10 @@ def _evaluate(fn, x):
 @settings(max_examples=120, deadline=None)
 def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, skip, merged):
     """The array kernel reproduces the per-pairing loop exactly: the same
-    residuals, Jacobian and min edge bits, and the same collapse message
-    (merging partner vertices collapses edges; the first in pairing order
-    is named)."""
+    residuals, Jacobian and min edge bits, from ``residuals``,
+    ``jacobian`` and the fused ``evaluate`` alike, and the same collapse
+    message (merging partner vertices collapses edges; the first in
+    pairing order is named)."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -174,14 +180,142 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, skip, merged
     system = OrthosectSystem(Tetrahedron.of(host), tol, skip_intersection=skip)
     ref = _LoopSystem(host, tol.scene_scale, skip)
     assert system.n_rows == ref.n_rows
-    for name in ("residuals", "jacobian"):
+    fused, fused_msg = _evaluate(system.evaluate, x)
+    for idx, name in enumerate(("residuals", "jacobian")):
         got, got_msg = _evaluate(getattr(system, name), x)
         want, want_msg = _evaluate(getattr(ref, name), x)
-        assert got_msg == want_msg
+        assert got_msg == want_msg == fused_msg
         assert (got_msg is None) == (not merged)
         if not merged:
             assert np.array_equal(got, want)
+            assert np.array_equal(fused[idx], want)
     assert system.min_edge(x) == ref.min_edge(x)
+
+
+def _reference_trace(a, b0, steps, h, direction, tol):
+    """Reference: the continuation loop with residuals and Jacobian
+    evaluated separately on the per-pairing loop system, and both
+    evaluated again at each accepted point for its residual and tangent.
+    Returns (samples, max residuals, singular values, stop reason, step
+    halvings)."""
+    sys = _LoopSystem(a.array, tol.scene_scale, None)
+    scale = tol.scene_scale
+
+    def tangent(jac):
+        _, s, vt = np.linalg.svd(jac)
+        return vt[-1], s
+
+    x = b0.array.reshape(12).copy()
+    samples, residuals = [x], [float(np.abs(sys.residuals(x)).max())]
+    tau, s = tangent(sys.jacobian(x))
+    idx = int(np.argmax(np.abs(tau)))
+    tau = float(direction) * (tau if tau[idx] >= 0 else -tau)
+    singular_values = [s]
+    stop, halvings = "steps exhausted", 0
+    center = a.array.mean(axis=0)
+    weight = 1.0 / scale
+    for _ in range(steps):
+        if s[-2] <= 1e-8 * max(s[-3], 1e-300):
+            stop = "branch point (nullity >= 2)"
+            break
+        step = h
+        accepted = None
+        for _ in range(7):
+            x_pred = x + step * tau
+            y = x_pred.copy()
+            ok = False
+            try:
+                for _ in range(25):
+                    ry = sys.residuals(y)
+                    if np.abs(ry).max() <= 1e-12:
+                        ok = True
+                        break
+                    aug = np.vstack([sys.jacobian(y), weight * tau])
+                    rhs = np.concatenate([ry, [weight * float(np.dot(tau, y - x_pred))]])
+                    delta = np.linalg.lstsq(aug, -rhs, rcond=1e-13)[0]
+                    y = y + delta
+                    if np.linalg.norm(delta) < 1e-16 * scale:
+                        ok = np.abs(sys.residuals(y)).max() <= 1e-12
+                        break
+            except _Collapse:
+                ok = False
+            if ok:
+                accepted = y
+                break
+            step *= 0.5
+            halvings += 1
+        if accepted is None:
+            stop = "corrector divergence"
+            break
+        x = accepted
+        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
+            stop = "degenerate: min edge filter"
+            break
+        if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
+            stop = "degenerate: out of range"
+            break
+        samples.append(x)
+        residuals.append(float(np.abs(sys.residuals(x)).max()))
+        tau_new, s = tangent(sys.jacobian(x))
+        if float(np.dot(tau_new, tau)) < 0:
+            tau_new = -tau_new
+        tau = tau_new
+        singular_values.append(s)
+    return samples, residuals, singular_values, stop, halvings
+
+
+_DEMO_SCENE = load_scene(Path(__file__).parent.parent / "scenes" / "demo.json")
+
+
+def _moved_pair(a, b, seed, log_scale):
+    """The pair under a seeded rotation, the scale 10**log_scale and a
+    shift at that scale."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    shift = rng.normal(size=3) * scale
+    return (Tetrahedron.of(a.array * scale @ q.T + shift),
+            Tetrahedron.of(b.array * scale @ q.T + shift))
+
+
+@given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-12.0, 12.0), direction=st.sampled_from((1, -1)),
+       log_step=st.floats(-3.0, 1.5), steps=st.integers(1, 8))
+# the demo pair: a trace that halves its step four times, and one that
+# halves it twice and leaves the coordinate range after three steps
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-0.4, steps=8)
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=1.4, steps=8)
+@settings(max_examples=60, deadline=None)
+def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, log_scale,
+                                                        direction, log_step, steps):
+    """One fused evaluation per corrector iterate, reused at the accepted
+    point for its residual and tangent, traces the same bits as the
+    separate evaluations: samples, max residuals, singular values and
+    stop reason, for solved pairs under similarity transforms, both
+    directions, and steps from a thousandth of the scene scale to about
+    thirty times it (halved steps, early stops)."""
+    if host == "demo":
+        a, b = _moved_pair(_DEMO_SCENE.tetrahedron("A"), _DEMO_SCENE.tetrahedron("B"),
+                           seed, log_scale)
+    else:
+        a, b = _moved_pair(*demo_pair[:2], seed, log_scale)
+    tol = pair_tolerance(a, b)
+    h = 10.0 ** log_step * tol.scene_scale
+    branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
+    samples, residuals, singular_values, stop, halvings = _reference_trace(
+        a, b, steps, h, direction, tol)
+    event(f"stop: {stop}")
+    event(f"halved: {halvings > 0}")
+    assert branch.stop_reason == stop
+    assert len(branch.samples) == len(samples)
+    for got, want in zip(branch.samples, samples):
+        assert np.array_equal(got.array, want.reshape(4, 3))
+    assert np.array_equal(branch.max_residuals, residuals)
+    assert len(branch.singular_values) == len(singular_values)
+    for got, want in zip(branch.singular_values, singular_values):
+        assert np.array_equal(got, want)
 
 
 def test_solve_finds_verified_solutions():
