@@ -13,24 +13,27 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateError, GeometryError, NotOrthologicError
-from .geom_core import Point, SphereOrPlane, Tolerance, unit
+from .geom_core import Point, SphereOrPlane, Tolerance, as_array, dot_rows, unit
 from .orthology import (
     OrthologyReport,
     Pairing,
     Tetrahedron,
+    _I,
+    _J,
     orthology_centers,
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (
-    ChainKernel,
-    PedalChain,
-    carrier_through,
-    isogonal_conjugate,
-    pedal_triangle,
-    reconstruct_tetrahedron,
-    spherical_chain,
-)
+from .pedal import ChainKernel, carrier_through, partner_from_feet
+
+# trace_curve bisects crossings to REFINE_TOL scene scales and keeps those
+# whose |sixth-foot residual| is at most VERTEX_TOL
+REFINE_TOL = 1e-9
+VERTEX_TOL = 1e-6
+# default_window inflates the face's bounding box about its centre by this
+WINDOW_INFLATE = 3.0
+# iterate_sequence merges orthology centers within this many scene scales
+CLUSTER_RADIUS_FACTOR = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,41 +90,28 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
               tol: Tolerance | None = None) -> Tetrahedron:
     """The conjugate orthosecting partner of ``b`` with respect to ``a``.
 
-    Projects each vertex of ``b`` onto the corresponding face plane of
-    ``a``, reflects it in its pedal-circle center (the isogonal conjugate),
-    and rebuilds the partner determined by the resulting spherical chain.
-    Applying the construction twice returns ``b``; both partners share the
-    carrier sphere of their intersection points.
+    Isogonal conjugates share their pedal circle, which on each face of
+    ``a`` is the section of the carrier sphere through the pair's six
+    intersection points. So the conjugate meets each host edge line at the
+    sphere's second point on it, and is rebuilt from those six points.
+    Applying the construction twice returns ``b``. A flat ``b`` (plane
+    carrier) has its conjugate at infinity and raises DegenerateError.
     """
     tol = tol or pair_tolerance(a, b)
-    require_orthosecting(a, b, tol)
-    faces = {i: tuple(a.vertex(m) for m in (1, 2, 3, 4) if m != i) for i in (1, 2, 3, 4)}
-    face_indices = {i: [m for m in (1, 2, 3, 4) if m != i] for i in (1, 2, 3, 4)}
-    sources = []
-    for i in (1, 2, 3, 4):
-        plane = a.face_plane(i)
-        proj = b.vertex(i).array - plane.signed_distance(b.vertex(i)) * plane.normal
-        conj = isogonal_conjugate(Point.of(proj), faces[i], tol)
-        sources.append(conj)
-    candidates: Dict[frozenset, List[Point]] = {}
-    for i in (1, 2, 3, 4):
-        tri = pedal_triangle(sources[i - 1], faces[i], tol)
-        idx = face_indices[i]
-        for (p, q), foot in zip(((0, 1), (0, 2), (1, 2)), tri.feet):
-            candidates.setdefault(frozenset((idx[p], idx[q])), []).append(foot)
-    feet: Dict[frozenset, Point] = {}
-    spread = 0.0
-    for key, cands in candidates.items():
-        d = cands[0].distance_to(cands[1])
-        spread = max(spread, d)
-        if d > tol.eps_rel * tol.scene_scale:
-            raise DegenerateError(
-                f"conjugate chain feet disagree on edge {sorted(key)} by {d:.3e}")
-        feet[key] = Point.of(0.5 * (cands[0].array + cands[1].array))
-    chain = PedalChain(host=a, feet=feet, sources=tuple(sources),
-                       closure_spread=spread)
-    sc = spherical_chain(chain, tol)
-    return reconstruct_tetrahedron(sc, tol)
+    _, points = require_orthosecting(a, b, tol)
+    carrier, residual = carrier_through(points, tol)
+    if residual > tol.eps_rel * tol.scene_scale:
+        raise DegenerateError(f"intersection points deviate from a common sphere/plane "
+                              f"by {residual:.3e} (> {tol.eps_rel * tol.scene_scale:.3e})")
+    if carrier.kind == "plane":
+        raise DegenerateError("flat partner: coplanar intersection points put the "
+                              "conjugate at infinity")
+    # the second point is the point reflected in the centre's foot on its
+    # edge line; stepping along the edge from the point keeps its accuracy
+    u = a.array[_I] - a.array[_J]
+    d = u / np.sqrt(dot_rows(u, u))[:, None]
+    return partner_from_feet(
+        a, points - 2.0 * dot_rows(points - carrier.center.array, d)[:, None] * d, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +134,8 @@ class TraceCounts:
     nan_nodes: int            # (node, branch) lattice values without a root
     bisection_rounds: int     # lockstep refinement rounds, one kernel call each
     refine_evals: int         # bisection midpoints plus saddle-cell centres
-    crossings: int            # refined crossings kept (|f| <= vertex_tol)
-    rejected_crossings: int   # refined crossings dropped (|f| > vertex_tol): f jumps
+    crossings: int            # refined crossings kept (|f| <= VERTEX_TOL)
+    rejected_crossings: int   # refined crossings dropped (|f| > VERTEX_TOL): f jumps
                               # sign (sphere/plane switch, opposite plane normals,
                               # t jump) or a midpoint had no root
 
@@ -180,31 +170,35 @@ class CurveTrace:
                 yield poly.branch, poly.points[idx], poly.residuals[idx], poly.ts[idx]
 
 
+def face_frame(host: Tetrahedron, face: int):
+    """The 2-D frame on the plane of the face opposite vertex ``face``:
+    origin (the face centroid), axis u along the face's first edge and axis
+    v in the plane, perpendicular to u, as three (3,) arrays."""
+    if face not in (1, 2, 3, 4):
+        raise ValueError("face index must be in 1..4")
+    verts = [host.vertex(m).array for m in (1, 2, 3, 4) if m != face]
+    n = unit(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
+    axis_u = unit(verts[1] - verts[0])
+    return np.mean(verts, axis=0), axis_u, np.cross(n, axis_u)
+
+
+def frame_uv(frame, p) -> Tuple[float, float]:
+    """Coordinates of the point ``p`` projected into a ``face_frame``."""
+    origin, axis_u, axis_v = frame
+    d = as_array(p) - origin
+    return float(np.dot(d, axis_u)), float(np.dot(d, axis_v))
+
+
 class _FaceFrame:
     """Permutes the host so the requested face is spanned by vertices 1,2,3
-    and provides the 2-D in-plane coordinate frame."""
+    and holds its ``face_frame`` and chain kernel."""
 
     def __init__(self, host: Tetrahedron, face: int, tol: Tolerance | None):
-        if face not in (1, 2, 3, 4):
-            raise ValueError("face index must be in 1..4")
-        self.face = face
-        others = [m for m in (1, 2, 3, 4) if m != face]
-        self.permuted = host.relabeled((*others, face))
+        origin, self.axis_u, self.axis_v = face_frame(host, face)
+        self.origin = Point.of(origin)
         self.tol = tol or Tolerance.for_points(host.vertices)
-        verts = [host.vertex(m).array for m in others]
-        self.origin = Point.of(np.mean(verts, axis=0))
-        n = unit(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
-        self.axis_u = unit(verts[1] - verts[0])
-        self.axis_v = np.cross(n, self.axis_u)
-        self.kernel = ChainKernel(self.permuted, self.tol)
-
-    def face_uv(self):
-        """Face-vertex positions in frame coordinates."""
-        out = []
-        for m in range(3):
-            d = self.permuted.vertex(m + 1).array - self.origin.array
-            out.append((float(np.dot(d, self.axis_u)), float(np.dot(d, self.axis_v))))
-        return out
+        self.kernel = ChainKernel(
+            host.relabeled((*(m for m in (1, 2, 3, 4) if m != face), face)), self.tol)
 
     def branches(self, uv: np.ndarray):
         """Both sphericity branches at (M, 2) frame points as ``(t, f)``,
@@ -215,16 +209,15 @@ class _FaceFrame:
         return t * self.kernel.scale, f
 
 
-def default_window(host: Tetrahedron, face: int,
-                   inflate: float = 3.0) -> Tuple[float, float, float, float]:
+def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, float]:
     """Bounding box of the face triangle in frame coordinates, inflated
-    about its center."""
-    frame = _FaceFrame(host, face, None)
-    uv = np.array(frame.face_uv())
+    WINDOW_INFLATE times about its center."""
+    frame = face_frame(host, face)
+    uv = np.array([frame_uv(frame, host.vertex(m)) for m in (1, 2, 3, 4) if m != face])
     lo = uv.min(axis=0)
     hi = uv.max(axis=0)
     mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * inflate
+    half = 0.5 * (hi - lo) * WINDOW_INFLATE
     return (float(mid[0] - half[0]), float(mid[1] - half[1]),
             float(mid[0] + half[0]), float(mid[1] + half[1]))
 
@@ -270,19 +263,17 @@ def _link_segments(segments: List[Tuple[int, int]]) -> List[List[int]]:
 def trace_curve(host: Tetrahedron, face: int,
                 window: Tuple[float, float, float, float] | None = None,
                 grid: int = 64,
-                tol: Tolerance | None = None,
-                refine_tol: float = 1e-9,
-                vertex_tol: float = 1e-6) -> CurveTrace:
+                tol: Tolerance | None = None) -> CurveTrace:
     """Trace the isogonally self-conjugate curve on a face plane.
 
     Evaluates the sixth-foot sphericity residual on a ``grid`` x ``grid``
     lattice for both sphericity branches in one batched kernel call,
     extracts sign-change cells per branch, refines all crossings by
-    bisection in lockstep (one batched call per round) to ``refine_tol``
+    bisection in lockstep (one batched call per round) to REFINE_TOL
     times the scene scale, and links the crossings into polylines. Lattice
     nodes where no real sphericity parameter exists are outside the real
     locus and skipped. Sign flips whose refined residual stays above
-    ``vertex_tol`` are not curve points and terminate the polyline there:
+    VERTEX_TOL are not curve points and terminate the polyline there:
     the sign of f jumps without passing through zero where the carrier
     switches between sphere and plane at the radius cut, between two plane
     fits with opposite normals, or where the branch's t jumps, and some
@@ -344,8 +335,8 @@ def trace_curve(host: Tetrahedron, face: int,
                                     for ea, eb in pairs)
     points, residuals, ts, rounds, evals = _refine_crossings(
         frame, us, vs, fvals, tvals, np.array(ends, dtype=int).reshape(-1, 5),
-        refine_tol * tol.scene_scale)
-    accepted = residuals <= vertex_tol
+        REFINE_TOL * tol.scene_scale)
+    accepted = residuals <= VERTEX_TOL
 
     polylines: List[Polyline] = []
     bound = 0.0
@@ -472,15 +463,15 @@ def _cluster_points(points: List[Point], radius: float) -> List[Point]:
 
 
 def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
-                     tol: Tolerance | None = None,
-                     cluster_radius_factor: float = 1e-6) -> SequenceRun:
+                     tol: Tolerance | None = None) -> SequenceRun:
     """Iterate the conjugate construction: each new member is the conjugate
     of the previous-but-one with respect to the previous.
 
     Records a sphere report for every consecutive pair, the worst residual
     of all intersection points against the first pair's carrier, and the
-    orthology centers of all pairs clustered at the given radius. A
-    degeneracy mid-run truncates the sequence and reports the step."""
+    orthology centers of all pairs clustered at CLUSTER_RADIUS_FACTOR scene
+    scales. A degeneracy mid-run truncates the sequence and reports the
+    step."""
     tol = tol or pair_tolerance(b0, b1)
     require_orthosecting(b0, b1, tol)
     seq: List[Tetrahedron] = [b0, b1]
@@ -506,7 +497,7 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     for rep in reports:
         for p in rep.points.values():
             shared = max(shared, abs(carrier.signed_distance(p)) / tol.scene_scale)
-    distinct = _cluster_points(centers, cluster_radius_factor * tol.scene_scale)
+    distinct = _cluster_points(centers, CLUSTER_RADIUS_FACTOR * tol.scene_scale)
     return SequenceRun(tetrahedra=tuple(seq), reports=tuple(reports),
                        carrier=carrier, shared_max_residual=shared,
                        centers=tuple(centers), distinct_centers=tuple(distinct),

@@ -20,9 +20,9 @@ from typing import List, Optional, Tuple
 
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
-from .geom_core import Point, Tolerance
+from .geom_core import Tolerance
 from .orthology import EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures, pairing_key
-from .scene import Report, Scene, load_scene
+from .scene import Report, Scene, _point_list, load_scene
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
 SPHERE_TOL = 1e-7
@@ -51,16 +51,16 @@ def _scene_tolerance(scene: Scene, points) -> Tolerance:
     return Tolerance.for_points(points, eps_abs=eps_abs, eps_rel=eps_rel)
 
 
-def _pair(scene: Scene, spec: str) -> Tuple[str, str, Tetrahedron, Tetrahedron]:
+def _pair_names(spec: str) -> Tuple[str, str]:
     names = spec.split(",")
     if len(names) != 2:
         raise SceneError(f"--pair expects NAME,NAME, got {spec!r}")
-    a_name, b_name = names[0].strip(), names[1].strip()
+    return names[0].strip(), names[1].strip()
+
+
+def _pair(scene: Scene, spec: str) -> Tuple[str, str, Tetrahedron, Tetrahedron]:
+    a_name, b_name = _pair_names(spec)
     return a_name, b_name, scene.tetrahedron(a_name), scene.tetrahedron(b_name)
-
-
-def _point_list(p: Point) -> List[float]:
-    return [p.x, p.y, p.z]
 
 
 def _tet_list(t: Tetrahedron) -> List[List[float]]:
@@ -86,31 +86,27 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     report.results["orthogonality_residuals"] = dict(zip(keys, ortho.tolist()))
     report.results["gaps"] = dict(zip(keys, gaps.tolist()))
     max_ortho = float(ortho.max())
-    orthologic = max_ortho <= tol.eps_rel
     report.add_verdict("orthologic", max_ortho, tol.eps_rel)
-    if orthologic:
-        rep = orthology_centers(a, b, tol)
+    # with --corollary4 the worst gap is exempt: five intersections suffice
+    worst = max(max_ortho, float(sorted(gaps)[-2] if args.corollary4 else gaps.max()))
+    rep = None
+    if worst <= tol.eps_rel:
+        rep = analysis.verify_sphere(a, b, five_point=args.corollary4, tol=tol)
+    if max_ortho <= tol.eps_rel:
+        # the sphere report's centers, unless it swallowed their error or did not run
+        oc = (rep and rep.orthology) or orthology_centers(a, b, tol)
         report.results["orthology_centers"] = {
-            "center_a": _point_list(rep.center_a), "center_b": _point_list(rep.center_b),
-            "spread_a": rep.spread_a, "spread_b": rep.spread_b}
-    if args.corollary4:
-        worst_kept = max(max_ortho, float(sorted(gaps)[-2]))  # five smallest of six
-        report.add_verdict("five_intersections", worst_kept, tol.eps_rel)
-        if worst_kept > tol.eps_rel:
-            return
-        rep = analysis.verify_sphere(a, b, five_point=True, tol=tol)
-        report.results["sphere"] = _carrier_dict(rep.carrier)
-        report.results["sphere_residuals"] = {pairing_key(p): v
-                                              for p, v in rep.residuals.items()}
-        report.add_verdict("cospherical_5", rep.max_abs_residual, SPHERE_TOL)
+            "center_a": _point_list(oc.center_a), "center_b": _point_list(oc.center_b),
+            "spread_a": oc.spread_a, "spread_b": oc.spread_b}
+    report.add_verdict("five_intersections" if args.corollary4 else "orthosecting",
+                       worst, tol.eps_rel)
+    if rep is None:
         return
-    worst = max(max_ortho, float(gaps.max()))
-    report.add_verdict("orthosecting", worst, tol.eps_rel)
-    if worst > tol.eps_rel:
-        return
-    rep = analysis.verify_sphere(a, b, tol=tol)
     report.results["sphere"] = _carrier_dict(rep.carrier)
     report.results["sphere_residuals"] = {pairing_key(p): v for p, v in rep.residuals.items()}
+    if args.corollary4:
+        report.add_verdict("cospherical_5", rep.max_abs_residual, SPHERE_TOL)
+        return
     report.results["midpoint_gap"] = rep.midpoint_gap
     report.add_verdict("cospherical", rep.max_abs_residual, SPHERE_TOL)
     if rep.midpoint_gap is not None:
@@ -229,12 +225,7 @@ def cmd_sequence(args, scene: Scene, report: Report) -> None:
 
 
 def cmd_export(args, scene_doc, report: Report) -> None:
-    pair = None
-    if args.pair:
-        names = args.pair.split(",")
-        if len(names) != 2:
-            raise SceneError(f"--pair expects NAME,NAME, got {args.pair!r}")
-        pair = (names[0].strip(), names[1].strip())
+    pair = _pair_names(args.pair) if args.pair else None
     trace = None
     if args.curve:
         doc = _load_any(args.curve)

@@ -12,9 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import CurveTrace, Polyline, verify_sphere
+from .analysis import CurveTrace, Polyline, face_frame, frame_uv, verify_sphere
 from .errors import GeometryError, SceneError
-from .geom_core import Point, circle_through, unit
+from .geom_core import Point, circle_through
 from .orthology import require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
@@ -151,11 +151,6 @@ class _SvgCanvas:
         return "\n".join(out) + "\n"
 
 
-def _frame_uv(origin: Point, axis_u, axis_v, p) -> Tuple[float, float]:
-    d = (p.array if isinstance(p, Point) else np.asarray(p, float)) - origin.array
-    return float(np.dot(d, axis_u)), float(np.dot(d, axis_v))
-
-
 def trace_to_svg(trace: CurveTrace) -> str:
     """SVG of a curve trace; each polyline becomes one path whose vertex
     count equals the polyline's vertex count."""
@@ -200,27 +195,20 @@ def scene_to_svg(scene: Scene, face: int,
         guest = None
     face_indices = [m for m in (1, 2, 3, 4) if m != face]
     verts = [host.vertex(m) for m in face_indices]
-    origin = Point.of(np.mean([v.array for v in verts], axis=0))
-    normal = unit(np.cross(verts[1].array - verts[0].array,
-                           verts[2].array - verts[0].array))
-    axis_u = unit(verts[1].array - verts[0].array)
-    axis_v = np.cross(normal, axis_u)
-    uv = [_frame_uv(origin, axis_u, axis_v, v) for v in verts]
-    canvas.path("triangle", uv, closed=True)
+    frame = face_frame(host, face)
+    canvas.path("triangle", [frame_uv(frame, v) for v in verts], closed=True)
     circum = circle_through(*verts)
-    canvas.circle("circles", _frame_uv(origin, axis_u, axis_v, circum.center),
-                  circum.radius, cls="circumcircle")
+    canvas.circle("circles", frame_uv(frame, circum.center), circum.radius,
+                  cls="circumcircle")
     if guest is not None:
         chain = chain_from_pair(host, guest)
         feet = [chain.foot(face_indices[i], face_indices[j])
                 for i, j in ((0, 1), (0, 2), (1, 2))]
         for foot in feet:
-            canvas.dot("feet", _frame_uv(origin, axis_u, axis_v, foot), 0.0)
-        source = chain.source(face)
-        canvas.dot("sources", _frame_uv(origin, axis_u, axis_v, source), 0.0)
+            canvas.dot("feet", frame_uv(frame, foot), 0.0)
+        canvas.dot("sources", frame_uv(frame, chain.source(face)), 0.0)
         pedal = circle_through(*feet)
-        canvas.circle("circles", _frame_uv(origin, axis_u, axis_v, pedal.center),
-                      pedal.radius, cls="pedal")
+        canvas.circle("circles", frame_uv(frame, pedal.center), pedal.radius, cls="pedal")
     if trace is not None:
         for poly in trace.polylines:
             canvas.path("curve", [(float(u), float(v)) for u, v in poly.points])

@@ -18,6 +18,8 @@ from .errors import DegenerateError
 
 # Radius beyond which a fitted circumsphere is reported as a plane.
 FLAT_SPHERE_RADIUS_FACTOR = 1e6
+# |det| of three unit plane normals at or below which they count as coplanar
+MEET_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,12 @@ def sphere_through(p1, p2, p3, p4, tol: Tolerance | None = None) -> SphereOrPlan
     return SphereOrPlane.sphere(Point.of(center), radius)
 
 
-def meet_planes(pl1: Plane, pl2: Plane, pl3: Plane, det_threshold: float = 1e-12) -> Point:
+def meet_planes(pl1: Plane, pl2: Plane, pl3: Plane) -> Point:
     """Common point of three planes; raises DegenerateError when the normals
     are (nearly) coplanar."""
     normals = np.array([pl1.normal, pl2.normal, pl3.normal])
     offsets = np.array([pl1.offset, pl2.offset, pl3.offset])
-    if abs(float(np.linalg.det(normals))) <= det_threshold:
+    if abs(float(np.linalg.det(normals))) <= MEET_DET_TOL:
         raise DegenerateError("planes with coplanar normals have no unique common point")
     return Point.of(np.linalg.solve(normals, offsets))
 

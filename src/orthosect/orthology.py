@@ -304,14 +304,17 @@ class LabelingResult:
     ties: Tuple[Tuple[int, int, int, int], ...]
 
 
-def find_labeling(a: Tetrahedron, b: Tetrahedron,
-                  tie_tol: float = 1e-12) -> LabelingResult:
+# max residuals within this of the best tie with it in find_labeling
+LABELING_TIE_TOL = 1e-12
+
+
+def find_labeling(a: Tetrahedron, b: Tetrahedron) -> LabelingResult:
     """Search all 24 relabelings of ``b`` for the one minimizing the largest
     edge-orthogonality residual.
 
     Returns the best permutation (apply via ``b.relabeled(perm)``), its
     max residual, and every permutation tying with the best within
-    ``tie_tol``. A large max residual simply means "not orthologic under
+    LABELING_TIE_TOL. A large max residual simply means "not orthologic under
     any labeling".
     """
     best: List[Tuple[float, Tuple[int, ...]]] = []
@@ -321,5 +324,5 @@ def find_labeling(a: Tetrahedron, b: Tetrahedron,
         best.append((max(residuals.values()), perm))
     best.sort(key=lambda item: (item[0], item[1]))
     top_val, top_perm = best[0]
-    ties = tuple(perm for val, perm in best if val <= top_val + tie_tol)
+    ties = tuple(perm for val, perm in best if val <= top_val + LABELING_TIE_TOL)
     return LabelingResult(permutation=top_perm, max_residual=top_val, ties=ties)

@@ -39,10 +39,16 @@ from .orthology import EDGE_PAIRINGS, Tetrahedron, by_pairing, pair_measures, pa
 # |dist(source, circumcenter) - circumradius| below this (times scene scale)
 # counts as the Simson degeneracy: collinear feet, no pedal circle.
 SIMSON_TOL = 1e-7
+# orthogonality residuals and gaps (over the scene scale) a rebuilt partner
+# must stay below
+POSTCONDITION_TOL = 1e-6
 
 EdgeKey = frozenset
 
 FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
+
+# per host vertex, the EDGE_PAIRINGS rows of the host edges through it
+_FEET_AT = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,61 +590,71 @@ def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
     return SphericalChain(chain=chain, carrier=carrier, max_residual=residual)
 
 
-def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None,
-                            postcondition_tol: float = 1e-6) -> Tetrahedron:
+def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) -> Tetrahedron:
     """Unique tetrahedron orthosecting the host with the chain's feet as
-    edge intersections.
+    edge intersections (see ``partner_from_feet``).
 
-    Face m of the result lies in the plane of the three feet on the host
-    edges through vertex m. For a plane-kind carrier (flat partner) those
-    feet planes all coincide with the carrier, so each vertex is instead
-    recovered as the intersection of the carrier plane with the projection
-    line through its source point. The orthosection postcondition (all six
-    gaps and all six orthogonality residuals below ``postcondition_tol``)
-    is asserted and a ReconstructionError raised when it fails, which is
-    the symptom of a chain that was not actually spherical.
+    For a plane-kind carrier (flat partner) the feet planes all coincide
+    with the carrier, so each vertex is instead recovered as the
+    intersection of the carrier plane with the projection line through its
+    source point. Either way the orthosection postcondition holds or a
+    ReconstructionError is raised.
     """
     chain = sc.chain
     host = chain.host
     tol = tol or Tolerance.for_points(host.vertices)
-    if sc.carrier.kind == "plane":
-        flat = sc.carrier.carrier
-        verts = []
-        for m in (1, 2, 3, 4):
-            direction = host.face_plane(m).normal
-            denom = float(np.dot(flat.normal, direction))
-            if abs(denom) <= 1e-9:
-                raise DegenerateError(
-                    f"carrier plane parallel to the projection direction of face {m}")
-            src = chain.source(m).array
-            h = (flat.offset - float(np.dot(flat.normal, src))) / denom
-            verts.append(Point.of(src + h * direction))
-        b = Tetrahedron(tuple(verts))
-    else:
-        planes = {}
-        for i in (1, 2, 3, 4):
-            pts = [chain.foot(i, j) for j in (1, 2, 3, 4) if j != i]
-            arr = np.array([as_array(p) for p in pts])
-            height = np.linalg.norm(np.cross(arr[1] - arr[0], arr[2] - arr[0])) / max(
-                np.linalg.norm(arr[1] - arr[0]), np.linalg.norm(arr[2] - arr[0]))
-            if height <= tol.eps_rel * tol.scene_scale:
-                raise DegenerateError(
-                    f"collinear feet around vertex {i}: degenerate partner whose "
-                    f"face contains a host vertex")
-            planes[i] = Plane.through(*pts)
-        verts = []
-        for m in (1, 2, 3, 4):
-            others = [planes[i] for i in (1, 2, 3, 4) if i != m]
-            try:
-                verts.append(meet_planes(*others))
-            except DegenerateError as exc:
-                raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
-        b = Tetrahedron(tuple(verts))
+    if sc.carrier.kind == "sphere":
+        return partner_from_feet(host, np.array([chain.foot(*ij).array
+                                                 for ij, _ in EDGE_PAIRINGS]), tol)
+    flat = sc.carrier.carrier
+    verts = []
+    for m in (1, 2, 3, 4):
+        direction = host.face_plane(m).normal
+        denom = float(np.dot(flat.normal, direction))
+        if abs(denom) <= 1e-9:
+            raise DegenerateError(
+                f"carrier plane parallel to the projection direction of face {m}")
+        src = chain.source(m).array
+        h = (flat.offset - float(np.dot(flat.normal, src))) / denom
+        verts.append(Point.of(src + h * direction))
+    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+
+
+def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
+    """Tetrahedron orthosecting ``host`` whose edge intersections are
+    ``feet`` (6, 3), one per host edge in EDGE_PAIRINGS order.
+
+    Face m of the result lies in the plane of the three feet on the host
+    edges through vertex m. The orthosection postcondition (all six gaps
+    and all six orthogonality residuals below POSTCONDITION_TOL) is
+    asserted and a ReconstructionError raised when it fails, which is the
+    symptom of feet that were not actually co-spherical.
+    """
+    planes = []
+    for rows in _FEET_AT:
+        arr = feet[list(rows)]
+        height = np.linalg.norm(np.cross(arr[1] - arr[0], arr[2] - arr[0])) / max(
+            np.linalg.norm(arr[1] - arr[0]), np.linalg.norm(arr[2] - arr[0]))
+        if height <= tol.eps_rel * tol.scene_scale:
+            raise DegenerateError(
+                f"collinear feet around vertex {len(planes) + 1}: degenerate partner "
+                f"whose face contains a host vertex")
+        planes.append(Plane.through(*arr))
+    verts = []
+    for m in range(4):
+        try:
+            verts.append(meet_planes(*(planes[:m] + planes[m + 1:])))
+        except DegenerateError as exc:
+            raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
+    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+
+
+def _require_orthosection(host: Tetrahedron, b: Tetrahedron, tol: Tolerance) -> Tetrahedron:
     ortho, gaps, _ = pair_measures(host, b, tol)
-    if ortho.max() > postcondition_tol or gaps.max() > postcondition_tol:
+    if ortho.max() > POSTCONDITION_TOL or gaps.max() > POSTCONDITION_TOL:
         raise ReconstructionError(
             f"reconstructed tetrahedron fails orthosection: orthogonality "
-            f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {postcondition_tol:.1e})",
+            f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {POSTCONDITION_TOL:.1e})",
             orthogonality=by_pairing(ortho), gaps=by_pairing(gaps))
     return b
 

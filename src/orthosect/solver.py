@@ -59,21 +59,25 @@ class ResidualVector:
 # than MAX_COORD_FACTOR from the host's centroid, is rejected
 MIN_EDGE_FACTOR = 1e-3
 MAX_COORD_FACTOR = 50.0
+# damped least squares: iteration cap, initial damping and the factors that
+# raise it after a rejected step and lower it after an accepted one
+LM_MAX_ITERATIONS = 150
+LM_LAMBDA0 = 1e-3
+LM_LAMBDA_UP = 4.0
+LM_LAMBDA_DOWN = 3.0
+# max residual that stops the damped iteration, and the one a solution needs
+TARGET_RESIDUAL = 1e-12
+ACCEPT_RESIDUAL = 1e-11
+# solutions whose vertices all lie within this many scene scales are one
+DEDUPE_FACTOR = 1e-3
+# |sixth-foot residual| up to which a point is on the self-conjugate curve
+CURVE_POINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int
     restarts: int = 64
-    max_iterations: int = 150
-    lambda0: float = 1e-3
-    lambda_up: float = 4.0
-    lambda_down: float = 3.0
-    target_residual: float = 1e-12
-    accept_residual: float = 1e-11
-    min_edge_factor: float = MIN_EDGE_FACTOR
-    max_coord_factor: float = MAX_COORD_FACTOR
-    dedupe_factor: float = 1e-3
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -243,7 +247,7 @@ def intersection_gaps(a: Tetrahedron, b: Tetrahedron,
     return by_pairing(pair_measures(a, b, tol)[1])
 
 
-def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray, cfg: SolverConfig):
+def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
     """Damped least squares followed by a Gauss-Newton polish."""
     x = x0.copy()
     try:
@@ -251,11 +255,11 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray, cfg: SolverConfig):
     except _Collapse as exc:
         return x, math.inf, 0, str(exc)
     cost = float(r @ r)
-    lam = cfg.lambda0
+    lam = LM_LAMBDA0
     iterations = 0
-    for it in range(cfg.max_iterations):
+    for it in range(LM_MAX_ITERATIONS):
         iterations = it + 1
-        if np.abs(r).max() <= cfg.target_residual:
+        if np.abs(r).max() <= TARGET_RESIDUAL:
             break
         try:
             jac = sys.jacobian(x)
@@ -269,21 +273,21 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray, cfg: SolverConfig):
             try:
                 delta = np.linalg.solve(jtj + lam * diag * np.eye(12), -g)
             except np.linalg.LinAlgError:
-                lam *= cfg.lambda_up
+                lam *= LM_LAMBDA_UP
                 continue
             x_new = x + delta
             try:
                 r_new = sys.residuals(x_new)
             except _Collapse:
-                lam *= cfg.lambda_up
+                lam *= LM_LAMBDA_UP
                 continue
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / cfg.lambda_down, 1e-14)
+                lam = max(lam / LM_LAMBDA_DOWN, 1e-14)
                 improved = True
                 break
-            lam *= cfg.lambda_up
+            lam *= LM_LAMBDA_UP
             if lam > 1e12:
                 break
         if not improved:
@@ -339,7 +343,7 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     Starts are drawn inside the orthogonality null space (so the linear
     conditions hold exactly from the outset), recentered near the host and
     rescaled to comparable size. Accepted solutions have max residual
-    below ``cfg.accept_residual``, pass the degeneracy filters, and are
+    below ACCEPT_RESIDUAL, pass the degeneracy filters, and are
     deduplicated; the result is deterministic for a fixed seed.
     """
     if a.is_flat():
@@ -354,19 +358,19 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     diags: List[RestartDiagnostic] = []
     for restart in range(cfg.restarts):
         x0 = _seed_start(null_basis, rng, center, scale)
-        x, max_res, iters, reason = _lm_minimize(sys, x0, cfg)
-        if max_res > cfg.accept_residual:
+        x, max_res, iters, reason = _lm_minimize(sys, x0)
+        if max_res > ACCEPT_RESIDUAL:
             diags.append(RestartDiagnostic(restart, False, max_res, iters,
                                            reason if reason != "ok" else "no convergence"))
             continue
-        if sys.min_edge(x) < cfg.min_edge_factor * scale:
+        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
             diags.append(RestartDiagnostic(restart, False, max_res, iters, "min edge filter"))
             continue
-        if np.abs(x.reshape(4, 3) - center).max() > cfg.max_coord_factor * scale:
+        if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
             diags.append(RestartDiagnostic(restart, False, max_res, iters, "out of range"))
             continue
         duplicate = any(
-            np.linalg.norm((x - known).reshape(4, 3), axis=1).max() < cfg.dedupe_factor * scale
+            np.linalg.norm((x - known).reshape(4, 3), axis=1).max() < DEDUPE_FACTOR * scale
             for known in solutions)
         if duplicate:
             diags.append(RestartDiagnostic(restart, True, max_res, iters, "duplicate"))
@@ -476,15 +480,13 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
 
 
 def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
-                           tol: Tolerance | None = None,
-                           eps: float = 1e-6,
-                           postcondition_tol: float = 1e-6) -> Tetrahedron:
+                           tol: Tolerance | None = None) -> Tetrahedron:
     """Constructive (iteration-free) orthosecting partner from a point of
     the self-conjugate curve on the face of host vertices 1, 2, 3.
 
     ``root_index`` selects among the sphericity parameters at ``b4``
     (sorted ascending). Raises CurvePointError when the point's sixth-foot
-    residual exceeds ``eps``, i.e. the point is not on the curve, and
+    residual exceeds CURVE_POINT_TOL, i.e. the point is not on the curve, and
     SimsonDegenerateError when it lies on the face circumcircle.
     """
     tol = tol or Tolerance.for_points(list(a.vertices) + [as_array(b4)])
@@ -497,12 +499,12 @@ def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
             f"no sphericity root with index {root_index} at this point "
             f"({found} found)")
     t, f = float(ts[root_index]), float(fs[root_index])
-    if abs(f) > eps:
+    if abs(f) > CURVE_POINT_TOL:
         raise CurvePointError(
-            f"point is off the curve: |residual| {abs(f):.3e} > {eps:.1e}",
+            f"point is off the curve: |residual| {abs(f):.3e} > {CURVE_POINT_TOL:.1e}",
             residual=f)
     data = kernel.complete_local(b4_local, t)
     chain = _chain_from_local(kernel, data)
     allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
     sc = spherical_chain(chain, tol, max_residual=allowed)
-    return reconstruct_tetrahedron(sc, tol, postcondition_tol=postcondition_tol)
+    return reconstruct_tetrahedron(sc, tol)

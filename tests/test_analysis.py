@@ -2,12 +2,13 @@
 conjugate sequences."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import find_partner, random_tetrahedron
-from orthosect import analysis
+from orthosect import analysis, pedal
 from orthosect.analysis import (
     conjugate,
     default_window,
@@ -24,6 +25,7 @@ from orthosect.solver import (
     SolverConfig,
     intersection_gaps,
     orthosect_residuals,
+    solve,
     solve_detailed,
 )
 
@@ -182,6 +184,85 @@ def test_conjugate_is_distinct(demo_pair):
 def test_conjugate_requires_orthosecting_pair():
     with pytest.raises(NotOrthosectingError):
         conjugate(T_REG, T_REG)
+
+
+def _exact_projection(face, p):
+    """Exact rational projection of ``p`` onto the plane of the triangle
+    ``face``, and the triangle's vertices and normal, all as Fractions."""
+    fa, fb, fc = ([Fraction(float(c)) for c in v] for v in face)
+    q = [Fraction(float(c)) for c in p]
+    sub = lambda u, v: [x - y for x, y in zip(u, v)]
+    n = _cross(sub(fb, fa), sub(fc, fa))
+    h = _dot(sub(q, fa), n) / _dot(n, n)
+    return [x - h * y for x, y in zip(q, n)], (fa, fb, fc), n
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _exact_isogonal(face, p):
+    """Isogonal conjugate of ``p`` projected onto the plane of ``face``, in
+    exact rational arithmetic: barycentrics (x:y:z) map to
+    (a^2/x : b^2/y : c^2/z)."""
+    q, (fa, fb, fc), n = _exact_projection(face, p)
+    sub = lambda u, v: [x - y for x, y in zip(u, v)]
+    bary = [_dot(_cross(sub(u, q), sub(v, q)), n) for u, v in ((fb, fc), (fc, fa), (fa, fb))]
+    sides = [_dot(sub(u, v), sub(u, v)) for u, v in ((fb, fc), (fc, fa), (fa, fb))]
+    w = [s / x for s, x in zip(sides, bary)]
+    return [sum(wk * v[c] for wk, v in zip(w, (fa, fb, fc))) / sum(w) for c in range(3)]
+
+
+@pytest.fixture(scope="module")
+def oracle_pairs(demo_pair):
+    """The demo pair and twelve solved pairs on seeded random hosts; the
+    first two have carriers of radius 53 and 109 scene scales."""
+    rng = np.random.default_rng(11)
+    pairs = [demo_pair[:2]]
+    while len(pairs) < 13:
+        a = random_tetrahedron(rng)
+        found = solve(a, SolverConfig(seed=len(pairs), restarts=8))
+        if found:
+            pairs.append((a, found[0]))
+    return pairs
+
+
+def test_conjugate_matches_exact_isogonal_conjugates(oracle_pairs):
+    """Vertex i of the conjugate projects onto host face i at the isogonal
+    conjugate of the projection of the partner's vertex i."""
+    for a, b in oracle_pairs:
+        tol = pair_tolerance(a, b)
+        c = conjugate(a, b, tol)
+        for i in (1, 2, 3, 4):
+            face = [a.vertex(m).array for m in (1, 2, 3, 4) if m != i]
+            want = _exact_isogonal(face, b.vertex(i).array)
+            got = _exact_projection(face, c.vertex(i).array)[0]
+            err = float(sum((g - w) ** 2 for g, w in zip(got, want))) ** 0.5
+            assert err <= 1e-7 * tol.scene_scale
+
+
+def test_conjugate_uses_no_pedal_construction(monkeypatch, demo_pair):
+    """The conjugate comes from the carrier sphere alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjugate built a pedal construction")
+
+    for name in ("isogonal_conjugate", "pedal_triangle", "pedal_circle", "spherical_chain",
+                 "chain_from_pair", "reconstruct_tetrahedron"):
+        monkeypatch.setattr(pedal, name, refuse)
+    a, b, tol = demo_pair
+    assert orthosect_residuals(a, conjugate(a, b, tol), tol).max_abs <= tol.eps_rel
+
+
+def test_conjugate_of_flat_partner_is_degenerate(flat_pair):
+    """Coplanar intersection points have no second point on the host edges:
+    the conjugate is at infinity."""
+    a, flat = flat_pair
+    with pytest.raises(DegenerateError, match="^flat partner: "):
+        conjugate(a, flat)
 
 
 # --- trace_curve ------------------------------------------------------------

@@ -27,6 +27,8 @@ GOLDEN_REPORTS = {
     "demo_verify.json": ["verify", "--scene", SCENE, "--pair", "A,B"],
     "demo_verify_corollary4.json": ["verify", "--scene", SCENE, "--pair", "A,B",
                                     "--corollary4"],
+    "demo_conjugate.json": ["conjugate", "--scene", SCENE, "--pair", "A,B"],
+    "demo_sequence_n6.json": ["sequence", "--scene", SCENE, "--pair", "A,B", "--n", "6"],
 }
 
 
