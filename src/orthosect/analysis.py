@@ -197,8 +197,8 @@ class _FaceFrame:
         origin, self.axis_u, self.axis_v = face_frame(host, face)
         self.origin = Point.of(origin)
         self.tol = tol or Tolerance.for_points(host.vertices)
-        self.kernel = ChainKernel(
-            host.relabeled((*(m for m in (1, 2, 3, 4) if m != face), face)), self.tol)
+        others = [m for m in (1, 2, 3, 4) if m != face]
+        self.kernel = ChainKernel(host.relabeled((*others, face)), self.tol)
 
     def branches(self, uv: np.ndarray):
         """Both sphericity branches at (M, 2) frame points as ``(t, f)``,
