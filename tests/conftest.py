@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from orthosect import analysis, cli
 from orthosect.orthology import Tetrahedron, pair_tolerance
 from orthosect.solver import (
     OrthosectSystem,
@@ -113,3 +114,19 @@ def flat_pair():
     flat = bisect_flat_partner(a, b, steps=20)
     assert flat is not None, "frozen flat-partner search regressed"
     return a, flat
+
+
+@pytest.fixture()
+def orthology_center_calls(monkeypatch):
+    """The (a, b) arguments of every orthology_centers call that analysis
+    or cli makes while the test runs."""
+    calls = []
+    real = analysis.orthology_centers
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "orthology_centers", counted)
+    return calls

@@ -416,23 +416,11 @@ def test_sequence_rejects_nonpair():
         iterate_sequence(T_REG, T_REG, 3)
 
 
-def _count_orthology_centers(monkeypatch) -> list:
-    calls = []
-    real = analysis.orthology_centers
-
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "orthology_centers", counted)
-    return calls
-
-
-def test_sequence_one_orthology_centers_call_per_pair(monkeypatch, demo_pair):
+def test_sequence_one_orthology_centers_call_per_pair(orthology_center_calls, demo_pair):
     """The centers of each consecutive pair come from its sphere report,
     not from a second orthology_centers call."""
     a, b, tol = demo_pair
-    calls = _count_orthology_centers(monkeypatch)
+    calls = orthology_center_calls
     run = iterate_sequence(a, b, 6, tol)
     pairs = list(zip(run.tetrahedra, run.tetrahedra[1:]))
     assert len(pairs) == 6
@@ -441,14 +429,15 @@ def test_sequence_one_orthology_centers_call_per_pair(monkeypatch, demo_pair):
                                  for c in (rep.orthology.center_a, rep.orthology.center_b)]
 
 
-def test_sequence_raises_where_verify_sphere_swallowed(monkeypatch, flat_pair):
+def test_sequence_raises_where_verify_sphere_swallowed(orthology_center_calls, flat_pair):
     """A flat partner has no orthology center: verify_sphere leaves its
     midpoint gap and centers empty, and iterate_sequence raises the
     flat-partner error."""
     a, flat = flat_pair
     rep = verify_sphere(a, flat)
     assert rep.orthology is None and rep.midpoint_gap is None
-    calls = _count_orthology_centers(monkeypatch)
+    calls = orthology_center_calls
+    calls.clear()   # count iterate_sequence's calls only
     with pytest.raises(DegenerateError, match="^flat partner: "):
         iterate_sequence(a, flat, 1)
     assert len(calls) == 2

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthosect import analysis, cli, solver
+from orthosect import analysis, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
 from orthosect.orthology import Tetrahedron, pair_tolerance
@@ -260,35 +260,23 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
     assert "invalid choice" in mixed[4][2]
 
 
-def _count_orthology_centers(monkeypatch) -> list:
-    calls = []
-    real = analysis.orthology_centers
-
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "orthology_centers", counted)
-    monkeypatch.setattr(cli, "orthology_centers", counted)
-    return calls
-
-
 @pytest.mark.parametrize("extra", [[], ["--corollary4"]], ids=["verify", "corollary4"])
-def test_verify_computes_orthology_centers_once(capsys, monkeypatch, extra):
+def test_verify_computes_orthology_centers_once(capsys, orthology_center_calls, extra):
     """The report's centers come from the sphere report."""
-    calls = _count_orthology_centers(monkeypatch)
+    calls = orthology_center_calls
     code, report = _run(capsys, ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", *extra])
     assert code == 0 and "orthology_centers" in report["results"]
     assert len(calls) == 1
 
 
-def test_verify_flat_partner_reports_center_error(tmp_path, capsys, monkeypatch, flat_pair):
+def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_center_calls,
+                                                  flat_pair):
     """verify_sphere swallows a flat partner's center error; verify calls
     orthology_centers again to report it, after the orthologic verdict."""
     a, flat = flat_pair
     path = tmp_path / "flat.json"
     save_scene(Scene(tetrahedra={"A": a, "B": flat}), path)
-    calls = _count_orthology_centers(monkeypatch)
+    calls = orthology_center_calls
     code, report = _run(capsys, ["verify", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
     assert report["error"].startswith("DegenerateError: flat partner: ")
