@@ -19,6 +19,7 @@ from orthosect.export import (
 from orthosect.scene import load_scene
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_face4.svg"
+GOLDEN_OBJ = Path(__file__).parent / "golden" / "demo_scene.obj"
 DEMO_SCENE = Path(__file__).parent.parent / "scenes" / "demo.json"
 
 
@@ -39,6 +40,13 @@ def test_golden_svg_byte_identical(tmp_path):
                  "--face", "4", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_golden_obj_byte_identical(tmp_path):
+    out = tmp_path / "demo.obj"
+    code = main(["export", "--scene", str(DEMO_SCENE), "--format", "obj", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == GOLDEN_OBJ.read_bytes()
 
 
 def test_svg_layers_present(demo_scene):

@@ -29,6 +29,8 @@ GOLDEN_REPORTS = {
                                     "--corollary4"],
     "demo_conjugate.json": ["conjugate", "--scene", SCENE, "--pair", "A,B"],
     "demo_sequence_n6.json": ["sequence", "--scene", SCENE, "--pair", "A,B", "--n", "6"],
+    "demo_trace_family.json": ["trace-family", "--scene", SCENE, "--tet", "A", "--start", "B",
+                               "--steps", "50", "--step", "0.03"],
 }
 
 
