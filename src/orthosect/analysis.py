@@ -99,7 +99,12 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     """
     tol = tol or pair_tolerance(a, b)
     _, points = require_orthosecting(a, b, tol)
-    carrier, residual = carrier_through(points, tol)
+    return conjugate_through(a, points, *carrier_through(points, tol), tol)
+
+
+def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane,
+                      residual: float, tol: Tolerance) -> Tetrahedron:
+    """``conjugate`` from the pair's intersection points and their carrier fit."""
     if residual > tol.eps_rel * tol.scene_scale:
         raise DegenerateError(f"intersection points deviate from a common sphere/plane "
                               f"by {residual:.3e} (> {tol.eps_rel * tol.scene_scale:.3e})")
@@ -451,13 +456,11 @@ class SequenceRun:
 def _cluster_points(points: List[Point], radius: float) -> List[Point]:
     clusters: List[List[np.ndarray]] = []
     for p in points:
-        placed = False
         for cl in clusters:
             if np.linalg.norm(np.mean(cl, axis=0) - p.array) <= radius:
                 cl.append(p.array)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([p.array])
     return [Point.of(np.mean(cl, axis=0)) for cl in clusters]
 

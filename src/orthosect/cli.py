@@ -18,10 +18,14 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
 from .geom_core import Tolerance
-from .orthology import EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures, pairing_key
+from .orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
+                        pairing_key, require_orthosecting)
+from .pedal import carrier_through
 from .scene import Report, Scene, _point_list, load_scene
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
@@ -142,9 +146,11 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
                                  direction=args.direction, tol=tol)
     report.results["tet"] = args.tet
     report.results["start"] = args.start
-    report.results["samples"] = [_tet_list(t) for t in branch.samples]
+    coords = branch.coords
+    report.results["samples"] = coords.tolist()
     report.results["max_residuals"] = list(branch.max_residuals)
-    report.results["volumes"] = [t.signed_volume for t in branch.samples]
+    # Tetrahedron.signed_volume of every sample, from one stacked det
+    report.results["volumes"] = (np.linalg.det(coords[:, 1:] - coords[:, :1]) / 6.0).tolist()
     report.results["stop_reason"] = branch.stop_reason
     report.add_verdict("samples_residual", max(branch.max_residuals), FAMILY_RESIDUAL_TOL)
     worst_ratio = max(float(sv[-1] / max(sv[-2], 1e-300)) for sv in branch.singular_values)
@@ -156,24 +162,23 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
     tol = _scene_tolerance(scene, list(a.vertices) + list(b.vertices))
     report.results["pair"] = [a_name, b_name]
-    c = analysis.conjugate(a, b, tol)
+    _, points_b = require_orthosecting(a, b, tol)
+    carrier_b, residual_b = carrier_through(points_b, tol)
+    c = analysis.conjugate_through(a, points_b, carrier_b, residual_b, tol)
     report.results["conjugate"] = _tet_list(c)
     rv = solver.orthosect_residuals(a, c, tol)
     gaps = solver.intersection_gaps(a, c, tol)
     worst = max(rv.max_abs, max(gaps.values()))
     report.add_verdict("conjugate_orthosects", worst, tol.eps_rel)
-    rep_b = analysis.verify_sphere(a, b, tol=tol)
-    rep_c = analysis.verify_sphere(a, c, tol=tol)
-    report.results["carrier_b"] = _carrier_dict(rep_b.carrier)
-    report.results["carrier_c"] = _carrier_dict(rep_c.carrier)
-    if rep_b.carrier.kind == "sphere" and rep_c.carrier.kind == "sphere":
-        gap = (rep_b.carrier.center.distance_to(rep_c.carrier.center)
-               + abs(rep_b.carrier.radius - rep_c.carrier.radius)) / tol.scene_scale
+    _, points_c = require_orthosecting(a, c, tol)
+    carrier_c, _ = carrier_through(points_c, tol)
+    report.results["carrier_b"] = _carrier_dict(carrier_b)
+    report.results["carrier_c"] = _carrier_dict(carrier_c)
+    if carrier_b.kind == "sphere" and carrier_c.kind == "sphere":
+        gap = (carrier_b.center.distance_to(carrier_c.center)
+               + abs(carrier_b.radius - carrier_c.radius)) / tol.scene_scale
     else:
-        worst_cross = 0.0
-        for p in rep_c.points.values():
-            worst_cross = max(worst_cross, abs(rep_b.carrier.signed_distance(p)))
-        gap = worst_cross / tol.scene_scale
+        gap = max(abs(carrier_b.signed_distance(p)) for p in points_c) / tol.scene_scale
     report.results["carrier_gap"] = gap
     report.add_verdict("carriers_match", gap, CONJUGATE_CARRIER_TOL)
 

@@ -12,11 +12,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import CurveTrace, Polyline, face_frame, frame_uv, verify_sphere
+from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
-from .geom_core import Point, circle_through
-from .orthology import require_orthosecting
-from .pedal import chain_from_pair
+from .geom_core import Point, as_array, circle_through
+from .orthology import pair_tolerance, require_orthosecting
+from .pedal import carrier_through, chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
 
@@ -233,11 +233,14 @@ class _ObjWriter:
     def obj(self, name: str):
         self.lines.append(f"o {name}")
 
+    def vertices(self, rows: np.ndarray) -> int:
+        """Write the rows of an (n, 3) array; returns the first one's index."""
+        self.lines.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in rows.tolist())
+        self.vertex_count += len(rows)
+        return self.vertex_count - len(rows) + 1
+
     def vertex(self, p) -> int:
-        a = p.array if isinstance(p, Point) else np.asarray(p, float)
-        self.lines.append(f"v {_f(a[0])} {_f(a[1])} {_f(a[2])}")
-        self.vertex_count += 1
-        return self.vertex_count
+        return self.vertices(as_array(p)[None])
 
     def line(self, *idx: int):
         self.lines.append("l " + " ".join(str(i) for i in idx))
@@ -245,8 +248,8 @@ class _ObjWriter:
     def point(self, idx: int):
         self.lines.append(f"p {idx}")
 
-    def face(self, *idx: int):
-        self.lines.append("f " + " ".join(str(i) for i in idx))
+    def faces(self, idx: np.ndarray):
+        self.lines.extend("f %d %d %d" % tuple(f) for f in idx.tolist())
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -254,31 +257,23 @@ class _ObjWriter:
 
 def _sphere_mesh(writer: _ObjWriter, center: np.ndarray, radius: float, res: int):
     res = max(4, int(res))
-    top = writer.vertex(center + np.array([0.0, 0.0, radius]))
-    rows: List[List[int]] = []
-    for i in range(1, res):
-        phi = math.pi * i / res
-        row = []
-        for j in range(2 * res):
-            theta = math.pi * j / res
-            p = center + radius * np.array([
-                math.sin(phi) * math.cos(theta),
-                math.sin(phi) * math.sin(theta),
-                math.cos(phi)])
-            row.append(writer.vertex(p))
-        rows.append(row)
-    bottom = writer.vertex(center + np.array([0.0, 0.0, -radius]))
     n = 2 * res
-    for j in range(n):
-        writer.face(top, rows[0][j], rows[0][(j + 1) % n])
-    for i in range(len(rows) - 1):
-        for j in range(n):
-            a, b = rows[i][j], rows[i][(j + 1) % n]
-            c, d = rows[i + 1][(j + 1) % n], rows[i + 1][j]
-            writer.face(a, b, c)
-            writer.face(a, c, d)
-    for j in range(n):
-        writer.face(bottom, rows[-1][(j + 1) % n], rows[-1][j])
+    # unit directions: the north pole, res - 1 rings of n at polar angle phi,
+    # the south pole; the trig stays in math, whose rounding the mesh keeps
+    rings = [(math.sin(phi) * math.cos(math.pi * j / res),
+              math.sin(phi) * math.sin(math.pi * j / res), math.cos(phi))
+             for phi in (math.pi * i / res for i in range(1, res)) for j in range(n)]
+    units = np.array([(0.0, 0.0, 1.0)] + rings + [(0.0, 0.0, -1.0)])
+    top = writer.vertices(center + radius * units)
+    bottom = top + 1 + (res - 1) * n
+    # ring k's vertex j is ring[k] + j; the seam wraps j + 1 to 0
+    ring = top + 1 + n * np.arange(res - 1)[:, None]
+    j, j1 = np.arange(n), (np.arange(n) + 1) % n
+    cap = np.full(n, top)
+    writer.faces(np.stack((cap, ring[0] + j, ring[0] + j1), axis=1))
+    a, b, c, d = ring[:-1] + j, ring[:-1] + j1, ring[1:] + j1, ring[1:] + j
+    writer.faces(np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3))
+    writer.faces(np.stack((cap - top + bottom, ring[-1] + j1, ring[-1] + j), axis=1))
 
 
 def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
@@ -299,18 +294,19 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
         for b_name in names[i + 1:]:
             a = scene.tetrahedra[a_name]
             b = scene.tetrahedra[b_name]
+            tol = pair_tolerance(a, b)
             try:
-                report = verify_sphere(a, b)
+                pairings, points = require_orthosecting(a, b, tol)
+                carrier, _ = carrier_through(points, tol)
             except GeometryError:
                 continue
             writer.obj(f"vpoints_{a_name}_{b_name}")
-            for ((p, q), _), point in sorted(report.points.items()):
+            for ((p, q), _), point in sorted(zip(pairings, points.tolist())):
                 writer.comment(f"vpoint V{p}{q} {a_name} {b_name}")
                 writer.point(writer.vertex(point))
-            if report.carrier.kind == "sphere":
+            if carrier.kind == "sphere":
                 writer.obj(f"sphere_{a_name}_{b_name}")
-                _sphere_mesh(writer, report.carrier.center.array,
-                             report.carrier.radius, sphere_res)
+                _sphere_mesh(writer, carrier.center.array, carrier.radius, sphere_res)
     return writer.render()
 
 

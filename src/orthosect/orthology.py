@@ -76,7 +76,7 @@ class Tetrahedron:
         arr = np.asarray(coords, dtype=float)
         if arr.shape != (4, 3):
             raise ValueError(f"expected 4x3 coordinates, got shape {arr.shape}")
-        return cls(tuple(Point.of(row) for row in arr))
+        return cls(tuple(Point(*row) for row in arr.tolist()))
 
     @cached_property
     def array(self) -> np.ndarray:

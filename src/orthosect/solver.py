@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -86,17 +87,22 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolutionBranch:
-    """Samples of a traced family with, per sample, the max residual and
-    the singular values of the Jacobian (descending)."""
+    """Samples of a traced family, their vertices as one read-only
+    (n, 4, 3) array, with per sample the max residual and the singular
+    values of the Jacobian (descending)."""
 
-    samples: Tuple[Tetrahedron, ...]
+    coords: np.ndarray
     step_size: float
     max_residuals: Tuple[float, ...]
     stop_reason: str
     singular_values: Tuple[np.ndarray, ...]
 
+    @cached_property
+    def samples(self) -> Tuple[Tetrahedron, ...]:
+        return tuple(Tetrahedron.of(c) for c in self.coords)
+
     def __len__(self):
-        return len(self.samples)
+        return len(self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +124,20 @@ class _Collapse(Exception):
     """Partner collapsed onto a degenerate configuration mid-iteration."""
 
 
-# Jacobian columns of the coordinates of B_k and of B_l, per pairing
-_COLS_K = 3 * _K[:, None] + np.arange(3)
-_COLS_L = 3 * _L[:, None] + np.arange(3)
-
-
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross products of two (n, 3) arrays, in np.cross's
-    operation order: component c is a[c+1] * b[c+2] - a[c+2] * b[c+1]."""
-    return a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)
+# flat indices into x of B_k (rows 0-5) and of B_l (rows 6-11), per pairing
+_KL = 3 * np.concatenate((_K, _L))[:, None] + np.arange(3)
+# component c of a x b is a[c+1] * b[c+2] - a[c+2] * b[c+1], np.cross's
+# operation order: both products of every component from one gather each
+_CROSS_A, _CROSS_B = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
 
 
 class OrthosectSystem:
     """Residuals and analytic Jacobian of the orthosecting conditions for a
     fixed host, as functions of the twelve partner coordinates.
 
-    Each is a few array operations over the six pairings: row p uses host
-    edge vector U[p] = A_i - A_j and partner edge vector W[p] = B_k - B_l.
+    Row p uses host edge vector U[p] = A_i - A_j, partner edge vector
+    W[p] = B_k - B_l and M[p] = B_k - A_i; the six pairings are stacked so
+    that each quantity is one array operation.
     """
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None,
@@ -150,75 +150,75 @@ class OrthosectSystem:
         self.u = self.ai - self.a[_J]
         self.nu = np.sqrt(dot_rows(self.u, self.u))
         self.skip_intersection = skip_intersection
-        # pairings that keep their intersection row; the pairing of each
-        # residual row fixes the Jacobian columns the row writes
-        self.keep_inter = np.array([p != skip_intersection for p in EDGE_PAIRINGS])
-        row_pairing = np.concatenate((np.arange(6), np.flatnonzero(self.keep_inter)))
-        self.n_rows = len(row_pairing)
-        self._rows = np.arange(self.n_rows)[:, None]
-        self._cols_k, self._cols_l = _COLS_K[row_pairing], _COLS_L[row_pairing]
+        # residual rows: the six orthogonality rows, then the kept
+        # intersection rows, as indices into the stacked (g, h)
+        keep_inter = np.array([p != skip_intersection for p in EDGE_PAIRINGS])
+        self._kept = np.concatenate((np.arange(6), 6 + np.flatnonzero(keep_inter)))
+        self.n_rows = len(self._kept)
+        # flat Jacobian index of the B_k then the B_l columns of the (g, h)
+        # rows; a skipped row lands in a spare last row that is cut off
+        row = np.full(12, self.n_rows)
+        row[self._kept] = np.arange(self.n_rows)
+        cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
+        self._jac_at = (12 * row.reshape(2, 6, 1) + cols).reshape(-1)
+        self._den_factors = np.array([[1.0], [self.scale], [self.scale]])
 
     def orthogonality_matrix(self) -> np.ndarray:
         """Constant 6x12 matrix of the (unnormalized) linear orthogonality
         conditions; its rank is five for a generic host."""
         m = np.zeros((6, 12))
         rows = np.arange(6)[:, None]
-        m[rows, _COLS_K] = self.u
-        m[rows, _COLS_L] = -self.u
+        m[rows, 3 * _K[:, None] + np.arange(3)] = self.u
+        m[rows, 3 * _L[:, None] + np.arange(3)] = -self.u
         return m
 
-    def _partner_edges(self, x: np.ndarray):
-        """Vertices B_k, edge vectors W and their norms; raises _Collapse
-        on the first collapsed edge in pairing order."""
-        b = x.reshape(4, 3)
-        bk = b.take(_K, 0)
-        w = bk - b.take(_L, 0)
-        nw = np.sqrt(dot_rows(w, w))
+    def _rows(self, x: np.ndarray):
+        """The orthogonality rows g = U.W / (|U||W|) over the intersection
+        rows h = (U x W).M / (|U||W| scale), all six of each, as (2, 6),
+        with the intermediates the Jacobian reuses. Raises _Collapse on the
+        first collapsed partner edge in pairing order."""
+        kl = x.take(_KL)
+        bk = kl[:6]
+        w = bk - kl[6:]
+        m = bk - self.ai
+        # U over M x U over U x W
+        prod = (np.concatenate((m, self.u)).take(_CROSS_A, 1)
+                * np.concatenate((self.u, w)).take(_CROSS_B, 1))
+        vecs = np.concatenate((self.u, prod[:, :3] - prod[:, 3:])).reshape(3, 6, 3)
+        # W.W, U.W and (U x W).M as one row-wise dot (see dot_rows)
+        dots = np.matmul(np.concatenate((w, self.u, vecs[2]))[:, None, :],
+                         np.concatenate((w, w, m))[:, :, None])[:, 0, 0]
+        nw = np.sqrt(dots[:6])
         collapsed = nw <= 1e-9 * self.scale
         if collapsed.any():
             p = int(np.argmax(collapsed))
             raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
-        return bk, w, nw
-
-    def _residual_rows(self, x: np.ndarray):
-        """The orthogonality row g = U.W / (|U||W|), a function of W only,
-        and the intersection row h = (U x W).M / (|U||W| scale) with
-        M = B_k - A_i, per pairing, with the intermediates the Jacobian
-        reuses."""
-        bk, w, nw = self._partner_edges(x)
-        den = self.nu * nw
-        g = dot_rows(self.u, w) / den
-        m = bk - self.ai
-        uxw = _cross(self.u, w)
-        denom = den * self.scale
-        h = dot_rows(uxw, m) / denom
-        return (g, h), (w, nw, den, m, uxw, denom)
+        # |U||W| over |U||W| scale, twice
+        dens = (self.nu * nw) * self._den_factors
+        return dots[6:].reshape(2, 6) / dens[:2], (w, nw, vecs, dens)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        (g, h), _ = self._residual_rows(x)
-        return np.concatenate((g, h[self.keep_inter]))
+        return self._rows(x)[0].take(self._kept)
 
-    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Residual vector and Jacobian at ``x`` from one pass over the
-        pairings; each equals what ``residuals`` and ``jacobian`` return."""
-        (g, h), (w, nw, den, m, uxw, denom) = self._residual_rows(x)
-        u = self.u
-        nw2 = (nw * nw)[:, None]
-        dg = u / den[:, None] - g[:, None] * w / nw2
-        dh = _cross(m, u) / denom[:, None] - h[:, None] * w / nw2
-        dm = uxw / denom[:, None]
-        keep = self.keep_inter
-        jac = np.zeros((self.n_rows, 12))
-        jac[self._rows, self._cols_k] = np.concatenate((dg, dh[keep] + dm[keep]))
-        jac[self._rows, self._cols_l] = -np.concatenate((dg, dh[keep]))
-        return np.concatenate((g, h[keep])), jac
+    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``residuals(x)``, ``jacobian(x)`` and the six partner edge lengths,
+        whose least is ``min_edge(x)``, from one pass."""
+        gh, (w, nw, vecs, dens) = self._rows(x)
+        # d(g)/dW over d(h)/dW, then d(h)/dM
+        quot = vecs / dens[:, :, None]
+        dw = quot[:2] - gh[:, :, None] * w / (nw * nw)[:, None]
+        dk = dw.copy()
+        dk[1] += quot[2]
+        jac = np.zeros((self.n_rows + 1) * 12)
+        jac[self._jac_at] = np.concatenate((dk, -dw)).reshape(-1)
+        return gh.take(self._kept), jac[:self.n_rows * 12].reshape(self.n_rows, 12), nw
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[1]
 
     def min_edge(self, x: np.ndarray) -> float:
-        b = x.reshape(4, 3)
-        w = b.take(_K, 0) - b.take(_L, 0)
+        kl = x.take(_KL)
+        w = kl[:6] - kl[6:]
         return float(np.sqrt(dot_rows(w, w)).min())
 
 
@@ -387,11 +387,6 @@ def solve(a: Tetrahedron, cfg: SolverConfig, tol: Tolerance | None = None) -> Li
     return list(solve_detailed(a, cfg, tol).solutions)
 
 
-def _tangent(jac: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    _, s, vt = np.linalg.svd(jac)
-    return vt[-1], s
-
-
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v)))
     return v if v[idx] >= 0 else -v
@@ -414,69 +409,69 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     sys = OrthosectSystem(a, tol)
     scale = sys.scale
     x = b0.array.reshape(12).copy()
-    r, jac = sys.evaluate(x)
+    r, jac, _ = sys.evaluate(x)
     if np.abs(r).max() > 1e-9:
         raise ValueError(f"start is not on the family: max residual {np.abs(r).max():.3e}")
-    samples = [Tetrahedron.of(x.reshape(4, 3))]
+    points = [x]
     residuals = [float(np.abs(r).max())]
-    tau, s = _tangent(jac)
-    tau = float(direction) * _canonical_sign(tau)
+    # the tangent is the last right singular vector of the Jacobian
+    _, s, vt = np.linalg.svd(jac)
+    tau = float(direction) * _canonical_sign(vt[-1])
     singular_values = [s]
     stop = "steps exhausted"
     center = a.array.mean(axis=0)
     weight = 1.0 / scale
+    # the corrector's system: Jacobian over weighted tangent, negated rhs
+    aug = np.empty((13, 12))
+    rhs = np.empty(13)
     for _ in range(steps):
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
+        np.multiply(weight, tau, out=aug[12])
         step = h
-        accepted = None
         for _ in range(7):
             x_pred = x + step * tau
             y = x_pred.copy()
-            ok = False
             try:
                 for _ in range(25):
-                    r, jac = sys.evaluate(y)
+                    r, jac, edges = sys.evaluate(y)
                     if np.abs(r).max() <= 1e-12:
-                        ok = True
                         break
-                    aug = np.vstack([jac, weight * tau])
-                    rhs = np.concatenate([r, [weight * float(np.dot(tau, y - x_pred))]])
-                    delta = np.linalg.lstsq(aug, -rhs, rcond=1e-13)[0]
-                    y = y + delta
+                    aug[:12] = jac
+                    np.negative(r, out=rhs[:12])
+                    rhs[12] = -(weight * float(np.dot(tau, y - x_pred)))
+                    delta = np.linalg.lstsq(aug, rhs, rcond=1e-13)[0]
+                    y += delta
                     if np.linalg.norm(delta) < 1e-16 * scale:
-                        r, jac = sys.evaluate(y)
-                        ok = np.abs(r).max() <= 1e-12
+                        r, jac, edges = sys.evaluate(y)
                         break
+                # accepted when the last evaluation, the one at y, is on the family
+                if np.abs(r).max() <= 1e-12:
+                    break
             except _Collapse:
-                ok = False
-            if ok:
-                accepted = y
-                break
+                pass
             step *= 0.5
-        if accepted is None:
+        else:
             stop = "corrector divergence"
             break
-        # r and jac were evaluated at the accepted point
-        x = accepted
-        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
+        x = y
+        if float(edges.min()) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
         if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
             stop = "degenerate: out of range"
             break
-        samples.append(Tetrahedron.of(x.reshape(4, 3)))
+        points.append(x)
         residuals.append(float(np.abs(r).max()))
         # tangent at the new sample, sign-aligned with the step just taken
-        tau_new, s = _tangent(jac)
-        if float(np.dot(tau_new, tau)) < 0:
-            tau_new = -tau_new
-        tau = tau_new
+        _, s, vt = np.linalg.svd(jac)
+        tau = -vt[-1] if float(np.dot(vt[-1], tau)) < 0 else vt[-1]
         singular_values.append(s)
-    return SolutionBranch(samples=tuple(samples), step_size=h,
-                          max_residuals=tuple(residuals), stop_reason=stop,
-                          singular_values=tuple(singular_values))
+    coords = np.array(points).reshape(-1, 4, 3)
+    coords.setflags(write=False)
+    return SolutionBranch(coords=coords, step_size=h, max_residuals=tuple(residuals),
+                          stop_reason=stop, singular_values=tuple(singular_values))
 
 
 def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,

@@ -202,19 +202,21 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
     cut (1e-9 scene scales) is a DegenerateError from orthosect_residuals,
     and conjugate reports it instead of crashing."""
     demo = load_scene(DEMO_SCENE)
-    a = demo.tetrahedron("A").array * 1e3
-    b = demo.tetrahedron("B").array * 1e3
-    b[1] = b[0] + np.array([1e-7, 0.0, 0.0])
-    a, b = Tetrahedron.of(a), Tetrahedron.of(b)
-    tol = pair_tolerance(a, b)
+    a = Tetrahedron.of(demo.tetrahedron("A").array * 1e3)
+    b = Tetrahedron.of(demo.tetrahedron("B").array * 1e3)
+    collapsed = b.array.copy()
+    collapsed[1] = collapsed[0] + np.array([1e-7, 0.0, 0.0])
+    collapsed = Tetrahedron.of(collapsed)
+    tol = pair_tolerance(a, collapsed)
     assert tol.eps_abs < 1e-7 < 1e-9 * tol.scene_scale
     with pytest.raises(DegenerateError, match="^edge B12 collapsed$"):
-        solver.orthosect_residuals(a, b, tol)
+        solver.orthosect_residuals(a, collapsed, tol)
     # the conjugate command checks the partner it built with
-    # orthosect_residuals; here the "conjugate" is the collapsed partner
+    # orthosect_residuals; here the orthosecting pair's "conjugate" is the
+    # collapsed partner
     path = tmp_path / "collapse.json"
     save_scene(Scene(tetrahedra={"A": a, "B": b}), path)
-    monkeypatch.setattr(analysis, "conjugate", lambda host, partner, tol: partner)
+    monkeypatch.setattr(analysis, "conjugate_through", lambda host, *fit: collapsed)
     code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
     assert report["error"] == "DegenerateError: edge B12 collapsed"
@@ -267,6 +269,31 @@ def test_verify_computes_orthology_centers_once(capsys, orthology_center_calls, 
     code, report = _run(capsys, ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", *extra])
     assert code == 0 and "orthology_centers" in report["results"]
     assert len(calls) == 1
+
+
+def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology_center_calls):
+    """The conjugate report's two carriers come from one orthosecting guard
+    and one carrier fit per pair (host and partner, host and conjugate),
+    and no orthology centers, which the report never prints."""
+    from orthosect import cli
+
+    calls = {"require_orthosecting": [], "carrier_through": []}
+    for name, seen in calls.items():
+        for module in (analysis, cli):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, lambda *args, _real=real, _seen=seen, **kw:
+                                    _seen.append(args) or _real(*args, **kw))
+    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
+    assert code == 0
+    demo = load_scene(DEMO_SCENE)
+    conj = report["results"]["conjugate"]
+    assert [(a.array.tolist(), b.array.tolist())
+            for a, b, _ in calls["require_orthosecting"]] == [
+        (demo.tetrahedron("A").array.tolist(), demo.tetrahedron("B").array.tolist()),
+        (demo.tetrahedron("A").array.tolist(), conj)]
+    assert len(calls["carrier_through"]) == 2
+    assert orthology_center_calls == []
 
 
 def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_center_calls,

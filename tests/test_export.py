@@ -74,6 +74,12 @@ def test_trace_dict_roundtrip(small_trace):
     assert svg1 == svg2
 
 
+def test_obj_needs_no_orthology_centers(demo_scene, orthology_center_calls):
+    """The OBJ writes intersection points and carriers only."""
+    assert "o sphere_A_B" in scene_to_obj(demo_scene)
+    assert orthology_center_calls == []
+
+
 def test_obj_structure(demo_scene):
     text = scene_to_obj(demo_scene, sphere_res=8)
     lines = text.splitlines()

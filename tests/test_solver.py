@@ -318,6 +318,34 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
         assert np.array_equal(got, want)
 
 
+def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatch):
+    """Every corrector iterate, the predicted point and each corrected one,
+    is one evaluate; an attempt that converges makes one more evaluate
+    than least-squares solves. The residual-only, Jacobian-only and
+    min-edge views are never called."""
+    a, b, tol = demo_pair
+    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "min_edge": 0, "lstsq": 0}
+
+    def counted(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("evaluate", "residuals", "jacobian", "min_edge"):
+        counted(OrthosectSystem, name, name)
+    counted(np.linalg, "lstsq", "lstsq")
+    branch = trace_family(a, b, steps=20, h=0.03 * tol.scene_scale, tol=tol)
+    assert branch.stop_reason == "steps exhausted" and len(branch) == 21
+    steps = len(branch) - 1
+    assert calls["lstsq"] >= steps
+    # the start's evaluate, then per step one more than its solves
+    assert calls["evaluate"] == 1 + calls["lstsq"] + steps
+    assert calls["residuals"] == calls["jacobian"] == calls["min_edge"] == 0
+
+
 def test_solve_finds_verified_solutions():
     rng = np.random.default_rng(2)
     a = random_tetrahedron(rng)
