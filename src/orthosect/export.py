@@ -269,11 +269,10 @@ def _sphere_mesh(writer: _ObjWriter, center: np.ndarray, radius: float, res: int
     # ring k's vertex j is ring[k] + j; the seam wraps j + 1 to 0
     ring = top + 1 + n * np.arange(res - 1)[:, None]
     j, j1 = np.arange(n), (np.arange(n) + 1) % n
-    cap = np.full(n, top)
-    writer.faces(np.stack((cap, ring[0] + j, ring[0] + j1), axis=1))
+    writer.faces(np.stack((np.full(n, top), ring[0] + j, ring[0] + j1), axis=1))
     a, b, c, d = ring[:-1] + j, ring[:-1] + j1, ring[1:] + j1, ring[1:] + j
     writer.faces(np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3))
-    writer.faces(np.stack((cap - top + bottom, ring[-1] + j1, ring[-1] + j), axis=1))
+    writer.faces(np.stack((np.full(n, bottom), ring[-1] + j1, ring[-1] + j), axis=1))
 
 
 def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthosect import analysis, solver
+from orthosect import analysis, cli, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
 from orthosect.orthology import Tetrahedron, pair_tolerance
@@ -275,24 +275,25 @@ def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology
     """The conjugate report's two carriers come from one orthosecting guard
     and one carrier fit per pair (host and partner, host and conjugate),
     and no orthology centers, which the report never prints."""
-    from orthosect import cli
+    guarded, fitted = [], []
 
-    calls = {"require_orthosecting": [], "carrier_through": []}
-    for name, seen in calls.items():
-        for module in (analysis, cli):
-            real = getattr(module, name, None)
-            if real is not None:
-                monkeypatch.setattr(module, name, lambda *args, _real=real, _seen=seen, **kw:
-                                    _seen.append(args) or _real(*args, **kw))
+    def counting(real, seen):
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        return counted
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "require_orthosecting",
+                            counting(module.require_orthosecting, guarded))
+        monkeypatch.setattr(module, "carrier_through", counting(module.carrier_through, fitted))
     code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
     assert code == 0
     demo = load_scene(DEMO_SCENE)
-    conj = report["results"]["conjugate"]
-    assert [(a.array.tolist(), b.array.tolist())
-            for a, b, _ in calls["require_orthosecting"]] == [
-        (demo.tetrahedron("A").array.tolist(), demo.tetrahedron("B").array.tolist()),
-        (demo.tetrahedron("A").array.tolist(), conj)]
-    assert len(calls["carrier_through"]) == 2
+    host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
+    assert [(a.array.tolist(), b.array.tolist()) for a, b, _ in guarded] == [
+        (host, partner), (host, report["results"]["conjugate"])]
+    assert len(fitted) == 2
     assert orthology_center_calls == []
 
 
