@@ -182,9 +182,8 @@ def face_frame(host: Tetrahedron, face: int):
     if face not in (1, 2, 3, 4):
         raise ValueError("face index must be in 1..4")
     verts = [host.vertex(m).array for m in (1, 2, 3, 4) if m != face]
-    n = unit(np.cross(verts[1] - verts[0], verts[2] - verts[0]))
     axis_u = unit(verts[1] - verts[0])
-    return np.mean(verts, axis=0), axis_u, np.cross(n, axis_u)
+    return np.mean(verts, axis=0), axis_u, np.cross(host.faces[face - 1, :3], axis_u)
 
 
 def frame_uv(frame, p) -> Tuple[float, float]:

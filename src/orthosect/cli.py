@@ -82,7 +82,7 @@ def _carrier_dict(carrier) -> dict:
 
 def cmd_verify(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, list(a.vertices) + list(b.vertices))
+    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
     report.results["scene_scale"] = tol.scene_scale
     ortho, gaps, _ = pair_measures(a, b, tol)
@@ -119,7 +119,7 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
 
 def cmd_solve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
-    tol = _scene_tolerance(scene, a.vertices)
+    tol = _scene_tolerance(scene, a.array)
     cfg = solver.SolverConfig(seed=args.seed, restarts=args.restarts)
     result = solver.solve_detailed(a, cfg, tol)
     report.results["tet"] = args.tet
@@ -141,7 +141,7 @@ def cmd_solve(args, scene: Scene, report: Report) -> None:
 def cmd_trace_family(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
     b0 = scene.tetrahedron(args.start)
-    tol = _scene_tolerance(scene, list(a.vertices) + list(b0.vertices))
+    tol = _scene_tolerance(scene, np.vstack((a.array, b0.array)))
     branch = solver.trace_family(a, b0, steps=args.steps, h=args.step,
                                  direction=args.direction, tol=tol)
     report.results["tet"] = args.tet
@@ -160,7 +160,7 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
 
 def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, list(a.vertices) + list(b.vertices))
+    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
     _, points_b = require_orthosecting(a, b, tol)
     carrier_b, residual_b = carrier_through(points_b, tol)
@@ -185,7 +185,7 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
 
 def cmd_curve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
-    tol = _scene_tolerance(scene, a.vertices)
+    tol = _scene_tolerance(scene, a.array)
     window = None
     if args.window:
         parts = [float(x) for x in args.window.split(",")]
@@ -212,7 +212,7 @@ def cmd_curve(args, scene: Scene, report: Report) -> None:
 
 def cmd_sequence(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, list(a.vertices) + list(b.vertices))
+    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
     run = analysis.iterate_sequence(a, b, args.n, tol)
     report.results["pair"] = [a_name, b_name]
     report.results["tetrahedra"] = [_tet_list(t) for t in run.tetrahedra]

@@ -108,10 +108,6 @@ class Line:
     def point_at(self, t: float) -> Point:
         return Point.of(self.anchor.array + t * self.direction)
 
-    def distance_to_point(self, p) -> float:
-        w = as_array(p) - self.anchor.array
-        return float(np.linalg.norm(w - np.dot(w, self.direction) * self.direction))
-
 
 @dataclass(frozen=True, eq=False)
 class Plane:
@@ -211,6 +207,25 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, 3) arrays; matmul runs np.dot's
     kernel on each row, so every value is bit-identical to np.dot."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays, bit-identical to
+    np.cross: component c is u[c+1] v[c+2] - u[c+2] v[c+1], its operation
+    order, with both products of every component from one gather each."""
+    prod = u.take([1, 2, 0, 2, 0, 1], 1) * v.take([2, 0, 1, 1, 2, 0], 1)
+    return prod[:, :3] - prod[:, 3:]
+
+
+def plane_rows(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Unit normal and offset (k, 4) of the planes with normals ``n``
+    through the points ``p``, both (k, 3), each row bit-identical to
+    ``Plane(normal=n[i], offset=n[i] . p[i])``; raises DegenerateError, as
+    Plane.through does, when some normal vanishes."""
+    length = np.sqrt(dot_rows(n, n))
+    if (length < 1e-300).any():
+        raise DegenerateError("three collinear points do not span a plane")
+    return np.column_stack((n, dot_rows(n, p))) / length[:, None]
 
 
 def closest_rows(p: np.ndarray, u: np.ndarray, q: np.ndarray, v: np.ndarray,
@@ -333,50 +348,55 @@ def sphere_through(p1, p2, p3, p4, tol: Tolerance | None = None) -> SphereOrPlan
     return SphereOrPlane.sphere(Point.of(center), radius)
 
 
-def meet_planes(pl1: Plane, pl2: Plane, pl3: Plane) -> Point:
-    """Common point of three planes; raises DegenerateError when the normals
-    are (nearly) coplanar."""
-    normals = np.array([pl1.normal, pl2.normal, pl3.normal])
-    offsets = np.array([pl1.offset, pl2.offset, pl3.offset])
-    if abs(float(np.linalg.det(normals))) <= MEET_DET_TOL:
+def meet_rows(planes: np.ndarray) -> np.ndarray:
+    """Common points (k, 3) of k triples of (unit normal, offset) plane
+    rows (k, 3, 4); raises DegenerateError on (nearly) coplanar normals."""
+    normals = planes[:, :, :3]
+    if (np.abs(np.linalg.det(normals)) <= MEET_DET_TOL).any():
         raise DegenerateError("planes with coplanar normals have no unique common point")
-    return Point.of(np.linalg.solve(normals, offsets))
+    return np.linalg.solve(normals, planes[:, :, 3:])[:, :, 0]
 
 
-def concurrency_point(lines: Sequence[Line], tol: Tolerance | None = None):
-    """Least-squares concurrency point of a family of lines.
+def meet_planes(pl1: Plane, pl2: Plane, pl3: Plane) -> Point:
+    """Common point of three planes: the one-triple view of meet_rows."""
+    return Point.of(meet_rows(np.array([[[*pl.normal, pl.offset] for pl in (pl1, pl2, pl3)]])))
 
-    Returns ``(point, spread)`` where spread is the RMS distance from the
-    point to the lines, normalized by the scene scale. Raises
-    DegenerateError when fewer than two lines are given or all lines are
-    parallel (concurrency point at infinity).
-    """
-    lines = list(lines)
-    if len(lines) < 2:
+
+def concurrency_rows(anchors: np.ndarray, directions: np.ndarray,
+                     tol: Tolerance | None = None):
+    """Least-squares concurrency point (3,) of the lines through
+    ``anchors`` along unit ``directions``, both (n, 3), and the RMS distance
+    from it to the lines over the scene scale. Raises DegenerateError for
+    fewer than two lines or all lines parallel (point at infinity)."""
+    if len(anchors) < 2:
         raise DegenerateError("need at least two lines for a concurrency point")
-    if tol is None:
-        tol = Tolerance.for_points([l.anchor for l in lines])
-    m = np.zeros((3, 3))
-    b = np.zeros(3)
-    for l in lines:
-        proj = np.eye(3) - np.outer(l.direction, l.direction)
-        m += proj
-        b += proj @ l.anchor.array
+    tol = tol or Tolerance.for_points(anchors)
+    # C-ordered projectors, as matmul needs to match the per-line products,
+    # summed in line order from zero, as a running sum would be
+    proj = np.ascontiguousarray(np.eye(3) - directions[:, :, None] * directions[:, None, :])
+    m = proj.sum(axis=0, initial=0.0)
+    b = np.matmul(proj, anchors[:, :, None])[:, :, 0].sum(axis=0, initial=0.0)
     eigvals = np.linalg.eigvalsh(m)
     if eigvals[0] <= 1e-9 * max(eigvals[-1], 1e-300):
         raise DegenerateError("all lines parallel: concurrency point at infinity")
     x = np.linalg.solve(m, b)
-    spread = math.sqrt(sum(l.distance_to_point(x) ** 2 for l in lines) / len(lines))
-    return Point.of(x), spread / tol.scene_scale
+    w = x - anchors
+    w = w - dot_rows(w, directions)[:, None] * directions
+    dist = np.sqrt(dot_rows(w, w))
+    return x, math.sqrt(sum((dist * dist).tolist()) / len(anchors)) / tol.scene_scale
 
 
-def diameter(points: Iterable) -> float:
-    """Diameter (max pairwise distance) of a point set; used as scene scale."""
-    arr = np.array([as_array(p) for p in points])
-    n = len(arr)
-    best = 0.0
-    for i in range(n):
-        d = np.linalg.norm(arr[i + 1:] - arr[i], axis=1)
-        if d.size:
-            best = max(best, float(d.max()))
-    return best
+def concurrency_point(lines: Sequence[Line], tol: Tolerance | None = None):
+    """``concurrency_rows`` of Line objects, with the point as a Point."""
+    lines = list(lines)
+    x, spread = concurrency_rows(np.array([l.anchor.array for l in lines]).reshape(-1, 3),
+                                 np.array([l.direction for l in lines]).reshape(-1, 3), tol)
+    return Point.of(x), spread
+
+
+def diameter(points: np.ndarray | Iterable) -> float:
+    """Diameter (max pairwise distance) of a point set, an (n, 3) array or
+    an iterable of points; used as scene scale."""
+    arr = points if isinstance(points, np.ndarray) else np.array([as_array(p) for p in points])
+    i, j = np.triu_indices(len(arr), 1)
+    return float(np.linalg.norm(arr[j] - arr[i], axis=1).max(initial=0.0))

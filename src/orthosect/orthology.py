@@ -24,10 +24,11 @@ from .geom_core import (
     Tolerance,
     as_array,
     closest_rows,
-    concurrency_point,
+    concurrency_rows,
+    cross_rows,
     dot_rows,
-    meet_planes,
-    unit,
+    meet_rows,
+    plane_rows,
 )
 
 Pairing = Tuple[Tuple[int, int], Tuple[int, int]]
@@ -47,6 +48,8 @@ EDGE_PAIRINGS: Tuple[Pairing, ...] = (
 # 0-based host edge A_i A_j and partner edge B_k B_l of each pairing, in
 # EDGE_PAIRINGS order; the partner edges are the six edges of B, each once
 _I, _J, _K, _L = (np.array(c) - 1 for c in zip(*(ij + kl for ij, kl in EDGE_PAIRINGS)))
+# 0-based vertices of the face opposite each vertex, ascending
+FACE_VERTICES = np.array([[m for m in range(4) if m != i] for i in range(4)])
 
 
 def pairing_key(pairing: Pairing) -> str:
@@ -106,8 +109,15 @@ class Tetrahedron:
         j, k, l = [m for m in (1, 2, 3, 4) if m != i]
         return Plane.through(self.vertex(j), self.vertex(k), self.vertex(l))
 
-    def centroid(self) -> Point:
-        return Point.of(self.array.mean(axis=0))
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """Row i - 1 holds the unit normal and offset of the plane of the
+        face opposite vertex i, bit-identical to ``face_plane(i)``'s; raises
+        DegenerateError when a face's vertices are collinear."""
+        p = self.array[FACE_VERTICES]
+        rows = plane_rows(cross_rows(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), p[:, 0])
+        rows.setflags(write=False)
+        return rows
 
     def is_flat(self, tol: Tolerance | None = None) -> bool:
         tol = tol or Tolerance(scene_scale=self.scale)
@@ -125,26 +135,19 @@ class Tetrahedron:
 def pair_tolerance(a: Tetrahedron, b: Tetrahedron,
                    eps_abs: float = 1e-9, eps_rel: float = 1e-7) -> Tolerance:
     """Scene tolerance spanning the vertices of both tetrahedra."""
-    return Tolerance.for_points(list(a.vertices) + list(b.vertices),
-                                eps_abs=eps_abs, eps_rel=eps_rel)
+    return Tolerance.for_points(np.vstack((a.array, b.array)), eps_abs=eps_abs, eps_rel=eps_rel)
 
 
 @dataclass(frozen=True, eq=False)
 class OrthologyReport:
-    """Edge-orthogonality residuals, the two perpendicular line bundles and
-    their concurrency points (orthology centers) with spreads."""
+    """Edge-orthogonality residuals and the concurrency points (orthology
+    centers) of the two perpendicular bundles, with spreads."""
 
     residuals: Dict[Pairing, float]
-    perpendiculars_a: Tuple[Line, Line, Line, Line]
-    perpendiculars_b: Tuple[Line, Line, Line, Line]
     center_a: Point
     center_b: Point
     spread_a: float
     spread_b: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
 
 
 def _edge_line_rows(pts: np.ndarray, i: np.ndarray, j: np.ndarray):
@@ -171,7 +174,8 @@ def pair_measures(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None):
     w = pb[_K] - pb[_L]
     nu = np.sqrt(dot_rows(u, u))
     nw = np.sqrt(dot_rows(w, w))
-    short_a, short_b = nu <= tol.eps_abs, nw <= tol.eps_abs
+    cut = tol.eps_abs * tol.scene_scale
+    short_a, short_b = nu <= cut, nw <= cut
     if (short_a | short_b).any():
         p = int(np.argmax(short_a | short_b))
         (i, j), (k, l) = EDGE_PAIRINGS[p]
@@ -222,16 +226,6 @@ def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None =
     return [p for p, k in zip(EDGE_PAIRINGS, kept) if k], feet[kept]
 
 
-def _perpendicular_bundle(source: Tetrahedron, target: Tetrahedron) -> Tuple[Line, ...]:
-    """Lines through each vertex of ``source`` perpendicular to the
-    corresponding face plane of ``target``."""
-    lines = []
-    for i in (1, 2, 3, 4):
-        n = target.face_plane(i).normal
-        lines.append(Line(anchor=source.vertex(i), direction=n))
-    return tuple(lines)
-
-
 def orthology_centers(a: Tetrahedron, b: Tetrahedron,
                       tol: Tolerance | None = None) -> OrthologyReport:
     """Both orthology centers of an orthologic pair.
@@ -248,17 +242,17 @@ def orthology_centers(a: Tetrahedron, b: Tetrahedron,
         raise NotOrthologicError(
             f"pair is not orthologic: max residual {worst:.3e} > {tol.eps_rel:.1e} ({bad})",
             residuals=residuals)
-    perps_a = _perpendicular_bundle(a, b)
-    perps_b = _perpendicular_bundle(b, a)
+    # the perpendicular bundles: the line through each vertex of one
+    # tetrahedron along the normal of the other's corresponding face,
+    # normalized a second time as Line normalizes its direction
+    normals = [n / np.sqrt(dot_rows(n, n))[:, None] for n in (b.faces[:, :3], a.faces[:, :3])]
     try:
-        center_a, spread_a = concurrency_point(perps_a, tol)
-        center_b, spread_b = concurrency_point(perps_b, tol)
+        (center_a, spread_a), (center_b, spread_b) = (
+            concurrency_rows(t.array, n, tol) for t, n in zip((a, b), normals))
     except DegenerateError as exc:
         raise DegenerateError(f"flat partner: {exc}") from exc
-    return OrthologyReport(residuals=residuals,
-                           perpendiculars_a=perps_a, perpendiculars_b=perps_b,
-                           center_a=center_a, center_b=center_b,
-                           spread_a=spread_a, spread_b=spread_b)
+    return OrthologyReport(residuals=residuals, center_a=Point.of(center_a),
+                           center_b=Point.of(center_b), spread_a=spread_a, spread_b=spread_b)
 
 
 def construct_orthologic(a: Tetrahedron, center,
@@ -273,28 +267,22 @@ def construct_orthologic(a: Tetrahedron, center,
     vertex of ``a`` to give a canonical representative.
     """
     c = as_array(center)
-    tol = tol or Tolerance.for_points(list(a.vertices) + [c])
-    normals = []
-    for i in (1, 2, 3, 4):
-        n = a.vertex(i).array - c
-        if np.linalg.norm(n) <= tol.eps_abs * tol.scene_scale:
-            raise DegenerateError(f"center coincides with vertex {i}")
-        normals.append(unit(n))
-    if offsets is None:
-        offsets = [float(np.dot(normals[i], a.vertex(i + 1).array)) for i in range(4)]
-    offsets = [float(o) for o in offsets]
-    if len(offsets) != 4:
+    tol = tol or Tolerance.for_points(np.vstack((a.array, c)))
+    n = a.array - c
+    length = np.sqrt(dot_rows(n, n))
+    near = length <= tol.eps_abs * tol.scene_scale
+    if near.any():
+        raise DegenerateError(f"center coincides with vertex {int(np.argmax(near)) + 1}")
+    n = n / length[:, None]
+    offsets = dot_rows(n, a.array) if offsets is None else np.asarray(offsets, dtype=float)
+    if offsets.shape != (4,):
         raise ValueError("need exactly four face offsets")
-    planes = [Plane(normal=normals[i], offset=offsets[i]) for i in range(4)]
+    planes = np.column_stack((n, offsets))
     # all four planes through one common point: degenerate (point partner)
-    common = meet_planes(planes[0], planes[1], planes[2])
-    if abs(planes[3].signed_distance(common)) <= tol.eps_abs * tol.scene_scale:
+    common = meet_rows(planes[None, :3])[0]
+    if abs(np.dot(n[3], common) - offsets[3]) <= tol.eps_abs * tol.scene_scale:
         raise DegenerateError("all four face planes pass through a single point")
-    verts = []
-    for m in (1, 2, 3, 4):
-        others = [planes[i - 1] for i in (1, 2, 3, 4) if i != m]
-        verts.append(meet_planes(*others))
-    return Tetrahedron(tuple(verts))
+    return Tetrahedron.of(meet_rows(planes[FACE_VERTICES]))
 
 
 @dataclass(frozen=True)

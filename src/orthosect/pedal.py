@@ -29,12 +29,16 @@ from .geom_core import (
     as_array,
     circle_through,
     concurrency_point,
+    cross_rows,
+    dot_rows,
     foot_on_line,
-    meet_planes,
+    meet_rows,
+    plane_rows,
     project_to_plane,
     unit,
 )
-from .orthology import EDGE_PAIRINGS, Tetrahedron, by_pairing, pair_measures, pair_tolerance
+from .orthology import (EDGE_PAIRINGS, FACE_VERTICES, Tetrahedron, _I, _J, _edge_line_rows,
+                        by_pairing, pair_measures, pair_tolerance)
 
 # |dist(source, circumcenter) - circumradius| below this (times scene scale)
 # counts as the Simson degeneracy: collinear feet, no pedal circle.
@@ -47,8 +51,10 @@ EdgeKey = frozenset
 
 FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
 
-# per host vertex, the EDGE_PAIRINGS rows of the host edges through it
-_FEET_AT = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+# per host vertex, the EDGE_PAIRINGS rows of the host edges through it; then
+# the rows of the three edges of the face opposite each vertex in turn, flat
+_FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+_FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +106,6 @@ class CircularNet:
         return max(self.residuals.values())
 
 
-def _face_plane(face) -> Plane:
-    return Plane.through(face[0], face[1], face[2])
-
-
-def _edge_lines(face) -> Tuple[Line, Line, Line]:
-    return tuple(Line.through(face[i], face[j]) for i, j in FACE_EDGE_ORDER)
-
-
 def pedal_triangle(source, face, tol: Tolerance | None = None,
                    strict: bool = False) -> PedalTriangle:
     """Pedal triangle of a point with respect to a host triangle.
@@ -118,14 +116,14 @@ def pedal_triangle(source, face, tol: Tolerance | None = None,
     face = tuple(Point.of(f) if not isinstance(f, Point) else f for f in face)
     tol = tol or Tolerance.for_points(list(face) + [as_array(source)])
     try:
-        plane = _face_plane(face)
+        plane = Plane.through(*face)
     except DegenerateError as exc:
         raise DegenerateError(f"degenerate face: {exc}") from exc
     dist = abs(plane.signed_distance(source))
     if strict and dist > tol.eps_abs * tol.scene_scale:
         raise DegenerateError(f"source off the face plane by {dist:.3e}")
     src = project_to_plane(source, plane)
-    feet = tuple(foot_on_line(src, line) for line in _edge_lines(face))
+    feet = tuple(foot_on_line(src, Line.through(face[i], face[j])) for i, j in FACE_EDGE_ORDER)
     return PedalTriangle(source=src, face=face, feet=feet)
 
 
@@ -163,7 +161,7 @@ def recover_source(feet, face, tol: Tolerance | None = None):
     face = tuple(Point.of(f) if not isinstance(f, Point) else f for f in face)
     feet = tuple(Point.of(f) if not isinstance(f, Point) else f for f in feet)
     tol = tol or Tolerance.for_points(list(face) + list(feet))
-    plane = _face_plane(face)
+    plane = Plane.through(*face)
     lines = []
     for (i, j), foot in zip(FACE_EDGE_ORDER, feet):
         edge_dir = unit(face[j].array - face[i].array)
@@ -303,11 +301,11 @@ class ChainKernel:
         self.line14 = _LineData(a[0], d14)
         self.line24 = _LineData(a[1], d24)
         self.line34 = _LineData(a[2], d34)
-        self.n123 = unit(np.cross(a[1] - a[0], a[2] - a[0]))
+        # unit normals of the faces opposite vertices 1..4
+        self.n234, self.n134, n124, self.n123 = Tetrahedron.of(a).faces[:, :3]
         self.off123 = float(np.dot(self.n123, a[0]))
         # displacement direction for source 3: in plane (1,2,4), perpendicular
         # to edge 1-2, pointing toward vertex 4's side
-        n124 = unit(np.cross(a[1] - a[0], a[3] - a[0]))
         u = np.cross(n124, d12)
         toward4 = a[3] - self.line12.foot(a[3])
         if np.dot(u, toward4) < 0:
@@ -316,8 +314,6 @@ class ChainKernel:
         # feet 14 and 24 move along their edges by these per unit of t
         self.g14 = np.dot(u, d14) * d14
         self.g24 = np.dot(u, d24) * d24
-        self.n134 = unit(np.cross(a[2] - a[0], a[3] - a[0]))
-        self.n234 = unit(np.cross(a[2] - a[1], a[3] - a[1]))
         self.p13 = np.cross(self.n134, d13)
         self.p14 = np.cross(self.n134, d14)
         self.p23 = np.cross(self.n234, d23)
@@ -538,17 +534,18 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
     intersection points (closest-approach midpoints), sources the
     projections of the partner's vertices onto the host's face planes."""
     tol = tol or pair_tolerance(a, b)
-    feet: Dict[EdgeKey, Point] = {frozenset(ij): Point.of(foot) for (ij, _), foot
-                                  in zip(EDGE_PAIRINGS, pair_measures(a, b, tol)[2])}
-    sources = tuple(project_to_plane(b.vertex(i), a.face_plane(i))
-                    for i in (1, 2, 3, 4))
-    spread = 0.0
-    for i in (1, 2, 3, 4):
-        others = [m for m in (1, 2, 3, 4) if m != i]
-        for p, q in ((others[0], others[1]), (others[0], others[2]), (others[1], others[2])):
-            foot = foot_on_line(sources[i - 1], a.edge_line(p, q))
-            spread = max(spread, foot.distance_to(feet[frozenset((p, q))]))
-    return PedalChain(host=a, feet=feet, sources=sources, closure_spread=spread)
+    feet = pair_measures(a, b, tol)[2]
+    normals, offsets = a.faces[:, :3], a.faces[:, 3]
+    sources = b.array - (dot_rows(normals, b.array) - offsets)[:, None] * normals
+    # each source's feet on the three edge lines of its face, against the
+    # intersection points on those edges
+    anchor, d = _edge_line_rows(a.array, _I[_FACE_EDGES], _J[_FACE_EDGES])
+    to_source = sources.repeat(3, axis=0) - anchor
+    miss = anchor + dot_rows(to_source, d)[:, None] * d - feet[_FACE_EDGES]
+    return PedalChain(host=a, feet={frozenset(ij): Point.of(f)
+                                    for (ij, _), f in zip(EDGE_PAIRINGS, feet)},
+                      sources=tuple(Point.of(p) for p in sources),
+                      closure_spread=float(np.sqrt(dot_rows(miss, miss)).max()))
 
 
 def carrier_through(points, tol: Tolerance):
@@ -607,17 +604,16 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
         return partner_from_feet(host, np.array([chain.foot(*ij).array
                                                  for ij, _ in EDGE_PAIRINGS]), tol)
     flat = sc.carrier.carrier
-    verts = []
-    for m in (1, 2, 3, 4):
-        direction = host.face_plane(m).normal
-        denom = float(np.dot(flat.normal, direction))
-        if abs(denom) <= 1e-9:
-            raise DegenerateError(
-                f"carrier plane parallel to the projection direction of face {m}")
-        src = chain.source(m).array
-        h = (flat.offset - float(np.dot(flat.normal, src))) / denom
-        verts.append(Point.of(src + h * direction))
-    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+    n = host.faces[:, :3]
+    sources = np.array([s.array for s in chain.sources])
+    normal = np.broadcast_to(flat.normal, n.shape)
+    denom = dot_rows(normal, n)
+    parallel = np.abs(denom) <= 1e-9
+    if parallel.any():
+        raise DegenerateError(f"carrier plane parallel to the projection direction of face "
+                              f"{int(np.argmax(parallel)) + 1}")
+    verts = sources + ((flat.offset - dot_rows(normal, sources)) / denom)[:, None] * n
+    return _require_orthosection(host, Tetrahedron.of(verts), tol)
 
 
 def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
@@ -630,23 +626,23 @@ def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Te
     asserted and a ReconstructionError raised when it fails, which is the
     symptom of feet that were not actually co-spherical.
     """
-    planes = []
-    for rows in _FEET_AT:
-        arr = feet[list(rows)]
-        height = np.linalg.norm(np.cross(arr[1] - arr[0], arr[2] - arr[0])) / max(
-            np.linalg.norm(arr[1] - arr[0]), np.linalg.norm(arr[2] - arr[0]))
-        if height <= tol.eps_rel * tol.scene_scale:
-            raise DegenerateError(
-                f"collinear feet around vertex {len(planes) + 1}: degenerate partner "
-                f"whose face contains a host vertex")
-        planes.append(Plane.through(*arr))
-    verts = []
-    for m in range(4):
-        try:
-            verts.append(meet_planes(*(planes[:m] + planes[m + 1:])))
-        except DegenerateError as exc:
-            raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
-    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+    p = feet[_FEET_AT]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    n = cross_rows(u, v)
+    # twice the triangle's area over its longer side from the first foot
+    height = np.sqrt(dot_rows(n, n)) / np.maximum(
+        np.maximum(np.sqrt(dot_rows(u, u)), np.sqrt(dot_rows(v, v))), 1e-300)
+    low = height <= tol.eps_rel * tol.scene_scale
+    if low.any():
+        raise DegenerateError(
+            f"collinear feet around vertex {int(np.argmax(low)) + 1}: degenerate partner "
+            f"whose face contains a host vertex")
+    try:
+        # vertex m is the common point of the feet planes other than m's
+        verts = meet_rows(plane_rows(n, p[:, 0])[FACE_VERTICES])
+    except DegenerateError as exc:
+        raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
+    return _require_orthosection(host, Tetrahedron.of(verts), tol)
 
 
 def _require_orthosection(host: Tetrahedron, b: Tetrahedron, tol: Tolerance) -> Tetrahedron:

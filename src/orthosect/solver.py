@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import CurvePointError, DegenerateError
-from .geom_core import Tolerance, as_array, dot_rows
+from .geom_core import Tolerance, as_array, cross_rows, dot_rows
 from .orthology import (
     EDGE_PAIRINGS,
     Pairing,
@@ -126,9 +126,6 @@ class _Collapse(Exception):
 
 # flat indices into x of B_k (rows 0-5) and of B_l (rows 6-11), per pairing
 _KL = 3 * np.concatenate((_K, _L))[:, None] + np.arange(3)
-# component c of a x b is a[c+1] * b[c+2] - a[c+2] * b[c+1], np.cross's
-# operation order: both products of every component from one gather each
-_CROSS_A, _CROSS_B = [1, 2, 0, 2, 0, 1], [2, 0, 1, 1, 2, 0]
 
 
 class OrthosectSystem:
@@ -182,9 +179,8 @@ class OrthosectSystem:
         w = bk - kl[6:]
         m = bk - self.ai
         # U over M x U over U x W
-        prod = (np.concatenate((m, self.u)).take(_CROSS_A, 1)
-                * np.concatenate((self.u, w)).take(_CROSS_B, 1))
-        vecs = np.concatenate((self.u, prod[:, :3] - prod[:, 3:])).reshape(3, 6, 3)
+        cross = cross_rows(np.concatenate((m, self.u)), np.concatenate((self.u, w)))
+        vecs = np.concatenate((self.u, cross)).reshape(3, 6, 3)
         # W.W, U.W and (U x W).M as one row-wise dot (see dot_rows)
         dots = np.matmul(np.concatenate((w, self.u, vecs[2]))[:, None, :],
                          np.concatenate((w, w, m))[:, :, None])[:, 0, 0]
@@ -233,7 +229,7 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
     pair_measures(a, b, tol)    # raises DegenerateError on a zero-length edge
     try:
         vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
-    except _Collapse as exc:    # an edge longer than eps_abs but below the collapse cut
+    except _Collapse as exc:    # an edge above the zero-length cut but below the collapse cut
         raise DegenerateError(str(exc)) from exc
     return ResidualVector(orthogonality=by_pairing(vals[:6]),
                           intersection=by_pairing(vals[6:]), values=vals)

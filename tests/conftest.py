@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthosect import analysis, cli
+from orthosect import analysis, cli, geom_core
 from orthosect.orthology import Tetrahedron, pair_tolerance
 from orthosect.solver import (
     OrthosectSystem,
@@ -34,6 +34,17 @@ def random_tetrahedron(rng: np.random.Generator, scale: float = 1.0,
         tet = Tetrahedron.of(pts)
         if abs(tet.signed_volume) >= min_volume * scale**3:
             return tet
+
+
+def random_similarity(rng: np.random.Generator, log_scale: float):
+    """A random rotation, then scaling by 10**log_scale and a shift of up to
+    three such scales, as a map of (n, 3) point arrays."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    scale = 10.0 ** log_scale
+    shift = rng.normal(size=3) * scale * rng.uniform(0.0, 3.0)
+    return lambda p: scale * p @ q.T + shift
 
 
 def find_partner(a: Tetrahedron, base_seed: int) -> Tetrahedron:
@@ -130,3 +141,24 @@ def orthology_center_calls(monkeypatch):
     for module in (analysis, cli):
         monkeypatch.setattr(module, "orthology_centers", counted)
     return calls
+
+
+@pytest.fixture()
+def geometry_object_calls(monkeypatch):
+    """Counts of the Line objects built and the Plane.through calls made,
+    anywhere, while the test runs."""
+    counts = {"Line": 0, "Plane.through": 0}
+    real_post_init = geom_core.Line.__post_init__
+    real_through = geom_core.Plane.through.__func__
+
+    def line_post_init(self):
+        counts["Line"] += 1
+        real_post_init(self)
+
+    def plane_through(cls, *args, **kwargs):
+        counts["Plane.through"] += 1
+        return real_through(cls, *args, **kwargs)
+
+    monkeypatch.setattr(geom_core.Line, "__post_init__", line_post_init)
+    monkeypatch.setattr(geom_core.Plane, "through", classmethod(plane_through))
+    return counts

@@ -198,28 +198,43 @@ def test_export_obj_cli(tmp_path, capsys, pair_scene):
 
 
 def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, monkeypatch):
-    """A partner edge longer than eps_abs but inside the solver's collapse
-    cut (1e-9 scene scales) is a DegenerateError from orthosect_residuals,
-    and conjugate reports it instead of crashing."""
+    """A partner edge longer than the zero-length cut (eps_abs scene
+    scales) but inside the solver's collapse cut (1e-9 scene scales) is a
+    DegenerateError from orthosect_residuals, and conjugate reports it
+    instead of crashing. The scene's small eps_abs keeps that window open."""
     demo = load_scene(DEMO_SCENE)
     a = Tetrahedron.of(demo.tetrahedron("A").array * 1e3)
     b = Tetrahedron.of(demo.tetrahedron("B").array * 1e3)
     collapsed = b.array.copy()
     collapsed[1] = collapsed[0] + np.array([1e-7, 0.0, 0.0])
     collapsed = Tetrahedron.of(collapsed)
-    tol = pair_tolerance(a, collapsed)
-    assert tol.eps_abs < 1e-7 < 1e-9 * tol.scene_scale
+    tol = pair_tolerance(a, collapsed, eps_abs=1e-12)
+    assert tol.eps_abs * tol.scene_scale < 1e-7 < 1e-9 * tol.scene_scale
     with pytest.raises(DegenerateError, match="^edge B12 collapsed$"):
         solver.orthosect_residuals(a, collapsed, tol)
     # the conjugate command checks the partner it built with
     # orthosect_residuals; here the orthosecting pair's "conjugate" is the
     # collapsed partner
     path = tmp_path / "collapse.json"
-    save_scene(Scene(tetrahedra={"A": a, "B": b}), path)
+    save_scene(Scene(tetrahedra={"A": a, "B": b}, eps_abs=1e-12), path)
     monkeypatch.setattr(analysis, "conjugate_through", lambda host, *fit: collapsed)
     code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
     assert report["error"] == "DegenerateError: edge B12 collapsed"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9])
+def test_pair_commands_pass_on_shrunk_demo(tmp_path, capsys, scale):
+    """The zero-length edge cut scales with the scene: the demo pair shrunk
+    by 1e-12 or 1e-9 passes verify, conjugate and sequence as it does at
+    unit scale."""
+    demo = load_scene(DEMO_SCENE)
+    path = tmp_path / "shrunk.json"
+    save_scene(Scene(tetrahedra={name: Tetrahedron.of(t.array * scale)
+                                 for name, t in demo.tetrahedra.items()}), path)
+    for argv in (["verify"], ["conjugate"], ["sequence", "--n", "6"]):
+        code, report = _run(capsys, [argv[0], "--scene", str(path), "--pair", "A,B", *argv[1:]])
+        assert code == 0, report
 
 
 def test_parser_built_once_and_reused(tmp_path, capsys):
@@ -269,6 +284,17 @@ def test_verify_computes_orthology_centers_once(capsys, orthology_center_calls, 
     code, report = _run(capsys, ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", *extra])
     assert code == 0 and "orthology_centers" in report["results"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--corollary4"], ["conjugate"],
+                                  ["sequence", "--n", "6"]],
+                         ids=["verify", "corollary4", "conjugate", "sequence"])
+def test_pair_commands_build_no_line_or_plane(capsys, geometry_object_calls, argv):
+    """The pair commands read faces from the tetrahedra's face tables and
+    edges as arrays: the demo builds no Line and calls Plane.through never."""
+    code, _ = _run(capsys, [argv[0], "--scene", DEMO_SCENE, "--pair", "A,B", *argv[1:]])
+    assert code == 0
+    assert geometry_object_calls == {"Line": 0, "Plane.through": 0}
 
 
 def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology_center_calls):

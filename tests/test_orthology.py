@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tetrahedron
-from orthosect.errors import DegenerateError, NotOrthologicError
-from orthosect.geom_core import Point, closest_points
+from conftest import random_similarity, random_tetrahedron
+from orthosect.errors import DegenerateError, GeometryError, NotOrthologicError
+from orthosect.geom_core import Line, Plane, Point, closest_points, concurrency_point
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
@@ -112,8 +112,9 @@ def _ref_pair_measures(a, b, tol):
         u = a[i - 1] - a[j - 1]
         w = b[k - 1] - b[l - 1]
         nu, nw = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-        if nu <= tol.eps_abs or nw <= tol.eps_abs:
-            side = f"A{i}{j}" if nu <= tol.eps_abs else f"B{k}{l}"
+        cut = tol.eps_abs * tol.scene_scale
+        if nu <= cut or nw <= cut:
+            side = f"A{i}{j}" if nu <= cut else f"B{k}{l}"
             raise DegenerateError(f"zero-length edge {side}")
         ortho.append(abs(float(np.dot(u, w))) / (nu * nw))
         c1, c2, gap, _, _, _ = _ref_closest(*_ref_line_through(a[i - 1], a[j - 1]),
@@ -155,14 +156,11 @@ def test_pair_measures_match_loop_reference_bit_for_bit(seed, log_scale, force, 
             b[l - 1] += rng.uniform(0.0, 5e-8) * tilt
     elif force == "identical":
         b[k - 1], b[l - 1] = (a[i - 1] + t * along for t in rng.uniform(-2.0, 3.0, size=2))
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    move = random_similarity(rng, log_scale)
+    a, b = move(a), move(b)
     scale = 10.0 ** log_scale
-    shift = rng.normal(size=3) * scale * rng.uniform(0.0, 3.0)
-    a, b = (scale * p @ q.T + shift for p in (a, b))
     ta, tb = Tetrahedron.of(a), Tetrahedron.of(b)
-    # an eps_abs shrunk with the scene lets tiny scenes past the zero-edge check
+    # an eps_abs shrunk with the scene also shrinks the scaled zero-edge cut
     tol = pair_tolerance(ta, tb, eps_abs=1e-9 * min(scale, 1.0) if scaled_eps else 1e-9)
     got, got_msg = _outcome(pair_measures, ta, tb, tol)
     want, want_msg = _outcome(_ref_pair_measures, a, b, tol)
@@ -184,6 +182,82 @@ def test_pair_measures_match_loop_reference_bit_for_bit(seed, log_scale, force, 
         # below unit scale a shrunk eps_abs also shrinks the identity cut-off
         # past round-off
         assert flags[pairing][1] == (force == "identical") or scaled_eps
+
+
+# --- the face table and the array concurrency core against the object loops
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
+@settings(max_examples=100, deadline=None)
+def test_face_table_matches_plane_through_bit_for_bit(seed, log_scale):
+    """Each row of Tetrahedron.faces is the normal and offset of
+    Plane.through on that face's vertices, exactly, under a random rigid
+    motion at scales 1e-12..1e12, near-flat tetrahedra included."""
+    rng = np.random.default_rng(seed)
+    t = Tetrahedron.of(random_similarity(rng, log_scale)(
+        random_tetrahedron(rng, min_volume=0.0).array))
+    assert not t.faces.flags.writeable
+    for i in (1, 2, 3, 4):
+        plane = Plane.through(*(t.vertex(m) for m in (1, 2, 3, 4) if m != i))
+        assert np.array_equal(t.faces[i - 1, :3], plane.normal)
+        assert t.faces[i - 1, 3] == plane.offset
+
+
+def _ref_concurrency(lines, tol):
+    """concurrency_point as the loop over Line objects it was."""
+    m, rhs = np.zeros((3, 3)), np.zeros(3)
+    for line in lines:
+        proj = np.eye(3) - np.outer(line.direction, line.direction)
+        m += proj
+        rhs += proj @ line.anchor.array
+    eigvals = np.linalg.eigvalsh(m)
+    if eigvals[0] <= 1e-9 * max(eigvals[-1], 1e-300):
+        raise DegenerateError("all lines parallel: concurrency point at infinity")
+    x = np.linalg.solve(m, rhs)
+    dists = []
+    for line in lines:
+        w = x - line.anchor.array
+        dists.append(float(np.linalg.norm(w - np.dot(w, line.direction) * line.direction)))
+    return x, math.sqrt(sum(d ** 2 for d in dists) / len(lines)) / tol.scene_scale
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
+@settings(max_examples=100, deadline=None)
+def test_orthology_centers_match_line_loop_bit_for_bit(seed, log_scale):
+    """orthology_centers and concurrency_point reproduce the loop over the
+    Line bundles through each vertex along face_plane's normal of the
+    other tetrahedron, centers and spreads exactly, under a random rigid
+    motion at scales 1e-12..1e12."""
+    rng = np.random.default_rng(seed)
+    a = random_tetrahedron(rng)
+    center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.5)
+    try:
+        b = construct_orthologic(a, center, rng.normal(size=4) * 2)
+    except GeometryError:
+        return
+    move = random_similarity(rng, log_scale)
+    a, b = Tetrahedron.of(move(a.array)), Tetrahedron.of(move(b.array))
+    tol = pair_tolerance(a, b)
+    want = []
+    for s, t in ((a, b), (b, a)):
+        lines = [Line(anchor=s.vertex(i), direction=t.face_plane(i).normal) for i in (1, 2, 3, 4)]
+        ref, ref_msg = _outcome(_ref_concurrency, lines, tol)
+        got, got_msg = _outcome(concurrency_point, lines, tol)
+        assert got_msg == ref_msg
+        if ref is not None:
+            assert np.array_equal(got[0].array, ref[0]) and got[1] == ref[1]
+        want.append((ref, ref_msg))
+    try:
+        rep = orthology_centers(a, b, tol)
+    except NotOrthologicError:
+        return
+    except DegenerateError as exc:
+        assert str(exc) == f"flat partner: {next(msg for _, msg in want if msg)}"
+        return
+    (center_a, spread_a), _ = want[0]
+    (center_b, spread_b), _ = want[1]
+    assert np.array_equal(rep.center_a.array, center_a) and rep.spread_a == spread_a
+    assert np.array_equal(rep.center_b.array, center_b) and rep.spread_b == spread_b
 
 
 def test_construct_orthologic_default_offsets():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_tetrahedron
+from conftest import random_similarity, random_tetrahedron
 from orthosect.errors import (
     DegenerateError,
     ReconstructionError,
     SimsonDegenerateError,
 )
 from orthosect.geom_core import (
+    Plane,
     Point,
     Tolerance,
     circle_through,
@@ -22,14 +23,16 @@ from orthosect.geom_core import (
     sphere_through,
     unit,
 )
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import (
     PedalChain,
+    _require_orthosection,
     chain_from_pair,
     chain_sphere_residual,
     circular_net,
     complete_chain,
     isogonal_conjugate,
+    partner_from_feet,
     pedal_circle,
     pedal_triangle,
     reconstruct_tetrahedron,
@@ -37,6 +40,7 @@ from orthosect.pedal import (
     spherical_chain,
     spherical_parameters,
 )
+from orthosect.solver import trace_family
 
 EQUILATERAL = [(math.cos(k * 2 * math.pi / 3), math.sin(k * 2 * math.pi / 3), 0.0)
                for k in range(3)]
@@ -516,3 +520,95 @@ def test_chain_sharing_structure(demo_pair):
             src = chain.source(source_idx)
             recomputed = foot_on_line(src, a.edge_line(i, j))
             assert recomputed.distance_to(foot) <= 1e-9 * tol.scene_scale
+
+
+# --- the array paths against the object loops they replaced ----------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _ref_partner_from_feet(host, feet, tol):
+    """partner_from_feet as the loop of Plane.through and meet_planes it
+    was, with meet_planes written out."""
+    planes = []
+    for k, rows in enumerate(((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))):
+        arr = feet[list(rows)]
+        height = np.linalg.norm(np.cross(arr[1] - arr[0], arr[2] - arr[0])) / max(
+            np.linalg.norm(arr[1] - arr[0]), np.linalg.norm(arr[2] - arr[0]))
+        if height <= tol.eps_rel * tol.scene_scale:
+            raise DegenerateError(f"collinear feet around vertex {k + 1}: degenerate partner "
+                                  f"whose face contains a host vertex")
+        planes.append(Plane.through(*arr))
+    verts = []
+    for m in range(4):
+        others = planes[:m] + planes[m + 1:]
+        normals = np.array([pl.normal for pl in others])
+        if abs(float(np.linalg.det(normals))) <= 1e-12:
+            raise DegenerateError("ill-conditioned feet planes: planes with coplanar normals "
+                                  "have no unique common point")
+        verts.append(Point.of(np.linalg.solve(normals, np.array([pl.offset for pl in others]))))
+    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+
+
+@pytest.fixture(scope="module")
+def family_members(demo_pair):
+    """The demo pair's host and its partners 15 family steps either way."""
+    a, b, tol = demo_pair
+    return a, [m for direction in (1, -1)
+               for m in trace_family(a, b, steps=15, h=0.05 * tol.scene_scale,
+                                     direction=direction, tol=tol).samples]
+
+
+@given(member=st.integers(0, 31), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-12.0, 12.0))
+@settings(max_examples=100, deadline=None)
+def test_partner_from_feet_matches_plane_loop_bit_for_bit(family_members, member, seed,
+                                                          log_scale):
+    """partner_from_feet reproduces the loop of Plane.through and
+    meet_planes exactly, on the intersection points of family members of
+    the demo pair under a random rigid motion at scales 1e-12..1e12."""
+    a, members = family_members
+    b = members[member % len(members)]
+    move = random_similarity(np.random.default_rng(seed), log_scale)
+    host, feet = Tetrahedron.of(move(a.array)), move(pair_measures(a, b)[2])
+    tol = Tolerance.for_points(np.vstack((host.array, feet)))
+    got, got_msg = _outcome(partner_from_feet, host, feet, tol)
+    want, want_msg = _outcome(_ref_partner_from_feet, host, feet, tol)
+    assert got_msg == want_msg
+    if want is not None:
+        assert np.array_equal(got.array, want.array)
+
+
+def _ref_chain_from_pair(a, b, tol):
+    """chain_from_pair's sources and closure spread as the loop over
+    face_plane, edge_line and foot_on_line it was."""
+    sources = [project_to_plane(b.vertex(i), a.face_plane(i)) for i in (1, 2, 3, 4)]
+    feet = {frozenset(ij): Point.of(f)
+            for (ij, _), f in zip(EDGE_PAIRINGS, pair_measures(a, b, tol)[2])}
+    spread = 0.0
+    for i in (1, 2, 3, 4):
+        others = [m for m in (1, 2, 3, 4) if m != i]
+        for p, q in ((others[0], others[1]), (others[0], others[2]), (others[1], others[2])):
+            foot = foot_on_line(sources[i - 1], a.edge_line(p, q))
+            spread = max(spread, foot.distance_to(feet[frozenset((p, q))]))
+    return np.array([s.array for s in sources]), spread
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
+@settings(max_examples=100, deadline=None)
+def test_chain_from_pair_matches_object_loop_bit_for_bit(seed, log_scale):
+    """chain_from_pair's sources and closure spread are the loop's exactly,
+    under a random rigid motion at scales 1e-12..1e12."""
+    rng = np.random.default_rng(seed)
+    move = random_similarity(rng, log_scale)
+    a, b = (Tetrahedron.of(move(random_tetrahedron(rng).array)) for _ in range(2))
+    tol = pair_tolerance(a, b)
+    chain = chain_from_pair(a, b, tol)
+    sources, spread = _ref_chain_from_pair(a, b, tol)
+    assert np.array_equal(np.array([s.array for s in chain.sources]), sources)
+    assert chain.closure_spread == spread
