@@ -37,30 +37,25 @@ from .geom_core import (
 )
 from .orthology import (
     EDGE_PAIRINGS,
-    LabelingResult,
     OrthologyReport,
     Tetrahedron,
     construct_orthologic,
     edge_orthogonality_residuals,
-    find_labeling,
     orthology_centers,
     pair_tolerance,
 )
 from .pedal import (
-    CircularNet,
     PedalChain,
     PedalTriangle,
     SphericalChain,
     chain_carrier,
     chain_from_pair,
     chain_sphere_residual,
-    circular_net,
     complete_chain,
     isogonal_conjugate,
     pedal_circle,
     pedal_triangle,
     reconstruct_tetrahedron,
-    recover_source,
     spherical_chain,
     spherical_parameters,
 )

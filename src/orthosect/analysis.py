@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateError, GeometryError, NotOrthologicError
-from .geom_core import Point, SphereOrPlane, Tolerance, as_array, dot_rows, unit
+from .geom_core import (Point, SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows,
+                        unit)
 from .orthology import (
     OrthologyReport,
     Pairing,
@@ -24,7 +25,7 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import ChainKernel, carrier_through, partner_from_feet
+from .pedal import ChainKernel, partner_from_feet
 
 # trace_curve bisects crossings to REFINE_TOL scene scales and keeps those
 # whose |sixth-foot residual| is at most VERTEX_TOL

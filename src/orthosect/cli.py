@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -22,11 +21,10 @@ import numpy as np
 
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
-from .geom_core import Tolerance
+from .geom_core import Tolerance, carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
                         pairing_key, require_orthosecting)
-from .pedal import carrier_through
-from .scene import Report, Scene, _point_list, load_scene
+from .scene import Report, Scene, _point_list, _read_json, load_scene, scene_from_dict
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
 SPHERE_TOL = 1e-7
@@ -334,15 +332,9 @@ _HANDLERS = {
 
 def _load_any(path):
     """Scene file, or a previously written report (for export)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SceneError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
     if isinstance(doc, dict) and "tetrahedra" in doc:
-        return load_scene(path)
+        return scene_from_dict(doc)
     return doc
 
 

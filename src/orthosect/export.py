@@ -14,9 +14,9 @@ import numpy as np
 
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
-from .geom_core import Point, as_array, circle_through
+from .geom_core import Point, as_array, carrier_through, circle_through
 from .orthology import pair_tolerance, require_orthosecting
-from .pedal import carrier_through, chain_from_pair
+from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
 

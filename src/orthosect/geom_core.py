@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from .errors import DegenerateError
 
-# Radius beyond which a fitted circumsphere is reported as a plane.
+# Radius, in scene scales, beyond which a fitted sphere is reported as a plane.
 FLAT_SPHERE_RADIUS_FACTOR = 1e6
 # |det| of three unit plane normals at or below which they count as coplanar
 MEET_DET_TOL = 1e-12
@@ -152,7 +152,8 @@ class Circle3D:
 @dataclass(frozen=True, eq=False)
 class SphereOrPlane:
     """Common quadric of a point set: a genuine sphere, or a plane when the
-    points are flat (within tolerance or beyond the radius blow-up factor)."""
+    points are flat (a rank-deficient fit or beyond the radius blow-up
+    factor)."""
 
     kind: str  # "sphere" | "plane"
     center: Point | None = None
@@ -311,41 +312,101 @@ def circle_through(p1, p2, p3, tol: Tolerance | None = None) -> Circle3D:
                     carrier=Plane(normal=n, offset=float(np.dot(n, a))))
 
 
-def _fit_plane(points: np.ndarray) -> Plane:
-    """Least-squares plane through a point cloud via SVD."""
-    centroid = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - centroid)
-    n = vt[-1]
-    return Plane(normal=n, offset=float(np.dot(n, centroid)))
+def _sphere_fit(points: np.ndarray) -> dict:
+    """Least-squares sphere (or plane) through each stack of >= 4 points in
+    normalized coordinates, ``points`` of shape (K, m, 3).
+
+    Returns arrays keyed ``sphere`` (K,) bool, ``center`` (K, 3), ``radius``
+    (K,), ``normal`` (K, 3), ``offset`` (K,) and ``residual`` (K,), the max
+    absolute point residual. A stack is a sphere when the linear fit has
+    full rank 4, r^2 > 0 and radius <= FLAT_SPHERE_RADIUS_FACTOR; otherwise
+    it gets the total least-squares plane. Only the entries of its own kind
+    are meaningful; stacks with non-finite points get NaN throughout."""
+    k, m, _ = points.shape
+    # modified Gram-Schmidt QR of the columns [x, y, z, 1], then -|p|^2
+    # projected onto Q and back-substituted; every step is an elementwise
+    # operation on (m, K) arrays
+    xyz = np.ascontiguousarray(points.transpose(2, 1, 0))
+    cols = [xyz[0], xyz[1], xyz[2], np.ones((m, k))]
+    rhs = -(xyz * xyz).sum(axis=0)
+    q: List[np.ndarray] = []
+    r = np.zeros((4, 4, k))
+    # right-hand sides: Q^T rhs, then the identity, so that back-substitution
+    # yields the solution and R^-1 together
+    y = np.zeros((4, 5, k))
+    y[:, 1:] = np.eye(4)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, v in enumerate(cols):
+            for i, qi in enumerate(q):
+                r[i, j] = (qi * v).sum(axis=0)
+                v = v - r[i, j] * qi
+            r[j, j] = np.sqrt((v * v).sum(axis=0))
+            q.append(v / r[j, j])
+        for j, qj in enumerate(q):
+            y[j, 0] = (qj * rhs).sum(axis=0)
+            rhs = rhs - y[j, 0] * qj
+        for j in range(3, -1, -1):
+            for i in range(j + 1, 4):
+                y[j] = y[j] - r[j, i] * y[i]
+            y[j] = y[j] / r[j, j]
+        sol = y[:, 0]
+        # rank 4 when the condition number of R, bounded above by
+        # |R|_F |R^-1|_F (at most 4x the 2-norm one), is below numpy lstsq's
+        # cutoff; the diagonal of R alone reads coplanar stacks as full rank
+        cond = np.sqrt((r * r).sum(axis=(0, 1)) * (y[:, 1:] * y[:, 1:]).sum(axis=(0, 1)))
+        full_rank = np.finfo(float).eps * max(m, 4) * cond < 1.0
+        center = -0.5 * sol[:3]
+        r2 = (center * center).sum(axis=0) - sol[3]
+        radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
+        sphere = full_rank & (radius <= FLAT_SPHERE_RADIUS_FACTOR)
+        # a rank-deficient solution may be huge: planes carry no sphere
+        center = np.where(sphere, center, np.nan)
+        radius = np.where(sphere, radius, np.nan)
+        d = xyz - center[:, None]
+        residual = np.abs(np.sqrt((d * d).sum(axis=0)) - radius).max(axis=0)
+    normal = np.full((k, 3), np.nan)
+    offset = np.full(k, np.nan)
+    flat = ~sphere & np.isfinite(points).all(axis=(1, 2))
+    if flat.any():
+        pts = points[flat]
+        centroid = pts.mean(axis=1)
+        n = np.linalg.svd(pts - centroid[:, None])[2][:, -1]
+        normal[flat] = n
+        offset[flat] = (n * centroid).sum(axis=1)
+        residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
+    return {"sphere": sphere, "center": center.T, "radius": radius,
+            "normal": normal, "offset": offset, "residual": residual}
+
+
+def carrier_through(points, tol: Tolerance):
+    """Least-squares sphere or plane through m >= 4 points (m, 3), with the
+    worst absolute point residual."""
+    pts = np.asarray(points, dtype=float)
+    shift = pts.mean(axis=0)
+    fit = {k: v[0] for k, v in _sphere_fit((pts - shift)[None] / tol.scene_scale).items()}
+    residual = float(fit["residual"]) * tol.scene_scale
+    if fit["sphere"]:
+        carrier = SphereOrPlane.sphere(Point.of(fit["center"] * tol.scene_scale + shift),
+                                       float(fit["radius"]) * tol.scene_scale)
+    else:
+        n = fit["normal"]
+        carrier = SphereOrPlane.plane(Plane(normal=n, offset=float(fit["offset"])
+                                            * tol.scene_scale + float(np.dot(n, shift))))
+    return carrier, residual
 
 
 def sphere_through(p1, p2, p3, p4, tol: Tolerance | None = None) -> SphereOrPlane:
-    """Sphere through four points, or their common plane when they are flat.
+    """Sphere through four points, or their common plane when they are flat:
+    the four-point view of :func:`carrier_through`.
 
     Raises DegenerateError when three or more of the points coincide.
     """
     pts = np.array([as_array(p) for p in (p1, p2, p3, p4)])
-    if tol is None:
-        tol = Tolerance.for_points(pts)
-    coincident = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.linalg.norm(pts[i] - pts[j]) <= tol.eps_abs * tol.scene_scale:
-                coincident += 1
-    if coincident >= 2:
+    tol = tol or Tolerance.for_points(pts)
+    i, j = np.triu_indices(4, 1)
+    if (np.linalg.norm(pts[j] - pts[i], axis=1) <= tol.eps_abs * tol.scene_scale).sum() >= 2:
         raise DegenerateError("three or more coincident points")
-    volume = abs(float(np.linalg.det(pts[1:] - pts[0]))) / 6.0
-    if volume < tol.eps_rel * tol.scene_scale**3:
-        return SphereOrPlane.plane(_fit_plane(pts))
-    # x.x + D x + E y + F z + G = 0, linear in (D, E, F, G)
-    m = np.hstack([pts, np.ones((4, 1))])
-    rhs = -(pts * pts).sum(axis=1)
-    sol = np.linalg.solve(m, rhs)
-    center = -0.5 * sol[:3]
-    radius = math.sqrt(max(float(np.dot(center, center) - sol[3]), 0.0))
-    if radius > FLAT_SPHERE_RADIUS_FACTOR * tol.scene_scale:
-        return SphereOrPlane.plane(_fit_plane(pts))
-    return SphereOrPlane.sphere(Point.of(center), radius)
+    return carrier_through(pts, tol)[0]
 
 
 def meet_rows(planes: np.ndarray) -> np.ndarray:

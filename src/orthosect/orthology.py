@@ -1,5 +1,5 @@
-"""Orthology predicates, orthology centers, labeling search, and the
-construction of orthologic partner tetrahedra from a chosen center.
+"""Orthology predicates, orthology centers, and the construction of
+orthologic partner tetrahedra from a chosen center.
 
 Two tetrahedra are orthologic when the perpendiculars dropped from each
 vertex of one onto the corresponding face plane of the other are
@@ -9,10 +9,9 @@ are orthogonal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -92,12 +91,6 @@ class Tetrahedron:
         a = self.array
         return float(np.linalg.det(a[1:] - a[0])) / 6.0
 
-    @cached_property
-    def scale(self) -> float:
-        a = self.array
-        return max(float(np.linalg.norm(a[i] - a[j]))
-                   for i in range(4) for j in range(i + 1, 4))
-
     def vertex(self, i: int) -> Point:
         return self.vertices[i - 1]
 
@@ -120,7 +113,7 @@ class Tetrahedron:
         return rows
 
     def is_flat(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or Tolerance(scene_scale=self.scale)
+        tol = tol or Tolerance.for_points(self.array)
         return abs(self.signed_volume) < tol.eps_rel * tol.scene_scale**3
 
     def relabeled(self, perm: Sequence[int]) -> "Tetrahedron":
@@ -198,6 +191,17 @@ def edge_orthogonality_residuals(a: Tetrahedron, b: Tetrahedron,
     return by_pairing(pair_measures(a, b, tol)[0])
 
 
+def _orthologic_measures(a: Tetrahedron, b: Tetrahedron, tol: Tolerance):
+    """``pair_measures`` of a pair that must be orthologic: raises
+    NotOrthologicError, with the six residuals, when some pair of
+    non-corresponding edges is not orthogonal within ``tol.eps_rel``."""
+    ortho, gaps, feet = pair_measures(a, b, tol)
+    if ortho.max() > tol.eps_rel:
+        raise NotOrthologicError(f"pair is not orthologic: max residual {ortho.max():.3e}",
+                                 residuals=by_pairing(ortho))
+    return ortho, gaps, feet
+
+
 def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None,
                          drop_worst_gap: bool = False):
     """The one check that a pair orthosects: every pair of non-corresponding
@@ -211,10 +215,7 @@ def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None =
     and their intersection points as a (5 or 6, 3) array.
     """
     tol = tol or pair_tolerance(a, b)
-    ortho, gaps, feet = pair_measures(a, b, tol)
-    if ortho.max() > tol.eps_rel:
-        raise NotOrthologicError(f"pair is not orthologic: max residual {ortho.max():.3e}",
-                                 residuals=by_pairing(ortho))
+    _, gaps, feet = _orthologic_measures(a, b, tol)
     kept = np.ones(6, dtype=bool)
     if drop_worst_gap:
         kept[np.argmax(gaps)] = False
@@ -235,13 +236,7 @@ def orthology_centers(a: Tetrahedron, b: Tetrahedron,
     center at infinity).
     """
     tol = tol or pair_tolerance(a, b)
-    residuals = edge_orthogonality_residuals(a, b, tol)
-    worst = max(residuals.values())
-    if worst > tol.eps_rel:
-        bad = {pairing_key(p): r for p, r in residuals.items() if r > tol.eps_rel}
-        raise NotOrthologicError(
-            f"pair is not orthologic: max residual {worst:.3e} > {tol.eps_rel:.1e} ({bad})",
-            residuals=residuals)
+    residuals = by_pairing(_orthologic_measures(a, b, tol)[0])
     # the perpendicular bundles: the line through each vertex of one
     # tetrahedron along the normal of the other's corresponding face,
     # normalized a second time as Line normalizes its direction
@@ -283,34 +278,3 @@ def construct_orthologic(a: Tetrahedron, center,
     if abs(np.dot(n[3], common) - offsets[3]) <= tol.eps_abs * tol.scene_scale:
         raise DegenerateError("all four face planes pass through a single point")
     return Tetrahedron.of(meet_rows(planes[FACE_VERTICES]))
-
-
-@dataclass(frozen=True)
-class LabelingResult:
-    permutation: Tuple[int, int, int, int]
-    max_residual: float
-    ties: Tuple[Tuple[int, int, int, int], ...]
-
-
-# max residuals within this of the best tie with it in find_labeling
-LABELING_TIE_TOL = 1e-12
-
-
-def find_labeling(a: Tetrahedron, b: Tetrahedron) -> LabelingResult:
-    """Search all 24 relabelings of ``b`` for the one minimizing the largest
-    edge-orthogonality residual.
-
-    Returns the best permutation (apply via ``b.relabeled(perm)``), its
-    max residual, and every permutation tying with the best within
-    LABELING_TIE_TOL. A large max residual simply means "not orthologic under
-    any labeling".
-    """
-    best: List[Tuple[float, Tuple[int, ...]]] = []
-    for perm in itertools.permutations((1, 2, 3, 4)):
-        relabeled = b.relabeled(perm)
-        residuals = edge_orthogonality_residuals(a, relabeled)
-        best.append((max(residuals.values()), perm))
-    best.sort(key=lambda item: (item[0], item[1]))
-    top_val, top_perm = best[0]
-    ties = tuple(perm for val, perm in best if val <= top_val + LABELING_TIE_TOL)
-    return LabelingResult(permutation=top_perm, max_residual=top_val, ties=ties)

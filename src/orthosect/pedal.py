@@ -10,7 +10,7 @@ partner tetrahedron, rebuilt here from the feet planes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .geom_core import (
     Point,
     SphereOrPlane,
     Tolerance,
+    _sphere_fit,
     as_array,
+    carrier_through,
     circle_through,
-    concurrency_point,
     cross_rows,
     dot_rows,
     foot_on_line,
@@ -93,19 +94,6 @@ class SphericalChain:
     max_residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class CircularNet:
-    """3x3 grid of points built from a chain around one host edge; every
-    elementary quadrilateral of a valid chain is concyclic."""
-
-    grid: Tuple[Tuple[Point, Point, Point], ...]
-    residuals: Dict[Tuple[int, int], float]  # keyed by top-left grid corner
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-
 def pedal_triangle(source, face, tol: Tolerance | None = None,
                    strict: bool = False) -> PedalTriangle:
     """Pedal triangle of a point with respect to a host triangle.
@@ -151,94 +139,10 @@ def isogonal_conjugate(source, face, tol: Tolerance | None = None) -> Point:
     return Point.of(2.0 * circle.center.array - src.array)
 
 
-def recover_source(feet, face, tol: Tolerance | None = None):
-    """Source point whose pedal triangle has the given feet.
-
-    Intersects the in-plane perpendiculars to each edge at its foot.
-    Returns ``(source, spread)``; a spread above tolerance flags feet that
-    do not actually form a pedal triangle.
-    """
-    face = tuple(Point.of(f) if not isinstance(f, Point) else f for f in face)
-    feet = tuple(Point.of(f) if not isinstance(f, Point) else f for f in feet)
-    tol = tol or Tolerance.for_points(list(face) + list(feet))
-    plane = Plane.through(*face)
-    lines = []
-    for (i, j), foot in zip(FACE_EDGE_ORDER, feet):
-        edge_dir = unit(face[j].array - face[i].array)
-        lines.append(Line(anchor=foot, direction=np.cross(plane.normal, edge_dir)))
-    return concurrency_point(lines, tol)
-
-
 # ---------------------------------------------------------------------------
 # chain kernel: normalized fast path shared by completion, sphericity root
 # finding and curve tracing
 # ---------------------------------------------------------------------------
-
-
-def _sphere_fit(points: np.ndarray) -> dict:
-    """Least-squares sphere (or plane) through each stack of >= 4 points in
-    normalized coordinates, ``points`` of shape (K, m, 3).
-
-    Returns arrays keyed ``sphere`` (K,) bool, ``center`` (K, 3), ``radius``
-    (K,), ``normal`` (K, 3), ``offset`` (K,) and ``residual`` (K,), the max
-    absolute point residual. A stack is a sphere when the linear fit has
-    full rank 4, r^2 > 0 and radius <= 1e6; otherwise it gets the total
-    least-squares plane. Only the entries of its own kind are meaningful;
-    stacks with non-finite points get NaN throughout."""
-    k, m, _ = points.shape
-    # modified Gram-Schmidt QR of the columns [x, y, z, 1], then -|p|^2
-    # projected onto Q and back-substituted; every step is an elementwise
-    # operation on (m, K) arrays
-    xyz = np.ascontiguousarray(points.transpose(2, 1, 0))
-    cols = [xyz[0], xyz[1], xyz[2], np.ones((m, k))]
-    rhs = -(xyz * xyz).sum(axis=0)
-    q: List[np.ndarray] = []
-    r = np.zeros((4, 4, k))
-    # right-hand sides: Q^T rhs, then the identity, so that back-substitution
-    # yields the solution and R^-1 together
-    y = np.zeros((4, 5, k))
-    y[:, 1:] = np.eye(4)[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, v in enumerate(cols):
-            for i, qi in enumerate(q):
-                r[i, j] = (qi * v).sum(axis=0)
-                v = v - r[i, j] * qi
-            r[j, j] = np.sqrt((v * v).sum(axis=0))
-            q.append(v / r[j, j])
-        for j, qj in enumerate(q):
-            y[j, 0] = (qj * rhs).sum(axis=0)
-            rhs = rhs - y[j, 0] * qj
-        for j in range(3, -1, -1):
-            for i in range(j + 1, 4):
-                y[j] = y[j] - r[j, i] * y[i]
-            y[j] = y[j] / r[j, j]
-        sol = y[:, 0]
-        # rank 4 when the condition number of R, bounded above by
-        # |R|_F |R^-1|_F (at most 4x the 2-norm one), is below numpy lstsq's
-        # cutoff; the diagonal of R alone reads coplanar stacks as full rank
-        cond = np.sqrt((r * r).sum(axis=(0, 1)) * (y[:, 1:] * y[:, 1:]).sum(axis=(0, 1)))
-        full_rank = np.finfo(float).eps * max(m, 4) * cond < 1.0
-        center = -0.5 * sol[:3]
-        r2 = (center * center).sum(axis=0) - sol[3]
-        radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
-        sphere = full_rank & (radius <= 1e6)
-        # a rank-deficient solution may be huge: planes carry no sphere
-        center = np.where(sphere, center, np.nan)
-        radius = np.where(sphere, radius, np.nan)
-        d = xyz - center[:, None]
-        residual = np.abs(np.sqrt((d * d).sum(axis=0)) - radius).max(axis=0)
-    normal = np.full((k, 3), np.nan)
-    offset = np.full(k, np.nan)
-    flat = ~sphere & np.isfinite(points).all(axis=(1, 2))
-    if flat.any():
-        pts = points[flat]
-        centroid = pts.mean(axis=1)
-        n = np.linalg.svd(pts - centroid[:, None])[2][:, -1]
-        normal[flat] = n
-        offset[flat] = (n * centroid).sum(axis=1)
-        residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
-    return {"sphere": sphere, "center": center.T, "radius": radius,
-            "normal": normal, "offset": offset, "residual": residual}
 
 
 def _carrier_distance(fit: dict, p: np.ndarray) -> np.ndarray:
@@ -548,23 +452,6 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
                       closure_spread=float(np.sqrt(dot_rows(miss, miss)).max()))
 
 
-def carrier_through(points, tol: Tolerance):
-    """Least-squares sphere or plane through m >= 4 points (m, 3), with the
-    worst absolute point residual."""
-    pts = np.asarray(points, dtype=float)
-    shift = pts.mean(axis=0)
-    fit = {k: v[0] for k, v in _sphere_fit((pts - shift)[None] / tol.scene_scale).items()}
-    residual = float(fit["residual"]) * tol.scene_scale
-    if fit["sphere"]:
-        carrier = SphereOrPlane.sphere(Point.of(fit["center"] * tol.scene_scale + shift),
-                                       float(fit["radius"]) * tol.scene_scale)
-    else:
-        n = fit["normal"]
-        carrier = SphereOrPlane.plane(Plane(normal=n, offset=float(fit["offset"])
-                                            * tol.scene_scale + float(np.dot(n, shift))))
-    return carrier, residual
-
-
 def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
     """Least-squares sphere or plane through the six chain feet, with the
     worst absolute foot residual."""
@@ -653,43 +540,3 @@ def _require_orthosection(host: Tetrahedron, b: Tetrahedron, tol: Tolerance) -> 
             f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {POSTCONDITION_TOL:.1e})",
             orthogonality=by_pairing(ortho), gaps=by_pairing(gaps))
     return b
-
-
-def circular_net(chain: PedalChain, edge: Sequence[int] = (1, 2)) -> CircularNet:
-    """3x3 net of chain points around a host edge, with the concyclicity
-    residual of each of the four elementary quadrilaterals."""
-    i, j = sorted(edge)
-    if not (1 <= i < j <= 4):
-        raise ValueError(f"invalid edge {edge}")
-    k, l = sorted({1, 2, 3, 4} - {i, j})
-    host = chain.host
-    grid = (
-        (chain.foot(i, k), host.vertex(i), chain.foot(i, l)),
-        (chain.source(l), chain.foot(i, j), chain.source(k)),
-        (chain.foot(j, k), host.vertex(j), chain.foot(j, l)),
-    )
-    tol = Tolerance.for_points(host.vertices)
-    residuals = {}
-    for r in (0, 1):
-        for c in (0, 1):
-            quad = [grid[r][c], grid[r][c + 1], grid[r + 1][c + 1], grid[r + 1][c]]
-            residuals[(r, c)] = _concyclicity_residual(quad, tol)
-    return CircularNet(grid=grid, residuals=residuals)
-
-
-def _concyclicity_residual(quad, tol: Tolerance) -> float:
-    """Distance of the fourth point from the circle through the other three,
-    using the best-conditioned triple; includes out-of-plane deviation."""
-    pts = [as_array(p) for p in quad]
-    best = None
-    for skip in range(4):
-        tri = [pts[m] for m in range(4) if m != skip]
-        area = np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-        if best is None or area > best[0]:
-            best = (area, skip, tri)
-    _, skip, tri = best
-    circ = circle_through(*tri, tol=tol)
-    rest = pts[skip]
-    in_plane = abs(np.linalg.norm(rest - circ.center.array) - circ.radius)
-    off_plane = abs(circ.carrier.signed_distance(rest))
-    return float(max(in_plane, off_plane))

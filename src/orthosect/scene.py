@@ -47,14 +47,26 @@ class Scene:
 
 
 def _reject_nonfinite(value):
-    raise SceneError(f"non-finite number {value!r} in scene file")
+    raise SceneError(f"non-finite number {value!r}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):    # a literal such as 1e999 overflows to inf
+        _reject_nonfinite(text)
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)             # an integer no float can hold
+    return int(text)
 
 
 def _no_duplicate_keys(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise SceneError(f"duplicate name {key!r} in scene file")
+            raise SceneError(f"duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -137,17 +149,26 @@ def scene_from_dict(doc, strict: bool = True) -> Scene:
                  eps_abs=eps_abs, eps_rel=eps_rel, metadata=metadata)
 
 
-def load_scene(path, strict: bool = True) -> Scene:
+def _read_json(path):
+    """The JSON document in ``path``, read strictly: NaN, Infinity, numbers
+    beyond the float range and duplicate keys raise SceneError, as do
+    unreadable and malformed files."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_nonfinite,
-                            object_pairs_hook=_no_duplicate_keys)
+            return json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
+                             parse_constant=_reject_nonfinite,
+                             object_pairs_hook=_no_duplicate_keys)
     except OSError as exc:
-        raise SceneError(f"cannot read scene file {path}: {exc}") from exc
+        raise SceneError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneError(f"malformed JSON in {path}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
-    return scene_from_dict(doc, strict=strict)
+    except SceneError as exc:
+        raise SceneError(f"{exc} in {path}") from exc
+
+
+def load_scene(path, strict: bool = True) -> Scene:
+    return scene_from_dict(_read_json(path), strict=strict)
 
 
 def _point_list(p: Point) -> List[float]:

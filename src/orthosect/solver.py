@@ -244,10 +244,12 @@ def intersection_gaps(a: Tetrahedron, b: Tetrahedron,
 
 
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
-    """Damped least squares followed by a Gauss-Newton polish."""
+    """Damped least squares followed by a Gauss-Newton polish; every point
+    is evaluated once, residuals and Jacobian together, and an accepted
+    trial point keeps its Jacobian for the next step."""
     x = x0.copy()
     try:
-        r = sys.residuals(x)
+        r, jac, _ = sys.evaluate(x)
     except _Collapse as exc:
         return x, math.inf, 0, str(exc)
     cost = float(r @ r)
@@ -257,10 +259,6 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
         iterations = it + 1
         if np.abs(r).max() <= TARGET_RESIDUAL:
             break
-        try:
-            jac = sys.jacobian(x)
-        except _Collapse as exc:
-            return x, math.inf, iterations, str(exc)
         jtj = jac.T @ jac
         g = jac.T @ r
         diag = float(np.trace(jtj)) / 12.0 or 1.0
@@ -273,13 +271,13 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
                 continue
             x_new = x + delta
             try:
-                r_new = sys.residuals(x_new)
+                r_new, jac_new, _ = sys.evaluate(x_new)
             except _Collapse:
                 lam *= LM_LAMBDA_UP
                 continue
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
+                x, r, jac, cost = x_new, r_new, jac_new, cost_new
                 lam = max(lam / LM_LAMBDA_DOWN, 1e-14)
                 improved = True
                 break
@@ -294,14 +292,12 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
         if np.abs(r).max() <= 1e-15:
             break
         try:
-            jac = sys.jacobian(x)
-            delta = np.linalg.lstsq(jac, -r, rcond=1e-12)[0]
-            x_new = x + delta
-            r_new = sys.residuals(x_new)
+            x_new = x + np.linalg.lstsq(jac, -r, rcond=1e-12)[0]
+            r_new, jac_new, _ = sys.evaluate(x_new)
         except (_Collapse, np.linalg.LinAlgError):
             break
         if float(r_new @ r_new) <= cost:
-            x, r, cost = x_new, r_new, float(r_new @ r_new)
+            x, r, jac, cost = x_new, r_new, jac_new, float(r_new @ r_new)
         else:
             break
     return x, float(np.abs(r).max()), iterations, "ok"

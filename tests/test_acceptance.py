@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES, find_partner, random_tetrahedron
+from oracles import circular_net
 from orthosect.analysis import (
     conjugate,
     estimate_degree,
@@ -31,7 +32,6 @@ from orthosect.orthology import (
 from orthosect.pedal import (
     chain_from_pair,
     chain_sphere_residual,
-    circular_net,
     complete_chain,
     isogonal_conjugate,
     pedal_circle,

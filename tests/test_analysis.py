@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import find_partner, random_tetrahedron
+from oracles import exact_sphere_through, fit_plane
 from orthosect import analysis, pedal
 from orthosect.analysis import (
     conjugate,
@@ -18,7 +19,7 @@ from orthosect.analysis import (
     verify_sphere,
 )
 from orthosect.errors import DegenerateError, NotOrthologicError, NotOrthosectingError
-from orthosect.geom_core import Plane, SphereOrPlane, project_to_plane, sphere_through
+from orthosect.geom_core import SphereOrPlane, project_to_plane
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
 from orthosect.solver import (
@@ -82,17 +83,16 @@ def test_verify_sphere_five_point_variant():
 def _best_four_carrier(points, tol):
     """Reference: the carrier verify_sphere used to fit, the exact sphere
     through the four points spanning the largest volume, or the SVD plane
-    of all the points when those four are flat."""
+    of all the points when those four are flat; independent of the
+    engine's least-squares fitter."""
     best, subset = -1.0, None
     for quad in itertools.combinations(range(len(points)), 4):
         vol = abs(float(np.linalg.det(points[list(quad[1:])] - points[quad[0]])))
         if vol > best:
             best, subset = vol, quad
     if best <= tol.eps_rel * tol.scene_scale**3:
-        centroid = points.mean(axis=0)
-        n = np.linalg.svd(points - centroid)[2][-1]
-        return SphereOrPlane.plane(Plane(normal=n, offset=float(np.dot(n, centroid))))
-    return sphere_through(*points[list(subset)], tol=tol)
+        return SphereOrPlane.plane(fit_plane(points))
+    return exact_sphere_through(*points[list(subset)], tol=tol)
 
 
 # how far the least-squares carrier may sit from the best-four one: centre

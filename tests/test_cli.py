@@ -336,3 +336,46 @@ def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_ce
     assert report["error"].startswith("DegenerateError: flat partner: ")
     assert [v["name"] for v in report["verdicts"]] == ["orthologic"]
     assert len(calls) == 2
+
+
+def _error_lines(capsys):
+    return [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+
+
+@pytest.mark.parametrize("fmt,number", [("svg", "NaN"), ("json", "-Infinity"),
+                                        ("svg", "1e999"), ("svg", "1" + "0" * 400)],
+                         ids=["svg-nan", "json-inf", "svg-1e999", "svg-bigint"])
+def test_export_rejects_nonfinite_report(tmp_path, capsys, fmt, number):
+    """A saved curve report holding NaN, Infinity or a number beyond the
+    float range is rejected input: no SVG path reads "nan", and neither
+    --format json nor an integer no float can hold raises a traceback."""
+    saved = tmp_path / "saved.json"
+    assert main(["curve", "--scene", DEMO_SCENE, "--tet", "A", "--face", "4",
+                 "--grid", "16", "--out", str(saved)]) == 0
+    doc = json.loads(saved.read_text())
+    doc["results"]["polylines"][0]["points"][0] = [0.5, "x"]
+    saved.write_text(json.dumps(doc).replace('"x"', number))
+    capsys.readouterr()
+    out = tmp_path / f"exported.{fmt}"
+    assert main(["export", "--scene", str(saved), "--format", fmt, "--out", str(out)]) == 2
+    assert len(_error_lines(capsys)) == 1
+    assert not out.exists()
+
+
+def test_export_rejects_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text('{"tetrahedra": {"A": [[1,1,1],[1,-1,-1],[-1,1,-1],[-1,-1,1]]}, '
+                    '"tetrahedra": {"A": [[0,0,0],[1,0,0],[0,1,0],[0,0,1]]}}')
+    out = tmp_path / "dup.obj"
+    assert main(["export", "--scene", str(path), "--format", "obj", "--out", str(out)]) == 2
+    assert _error_lines(capsys) == [f"error: duplicate key 'tetrahedra' in {path}"]
+
+
+def test_solve_on_coincident_host_reports_flat(capsys, tmp_path):
+    """A host whose four vertices coincide has no scene scale of its own;
+    solve reports it as flat instead of failing on a zero-scale tolerance."""
+    path = tmp_path / "point.json"
+    save_scene(Scene(tetrahedra={"P": Tetrahedron.of([(1.0, 2.0, 3.0)] * 4)}), path)
+    code, report = _run(capsys, ["solve", "--scene", str(path), "--tet", "P", "--seed", "1"])
+    assert code == 1
+    assert report["error"] == "DegenerateError: host tetrahedron is flat"

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.analysis import _FaceFrame, default_window, trace_curve
-from orthosect.pedal import ChainKernel, _sphere_fit
+from orthosect.geom_core import _sphere_fit
+from orthosect.pedal import ChainKernel
 from orthosect.scene import load_scene
 
 DEMO_SCENE = Path(__file__).parent.parent / "scenes" / "demo.json"

@@ -1,4 +1,4 @@
-"""Orthology predicates, centers, constructor and labeling search."""
+"""Orthology predicates, centers and constructor."""
 
 import math
 
@@ -14,7 +14,6 @@ from orthosect.orthology import (
     Tetrahedron,
     construct_orthologic,
     edge_orthogonality_residuals,
-    find_labeling,
     orthology_centers,
     pair_measures,
     pair_tolerance,
@@ -341,46 +340,6 @@ def test_five_conditions_imply_sixth():
             continue
         res = edge_orthogonality_residuals(a, b)
         assert res[EDGE_PAIRINGS[5]] <= 1e-10
-
-
-def test_find_labeling_identity():
-    rng = np.random.default_rng(8)
-    a = random_tetrahedron(rng)
-    b = construct_orthologic(a, Point.of(a.array.mean(axis=0) + 0.4))
-    result = find_labeling(a, b)
-    assert result.permutation == (1, 2, 3, 4)
-    assert result.max_residual <= 1e-12
-
-
-def test_find_labeling_recovers_shuffle():
-    rng = np.random.default_rng(9)
-    a = random_tetrahedron(rng)
-    b = construct_orthologic(a, Point.of(a.array.mean(axis=0) + 0.4))
-    shuffle = (3, 1, 4, 2)
-    shuffled = b.relabeled(shuffle)
-    result = find_labeling(a, shuffled)
-    # applying the found permutation to the shuffled copy restores orthology
-    restored = shuffled.relabeled(result.permutation)
-    assert max(edge_orthogonality_residuals(a, restored).values()) <= 1e-12
-    inverse = tuple(shuffle.index(m) + 1 for m in (1, 2, 3, 4))
-    assert result.permutation == inverse
-
-
-def test_find_labeling_treg_unique_identity():
-    # each edge of this tetrahedron is orthogonal to exactly one other edge,
-    # so the identity is the unique zero-residual labeling
-    result = find_labeling(T_REG, T_REG)
-    assert result.permutation == (1, 2, 3, 4)
-    assert result.max_residual == 0.0
-    assert result.ties == ((1, 2, 3, 4),)
-
-
-def test_find_labeling_nonorthologic_reports_value():
-    rng = np.random.default_rng(10)
-    a = random_tetrahedron(rng)
-    b = random_tetrahedron(rng)
-    result = find_labeling(a, b)
-    assert result.max_residual > 1e-3  # generic pairs are far from orthologic
 
 
 def test_flat_partner_center_error():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
+from oracles import circular_net, exact_sphere_through
 from orthosect.errors import (
     DegenerateError,
     ReconstructionError,
@@ -20,7 +21,6 @@ from orthosect.geom_core import (
     circle_through,
     foot_on_line,
     project_to_plane,
-    sphere_through,
     unit,
 )
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
@@ -29,14 +29,12 @@ from orthosect.pedal import (
     _require_orthosection,
     chain_from_pair,
     chain_sphere_residual,
-    circular_net,
     complete_chain,
     isogonal_conjugate,
     partner_from_feet,
     pedal_circle,
     pedal_triangle,
     reconstruct_tetrahedron,
-    recover_source,
     spherical_chain,
     spherical_parameters,
 )
@@ -207,69 +205,6 @@ def test_isogonal_conjugate_involution_and_shared_circle():
         checked += 1
 
 
-# --- recover_source ---------------------------------------------------------
-
-
-def test_recover_source_roundtrip():
-    rng = np.random.default_rng(4)
-    for _ in range(15):
-        face = random_triangle(rng)
-        src = random_interior_source(rng, face)
-        tri = pedal_triangle(src, face)
-        got, spread = recover_source(tri.feet, face)
-        assert got.distance_to(src) < 1e-10
-        assert spread < 1e-10
-
-
-plane_coord = st.floats(min_value=-8.0, max_value=8.0,
-                        allow_nan=False, allow_infinity=False, allow_subnormal=False)
-
-
-@given(ax=plane_coord, ay=plane_coord, bx=plane_coord, by=plane_coord,
-       cx=plane_coord, cy=plane_coord, sx=plane_coord, sy=plane_coord)
-@settings(max_examples=60, deadline=None)
-def test_recover_source_roundtrip_property(ax, ay, bx, by, cx, cy, sx, sy):
-    pts = np.array([[ax, ay, 0.0], [bx, by, 0.0], [cx, cy, 0.0]])
-    u = pts[1] - pts[0]
-    v = pts[2] - pts[0]
-    area2 = abs(u[0] * v[1] - u[1] * v[0])
-    longest = max(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(pts[2] - pts[0]),
-                  np.linalg.norm(pts[2] - pts[1]))
-    if longest < 1e-6 or area2 / longest < 0.3:
-        return
-    face = [Point.of(p) for p in pts]
-    src = Point(sx, sy, 0.0)
-    tri = pedal_triangle(src, face)
-    got, spread = recover_source(tri.feet, face)
-    scale = Tolerance.for_points(face).scene_scale
-    assert got.distance_to(src) < 1e-8 * max(scale, np.hypot(sx, sy))
-    assert spread < 1e-8
-
-
-def test_recover_source_midpoints_circumcenter():
-    rng = np.random.default_rng(5)
-    face = random_triangle(rng)
-    a, b, c = (f.array for f in face)
-    mids = [0.5 * (a + b), 0.5 * (a + c), 0.5 * (b + c)]
-    got, spread = recover_source(mids, face)
-    circ = circle_through(*face)
-    assert got.distance_to(circ.center) < 1e-10
-    assert spread < 1e-10
-
-
-def test_recover_source_flags_non_pedal_feet():
-    rng = np.random.default_rng(6)
-    face = random_triangle(rng)
-    src = random_interior_source(rng, face)
-    tri = pedal_triangle(src, face)
-    tol = Tolerance.for_points(face)
-    edge = face[1].array - face[0].array
-    bad = list(tri.feet)
-    bad[0] = Point.of(bad[0].array + 0.3 * tol.scene_scale * unit(edge))
-    _, spread = recover_source(bad, face, tol)
-    assert spread > tol.eps_rel
-
-
 # --- complete_chain ---------------------------------------------------------
 
 
@@ -359,7 +294,7 @@ def test_spherical_parameters_validated(demo_pair):
             chain = complete_chain(a, b4, t, tol)
             five = [chain.foot(1, 2), chain.foot(1, 3), chain.foot(2, 3),
                     chain.foot(1, 4)]
-            carrier = sphere_through(*five, tol=tol)
+            carrier = exact_sphere_through(*five, tol=tol)
             assert abs(carrier.signed_distance(chain.foot(2, 4))) \
                 <= 1e-9 * tol.scene_scale
         found += 1

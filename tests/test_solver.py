@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from conftest import random_tetrahedron
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Point, Tolerance, project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, find_labeling, pair_tolerance
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
 from orthosect.pedal import chain_sphere_residual
 from orthosect.scene import load_scene
 from orthosect.solver import (
@@ -318,6 +318,17 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
         assert np.array_equal(got, want)
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` in ``calls[name]`` while the test
+    runs."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatch):
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
@@ -325,18 +336,9 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     min-edge views are never called."""
     a, b, tol = demo_pair
     calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "min_edge": 0, "lstsq": 0}
-
-    def counted(owner, name, key):
-        real = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
     for name in ("evaluate", "residuals", "jacobian", "min_edge"):
-        counted(OrthosectSystem, name, name)
-    counted(np.linalg, "lstsq", "lstsq")
+        _count_calls(monkeypatch, calls, OrthosectSystem, name)
+    _count_calls(monkeypatch, calls, np.linalg, "lstsq")
     branch = trace_family(a, b, steps=20, h=0.03 * tol.scene_scale, tol=tol)
     assert branch.stop_reason == "steps exhausted" and len(branch) == 21
     steps = len(branch) - 1
@@ -344,6 +346,20 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     # the start's evaluate, then per step one more than its solves
     assert calls["evaluate"] == 1 + calls["lstsq"] + steps
     assert calls["residuals"] == calls["jacobian"] == calls["min_edge"] == 0
+
+
+def test_solve_evaluates_residuals_and_jacobian_together(demo_pair, monkeypatch):
+    """The damped iteration and its polish take residuals and Jacobian from
+    one evaluate per point; the residual-only and Jacobian-only views are
+    never called."""
+    a, _, tol = demo_pair
+    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0}
+    for name in calls:
+        _count_calls(monkeypatch, calls, OrthosectSystem, name)
+    result = solve_detailed(a, SolverConfig(seed=7, restarts=8), tol)
+    assert result.solutions
+    assert calls["evaluate"] >= sum(d.iterations for d in result.diagnostics)
+    assert calls["residuals"] == calls["jacobian"] == 0
 
 
 def test_solve_finds_verified_solutions():
@@ -354,8 +370,6 @@ def test_solve_finds_verified_solutions():
     for b in solutions[:3]:
         assert orthosect_residuals(a, b).max_abs <= 1e-10
         assert max(intersection_gaps(a, b).values()) <= 1e-10
-        labeling = find_labeling(a, b)
-        assert labeling.permutation == (1, 2, 3, 4)
 
 
 def test_solve_deterministic():
