@@ -48,7 +48,6 @@ from .pedal import (
     PedalChain,
     PedalTriangle,
     SphericalChain,
-    chain_carrier,
     chain_from_pair,
     chain_sphere_residual,
     complete_chain,

@@ -35,6 +35,8 @@ VERTEX_TOL = 1e-6
 WINDOW_INFLATE = 3.0
 # iterate_sequence merges orthology centers within this many scene scales
 CLUSTER_RADIUS_FACTOR = 1e-6
+# the coarsest lattice trace_curve accepts, nodes per side
+MIN_GRID = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,8 +287,8 @@ def trace_curve(host: Tetrahedron, face: int,
     brackets stop at a midpoint with no root. An empty window yields an
     empty trace, not an error.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}")
     frame = _FaceFrame(host, face, tol)
     tol = frame.tol
     if window is None:

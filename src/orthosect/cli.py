@@ -53,6 +53,35 @@ def _scene_tolerance(scene: Scene, points) -> Tolerance:
     return Tolerance.for_points(points, eps_abs=eps_abs, eps_rel=eps_rel)
 
 
+def _number(text: str) -> float:
+    """A finite float, as an argparse ``type``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
+def _window(text: str) -> Tuple[float, ...]:
+    """The --window box x0,y0,x1,y1, as an argparse ``type``."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"expected x0,y0,x1,y1, got {text!r}")
+    return tuple(_number(p) for p in parts)
+
+
 def _pair_names(spec: str) -> Tuple[str, str]:
     names = spec.split(",")
     if len(names) != 2:
@@ -184,13 +213,7 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
 def cmd_curve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
     tol = _scene_tolerance(scene, a.array)
-    window = None
-    if args.window:
-        parts = [float(x) for x in args.window.split(",")]
-        if len(parts) != 4:
-            raise SceneError(f"--window expects x0,y0,x1,y1, got {args.window!r}")
-        window = tuple(parts)
-    trace = analysis.trace_curve(a, args.face, window=window, grid=args.grid, tol=tol)
+    trace = analysis.trace_curve(a, args.face, window=args.window, grid=args.grid, tol=tol)
     report.results.update(export.trace_to_dict(trace))
     report.results["tet"] = args.tet
     if trace.polylines:
@@ -278,15 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="find orthosecting partners")
     common(p)
     p.add_argument("--tet", required=True)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--seed", required=True, type=_at_least(0))
+    p.add_argument("--restarts", type=_at_least(1), default=64)
 
     p = sub.add_parser("trace-family", help="continuation along the solution family")
     common(p)
     p.add_argument("--tet", required=True)
     p.add_argument("--start", required=True, help="solved partner to start from")
     p.add_argument("--steps", required=True, type=int)
-    p.add_argument("--step", required=True, type=float, help="step size (scene units)")
+    p.add_argument("--step", required=True, type=_number, help="step size (scene units)")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("conjugate", help="construct the conjugate partner")
@@ -297,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tet", required=True)
     p.add_argument("--face", required=True, type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--window", metavar="x0,y0,x1,y1")
-    p.add_argument("--degree-trials", type=int, default=0,
+    p.add_argument("--grid", type=_at_least(analysis.MIN_GRID), default=64)
+    p.add_argument("--window", type=_window, metavar="x0,y0,x1,y1")
+    p.add_argument("--degree-trials", type=_at_least(0), default=0,
                    help="also estimate the curve degree with this many probe lines")
-    p.add_argument("--degree-seed", type=int, default=0)
+    p.add_argument("--degree-seed", type=_at_least(0), default=0)
 
     p = sub.add_parser("sequence", help="iterate the conjugate construction")
     common(p)

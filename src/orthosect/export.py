@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
 from .geom_core import Point, as_array, carrier_through, circle_through
-from .orthology import pair_tolerance, require_orthosecting
+from .orthology import EDGE_PAIRINGS, pair_tolerance, require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
@@ -219,9 +219,6 @@ def scene_to_svg(scene: Scene, face: int,
 # OBJ
 # ---------------------------------------------------------------------------
 
-_TET_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
 class _ObjWriter:
     def __init__(self):
         self.lines: List[str] = ["# orthosect scene export"]
@@ -286,7 +283,7 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
         tet = scene.tetrahedra[name]
         writer.obj(f"tet_{name}")
         idx = [writer.vertex(tet.vertex(m)) for m in (1, 2, 3, 4)]
-        for i, j in _TET_EDGES:
+        for (i, j), _ in EDGE_PAIRINGS:
             writer.line(idx[i - 1], idx[j - 1])
     names = sorted(scene.tetrahedra)
     for i, a_name in enumerate(names):

@@ -10,7 +10,7 @@ partner tetrahedron, rebuilt here from the feet planes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .geom_core import (
     SphereOrPlane,
     Tolerance,
     _sphere_fit,
-    as_array,
     carrier_through,
     circle_through,
     cross_rows,
@@ -48,14 +47,14 @@ SIMSON_TOL = 1e-7
 # must stay below
 POSTCONDITION_TOL = 1e-6
 
-EdgeKey = frozenset
-
 FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
 
 # per host vertex, the EDGE_PAIRINGS rows of the host edges through it; then
 # the rows of the three edges of the face opposite each vertex in turn, flat
 _FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
 _FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
+# EDGE_PAIRINGS row of each host edge (i, j), i < j
+_EDGE_ROW = {ij: r for r, (ij, _) in enumerate(EDGE_PAIRINGS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,20 +70,28 @@ class PedalTriangle:
 
 @dataclass(frozen=True, eq=False)
 class PedalChain:
-    """Six feet keyed by unordered host-edge index pairs {i,j} plus the four
-    source points, one per face plane. ``closure_spread`` measures how far
-    the configuration is from a genuine chain (0 for exact ones)."""
+    """Six feet as a read-only (6, 3) array, one row per host edge in
+    EDGE_PAIRINGS order (the layout of ``pair_measures``' feet), and the
+    four sources, one per face plane, as a read-only (4, 3) array.
+    ``closure_spread`` measures how far the configuration is from a genuine
+    chain (0 for exact ones)."""
 
     host: Tetrahedron
-    feet: Dict[EdgeKey, Point]
-    sources: Tuple[Point, Point, Point, Point]
+    feet: np.ndarray
+    sources: np.ndarray
     closure_spread: float
 
+    def __post_init__(self):
+        for name in ("feet", "sources"):
+            rows = np.array(getattr(self, name), dtype=float)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+
     def foot(self, i: int, j: int) -> Point:
-        return self.feet[frozenset((i, j))]
+        return Point.of(self.feet[_EDGE_ROW[min(i, j), max(i, j)]])
 
     def source(self, i: int) -> Point:
-        return self.sources[i - 1]
+        return Point.of(self.sources[i - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,22 +101,14 @@ class SphericalChain:
     max_residual: float
 
 
-def pedal_triangle(source, face, tol: Tolerance | None = None,
-                   strict: bool = False) -> PedalTriangle:
-    """Pedal triangle of a point with respect to a host triangle.
-
-    Sources off the carrier plane are projected onto it first; in strict
-    mode an off-plane distance beyond eps_abs raises instead.
-    """
+def pedal_triangle(source, face) -> PedalTriangle:
+    """Pedal triangle of a point with respect to a host triangle. A source
+    off the carrier plane is projected onto it first."""
     face = tuple(Point.of(f) if not isinstance(f, Point) else f for f in face)
-    tol = tol or Tolerance.for_points(list(face) + [as_array(source)])
     try:
         plane = Plane.through(*face)
     except DegenerateError as exc:
         raise DegenerateError(f"degenerate face: {exc}") from exc
-    dist = abs(plane.signed_distance(source))
-    if strict and dist > tol.eps_abs * tol.scene_scale:
-        raise DegenerateError(f"source off the face plane by {dist:.3e}")
     src = project_to_plane(source, plane)
     feet = tuple(foot_on_line(src, Line.through(face[i], face[j])) for i, j in FACE_EDGE_ORDER)
     return PedalTriangle(source=src, face=face, feet=feet)
@@ -121,7 +120,7 @@ def pedal_circle(source, face, tol: Tolerance | None = None) -> Circle3D:
     Degenerates to a line (Simson case) when the source lies on the host's
     circumcircle; that raises SimsonDegenerateError.
     """
-    tri = pedal_triangle(source, face, tol)
+    tri = pedal_triangle(source, face)
     tol = tol or Tolerance.for_points(list(tri.face) + [tri.source])
     circum = circle_through(*tri.face, tol=tol)
     on_circle = abs(tri.source.distance_to(circum.center) - circum.radius)
@@ -233,9 +232,6 @@ class ChainKernel:
         p = p.array if isinstance(p, Point) else np.asarray(p, dtype=float)
         return (p - self.shift) / self.scale
 
-    def to_world(self, p) -> Point:
-        return Point.of(p * self.scale + self.shift)
-
     # -- local-frame pieces --------------------------------------------------
 
     def project_to_face(self, b4_local: np.ndarray) -> np.ndarray:
@@ -250,7 +246,7 @@ class ChainKernel:
                 self.line23.foot(b4_local))
 
     def _five_feet(self, feet, t) -> np.ndarray:
-        """Feet 12, 13, 23, 14, 24 as (N, k, 5, 3) from ``_sphericity``'s
+        """Feet 12, 13, 23, 14, 24 as (N, k, 5, 3) from ``sphericity_batch``'s
         base feet and displacement parameters t of shape (k,) or (N, k)."""
         v12, v13, v23, base14, base24 = feet
         t = np.asarray(t)[..., None]
@@ -260,11 +256,15 @@ class ChainKernel:
         pts[:, :, 4] = base24[:, None] + t * self.g24
         return pts
 
-    def _sphericity(self, b4_local: np.ndarray) -> dict:
-        """Sphericity roots of N local face points as arrays with a leading
-        (N, 2) shape, one column per root of the quadratic (unsorted); t and
-        f are NaN where a root is missing or fails validation against
-        eps_rel."""
+    def sphericity_batch(self, b4_local: np.ndarray):
+        """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
+        ``(t, f)``: column k holds the k-th validated root by ascending t and
+        the signed residual of the sixth foot against the carrier through
+        the other five, NaN where a point has fewer roots. A root is
+        validated when the least-squares sphere (or plane) through its five
+        feet fits them within eps_rel. t is in normalized units (multiply
+        by the scene scale for world units); f is the scale-normalized
+        residual."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         n = len(p)
         v12, v13, v23 = self.base_feet(p)
@@ -324,29 +324,16 @@ class ChainKernel:
         except DegenerateError:
             valid[:] = False
             b2 = np.full((n, 2, 3), np.nan)
-        v34 = self.line34.foot(b2)
-        f = _carrier_distance(fit, v34)
-        return {"t": np.where(valid, t, np.nan), "f": np.where(valid, f, np.nan),
-                "v12": v12, "v13": v13, "v23": v23, "v14": five[:, :, 3],
-                "v24": five[:, :, 4], "v34": v34, "b2": b2, **fit}
+        t = np.where(valid, t, np.nan)
+        f = np.where(valid, _carrier_distance(fit, self.line34.foot(b2)), np.nan)
+        order = np.argsort(t, axis=1)   # NaN last
+        return np.take_along_axis(t, order, axis=1), np.take_along_axis(f, order, axis=1)
 
-    def sphericity_batch(self, b4_local: np.ndarray):
-        """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
-        ``(t, f)``: column k holds the k-th validated root by ascending t and
-        the signed residual of the sixth foot against the carrier through
-        the other five, NaN where a point has fewer roots. A root is
-        validated when the least-squares sphere (or plane) through its five
-        feet fits them within eps_rel. t is in normalized units (multiply
-        by the scene scale for world units); f is the scale-normalized
-        residual."""
-        r = self._sphericity(b4_local)
-        order = np.argsort(r["t"], axis=1)   # NaN last
-        return (np.take_along_axis(r["t"], order, axis=1),
-                np.take_along_axis(r["f"], order, axis=1))
-
-    def complete_local(self, b4_local: np.ndarray, t: float) -> dict:
-        """All six feet, all four sources and the closure distance for a
-        given local source position and displacement parameter."""
+    def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
+        """The pedal chain, in world coordinates, completed from a local
+        source position on face (1, 2, 3) and a displacement parameter t in
+        normalized units; ``closure_spread`` is the world distance between
+        the two constructions of foot 34."""
         v12, v13, v23 = self.base_feet(b4_local)
         b3 = v12 + t * self.u
         v14 = self.line14.foot(b3)
@@ -355,31 +342,15 @@ class ChainKernel:
         v34 = self.line34.foot(b2)
         b1 = _intersect_in_plane(v23, self.p23, v24, self.p24, self.n234)
         closure = float(np.linalg.norm(self.line34.foot(b1) - v34))
-        return {
-            "v12": v12, "v13": v13, "v23": v23,
-            "v14": v14, "v24": v24, "v34": v34,
-            "b1": b1, "b2": b2, "b3": b3, "b4": b4_local,
-            "closure": closure,
-        }
+        local = np.array((v12, v13, v14, v23, v24, v34, b1, b2, b3, b4_local))
+        world = local * self.scale + self.shift
+        return PedalChain(host=self.host, feet=world[:6], sources=world[6:],
+                          closure_spread=closure * self.scale)
 
 
 # ---------------------------------------------------------------------------
 # public chain operations
 # ---------------------------------------------------------------------------
-
-
-def _chain_from_local(kernel: ChainKernel, data: dict) -> PedalChain:
-    feet = {
-        frozenset((1, 2)): kernel.to_world(data["v12"]),
-        frozenset((1, 3)): kernel.to_world(data["v13"]),
-        frozenset((2, 3)): kernel.to_world(data["v23"]),
-        frozenset((1, 4)): kernel.to_world(data["v14"]),
-        frozenset((2, 4)): kernel.to_world(data["v24"]),
-        frozenset((3, 4)): kernel.to_world(data["v34"]),
-    }
-    sources = tuple(kernel.to_world(data[k]) for k in ("b1", "b2", "b3", "b4"))
-    return PedalChain(host=kernel.host, feet=feet, sources=sources,
-                      closure_spread=data["closure"] * kernel.scale)
 
 
 def _face_source(kernel: ChainKernel, b4) -> np.ndarray:
@@ -405,8 +376,7 @@ def complete_chain(host: Tetrahedron, b4, t: float,
     zero (to round-off) for every valid input.
     """
     kernel = ChainKernel(host, tol)
-    data = kernel.complete_local(_face_source(kernel, b4), float(t) / kernel.scale)
-    return _chain_from_local(kernel, data)
+    return kernel.chain(_face_source(kernel, b4), float(t) / kernel.scale)
 
 
 def spherical_parameters(host: Tetrahedron, b4,
@@ -446,17 +416,8 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
     anchor, d = _edge_line_rows(a.array, _I[_FACE_EDGES], _J[_FACE_EDGES])
     to_source = sources.repeat(3, axis=0) - anchor
     miss = anchor + dot_rows(to_source, d)[:, None] * d - feet[_FACE_EDGES]
-    return PedalChain(host=a, feet={frozenset(ij): Point.of(f)
-                                    for (ij, _), f in zip(EDGE_PAIRINGS, feet)},
-                      sources=tuple(Point.of(p) for p in sources),
+    return PedalChain(host=a, feet=feet, sources=sources,
                       closure_spread=float(np.sqrt(dot_rows(miss, miss)).max()))
-
-
-def chain_carrier(chain: PedalChain, tol: Tolerance | None = None):
-    """Least-squares sphere or plane through the six chain feet, with the
-    worst absolute foot residual."""
-    tol = tol or Tolerance.for_points(chain.host.vertices)
-    return carrier_through([as_array(p) for p in chain.feet.values()], tol)
 
 
 def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
@@ -466,7 +427,7 @@ def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
     tol = tol or Tolerance.for_points(chain.host.vertices)
     if max_residual is None:
         max_residual = tol.eps_rel * tol.scene_scale
-    carrier, residual = chain_carrier(chain, tol)
+    carrier, residual = carrier_through(chain.feet, tol)
     if residual > max_residual:
         raise DegenerateError(
             f"chain feet deviate from a common sphere/plane by {residual:.3e} "
@@ -488,11 +449,10 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
     host = chain.host
     tol = tol or Tolerance.for_points(host.vertices)
     if sc.carrier.kind == "sphere":
-        return partner_from_feet(host, np.array([chain.foot(*ij).array
-                                                 for ij, _ in EDGE_PAIRINGS]), tol)
+        return partner_from_feet(host, chain.feet, tol)
     flat = sc.carrier.carrier
     n = host.faces[:, :3]
-    sources = np.array([s.array for s in chain.sources])
+    sources = chain.sources
     normal = np.broadcast_to(flat.normal, n.shape)
     denom = dot_rows(normal, n)
     parallel = np.abs(denom) <= 1e-9

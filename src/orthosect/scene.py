@@ -17,12 +17,13 @@ from typing import Any, Dict, List, Optional
 
 from .errors import SceneError
 from .geom_core import Point
-from .orthology import Tetrahedron
+from .orthology import EDGE_PAIRINGS, Tetrahedron
 from .pedal import PedalChain
 
 _TOP_LEVEL_KEYS = {"tetrahedra", "chains", "tolerance", "metadata"}
 _CHAIN_KEYS = {"host", "feet", "sources", "closure_spread"}
-_EDGE_NAMES = ("12", "13", "14", "23", "24", "34")
+# chain feet keys, in the order of PedalChain.feet rows
+_EDGE_NAMES = tuple(f"{i}{j}" for (i, j), _ in EDGE_PAIRINGS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +72,13 @@ def _no_duplicate_keys(pairs):
     return out
 
 
-def _check_point(value, where: str) -> Point:
+def _check_point(value, where: str) -> List[float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 3
             or not all(isinstance(c, (int, float)) for c in value)):
         raise SceneError(f"{where}: expected a 3-number coordinate, got {value!r}")
     if not all(math.isfinite(float(c)) for c in value):
         raise SceneError(f"{where}: non-finite coordinate {value!r}")
-    return Point(float(value[0]), float(value[1]), float(value[2]))
+    return [float(c) for c in value]
 
 
 def _parse_tetrahedron(name: str, value) -> Tetrahedron:
@@ -85,7 +86,8 @@ def _parse_tetrahedron(name: str, value) -> Tetrahedron:
     if not isinstance(value, list) or len(value) != 4:
         raise SceneError(f"{where}: expected 4 vertices, got "
                          f"{len(value) if isinstance(value, list) else type(value).__name__}")
-    return Tetrahedron(tuple(_check_point(v, f"{where}[{i}]") for i, v in enumerate(value)))
+    return Tetrahedron(tuple(Point(*_check_point(v, f"{where}[{i}]"))
+                             for i, v in enumerate(value)))
 
 
 def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneChain:
@@ -104,13 +106,11 @@ def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneC
     feet_raw = value["feet"]
     if not isinstance(feet_raw, dict) or set(feet_raw) != set(_EDGE_NAMES):
         raise SceneError(f"{where}.feet: expected exactly the keys {_EDGE_NAMES}")
-    feet = {frozenset((int(k[0]), int(k[1]))): _check_point(v, f"{where}.feet.{k}")
-            for k, v in feet_raw.items()}
+    feet = [_check_point(feet_raw[k], f"{where}.feet.{k}") for k in _EDGE_NAMES]
     sources_raw = value["sources"]
     if not isinstance(sources_raw, list) or len(sources_raw) != 4:
         raise SceneError(f"{where}.sources: expected 4 points")
-    sources = tuple(_check_point(v, f"{where}.sources[{i}]")
-                    for i, v in enumerate(sources_raw))
+    sources = [_check_point(v, f"{where}.sources[{i}]") for i, v in enumerate(sources_raw)]
     closure = value["closure_spread"]
     if not isinstance(closure, (int, float)) or not math.isfinite(float(closure)):
         raise SceneError(f"{where}.closure_spread: expected a finite number")
@@ -119,11 +119,11 @@ def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneC
     return SceneChain(host_name=host_name, chain=chain)
 
 
-def scene_from_dict(doc, strict: bool = True) -> Scene:
+def scene_from_dict(doc) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene root must be a JSON object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
-    if strict and unknown:
+    if unknown:
         raise SceneError(f"unknown top-level fields {sorted(unknown)}")
     tets_raw = doc.get("tetrahedra", {})
     if not isinstance(tets_raw, dict):
@@ -167,8 +167,8 @@ def _read_json(path):
         raise SceneError(f"{exc} in {path}") from exc
 
 
-def load_scene(path, strict: bool = True) -> Scene:
-    return scene_from_dict(_read_json(path), strict=strict)
+def load_scene(path) -> Scene:
+    return scene_from_dict(_read_json(path))
 
 
 def _point_list(p: Point) -> List[float]:
@@ -183,12 +183,10 @@ def scene_to_dict(scene: Scene) -> dict:
     if scene.chains:
         doc["chains"] = {}
         for name, sc in scene.chains.items():
-            feet = {"".join(str(i) for i in sorted(key)): _point_list(p)
-                    for key, p in sc.chain.feet.items()}
             doc["chains"][name] = {
                 "host": sc.host_name,
-                "feet": {k: feet[k] for k in _EDGE_NAMES},
-                "sources": [_point_list(p) for p in sc.chain.sources],
+                "feet": dict(zip(_EDGE_NAMES, sc.chain.feet.tolist())),
+                "sources": sc.chain.sources.tolist(),
                 "closure_spread": sc.chain.closure_spread,
             }
     if scene.eps_abs is not None or scene.eps_rel is not None:

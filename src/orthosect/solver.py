@@ -33,7 +33,6 @@ from .orthology import (
 )
 from .pedal import (
     ChainKernel,
-    _chain_from_local,
     _face_source,
     reconstruct_tetrahedron,
     spherical_chain,
@@ -185,7 +184,7 @@ class OrthosectSystem:
         dots = np.matmul(np.concatenate((w, self.u, vecs[2]))[:, None, :],
                          np.concatenate((w, w, m))[:, :, None])[:, 0, 0]
         nw = np.sqrt(dots[:6])
-        collapsed = nw <= 1e-9 * self.scale
+        collapsed = nw <= self.tol.eps_abs * self.scale
         if collapsed.any():
             p = int(np.argmax(collapsed))
             raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
@@ -227,10 +226,7 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
     """
     tol = tol or pair_tolerance(a, b)
     pair_measures(a, b, tol)    # raises DegenerateError on a zero-length edge
-    try:
-        vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
-    except _Collapse as exc:    # an edge above the zero-length cut but below the collapse cut
-        raise DegenerateError(str(exc)) from exc
+    vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
     return ResidualVector(orthogonality=by_pairing(vals[:6]),
                           intersection=by_pairing(vals[6:]), values=vals)
 
@@ -490,8 +486,7 @@ def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
         raise CurvePointError(
             f"point is off the curve: |residual| {abs(f):.3e} > {CURVE_POINT_TOL:.1e}",
             residual=f)
-    data = kernel.complete_local(b4_local, t)
-    chain = _chain_from_local(kernel, data)
+    chain = kernel.chain(b4_local, t)
     allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
     sc = spherical_chain(chain, tol, max_residual=allowed)
     return reconstruct_tetrahedron(sc, tol)

@@ -149,11 +149,33 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
     assert text.count("M ") + text.count("L ") - 4 == total
 
 
-def test_curve_rejects_bad_window(capsys, pair_scene):
-    code = main(["curve", "--scene", pair_scene, "--tet", "A", "--face", "4",
-                 "--grid", "16", "--window", "1,2,3"])
-    capsys.readouterr()
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--grid", "8"], id="grid-8"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--degree-trials", "-5"],
+                 id="degree-trials-negative"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "1,2,3"],
+                 id="window-three-numbers"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "a,b,c,d"],
+                 id="window-not-numbers"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "0,0,nan,1"],
+                 id="window-nan"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--degree-seed", "-1"],
+                 id="degree-seed-negative"),
+    pytest.param(["solve", "--tet", "A", "--seed", "1", "--restarts", "0"], id="restarts-0"),
+    pytest.param(["solve", "--tet", "A", "--seed", "-1"], id="seed-negative"),
+    pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "3",
+                  "--step", "nan"], id="step-nan"),
+    pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "3",
+                  "--step", "inf"], id="step-inf"),
+])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    """Arguments the engine cannot take are rejected by the parser: exit 2
+    with an error line, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--scene", DEMO_SCENE, *argv[1:]])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_missing_scene_exits_2(capsys):
@@ -198,20 +220,25 @@ def test_export_obj_cli(tmp_path, capsys, pair_scene):
 
 
 def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, monkeypatch):
-    """A partner edge longer than the zero-length cut (eps_abs scene
-    scales) but inside the solver's collapse cut (1e-9 scene scales) is a
-    DegenerateError from orthosect_residuals, and conjugate reports it
-    instead of crashing. The scene's small eps_abs keeps that window open."""
+    """The solver's collapse cut is the zero-length edge cut, eps_abs scene
+    scales, so it follows a scene's eps_abs override: a partner edge below
+    it is pair_measures' DegenerateError, and conjugate reports it instead
+    of crashing; an edge just above it has residuals."""
     demo = load_scene(DEMO_SCENE)
     a = Tetrahedron.of(demo.tetrahedron("A").array * 1e3)
     b = Tetrahedron.of(demo.tetrahedron("B").array * 1e3)
-    collapsed = b.array.copy()
-    collapsed[1] = collapsed[0] + np.array([1e-7, 0.0, 0.0])
-    collapsed = Tetrahedron.of(collapsed)
+
+    def with_edge_b12(length):
+        coords = b.array.copy()
+        coords[1] = coords[0] + np.array([length, 0.0, 0.0])
+        return Tetrahedron.of(coords)
+
+    collapsed = with_edge_b12(1e-10)
     tol = pair_tolerance(a, collapsed, eps_abs=1e-12)
-    assert tol.eps_abs * tol.scene_scale < 1e-7 < 1e-9 * tol.scene_scale
-    with pytest.raises(DegenerateError, match="^edge B12 collapsed$"):
+    assert 1e-10 < tol.eps_abs * tol.scene_scale < 1e-7
+    with pytest.raises(DegenerateError, match="^zero-length edge B12$"):
         solver.orthosect_residuals(a, collapsed, tol)
+    assert np.isfinite(solver.orthosect_residuals(a, with_edge_b12(1e-7), tol).values).all()
     # the conjugate command checks the partner it built with
     # orthosect_residuals; here the orthosecting pair's "conjugate" is the
     # collapsed partner
@@ -220,7 +247,7 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
     monkeypatch.setattr(analysis, "conjugate_through", lambda host, *fit: collapsed)
     code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
-    assert report["error"] == "DegenerateError: edge B12 collapsed"
+    assert report["error"] == "DegenerateError: zero-length edge B12"
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9])
