@@ -206,13 +206,16 @@ class _FaceFrame:
         self.tol = tol or Tolerance.for_points(host.vertices)
         others = [m for m in (1, 2, 3, 4) if m != face]
         self.kernel = ChainKernel(host.relabeled((*others, face)), self.tol)
+        # frame coordinates to the kernel's local ones: origin and axes
+        self._local = (self.kernel.to_local(origin), self.axis_u / self.kernel.scale,
+                       self.axis_v / self.kernel.scale)
 
     def branches(self, uv: np.ndarray):
         """Both sphericity branches at (M, 2) frame points as ``(t, f)``,
         each (M, 2): t in world units, f the scale-normalized sixth-foot
         residual, NaN where a point has no such root."""
-        world = self.origin.array + uv[:, :1] * self.axis_u + uv[:, 1:] * self.axis_v
-        t, f = self.kernel.sphericity_batch(self.kernel.to_local(world))
+        origin, axis_u, axis_v = self._local
+        t, f = self.kernel.sphericity_batch(origin + uv[:, :1] * axis_u + uv[:, 1:] * axis_v)
         return t * self.kernel.scale, f
 
 
@@ -373,29 +376,33 @@ def _refine_crossings(frame: _FaceFrame, us, vs, fvals, tvals, ends: np.ndarray,
     midpoint has no root on its branch. Returns the end of each final
     bracket with the smaller |f| as (points (E, 2), |f| (E,), t (E,)),
     then the rounds and the midpoint evaluations made."""
-    br, i1, j1, i2, j2 = ends.T
-    pa = np.column_stack([us[i1], vs[j1]])
-    pb = np.column_stack([us[i2], vs[j2]])
-    fa, ta = fvals[br, i1, j1], tvals[br, i1, j1]
-    fb, tb = fvals[br, i2, j2], tvals[br, i2, j2]
-    active = np.linalg.norm(pb - pa, axis=1) > position_tol
+    br, iu, iv = ends[:, 0], ends[:, 1::2], ends[:, 2::2]
+    # per bracket, its ends a and b as rows (u, v, f, t)
+    brackets = np.stack([us[iu], vs[iv], fvals[br[:, None], iu, iv], tvals[br[:, None], iu, iv]],
+                        axis=-1)
+
+    def wide(ab):
+        return np.linalg.norm(ab[:, 1, :2] - ab[:, 0, :2], axis=1) > position_tol
+
+    live = np.flatnonzero(wide(brackets))
     rounds = evals = 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        pm = 0.5 * (pa[idx] + pb[idx])
-        tm, fm = (a[np.arange(len(idx)), br[idx]] for a in frame.branches(pm))
+    while len(live):
+        ab = brackets[live]
+        mid = np.empty((len(live), 4))
+        mid[:, :2] = 0.5 * (ab[:, 0, :2] + ab[:, 1, :2])
+        mid[:, 3], mid[:, 2] = (a[np.arange(len(live)), br[live]]
+                                for a in frame.branches(mid[:, :2]))
         rounds += 1
-        evals += len(idx)
-        hit = ~np.isnan(fm)
-        active[idx[~hit]] = False
-        idx, pm, fm, tm = idx[hit], pm[hit], fm[hit], tm[hit]
-        left = (fm > 0) == (fa[idx] > 0)
-        for side, (p, fv, tv) in ((left, (pa, fa, ta)), (~left, (pb, fb, tb))):
-            p[idx[side]], fv[idx[side]], tv[idx[side]] = pm[side], fm[side], tm[side]
-        active[idx] = np.linalg.norm(pb[idx] - pa[idx], axis=1) > position_tol
-    take_a = np.abs(fa) <= np.abs(fb)
-    return (np.where(take_a[:, None], pa, pb), np.where(take_a, np.abs(fa), np.abs(fb)),
-            np.where(take_a, ta, tb), rounds, evals)
+        evals += len(live)
+        hit = np.flatnonzero(~np.isnan(mid[:, 2]))
+        # the midpoint replaces the end whose f has its sign
+        ab[hit, ((mid[hit, 2] > 0) != (ab[hit, 0, 2] > 0)).astype(int)] = mid[hit]
+        brackets[live[hit]] = ab[hit]
+        live = live[hit][wide(ab[hit])]
+    # the end with the smaller |f|, end a on a tie
+    best = brackets[np.arange(len(brackets)),
+                    (np.abs(brackets[:, 0, 2]) > np.abs(brackets[:, 1, 2])).astype(int)]
+    return best[:, :2], np.abs(best[:, 2]), best[:, 3], rounds, evals
 
 
 @dataclass(frozen=True, eq=False)

@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--tet", required=True)
     p.add_argument("--start", required=True, help="solved partner to start from")
-    p.add_argument("--steps", required=True, type=int)
+    p.add_argument("--steps", required=True, type=_at_least(0))
     p.add_argument("--step", required=True, type=_number, help="step size (scene units)")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="iterate the conjugate construction")
     common(p)
     p.add_argument("--pair", required=True, metavar="NAME,NAME")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_at_least(1))
 
     p = sub.add_parser("export", help="render a scene or saved trace")
     p.add_argument("--scene", required=True, help="scene or saved report JSON")

@@ -144,35 +144,32 @@ def isogonal_conjugate(source, face, tol: Tolerance | None = None) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _carrier_distance(fit: dict, p: np.ndarray) -> np.ndarray:
-    """Signed distance of ``p`` (..., 3) from fitted carriers broadcast
-    against it."""
-    to_sphere = np.linalg.norm(p - fit["center"], axis=-1) - fit["radius"]
-    to_plane = (p * fit["normal"]).sum(axis=-1) - fit["offset"]
-    return np.where(fit["sphere"], to_sphere, to_plane)
+def _feet_on(anchor: np.ndarray, direction: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Feet of the perpendiculars from ``p`` on the lines (anchor, unit
+    direction), all broadcast together: a table of lines against
+    (..., 1, 3) points gives (..., lines, 3)."""
+    return anchor + ((p - anchor) * direction).sum(axis=-1)[..., None] * direction
 
 
-class _LineData:
-    __slots__ = ("anchor", "direction")
-
-    def __init__(self, anchor, direction):
-        self.anchor = anchor
-        self.direction = direction
-
-    def foot(self, p):
-        """Foot of the perpendicular from ``p`` (3,) or (N, 3)."""
-        along = np.dot(p - self.anchor, self.direction)
-        return self.anchor + np.multiply.outer(along, self.direction)
-
-
-def _intersect_in_plane(a1, d1, a2, d2, n):
-    """Intersection of two coplanar lines (anchor, direction) lying in the
-    plane with unit normal n; anchors may be stacked as (N, 3)."""
+def _in_plane_factor(d1: np.ndarray, d2: np.ndarray, n: np.ndarray):
+    """The vector w for which a1 + ((a2 - a1) . w) d1 is the common point of
+    any two lines (a1, d1) and (a2, d2) lying in the plane with unit normal
+    n; None when the lines are parallel."""
     m = np.cross(d2, n)   # (x cross d2) . n == x . (d2 cross n)
     denom = float(np.dot(d1, m))
-    if abs(denom) < 1e-12:
-        raise DegenerateError("parallel in-plane perpendiculars")
-    return a1 + np.multiply.outer(np.dot(a2 - a1, m) / denom, d1)
+    return None if abs(denom) < 1e-12 else m / denom
+
+
+# the kernel's edge lines as host vertex pairs: 12, 13, 23 on face (1, 2, 3),
+# then 14, 24 and 34
+_LINE_ENDS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+# the three samples of the co-sphericity determinant, as t
+_T_SAMPLES = np.array([-1.0, 0.0, 1.0])[:, None]
+# Laplace expansion of a 4x4 determinant with columns (|d|^2, x, y, z) along
+# its first two rows: the column pairs (j, k) of the 2x2 minors, each with
+# its sign; the pairs in reverse order are the complements
+_MINOR_J, _MINOR_K = np.array([(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)])
+_MINOR_SIGN = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
 
 
 class ChainKernel:
@@ -192,69 +189,63 @@ class ChainKernel:
         self.scale = self.tol.scene_scale
         a = (host.array - self.shift) / self.scale
         self.a = a
-        d12 = unit(a[1] - a[0])
-        d13 = unit(a[2] - a[0])
-        d23 = unit(a[2] - a[1])
-        d14 = unit(a[3] - a[0])
-        d24 = unit(a[3] - a[1])
-        d34 = unit(a[3] - a[2])
-        self.line12 = _LineData(a[0], d12)
-        self.line13 = _LineData(a[0], d13)
-        self.line23 = _LineData(a[1], d23)
-        self.line14 = _LineData(a[0], d14)
-        self.line24 = _LineData(a[1], d24)
-        self.line34 = _LineData(a[2], d34)
+        # the line table: anchors and unit directions in _LINE_ENDS order
+        self.anchor = a[[i for i, _ in _LINE_ENDS]]
+        self.direction = np.array([unit(a[j] - a[i]) for i, j in _LINE_ENDS])
+        d12, d13, d23, d14, d24, _ = self.direction
         # unit normals of the faces opposite vertices 1..4
-        self.n234, self.n134, n124, self.n123 = Tetrahedron.of(a).faces[:, :3]
+        n234, n134, n124, self.n123 = Tetrahedron.of(a).faces[:, :3]
         self.off123 = float(np.dot(self.n123, a[0]))
         # displacement direction for source 3: in plane (1,2,4), perpendicular
         # to edge 1-2, pointing toward vertex 4's side
         u = np.cross(n124, d12)
-        toward4 = a[3] - self.line12.foot(a[3])
+        toward4 = a[3] - _feet_on(a[0], d12, a[3])
         if np.dot(u, toward4) < 0:
             u = -u
         self.u = u
         # feet 14 and 24 move along their edges by these per unit of t
-        self.g14 = np.dot(u, d14) * d14
-        self.g24 = np.dot(u, d24) * d24
-        self.p13 = np.cross(self.n134, d13)
-        self.p14 = np.cross(self.n134, d14)
-        self.p23 = np.cross(self.n234, d23)
-        self.p24 = np.cross(self.n234, d24)
+        self.g = np.array([np.dot(u, d14) * d14, np.dot(u, d24) * d24])
+        # source 2 (source 1) is where the in-plane perpendiculars at feet
+        # 13 and 14 (23 and 24) meet: foot 13 (23) plus a multiple of p13
+        # (p23); None where they are parallel
+        self.p13 = np.cross(n134, d13)
+        self.p23 = np.cross(n234, d23)
+        self.w134 = _in_plane_factor(self.p13, np.cross(n134, d14), n134)
+        self.w234 = _in_plane_factor(self.p23, np.cross(n234, d24), n234)
         circ = circle_through(a[0], a[1], a[2], tol=Tolerance(scene_scale=1.0))
         self.circumcenter = circ.center.array
         self.circumradius = circ.radius
-
-    # -- coordinate maps ----------------------------------------------------
 
     def to_local(self, p) -> np.ndarray:
         """Local coordinates of a point, or of (N, 3) stacked points."""
         p = p.array if isinstance(p, Point) else np.asarray(p, dtype=float)
         return (p - self.shift) / self.scale
 
-    # -- local-frame pieces --------------------------------------------------
+    def base_feet(self, b4_local: np.ndarray) -> np.ndarray:
+        """Feet 12, 13, 23 of a local point (3,) or (N, 3), as (3, 3) or
+        (N, 3, 3)."""
+        return _feet_on(self.anchor[:3], self.direction[:3], b4_local[..., None, :])
 
-    def project_to_face(self, b4_local: np.ndarray) -> np.ndarray:
-        return b4_local - (np.dot(self.n123, b4_local) - self.off123) * self.n123
-
-    def simson_distance(self, b4_local: np.ndarray) -> float:
-        return abs(float(np.linalg.norm(b4_local - self.circumcenter)) - self.circumradius)
-
-    def base_feet(self, b4_local: np.ndarray):
-        return (self.line12.foot(b4_local),
-                self.line13.foot(b4_local),
-                self.line23.foot(b4_local))
-
-    def _five_feet(self, feet, t) -> np.ndarray:
-        """Feet 12, 13, 23, 14, 24 as (N, k, 5, 3) from ``sphericity_batch``'s
-        base feet and displacement parameters t of shape (k,) or (N, k)."""
-        v12, v13, v23, base14, base24 = feet
-        t = np.asarray(t)[..., None]
-        pts = np.empty((len(v12), t.shape[-2], 5, 3))
-        pts[:, :, 0], pts[:, :, 1], pts[:, :, 2] = v12[:, None], v13[:, None], v23[:, None]
-        pts[:, :, 3] = base14[:, None] + t * self.g14
-        pts[:, :, 4] = base24[:, None] + t * self.g24
-        return pts
+    def _cosphericity_samples(self, p: np.ndarray):
+        """For (N, 3) local points: feet 12, 13, 23 (N, 3, 3), feet 14 and 24
+        at t = 0 (N, 2, 3), which move by ``self.g`` per unit of t, and the
+        co-sphericity determinant det[|p|^2, p, 1] of the five feet at
+        t = -1, 0, 1 (3, N). Translated to foot 12 the determinant is
+        det[|d|^2, d] of feet 13, 23, 14, 24: the sum of the fixed rows' (13,
+        23) 2x2 minors times the moving rows' (14, 24) complementary ones."""
+        base = self.base_feet(p)
+        v12 = base[:, :1]
+        at0 = _feet_on(self.anchor[3:5], self.direction[3:5], v12)
+        # coordinates first: rows 13, 23 as (3, 2, N), rows 14, 24 at the
+        # three t as (3, 2, 3, N); lifted to columns (|d|^2, x, y, z) first
+        fixed = (base[:, 1:] - v12).T
+        moving = (at0 - v12).T[:, :, None] + self.g.T[:, :, None, None] * _T_SAMPLES
+        fixed, moving = (np.concatenate([(d * d).sum(axis=0)[None], d]) for d in (fixed, moving))
+        j, k = _MINOR_J, _MINOR_K
+        minors = (fixed[j, 0] * fixed[k, 1] - fixed[k, 0] * fixed[j, 1]) * _MINOR_SIGN
+        j, k = j[::-1], k[::-1]
+        return base, at0, (minors[:, None] * (moving[j, 0] * moving[k, 1]
+                                               - moving[k, 0] * moving[j, 1])).sum(axis=0)
 
     def sphericity_batch(self, b4_local: np.ndarray):
         """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
@@ -267,25 +258,20 @@ class ChainKernel:
         residual."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         n = len(p)
-        v12, v13, v23 = self.base_feet(p)
-        feet = (v12, v13, v23, self.line14.foot(v12), self.line24.foot(v12))
-        # the co-sphericity determinant of the five feet is exactly quadratic
-        # in t: sample it at t = -1, 0, 1
-        dets = []
-        for t in (-1.0, 0.0, 1.0):
-            pts = self._five_feet(feet, [t])[:, 0]
-            dets.append(np.linalg.det(np.concatenate(
-                [(pts * pts).sum(axis=2, keepdims=True), pts, np.ones((n, 5, 1))], axis=2)))
-        d_lo, c0, d_hi = dets
+        if self.w134 is None:   # no source 2, so no root validates
+            return np.full((n, 2), np.nan), np.full((n, 2), np.nan)
+        base, at0, (d_lo, c0, d_hi) = self._cosphericity_samples(p)
+        # the determinant is exactly quadratic in t
         c1 = 0.5 * (d_hi - d_lo)
         c2 = 0.5 * (d_hi + d_lo) - c0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mag = np.maximum(np.maximum(np.abs(c0), np.abs(c1)), np.abs(c2))
+            abs1, abs2 = np.abs(c1), np.abs(c2)
+            mag = np.maximum(np.maximum(np.abs(c0), abs1), abs2)
             # mag <= 1e-12: the determinant vanishes identically (collinear
             # base feet); coefficients below 1e-10 * mag are trimmed
             live = mag > 1e-12
-            quad = live & (np.abs(c2) > 1e-10 * mag)
-            lin = live & ~quad & (np.abs(c1) > 1e-10 * mag)
+            quad = live & (abs2 > 1e-10 * mag)
+            lin = live & ~quad & (abs1 > 1e-10 * mag)
             disc = c1 * c1 - 4.0 * c2 * c0
             root = np.sqrt(np.abs(disc))
             q = -0.5 * (c1 + np.copysign(root, c1))
@@ -294,58 +280,58 @@ class ChainKernel:
             vertex = -c1 / (2.0 * c2)
             # a complex pair within 1e-8 (1 + |re|) of the axis is a real
             # double root
-            near = (disc < 0) & (root / (2.0 * np.abs(c2)) <= 1e-8 * (1.0 + np.abs(vertex)))
-            t = np.full((n, 2), np.nan)
+            double = quad & (disc < 0) & (root / (2.0 * abs2) <= 1e-8 * (1.0 + np.abs(vertex)))
             real = quad & (disc >= 0)
-            t[real, 0] = np.minimum(r_a, r_b)[real]
-            t[real, 1] = np.maximum(r_a, r_b)[real]
-            t[quad & near] = vertex[quad & near, None]
-            t[lin, 0] = -c0[lin] / c1[lin]
+            lo = np.where(double, vertex, np.where(lin, -c0 / c1, np.nan))
+            t = np.stack([np.where(real, np.minimum(r_a, r_b), lo), np.where(
+                real, np.maximum(r_a, r_b), np.where(double, vertex, np.nan))], axis=1)
             # two Newton steps on the trimmed polynomial
-            a2 = np.where(quad, c2, 0.0)[:, None]
-            a1 = c1[:, None]
-            a0 = c0[:, None]
+            a2, a1, a0 = np.where(quad, c2, 0.0)[:, None], c1[:, None], c0[:, None]
             polish = np.isfinite(t)
             for _ in range(2):
                 slope = 2.0 * a2 * t + a1
                 polish &= np.abs(slope) >= 1e-300
                 t = np.where(polish, t - ((a2 * t + a1) * t + a0) / slope, t)
 
-        five = self._five_feet(feet, t)
+        # feet 12, 13, 23, 14, 24 at each root, (N, 2, 5, 3)
+        five = np.empty((n, 2, 5, 3))
+        five[:, :, :3] = base[:, None]
+        five[:, :, 3:] = at0[:, None] + t[..., None, None] * self.g
         fit = {key: val.reshape(n, 2, *val.shape[1:])
                for key, val in _sphere_fit(five.reshape(-1, 5, 3)).items()}
         valid = fit["residual"] <= self.tol.eps_rel
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
-        try:
-            b2 = _intersect_in_plane(five[:, :, 1], self.p13, five[:, :, 3], self.p14,
-                                     self.n134)
-        except DegenerateError:
-            valid[:] = False
-            b2 = np.full((n, 2, 3), np.nan)
-        t = np.where(valid, t, np.nan)
-        f = np.where(valid, _carrier_distance(fit, self.line34.foot(b2)), np.nan)
-        order = np.argsort(t, axis=1)   # NaN last
-        return np.take_along_axis(t, order, axis=1), np.take_along_axis(f, order, axis=1)
+        # the sixth foot, from source 2, against the carrier of the five
+        v13, v14 = five[:, :, 1], five[:, :, 3]
+        v34 = _feet_on(self.anchor[5], self.direction[5],
+                       v13 + np.dot(v14 - v13, self.w134)[..., None] * self.p13)
+        f = np.where(fit["sphere"], np.linalg.norm(v34 - fit["center"], axis=-1) - fit["radius"],
+                     (v34 * fit["normal"]).sum(axis=-1) - fit["offset"])
+        t, f = np.where(valid, t, np.nan), np.where(valid, f, np.nan)
+        # ascending t, NaN last
+        swap = (t[:, 1] < t[:, 0]) | (np.isnan(t[:, 0]) & ~np.isnan(t[:, 1]))
+        t[swap], f[swap] = t[swap, ::-1], f[swap, ::-1]
+        return t, f
 
     def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
         """The pedal chain, in world coordinates, completed from a local
         source position on face (1, 2, 3) and a displacement parameter t in
         normalized units; ``closure_spread`` is the world distance between
         the two constructions of foot 34."""
+        if self.w134 is None or self.w234 is None:
+            raise DegenerateError("parallel in-plane perpendiculars")
         v12, v13, v23 = self.base_feet(b4_local)
         b3 = v12 + t * self.u
-        v14 = self.line14.foot(b3)
-        v24 = self.line24.foot(b3)
-        b2 = _intersect_in_plane(v13, self.p13, v14, self.p14, self.n134)
-        v34 = self.line34.foot(b2)
-        b1 = _intersect_in_plane(v23, self.p23, v24, self.p24, self.n234)
-        closure = float(np.linalg.norm(self.line34.foot(b1) - v34))
+        v14, v24 = _feet_on(self.anchor[3:5], self.direction[3:5], b3)
+        b2 = v13 + np.dot(v14 - v13, self.w134) * self.p13
+        b1 = v23 + np.dot(v24 - v23, self.w234) * self.p23
+        v34, closing = _feet_on(self.anchor[5], self.direction[5], np.array([b2, b1]))
         local = np.array((v12, v13, v14, v23, v24, v34, b1, b2, b3, b4_local))
         world = local * self.scale + self.shift
         return PedalChain(host=self.host, feet=world[:6], sources=world[6:],
-                          closure_spread=closure * self.scale)
+                          closure_spread=float(np.linalg.norm(closing - v34)) * self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +343,10 @@ def _face_source(kernel: ChainKernel, b4) -> np.ndarray:
     """Local position of ``b4`` projected onto face (1, 2, 3); raises
     SimsonDegenerateError on the face circumcircle, where the base pedal
     feet are collinear."""
-    b4_local = kernel.project_to_face(kernel.to_local(b4))
-    if kernel.simson_distance(b4_local) <= SIMSON_TOL:
+    p = kernel.to_local(b4)
+    b4_local = p - (np.dot(kernel.n123, p) - kernel.off123) * kernel.n123
+    simson = abs(float(np.linalg.norm(b4_local - kernel.circumcenter)) - kernel.circumradius)
+    if simson <= SIMSON_TOL:
         raise SimsonDegenerateError(
             "source on the face circumcircle: base pedal feet collinear")
     return b4_local

@@ -72,9 +72,14 @@ def _no_duplicate_keys(pairs):
     return out
 
 
+def _is_number(value) -> bool:
+    """A JSON number: booleans load as ints but are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_point(value, where: str) -> List[float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(isinstance(c, (int, float)) for c in value)):
+            or not all(_is_number(c) for c in value)):
         raise SceneError(f"{where}: expected a 3-number coordinate, got {value!r}")
     if not all(math.isfinite(float(c)) for c in value):
         raise SceneError(f"{where}: non-finite coordinate {value!r}")
@@ -112,7 +117,7 @@ def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneC
         raise SceneError(f"{where}.sources: expected 4 points")
     sources = [_check_point(v, f"{where}.sources[{i}]") for i, v in enumerate(sources_raw)]
     closure = value["closure_spread"]
-    if not isinstance(closure, (int, float)) or not math.isfinite(float(closure)):
+    if not _is_number(closure) or not math.isfinite(float(closure)):
         raise SceneError(f"{where}.closure_spread: expected a finite number")
     chain = PedalChain(host=tetrahedra[host_name], feet=feet, sources=sources,
                        closure_spread=float(closure))

@@ -167,6 +167,10 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
                   "--step", "nan"], id="step-nan"),
     pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "3",
                   "--step", "inf"], id="step-inf"),
+    pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "-1",
+                  "--step", "0.03"], id="steps-negative"),
+    pytest.param(["sequence", "--pair", "A,B", "--n", "0"], id="n-0"),
+    pytest.param(["sequence", "--pair", "A,B", "--n", "-1"], id="n-negative"),
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     """Arguments the engine cannot take are rejected by the parser: exit 2

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from orthosect.cli import main
 from orthosect.errors import SceneError
 from orthosect.pedal import chain_from_pair, complete_chain
 from orthosect.scene import (
@@ -131,3 +132,25 @@ def test_chain_schema_errors(demo_pair, tmp_path):
     doc["chains"]["ch"]["host"] = "nope"
     with pytest.raises(SceneError, match="chains.ch.host"):
         scene_from_dict(doc)
+
+
+def test_boolean_numbers_rejected(tmp_path, demo_pair):
+    """JSON booleans load as Python ints but are not numbers: a vertex
+    [true, 0, 0] is a scene error (CLI exit 2), and so is a boolean in a
+    chain's sources or closure_spread."""
+    doc = json.loads(json.dumps(T_REG_DOC))
+    doc["tetrahedra"]["A"][0] = [True, 0, 0]
+    with pytest.raises(SceneError, match=r"tetrahedra.A\[0\]: expected a 3-number"):
+        scene_from_dict(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path), "--pair", "A,A"]) == 2
+    a, b, tol = demo_pair
+    scene = Scene(tetrahedra={"A": a},
+                  chains={"ch": SceneChain(host_name="A", chain=chain_from_pair(a, b, tol))})
+    for key, value, where in (("sources", [[0.0, True, 0.0]] * 4, r"sources\[0\]"),
+                              ("closure_spread", False, "closure_spread")):
+        chain_doc = scene_to_dict(scene)
+        chain_doc["chains"]["ch"][key] = value
+        with pytest.raises(SceneError, match=f"chains.ch.{where}"):
+            scene_from_dict(chain_doc)
