@@ -16,6 +16,7 @@ from .errors import DegenerateError, GeometryError, NotOrthologicError
 from .geom_core import (Point, SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows,
                         unit)
 from .orthology import (
+    FACE_VERTICES,
     OrthologyReport,
     Pairing,
     Tetrahedron,
@@ -184,7 +185,7 @@ def face_frame(host: Tetrahedron, face: int):
     v in the plane, perpendicular to u, as three (3,) arrays."""
     if face not in (1, 2, 3, 4):
         raise ValueError("face index must be in 1..4")
-    verts = [host.vertex(m).array for m in (1, 2, 3, 4) if m != face]
+    verts = host.array[FACE_VERTICES[face - 1]]
     axis_u = unit(verts[1] - verts[0])
     return np.mean(verts, axis=0), axis_u, np.cross(host.faces[face - 1, :3], axis_u)
 
@@ -203,7 +204,7 @@ class _FaceFrame:
     def __init__(self, host: Tetrahedron, face: int, tol: Tolerance | None):
         origin, self.axis_u, self.axis_v = face_frame(host, face)
         self.origin = Point.of(origin)
-        self.tol = tol or Tolerance.for_points(host.vertices)
+        self.tol = tol or Tolerance.for_points(host.array)
         others = [m for m in (1, 2, 3, 4) if m != face]
         self.kernel = ChainKernel(host.relabeled((*others, face)), self.tol)
         # frame coordinates to the kernel's local ones: origin and axes
@@ -223,7 +224,7 @@ def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, f
     """Bounding box of the face triangle in frame coordinates, inflated
     WINDOW_INFLATE times about its center."""
     frame = face_frame(host, face)
-    uv = np.array([frame_uv(frame, host.vertex(m)) for m in (1, 2, 3, 4) if m != face])
+    uv = np.array([frame_uv(frame, v) for v in host.array[FACE_VERTICES[face - 1]]])
     lo = uv.min(axis=0)
     hi = uv.max(axis=0)
     mid = 0.5 * (lo + hi)

@@ -94,10 +94,6 @@ def _pair(scene: Scene, spec: str) -> Tuple[str, str, Tetrahedron, Tetrahedron]:
     return a_name, b_name, scene.tetrahedron(a_name), scene.tetrahedron(b_name)
 
 
-def _tet_list(t: Tetrahedron) -> List[List[float]]:
-    return [_point_list(v) for v in t.vertices]
-
-
 def _carrier_dict(carrier) -> dict:
     if carrier.kind == "sphere":
         return {"kind": "sphere", "center": _point_list(carrier.center),
@@ -152,7 +148,7 @@ def cmd_solve(args, scene: Scene, report: Report) -> None:
     report.results["tet"] = args.tet
     report.results["seed"] = args.seed
     report.results["restarts"] = args.restarts
-    report.results["solutions"] = [_tet_list(t) for t in result.solutions]
+    report.results["solutions"] = [t.array.tolist() for t in result.solutions]
     report.results["diagnostics"] = [
         {"restart": d.restart, "converged": d.converged,
          "max_residual": d.max_residual if math.isfinite(d.max_residual) else None,
@@ -192,7 +188,7 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     _, points_b = require_orthosecting(a, b, tol)
     carrier_b, residual_b = carrier_through(points_b, tol)
     c = analysis.conjugate_through(a, points_b, carrier_b, residual_b, tol)
-    report.results["conjugate"] = _tet_list(c)
+    report.results["conjugate"] = c.array.tolist()
     rv = solver.orthosect_residuals(a, c, tol)
     gaps = solver.intersection_gaps(a, c, tol)
     worst = max(rv.max_abs, max(gaps.values()))
@@ -236,7 +232,7 @@ def cmd_sequence(args, scene: Scene, report: Report) -> None:
     tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
     run = analysis.iterate_sequence(a, b, args.n, tol)
     report.results["pair"] = [a_name, b_name]
-    report.results["tetrahedra"] = [_tet_list(t) for t in run.tetrahedra]
+    report.results["tetrahedra"] = [t.array.tolist() for t in run.tetrahedra]
     report.results["carrier"] = _carrier_dict(run.carrier)
     report.results["shared_max_residual"] = run.shared_max_residual
     report.results["centers"] = [_point_list(p) for p in run.centers]
@@ -339,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--pair", metavar="NAME,NAME")
     p.add_argument("--curve", help="saved curve report to overlay on the SVG")
-    p.add_argument("--sphere-res", type=int, default=16)
+    p.add_argument("--sphere-res", type=_at_least(4), default=16)
     return parser
 
 

@@ -15,9 +15,13 @@ import numpy as np
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
 from .geom_core import Point, as_array, carrier_through, circle_through
-from .orthology import EDGE_PAIRINGS, pair_tolerance, require_orthosecting
+from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_tolerance, require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
+
+
+# the SVG view box extends past the drawing by this share of its span
+SVG_PAD_FACTOR = 0.05
 
 
 def _f(x) -> str:
@@ -119,13 +123,13 @@ class _SvgCanvas:
         self.circle(layer, center, radius, cls=cls, track=False)
         self._track(*center)
 
-    def render(self, pad_factor: float = 0.05) -> str:
+    def render(self) -> str:
         if not self.xs:
             self.xs, self.ys = [0.0, 1.0], [0.0, 1.0]
         x0, x1 = min(self.xs), max(self.xs)
         y0, y1 = min(self.ys), max(self.ys)
         span = max(x1 - x0, y1 - y0, 1e-9)
-        pad = span * pad_factor
+        pad = span * SVG_PAD_FACTOR
         vb = (x0 - pad, -(y1 + pad), (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
         stroke = span / 400.0
         dot = span / 150.0
@@ -194,7 +198,7 @@ def scene_to_svg(scene: Scene, face: int,
         host = scene.tetrahedra[sorted(scene.tetrahedra)[0]]
         guest = None
     face_indices = [m for m in (1, 2, 3, 4) if m != face]
-    verts = [host.vertex(m) for m in face_indices]
+    verts = host.array[FACE_VERTICES[face - 1]]
     frame = face_frame(host, face)
     canvas.path("triangle", [frame_uv(frame, v) for v in verts], closed=True)
     circum = circle_through(*verts)
@@ -282,9 +286,9 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
     for name in sorted(scene.tetrahedra):
         tet = scene.tetrahedra[name]
         writer.obj(f"tet_{name}")
-        idx = [writer.vertex(tet.vertex(m)) for m in (1, 2, 3, 4)]
+        first = writer.vertices(tet.array)
         for (i, j), _ in EDGE_PAIRINGS:
-            writer.line(idx[i - 1], idx[j - 1])
+            writer.line(first + i - 1, first + j - 1)
     names = sorted(scene.tetrahedra)
     for i, a_name in enumerate(names):
         for b_name in names[i + 1:]:

@@ -78,9 +78,9 @@ def as_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float).reshape(3)
 
 
-def unit(v: np.ndarray, eps: float = 1e-300) -> np.ndarray:
+def unit(v: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(v))
-    if n < eps:
+    if n < 1e-300:
         raise DegenerateError("cannot normalize a zero vector")
     return v / n
 

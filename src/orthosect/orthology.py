@@ -56,35 +56,37 @@ def pairing_key(pairing: Pairing) -> str:
     return f"{i}{j}|{k}{l}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tetrahedron:
-    """Four labeled 3D vertices (indices 1..4).
+    """Four labeled 3D vertices (indices 1..4), stored as one read-only
+    (4, 3) array built from four points or any 4x3 coordinates.
 
     Flat tetrahedra are not rejected: they carry ``flat flag`` semantics via
     :meth:`is_flat` so degenerate members of solution families stay
     representable.
     """
 
-    vertices: Tuple[Point, Point, Point, Point]
+    array: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(Point.of(v) if not isinstance(v, Point) else v for v in self.vertices)
-        if len(pts) != 4:
-            raise ValueError("a tetrahedron needs exactly four vertices")
-        object.__setattr__(self, "vertices", pts)
+        coords = self.array
+        if not isinstance(coords, np.ndarray):
+            coords = [p.array if isinstance(p, Point) else p for p in coords]
+        a = np.array(coords, dtype=float)
+        if a.shape != (4, 3):
+            raise ValueError(f"expected 4x3 coordinates, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite vertex coordinates: {a.tolist()}")
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
     @classmethod
     def of(cls, coords) -> "Tetrahedron":
-        arr = np.asarray(coords, dtype=float)
-        if arr.shape != (4, 3):
-            raise ValueError(f"expected 4x3 coordinates, got shape {arr.shape}")
-        return cls(tuple(Point(*row) for row in arr.tolist()))
+        return cls(coords)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array([v.array for v in self.vertices])
-        a.setflags(write=False)
-        return a
+    def vertices(self) -> Tuple[Point, Point, Point, Point]:
+        return tuple(Point(*row) for row in self.array.tolist())
 
     @cached_property
     def signed_volume(self) -> float:
@@ -95,12 +97,11 @@ class Tetrahedron:
         return self.vertices[i - 1]
 
     def edge_line(self, i: int, j: int) -> Line:
-        return Line.through(self.vertex(i), self.vertex(j))
+        return Line.through(self.array[i - 1], self.array[j - 1])
 
     def face_plane(self, i: int) -> Plane:
         """Plane of the face opposite vertex ``i``."""
-        j, k, l = [m for m in (1, 2, 3, 4) if m != i]
-        return Plane.through(self.vertex(j), self.vertex(k), self.vertex(l))
+        return Plane.through(*self.array[FACE_VERTICES[i - 1]])
 
     @cached_property
     def faces(self) -> np.ndarray:
@@ -118,17 +119,15 @@ class Tetrahedron:
 
     def relabeled(self, perm: Sequence[int]) -> "Tetrahedron":
         """New tetrahedron whose vertex m is the old vertex perm[m-1]."""
-        return Tetrahedron(tuple(self.vertex(p) for p in perm))
+        return Tetrahedron(self.array[np.asarray(perm) - 1])
 
     def translated(self, delta) -> "Tetrahedron":
-        d = as_array(delta)
-        return Tetrahedron.of(self.array + d)
+        return Tetrahedron(self.array + as_array(delta))
 
 
-def pair_tolerance(a: Tetrahedron, b: Tetrahedron,
-                   eps_abs: float = 1e-9, eps_rel: float = 1e-7) -> Tolerance:
-    """Scene tolerance spanning the vertices of both tetrahedra."""
-    return Tolerance.for_points(np.vstack((a.array, b.array)), eps_abs=eps_abs, eps_rel=eps_rel)
+def pair_tolerance(a: Tetrahedron, b: Tetrahedron) -> Tolerance:
+    """Default scene tolerance spanning the vertices of both tetrahedra."""
+    return Tolerance.for_points(np.vstack((a.array, b.array)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -184,7 +184,7 @@ class ChainKernel:
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None):
         self.host = host
-        self.tol = tol or Tolerance.for_points(host.vertices)
+        self.tol = tol or Tolerance.for_points(host.array)
         self.shift = host.array.mean(axis=0)
         self.scale = self.tol.scene_scale
         a = (host.array - self.shift) / self.scale
@@ -412,7 +412,7 @@ def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
                     max_residual: float | None = None) -> SphericalChain:
     """Wrap a chain whose feet are co-spherical (or co-planar) within
     tolerance; raises DegenerateError otherwise."""
-    tol = tol or Tolerance.for_points(chain.host.vertices)
+    tol = tol or Tolerance.for_points(chain.host.array)
     if max_residual is None:
         max_residual = tol.eps_rel * tol.scene_scale
     carrier, residual = carrier_through(chain.feet, tol)
@@ -435,7 +435,7 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
     """
     chain = sc.chain
     host = chain.host
-    tol = tol or Tolerance.for_points(host.vertices)
+    tol = tol or Tolerance.for_points(host.array)
     if sc.carrier.kind == "sphere":
         return partner_from_feet(host, chain.feet, tol)
     flat = sc.carrier.carrier

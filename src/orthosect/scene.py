@@ -91,8 +91,7 @@ def _parse_tetrahedron(name: str, value) -> Tetrahedron:
     if not isinstance(value, list) or len(value) != 4:
         raise SceneError(f"{where}: expected 4 vertices, got "
                          f"{len(value) if isinstance(value, list) else type(value).__name__}")
-    return Tetrahedron(tuple(Point(*_check_point(v, f"{where}[{i}]"))
-                             for i, v in enumerate(value)))
+    return Tetrahedron([_check_point(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneChain:
@@ -142,11 +141,12 @@ def scene_from_dict(doc) -> Scene:
         tol_raw = doc["tolerance"]
         if not isinstance(tol_raw, dict) or set(tol_raw) - {"eps_abs", "eps_rel"}:
             raise SceneError('tolerance: expected {"eps_abs": ..., "eps_rel": ...}')
+        for label, v in tol_raw.items():
+            if not _is_number(v) or not math.isfinite(float(v)) or v <= 0:
+                raise SceneError(f"tolerance.{label}: must be a positive finite number, "
+                                 f"got {v!r}")
         eps_abs = float(tol_raw["eps_abs"]) if "eps_abs" in tol_raw else None
         eps_rel = float(tol_raw["eps_rel"]) if "eps_rel" in tol_raw else None
-        for label, v in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
-            if v is not None and (not math.isfinite(v) or v <= 0):
-                raise SceneError(f"tolerance.{label}: must be a positive finite number")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SceneError("metadata: expected an object")
@@ -182,8 +182,7 @@ def _point_list(p: Point) -> List[float]:
 
 def scene_to_dict(scene: Scene) -> dict:
     doc: Dict[str, Any] = {
-        "tetrahedra": {name: [_point_list(v) for v in tet.vertices]
-                       for name, tet in scene.tetrahedra.items()},
+        "tetrahedra": {name: tet.array.tolist() for name, tet in scene.tetrahedra.items()},
     }
     if scene.chains:
         doc["chains"] = {}
@@ -241,12 +240,10 @@ class Report:
     def passed(self) -> bool:
         return self.error is None and all(v.passed for v in self.verdicts)
 
-    def add_verdict(self, name: str, value: float, tolerance: float,
-                    passed: Optional[bool] = None, op: str = "<=") -> None:
-        if passed is None:
-            passed = {"<=": value <= tolerance,
-                      ">=": value >= tolerance,
-                      "==": value == tolerance}[op]
+    def add_verdict(self, name: str, value: float, tolerance: float, op: str = "<=") -> None:
+        passed = {"<=": value <= tolerance,
+                  ">=": value >= tolerance,
+                  "==": value == tolerance}[op]
         self.verdicts.append(Verdict(name=name, passed=bool(passed),
                                      value=float(value), tolerance=float(tolerance),
                                      op=op))

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CurvePointError, DegenerateError
 from .geom_core import Tolerance, as_array, cross_rows, dot_rows
 from .orthology import (
-    EDGE_PAIRINGS,
     Pairing,
     Tetrahedron,
     _I,
@@ -136,27 +135,18 @@ class OrthosectSystem:
     that each quantity is one array operation.
     """
 
-    def __init__(self, host: Tetrahedron, tol: Tolerance | None = None,
-                 skip_intersection: Pairing | None = None):
+    def __init__(self, host: Tetrahedron, tol: Tolerance | None = None):
         self.host = host
-        self.tol = tol or Tolerance.for_points(host.vertices)
+        self.tol = tol or Tolerance.for_points(host.array)
         self.scale = self.tol.scene_scale
         self.a = host.array
         self.ai = self.a[_I]
         self.u = self.ai - self.a[_J]
         self.nu = np.sqrt(dot_rows(self.u, self.u))
-        self.skip_intersection = skip_intersection
-        # residual rows: the six orthogonality rows, then the kept
-        # intersection rows, as indices into the stacked (g, h)
-        keep_inter = np.array([p != skip_intersection for p in EDGE_PAIRINGS])
-        self._kept = np.concatenate((np.arange(6), 6 + np.flatnonzero(keep_inter)))
-        self.n_rows = len(self._kept)
         # flat Jacobian index of the B_k then the B_l columns of the (g, h)
-        # rows; a skipped row lands in a spare last row that is cut off
-        row = np.full(12, self.n_rows)
-        row[self._kept] = np.arange(self.n_rows)
+        # rows, g in rows 0-5 and h in rows 6-11
         cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
-        self._jac_at = (12 * row.reshape(2, 6, 1) + cols).reshape(-1)
+        self._jac_at = (12 * np.arange(12).reshape(2, 6, 1) + cols).reshape(-1)
         self._den_factors = np.array([[1.0], [self.scale], [self.scale]])
 
     def orthogonality_matrix(self) -> np.ndarray:
@@ -193,7 +183,7 @@ class OrthosectSystem:
         return dots[6:].reshape(2, 6) / dens[:2], (w, nw, vecs, dens)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self._rows(x)[0].take(self._kept)
+        return self._rows(x)[0].reshape(12)
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``residuals(x)``, ``jacobian(x)`` and the six partner edge lengths,
@@ -204,9 +194,9 @@ class OrthosectSystem:
         dw = quot[:2] - gh[:, :, None] * w / (nw * nw)[:, None]
         dk = dw.copy()
         dk[1] += quot[2]
-        jac = np.zeros((self.n_rows + 1) * 12)
+        jac = np.zeros(144)
         jac[self._jac_at] = np.concatenate((dk, -dw)).reshape(-1)
-        return gh.take(self._kept), jac[:self.n_rows * 12].reshape(self.n_rows, 12), nw
+        return gh.reshape(12), jac.reshape(12, 12), nw
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[1]
@@ -324,8 +314,7 @@ def _seed_start(null_basis: np.ndarray, rng: np.random.Generator,
 
 
 def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
-                   tol: Tolerance | None = None,
-                   skip_intersection: Pairing | None = None) -> SolveResult:
+                   tol: Tolerance | None = None) -> SolveResult:
     """Restarted damped least squares on the orthosecting system.
 
     Starts are drawn inside the orthogonality null space (so the linear
@@ -336,8 +325,8 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     """
     if a.is_flat():
         raise DegenerateError("host tetrahedron is flat")
-    tol = tol or Tolerance.for_points(a.vertices)
-    sys = OrthosectSystem(a, tol, skip_intersection=skip_intersection)
+    tol = tol or Tolerance.for_points(a.array)
+    sys = OrthosectSystem(a, tol)
     scale = sys.scale
     null_basis = _orthogonality_null_basis(sys)
     rng = np.random.default_rng(cfg.seed)
@@ -472,7 +461,7 @@ def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
     residual exceeds CURVE_POINT_TOL, i.e. the point is not on the curve, and
     SimsonDegenerateError when it lies on the face circumcircle.
     """
-    tol = tol or Tolerance.for_points(list(a.vertices) + [as_array(b4)])
+    tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
     b4_local = _face_source(kernel, b4)
     ts, fs = (v[0] for v in kernel.sphericity_batch(b4_local))

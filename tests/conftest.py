@@ -65,16 +65,32 @@ def demo_pair():
     return a, b, pair_tolerance(a, b)
 
 
-def project_to_family(sys: OrthosectSystem, x: np.ndarray) -> np.ndarray:
-    """Gauss-Newton projection of a nearby point onto the solution family."""
+def project_to_family(sys: OrthosectSystem, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Gauss-Newton projection of a nearby point onto the common zero set
+    of the given residual rows of ``sys``; all twelve rows make it the
+    solution family."""
     y = x.copy()
     for _ in range(50):
-        r = sys.residuals(y)
+        r, jac, _ = sys.evaluate(y)
+        r, jac = r[rows], jac[rows]
         if np.abs(r).max() <= 1e-14:
             break
-        jac = sys.jacobian(y)
         y = y + np.linalg.lstsq(jac, -r, rcond=1e-13)[0]
     return y
+
+
+def five_point_partner(a: Tetrahedron, b: Tetrahedron, dropped: int,
+                       rng: np.random.Generator) -> Tetrahedron:
+    """A partner of ``a`` whose six edge pairs are orthogonal and whose
+    pairs other than EDGE_PAIRINGS[dropped] intersect: the solved partner
+    ``b`` moved 0.05 scene scales in a random direction, then projected
+    onto the zero set of every residual row but that pairing's
+    intersection row."""
+    tol = pair_tolerance(a, b)
+    step = rng.normal(size=12)
+    x = b.array.reshape(12) + 0.05 * tol.scene_scale * step / np.linalg.norm(step)
+    kept = np.delete(np.arange(12), 6 + dropped)
+    return Tetrahedron(project_to_family(OrthosectSystem(a, tol), x, kept).reshape(4, 3))
 
 
 def bisect_flat_partner(a: Tetrahedron, b: Tetrahedron,

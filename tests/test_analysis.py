@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import find_partner, random_tetrahedron
+from conftest import find_partner, five_point_partner, random_tetrahedron
 from oracles import exact_sphere_through, fit_plane
 from orthosect import analysis, pedal
 from orthosect.analysis import (
@@ -27,7 +27,6 @@ from orthosect.solver import (
     intersection_gaps,
     orthosect_residuals,
     solve,
-    solve_detailed,
 )
 
 T_REG = Tetrahedron.of([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
@@ -67,16 +66,14 @@ def test_verify_sphere_flat_partner(flat_pair):
 def test_verify_sphere_five_point_variant():
     rng = np.random.default_rng(5)
     a = random_tetrahedron(rng)
+    b = five_point_partner(a, find_partner(a, base_seed=21), 2, rng)
     skip = EDGE_PAIRINGS[2]
-    result = solve_detailed(a, SolverConfig(seed=21, restarts=12),
-                            skip_intersection=skip)
-    assert result.solutions
-    b = result.solutions[0]
     gaps = intersection_gaps(a, b)
     kept = [g for p, g in gaps.items() if p != skip]
     assert max(kept) <= 1e-10
+    assert gaps[skip] > 1e-6    # five intersecting pairs, not six
     rep = verify_sphere(a, b, five_point=True)
-    assert len(rep.residuals) == 5
+    assert sorted(rep.residuals) == sorted(p for p in EDGE_PAIRINGS if p != skip)
     assert rep.max_abs_residual <= 1e-7
 
 

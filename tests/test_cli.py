@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report shape, determinism, env override."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from orthosect import analysis, cli, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
-from orthosect.orthology import Tetrahedron, pair_tolerance
+from orthosect.geom_core import Tolerance
+from orthosect.orthology import Tetrahedron
 from orthosect.scene import Scene, load_scene, save_scene
 
 DEMO_SCENE = str(Path(__file__).parent.parent / "scenes" / "demo.json")
@@ -171,6 +173,10 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
                   "--step", "0.03"], id="steps-negative"),
     pytest.param(["sequence", "--pair", "A,B", "--n", "0"], id="n-0"),
     pytest.param(["sequence", "--pair", "A,B", "--n", "-1"], id="n-negative"),
+    pytest.param(["export", "--format", "obj", "--out", os.devnull, "--sphere-res", "3"],
+                 id="sphere-res-3"),
+    pytest.param(["export", "--format", "obj", "--out", os.devnull, "--sphere-res", "-5"],
+                 id="sphere-res-negative"),
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     """Arguments the engine cannot take are rejected by the parser: exit 2
@@ -238,7 +244,7 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
         return Tetrahedron.of(coords)
 
     collapsed = with_edge_b12(1e-10)
-    tol = pair_tolerance(a, collapsed, eps_abs=1e-12)
+    tol = Tolerance.for_points(np.vstack((a.array, collapsed.array)), eps_abs=1e-12)
     assert 1e-10 < tol.eps_abs * tol.scene_scale < 1e-7
     with pytest.raises(DegenerateError, match="^zero-length edge B12$"):
         solver.orthosect_residuals(a, collapsed, tol)

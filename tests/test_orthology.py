@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
+from orthosect import geom_core
 from orthosect.errors import DegenerateError, GeometryError, NotOrthologicError
-from orthosect.geom_core import Line, Plane, Point, closest_points, concurrency_point
+from orthosect.geom_core import (Line, Plane, Point, Tolerance, closest_points,
+                                 concurrency_point)
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
@@ -18,8 +20,79 @@ from orthosect.orthology import (
     pair_measures,
     pair_tolerance,
 )
+from orthosect.scene import Scene, load_scene, save_scene
 
 T_REG = Tetrahedron.of([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+
+
+# --- Tetrahedron: one (4, 3) array, Points as views --------------------------
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       perm=st.permutations((1, 2, 3, 4)))
+@settings(max_examples=60, deadline=None)
+def test_tetrahedron_forms_agree_bit_for_bit(tmp_path_factory, seed, log_scale, perm):
+    """Built from four Points, from a 4x3 array, or loaded back from a
+    scene file, a tetrahedron holds the same array and the same vertex
+    Points; relabeled and translated copies index and shift the rows."""
+    rng = np.random.default_rng(seed)
+    coords = random_similarity(rng, log_scale)(rng.normal(size=(4, 3)))
+    from_array = Tetrahedron.of(coords)
+    points = tuple(Point(*row) for row in coords.tolist())
+    path = tmp_path_factory.mktemp("tet") / "scene.json"
+    save_scene(Scene(tetrahedra={"T": from_array}), path)
+    for t in (Tetrahedron(points), load_scene(path).tetrahedron("T")):
+        assert np.array_equal(t.array, from_array.array)
+        assert t.vertices == from_array.vertices == points
+    assert not from_array.array.flags.writeable
+    original = coords.copy()
+    coords[:] = math.nan    # the tetrahedron holds a copy
+    assert np.array_equal(from_array.array, original)
+    relabeled = from_array.relabeled(perm)
+    assert np.array_equal(relabeled.array, from_array.array[np.array(perm) - 1])
+    assert relabeled.vertices == tuple(points[p - 1] for p in perm)
+    delta = rng.normal(size=3) * 10.0 ** log_scale
+    moved = from_array.translated(delta)
+    assert np.array_equal(moved.array, from_array.array + delta)
+    assert moved.vertices == tuple(Point(*row) for row in (from_array.array + delta).tolist())
+
+
+def test_array_built_tetrahedron_makes_no_points(monkeypatch):
+    """Building a tetrahedron from an array and reading its array, face
+    table, volume and relabeled copies creates no Point; the vertex views
+    are built on the first read, once."""
+    made = []
+    real = geom_core.Point.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(geom_core.Point, "__post_init__", counted)
+    coords = np.random.default_rng(3).normal(size=(4, 3))
+    t = Tetrahedron(coords)
+    for u in (t, Tetrahedron.of(coords), t.relabeled((2, 4, 1, 3))):
+        u.array, u.faces, u.signed_volume
+    assert not t.is_flat()
+    assert made == []
+    t.vertex(2)
+    t.vertices
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("coords", [
+    pytest.param(np.zeros((3, 3)), id="three-rows"),
+    pytest.param(np.zeros((4, 2)), id="two-columns"),
+    pytest.param(np.zeros(12), id="flat-twelve"),
+    pytest.param([(0, 0, 0)] * 5, id="five-points"),
+    pytest.param([Point(0, 0, 0)] * 3, id="three-points"),
+    pytest.param([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)], id="ragged"),
+    pytest.param([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, math.nan)], id="nan"),
+    pytest.param(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -math.inf]]), id="inf"),
+])
+def test_tetrahedron_rejects_bad_coordinates(coords):
+    with pytest.raises(ValueError):
+        Tetrahedron(coords)
 
 
 def test_treg_self_orthologic():
@@ -160,7 +233,8 @@ def test_pair_measures_match_loop_reference_bit_for_bit(seed, log_scale, force, 
     scale = 10.0 ** log_scale
     ta, tb = Tetrahedron.of(a), Tetrahedron.of(b)
     # an eps_abs shrunk with the scene also shrinks the scaled zero-edge cut
-    tol = pair_tolerance(ta, tb, eps_abs=1e-9 * min(scale, 1.0) if scaled_eps else 1e-9)
+    tol = Tolerance.for_points(np.vstack((a, b)),
+                               eps_abs=1e-9 * min(scale, 1.0) if scaled_eps else 1e-9)
     got, got_msg = _outcome(pair_measures, ta, tb, tol)
     want, want_msg = _outcome(_ref_pair_measures, a, b, tol)
     assert got_msg == want_msg

@@ -119,6 +119,21 @@ def test_tolerance_parsing():
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", ["abc", [1], True, "1e-5"])
+def test_tolerance_values_must_be_numbers(tmp_path, capsys, value):
+    """A tolerance that is not a JSON number is a scene error: the CLI
+    exits 2 with one error line, and nothing is coerced to a float."""
+    doc = json.loads(json.dumps(T_REG_DOC))
+    doc["tolerance"] = {"eps_rel": value}
+    with pytest.raises(SceneError, match=r"tolerance\.eps_rel: must be a positive finite number"):
+        scene_from_dict(doc)
+    path = tmp_path / "tolerance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--scene", str(path), "--pair", "A,A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance.eps_rel") and err.count("\n") == 1
+
+
 def test_chain_schema_errors(demo_pair, tmp_path):
     a, b, tol = demo_pair
     chain = chain_from_pair(a, b, tol)

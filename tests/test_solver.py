@@ -87,19 +87,17 @@ class _LoopSystem:
     """Reference: the orthosecting system evaluated one pairing at a time
     with np.dot, np.cross and np.linalg.norm on 3-vectors."""
 
-    def __init__(self, host, scale, skip_intersection):
+    def __init__(self, host, scale):
         self.scale = scale
-        self.skip = skip_intersection
         self.rows = []
         for (i, j), (k, l) in EDGE_PAIRINGS:
             u = host[i - 1] - host[j - 1]
-            self.rows.append(((i, j), (k, l), u, float(np.linalg.norm(u)), host[i - 1]))
-        self.n_rows = 6 + sum(1 for r in self.rows if (r[0], r[1]) != self.skip)
+            self.rows.append(((k, l), u, float(np.linalg.norm(u)), host[i - 1]))
 
     def _edges(self, x):
         b = x.reshape(4, 3)
         out = []
-        for _, (k, l), u, nu, ai in self.rows:
+        for (k, l), u, nu, ai in self.rows:
             w = b[k - 1] - b[l - 1]
             nw = float(np.linalg.norm(w))
             if nw <= 1e-9 * self.scale:
@@ -108,38 +106,30 @@ class _LoopSystem:
         return out
 
     def residuals(self, x):
-        vals = np.empty(self.n_rows)
+        vals = np.empty(12)
         edges = self._edges(x)
         for idx, (_, _, u, nu, _, _, w, nw) in enumerate(edges):
             vals[idx] = float(np.dot(u, w)) / (nu * nw)
-        pos = 6
         for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
-            if self.rows[idx][0:2] == self.skip:
-                continue
-            vals[pos] = float(np.dot(np.cross(u, w), bk - ai)) / (nu * nw * self.scale)
-            pos += 1
+            vals[6 + idx] = float(np.dot(np.cross(u, w), bk - ai)) / (nu * nw * self.scale)
         return vals
 
     def jacobian(self, x):
-        jac = np.zeros((self.n_rows, 12))
+        jac = np.zeros((12, 12))
         edges = self._edges(x)
         for idx, (k, l, u, nu, _, _, w, nw) in enumerate(edges):
             g = float(np.dot(u, w)) / (nu * nw)
             dw = u / (nu * nw) - g * w / (nw * nw)
             jac[idx, 3 * (k - 1):3 * k] = dw
             jac[idx, 3 * (l - 1):3 * l] = -dw
-        pos = 6
         for idx, (k, l, u, nu, ai, bk, w, nw) in enumerate(edges):
-            if self.rows[idx][0:2] == self.skip:
-                continue
             m = bk - ai
             denom = nu * nw * self.scale
             h = float(np.dot(np.cross(u, w), m)) / denom
             dw = np.cross(m, u) / denom - h * w / (nw * nw)
             dm = np.cross(u, w) / denom
-            jac[pos, 3 * (k - 1):3 * k] = dw + dm
-            jac[pos, 3 * (l - 1):3 * l] = -dw
-            pos += 1
+            jac[6 + idx, 3 * (k - 1):3 * k] = dw + dm
+            jac[6 + idx, 3 * (l - 1):3 * l] = -dw
         return jac
 
     def min_edge(self, x):
@@ -156,10 +146,9 @@ def _evaluate(fn, x):
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
-       skip=st.sampled_from((None,) + EDGE_PAIRINGS),
        merged=st.sampled_from(((), (0, 1), (1, 3), (2, 3), (0, 2, 3), (3, 2, 1))))
 @settings(max_examples=120, deadline=None)
-def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, skip, merged):
+def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
     """The array kernel reproduces the per-pairing loop exactly: the same
     residuals, Jacobian and min edge bits, from ``residuals``,
     ``jacobian`` and the fused ``evaluate`` alike, and the same collapse
@@ -177,9 +166,8 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, skip, merged
         partner[j] = partner[merged[0]]
     x = partner.reshape(12)
     tol = Tolerance.for_points(host)
-    system = OrthosectSystem(Tetrahedron.of(host), tol, skip_intersection=skip)
-    ref = _LoopSystem(host, tol.scene_scale, skip)
-    assert system.n_rows == ref.n_rows
+    system = OrthosectSystem(Tetrahedron.of(host), tol)
+    ref = _LoopSystem(host, tol.scene_scale)
     fused, fused_msg = _evaluate(system.evaluate, x)
     for idx, name in enumerate(("residuals", "jacobian")):
         got, got_msg = _evaluate(getattr(system, name), x)
@@ -198,7 +186,7 @@ def _reference_trace(a, b0, steps, h, direction, tol):
     evaluated again at each accepted point for its residual and tangent.
     Returns (samples, max residuals, singular values, stop reason, step
     halvings)."""
-    sys = _LoopSystem(a.array, tol.scene_scale, None)
+    sys = _LoopSystem(a.array, tol.scene_scale)
     scale = tol.scene_scale
 
     def tangent(jac):
