@@ -28,10 +28,29 @@ from .orthology import (
 )
 from .pedal import ChainKernel, partner_from_feet
 
-# trace_curve bisects crossings to REFINE_TOL scene scales and keeps those
-# whose |sixth-foot residual| is at most VERTEX_TOL
+# trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
+# FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
+# |L23 N12 N13| is below FIT_CUT of its largest value (F is 0/0 there)
+NONIC = 9
+FIT_NODES = 20
+FIT_CUT = 1e-6
+# it reads lattice and bisection signs against ZERO_TOL times the largest
+# |lattice value|, above the series' error, so that a node where F vanishes
+# (a face vertex, say) has one sign; it bisects crossings on the series to
+# REFINE_TOL scene scales and polishes each with NEWTON_STEPS Newton steps
+ZERO_TOL = 1e-12
 REFINE_TOL = 1e-9
+NEWTON_STEPS = 2
+# it keeps the vertices whose |sixth-foot residual| is at most VERTEX_TOL and
+# whose six feet are pairwise more than FEET_TOL scene scales apart; a chain
+# with two coincident feet on a lattice line is found to within REFINE_TOL,
+# so the cut stays well above it
 VERTEX_TOL = 1e-6
+FEET_TOL = 1e-6
+_FIT_NODES = np.cos(np.pi * (np.arange(FIT_NODES) + 0.5) / FIT_NODES)
+_TERMS = np.add.outer(np.arange(NONIC + 1), np.arange(NONIC + 1)) <= NONIC
+# the 15 pairs of six feet
+_I6, _J6 = np.triu_indices(6, 1)
 # default_window inflates the face's bounding box about its centre by this
 WINDOW_INFLATE = 3.0
 # iterate_sequence merges orthology centers within this many scene scales
@@ -125,9 +144,11 @@ def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """One connected arc of the traced curve for one sphericity branch.
-    Vertices are 2-D face-frame coordinates; residuals are the |sixth-foot|
-    values at the refined vertices and ts the sphericity parameters."""
+    """One connected arc of the traced curve. Vertices are 2-D face-frame
+    coordinates; residuals are the |sixth-foot| values at the vertices and
+    ts the common roots t of their chains (world units). ``branch`` is 0:
+    the curve is traced as one field, and the field is kept so that saved
+    reports keep their schema."""
 
     branch: int
     points: np.ndarray       # (n, 2)
@@ -140,13 +161,14 @@ class TraceCounts:
     """Work done and discarded by one ``trace_curve`` call."""
 
     lattice_nodes: int        # grid * grid
-    nan_nodes: int            # (node, branch) lattice values without a root
-    bisection_rounds: int     # lockstep refinement rounds, one kernel call each
-    refine_evals: int         # bisection midpoints plus saddle-cell centres
-    crossings: int            # refined crossings kept (|f| <= VERTEX_TOL)
-    rejected_crossings: int   # refined crossings dropped (|f| > VERTEX_TOL): f jumps
-                              # sign (sphere/plane switch, opposite plane normals,
-                              # t jump) or a midpoint had no root
+    nan_nodes: int            # lattice values that are NaN: 0, unless the host has
+                              # no F9 (parallel in-plane perpendiculars), then all
+    bisection_rounds: int     # lockstep bisection rounds on the fitted series
+    refine_evals: int         # bisection midpoints plus saddle-cell centres, all
+                              # on the series
+    crossings: int            # vertices kept
+    rejected_crossings: int   # vertices dropped: two of their six feet within
+                              # FEET_TOL, or |f| > VERTEX_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +233,66 @@ class _FaceFrame:
         self._local = (self.kernel.to_local(origin), self.axis_u / self.kernel.scale,
                        self.axis_v / self.kernel.scale)
 
-    def branches(self, uv: np.ndarray):
-        """Both sphericity branches at (M, 2) frame points as ``(t, f)``,
-        each (M, 2): t in world units, f the scale-normalized sixth-foot
-        residual, NaN where a point has no such root."""
+    def to_local(self, uv: np.ndarray) -> np.ndarray:
+        """Kernel-local coordinates of (M, 2) frame points."""
         origin, axis_u, axis_v = self._local
-        t, f = self.kernel.sphericity_batch(origin + uv[:, :1] * axis_u + uv[:, 1:] * axis_v)
-        return t * self.kernel.scale, f
+        return origin + uv[:, :1] * axis_u + uv[:, 1:] * axis_v
+
+
+def _chebyshev(x: np.ndarray, slopes: bool = False) -> np.ndarray:
+    """T_0 .. T_NONIC at x, stacked on a new first axis; with ``slopes``
+    their derivatives k U_(k-1) instead."""
+    t = np.empty((NONIC + 1,) + x.shape)
+    t[0], t[1] = (0.0, 1.0) if slopes else (1.0, x)
+    for k in range(2, NONIC + 1):
+        t[k] = 2.0 * x * t[k - 1] - t[k - 2]
+    return t * np.arange(NONIC + 1).reshape((-1,) + (1,) * x.ndim) if slopes else t
+
+
+class _Chebyshev:
+    """F9 over a window as a total-degree-NONIC Chebyshev series in the
+    window's coordinates scaled to [-1, 1], coefficients ``coef[i, j]`` of
+    T_i(u) T_j(v): least squares on a FIT_NODES x FIT_NODES Chebyshev point
+    set, leaving out the samples where F is 0/0 (|L23 N12 N13| below
+    FIT_CUT of its largest value). All NaN where the kernel has no F."""
+
+    def __init__(self, frame: _FaceFrame, window: Tuple[float, float, float, float]):
+        self.frame = frame
+        lo, hi = np.array(window[:2]), np.array(window[2:])
+        self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        s = np.stack(np.meshgrid(_FIT_NODES, _FIT_NODES, indexing="ij"), axis=-1).reshape(-1, 2)
+        local = frame.to_local(self.mid + s * self.half)
+        divisor = np.abs(frame.kernel.divisor(local))
+        self.divisor_cut = FIT_CUT * divisor.max()
+        keep = divisor >= self.divisor_cut
+        f = frame.kernel.nonic(local[keep])[0]
+        self.coef = np.full((NONIC + 1, NONIC + 1), np.nan)
+        if np.isfinite(f).all():
+            # the basis is nearly orthogonal on these points (condition number
+            # 2 on the full set), so the normal equations lose nothing
+            basis = _chebyshev(s[keep, 0])[:, None] * _chebyshev(s[keep, 1])
+            vander = basis[_TERMS].T
+            self.coef[:] = 0.0
+            self.coef[_TERMS] = np.linalg.solve(vander.T @ vander, vander.T @ f)
+
+    def __call__(self, uv: np.ndarray) -> np.ndarray:
+        s, r = ((uv - self.mid) / self.half).T
+        return ((self.coef @ _chebyshev(r)) * _chebyshev(s)).sum(axis=0)
+
+    def gradient(self, uv: np.ndarray) -> np.ndarray:
+        s, r = ((uv - self.mid) / self.half).T
+        d_u = ((self.coef @ _chebyshev(r)) * _chebyshev(s, slopes=True)).sum(axis=0)
+        d_v = ((self.coef.T @ _chebyshev(s)) * _chebyshev(r, slopes=True)).sum(axis=0)
+        return np.column_stack([d_u, d_v]) / self.half
+
+    def exact(self, uv: np.ndarray):
+        """At (M, 2) frame points: F, or the series where F is 0/0 (the
+        divisor below the fit's cut), the common root t in normalized units,
+        that mask and the kernel-local points."""
+        local = self.frame.to_local(uv)
+        f, t = self.frame.kernel.nonic(local)
+        near = np.abs(self.frame.kernel.divisor(local)) < self.divisor_cut
+        return np.where(near, self(uv), f), t, near, local
 
 
 def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, float]:
@@ -275,93 +350,88 @@ def trace_curve(host: Tetrahedron, face: int,
                 window: Tuple[float, float, float, float] | None = None,
                 grid: int = 64,
                 tol: Tolerance | None = None) -> CurveTrace:
-    """Trace the isogonally self-conjugate curve on a face plane.
+    """Trace the isogonally self-conjugate curve on a face plane: the zero
+    set of the nonic F9 (``ChainKernel.nonic``), one continuous field.
 
-    Evaluates the sixth-foot sphericity residual on a ``grid`` x ``grid``
-    lattice for both sphericity branches in one batched kernel call,
-    extracts sign-change cells per branch, refines all crossings by
-    bisection in lockstep (one batched call per round) to REFINE_TOL
-    times the scene scale, and links the crossings into polylines. Lattice
-    nodes where no real sphericity parameter exists are outside the real
-    locus and skipped. Sign flips whose refined residual stays above
-    VERTEX_TOL are not curve points and terminate the polyline there:
-    the sign of f jumps without passing through zero where the carrier
-    switches between sphere and plane at the radius cut, between two plane
-    fits with opposite normals, or where the branch's t jumps, and some
-    brackets stop at a midpoint with no root. An empty window yields an
-    empty trace, not an error.
+    Fits F9 over the window as a Chebyshev series from one batched kernel
+    call (``_Chebyshev``), evaluates the series on a ``grid`` x ``grid``
+    lattice, extracts the sign-change cells, bisects all their crossings on
+    the series in lockstep to REFINE_TOL times the scene scale, polishes
+    each with NEWTON_STEPS Newton steps along the series' gradient on the
+    true F (on the series next to the lines L23, N12, N13, where F is 0/0),
+    and links the crossings into polylines. Each vertex carries the common
+    root t of its chain (next to those lines, the validated root of Q whose
+    sixth foot fits best) and the |residual| of its sixth foot against the
+    carrier of the other five; a vertex whose residual exceeds VERTEX_TOL,
+    or two of whose six feet lie within FEET_TOL scene scales, is dropped
+    and ends the polyline there. The window must have positive width and
+    height (ValueError otherwise); an empty window yields an empty trace,
+    not an error.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
-    frame = _FaceFrame(host, face, tol)
-    tol = frame.tol
     if window is None:
         window = default_window(host, face)
     x0, y0, x1, y1 = (float(w) for w in window)
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"window needs x1 > x0 and y1 > y0, got {(x0, y0, x1, y1)}")
+    frame = _FaceFrame(host, face, tol)
+    tol = frame.tol
+    field = _Chebyshev(frame, (x0, y0, x1, y1))
     us = np.linspace(x0, x1, grid)
     vs = np.linspace(y0, y1, grid)
     nodes = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
-    tvals, fvals = (a.T.reshape(2, grid, grid) for a in frame.branches(nodes))
+    f = field(nodes).reshape(grid, grid)
+    level = ZERO_TOL * np.abs(f).max()
 
     # lattice edges with a sign change, numbered in order of first use; each
     # is refined from the end its first cell lists first
     edge_ids: Dict[Tuple, int] = {}
     ends: List[Tuple] = []
 
-    def edge(branch, n1, n2) -> int:
-        key = (branch, min(n1, n2), max(n1, n2))
+    def edge(n1, n2) -> int:
+        key = (min(n1, n2), max(n1, n2))
         if key not in edge_ids:
             edge_ids[key] = len(ends)
-            ends.append((branch, *n1, *n2))
+            ends.append((*n1, *n2))
         return edge_ids[key]
 
-    # per branch, in cell order, the edge pairs marching squares joins
-    segments: Tuple[List, List] = ([], [])
-    centre_evals = 0
-    for branch in range(2):
-        f = fvals[branch]
-        corner = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1)
-        pos = corner > 0
-        flips = pos != np.roll(pos, -1, axis=-1)   # edge e joins corners e, e+1
-        marched = flips.any(axis=-1) & ~np.isnan(corner).any(axis=-1)
-        centre_f = np.full(marched.shape, math.nan)
-        su, sv = np.nonzero(marched & flips.all(axis=-1))
-        if len(su):
-            centres = np.column_stack([0.5 * (us[su] + us[su + 1]), 0.5 * (vs[sv] + vs[sv + 1])])
-            centre_f[su, sv] = frame.branches(centres)[1][:, branch]
-            centre_evals += len(su)
-        for iu, iv in np.argwhere(marched).tolist():
-            corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
-            e = [(corners[k], corners[(k + 1) % 4]) for k in np.flatnonzero(flips[iu, iv])]
-            if len(e) == 2:
-                pairs = [e]
-            elif math.isnan(centre_f[iu, iv]):
-                continue
-            # saddle: connect crossings around corners matching the center
-            elif (centre_f[iu, iv] > 0) == pos[iu, iv, 0]:
-                pairs = [(e[0], e[3]), (e[1], e[2])]
-            else:
-                pairs = [(e[0], e[1]), (e[2], e[3])]
-            segments[branch].extend((edge(branch, *ea), edge(branch, *eb))
-                                    for ea, eb in pairs)
-    points, residuals, ts, rounds, evals = _refine_crossings(
-        frame, us, vs, fvals, tvals, np.array(ends, dtype=int).reshape(-1, 5),
-        REFINE_TOL * tol.scene_scale)
-    accepted = residuals <= VERTEX_TOL
+    # in cell order, the edge pairs marching squares joins
+    segments: List[Tuple[int, int]] = []
+    corner = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1)
+    pos = corner > level
+    flips = pos != np.roll(pos, -1, axis=-1)   # edge e joins corners e, e+1
+    centre_pos = np.zeros(flips.shape[:2], dtype=bool)
+    su, sv = np.nonzero(flips.all(axis=-1))
+    centre_pos[su, sv] = field(np.column_stack([0.5 * (us[su] + us[su + 1]),
+                                                0.5 * (vs[sv] + vs[sv + 1])])) > level
+    for iu, iv in np.argwhere(flips.any(axis=-1)).tolist():
+        corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
+        e = [(corners[k], corners[(k + 1) % 4]) for k in np.flatnonzero(flips[iu, iv])]
+        if len(e) == 2:
+            pairs = [e]
+        # saddle: connect crossings around corners matching the center
+        elif centre_pos[iu, iv] == pos[iu, iv, 0]:
+            pairs = [(e[0], e[3]), (e[1], e[2])]
+        else:
+            pairs = [(e[0], e[1]), (e[2], e[3])]
+        segments.extend((edge(*ea), edge(*eb)) for ea, eb in pairs)
+    points, rounds, evals = _refine_crossings(field, us, vs, f, np.array(ends, dtype=int)
+                                              .reshape(-1, 4), level, REFINE_TOL * tol.scene_scale)
+    points, residuals, ts, accepted = _polish(field, points)
 
     polylines: List[Polyline] = []
     bound = 0.0
-    for branch in range(2):
-        kept = [(a, b) for a, b in segments[branch] if accepted[a] and accepted[b]]
-        for path in _link_segments(kept):
-            polylines.append(Polyline(branch=branch, points=points[path],
-                                      residuals=residuals[path], ts=ts[path]))
-            bound = max(bound, float(residuals[path].max()))
+    kept = [(a, b) for a, b in segments if accepted[a] and accepted[b]]
+    for path in _link_segments(kept):
+        polylines.append(Polyline(branch=0, points=points[path],
+                                  residuals=residuals[path], ts=ts[path]))
+        bound = max(bound, float(residuals[path].max()))
 
     counts = TraceCounts(lattice_nodes=grid * grid,
-                         nan_nodes=int(np.isnan(fvals).sum()),
+                         nan_nodes=int(np.isnan(f).sum()),
                          bisection_rounds=rounds,
-                         refine_evals=evals + centre_evals,
+                         refine_evals=evals + len(su),
                          crossings=int(accepted.sum()),
                          rejected_crossings=int((~accepted).sum()))
     return CurveTrace(face=face, origin=frame.origin, axis_u=frame.axis_u,
@@ -370,40 +440,64 @@ def trace_curve(host: Tetrahedron, face: int,
                       counts=counts)
 
 
-def _refine_crossings(frame: _FaceFrame, us, vs, fvals, tvals, ends: np.ndarray,
+def _polish(field: _Chebyshev, points: np.ndarray):
+    """The bisected crossings (E, 2) after NEWTON_STEPS Newton steps, with
+    their |sixth-foot residuals|, their ts in world units and which of them
+    are kept (see ``trace_curve``)."""
+    kernel = field.frame.kernel
+    if not len(points):
+        return points, np.empty(0), np.empty(0), np.zeros(0, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            grad = field.gradient(points)
+            points = points - (field.exact(points)[0] / (grad * grad).sum(axis=1))[:, None] * grad
+    _, t, near, local = field.exact(points)
+    if near.any():
+        # the quotient t is 0/0 there too: take the validated root of Q whose
+        # sixth foot fits best, of those whose feet stay apart (next to the
+        # lines, one root of Q makes two feet coincide)
+        roots = kernel.sphericity_batch(local[near])[0]
+        feet, sixth = kernel.sixth_foot(local[near], roots)
+        fit = np.where(_feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
+        t[near] = roots[np.arange(len(roots)), fit.argmin(axis=1)]
+    feet, sixth = (a[:, 0] for a in kernel.sixth_foot(local, t[:, None]))
+    residuals = np.abs(sixth)
+    return (points, residuals, t * kernel.scale,
+            (residuals <= VERTEX_TOL) & (_feet_gap(feet) > FEET_TOL))
+
+
+def _feet_gap(feet: np.ndarray) -> np.ndarray:
+    """The smallest distance between two of the six feet (..., 6, 3)."""
+    return np.linalg.norm(feet[..., _I6, :] - feet[..., _J6, :], axis=-1).min(axis=-1)
+
+
+def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: float,
                       position_tol: float):
-    """Bisect the lattice edges ``ends`` (rows branch, iu1, iv1, iu2, iv2)
-    in lockstep, each until its bracket is within ``position_tol`` or a
-    midpoint has no root on its branch. Returns the end of each final
-    bracket with the smaller |f| as (points (E, 2), |f| (E,), t (E,)),
-    then the rounds and the midpoint evaluations made."""
-    br, iu, iv = ends[:, 0], ends[:, 1::2], ends[:, 2::2]
-    # per bracket, its ends a and b as rows (u, v, f, t)
-    brackets = np.stack([us[iu], vs[iv], fvals[br[:, None], iu, iv], tvals[br[:, None], iu, iv]],
-                        axis=-1)
-
-    def wide(ab):
-        return np.linalg.norm(ab[:, 1, :2] - ab[:, 0, :2], axis=1) > position_tol
-
-    live = np.flatnonzero(wide(brackets))
-    rounds = evals = 0
-    while len(live):
-        ab = brackets[live]
-        mid = np.empty((len(live), 4))
-        mid[:, :2] = 0.5 * (ab[:, 0, :2] + ab[:, 1, :2])
-        mid[:, 3], mid[:, 2] = (a[np.arange(len(live)), br[live]]
-                                for a in frame.branches(mid[:, :2]))
-        rounds += 1
-        evals += len(live)
-        hit = np.flatnonzero(~np.isnan(mid[:, 2]))
+    """Bisect the lattice edges ``ends`` (rows iu1, iv1, iu2, iv2) across
+    ``level`` on the series ``field`` in lockstep until every bracket is
+    within ``position_tol``. Each edge runs along u or along v, where the series
+    is a Chebyshev series in the one moving coordinate. Returns the end of
+    each final bracket with the smaller |field| (E, 2), then the rounds and
+    the midpoint evaluations made."""
+    iu, iv = ends[:, 0::2], ends[:, 1::2]
+    rows = np.arange(len(ends))
+    along = (iv[:, 0] != iv[:, 1]).astype(int)   # the moving coordinate: 0 is u, 1 is v
+    scaled = (np.stack([us[iu], vs[iv]], axis=-1) - field.mid) / field.half
+    basis = _chebyshev(scaled[rows, 0, 1 - along])
+    series = np.where(along == 0, field.coef @ basis, field.coef.T @ basis)
+    # per bracket, the moving coordinate and f at its ends a and b
+    x, fx = scaled[rows, :, along], f[iu, iv]
+    rounds = 0
+    while len(x) and (field.half[along] * np.abs(x[:, 1] - x[:, 0])).max() > position_tol:
+        mid = 0.5 * (x[:, 0] + x[:, 1])
+        f_mid = (series * _chebyshev(mid)).sum(axis=0)
         # the midpoint replaces the end whose f has its sign
-        ab[hit, ((mid[hit, 2] > 0) != (ab[hit, 0, 2] > 0)).astype(int)] = mid[hit]
-        brackets[live[hit]] = ab[hit]
-        live = live[hit][wide(ab[hit])]
+        end = ((f_mid > level) != (fx[:, 0] > level)).astype(int)
+        x[rows, end], fx[rows, end] = mid, f_mid
+        rounds += 1
     # the end with the smaller |f|, end a on a tie
-    best = brackets[np.arange(len(brackets)),
-                    (np.abs(brackets[:, 0, 2]) > np.abs(brackets[:, 1, 2])).astype(int)]
-    return best[:, :2], np.abs(best[:, 2]), best[:, 3], rounds, evals
+    scaled[rows, 0, along] = x[rows, (np.abs(fx[:, 0]) > np.abs(fx[:, 1])).astype(int)]
+    return field.mid + scaled[:, 0] * field.half, rounds, rounds * len(ends)
 
 
 @dataclass(frozen=True, eq=False)

@@ -75,11 +75,15 @@ def _at_least(low: int):
 
 
 def _window(text: str) -> Tuple[float, ...]:
-    """The --window box x0,y0,x1,y1, as an argparse ``type``."""
+    """The --window box x0,y0,x1,y1 with x1 > x0 and y1 > y0, as an
+    argparse ``type``."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected x0,y0,x1,y1, got {text!r}")
-    return tuple(_number(p) for p in parts)
+    x0, y0, x1, y1 = (_number(p) for p in parts)
+    if not (x1 > x0 and y1 > y0):
+        raise argparse.ArgumentTypeError(f"expected x1 > x0 and y1 > y0, got {text!r}")
+    return x0, y0, x1, y1
 
 
 def _pair_names(spec: str) -> Tuple[str, str]:

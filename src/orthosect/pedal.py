@@ -203,8 +203,6 @@ class ChainKernel:
         if np.dot(u, toward4) < 0:
             u = -u
         self.u = u
-        # feet 14 and 24 move along their edges by these per unit of t
-        self.g = np.array([np.dot(u, d14) * d14, np.dot(u, d24) * d24])
         # source 2 (source 1) is where the in-plane perpendiculars at feet
         # 13 and 14 (23 and 24) meet: foot 13 (23) plus a multiple of p13
         # (p23); None where they are parallel
@@ -212,6 +210,16 @@ class ChainKernel:
         self.p23 = np.cross(n234, d23)
         self.w134 = _in_plane_factor(self.p13, np.cross(n134, d14), n134)
         self.w234 = _in_plane_factor(self.p23, np.cross(n234, d24), n234)
+        # feet 14, 24 and 34 move along their edges by these per unit of t
+        # (foot 34 through source 2, so only where source 2 exists)
+        g14 = np.dot(u, d14) * d14
+        g34 = (0.0 if self.w134 is None
+               else np.dot(g14, self.w134) * np.dot(self.p13, self.direction[5]))
+        self.g = np.array([g14, np.dot(u, d24) * d24, g34 * self.direction[5]])
+        # the lines the resultant of the two determinants vanishes on besides
+        # the nonic: edge line 23 and the perpendiculars to edges 12 and 13 at
+        # vertex 1, as in-plane (anchor, normal) rows
+        self.divisor_lines = (a[[1, 0, 0]], np.array([np.cross(self.n123, d23), d12, d13]))
         circ = circle_through(a[0], a[1], a[2], tol=Tolerance(scene_scale=1.0))
         self.circumcenter = circ.center.array
         self.circumradius = circ.radius
@@ -227,25 +235,53 @@ class ChainKernel:
         return _feet_on(self.anchor[:3], self.direction[:3], b4_local[..., None, :])
 
     def _cosphericity_samples(self, p: np.ndarray):
-        """For (N, 3) local points: feet 12, 13, 23 (N, 3, 3), feet 14 and 24
-        at t = 0 (N, 2, 3), which move by ``self.g`` per unit of t, and the
-        co-sphericity determinant det[|p|^2, p, 1] of the five feet at
-        t = -1, 0, 1 (3, N). Translated to foot 12 the determinant is
-        det[|d|^2, d] of feet 13, 23, 14, 24: the sum of the fixed rows' (13,
-        23) 2x2 minors times the moving rows' (14, 24) complementary ones."""
+        """For (N, 3) local points: feet 12, 13, 23 (N, 3, 3), feet 14, 24
+        and 34 at t = 0 (N, 3, 3), which move by ``self.g`` per unit of t,
+        and the co-sphericity determinants det[|p|^2, p, 1] at t = -1, 0, 1
+        of feet 12, 13, 23 and 14 with foot 24 (Q) and with foot 34 (P), as
+        (2, 3, N). Translated to foot 12 a determinant is det[|d|^2, d] of
+        its last four feet: the sum of the fixed rows' (13, 23) 2x2 minors
+        times the moving rows' (14 with 24 or 34) complementary ones. Needs
+        source 2 (``self.w134``)."""
         base = self.base_feet(p)
-        v12 = base[:, :1]
-        at0 = _feet_on(self.anchor[3:5], self.direction[3:5], v12)
-        # coordinates first: rows 13, 23 as (3, 2, N), rows 14, 24 at the
-        # three t as (3, 2, 3, N); lifted to columns (|d|^2, x, y, z) first
+        v12, v13 = base[:, :1], base[:, 1]
+        at0 = np.empty((len(p), 3, 3))
+        at0[:, :2] = _feet_on(self.anchor[3:5], self.direction[3:5], v12)
+        at0[:, 2] = _feet_on(self.anchor[5], self.direction[5],
+                             v13 + np.dot(at0[:, 0] - v13, self.w134)[:, None] * self.p13)
+        # coordinates first: rows 13, 23 as (3, 2, N), rows 14, 24, 34 at the
+        # three t as (3, 3, 3, N); lifted to columns (|d|^2, x, y, z) first
         fixed = (base[:, 1:] - v12).T
         moving = (at0 - v12).T[:, :, None] + self.g.T[:, :, None, None] * _T_SAMPLES
         fixed, moving = (np.concatenate([(d * d).sum(axis=0)[None], d]) for d in (fixed, moving))
         j, k = _MINOR_J, _MINOR_K
         minors = (fixed[j, 0] * fixed[k, 1] - fixed[k, 0] * fixed[j, 1]) * _MINOR_SIGN
         j, k = j[::-1], k[::-1]
-        return base, at0, (minors[:, None] * (moving[j, 0] * moving[k, 1]
-                                               - moving[k, 0] * moving[j, 1])).sum(axis=0)
+        first, second = moving[:, :1], moving[:, 1:]
+        return base, at0, (minors[:, None, None] * (first[j] * second[k]
+                                                     - first[k] * second[j])).sum(axis=0)
+
+    def _sixth_foot(self, base: np.ndarray, at0: np.ndarray, t: np.ndarray):
+        """The six feet (N, K, 6, 3) at parameters t (N, K), the carrier fit
+        of the first five (feet 12, 13, 23, 14, 24) and the signed residual
+        f (N, K) of the sixth, foot 34, against that carrier."""
+        n, k = t.shape
+        feet = np.empty((n, k, 6, 3))
+        feet[:, :, :3] = base[:, None]
+        feet[:, :, 3:] = at0[:, None] + t[..., None, None] * self.g
+        fit = {key: val.reshape(n, k, *val.shape[1:])
+               for key, val in _sphere_fit(feet[:, :, :5].reshape(-1, 5, 3)).items()}
+        v34 = feet[:, :, 5]
+        f = np.where(fit["sphere"], np.linalg.norm(v34 - fit["center"], axis=-1) - fit["radius"],
+                     (v34 * fit["normal"]).sum(axis=-1) - fit["offset"])
+        return feet, fit, f
+
+    @staticmethod
+    def _quadratics(samples: np.ndarray):
+        """Coefficients (c0, c1, c2) of the quadratics through samples at
+        t = -1, 0, 1 (first axis)."""
+        d_lo, c0, d_hi = samples
+        return c0, 0.5 * (d_hi - d_lo), 0.5 * (d_hi + d_lo) - c0
 
     def sphericity_batch(self, b4_local: np.ndarray):
         """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
@@ -260,10 +296,9 @@ class ChainKernel:
         n = len(p)
         if self.w134 is None:   # no source 2, so no root validates
             return np.full((n, 2), np.nan), np.full((n, 2), np.nan)
-        base, at0, (d_lo, c0, d_hi) = self._cosphericity_samples(p)
+        base, at0, samples = self._cosphericity_samples(p)
         # the determinant is exactly quadratic in t
-        c1 = 0.5 * (d_hi - d_lo)
-        c2 = 0.5 * (d_hi + d_lo) - c0
+        c0, c1, c2 = self._quadratics(samples[0])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             abs1, abs2 = np.abs(c1), np.abs(c2)
             mag = np.maximum(np.maximum(np.abs(c0), abs1), abs2)
@@ -293,27 +328,51 @@ class ChainKernel:
                 polish &= np.abs(slope) >= 1e-300
                 t = np.where(polish, t - ((a2 * t + a1) * t + a0) / slope, t)
 
-        # feet 12, 13, 23, 14, 24 at each root, (N, 2, 5, 3)
-        five = np.empty((n, 2, 5, 3))
-        five[:, :, :3] = base[:, None]
-        five[:, :, 3:] = at0[:, None] + t[..., None, None] * self.g
-        fit = {key: val.reshape(n, 2, *val.shape[1:])
-               for key, val in _sphere_fit(five.reshape(-1, 5, 3)).items()}
+        _, fit, f = self._sixth_foot(base, at0, t)
         valid = fit["residual"] <= self.tol.eps_rel
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
-        # the sixth foot, from source 2, against the carrier of the five
-        v13, v14 = five[:, :, 1], five[:, :, 3]
-        v34 = _feet_on(self.anchor[5], self.direction[5],
-                       v13 + np.dot(v14 - v13, self.w134)[..., None] * self.p13)
-        f = np.where(fit["sphere"], np.linalg.norm(v34 - fit["center"], axis=-1) - fit["radius"],
-                     (v34 * fit["normal"]).sum(axis=-1) - fit["offset"])
         t, f = np.where(valid, t, np.nan), np.where(valid, f, np.nan)
         # ascending t, NaN last
         swap = (t[:, 1] < t[:, 0]) | (np.isnan(t[:, 0]) & ~np.isnan(t[:, 1]))
         t[swap], f[swap] = t[swap, ::-1], f[swap, ::-1]
         return t, f
+
+    def divisor(self, b4_local: np.ndarray) -> np.ndarray:
+        """L23 * N12 * N13 at (N, 3) local face points: the product of the
+        signed distances to the three ``divisor_lines``."""
+        anchor, normal = self.divisor_lines
+        return ((b4_local[:, None] - anchor) * normal).sum(axis=-1).prod(axis=-1)
+
+    def nonic(self, b4_local: np.ndarray):
+        """The curve's nonic F9 at (N, 3) local face points, with the
+        common root t of the two co-sphericity determinants Q (feet 12, 13,
+        23, 14, 24) and P (foot 34 in place of 24), as two (N,) arrays.
+        Both determinants are exactly quadratic in t, so their resultant
+        (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1) is closed form;
+        it is L23 * N12 * N13 * F9, and F is the quotient. F is 0/0, so
+        unreliable, on and near the three lines. t is in normalized units;
+        all NaN without source 2."""
+        p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
+        if self.w134 is None:
+            return np.full(len(p), np.nan), np.full(len(p), np.nan)
+        (a0, a1, a2), (b0, b1, b2) = map(self._quadratics, self._cosphericity_samples(p)[2])
+        x = a2 * b0 - a0 * b2
+        y = a1 * b2 - a2 * b1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (x * x + y * (a1 * b0 - a0 * b1)) / self.divisor(p), x / y
+
+    def sixth_foot(self, b4_local: np.ndarray, t: np.ndarray):
+        """At (N, 3) local face points and parameters t (N, K): the six feet
+        (N, K, 6, 3) and the signed residual f (N, K) of foot 34 against the
+        carrier through the other five (both NaN without source 2)."""
+        p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
+        if self.w134 is None:
+            return np.full(t.shape + (6, 3), np.nan), np.full(t.shape, np.nan)
+        base, at0, _ = self._cosphericity_samples(p)
+        feet, _, f = self._sixth_foot(base, at0, t)
+        return feet, f
 
     def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
         """The pedal chain, in world coordinates, completed from a local

@@ -161,6 +161,10 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
                  id="window-not-numbers"),
     pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "0,0,nan,1"],
                  id="window-nan"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "1,1,1,1"],
+                 id="window-empty"),
+    pytest.param(["curve", "--tet", "A", "--face", "4", "--window", "2,0,1,3"],
+                 id="window-reversed"),
     pytest.param(["curve", "--tet", "A", "--face", "4", "--degree-seed", "-1"],
                  id="degree-seed-negative"),
     pytest.param(["solve", "--tet", "A", "--seed", "1", "--restarts", "0"], id="restarts-0"),
