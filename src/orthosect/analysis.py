@@ -26,7 +26,7 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import ChainKernel, partner_from_feet
+from .pedal import ChainKernel, _partner_vertices, _require_orthosection
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
 # FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
@@ -122,12 +122,15 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     """
     tol = tol or pair_tolerance(a, b)
     _, points = require_orthosecting(a, b, tol)
-    return conjugate_through(a, points, *carrier_through(points, tol), tol)
+    c = conjugate_through(a, points, *carrier_through(points, tol), tol)
+    return _require_orthosection(a, c, tol)
 
 
 def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane,
                       residual: float, tol: Tolerance) -> Tetrahedron:
-    """``conjugate`` from the pair's intersection points and their carrier fit."""
+    """``conjugate`` from the pair's intersection points and their carrier
+    fit, before the reconstruction postcondition (``partner_from_feet``)
+    that ``conjugate`` applies."""
     if residual > tol.eps_rel * tol.scene_scale:
         raise DegenerateError(f"intersection points deviate from a common sphere/plane "
                               f"by {residual:.3e} (> {tol.eps_rel * tol.scene_scale:.3e})")
@@ -138,7 +141,7 @@ def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane
     # edge line; stepping along the edge from the point keeps its accuracy
     u = a.array[_I] - a.array[_J]
     d = u / np.sqrt(dot_rows(u, u))[:, None]
-    return partner_from_feet(
+    return _partner_vertices(
         a, points - 2.0 * dot_rows(points - carrier.center.array, d)[:, None] * d, tol)
 
 
@@ -154,6 +157,16 @@ class Polyline:
     points: np.ndarray       # (n, 2)
     residuals: np.ndarray    # (n,)
     ts: np.ndarray           # (n,)
+
+    @property
+    def closed(self) -> bool:
+        """A cycle, whose last vertex repeats its first."""
+        return len(self.points) > 2 and bool(np.array_equal(self.points[0], self.points[-1]))
+
+    @property
+    def vertex_count(self) -> int:
+        """Distinct vertices: a cycle's repeated first vertex counts once."""
+        return len(self.points) - self.closed
 
 
 @dataclass(frozen=True)
@@ -193,11 +206,11 @@ class CurveTrace:
 
     @property
     def vertex_count(self) -> int:
-        return sum(len(p.points) for p in self.polylines)
+        return sum(p.vertex_count for p in self.polylines)
 
     def iter_vertices(self):
         for poly in self.polylines:
-            for idx in range(len(poly.points)):
+            for idx in range(poly.vertex_count):
                 yield poly.branch, poly.points[idx], poly.residuals[idx], poly.ts[idx]
 
 

@@ -24,6 +24,7 @@ from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, Sce
 from .geom_core import Tolerance, carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
                         pairing_key, require_orthosecting)
+from .pedal import _check_orthosection
 from .scene import Report, Scene, _point_list, _read_json, load_scene, scene_from_dict
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
@@ -192,12 +193,15 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     _, points_b = require_orthosecting(a, b, tol)
     carrier_b, residual_b = carrier_through(points_b, tol)
     c = analysis.conjugate_through(a, points_b, carrier_b, residual_b, tol)
+    # one pair_measures of (host, conjugate) serves the reconstruction
+    # postcondition, the verdict and the orthosection check, in that order
+    measures = pair_measures(a, c, tol)
+    _check_orthosection(measures)
     report.results["conjugate"] = c.array.tolist()
-    rv = solver.orthosect_residuals(a, c, tol)
-    gaps = solver.intersection_gaps(a, c, tol)
-    worst = max(rv.max_abs, max(gaps.values()))
+    residuals = solver.OrthosectSystem(a, tol).residuals(c.array.reshape(12))
+    worst = max(float(np.abs(residuals).max()), float(measures[1].max()))
     report.add_verdict("conjugate_orthosects", worst, tol.eps_rel)
-    _, points_c = require_orthosecting(a, c, tol)
+    _, points_c = require_orthosecting(a, c, tol, measures=measures)
     carrier_c, _ = carrier_through(points_c, tol)
     report.results["carrier_b"] = _carrier_dict(carrier_b)
     report.results["carrier_c"] = _carrier_dict(carrier_c)

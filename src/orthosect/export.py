@@ -156,8 +156,8 @@ class _SvgCanvas:
 
 
 def trace_to_svg(trace: CurveTrace) -> str:
-    """SVG of a curve trace; each polyline becomes one path whose vertex
-    count equals the polyline's vertex count."""
+    """SVG of a curve trace; each polyline becomes one path through all
+    its points (a cycle's path ends on its first vertex again)."""
     canvas = _SvgCanvas()
     x0, y0, x1, y1 = trace.window
     canvas.path("triangle", [(x0, y0), (x1, y0), (x1, y1), (x0, y1)], closed=True)

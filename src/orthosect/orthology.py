@@ -190,19 +190,20 @@ def edge_orthogonality_residuals(a: Tetrahedron, b: Tetrahedron,
     return by_pairing(pair_measures(a, b, tol)[0])
 
 
-def _orthologic_measures(a: Tetrahedron, b: Tetrahedron, tol: Tolerance):
-    """``pair_measures`` of a pair that must be orthologic: raises
-    NotOrthologicError, with the six residuals, when some pair of
-    non-corresponding edges is not orthogonal within ``tol.eps_rel``."""
-    ortho, gaps, feet = pair_measures(a, b, tol)
+def _require_orthologic(measures, tol: Tolerance):
+    """``measures``, the ``pair_measures`` of a pair that must be
+    orthologic: raises NotOrthologicError, with the six residuals, when
+    some pair of non-corresponding edges is not orthogonal within
+    ``tol.eps_rel``."""
+    ortho = measures[0]
     if ortho.max() > tol.eps_rel:
         raise NotOrthologicError(f"pair is not orthologic: max residual {ortho.max():.3e}",
                                  residuals=by_pairing(ortho))
-    return ortho, gaps, feet
+    return measures
 
 
 def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None,
-                         drop_worst_gap: bool = False):
+                         drop_worst_gap: bool = False, measures=None):
     """The one check that a pair orthosects: every pair of non-corresponding
     edges is orthogonal and intersects, within ``tol.eps_rel``.
 
@@ -210,11 +211,15 @@ def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None =
     NotOrthosectingError when some pair fails to intersect. With
     ``drop_worst_gap`` the pairing with the largest gap is exempt from the
     intersection check (five intersecting pairs suffice for
-    co-sphericity). Returns the checked pairings, in EDGE_PAIRINGS order,
-    and their intersection points as a (5 or 6, 3) array.
+    co-sphericity). ``measures``, when given, is the pair's
+    ``pair_measures`` at ``tol``, used instead of measuring again. Returns
+    the checked pairings, in EDGE_PAIRINGS order, and their intersection
+    points as a (5 or 6, 3) array.
     """
     tol = tol or pair_tolerance(a, b)
-    _, gaps, feet = _orthologic_measures(a, b, tol)
+    if measures is None:
+        measures = pair_measures(a, b, tol)
+    _, gaps, feet = _require_orthologic(measures, tol)
     kept = np.ones(6, dtype=bool)
     if drop_worst_gap:
         kept[np.argmax(gaps)] = False
@@ -235,7 +240,7 @@ def orthology_centers(a: Tetrahedron, b: Tetrahedron,
     center at infinity).
     """
     tol = tol or pair_tolerance(a, b)
-    residuals = by_pairing(_orthologic_measures(a, b, tol)[0])
+    residuals = by_pairing(_require_orthologic(pair_measures(a, b, tol), tol)[0])
     # the perpendicular bundles: the line through each vertex of one
     # tetrahedron along the normal of the other's corresponding face,
     # normalized a second time as Line normalizes its direction

@@ -520,6 +520,11 @@ def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Te
     asserted and a ReconstructionError raised when it fails, which is the
     symptom of feet that were not actually co-spherical.
     """
+    return _require_orthosection(host, _partner_vertices(host, feet, tol), tol)
+
+
+def _partner_vertices(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
+    """``partner_from_feet`` without its orthosection postcondition."""
     p = feet[_FEET_AT]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     n = cross_rows(u, v)
@@ -536,14 +541,21 @@ def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Te
         verts = meet_rows(plane_rows(n, p[:, 0])[FACE_VERTICES])
     except DegenerateError as exc:
         raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
-    return _require_orthosection(host, Tetrahedron.of(verts), tol)
+    return Tetrahedron.of(verts)
 
 
 def _require_orthosection(host: Tetrahedron, b: Tetrahedron, tol: Tolerance) -> Tetrahedron:
-    ortho, gaps, _ = pair_measures(host, b, tol)
+    _check_orthosection(pair_measures(host, b, tol))
+    return b
+
+
+def _check_orthosection(measures) -> None:
+    """The reconstruction postcondition on a (host, partner) pair's
+    ``pair_measures``: raises ReconstructionError when some orthogonality
+    residual or gap exceeds POSTCONDITION_TOL."""
+    ortho, gaps, _ = measures
     if ortho.max() > POSTCONDITION_TOL or gaps.max() > POSTCONDITION_TOL:
         raise ReconstructionError(
             f"reconstructed tetrahedron fails orthosection: orthogonality "
             f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {POSTCONDITION_TOL:.1e})",
             orthogonality=by_pairing(ortho), gaps=by_pairing(gaps))
-    return b

@@ -376,11 +376,15 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
 
     The predictor steps along the Jacobian's smallest singular direction
     (sign-aligned with the previous tangent; ``direction`` flips the first
-    step). The corrector re-converges with least squares augmented by a
-    pseudo-arclength row. Stops early on branch points (numerical nullity
-    of two or more), corrector failure after step halving, or degeneracy
-    filters, and reports the reason. The Jacobian's singular values at
-    each sample come from the SVD that yields the tangent there.
+    step). The corrector re-converges with Newton steps on the square
+    bordered system [[J, phi], [tau^T / scale, 0]] (Allgower & Georg,
+    ch. 2): the Jacobian closed by the left null vector phi of the last
+    sample's Jacobian and by the pseudo-arclength row, solved by LU; the
+    border unknown is discarded. Stops early on branch points (numerical
+    nullity of two or more), corrector failure after step halving, or
+    degeneracy filters, and reports the reason. The Jacobian's singular
+    values at each sample, its tangent and its left null vector all come
+    from one SVD there.
     """
     tol = tol or pair_tolerance(a, b0)
     sys = OrthosectSystem(a, tol)
@@ -392,20 +396,22 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     points = [x]
     residuals = [float(np.abs(r).max())]
     # the tangent is the last right singular vector of the Jacobian
-    _, s, vt = np.linalg.svd(jac)
+    u, s, vt = np.linalg.svd(jac)
     tau = float(direction) * _canonical_sign(vt[-1])
     singular_values = [s]
     stop = "steps exhausted"
     center = a.array.mean(axis=0)
     weight = 1.0 / scale
-    # the corrector's system: Jacobian over weighted tangent, negated rhs
-    aug = np.empty((13, 12))
+    # the corrector's system: Jacobian and left null vector over weighted
+    # tangent and zero, negated rhs
+    aug = np.zeros((13, 13))
     rhs = np.empty(13)
     for _ in range(steps):
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
-        np.multiply(weight, tau, out=aug[12])
+        aug[:12, 12] = u[:, -1]
+        np.multiply(weight, tau, out=aug[12, :12])
         step = h
         for _ in range(7):
             x_pred = x + step * tau
@@ -415,10 +421,12 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                     r, jac, edges = sys.evaluate(y)
                     if np.abs(r).max() <= 1e-12:
                         break
-                    aug[:12] = jac
+                    aug[:12, :12] = jac
                     np.negative(r, out=rhs[:12])
                     rhs[12] = -(weight * float(np.dot(tau, y - x_pred)))
-                    delta = np.linalg.lstsq(aug, rhs, rcond=1e-13)[0]
+                    delta = np.linalg.solve(aug, rhs)[:12]
+                    if not np.isfinite(delta).all():
+                        raise np.linalg.LinAlgError("corrector step is not finite")
                     y += delta
                     if np.linalg.norm(delta) < 1e-16 * scale:
                         r, jac, edges = sys.evaluate(y)
@@ -426,7 +434,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                 # accepted when the last evaluation, the one at y, is on the family
                 if np.abs(r).max() <= 1e-12:
                     break
-            except _Collapse:
+            except (_Collapse, np.linalg.LinAlgError):
                 pass
             step *= 0.5
         else:
@@ -442,7 +450,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         points.append(x)
         residuals.append(float(np.abs(r).max()))
         # tangent at the new sample, sign-aligned with the step just taken
-        _, s, vt = np.linalg.svd(jac)
+        u, s, vt = np.linalg.svd(jac)
         tau = -vt[-1] if float(np.dot(vt[-1], tau)) < 0 else vt[-1]
         singular_values.append(s)
     coords = np.array(points).reshape(-1, 4, 3)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthosect import analysis, cli, geom_core
+from orthosect import analysis, cli, geom_core, orthology, pedal, solver
 from orthosect.orthology import Tetrahedron, pair_tolerance
 from orthosect.solver import (
     OrthosectSystem,
@@ -156,6 +156,22 @@ def orthology_center_calls(monkeypatch):
 
     for module in (analysis, cli):
         monkeypatch.setattr(module, "orthology_centers", counted)
+    return calls
+
+
+@pytest.fixture()
+def pair_measure_calls(monkeypatch):
+    """The (a, b) arguments of every pair_measures call made anywhere while
+    the test runs."""
+    calls = []
+    real = orthology.pair_measures
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    for module in (orthology, pedal, solver, cli):
+        monkeypatch.setattr(module, "pair_measures", counted)
     return calls
 
 

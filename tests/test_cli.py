@@ -364,6 +364,18 @@ def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology
     assert orthology_center_calls == []
 
 
+def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):
+    """The conjugate command measures each pair once: (host, partner) for
+    its guard, and (host, conjugate) for the reconstruction postcondition,
+    the verdict and the guard together."""
+    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
+    assert code == 0
+    demo = load_scene(DEMO_SCENE)
+    host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
+    assert [(a.array.tolist(), b.array.tolist()) for a, b in pair_measure_calls] == [
+        (host, partner), (host, report["results"]["conjugate"])]
+
+
 def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_center_calls,
                                                   flat_pair):
     """verify_sphere swallows a flat partner's center error; verify calls

@@ -60,7 +60,10 @@ def test_trace_svg_vertex_count(small_trace):
     text = trace_to_svg(small_trace)
     coords = text.count("M ") + text.count("L ")
     window_rect = 4  # the window outline is one closed 4-point path
-    assert coords - window_rect == small_trace.vertex_count
+    assert coords - window_rect == sum(len(p.points) for p in small_trace.polylines)
+    # the vertex count skips the repeated first vertex of each cycle
+    closed = sum(p.closed for p in small_trace.polylines)
+    assert closed and coords - window_rect == small_trace.vertex_count + closed
 
 
 def test_trace_dict_roundtrip(small_trace):

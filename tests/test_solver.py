@@ -1,11 +1,13 @@
 """Orthosecting system residuals, the restarted solver, continuation and
 the constructive curve-point solver."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from conftest import random_tetrahedron
 from orthosect.errors import CurvePointError, DegenerateError
@@ -180,26 +182,43 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
     assert system.min_edge(x) == ref.min_edge(x)
 
 
-def _reference_trace(a, b0, steps, h, direction, tol):
+def _bordered_step(jac, r, tau, phi, weight, offset):
+    """trace_family's corrector step: the Jacobian bordered by the left
+    null vector ``phi`` and the weighted tangent row, solved by LU; the
+    border unknown is dropped."""
+    border = np.vstack([np.column_stack([jac, phi]), np.append(weight * tau, 0.0)])
+    return np.linalg.solve(border, -np.append(r, weight * offset))[:12]
+
+
+def _lstsq_step(jac, r, tau, phi, weight, offset):
+    """The corrector step trace_family took before it was bordered: least
+    squares on the Jacobian over the weighted tangent row (13x12)."""
+    aug = np.vstack([jac, weight * tau])
+    return np.linalg.lstsq(aug, -np.append(r, weight * offset), rcond=1e-13)[0]
+
+
+def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, system=None):
     """Reference: the continuation loop with residuals and Jacobian
-    evaluated separately on the per-pairing loop system, and both
-    evaluated again at each accepted point for its residual and tangent.
-    Returns (samples, max residuals, singular values, stop reason, step
-    halvings)."""
-    sys = _LoopSystem(a.array, tol.scene_scale)
+    evaluated separately on ``system`` (by default the per-pairing loop
+    system), and both evaluated again at each accepted point for its
+    residual and tangent; each corrector iterate takes ``corrector``'s
+    step. Returns (samples, max residuals, singular values, stop reason,
+    step halvings, corrections); the corrections are |point - prediction|
+    / step of every accepted corrector point."""
+    system = system or _LoopSystem(a.array, tol.scene_scale)
     scale = tol.scene_scale
 
     def tangent(jac):
-        _, s, vt = np.linalg.svd(jac)
-        return vt[-1], s
+        u, s, vt = np.linalg.svd(jac)
+        return vt[-1], s, u[:, -1]
 
     x = b0.array.reshape(12).copy()
-    samples, residuals = [x], [float(np.abs(sys.residuals(x)).max())]
-    tau, s = tangent(sys.jacobian(x))
+    samples, residuals = [x], [float(np.abs(system.residuals(x)).max())]
+    tau, s, phi = tangent(system.jacobian(x))
     idx = int(np.argmax(np.abs(tau)))
     tau = float(direction) * (tau if tau[idx] >= 0 else -tau)
     singular_values = [s]
-    stop, halvings = "steps exhausted", 0
+    stop, halvings, corrections = "steps exhausted", 0, []
     center = a.array.mean(axis=0)
     weight = 1.0 / scale
     for _ in range(steps):
@@ -214,18 +233,19 @@ def _reference_trace(a, b0, steps, h, direction, tol):
             ok = False
             try:
                 for _ in range(25):
-                    ry = sys.residuals(y)
+                    ry = system.residuals(y)
                     if np.abs(ry).max() <= 1e-12:
                         ok = True
                         break
-                    aug = np.vstack([sys.jacobian(y), weight * tau])
-                    rhs = np.concatenate([ry, [weight * float(np.dot(tau, y - x_pred))]])
-                    delta = np.linalg.lstsq(aug, -rhs, rcond=1e-13)[0]
+                    delta = corrector(system.jacobian(y), ry, tau, phi, weight,
+                                      float(np.dot(tau, y - x_pred)))
+                    if not np.isfinite(delta).all():
+                        break
                     y = y + delta
                     if np.linalg.norm(delta) < 1e-16 * scale:
-                        ok = np.abs(sys.residuals(y)).max() <= 1e-12
+                        ok = np.abs(system.residuals(y)).max() <= 1e-12
                         break
-            except _Collapse:
+            except (_Collapse, np.linalg.LinAlgError):
                 ok = False
             if ok:
                 accepted = y
@@ -236,23 +256,25 @@ def _reference_trace(a, b0, steps, h, direction, tol):
             stop = "corrector divergence"
             break
         x = accepted
-        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
+        corrections.append(float(np.linalg.norm(x - x_pred)) / step)
+        if system.min_edge(x) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
         if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
             stop = "degenerate: out of range"
             break
         samples.append(x)
-        residuals.append(float(np.abs(sys.residuals(x)).max()))
-        tau_new, s = tangent(sys.jacobian(x))
+        residuals.append(float(np.abs(system.residuals(x)).max()))
+        tau_new, s, phi = tangent(system.jacobian(x))
         if float(np.dot(tau_new, tau)) < 0:
             tau_new = -tau_new
         tau = tau_new
         singular_values.append(s)
-    return samples, residuals, singular_values, stop, halvings
+    return samples, residuals, singular_values, stop, halvings, corrections
 
 
-_DEMO_SCENE = load_scene(Path(__file__).parent.parent / "scenes" / "demo.json")
+_ROOT = Path(__file__).resolve().parent.parent
+_DEMO_SCENE = load_scene(_ROOT / "scenes" / "demo.json")
 
 
 def _moved_pair(a, b, seed, log_scale):
@@ -268,9 +290,22 @@ def _moved_pair(a, b, seed, log_scale):
             Tetrahedron.of(b.array * scale @ q.T + shift))
 
 
-@given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
-       log_scale=st.floats(-12.0, 12.0), direction=st.sampled_from((1, -1)),
-       log_step=st.floats(-3.0, 1.5), steps=st.integers(1, 8))
+def _drawn_pair(demo_pair, host, seed, log_scale):
+    """The demo scene's pair or the solved random pair, moved."""
+    if host == "demo":
+        return _moved_pair(_DEMO_SCENE.tetrahedron("A"), _DEMO_SCENE.tetrahedron("B"),
+                           seed, log_scale)
+    return _moved_pair(*demo_pair[:2], seed, log_scale)
+
+
+# traces of a solved pair under a similarity transform, both directions,
+# steps from a thousandth of the scene scale to about thirty times it
+_TRACE_DRAWS = dict(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
+                    log_scale=st.floats(-12.0, 12.0), direction=st.sampled_from((1, -1)),
+                    log_step=st.floats(-3.0, 1.5), steps=st.integers(1, 8))
+
+
+@given(**_TRACE_DRAWS)
 # the demo pair: a trace that halves its step four times, and one that
 # halves it twice and leaves the coordinate range after three steps
 @example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-0.4, steps=8)
@@ -284,15 +319,11 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
     stop reason, for solved pairs under similarity transforms, both
     directions, and steps from a thousandth of the scene scale to about
     thirty times it (halved steps, early stops)."""
-    if host == "demo":
-        a, b = _moved_pair(_DEMO_SCENE.tetrahedron("A"), _DEMO_SCENE.tetrahedron("B"),
-                           seed, log_scale)
-    else:
-        a, b = _moved_pair(*demo_pair[:2], seed, log_scale)
+    a, b = _drawn_pair(demo_pair, host, seed, log_scale)
     tol = pair_tolerance(a, b)
     h = 10.0 ** log_step * tol.scene_scale
     branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
-    samples, residuals, singular_values, stop, halvings = _reference_trace(
+    samples, residuals, singular_values, stop, halvings, _ = _reference_trace(
         a, b, steps, h, direction, tol)
     event(f"stop: {stop}")
     event(f"halved: {halvings > 0}")
@@ -304,6 +335,92 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
     assert len(branch.singular_values) == len(singular_values)
     for got, want in zip(branch.singular_values, singular_values):
         assert np.array_equal(got, want)
+
+
+# how far, in scene scales, the bordered corrector's samples may lie from the
+# least-squares corrector's where the latter converged near its predictions;
+# the worst of 9,897 such draws (in 4,263 of them each parameter sat at an
+# end of its range with probability 0.3) was 1.4e-11
+ORACLE_SAMPLE_TOL = 1e-9
+
+
+def _assert_traces_agree(branch, oracle, scale):
+    samples, _, _, stop, _, _ = oracle
+    assert branch.stop_reason == stop
+    assert len(branch) == len(samples)
+    diff = np.abs(branch.coords - np.reshape(samples, (-1, 4, 3))).max()
+    assert diff <= ORACLE_SAMPLE_TOL * scale
+
+
+@given(**_TRACE_DRAWS)
+@settings(max_examples=60, deadline=None)
+def test_trace_family_matches_least_squares_corrector(demo_pair, host, seed, log_scale,
+                                                      direction, log_step, steps):
+    """The bordered corrector traces what the least-squares corrector it
+    replaced traced: the same stop reason and sample count, and samples
+    within ORACLE_SAMPLE_TOL scene scales, wherever the least-squares trace
+    converged near its predictions (each accepted point within one step of
+    its prediction, no step halved). Beyond that, the pseudo-arclength
+    hyperplane of a long step can meet the family again far away, and the
+    two Newton iterations may settle on different meets or halve
+    differently: of 14,000 draws, 4 outside this range stopped differently
+    or took samples 3-22 scene scales apart, either corrector taking the
+    far meet."""
+    a, b = _drawn_pair(demo_pair, host, seed, log_scale)
+    tol = pair_tolerance(a, b)
+    h = 10.0 ** log_step * tol.scene_scale
+    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step,
+                              OrthosectSystem(a, tol))
+    halvings, corrections = oracle[4:]
+    assume(halvings == 0 and max(corrections, default=0.0) <= 1.0)
+    event(f"stop: {oracle[3]}")
+    branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
+    _assert_traces_agree(branch, oracle, tol.scene_scale)
+
+
+def _load_bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", _ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH_INPUTS = _load_bench_inputs()
+
+
+@pytest.fixture(scope="module")
+def bench_family_ops(tmp_path_factory):
+    """The trace-family ops of the benchmark's pairs deck, by (seed, slot,
+    direction); a seed's deck is built on first use."""
+    decks = {}
+
+    def op(seed, slot, direction):
+        if seed not in decks:
+            deck = _BENCH_INPUTS.pairs_deck(seed, *_BENCH_INPUTS.load_demo(_ROOT),
+                                            tmp_path_factory.mktemp(f"pairs{seed}"))
+            decks[seed] = {(o.meta["slot"], o.meta["direction"]): o.argv
+                           for o in deck if o.kind == "trace_family"}
+        return decks[seed][slot, direction]
+    return op
+
+
+@pytest.mark.parametrize("seed, slot, direction", [
+    (seed, slot, direction) for seed in (1, 2, 3)
+    for slot in range(sum(_BENCH_INPUTS.PAIR_HOSTS.values())) for direction in (1, -1)])
+def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_ops, seed,
+                                                                   slot, direction):
+    """The benchmark's 48 trace-family ops (pairs decks of seeds 1-3) trace
+    what the least-squares corrector traced, each one."""
+    argv = bench_family_ops(seed, slot, direction)
+    scene = load_scene(argv[argv.index("--scene") + 1])
+    a, b = scene.tetrahedron("A"), scene.tetrahedron("B")
+    steps, h = int(argv[argv.index("--steps") + 1]), float(argv[argv.index("--step") + 1])
+    tol = pair_tolerance(a, b)
+    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step,
+                              OrthosectSystem(a, tol))
+    branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
+    _assert_traces_agree(branch, oracle, tol.scene_scale)
 
 
 def _count_calls(monkeypatch, calls, owner, name):
@@ -320,20 +437,51 @@ def _count_calls(monkeypatch, calls, owner, name):
 def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatch):
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
-    than least-squares solves. The residual-only, Jacobian-only and
-    min-edge views are never called."""
+    than bordered (square LU) solves, and no least-squares solve is made.
+    The residual-only, Jacobian-only and min-edge views are never called."""
     a, b, tol = demo_pair
-    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "min_edge": 0, "lstsq": 0}
+    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "min_edge": 0,
+             "solve": 0, "lstsq": 0}
     for name in ("evaluate", "residuals", "jacobian", "min_edge"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
-    _count_calls(monkeypatch, calls, np.linalg, "lstsq")
+    for name in ("solve", "lstsq"):
+        _count_calls(monkeypatch, calls, np.linalg, name)
     branch = trace_family(a, b, steps=20, h=0.03 * tol.scene_scale, tol=tol)
     assert branch.stop_reason == "steps exhausted" and len(branch) == 21
     steps = len(branch) - 1
-    assert calls["lstsq"] >= steps
+    assert calls["solve"] >= steps
+    assert calls["lstsq"] == 0
     # the start's evaluate, then per step one more than its solves
-    assert calls["evaluate"] == 1 + calls["lstsq"] + steps
+    assert calls["evaluate"] == 1 + calls["solve"] + steps
     assert calls["residuals"] == calls["jacobian"] == calls["min_edge"] == 0
+
+
+@pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
+def test_trace_family_halves_the_step_after_a_failed_solve(demo_pair, monkeypatch, failure):
+    """A corrector solve that raises LinAlgError, or returns a non-finite
+    step, fails its attempt as a collapse does: the step is halved, with no
+    warning, and the trace goes on at the full step."""
+    a, b, tol = demo_pair
+    h = 0.03 * tol.scene_scale
+    half = trace_family(a, b, steps=1, h=0.5 * h, tol=tol)
+    real = np.linalg.solve
+    failed = []
+
+    def solve_failing_once(*args, **kwargs):
+        if failed:
+            return real(*args, **kwargs)
+        failed.append(failure)
+        if failure == "LinAlgError":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(13, np.inf)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+    branch = trace_family(a, b, steps=5, h=h, tol=tol)
+    assert failed and branch.stop_reason == "steps exhausted" and len(branch) == 6
+    # the first sample is the half step's, bit for bit
+    assert np.array_equal(branch.coords[1], half.coords[1])
+    lengths = np.linalg.norm(np.diff(branch.coords.reshape(-1, 12), axis=0), axis=1)
+    assert lengths[0] < 0.75 * h and (lengths[1:] > 0.75 * h).all()
 
 
 def test_solve_evaluates_residuals_and_jacobian_together(demo_pair, monkeypatch):
