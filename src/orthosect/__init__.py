@@ -72,11 +72,9 @@ from .solver import (
 )
 from .analysis import (
     CurveTrace,
-    DegreeEstimate,
     SequenceRun,
     SphereReport,
     conjugate,
-    estimate_degree,
     iterate_sequence,
     trace_curve,
     verify_sphere,

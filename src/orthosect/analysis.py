@@ -5,8 +5,6 @@ and repeated-conjugation sequences.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -511,47 +509,6 @@ def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: flo
     # the end with the smaller |f|, end a on a tie
     scaled[rows, 0, along] = x[rows, (np.abs(fx[:, 0]) > np.abs(fx[:, 1])).astype(int)]
     return field.mid + scaled[:, 0] * field.half, rounds, rounds * len(ends)
-
-
-@dataclass(frozen=True, eq=False)
-class DegreeEstimate:
-    """Distribution of line-curve intersection counts over random probe
-    lines; exploratory evidence for the curve's algebraic degree (real
-    crossings only lower-bound it)."""
-
-    counts: Dict[int, int]
-    max_count: int
-    lines: int
-    tangency_flagged: int
-
-
-def estimate_degree(trace: CurveTrace, trials: int = 200,
-                    rng_seed: int = 0) -> DegreeEstimate:
-    """Intersect random lines through the trace window with the traced
-    polylines and histogram the crossing counts."""
-    if not trace.polylines:
-        raise ValueError("empty trace")
-    rng = np.random.default_rng(rng_seed)
-    x0, y0, x1, y1 = trace.window
-    center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
-    half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
-    runs = [poly.points for poly in trace.polylines if len(poly.points)]
-    points = np.concatenate(runs) if runs else np.empty((0, 2))
-    # segment k joins points k and k + 1 unless a polyline ends at k
-    joined = np.ones(max(len(points) - 1, 0), dtype=bool)
-    joined[np.cumsum([len(run) for run in runs], dtype=int)[:-1] - 1] = False
-    seg_len = np.linalg.norm(np.diff(points, axis=0), axis=1)[joined]
-    tang_tol = float(np.median(seg_len)) * 0.05 if len(seg_len) else 1e-9
-    # per line (theta, offset), drawn in that order line after line
-    draws = rng.uniform((0.0, -1.4), (math.pi, 1.4), size=(trials, 2))
-    normals = np.array([(math.cos(theta), math.sin(theta)) for theta in draws[:, 0]])
-    offsets = normals[:, 0] * center[0] + normals[:, 1] * center[1] + draws[:, 1] * half_diag
-    s = points[:, :1] * normals[:, 0] + points[:, 1:] * normals[:, 1] - offsets  # (points, lines)
-    flagged = int((np.abs(s).min(axis=0, initial=math.inf) <= tang_tol).sum())
-    crossings = ((s[:-1] > 0) != (s[1:] > 0)) & joined[:, None]
-    counts = dict(Counter(crossings.sum(axis=0).tolist()))
-    return DegreeEstimate(counts=counts, max_count=max(counts), lines=trials,
-                          tangency_flagged=flagged)
 
 
 @dataclass(frozen=True, eq=False)

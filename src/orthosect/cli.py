@@ -222,17 +222,6 @@ def cmd_curve(args, scene: Scene, report: Report) -> None:
     report.results["tet"] = args.tet
     if trace.polylines:
         report.add_verdict("vertices_on_curve", trace.residual_bound, CURVE_TOL)
-    if args.degree_trials and trace.polylines:
-        est = analysis.estimate_degree(trace, trials=args.degree_trials,
-                                       rng_seed=args.degree_seed)
-        report.results["degree_estimate"] = {
-            "counts": {str(k): v for k, v in sorted(est.counts.items())},
-            "max_count": est.max_count,
-            "lines": est.lines,
-            "tangency_flagged": est.tangency_flagged,
-            "nine_observed": est.max_count == 9,
-            "nine_exceeded": est.max_count > 9,
-        }
 
 
 def cmd_sequence(args, scene: Scene, report: Report) -> None:
@@ -326,9 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face", required=True, type=int, choices=(1, 2, 3, 4))
     p.add_argument("--grid", type=_at_least(analysis.MIN_GRID), default=64)
     p.add_argument("--window", type=_window, metavar="x0,y0,x1,y1")
+    # accepted so that existing command lines keep working
     p.add_argument("--degree-trials", type=_at_least(0), default=0,
-                   help="also estimate the curve degree with this many probe lines")
-    p.add_argument("--degree-seed", type=_at_least(0), default=0)
+                   help="ignored: the curve is an exact nonic, so no degree is estimated")
+    p.add_argument("--degree-seed", type=_at_least(0), default=0,
+                   help="ignored, like --degree-trials")
 
     p = sub.add_parser("sequence", help="iterate the conjugate construction")
     common(p)

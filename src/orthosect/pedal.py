@@ -320,13 +320,6 @@ class ChainKernel:
             lo = np.where(double, vertex, np.where(lin, -c0 / c1, np.nan))
             t = np.stack([np.where(real, np.minimum(r_a, r_b), lo), np.where(
                 real, np.maximum(r_a, r_b), np.where(double, vertex, np.nan))], axis=1)
-            # two Newton steps on the trimmed polynomial
-            a2, a1, a0 = np.where(quad, c2, 0.0)[:, None], c1[:, None], c0[:, None]
-            polish = np.isfinite(t)
-            for _ in range(2):
-                slope = 2.0 * a2 * t + a1
-                polish &= np.abs(slope) >= 1e-300
-                t = np.where(polish, t - ((a2 * t + a1) * t + a0) / slope, t)
 
         _, fit, f = self._sixth_foot(base, at0, t)
         valid = fit["residual"] <= self.tol.eps_rel

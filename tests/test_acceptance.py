@@ -9,12 +9,12 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import ACCEPTANCE_LINES, find_partner, five_point_partner, random_tetrahedron
 from oracles import circular_net
 from orthosect.analysis import (
     conjugate,
-    estimate_degree,
     iterate_sequence,
     trace_curve,
     verify_sphere,
@@ -51,7 +51,6 @@ from orthosect.solver import (
 )
 
 _PAIRS = []
-_TRACE = {}
 
 
 def _record(name, ok, detail, elapsed, budget):
@@ -300,7 +299,6 @@ def test_self_conjugate_curve():
     started = time.monotonic()
     a, b, tol = _get_pairs(1)[0]
     trace = trace_curve(a, 4, grid=128, tol=tol)
-    _TRACE["trace"] = trace
     face = (a.vertex(1), a.vertex(2), a.vertex(3))
     worst_conj = 0.0
     worst_solve = 0.0
@@ -365,21 +363,19 @@ def test_conjugate_sequence_hypotheses():
             elapsed, 120.0)
 
 
-def test_degree_observation_nongating():
+def test_curve_degree_exact():
+    pytest.importorskip("sympy")
+    from test_curve_exact import HOSTS, exact_curve
+
     started = time.monotonic()
-    trace = _TRACE.get("trace")
-    if trace is None:
-        a, b, tol = _get_pairs(1)[0]
-        trace = trace_curve(a, 4, grid=128, tol=tol)
-    est = estimate_degree(trace, trials=400, rng_seed=11)
+    found = [[(name, mult) for name, _, mult in exact_curve(i).factors]
+             for i in range(len(HOSTS))]
     elapsed = time.monotonic() - started
-    nine_observed = est.max_count == 9
-    nine_exceeded = est.max_count > 9
-    detail = (f"max crossings {est.max_count}, nine observed: {nine_observed}, "
-              f"nine exceeded: {nine_exceeded}, tangency-flagged lines "
-              f"{est.tangency_flagged}/400 (recorded, not asserted)")
-    _record("Curve degree observation (non-gating)", est.lines == 400,
-            detail, elapsed, 60.0)
+    expected = [("F9", 1), ("L23", 1), ("N12", 1), ("N13", 1)]
+    matches = sum(factors == expected for factors in found)
+    _record("Curve degree (exact)", matches == len(HOSTS),
+            f"Res_t(P, Q) factors over Q as L23 * N12 * N13 * F9, F9 irreducible of "
+            f"degree 9, on {matches}/{len(HOSTS)} rational hosts", elapsed, 60.0)
 
 
 def test_seeded_reports_byte_identical(tmp_path):

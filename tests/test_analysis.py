@@ -13,7 +13,6 @@ from orthosect import analysis, pedal
 from orthosect.analysis import (
     conjugate,
     default_window,
-    estimate_degree,
     iterate_sequence,
     trace_curve,
     verify_sphere,
@@ -349,42 +348,6 @@ def test_trace_curve_symmetric_host():
         mirrored = np.array([-uv[0], uv[1]])
         dist = np.linalg.norm(pts - mirrored, axis=1).min()
         assert dist <= 2.0 * cell
-
-
-# --- estimate_degree --------------------------------------------------------
-
-
-def test_estimate_degree_reports(traced):
-    est = estimate_degree(traced, trials=150, rng_seed=3)
-    assert est.lines == 150
-    assert sum(est.counts.values()) == 150
-    assert est.max_count >= 1
-    assert 0 in est.counts  # some random chords miss the curve entirely
-
-
-def test_estimate_degree_empty_trace_raises(demo_pair):
-    a, b, tol = demo_pair
-    x0, y0, x1, y1 = default_window(a, 4)
-    span = max(x1 - x0, y1 - y0)
-    far = (x1 + 5 * span, y1 + 5 * span, x1 + 5.2 * span, y1 + 5.2 * span)
-    empty = trace_curve(a, 4, window=far, grid=16, tol=tol)
-    with pytest.raises(ValueError):
-        estimate_degree(empty, trials=10, rng_seed=0)
-
-
-def test_estimate_degree_grid_stability(demo_pair):
-    # refining the grid may only change counts near tangencies
-    a, b, tol = demo_pair
-    coarse = trace_curve(a, 4, grid=32, tol=tol)
-    fine = trace_curve(a, 4, grid=64, tol=tol)
-    est_c = estimate_degree(coarse, trials=120, rng_seed=9)
-    est_f = estimate_degree(fine, trials=120, rng_seed=9)
-    # same seed, same lines: distributions may shift only by a few lines
-    diff = 0
-    keys = set(est_c.counts) | set(est_f.counts)
-    for k in keys:
-        diff += abs(est_c.counts.get(k, 0) - est_f.counts.get(k, 0))
-    assert diff / 2 <= max(est_c.tangency_flagged, est_f.tangency_flagged) + 8
 
 
 # --- iterate_sequence -------------------------------------------------------

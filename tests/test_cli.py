@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
 from orthosect.geom_core import Tolerance
 from orthosect.orthology import Tetrahedron
-from orthosect.scene import Scene, load_scene, save_scene
+from orthosect.scene import Scene, dumps_canonical, load_scene, save_scene
 
 DEMO_SCENE = str(Path(__file__).parent.parent / "scenes" / "demo.json")
 
@@ -141,7 +143,7 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["results"]["polylines"]
-    assert "degree_estimate" in report["results"]
+    assert "degree_estimate" not in report["results"]
     svg_out = tmp_path / "curve.svg"
     assert main(["export", "--scene", str(out), "--format", "svg",
                  "--out", str(svg_out)]) == 0
@@ -149,6 +151,32 @@ def test_curve_cli_and_export_roundtrip(tmp_path, capsys, pair_scene):
     text = svg_out.read_text()
     total = sum(len(p["points"]) for p in report["results"]["polylines"])
     assert text.count("M ") + text.count("L ") - 4 == total
+
+
+def test_curve_degree_flags_are_inert(tmp_path, capsys, pair_scene):
+    """--degree-trials and --degree-seed are accepted and ignored: apart from
+    the echoed command line the report is byte-identical without them."""
+    base = ["curve", "--scene", pair_scene, "--tet", "A", "--face", "4", "--grid", "16"]
+    texts = []
+    for extra in ([], ["--degree-trials", "40", "--degree-seed", "7"]):
+        out = tmp_path / "curve.json"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc.pop("command") == base + extra + ["--out", str(out)]
+        texts.append(dumps_canonical(doc))
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+
+
+def test_cli_import_loads_no_optional_dependency():
+    """numpy is the only runtime dependency: the test-only packages stay
+    out of the CLI's import graph."""
+    code = ("import sys, orthosect.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'scipy', 'mpmath'}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
