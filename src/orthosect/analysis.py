@@ -24,7 +24,8 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import ChainKernel, _partner_vertices, _require_orthosection
+from .pedal import (FEET_TOL, ChainKernel, _feet_gap, _partner_vertices,
+                    _require_orthosection)
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
 # FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
@@ -40,15 +41,10 @@ ZERO_TOL = 1e-12
 REFINE_TOL = 1e-9
 NEWTON_STEPS = 2
 # it keeps the vertices whose |sixth-foot residual| is at most VERTEX_TOL and
-# whose six feet are pairwise more than FEET_TOL scene scales apart; a chain
-# with two coincident feet on a lattice line is found to within REFINE_TOL,
-# so the cut stays well above it
+# whose six feet are pairwise more than pedal.FEET_TOL scene scales apart
 VERTEX_TOL = 1e-6
-FEET_TOL = 1e-6
 _FIT_NODES = np.cos(np.pi * (np.arange(FIT_NODES) + 0.5) / FIT_NODES)
 _TERMS = np.add.outer(np.arange(NONIC + 1), np.arange(NONIC + 1)) <= NONIC
-# the 15 pairs of six feet
-_I6, _J6 = np.triu_indices(6, 1)
 # default_window inflates the face's bounding box about its centre by this
 WINDOW_INFLATE = 3.0
 # iterate_sequence merges orthology centers within this many scene scales
@@ -463,23 +459,12 @@ def _polish(field: _Chebyshev, points: np.ndarray):
             grad = field.gradient(points)
             points = points - (field.exact(points)[0] / (grad * grad).sum(axis=1))[:, None] * grad
     _, t, near, local = field.exact(points)
-    if near.any():
-        # the quotient t is 0/0 there too: take the validated root of Q whose
-        # sixth foot fits best, of those whose feet stay apart (next to the
-        # lines, one root of Q makes two feet coincide)
-        roots = kernel.sphericity_batch(local[near])[0]
-        feet, sixth = kernel.sixth_foot(local[near], roots)
-        fit = np.where(_feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
-        t[near] = roots[np.arange(len(roots)), fit.argmin(axis=1)]
+    if near.any():   # the quotient t is 0/0 there too
+        t[near] = kernel.curve_root(local[near])[0]
     feet, sixth = (a[:, 0] for a in kernel.sixth_foot(local, t[:, None]))
     residuals = np.abs(sixth)
     return (points, residuals, t * kernel.scale,
             (residuals <= VERTEX_TOL) & (_feet_gap(feet) > FEET_TOL))
-
-
-def _feet_gap(feet: np.ndarray) -> np.ndarray:
-    """The smallest distance between two of the six feet (..., 6, 3)."""
-    return np.linalg.norm(feet[..., _I6, :] - feet[..., _J6, :], axis=-1).min(axis=-1)
 
 
 def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: float,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -41,17 +40,10 @@ NULLITY_RATIO_TOL = 1e-8
 
 
 def _scene_tolerance(scene: Scene, points) -> Tolerance:
-    eps_abs = scene.eps_abs if scene.eps_abs is not None else 1e-9
-    eps_rel = scene.eps_rel if scene.eps_rel is not None else 1e-7
-    env = os.environ.get("ORTHOLOG_EPS")
-    if env is not None:
-        try:
-            eps_rel = float(env)
-        except ValueError as exc:
-            raise SceneError(f"ORTHOLOG_EPS must be a number, got {env!r}") from exc
-        if not (eps_rel > 0 and math.isfinite(eps_rel)):
-            raise SceneError(f"ORTHOLOG_EPS must be positive and finite, got {env!r}")
-    return Tolerance.for_points(points, eps_abs=eps_abs, eps_rel=eps_rel)
+    """The tolerance of ``points``, with the scene's overrides."""
+    overrides = {"eps_abs": scene.eps_abs, "eps_rel": scene.eps_rel}
+    return Tolerance.for_points(points, **{k: v for k, v in overrides.items()
+                                           if v is not None})
 
 
 def _number(text: str) -> float:

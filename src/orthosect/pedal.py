@@ -46,6 +46,11 @@ SIMSON_TOL = 1e-7
 # orthogonality residuals and gaps (over the scene scale) a rebuilt partner
 # must stay below
 POSTCONDITION_TOL = 1e-6
+# a chain two of whose six feet lie within FEET_TOL scene scales is
+# degenerate; a chain with two coincident feet on a lattice line is found by
+# the curve trace to within its REFINE_TOL (1e-9), so the cut stays well
+# above it
+FEET_TOL = 1e-6
 
 FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
 
@@ -165,6 +170,8 @@ def _in_plane_factor(d1: np.ndarray, d2: np.ndarray, n: np.ndarray):
 _LINE_ENDS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 # the three samples of the co-sphericity determinant, as t
 _T_SAMPLES = np.array([-1.0, 0.0, 1.0])[:, None]
+# the 15 pairs of six feet
+_I6, _J6 = np.triu_indices(6, 1)
 # Laplace expansion of a 4x4 determinant with columns (|d|^2, x, y, z) along
 # its first two rows: the column pairs (j, k) of the 2x2 minors, each with
 # its sign; the pairs in reverse order are the complements
@@ -367,6 +374,21 @@ class ChainKernel:
         feet, _, f = self._sixth_foot(base, at0, t)
         return feet, f
 
+    def curve_root(self, b4_local: np.ndarray):
+        """The chain parameter of (N, 3) local face points without the
+        common root, which is 0/0 next to the divisor lines: of the
+        validated roots of Q whose six feet stay more than FEET_TOL apart
+        (next to those lines one root of Q makes two feet coincide), the
+        one whose sixth foot fits best. Returns t and the signed sixth-foot
+        residual f as (N,) arrays, NaN where no root qualifies."""
+        roots = self.sphericity_batch(b4_local)[0]
+        feet, sixth = self.sixth_foot(b4_local, roots)
+        fit = np.where(_feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
+        rows, best = np.arange(len(roots)), fit.argmin(axis=1)
+        found = np.isfinite(fit[rows, best])
+        return (np.where(found, roots[rows, best], np.nan),
+                np.where(found, sixth[rows, best], np.nan))
+
     def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
         """The pedal chain, in world coordinates, completed from a local
         source position on face (1, 2, 3) and a displacement parameter t in
@@ -384,6 +406,11 @@ class ChainKernel:
         world = local * self.scale + self.shift
         return PedalChain(host=self.host, feet=world[:6], sources=world[6:],
                           closure_spread=float(np.linalg.norm(closing - v34)) * self.scale)
+
+
+def _feet_gap(feet: np.ndarray) -> np.ndarray:
+    """The smallest distance between two of the six feet (..., 6, 3)."""
+    return np.linalg.norm(feet[..., _I6, :] - feet[..., _J6, :], axis=-1).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +512,16 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
     source point. Either way the orthosection postcondition holds or a
     ReconstructionError is raised.
     """
+    tol = tol or Tolerance.for_points(sc.chain.host.array)
+    return _require_orthosection(sc.chain.host, _chain_partner(sc, tol), tol)
+
+
+def _chain_partner(sc: SphericalChain, tol: Tolerance) -> Tetrahedron:
+    """``reconstruct_tetrahedron`` without its orthosection postcondition."""
     chain = sc.chain
     host = chain.host
-    tol = tol or Tolerance.for_points(host.array)
     if sc.carrier.kind == "sphere":
-        return partner_from_feet(host, chain.feet, tol)
+        return _partner_vertices(host, chain.feet, tol)
     flat = sc.carrier.carrier
     n = host.faces[:, :3]
     sources = chain.sources
@@ -500,7 +532,7 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
         raise DegenerateError(f"carrier plane parallel to the projection direction of face "
                               f"{int(np.argmax(parallel)) + 1}")
     verts = sources + ((flat.offset - dot_rows(normal, sources)) / denom)[:, None] * n
-    return _require_orthosection(host, Tetrahedron.of(verts), tol)
+    return Tetrahedron.of(verts)
 
 
 def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:

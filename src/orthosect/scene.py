@@ -1,11 +1,11 @@
 """Scene files and reports.
 
-A scene is a strict JSON document holding named tetrahedra, optional named
-pedal chains, optional tolerance overrides and free-form metadata. Floats
-round-trip bit-exactly (shortest decimal serialization, up to 17
-significant digits). Reports mirror a command run: the echoed command,
-structured results, and verdicts that are recomputable from the recorded
-numbers and tolerances alone.
+A scene is a strict JSON document holding named tetrahedra, optional
+tolerance overrides and free-form metadata; any other top-level field is
+rejected. Floats round-trip bit-exactly (shortest decimal serialization,
+up to 17 significant digits). Reports mirror a command run: the echoed
+command, structured results, and verdicts that are recomputable from the
+recorded numbers and tolerances alone.
 """
 
 from __future__ import annotations
@@ -17,25 +17,14 @@ from typing import Any, Dict, List, Optional
 
 from .errors import SceneError
 from .geom_core import Point
-from .orthology import EDGE_PAIRINGS, Tetrahedron
-from .pedal import PedalChain
+from .orthology import Tetrahedron
 
-_TOP_LEVEL_KEYS = {"tetrahedra", "chains", "tolerance", "metadata"}
-_CHAIN_KEYS = {"host", "feet", "sources", "closure_spread"}
-# chain feet keys, in the order of PedalChain.feet rows
-_EDGE_NAMES = tuple(f"{i}{j}" for (i, j), _ in EDGE_PAIRINGS)
-
-
-@dataclass(frozen=True, eq=False)
-class SceneChain:
-    host_name: str
-    chain: PedalChain
+_TOP_LEVEL_KEYS = {"tetrahedra", "tolerance", "metadata"}
 
 
 @dataclass(eq=False)
 class Scene:
     tetrahedra: Dict[str, Tetrahedron] = field(default_factory=dict)
-    chains: Dict[str, SceneChain] = field(default_factory=dict)
     eps_abs: Optional[float] = None
     eps_rel: Optional[float] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -94,35 +83,6 @@ def _parse_tetrahedron(name: str, value) -> Tetrahedron:
     return Tetrahedron([_check_point(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
-def _parse_chain(name: str, value, tetrahedra: Dict[str, Tetrahedron]) -> SceneChain:
-    where = f"chains.{name}"
-    if not isinstance(value, dict):
-        raise SceneError(f"{where}: expected an object")
-    unknown = set(value) - _CHAIN_KEYS
-    if unknown:
-        raise SceneError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = _CHAIN_KEYS - set(value)
-    if missing:
-        raise SceneError(f"{where}: missing fields {sorted(missing)}")
-    host_name = value["host"]
-    if host_name not in tetrahedra:
-        raise SceneError(f"{where}.host: unknown tetrahedron {host_name!r}")
-    feet_raw = value["feet"]
-    if not isinstance(feet_raw, dict) or set(feet_raw) != set(_EDGE_NAMES):
-        raise SceneError(f"{where}.feet: expected exactly the keys {_EDGE_NAMES}")
-    feet = [_check_point(feet_raw[k], f"{where}.feet.{k}") for k in _EDGE_NAMES]
-    sources_raw = value["sources"]
-    if not isinstance(sources_raw, list) or len(sources_raw) != 4:
-        raise SceneError(f"{where}.sources: expected 4 points")
-    sources = [_check_point(v, f"{where}.sources[{i}]") for i, v in enumerate(sources_raw)]
-    closure = value["closure_spread"]
-    if not _is_number(closure) or not math.isfinite(float(closure)):
-        raise SceneError(f"{where}.closure_spread: expected a finite number")
-    chain = PedalChain(host=tetrahedra[host_name], feet=feet, sources=sources,
-                       closure_spread=float(closure))
-    return SceneChain(host_name=host_name, chain=chain)
-
-
 def scene_from_dict(doc) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene root must be a JSON object")
@@ -134,8 +94,6 @@ def scene_from_dict(doc) -> Scene:
         raise SceneError("tetrahedra: expected an object of name -> 4x3 array")
     tetrahedra = {str(name): _parse_tetrahedron(str(name), v)
                   for name, v in tets_raw.items()}
-    chains = {str(name): _parse_chain(str(name), v, tetrahedra)
-              for name, v in doc.get("chains", {}).items()}
     eps_abs = eps_rel = None
     if "tolerance" in doc:
         tol_raw = doc["tolerance"]
@@ -150,8 +108,8 @@ def scene_from_dict(doc) -> Scene:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SceneError("metadata: expected an object")
-    return Scene(tetrahedra=tetrahedra, chains=chains,
-                 eps_abs=eps_abs, eps_rel=eps_rel, metadata=metadata)
+    return Scene(tetrahedra=tetrahedra, eps_abs=eps_abs, eps_rel=eps_rel,
+                 metadata=metadata)
 
 
 def _read_json(path):
@@ -184,15 +142,6 @@ def scene_to_dict(scene: Scene) -> dict:
     doc: Dict[str, Any] = {
         "tetrahedra": {name: tet.array.tolist() for name, tet in scene.tetrahedra.items()},
     }
-    if scene.chains:
-        doc["chains"] = {}
-        for name, sc in scene.chains.items():
-            doc["chains"][name] = {
-                "host": sc.host_name,
-                "feet": dict(zip(_EDGE_NAMES, sc.chain.feet.tolist())),
-                "sources": sc.chain.sources.tolist(),
-                "closure_spread": sc.chain.closure_spread,
-            }
     if scene.eps_abs is not None or scene.eps_rel is not None:
         tol = {}
         if scene.eps_abs is not None:

@@ -30,12 +30,8 @@ from .orthology import (
     pair_measures,
     pair_tolerance,
 )
-from .pedal import (
-    ChainKernel,
-    _face_source,
-    reconstruct_tetrahedron,
-    spherical_chain,
-)
+from .pedal import (ChainKernel, _chain_partner, _face_source, _require_orthosection,
+                    spherical_chain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,31 +455,31 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                           stop_reason=stop, singular_values=tuple(singular_values))
 
 
-def solve_from_curve_point(a: Tetrahedron, b4, root_index: int = 0,
+def solve_from_curve_point(a: Tetrahedron, b4,
                            tol: Tolerance | None = None) -> Tetrahedron:
-    """Constructive (iteration-free) orthosecting partner from a point of
-    the self-conjugate curve on the face of host vertices 1, 2, 3.
+    """Orthosecting partner from a point of the self-conjugate curve on the
+    face of host vertices 1, 2, 3: the chain completed at the kernel's
+    ``curve_root``, rebuilt as ``reconstruct_tetrahedron`` does, polished
+    by damped least squares on ``OrthosectSystem`` and then held to the
+    reconstruction postcondition (ReconstructionError).
 
-    ``root_index`` selects among the sphericity parameters at ``b4``
-    (sorted ascending). Raises CurvePointError when the point's sixth-foot
-    residual exceeds CURVE_POINT_TOL, i.e. the point is not on the curve, and
-    SimsonDegenerateError when it lies on the face circumcircle.
+    Raises CurvePointError when no validated root keeps the six feet apart
+    or the point's sixth-foot residual exceeds CURVE_POINT_TOL, i.e. the
+    point is not on the curve, and SimsonDegenerateError when it lies on
+    the face circumcircle.
     """
     tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
     b4_local = _face_source(kernel, b4)
-    ts, fs = (v[0] for v in kernel.sphericity_batch(b4_local))
-    found = int((~np.isnan(ts)).sum())
-    if root_index < 0 or root_index >= found:
-        raise CurvePointError(
-            f"no sphericity root with index {root_index} at this point "
-            f"({found} found)")
-    t, f = float(ts[root_index]), float(fs[root_index])
+    t, f = (float(v[0]) for v in kernel.curve_root(b4_local[None]))
+    if math.isnan(t):
+        raise CurvePointError("no sphericity root with six distinct feet at this point")
     if abs(f) > CURVE_POINT_TOL:
         raise CurvePointError(
             f"point is off the curve: |residual| {abs(f):.3e} > {CURVE_POINT_TOL:.1e}",
             residual=f)
     chain = kernel.chain(b4_local, t)
     allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
-    sc = spherical_chain(chain, tol, max_residual=allowed)
-    return reconstruct_tetrahedron(sc, tol)
+    b = _chain_partner(spherical_chain(chain, tol, max_residual=allowed), tol)
+    x = _lm_minimize(OrthosectSystem(a, tol), b.array.reshape(12))[0]
+    return _require_orthosection(a, Tetrahedron.of(x.reshape(4, 3)), tol)

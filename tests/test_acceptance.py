@@ -315,8 +315,7 @@ def test_self_conjugate_curve():
             continue
         if not fs_q or not fs_p:
             continue
-        idx = int(np.argmin([abs(f) for f in fs_p]))
-        rebuilt = solve_from_curve_point(a, p, idx, tol)
+        rebuilt = solve_from_curve_point(a, p, tol)
         worst_conj = max(worst_conj, min(abs(f) for f in fs_q))
         worst_solve = max(worst_solve,
                           orthosect_residuals(a, rebuilt, tol).max_abs,

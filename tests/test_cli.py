@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, report shape, determinism, env override."""
+"""CLI behavior: exit codes, report shape, determinism, tolerance overrides."""
 
 import json
 import os
@@ -232,16 +232,24 @@ def test_unknown_tet_exits_2(capsys, pair_scene):
     assert code == 2
 
 
-def test_ortholog_eps_env_override(capsys, pair_scene, monkeypatch):
-    # a huge eps makes the skew regular tetrahedron count as orthosecting
-    monkeypatch.setenv("ORTHOLOG_EPS", "10.0")
-    code, report = _run(capsys, ["verify", "--scene", pair_scene,
-                                 "--pair", "Treg,Treg"])
+def test_ortholog_eps_env_override(capsys, tmp_path, pair_scene, monkeypatch):
+    """The scene's tolerance.eps_rel is the one way to set the relative
+    tolerance: a huge eps_rel makes the skew regular tetrahedron count as
+    orthosecting, and the ORTHOLOG_EPS environment variable changes no
+    report byte."""
+    treg = load_scene(pair_scene).tetrahedron("Treg")
+    loose = tmp_path / "loose.json"
+    save_scene(Scene(tetrahedra={"Treg": treg}, eps_rel=10.0), loose)
+    code, report = _run(capsys, ["verify", "--scene", str(loose), "--pair", "Treg,Treg"])
     names = {v["name"]: v for v in report["verdicts"]}
     assert names["orthosecting"]["passed"] is True
-    monkeypatch.setenv("ORTHOLOG_EPS", "banana")
-    code, _ = _run(capsys, ["verify", "--scene", pair_scene, "--pair", "Treg,Treg"])
-    assert code == 2
+    argv = ["verify", "--scene", pair_scene, "--pair", "Treg,Treg"]
+    main(argv)
+    plain = capsys.readouterr().out
+    for value in ("10.0", "banana"):
+        monkeypatch.setenv("ORTHOLOG_EPS", value)
+        assert main(argv) == 1
+        assert capsys.readouterr().out == plain
 
 
 def test_timing_flag(capsys, pair_scene):

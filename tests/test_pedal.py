@@ -249,6 +249,19 @@ def test_complete_chain_feet_are_pedal():
             assert foot.distance_to(chain.foot(p, q)) <= max(limit, 1e-12)
 
 
+def test_chain_arrays_read_only(demo_pair):
+    """A chain's feet (6, 3) and sources (4, 3) are read-only arrays, from
+    completion and from a pair alike."""
+    a, b, tol = demo_pair
+    from_pair = chain_from_pair(a, b, tol)
+    completed = complete_chain(a, from_pair.source(4), 0.1 * tol.scene_scale, tol)
+    for chain in (from_pair, completed):
+        assert chain.feet.shape == (6, 3) and chain.sources.shape == (4, 3)
+        assert not chain.feet.flags.writeable and not chain.sources.flags.writeable
+        with pytest.raises(ValueError):
+            chain.feet[0, 0] = 0.0
+
+
 def test_complete_chain_simson_error():
     host = Tetrahedron.of([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 2)])
     circ = circle_through((1, 0, 0), (-1, 0, 0), (0, 1, 0))

@@ -2,20 +2,11 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from orthosect.cli import main
 from orthosect.errors import SceneError
-from orthosect.pedal import chain_from_pair, complete_chain
-from orthosect.scene import (
-    Scene,
-    SceneChain,
-    load_scene,
-    save_scene,
-    scene_from_dict,
-    scene_to_dict,
-)
+from orthosect.scene import Scene, load_scene, save_scene, scene_from_dict
 
 T_REG_DOC = {"tetrahedra": {"A": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}}
 
@@ -29,11 +20,8 @@ def test_minimal_scene_loads(tmp_path):
 
 
 def test_roundtrip_bit_exact(tmp_path, demo_pair):
-    a, b, tol = demo_pair
-    chain = chain_from_pair(a, b, tol)
-    scene = Scene(tetrahedra={"A": a, "B": b},
-                  chains={"ch": SceneChain(host_name="A", chain=chain)},
-                  eps_abs=1e-9, eps_rel=1e-7,
+    a, b, _ = demo_pair
+    scene = Scene(tetrahedra={"A": a, "B": b}, eps_abs=1e-9, eps_rel=1e-7,
                   metadata={"description": "roundtrip probe", "seed": 1})
     p1 = tmp_path / "one.json"
     p2 = tmp_path / "two.json"
@@ -43,24 +31,6 @@ def test_roundtrip_bit_exact(tmp_path, demo_pair):
     assert p1.read_bytes() == p2.read_bytes()
     for name in ("A", "B"):
         assert (loaded.tetrahedra[name].array == scene.tetrahedra[name].array).all()
-    re_chain = loaded.chains["ch"].chain
-    assert np.array_equal(re_chain.feet, chain.feet)
-    assert re_chain.closure_spread == chain.closure_spread
-
-
-def test_completed_chain_roundtrip_bit_exact(tmp_path, demo_pair):
-    """A chain built by completion keeps its feet and sources bit for bit
-    through a scene file, each foot under its host edge's key."""
-    a, b, tol = demo_pair
-    chain = complete_chain(a, chain_from_pair(a, b, tol).source(4), 0.1 * tol.scene_scale, tol)
-    path = tmp_path / "completed.json"
-    save_scene(Scene(tetrahedra={"A": a}, chains={"ch": SceneChain("A", chain)}), path)
-    re_chain = load_scene(path).chains["ch"].chain
-    for got, want in ((re_chain.feet, chain.feet), (re_chain.sources, chain.sources)):
-        assert got.shape == want.shape and not got.flags.writeable
-        assert np.array_equal(got, want)
-    feet_14 = json.loads(path.read_text())["chains"]["ch"]["feet"]["14"]
-    assert feet_14 == chain.foot(1, 4).array.tolist()
 
 
 def test_three_vertex_tetrahedron_names_entry(tmp_path):
@@ -70,13 +40,18 @@ def test_three_vertex_tetrahedron_names_entry(tmp_path):
         load_scene(path)
 
 
-def test_unknown_top_level_field_strict(tmp_path):
-    doc = dict(T_REG_DOC)
-    doc["surprise"] = 1
-    path = tmp_path / "extra.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SceneError, match="surprise"):
-        load_scene(path)
+def test_unknown_top_level_field_strict(tmp_path, capsys):
+    """Any top-level field but tetrahedra, tolerance and metadata is a
+    scene error (CLI exit 2); scenes hold no pedal chains."""
+    for key, value in (("surprise", 1), ("chains", {})):
+        doc = dict(T_REG_DOC)
+        doc[key] = value
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneError, match=key):
+            load_scene(path)
+        assert main(["verify", "--scene", str(path), "--pair", "A,A"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown top-level fields")
 
 
 def test_nonfinite_rejected(tmp_path):
@@ -134,25 +109,9 @@ def test_tolerance_values_must_be_numbers(tmp_path, capsys, value):
     assert err.startswith("error: tolerance.eps_rel") and err.count("\n") == 1
 
 
-def test_chain_schema_errors(demo_pair, tmp_path):
-    a, b, tol = demo_pair
-    chain = chain_from_pair(a, b, tol)
-    scene = Scene(tetrahedra={"A": a},
-                  chains={"ch": SceneChain(host_name="A", chain=chain)})
-    doc = scene_to_dict(scene)
-    del doc["chains"]["ch"]["feet"]["12"]
-    with pytest.raises(SceneError, match="chains.ch.feet"):
-        scene_from_dict(doc)
-    doc = scene_to_dict(scene)
-    doc["chains"]["ch"]["host"] = "nope"
-    with pytest.raises(SceneError, match="chains.ch.host"):
-        scene_from_dict(doc)
-
-
-def test_boolean_numbers_rejected(tmp_path, demo_pair):
+def test_boolean_numbers_rejected(tmp_path):
     """JSON booleans load as Python ints but are not numbers: a vertex
-    [true, 0, 0] is a scene error (CLI exit 2), and so is a boolean in a
-    chain's sources or closure_spread."""
+    [true, 0, 0] is a scene error (CLI exit 2)."""
     doc = json.loads(json.dumps(T_REG_DOC))
     doc["tetrahedra"]["A"][0] = [True, 0, 0]
     with pytest.raises(SceneError, match=r"tetrahedra.A\[0\]: expected a 3-number"):
@@ -160,12 +119,3 @@ def test_boolean_numbers_rejected(tmp_path, demo_pair):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scene", str(path), "--pair", "A,A"]) == 2
-    a, b, tol = demo_pair
-    scene = Scene(tetrahedra={"A": a},
-                  chains={"ch": SceneChain(host_name="A", chain=chain_from_pair(a, b, tol))})
-    for key, value, where in (("sources", [[0.0, True, 0.0]] * 4, r"sources\[0\]"),
-                              ("closure_spread", False, "closure_spread")):
-        chain_doc = scene_to_dict(scene)
-        chain_doc["chains"]["ch"][key] = value
-        with pytest.raises(SceneError, match=f"chains.ch.{where}"):
-            scene_from_dict(chain_doc)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from conftest import random_tetrahedron
+from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Point, Tolerance, project_to_plane
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
@@ -595,9 +596,7 @@ def test_family_lies_over_curve(demo_pair):
 def test_solve_from_curve_point_roundtrip(demo_pair):
     a, b, tol = demo_pair
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
-    fs = chain_sphere_residual(a, b4, tol)
-    idx = int(np.argmin([abs(f) for f in fs]))
-    rebuilt = solve_from_curve_point(a, b4, idx, tol)
+    rebuilt = solve_from_curve_point(a, b4, tol)
     assert np.abs(rebuilt.array - b.array).max() <= 1e-7 * tol.scene_scale
     assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-8
 
@@ -612,7 +611,42 @@ def test_solve_from_curve_point_rejects_off_curve(demo_pair):
         fs = chain_sphere_residual(a, shifted, tol)
         if fs:
             with pytest.raises(CurvePointError):
-                solve_from_curve_point(a, shifted, 0, tol)
+                solve_from_curve_point(a, shifted, tol)
             return
         e1 = np.cross(a.face_plane(4).normal, e1)
     pytest.skip("no real roots near the shifted point for this seed")
+
+
+def test_solve_from_curve_point_without_root_raises(demo_pair):
+    """A face point where Q has no validated root is not a curve point."""
+    a, _, tol = demo_pair
+    face = a.array[:3]
+    e1 = (face[1] - face[0]) / np.linalg.norm(face[1] - face[0])
+    e2 = np.cross(a.face_plane(4).normal, e1)
+    for radius in (3.0, 6.0, 12.0):
+        for ang in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
+            p = face.mean(axis=0) + radius * tol.scene_scale * (np.cos(ang) * e1
+                                                                + np.sin(ang) * e2)
+            if not chain_sphere_residual(a, p, tol):
+                with pytest.raises(CurvePointError, match="no sphericity root"):
+                    solve_from_curve_point(a, p, tol)
+                return
+    pytest.fail("no face point without a sphericity root in a wide scan")
+
+
+def test_solve_from_curve_point_polished_near_face_vertex(demo_pair):
+    """At the grid-128 trace vertices within 1e-2 scene scales of a face
+    vertex, where the curve has a triple point and the rebuilt chain is
+    least accurate, the polished partner orthosects to round-off."""
+    a, _, tol = demo_pair
+    trace = trace_curve(a, 4, grid=128, tol=tol)
+    checked = 0
+    for _, uv, _, _ in trace.iter_vertices():
+        p = trace.to_world(uv)
+        if np.linalg.norm(a.array[:3] - p.array, axis=1).min() > 1e-2 * tol.scene_scale:
+            continue
+        rebuilt = solve_from_curve_point(a, p, tol)
+        assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-12
+        assert max(intersection_gaps(a, rebuilt, tol).values()) <= 1e-12
+        checked += 1
+    assert checked >= 10
