@@ -29,9 +29,7 @@ from .geom_core import (
     Tolerance,
     circle_through,
     closest_points,
-    concurrency_point,
     foot_on_line,
-    meet_planes,
     project_to_plane,
     sphere_through,
 )
@@ -56,14 +54,12 @@ from .pedal import (
     pedal_triangle,
     reconstruct_tetrahedron,
     spherical_chain,
-    spherical_parameters,
 )
 from .solver import (
     ResidualVector,
     SolutionBranch,
     SolverConfig,
     SolveResult,
-    intersection_gaps,
     orthosect_residuals,
     solve,
     solve_detailed,

@@ -24,7 +24,7 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (FEET_TOL, ChainKernel, _feet_gap, _partner_vertices,
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _feet_gap, _partner_vertices,
                     _require_orthosection)
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
@@ -40,9 +40,6 @@ FIT_CUT = 1e-6
 ZERO_TOL = 1e-12
 REFINE_TOL = 1e-9
 NEWTON_STEPS = 2
-# it keeps the vertices whose |sixth-foot residual| is at most VERTEX_TOL and
-# whose six feet are pairwise more than pedal.FEET_TOL scene scales apart
-VERTEX_TOL = 1e-6
 _FIT_NODES = np.cos(np.pi * (np.arange(FIT_NODES) + 0.5) / FIT_NODES)
 _TERMS = np.add.outer(np.arange(NONIC + 1), np.arange(NONIC + 1)) <= NONIC
 # default_window inflates the face's bounding box about its centre by this

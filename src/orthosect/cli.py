@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
-from .geom_core import Tolerance, carrier_through
+from .geom_core import carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
                         pairing_key, require_orthosecting)
 from .pedal import _check_orthosection
@@ -28,7 +28,7 @@ from .scene import Report, Scene, _point_list, _read_json, load_scene, scene_fro
 
 # gate for co-sphericity and center-midpoint verdicts, times the scene scale
 SPHERE_TOL = 1e-7
-# gate for curve-vertex residuals and reconstructed-solution quality
+# gate for curve-vertex residuals
 CURVE_TOL = 1e-6
 # gates for the conjugation command
 CONJUGATE_CARRIER_TOL = 1e-8
@@ -37,13 +37,6 @@ SEQUENCE_SPHERE_TOL = 1e-6
 # gates for family tracing
 FAMILY_RESIDUAL_TOL = 1e-9
 NULLITY_RATIO_TOL = 1e-8
-
-
-def _scene_tolerance(scene: Scene, points) -> Tolerance:
-    """The tolerance of ``points``, with the scene's overrides."""
-    overrides = {"eps_abs": scene.eps_abs, "eps_rel": scene.eps_rel}
-    return Tolerance.for_points(points, **{k: v for k, v in overrides.items()
-                                           if v is not None})
 
 
 def _number(text: str) -> float:
@@ -102,7 +95,7 @@ def _carrier_dict(carrier) -> dict:
 
 def cmd_verify(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
+    tol = scene.tolerance(np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
     report.results["scene_scale"] = tol.scene_scale
     ortho, gaps, _ = pair_measures(a, b, tol)
@@ -139,7 +132,7 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
 
 def cmd_solve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
-    tol = _scene_tolerance(scene, a.array)
+    tol = scene.tolerance(a.array)
     cfg = solver.SolverConfig(seed=args.seed, restarts=args.restarts)
     result = solver.solve_detailed(a, cfg, tol)
     report.results["tet"] = args.tet
@@ -161,7 +154,7 @@ def cmd_solve(args, scene: Scene, report: Report) -> None:
 def cmd_trace_family(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
     b0 = scene.tetrahedron(args.start)
-    tol = _scene_tolerance(scene, np.vstack((a.array, b0.array)))
+    tol = scene.tolerance(np.vstack((a.array, b0.array)))
     branch = solver.trace_family(a, b0, steps=args.steps, h=args.step,
                                  direction=args.direction, tol=tol)
     report.results["tet"] = args.tet
@@ -180,7 +173,7 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
 
 def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
+    tol = scene.tolerance(np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
     _, points_b = require_orthosecting(a, b, tol)
     carrier_b, residual_b = carrier_through(points_b, tol)
@@ -208,7 +201,7 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
 
 def cmd_curve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
-    tol = _scene_tolerance(scene, a.array)
+    tol = scene.tolerance(a.array)
     trace = analysis.trace_curve(a, args.face, window=args.window, grid=args.grid, tol=tol)
     report.results.update(export.trace_to_dict(trace))
     report.results["tet"] = args.tet
@@ -218,7 +211,7 @@ def cmd_curve(args, scene: Scene, report: Report) -> None:
 
 def cmd_sequence(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = _scene_tolerance(scene, np.vstack((a.array, b.array)))
+    tol = scene.tolerance(np.vstack((a.array, b.array)))
     run = analysis.iterate_sequence(a, b, args.n, tol)
     report.results["pair"] = [a_name, b_name]
     report.results["tetrahedra"] = [t.array.tolist() for t in run.tetrahedra]

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
 from .geom_core import Point, as_array, carrier_through, circle_through
-from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_tolerance, require_orthosecting
+from .orthology import EDGE_PAIRINGS, FACE_VERTICES, require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
@@ -168,11 +168,12 @@ def trace_to_svg(trace: CurveTrace) -> str:
 
 def _auto_pair(scene: Scene) -> Optional[Tuple[str, str]]:
     names = sorted(scene.tetrahedra)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
+    for i, a_name in enumerate(names):
+        for b_name in names[i + 1:]:
+            a, b = scene.tetrahedra[a_name], scene.tetrahedra[b_name]
             try:
-                require_orthosecting(scene.tetrahedra[a], scene.tetrahedra[b])
-                return a, b
+                require_orthosecting(a, b, scene.tolerance(np.vstack((a.array, b.array))))
+                return a_name, b_name
             except GeometryError:
                 continue
     return None
@@ -205,7 +206,8 @@ def scene_to_svg(scene: Scene, face: int,
     canvas.circle("circles", frame_uv(frame, circum.center), circum.radius,
                   cls="circumcircle")
     if guest is not None:
-        chain = chain_from_pair(host, guest)
+        tol = scene.tolerance(np.vstack((host.array, guest.array)))
+        chain = chain_from_pair(host, guest, tol)
         feet = [chain.foot(face_indices[i], face_indices[j])
                 for i, j in ((0, 1), (0, 2), (1, 2))]
         for foot in feet:
@@ -294,7 +296,7 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
         for b_name in names[i + 1:]:
             a = scene.tetrahedra[a_name]
             b = scene.tetrahedra[b_name]
-            tol = pair_tolerance(a, b)
+            tol = scene.tolerance(np.vstack((a.array, b.array)))
             try:
                 pairings, points = require_orthosecting(a, b, tol)
                 carrier, _ = carrier_through(points, tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -35,12 +35,14 @@ class Tolerance:
             raise ValueError("eps_abs, eps_rel and scene_scale must be positive")
 
     @classmethod
-    def for_points(cls, points, eps_abs: float = 1e-9, eps_rel: float = 1e-7) -> "Tolerance":
-        """Tolerance whose scene scale is the diameter of the given points."""
+    def for_points(cls, points, **overrides: float) -> "Tolerance":
+        """Tolerance whose scene scale is the diameter of the given points,
+        with the ``eps_abs`` and ``eps_rel`` given in ``overrides`` in place
+        of the defaults."""
         scale = diameter(points)
         if scale <= 0.0:
             scale = 1.0
-        return cls(eps_abs=eps_abs, eps_rel=eps_rel, scene_scale=scale)
+        return cls(scene_scale=scale, **overrides)
 
 
 DEFAULT_TOL = Tolerance()
@@ -104,9 +106,6 @@ class Line:
         if np.dot(qa, qa) < np.dot(pa, pa):
             p, pa, qa = q, qa, pa
         return cls(anchor=Point.of(pa), direction=qa - pa)
-
-    def point_at(self, t: float) -> Point:
-        return Point.of(self.anchor.array + t * self.direction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,11 +417,6 @@ def meet_rows(planes: np.ndarray) -> np.ndarray:
     return np.linalg.solve(normals, planes[:, :, 3:])[:, :, 0]
 
 
-def meet_planes(pl1: Plane, pl2: Plane, pl3: Plane) -> Point:
-    """Common point of three planes: the one-triple view of meet_rows."""
-    return Point.of(meet_rows(np.array([[[*pl.normal, pl.offset] for pl in (pl1, pl2, pl3)]])))
-
-
 def concurrency_rows(anchors: np.ndarray, directions: np.ndarray,
                      tol: Tolerance | None = None):
     """Least-squares concurrency point (3,) of the lines through
@@ -445,14 +439,6 @@ def concurrency_rows(anchors: np.ndarray, directions: np.ndarray,
     w = w - dot_rows(w, directions)[:, None] * directions
     dist = np.sqrt(dot_rows(w, w))
     return x, math.sqrt(sum((dist * dist).tolist()) / len(anchors)) / tol.scene_scale
-
-
-def concurrency_point(lines: Sequence[Line], tol: Tolerance | None = None):
-    """``concurrency_rows`` of Line objects, with the point as a Point."""
-    lines = list(lines)
-    x, spread = concurrency_rows(np.array([l.anchor.array for l in lines]).reshape(-1, 3),
-                                 np.array([l.direction for l in lines]).reshape(-1, 3), tol)
-    return Point.of(x), spread
 
 
 def diameter(points: np.ndarray | Iterable) -> float:

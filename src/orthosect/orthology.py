@@ -121,9 +121,6 @@ class Tetrahedron:
         """New tetrahedron whose vertex m is the old vertex perm[m-1]."""
         return Tetrahedron(self.array[np.asarray(perm) - 1])
 
-    def translated(self, delta) -> "Tetrahedron":
-        return Tetrahedron(self.array + as_array(delta))
-
 
 def pair_tolerance(a: Tetrahedron, b: Tetrahedron) -> Tolerance:
     """Default scene tolerance spanning the vertices of both tetrahedra."""

@@ -51,6 +51,10 @@ POSTCONDITION_TOL = 1e-6
 # the curve trace to within its REFINE_TOL (1e-9), so the cut stays well
 # above it
 FEET_TOL = 1e-6
+# a face point whose sixth foot lies within VERTEX_TOL scene scales of the
+# carrier of the other five is on the self-conjugate curve: the trace keeps
+# such vertices and solve_from_curve_point accepts such points
+VERTEX_TOL = 1e-6
 
 FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
 
@@ -291,10 +295,11 @@ class ChainKernel:
         return c0, 0.5 * (d_hi - d_lo), 0.5 * (d_hi + d_lo) - c0
 
     def sphericity_batch(self, b4_local: np.ndarray):
-        """Sphericity roots of (N, 3) local face points as two (N, 2) arrays
-        ``(t, f)``: column k holds the k-th validated root by ascending t and
-        the signed residual of the sixth foot against the carrier through
-        the other five, NaN where a point has fewer roots. A root is
+        """Sphericity roots of (N, 3) local face points as ``(t, f, feet)``:
+        column k of the (N, 2) arrays t and f holds the k-th validated root
+        by ascending t and the signed residual of the sixth foot against the
+        carrier through the other five, and feet (N, 2, 6, 3) the six feet
+        at that root; all NaN where a point has fewer roots. A root is
         validated when the least-squares sphere (or plane) through its five
         feet fits them within eps_rel. t is in normalized units (multiply
         by the scene scale for world units); f is the scale-normalized
@@ -302,7 +307,7 @@ class ChainKernel:
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         n = len(p)
         if self.w134 is None:   # no source 2, so no root validates
-            return np.full((n, 2), np.nan), np.full((n, 2), np.nan)
+            return np.full((n, 2), np.nan), np.full((n, 2), np.nan), np.full((n, 2, 6, 3), np.nan)
         base, at0, samples = self._cosphericity_samples(p)
         # the determinant is exactly quadratic in t
         c0, c1, c2 = self._quadratics(samples[0])
@@ -328,16 +333,17 @@ class ChainKernel:
             t = np.stack([np.where(real, np.minimum(r_a, r_b), lo), np.where(
                 real, np.maximum(r_a, r_b), np.where(double, vertex, np.nan))], axis=1)
 
-        _, fit, f = self._sixth_foot(base, at0, t)
+        feet, fit, f = self._sixth_foot(base, at0, t)
         valid = fit["residual"] <= self.tol.eps_rel
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
         t, f = np.where(valid, t, np.nan), np.where(valid, f, np.nan)
+        feet = np.where(valid[..., None, None], feet, np.nan)
         # ascending t, NaN last
         swap = (t[:, 1] < t[:, 0]) | (np.isnan(t[:, 0]) & ~np.isnan(t[:, 1]))
-        t[swap], f[swap] = t[swap, ::-1], f[swap, ::-1]
-        return t, f
+        t[swap], f[swap], feet[swap] = t[swap, ::-1], f[swap, ::-1], feet[swap, ::-1]
+        return t, f, feet
 
     def divisor(self, b4_local: np.ndarray) -> np.ndarray:
         """L23 * N12 * N13 at (N, 3) local face points: the product of the
@@ -381,8 +387,7 @@ class ChainKernel:
         (next to those lines one root of Q makes two feet coincide), the
         one whose sixth foot fits best. Returns t and the signed sixth-foot
         residual f as (N,) arrays, NaN where no root qualifies."""
-        roots = self.sphericity_batch(b4_local)[0]
-        feet, sixth = self.sixth_foot(b4_local, roots)
+        roots, sixth, feet = self.sphericity_batch(b4_local)
         fit = np.where(_feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
         rows, best = np.arange(len(roots)), fit.argmin(axis=1)
         found = np.isfinite(fit[rows, best])
@@ -446,16 +451,6 @@ def complete_chain(host: Tetrahedron, b4, t: float,
     return kernel.chain(_face_source(kernel, b4), float(t) / kernel.scale)
 
 
-def spherical_parameters(host: Tetrahedron, b4,
-                         tol: Tolerance | None = None) -> List[float]:
-    """Displacement parameters (world units) for which the five feet built
-    from ``b4`` are co-spherical or co-planar; empty when no real validated
-    parameter exists."""
-    kernel = ChainKernel(host, tol)
-    t = kernel.sphericity_batch(_face_source(kernel, b4))[0][0]
-    return (t[~np.isnan(t)] * kernel.scale).tolist()
-
-
 def chain_sphere_residual(host: Tetrahedron, b4,
                           tol: Tolerance | None = None) -> List[float]:
     """Signed scale-normalized distance of the sixth foot from the sphere
@@ -465,7 +460,7 @@ def chain_sphere_residual(host: Tetrahedron, b4,
     face plane.
     """
     kernel = ChainKernel(host, tol)
-    t, f = (v[0] for v in kernel.sphericity_batch(_face_source(kernel, b4)))
+    t, f, _ = (v[0] for v in kernel.sphericity_batch(_face_source(kernel, b4)))
     return f[~np.isnan(t)].tolist()
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .errors import SceneError
-from .geom_core import Point
+from .geom_core import Point, Tolerance
 from .orthology import Tetrahedron
 
 _TOP_LEVEL_KEYS = {"tetrahedra", "tolerance", "metadata"}
@@ -34,6 +34,12 @@ class Scene:
             raise SceneError(f"no tetrahedron named {name!r} in scene "
                              f"(have: {sorted(self.tetrahedra)})")
         return self.tetrahedra[name]
+
+    def tolerance(self, points) -> Tolerance:
+        """The tolerance of ``points``, with the scene's overrides."""
+        overrides = {"eps_abs": self.eps_abs, "eps_rel": self.eps_rel}
+        return Tolerance.for_points(points, **{k: v for k, v in overrides.items()
+                                               if v is not None})
 
 
 def _reject_nonfinite(value):

@@ -30,8 +30,8 @@ from .orthology import (
     pair_measures,
     pair_tolerance,
 )
-from .pedal import (ChainKernel, _chain_partner, _face_source, _require_orthosection,
-                    spherical_chain)
+from .pedal import (VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
+                    _require_orthosection, spherical_chain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +65,6 @@ TARGET_RESIDUAL = 1e-12
 ACCEPT_RESIDUAL = 1e-11
 # solutions whose vertices all lie within this many scene scales are one
 DEDUPE_FACTOR = 1e-3
-# |sixth-foot residual| up to which a point is on the self-conjugate curve
-CURVE_POINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -215,14 +213,6 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
     vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
     return ResidualVector(orthogonality=by_pairing(vals[:6]),
                           intersection=by_pairing(vals[6:]), values=vals)
-
-
-def intersection_gaps(a: Tetrahedron, b: Tetrahedron,
-                      tol: Tolerance | None = None) -> Dict[Pairing, float]:
-    """Unsigned closest-approach gaps of the six non-corresponding edge
-    pairs, normalized by the scene scale (verification companion to the
-    signed triple products)."""
-    return by_pairing(pair_measures(a, b, tol)[1])
 
 
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
@@ -464,7 +454,7 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     reconstruction postcondition (ReconstructionError).
 
     Raises CurvePointError when no validated root keeps the six feet apart
-    or the point's sixth-foot residual exceeds CURVE_POINT_TOL, i.e. the
+    or the point's sixth-foot residual exceeds VERTEX_TOL, i.e. the
     point is not on the curve, and SimsonDegenerateError when it lies on
     the face circumcircle.
     """
@@ -474,9 +464,9 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     t, f = (float(v[0]) for v in kernel.curve_root(b4_local[None]))
     if math.isnan(t):
         raise CurvePointError("no sphericity root with six distinct feet at this point")
-    if abs(f) > CURVE_POINT_TOL:
+    if abs(f) > VERTEX_TOL:
         raise CurvePointError(
-            f"point is off the curve: |residual| {abs(f):.3e} > {CURVE_POINT_TOL:.1e}",
+            f"point is off the curve: |residual| {abs(f):.3e} > {VERTEX_TOL:.1e}",
             residual=f)
     chain = kernel.chain(b4_local, t)
     allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale

@@ -28,6 +28,7 @@ from orthosect.orthology import (
     construct_orthologic,
     edge_orthogonality_residuals,
     orthology_centers,
+    pair_measures,
     pair_tolerance,
 )
 from orthosect.pedal import (
@@ -43,7 +44,6 @@ from orthosect.scene import Scene, save_scene
 from orthosect.solver import (
     OrthosectSystem,
     SolverConfig,
-    intersection_gaps,
     orthosect_residuals,
     solve_detailed,
     solve_from_curve_point,
@@ -170,13 +170,13 @@ def test_five_intersections_cospherical():
             continue
         b = five_point_partner(a, result.solutions[0], trial % 6, rng)
         skip = EDGE_PAIRINGS[trial % 6]
-        gaps = intersection_gaps(a, b)
-        if max(g for p, g in gaps.items() if p != skip) > 1e-9:
+        gaps = pair_measures(a, b)[1]
+        if np.delete(gaps, trial % 6).max() > 1e-9:
             continue
         rep = verify_sphere(a, b, five_point=True)
         assert skip not in rep.residuals and len(rep.residuals) == 5
         worst = max(worst, rep.max_abs_residual)
-        least_dropped = min(least_dropped, gaps[skip])
+        least_dropped = min(least_dropped, gaps[trial % 6])
         done += 1
     elapsed = time.monotonic() - started
     ok = done == 5 and worst <= 1e-7 and least_dropped > 1e-6
@@ -319,7 +319,7 @@ def test_self_conjugate_curve():
         worst_conj = max(worst_conj, min(abs(f) for f in fs_q))
         worst_solve = max(worst_solve,
                           orthosect_residuals(a, rebuilt, tol).max_abs,
-                          max(intersection_gaps(a, rebuilt, tol).values()))
+                          pair_measures(a, rebuilt, tol)[1].max())
         checked += 1
     elapsed = time.monotonic() - started
     ok = checked == 100 and worst_conj <= 1e-5 and worst_solve <= 1e-6

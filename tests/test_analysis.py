@@ -19,11 +19,10 @@ from orthosect.analysis import (
 )
 from orthosect.errors import DegenerateError, NotOrthologicError, NotOrthosectingError
 from orthosect.geom_core import SphereOrPlane, project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
 from orthosect.solver import (
     SolverConfig,
-    intersection_gaps,
     orthosect_residuals,
     solve,
 )
@@ -67,10 +66,9 @@ def test_verify_sphere_five_point_variant():
     a = random_tetrahedron(rng)
     b = five_point_partner(a, find_partner(a, base_seed=21), 2, rng)
     skip = EDGE_PAIRINGS[2]
-    gaps = intersection_gaps(a, b)
-    kept = [g for p, g in gaps.items() if p != skip]
-    assert max(kept) <= 1e-10
-    assert gaps[skip] > 1e-6    # five intersecting pairs, not six
+    gaps = pair_measures(a, b)[1]
+    assert np.delete(gaps, 2).max() <= 1e-10
+    assert gaps[2] > 1e-6    # five intersecting pairs, not six
     rep = verify_sphere(a, b, five_point=True)
     assert sorted(rep.residuals) == sorted(p for p in EDGE_PAIRINGS if p != skip)
     assert rep.max_abs_residual <= 1e-7

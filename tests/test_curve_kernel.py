@@ -13,11 +13,11 @@ from numpy.polynomial import chebyshev as cheb
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
-from orthosect.analysis import (FIT_CUT, NEWTON_STEPS, VERTEX_TOL, ZERO_TOL, _Chebyshev,
-                                _FaceFrame, default_window, trace_curve)
+from orthosect.analysis import (FIT_CUT, NEWTON_STEPS, ZERO_TOL, _Chebyshev, _FaceFrame,
+                                default_window, trace_curve)
 from orthosect.geom_core import Tolerance, _sphere_fit
 from orthosect.orthology import Tetrahedron
-from orthosect.pedal import ChainKernel, _feet_on
+from orthosect.pedal import VERTEX_TOL, ChainKernel, _feet_on
 from orthosect.scene import load_scene
 
 DEMO_SCENE = Path(__file__).parent.parent / "scenes" / "demo.json"
@@ -112,7 +112,7 @@ def test_closed_form_matches_degree4_fit(seed, log_scale):
     host = random_tetrahedron(rng, scale=scale)
     kernel = ChainKernel(host)
     pts = _face_points(rng, kernel, 24)
-    t_batch, f_batch = kernel.sphericity_batch(pts)
+    t_batch, f_batch, _ = kernel.sphericity_batch(pts)
     compared = 0
     for k, p in enumerate(pts):
         ref, rel_disc = reference_roots(kernel, p)
@@ -309,10 +309,20 @@ def test_batch_equals_single_point_calls():
                               indexing="ij"), axis=-1).reshape(-1, 2)
     local = frame.kernel.to_local(frame.origin.array + uv[:, :1] * frame.axis_u
                                   + uv[:, 1:] * frame.axis_v)
-    t_batch, f_batch = frame.kernel.sphericity_batch(local)
+    t_batch, f_batch, _ = frame.kernel.sphericity_batch(local)
+    # the feet at each validated root are sixth_foot's there, NaN elsewhere;
+    # an eps_rel so tight that round-off fails some first roots moves second
+    # roots into column 0, and their feet with them
+    tight = ChainKernel(host, Tolerance.for_points(host.array, eps_rel=1e-15))
+    assert (tight.sphericity_batch(local)[0][:, 0] == t_batch[:, 1]).any()
+    for kernel in (frame.kernel, tight):
+        t, _, feet = kernel.sphericity_batch(local)
+        roots = np.isfinite(t)
+        assert np.array_equal(feet[roots], kernel.sixth_foot(local, t)[0][roots])
+        assert np.isnan(feet[~roots]).all()
     counts = set()
     for k, p in enumerate(local):
-        t_one, f_one = (v[0] for v in frame.kernel.sphericity_batch(p[None]))
+        t_one, f_one, _ = (v[0] for v in frame.kernel.sphericity_batch(p[None]))
         got = np.isfinite(t_batch[k])
         assert got.tolist() == np.isfinite(t_one).tolist()
         assert got.tolist() == sorted(got.tolist(), reverse=True)  # missing roots last

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orthosect.analysis import trace_curve
@@ -16,7 +17,9 @@ from orthosect.export import (
     trace_to_dict,
     trace_to_svg,
 )
-from orthosect.scene import load_scene
+from orthosect.geom_core import Tolerance
+from orthosect.orthology import Tetrahedron
+from orthosect.scene import Scene, load_scene, save_scene
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_face4.svg"
 GOLDEN_OBJ = Path(__file__).parent / "golden" / "demo_scene.obj"
@@ -121,3 +124,26 @@ def test_json_mirror(demo_scene, small_trace):
 def test_export_deterministic(demo_scene):
     assert scene_to_obj(demo_scene) == scene_to_obj(demo_scene)
     assert scene_to_svg(demo_scene, face=2) == scene_to_svg(demo_scene, face=2)
+
+
+def test_export_honours_scene_tolerance(tmp_path, demo_scene):
+    """A pair that orthosects only within the scene's own tolerance is
+    exported as one: verify passes it, the OBJ holds its intersection
+    points and sphere, and the auto-paired SVG draws its three feet."""
+    a, b = demo_scene.tetrahedron("A"), demo_scene.tetrahedron("B")
+    moved = b.array.copy()
+    moved[0, 0] += 2e-6 * Tolerance.for_points(np.vstack((a.array, b.array))).scene_scale
+    path = tmp_path / "loose.json"
+    save_scene(Scene(tetrahedra={"A": a, "B": Tetrahedron(moved)}, eps_rel=1e-4), path)
+    report = tmp_path / "verify.json"
+    main(["verify", "--scene", str(path), "--pair", "A,B", "--out", str(report)])
+    passed = {v["name"]: v["passed"] for v in json.loads(report.read_text())["verdicts"]}
+    assert passed["orthosecting"] and passed["cospherical"]
+    obj, svg = tmp_path / "loose.obj", tmp_path / "loose.svg"
+    assert main(["export", "--scene", str(path), "--format", "obj", "--out", str(obj)]) == 0
+    assert main(["export", "--scene", str(path), "--format", "svg", "--face", "4",
+                 "--out", str(svg)]) == 0
+    text = obj.read_text()
+    assert "o vpoints_A_B" in text and "o sphere_A_B" in text
+    feet = svg.read_text().split('<g id="feet">')[1].split("</g>")[0]
+    assert feet.count("<circle") == 3

@@ -17,9 +17,9 @@ from orthosect.geom_core import (
     Tolerance,
     circle_through,
     closest_points,
-    concurrency_point,
+    concurrency_rows,
     foot_on_line,
-    meet_planes,
+    meet_rows,
     project_to_plane,
     sphere_through,
 )
@@ -35,6 +35,10 @@ def _rng(seed=0):
 
 def random_line(rng):
     return Line(Point.of(rng.normal(size=3)), rng.normal(size=3))
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # --- closest_points ---------------------------------------------------------
@@ -182,8 +186,8 @@ def test_foot_analytic():
 
 def test_foot_point_on_line():
     line = Line(Point(1, 1, 1), np.array([1.0, 2.0, 3.0]))
-    p = line.point_at(0.7)
-    assert np.allclose(foot_on_line(p, line).array, p.array, atol=1e-14)
+    p = line.anchor.array + 0.7 * line.direction
+    assert np.allclose(foot_on_line(p, line).array, p, atol=1e-14)
 
 
 def test_foot_matches_1d_minimization():
@@ -197,13 +201,13 @@ def test_foot_matches_1d_minimization():
         for _ in range(200):
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
-            if np.linalg.norm(line.point_at(m1).array - p) < np.linalg.norm(
-                    line.point_at(m2).array - p):
+            if np.linalg.norm(line.anchor.array + m1 * line.direction - p) < np.linalg.norm(
+                    line.anchor.array + m2 * line.direction - p):
                 hi = m2
             else:
                 lo = m1
-        oracle = line.point_at(0.5 * (lo + hi))
-        assert np.allclose(foot.array, oracle.array, atol=1e-9)
+        oracle = line.anchor.array + 0.5 * (lo + hi) * line.direction
+        assert np.allclose(foot.array, oracle, atol=1e-9)
 
 
 @given(p=point3, a=point3, d=point3)
@@ -354,21 +358,17 @@ def test_sphere_through_matches_exact_oracle(seed, log_scale, log_flat):
         assert abs(got.radius - want.radius) <= bound
 
 
-# --- meet_planes ------------------------------------------------------------
+# --- meet_rows --------------------------------------------------------------
 
 
 def test_meet_planes_axes():
-    p = meet_planes(Plane(np.array([1.0, 0, 0]), 1.0),
-                    Plane(np.array([0, 1.0, 0]), 2.0),
-                    Plane(np.array([0, 0, 1.0]), 3.0))
-    assert p == Point(1, 2, 3)
+    p = meet_rows(np.array([[[1.0, 0, 0, 1.0], [0, 1.0, 0, 2.0], [0, 0, 1.0, 3.0]]]))
+    assert p.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_meet_planes_parallel_raises():
     with pytest.raises(DegenerateError):
-        meet_planes(Plane(np.array([1.0, 0, 0]), 0.0),
-                    Plane(np.array([1.0, 0, 0]), 1.0),
-                    Plane(np.array([0, 1.0, 0]), 0.0))
+        meet_rows(np.array([[[1.0, 0, 0, 0.0], [1.0, 0, 0, 1.0], [0, 1.0, 0, 0.0]]]))
 
 
 def test_meet_planes_substitution():
@@ -376,41 +376,38 @@ def test_meet_planes_substitution():
     for _ in range(10):
         planes = [Plane(rng.normal(size=3), float(rng.normal())) for _ in range(3)]
         try:
-            p = meet_planes(*planes)
+            p = meet_rows(np.array([[[*pl.normal, pl.offset] for pl in planes]]))[0]
         except DegenerateError:
             continue
-        scale = max(1.0, np.linalg.norm(p.array))
+        scale = max(1.0, np.linalg.norm(p))
         for pl in planes:
             assert abs(pl.signed_distance(p)) < 1e-11 * scale
 
 
-# --- concurrency_point ------------------------------------------------------
+# --- concurrency_rows -------------------------------------------------------
 
 
 def test_concurrency_through_origin():
     rng = _rng(11)
-    lines = [Line(Point(0, 0, 0), rng.normal(size=3)) for _ in range(3)]
-    p, spread = concurrency_point(lines)
-    assert np.allclose(p.array, 0, atol=1e-12)
+    p, spread = concurrency_rows(np.zeros((3, 3)), unit_rows(rng.normal(size=(3, 3))))
+    assert np.allclose(p, 0, atol=1e-12)
     assert spread < 1e-12
 
 
 def test_concurrency_two_skew_lines_midpoint():
-    l1 = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
-    l2 = Line(Point(0, 1, 0), np.array([0, 0, 1.0]))
-    p, spread = concurrency_point([l1, l2])
-    assert np.allclose(p.array, [0, 0.5, 0], atol=1e-12)
+    p, spread = concurrency_rows(np.array([[0, 0, 0], [0, 1.0, 0]]),
+                                 np.array([[1.0, 0, 0], [0, 0, 1.0]]))
+    assert np.allclose(p, [0, 0.5, 0], atol=1e-12)
     assert spread == pytest.approx(0.5, abs=1e-12)
 
 
 def test_concurrency_all_parallel_raises():
-    d = np.array([1.0, 2.0, 3.0])
-    lines = [Line(Point(0, 0, 0), d), Line(Point(0, 1, 0), d), Line(Point(1, 0, 0), d)]
+    d = unit_rows(np.array([[1.0, 2.0, 3.0]] * 3))
     with pytest.raises(DegenerateError):
-        concurrency_point(lines)
+        concurrency_rows(np.array([[0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]]), d)
 
 
-def _spread_oracle(lines, center_guess, scale):
+def _spread_oracle(anchors, directions, center_guess, scale):
     """Nested 3-D grid search for the minimal RMS distance."""
     lo = center_guess - 2.0
     hi = center_guess + 2.0
@@ -419,11 +416,11 @@ def _spread_oracle(lines, center_guess, scale):
         axes = [np.linspace(lo[k], hi[k], 11) for k in range(3)]
         pts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
         rms = np.zeros(len(pts))
-        for l in lines:
-            w = pts - l.anchor.array
-            proj = w - np.outer(w @ l.direction, l.direction)
+        for anchor, d in zip(anchors, directions):
+            w = pts - anchor
+            proj = w - np.outer(w @ d, d)
             rms += (proj ** 2).sum(axis=1)
-        rms = np.sqrt(rms / len(lines))
+        rms = np.sqrt(rms / len(anchors))
         idx = int(np.argmin(rms))
         best = min(best, float(rms[idx]))
         width = (hi - lo) / 10
@@ -435,12 +432,12 @@ def _spread_oracle(lines, center_guess, scale):
 def test_concurrency_matches_grid_oracle():
     rng = _rng(12)
     target = rng.normal(size=3)
-    lines = []
+    directions, anchors = [], []
     for _ in range(4):
-        d = rng.normal(size=3)
-        anchor = target + rng.normal(size=3) * 0.02  # slightly off-concurrent
-        lines.append(Line(Point.of(anchor), d))
-    tol = Tolerance.for_points([l.anchor for l in lines])
-    p, spread = concurrency_point(lines, tol)
-    oracle = _spread_oracle(lines, p.array, tol.scene_scale)
+        directions.append(rng.normal(size=3))
+        anchors.append(target + rng.normal(size=3) * 0.02)  # slightly off-concurrent
+    anchors, directions = np.array(anchors), unit_rows(np.array(directions))
+    tol = Tolerance.for_points(anchors)
+    p, spread = concurrency_rows(anchors, directions, tol)
+    oracle = _spread_oracle(anchors, directions, p, tol.scene_scale)
     assert spread == pytest.approx(oracle, abs=1e-6)

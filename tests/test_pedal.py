@@ -23,8 +23,10 @@ from orthosect.geom_core import (
     project_to_plane,
     unit,
 )
+from orthosect import pedal
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import (
+    ChainKernel,
     PedalChain,
     _require_orthosection,
     chain_from_pair,
@@ -36,7 +38,6 @@ from orthosect.pedal import (
     pedal_triangle,
     reconstruct_tetrahedron,
     spherical_chain,
-    spherical_parameters,
 )
 from orthosect.solver import trace_family
 
@@ -287,7 +288,15 @@ def test_complete_chain_solver_roundtrip(demo_pair):
     assert np.linalg.norm(rebuilt.feet - chain.feet, axis=1).max() <= 1e-8 * tol.scene_scale
 
 
-# --- spherical_parameters / chain_sphere_residual ---------------------------
+# --- sphericity parameters / chain_sphere_residual --------------------------
+
+
+def sphericity_roots(host, b4, tol):
+    """The validated roots of ``ChainKernel.sphericity_batch`` at ``b4``,
+    projected onto face (1, 2, 3), in world units."""
+    kernel = ChainKernel(host, tol)
+    t = kernel.sphericity_batch(pedal._face_source(kernel, b4))[0][0]
+    return (t[~np.isnan(t)] * kernel.scale).tolist()
 
 
 def test_spherical_parameters_validated(demo_pair):
@@ -297,7 +306,7 @@ def test_spherical_parameters_validated(demo_pair):
     while found < 10:
         b4 = _face_source(rng, a)
         try:
-            ts = spherical_parameters(a, b4, tol)
+            ts = sphericity_roots(a, b4, tol)
         except SimsonDegenerateError:
             continue
         for t in ts:
@@ -314,7 +323,7 @@ def test_spherical_parameters_roundtrip(demo_pair):
     a, b, tol = demo_pair
     chain = chain_from_pair(a, b, tol)
     b4 = chain.source(4)
-    ts = spherical_parameters(a, b4, tol)
+    ts = sphericity_roots(a, b4, tol)
     assert ts, "projection of a true solution must admit a sphericity parameter"
     best = min(ts, key=lambda t: complete_chain(a, b4, t, tol)
                .foot(1, 4).distance_to(chain.foot(1, 4)))
@@ -337,7 +346,7 @@ def test_spherical_parameters_empty_far_out():
             p = centroid + radius * tol.scene_scale * (math.cos(ang) * e1
                                                        + math.sin(ang) * e2)
             try:
-                if not spherical_parameters(host, p, tol):
+                if not sphericity_roots(host, p, tol):
                     empties += 1
             except SimsonDegenerateError:
                 continue
@@ -376,7 +385,7 @@ def test_chain_sphere_residual_sign_change(demo_pair):
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
     e1 = unit(a.vertex(2).array - a.vertex(1).array)
     eps = 0.01 * tol.scene_scale
-    ts0 = spherical_parameters(a, b4, tol)
+    ts0 = sphericity_roots(a, b4, tol)
     fs_lo = chain_sphere_residual(a, Point.of(b4.array - eps * e1), tol)
     fs_hi = chain_sphere_residual(a, Point.of(b4.array + eps * e1), tol)
     idx = int(np.argmin([abs(f) for f in chain_sphere_residual(a, b4, tol)]))
@@ -400,7 +409,7 @@ def test_reconstruct_rejects_nonspherical_chain():
     host = random_tetrahedron(rng)
     tol = Tolerance.for_points(host.vertices)
     b4 = _face_source(rng, host)
-    ts = spherical_parameters(host, b4, tol)
+    ts = sphericity_roots(host, b4, tol)
     t_bad = (ts[0] + 0.5 * tol.scene_scale) if ts else 0.4 * tol.scene_scale
     chain = complete_chain(host, b4, t_bad, tol)
     with pytest.raises(DegenerateError):
@@ -477,8 +486,8 @@ def _outcome(fn, *args):
 
 
 def _ref_partner_from_feet(host, feet, tol):
-    """partner_from_feet as the loop of Plane.through and meet_planes it
-    was, with meet_planes written out."""
+    """partner_from_feet as a loop over Plane.through, each vertex solved
+    from the normals and offsets of the other three planes."""
     planes = []
     for k, rows in enumerate(((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))):
         arr = feet[list(rows)]
@@ -514,7 +523,7 @@ def family_members(demo_pair):
 def test_partner_from_feet_matches_plane_loop_bit_for_bit(family_members, member, seed,
                                                           log_scale):
     """partner_from_feet reproduces the loop of Plane.through and
-    meet_planes exactly, on the intersection points of family members of
+    per-vertex plane meets exactly, on the intersection points of family members of
     the demo pair under a random rigid motion at scales 1e-12..1e12."""
     a, members = family_members
     b = members[member % len(members)]

@@ -6,6 +6,7 @@ import pytest
 
 from orthosect.cli import main
 from orthosect.errors import SceneError
+from orthosect.geom_core import Tolerance
 from orthosect.scene import Scene, load_scene, save_scene, scene_from_dict
 
 T_REG_DOC = {"tetrahedra": {"A": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}}
@@ -86,6 +87,11 @@ def test_tolerance_parsing():
     doc["tolerance"] = {"eps_rel": 1e-5}
     scene = scene_from_dict(doc)
     assert scene.eps_rel == 1e-5 and scene.eps_abs is None
+    # an eps_rel override keeps the default eps_abs
+    points = scene.tetrahedron("A").array
+    tol = scene.tolerance(points)
+    assert tol == Tolerance.for_points(points, eps_rel=1e-5)
+    assert (tol.eps_abs, tol.eps_rel) == (Tolerance().eps_abs, 1e-5)
     doc["tolerance"] = {"eps_rel": -1.0}
     with pytest.raises(SceneError, match="positive"):
         scene_from_dict(doc)

@@ -13,7 +13,7 @@ from conftest import random_tetrahedron
 from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Point, Tolerance, project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_tolerance
+from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import chain_sphere_residual
 from orthosect.scene import load_scene
 from orthosect.solver import (
@@ -22,7 +22,6 @@ from orthosect.solver import (
     OrthosectSystem,
     _Collapse,
     SolverConfig,
-    intersection_gaps,
     orthosect_residuals,
     solve,
     solve_detailed,
@@ -44,8 +43,7 @@ def test_treg_orthologic_but_skew():
     rv = orthosect_residuals(T_REG, T_REG)
     assert max(abs(v) for v in rv.orthogonality.values()) == 0.0
     assert max(abs(v) for v in rv.intersection.values()) > 0.1
-    gaps = intersection_gaps(T_REG, T_REG)
-    assert max(gaps.values()) > 0.1
+    assert pair_measures(T_REG, T_REG)[1].max() > 0.1
 
 
 def test_residuals_rigid_motion_invariant():
@@ -506,7 +504,7 @@ def test_solve_finds_verified_solutions():
     assert solutions
     for b in solutions[:3]:
         assert orthosect_residuals(a, b).max_abs <= 1e-10
-        assert max(intersection_gaps(a, b).values()) <= 1e-10
+        assert pair_measures(a, b)[1].max() <= 1e-10
 
 
 def test_solve_deterministic():
@@ -647,6 +645,6 @@ def test_solve_from_curve_point_polished_near_face_vertex(demo_pair):
             continue
         rebuilt = solve_from_curve_point(a, p, tol)
         assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-12
-        assert max(intersection_gaps(a, rebuilt, tol).values()) <= 1e-12
+        assert pair_measures(a, rebuilt, tol)[1].max() <= 1e-12
         checked += 1
     assert checked >= 10
