@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateError, GeometryError, NotOrthologicError
+from .errors import DegenerateError, GeometryError
 from .geom_core import (Point, SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows,
                         unit)
 from .orthology import (
@@ -20,12 +20,13 @@ from .orthology import (
     Tetrahedron,
     _I,
     _J,
-    orthology_centers,
+    centers_from_residuals,
+    pair_measures,
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _feet_gap, _partner_vertices,
-                    _require_orthosection)
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _check_orthosection, _feet_gap,
+                    _partner_vertices)
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
 # FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
@@ -81,20 +82,26 @@ def verify_sphere(a: Tetrahedron, b: Tetrahedron,
     edge pairs suffice for co-sphericity).
     """
     tol = tol or pair_tolerance(a, b)
-    pairings, feet = require_orthosecting(a, b, tol, drop_worst_gap=five_point)
+    return sphere_from_measures(a, b, pair_measures(a, b, tol), five_point, tol)
+
+
+def sphere_from_measures(a: Tetrahedron, b: Tetrahedron, measures, five_point: bool,
+                         tol: Tolerance) -> SphereReport:
+    """``verify_sphere`` on the pair's ``pair_measures`` at ``tol``."""
+    pairings, feet = require_orthosecting(measures, tol, drop_worst_gap=five_point)
     carrier, _ = carrier_through(feet, tol)
     pts = {p: Point.of(q) for p, q in zip(pairings, feet)}
     residuals = {p: carrier.signed_distance(q) / tol.scene_scale
                  for p, q in pts.items()}
     midpoint_gap = rep = None
     try:
-        rep = orthology_centers(a, b, tol)
+        rep = centers_from_residuals(a, b, measures[0], tol)
         mid = 0.5 * (rep.center_a.array + rep.center_b.array)
         if carrier.kind == "sphere":
             midpoint_gap = float(np.linalg.norm(carrier.center.array - mid)) / tol.scene_scale
         else:
             midpoint_gap = abs(carrier.carrier.signed_distance(mid)) / tol.scene_scale
-    except (DegenerateError, NotOrthologicError):
+    except DegenerateError:
         pass
     return SphereReport(carrier=carrier, residuals=residuals,
                         midpoint_gap=midpoint_gap, points=pts, orthology=rep)
@@ -112,16 +119,16 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     carrier) has its conjugate at infinity and raises DegenerateError.
     """
     tol = tol or pair_tolerance(a, b)
-    _, points = require_orthosecting(a, b, tol)
-    c = conjugate_through(a, points, *carrier_through(points, tol), tol)
-    return _require_orthosection(a, c, tol)
+    return conjugate_from_measures(a, pair_measures(a, b, tol), tol)[0]
 
 
-def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane,
-                      residual: float, tol: Tolerance) -> Tetrahedron:
-    """``conjugate`` from the pair's intersection points and their carrier
-    fit, before the reconstruction postcondition (``partner_from_feet``)
-    that ``conjugate`` applies."""
+def conjugate_from_measures(a: Tetrahedron, measures, tol: Tolerance):
+    """``conjugate`` on the pair's ``pair_measures`` at ``tol``: the
+    conjugate, the carrier of the pair's intersection points, and the
+    ``pair_measures`` of (``a``, conjugate) that the reconstruction
+    postcondition checked."""
+    _, points = require_orthosecting(measures, tol)
+    carrier, residual = carrier_through(points, tol)
     if residual > tol.eps_rel * tol.scene_scale:
         raise DegenerateError(f"intersection points deviate from a common sphere/plane "
                               f"by {residual:.3e} (> {tol.eps_rel * tol.scene_scale:.3e})")
@@ -132,8 +139,11 @@ def conjugate_through(a: Tetrahedron, points: np.ndarray, carrier: SphereOrPlane
     # edge line; stepping along the edge from the point keeps its accuracy
     u = a.array[_I] - a.array[_J]
     d = u / np.sqrt(dot_rows(u, u))[:, None]
-    return _partner_vertices(
+    c = _partner_vertices(
         a, points - 2.0 * dot_rows(points - carrier.center.array, d)[:, None] * d, tol)
+    conjugate_measures = pair_measures(a, c, tol)
+    _check_orthosection(conjugate_measures)
+    return c, carrier, conjugate_measures
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,18 +201,9 @@ class CurveTrace:
     residual_bound: float
     counts: Optional[TraceCounts] = None
 
-    def to_world(self, uv) -> Point:
-        u, v = float(uv[0]), float(uv[1])
-        return Point.of(self.origin.array + u * self.axis_u + v * self.axis_v)
-
     @property
     def vertex_count(self) -> int:
         return sum(p.vertex_count for p in self.polylines)
-
-    def iter_vertices(self):
-        for poly in self.polylines:
-            for idx in range(poly.vertex_count):
-                yield poly.branch, poly.points[idx], poly.residuals[idx], poly.ts[idx]
 
 
 def face_frame(host: Tetrahedron, face: int):
@@ -532,24 +533,30 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     scales. A degeneracy mid-run truncates the sequence and reports the
     step."""
     tol = tol or pair_tolerance(b0, b1)
-    require_orthosecting(b0, b1, tol)
+    # per consecutive pair, its pair_measures: each conjugate's comes from
+    # the reconstruction postcondition
+    measured = [pair_measures(b0, b1, tol)]
+    require_orthosecting(measured[0], tol)
     seq: List[Tetrahedron] = [b0, b1]
     truncated_at = None
     reason = None
     for m in range(1, n):
         try:
-            seq.append(conjugate(seq[m], seq[m - 1], tol))
+            c, _, measures = conjugate_from_measures(
+                seq[m], pair_measures(seq[m], seq[m - 1], tol), tol)
         except GeometryError as exc:
             truncated_at = m + 1
             reason = str(exc)
             break
+        seq.append(c)
+        measured.append(measures)
     reports: List[SphereReport] = []
     centers: List[Point] = []
-    for m in range(len(seq) - 1):
-        rep = verify_sphere(seq[m], seq[m + 1], tol=tol)
+    for m, measures in enumerate(measured):
+        rep = sphere_from_measures(seq[m], seq[m + 1], measures, False, tol)
         reports.append(rep)
-        # verify_sphere swallowed the error when it has no centers; raise it here
-        oc = rep.orthology or orthology_centers(seq[m], seq[m + 1], tol)
+        # the sphere report swallowed the error when it has no centers; raise it here
+        oc = rep.orthology or centers_from_residuals(seq[m], seq[m + 1], measures[0], tol)
         centers.extend([oc.center_a, oc.center_b])
     carrier = reports[0].carrier
     shared = 0.0

@@ -21,15 +21,11 @@ import numpy as np
 from . import analysis, export, solver
 from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
 from .geom_core import carrier_through
-from .orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
+from .orthology import (EDGE_PAIRINGS, Tetrahedron, centers_from_residuals, pair_measures,
                         pairing_key, require_orthosecting)
-from .pedal import _check_orthosection
+from .pedal import VERTEX_TOL
 from .scene import Report, Scene, _point_list, _read_json, load_scene, scene_from_dict
 
-# gate for co-sphericity and center-midpoint verdicts, times the scene scale
-SPHERE_TOL = 1e-7
-# gate for curve-vertex residuals
-CURVE_TOL = 1e-6
 # gates for the conjugation command
 CONJUGATE_CARRIER_TOL = 1e-8
 # gates for the sequence command
@@ -98,7 +94,8 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     tol = scene.tolerance(np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
     report.results["scene_scale"] = tol.scene_scale
-    ortho, gaps, _ = pair_measures(a, b, tol)
+    measures = pair_measures(a, b, tol)
+    ortho, gaps, _ = measures
     keys = [pairing_key(p) for p in EDGE_PAIRINGS]
     report.results["orthogonality_residuals"] = dict(zip(keys, ortho.tolist()))
     report.results["gaps"] = dict(zip(keys, gaps.tolist()))
@@ -108,10 +105,10 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     worst = max(max_ortho, float(sorted(gaps)[-2] if args.corollary4 else gaps.max()))
     rep = None
     if worst <= tol.eps_rel:
-        rep = analysis.verify_sphere(a, b, five_point=args.corollary4, tol=tol)
+        rep = analysis.sphere_from_measures(a, b, measures, args.corollary4, tol)
     if max_ortho <= tol.eps_rel:
         # the sphere report's centers, unless it swallowed their error or did not run
-        oc = (rep and rep.orthology) or orthology_centers(a, b, tol)
+        oc = (rep and rep.orthology) or centers_from_residuals(a, b, ortho, tol)
         report.results["orthology_centers"] = {
             "center_a": _point_list(oc.center_a), "center_b": _point_list(oc.center_b),
             "spread_a": oc.spread_a, "spread_b": oc.spread_b}
@@ -122,12 +119,12 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     report.results["sphere"] = _carrier_dict(rep.carrier)
     report.results["sphere_residuals"] = {pairing_key(p): v for p, v in rep.residuals.items()}
     if args.corollary4:
-        report.add_verdict("cospherical_5", rep.max_abs_residual, SPHERE_TOL)
+        report.add_verdict("cospherical_5", rep.max_abs_residual, tol.eps_rel)
         return
     report.results["midpoint_gap"] = rep.midpoint_gap
-    report.add_verdict("cospherical", rep.max_abs_residual, SPHERE_TOL)
+    report.add_verdict("cospherical", rep.max_abs_residual, tol.eps_rel)
     if rep.midpoint_gap is not None:
-        report.add_verdict("center_at_midpoint", rep.midpoint_gap, SPHERE_TOL)
+        report.add_verdict("center_at_midpoint", rep.midpoint_gap, tol.eps_rel)
 
 
 def cmd_solve(args, scene: Scene, report: Report) -> None:
@@ -175,18 +172,12 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
     tol = scene.tolerance(np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
-    _, points_b = require_orthosecting(a, b, tol)
-    carrier_b, residual_b = carrier_through(points_b, tol)
-    c = analysis.conjugate_through(a, points_b, carrier_b, residual_b, tol)
-    # one pair_measures of (host, conjugate) serves the reconstruction
-    # postcondition, the verdict and the orthosection check, in that order
-    measures = pair_measures(a, c, tol)
-    _check_orthosection(measures)
+    c, carrier_b, measures = analysis.conjugate_from_measures(a, pair_measures(a, b, tol), tol)
     report.results["conjugate"] = c.array.tolist()
     residuals = solver.OrthosectSystem(a, tol).residuals(c.array.reshape(12))
     worst = max(float(np.abs(residuals).max()), float(measures[1].max()))
     report.add_verdict("conjugate_orthosects", worst, tol.eps_rel)
-    _, points_c = require_orthosecting(a, c, tol, measures=measures)
+    _, points_c = require_orthosecting(measures, tol)
     carrier_c, _ = carrier_through(points_c, tol)
     report.results["carrier_b"] = _carrier_dict(carrier_b)
     report.results["carrier_c"] = _carrier_dict(carrier_c)
@@ -206,7 +197,7 @@ def cmd_curve(args, scene: Scene, report: Report) -> None:
     report.results.update(export.trace_to_dict(trace))
     report.results["tet"] = args.tet
     if trace.polylines:
-        report.add_verdict("vertices_on_curve", trace.residual_bound, CURVE_TOL)
+        report.add_verdict("vertices_on_curve", trace.residual_bound, VERTEX_TOL)
 
 
 def cmd_sequence(args, scene: Scene, report: Report) -> None:

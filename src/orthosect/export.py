@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
 from .geom_core import Point, as_array, carrier_through, circle_through
-from .orthology import EDGE_PAIRINGS, FACE_VERTICES, require_orthosecting
+from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_measures, require_orthosecting
 from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
@@ -172,7 +172,8 @@ def _auto_pair(scene: Scene) -> Optional[Tuple[str, str]]:
         for b_name in names[i + 1:]:
             a, b = scene.tetrahedra[a_name], scene.tetrahedra[b_name]
             try:
-                require_orthosecting(a, b, scene.tolerance(np.vstack((a.array, b.array))))
+                tol = scene.tolerance(np.vstack((a.array, b.array)))
+                require_orthosecting(pair_measures(a, b, tol), tol)
                 return a_name, b_name
             except GeometryError:
                 continue
@@ -298,7 +299,7 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
             b = scene.tetrahedra[b_name]
             tol = scene.tolerance(np.vstack((a.array, b.array)))
             try:
-                pairings, points = require_orthosecting(a, b, tol)
+                pairings, points = require_orthosecting(pair_measures(a, b, tol), tol)
                 carrier, _ = carrier_through(points, tol)
             except GeometryError:
                 continue

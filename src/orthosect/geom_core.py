@@ -198,10 +198,6 @@ class LineClosest:
     parallel: bool = False
     identical: bool = False
 
-    @property
-    def midpoint(self) -> Point:
-        return Point.of(0.5 * (self.p1.array + self.p2.array))
-
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, 3) arrays; matmul runs np.dot's

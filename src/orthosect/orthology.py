@@ -199,23 +199,18 @@ def _require_orthologic(measures, tol: Tolerance):
     return measures
 
 
-def require_orthosecting(a: Tetrahedron, b: Tetrahedron, tol: Tolerance | None = None,
-                         drop_worst_gap: bool = False, measures=None):
-    """The one check that a pair orthosects: every pair of non-corresponding
-    edges is orthogonal and intersects, within ``tol.eps_rel``.
+def require_orthosecting(measures, tol: Tolerance, drop_worst_gap: bool = False):
+    """The one check that a pair orthosects, on its ``pair_measures`` at
+    ``tol``: every pair of non-corresponding edges is orthogonal and
+    intersects, within ``tol.eps_rel``.
 
     Raises NotOrthologicError when some pair is not orthogonal, then
     NotOrthosectingError when some pair fails to intersect. With
     ``drop_worst_gap`` the pairing with the largest gap is exempt from the
     intersection check (five intersecting pairs suffice for
-    co-sphericity). ``measures``, when given, is the pair's
-    ``pair_measures`` at ``tol``, used instead of measuring again. Returns
-    the checked pairings, in EDGE_PAIRINGS order, and their intersection
-    points as a (5 or 6, 3) array.
+    co-sphericity). Returns the checked pairings, in EDGE_PAIRINGS order,
+    and their intersection points as a (5 or 6, 3) array.
     """
-    tol = tol or pair_tolerance(a, b)
-    if measures is None:
-        measures = pair_measures(a, b, tol)
     _, gaps, feet = _require_orthologic(measures, tol)
     kept = np.ones(6, dtype=bool)
     if drop_worst_gap:
@@ -237,7 +232,14 @@ def orthology_centers(a: Tetrahedron, b: Tetrahedron,
     center at infinity).
     """
     tol = tol or pair_tolerance(a, b)
-    residuals = by_pairing(_require_orthologic(pair_measures(a, b, tol), tol)[0])
+    return centers_from_residuals(a, b, _require_orthologic(pair_measures(a, b, tol), tol)[0],
+                                  tol)
+
+
+def centers_from_residuals(a: Tetrahedron, b: Tetrahedron, residuals: np.ndarray,
+                           tol: Tolerance) -> OrthologyReport:
+    """``orthology_centers`` of a pair whose six orthogonality residuals,
+    ``pair_measures``' first array, have passed the orthologic check."""
     # the perpendicular bundles: the line through each vertex of one
     # tetrahedron along the normal of the other's corresponding face,
     # normalized a second time as Line normalizes its direction
@@ -247,7 +249,7 @@ def orthology_centers(a: Tetrahedron, b: Tetrahedron,
             concurrency_rows(t.array, n, tol) for t, n in zip((a, b), normals))
     except DegenerateError as exc:
         raise DegenerateError(f"flat partner: {exc}") from exc
-    return OrthologyReport(residuals=residuals, center_a=Point.of(center_a),
+    return OrthologyReport(residuals=by_pairing(residuals), center_a=Point.of(center_a),
                            center_b=Point.of(center_b), spread_a=spread_a, spread_b=spread_b)
 
 

@@ -181,7 +181,7 @@ class OrthosectSystem:
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``residuals(x)``, ``jacobian(x)`` and the six partner edge lengths,
-        whose least is ``min_edge(x)``, from one pass."""
+        from one pass."""
         gh, (w, nw, vecs, dens) = self._rows(x)
         # d(g)/dW over d(h)/dW, then d(h)/dM
         quot = vecs / dens[:, :, None]
@@ -194,11 +194,6 @@ class OrthosectSystem:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[1]
-
-    def min_edge(self, x: np.ndarray) -> float:
-        kl = x.take(_KL)
-        w = kl[:6] - kl[6:]
-        return float(np.sqrt(dot_rows(w, w)).min())
 
 
 def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
@@ -218,12 +213,14 @@ def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
     """Damped least squares followed by a Gauss-Newton polish; every point
     is evaluated once, residuals and Jacobian together, and an accepted
-    trial point keeps its Jacobian for the next step."""
+    trial point keeps its Jacobian for the next step. Returns the point, its
+    max |residual|, the iterations, the reason and the six partner edge
+    lengths at the point (None when the start collapsed)."""
     x = x0.copy()
     try:
-        r, jac, _ = sys.evaluate(x)
+        r, jac, edges = sys.evaluate(x)
     except _Collapse as exc:
-        return x, math.inf, 0, str(exc)
+        return x, math.inf, 0, str(exc), None
     cost = float(r @ r)
     lam = LM_LAMBDA0
     iterations = 0
@@ -243,13 +240,13 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
                 continue
             x_new = x + delta
             try:
-                r_new, jac_new, _ = sys.evaluate(x_new)
+                r_new, jac_new, edges_new = sys.evaluate(x_new)
             except _Collapse:
                 lam *= LM_LAMBDA_UP
                 continue
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                x, r, jac, cost = x_new, r_new, jac_new, cost_new
+                x, r, jac, edges, cost = x_new, r_new, jac_new, edges_new, cost_new
                 lam = max(lam / LM_LAMBDA_DOWN, 1e-14)
                 improved = True
                 break
@@ -265,14 +262,14 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
             break
         try:
             x_new = x + np.linalg.lstsq(jac, -r, rcond=1e-12)[0]
-            r_new, jac_new, _ = sys.evaluate(x_new)
+            r_new, jac_new, edges_new = sys.evaluate(x_new)
         except (_Collapse, np.linalg.LinAlgError):
             break
         if float(r_new @ r_new) <= cost:
-            x, r, jac, cost = x_new, r_new, jac_new, float(r_new @ r_new)
+            x, r, jac, edges, cost = x_new, r_new, jac_new, edges_new, float(r_new @ r_new)
         else:
             break
-    return x, float(np.abs(r).max()), iterations, "ok"
+    return x, float(np.abs(r).max()), iterations, "ok", edges
 
 
 def _orthogonality_null_basis(sys: OrthosectSystem) -> np.ndarray:
@@ -321,12 +318,12 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     diags: List[RestartDiagnostic] = []
     for restart in range(cfg.restarts):
         x0 = _seed_start(null_basis, rng, center, scale)
-        x, max_res, iters, reason = _lm_minimize(sys, x0)
+        x, max_res, iters, reason, edges = _lm_minimize(sys, x0)
         if max_res > ACCEPT_RESIDUAL:
             diags.append(RestartDiagnostic(restart, False, max_res, iters,
                                            reason if reason != "ok" else "no convergence"))
             continue
-        if sys.min_edge(x) < MIN_EDGE_FACTOR * scale:
+        if float(edges.min()) < MIN_EDGE_FACTOR * scale:
             diags.append(RestartDiagnostic(restart, False, max_res, iters, "min edge filter"))
             continue
         if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:

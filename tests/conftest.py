@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orthosect import analysis, cli, geom_core, orthology, pedal, solver
+from orthosect import analysis, cli, export, geom_core, orthology, pedal, solver
 from orthosect.orthology import Tetrahedron, pair_tolerance
 from orthosect.solver import (
     OrthosectSystem,
@@ -55,6 +55,14 @@ def find_partner(a: Tetrahedron, base_seed: int) -> Tetrahedron:
         if result.solutions:
             return result.solutions[0]
     raise RuntimeError("no orthosecting partner found (unexpected for random input)")
+
+
+def trace_vertices(trace) -> np.ndarray:
+    """The distinct vertices of a curve trace in world coordinates, polyline
+    by polyline (a cycle's repeated first vertex once), as an (n, 3)
+    array."""
+    uv = np.concatenate([poly.points[:poly.vertex_count] for poly in trace.polylines])
+    return trace.origin.array + uv[:, :1] * trace.axis_u + uv[:, 1:] * trace.axis_v
 
 
 @pytest.fixture(scope="session")
@@ -145,17 +153,18 @@ def flat_pair():
 
 @pytest.fixture()
 def orthology_center_calls(monkeypatch):
-    """The (a, b) arguments of every orthology_centers call that analysis
-    or cli makes while the test runs."""
+    """The (a, b) arguments of every orthology-centers computation
+    (``centers_from_residuals``, which ``orthology_centers`` also calls)
+    made anywhere while the test runs."""
     calls = []
-    real = analysis.orthology_centers
+    real = orthology.centers_from_residuals
 
     def counted(*args, **kwargs):
         calls.append(args[:2])
         return real(*args, **kwargs)
 
-    for module in (analysis, cli):
-        monkeypatch.setattr(module, "orthology_centers", counted)
+    for module in (orthology, analysis, cli):
+        monkeypatch.setattr(module, "centers_from_residuals", counted)
     return calls
 
 
@@ -170,7 +179,7 @@ def pair_measure_calls(monkeypatch):
         calls.append(args[:2])
         return real(*args, **kwargs)
 
-    for module in (orthology, pedal, solver, cli):
+    for module in (orthology, pedal, solver, analysis, export, cli):
         monkeypatch.setattr(module, "pair_measures", counted)
     return calls
 

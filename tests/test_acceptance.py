@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, find_partner, five_point_partner, random_tetrahedron
+from conftest import (ACCEPTANCE_LINES, find_partner, five_point_partner, random_tetrahedron,
+                      trace_vertices)
 from oracles import circular_net
 from orthosect.analysis import (
     conjugate,
@@ -303,10 +304,9 @@ def test_self_conjugate_curve():
     worst_conj = 0.0
     worst_solve = 0.0
     checked = 0
-    for branch, uv, res, tval in trace.iter_vertices():
+    for p in trace_vertices(trace):
         if checked >= 100:
             break
-        p = trace.to_world(uv)
         try:
             q = isogonal_conjugate(p, face, tol)
             fs_q = chain_sphere_residual(a, q, tol)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import find_partner, five_point_partner, random_tetrahedron
+from conftest import find_partner, five_point_partner, random_tetrahedron, trace_vertices
 from oracles import exact_sphere_through, fit_plane
 from orthosect import analysis, pedal
 from orthosect.analysis import (
@@ -287,23 +287,18 @@ def test_trace_curve_vertices_on_curve(demo_pair, traced):
     a, b, tol = demo_pair
     assert traced.vertex_count > 50
     assert traced.residual_bound <= 1e-6
-    count = 0
-    for branch, uv, res, tval in traced.iter_vertices():
-        if count >= 25:
-            break
-        fs = chain_sphere_residual(a, traced.to_world(uv), tol)
+    for p in trace_vertices(traced)[:25]:
+        fs = chain_sphere_residual(a, p, tol)
         assert fs and min(abs(f) for f in fs) <= 1e-6
-        count += 1
 
 
 def test_trace_curve_self_conjugacy(demo_pair, traced):
     a, b, tol = demo_pair
     face = (a.vertex(1), a.vertex(2), a.vertex(3))
     checked = 0
-    for branch, uv, res, tval in traced.iter_vertices():
+    for p in trace_vertices(traced):
         if checked >= 25:
             break
-        p = traced.to_world(uv)
         try:
             q = isogonal_conjugate(p, face, tol)
             fs = chain_sphere_residual(a, q, tol)
@@ -376,7 +371,7 @@ def test_sequence_rejects_nonpair():
 
 def test_sequence_one_orthology_centers_call_per_pair(orthology_center_calls, demo_pair):
     """The centers of each consecutive pair come from its sphere report,
-    not from a second orthology_centers call."""
+    not from a second orthology-centers computation."""
     a, b, tol = demo_pair
     calls = orthology_center_calls
     run = iterate_sequence(a, b, 6, tol)
@@ -387,15 +382,19 @@ def test_sequence_one_orthology_centers_call_per_pair(orthology_center_calls, de
                                  for c in (rep.orthology.center_a, rep.orthology.center_b)]
 
 
-def test_sequence_raises_where_verify_sphere_swallowed(orthology_center_calls, flat_pair):
-    """A flat partner has no orthology center: verify_sphere leaves its
-    midpoint gap and centers empty, and iterate_sequence raises the
-    flat-partner error."""
+def test_sequence_raises_where_verify_sphere_swallowed(orthology_center_calls, pair_measure_calls,
+                                                      flat_pair):
+    """A flat partner has no orthology center: the sphere report leaves
+    its midpoint gap and centers empty, and iterate_sequence computes the
+    centers again from the pair's measurement to raise the flat-partner
+    error."""
     a, flat = flat_pair
     rep = verify_sphere(a, flat)
     assert rep.orthology is None and rep.midpoint_gap is None
     calls = orthology_center_calls
     calls.clear()   # count iterate_sequence's calls only
+    pair_measure_calls.clear()
     with pytest.raises(DegenerateError, match="^flat partner: "):
         iterate_sequence(a, flat, 1)
     assert len(calls) == 2
+    assert len(pair_measure_calls) == 1

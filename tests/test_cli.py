@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthosect import analysis, cli, solver
+from orthosect import analysis, cli, export, geom_core, pedal, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
 from orthosect.geom_core import Tolerance
@@ -289,12 +289,12 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
     with pytest.raises(DegenerateError, match="^zero-length edge B12$"):
         solver.orthosect_residuals(a, collapsed, tol)
     assert np.isfinite(solver.orthosect_residuals(a, with_edge_b12(1e-7), tol).values).all()
-    # the conjugate command checks the partner it built with
-    # orthosect_residuals; here the orthosecting pair's "conjugate" is the
+    # the conjugate core measures the partner it rebuilt for its
+    # postcondition; here the orthosecting pair's rebuilt "conjugate" is the
     # collapsed partner
     path = tmp_path / "collapse.json"
     save_scene(Scene(tetrahedra={"A": a, "B": b}, eps_abs=1e-12), path)
-    monkeypatch.setattr(analysis, "conjugate_through", lambda host, *fit: collapsed)
+    monkeypatch.setattr(analysis, "_partner_vertices", lambda host, feet, tol: collapsed)
     code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
     assert report["error"] == "DegenerateError: zero-length edge B12"
@@ -356,7 +356,8 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--corollary4"]], ids=["verify", "corollary4"])
 def test_verify_computes_orthology_centers_once(capsys, orthology_center_calls, extra):
-    """The report's centers come from the sphere report."""
+    """The report's centers come from the sphere report, which reads
+    verify's one measurement."""
     calls = orthology_center_calls
     code, report = _run(capsys, ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", *extra])
     assert code == 0 and "orthology_centers" in report["results"]
@@ -374,48 +375,58 @@ def test_pair_commands_build_no_line_or_plane(capsys, geometry_object_calls, arg
     assert geometry_object_calls == {"Line": 0, "Plane.through": 0}
 
 
-def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology_center_calls):
-    """The conjugate report's two carriers come from one orthosecting guard
-    and one carrier fit per pair (host and partner, host and conjugate),
-    and no orthology centers, which the report never prints."""
-    guarded, fitted = [], []
+@pytest.mark.parametrize("argv,measured,fits,centers", [
+    (["verify", "--pair", "A,B"], "pair", 1, 1),
+    (["verify", "--pair", "A,B", "--corollary4"], "pair", 1, 1),
+    (["conjugate", "--pair", "A,B"], "conjugate", 2, 0),
+    (["sequence", "--pair", "A,B", "--n", "6"], "sequence", 11, 6),
+    (["export", "--format", "obj", "--out", "demo.obj"], "pair", 1, 0),
+], ids=["verify", "corollary4", "conjugate", "sequence", "export-obj"])
+def test_pair_commands_measure_each_pair_once(tmp_path, capsys, monkeypatch, pair_measure_calls,
+                                              orthology_center_calls, argv, measured, fits,
+                                              centers):
+    """Each pair command measures every pair it checks once, with one
+    ``pair_measures`` call that its guard, sphere report, conjugate and
+    centers all read: verify the demo pair; conjugate the demo pair, then
+    (host, conjugate) in the reconstruction postcondition; sequence the
+    first pair, then per conjugate step the reversed pair it conjugates
+    and the new pair, whose postcondition measurement its sphere report
+    reuses. One carrier fit per checked pair, and orthology centers only
+    where the report prints them."""
+    fitted = []
+    real = cli.carrier_through
 
-    def counting(real, seen):
-        def counted(*args, **kwargs):
-            seen.append(args)
-            return real(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        fitted.append(args)
+        return real(*args, **kwargs)
 
-    for module in (analysis, cli):
-        monkeypatch.setattr(module, "require_orthosecting",
-                            counting(module.require_orthosecting, guarded))
-        monkeypatch.setattr(module, "carrier_through", counting(module.carrier_through, fitted))
-    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
+    for module in (geom_core, pedal, analysis, export, cli):
+        monkeypatch.setattr(module, "carrier_through", counted)
+    monkeypatch.chdir(tmp_path)
+    code, report = _run(capsys, [argv[0], "--scene", DEMO_SCENE, *argv[1:]])
     assert code == 0
     demo = load_scene(DEMO_SCENE)
     host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
-    assert [(a.array.tolist(), b.array.tolist()) for a, b, _ in guarded] == [
-        (host, partner), (host, report["results"]["conjugate"])]
-    assert len(fitted) == 2
-    assert orthology_center_calls == []
-
-
-def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):
-    """The conjugate command measures each pair once: (host, partner) for
-    its guard, and (host, conjugate) for the reconstruction postcondition,
-    the verdict and the guard together."""
-    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
-    assert code == 0
-    demo = load_scene(DEMO_SCENE)
-    host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
-    assert [(a.array.tolist(), b.array.tolist()) for a, b in pair_measure_calls] == [
-        (host, partner), (host, report["results"]["conjugate"])]
+    if measured == "pair":
+        expected = [(host, partner)]
+    elif measured == "conjugate":
+        expected = [(host, partner), (host, report["results"]["conjugate"])]
+    else:
+        tets = report["results"]["tetrahedra"]
+        assert len(tets) == 7
+        expected = [(tets[0], tets[1])] + [pair for m in range(1, 6)
+                                           for pair in ((tets[m], tets[m - 1]),
+                                                        (tets[m], tets[m + 1]))]
+    assert [(a.array.tolist(), b.array.tolist()) for a, b in pair_measure_calls] == expected
+    assert len(fitted) == fits
+    assert len(orthology_center_calls) == centers
 
 
 def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_center_calls,
-                                                  flat_pair):
-    """verify_sphere swallows a flat partner's center error; verify calls
-    orthology_centers again to report it, after the orthologic verdict."""
+                                                  pair_measure_calls, flat_pair):
+    """The sphere report swallows a flat partner's center error; verify
+    computes the centers again from its one measurement to report it,
+    after the orthologic verdict."""
     a, flat = flat_pair
     path = tmp_path / "flat.json"
     save_scene(Scene(tetrahedra={"A": a, "B": flat}), path)
@@ -425,6 +436,26 @@ def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_ce
     assert report["error"].startswith("DegenerateError: flat partner: ")
     assert [v["name"] for v in report["verdicts"]] == ["orthologic"]
     assert len(calls) == 2
+    assert len(pair_measure_calls) == 1
+
+
+def test_verify_gates_sphere_verdicts_at_scene_tolerance(tmp_path, capsys):
+    """The sphere verdicts read the scene's tolerance, as the orthosecting
+    verdict does: the demo pair with B's vertex 1 moved 2e-6 scene scales
+    orthosects at eps_rel = 1e-4, and so does its center-midpoint gap of
+    about 3.8e-7 scene scales."""
+    demo = load_scene(DEMO_SCENE)
+    a, b = demo.tetrahedron("A"), demo.tetrahedron("B")
+    coords = b.array.copy()
+    coords[0, 0] += 2e-6 * Tolerance.for_points(np.vstack((a.array, coords))).scene_scale
+    path = tmp_path / "moved.json"
+    save_scene(Scene(tetrahedra={"A": a, "B": Tetrahedron.of(coords)}, eps_rel=1e-4), path)
+    code, report = _run(capsys, ["verify", "--scene", str(path), "--pair", "A,B"])
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert 1e-6 < verdicts["orthosecting"]["value"] <= 1e-4
+    assert 1e-7 < verdicts["center_at_midpoint"]["value"] <= 1e-4
+    assert all(v["tolerance"] == 1e-4 for v in report["verdicts"])
+    assert code == 0
 
 
 def _error_lines(capsys):

@@ -305,8 +305,9 @@ def test_sphere_cross_consistency_on_pair(demo_pair):
     # any 4 of the 6 intersection points of a verified pair give one sphere
     from orthosect.orthology import EDGE_PAIRINGS
     a, b, tol = demo_pair
-    pts = [closest_points(a.edge_line(i, j), b.edge_line(k, l), tol).midpoint
-           for (i, j), (k, l) in EDGE_PAIRINGS]
+    closest = [closest_points(a.edge_line(i, j), b.edge_line(k, l), tol)
+               for (i, j), (k, l) in EDGE_PAIRINGS]
+    pts = [0.5 * (c.p1.array + c.p2.array) for c in closest]
     spheres = []
     for quad in itertools.combinations(range(6), 4):
         try:

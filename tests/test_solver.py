@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from conftest import random_tetrahedron
+from conftest import random_tetrahedron, trace_vertices
 from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Point, Tolerance, project_to_plane
@@ -133,10 +133,11 @@ class _LoopSystem:
             jac[6 + idx, 3 * (l - 1):3 * l] = -dw
         return jac
 
-    def min_edge(self, x):
-        b = x.reshape(4, 3)
-        return min(float(np.linalg.norm(b[i] - b[j]))
-                   for i in range(4) for j in range(i + 1, 4))
+
+def _min_edge(x):
+    """The shortest edge of the partner with coordinates ``x``."""
+    b = x.reshape(4, 3)
+    return min(float(np.linalg.norm(b[i] - b[j])) for i in range(4) for j in range(i + 1, 4))
 
 
 def _evaluate(fn, x):
@@ -151,8 +152,9 @@ def _evaluate(fn, x):
 @settings(max_examples=120, deadline=None)
 def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
     """The array kernel reproduces the per-pairing loop exactly: the same
-    residuals, Jacobian and min edge bits, from ``residuals``,
-    ``jacobian`` and the fused ``evaluate`` alike, and the same collapse
+    residuals and Jacobian bits, from ``residuals``, ``jacobian`` and the
+    fused ``evaluate`` alike, the same shortest partner edge from
+    ``evaluate``'s edge lengths, and the same collapse
     message (merging partner vertices collapses edges; the first in
     pairing order is named)."""
     rng = np.random.default_rng(seed)
@@ -178,7 +180,8 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
         if not merged:
             assert np.array_equal(got, want)
             assert np.array_equal(fused[idx], want)
-    assert system.min_edge(x) == ref.min_edge(x)
+    if not merged:
+        assert fused[2].min() == _min_edge(x)
 
 
 def _bordered_step(jac, r, tau, phi, weight, offset):
@@ -256,7 +259,7 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
             break
         x = accepted
         corrections.append(float(np.linalg.norm(x - x_pred)) / step)
-        if system.min_edge(x) < MIN_EDGE_FACTOR * scale:
+        if _min_edge(x) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
         if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
@@ -437,11 +440,10 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
     than bordered (square LU) solves, and no least-squares solve is made.
-    The residual-only, Jacobian-only and min-edge views are never called."""
+    The residual-only and Jacobian-only views are never called."""
     a, b, tol = demo_pair
-    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "min_edge": 0,
-             "solve": 0, "lstsq": 0}
-    for name in ("evaluate", "residuals", "jacobian", "min_edge"):
+    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0}
+    for name in ("evaluate", "residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
     for name in ("solve", "lstsq"):
         _count_calls(monkeypatch, calls, np.linalg, name)
@@ -452,7 +454,7 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     assert calls["lstsq"] == 0
     # the start's evaluate, then per step one more than its solves
     assert calls["evaluate"] == 1 + calls["solve"] + steps
-    assert calls["residuals"] == calls["jacobian"] == calls["min_edge"] == 0
+    assert calls["residuals"] == calls["jacobian"] == 0
 
 
 @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
@@ -639,9 +641,8 @@ def test_solve_from_curve_point_polished_near_face_vertex(demo_pair):
     a, _, tol = demo_pair
     trace = trace_curve(a, 4, grid=128, tol=tol)
     checked = 0
-    for _, uv, _, _ in trace.iter_vertices():
-        p = trace.to_world(uv)
-        if np.linalg.norm(a.array[:3] - p.array, axis=1).min() > 1e-2 * tol.scene_scale:
+    for p in trace_vertices(trace):
+        if np.linalg.norm(a.array[:3] - p, axis=1).min() > 1e-2 * tol.scene_scale:
             continue
         rebuilt = solve_from_curve_point(a, p, tol)
         assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-12
