@@ -375,6 +375,53 @@ def test_pair_commands_build_no_line_or_plane(capsys, geometry_object_calls, arg
     assert geometry_object_calls == {"Line": 0, "Plane.through": 0}
 
 
+def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology_center_calls):
+    """The conjugate report's two carriers come from one orthosecting guard
+    and one carrier fit per pair (host and partner, host and conjugate),
+    and no orthology centers, which the report never prints. Each guard
+    reads the one measurement of its pair."""
+    measured, guarded, fitted = [], [], []
+    real_measures = cli.pair_measures
+
+    def measuring(a, b, *args, **kwargs):
+        measures = real_measures(a, b, *args, **kwargs)
+        measured.append((a, b, measures))
+        return measures
+
+    def counting(real, seen):
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+        return counted
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "pair_measures", measuring)
+        monkeypatch.setattr(module, "require_orthosecting",
+                            counting(module.require_orthosecting, guarded))
+        monkeypatch.setattr(module, "carrier_through", counting(module.carrier_through, fitted))
+    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
+    assert code == 0
+    demo = load_scene(DEMO_SCENE)
+    host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
+    pair_of = {id(measures): (a.array.tolist(), b.array.tolist()) for a, b, measures in measured}
+    assert [pair_of[id(measures)] for measures, _ in guarded] == [
+        (host, partner), (host, report["results"]["conjugate"])]
+    assert len(fitted) == 2
+    assert orthology_center_calls == []
+
+
+def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):
+    """The conjugate command measures each pair once: (host, partner) for
+    its guard, and (host, conjugate) for the reconstruction postcondition,
+    the verdict and the guard together."""
+    code, report = _run(capsys, ["conjugate", "--scene", DEMO_SCENE, "--pair", "A,B"])
+    assert code == 0
+    demo = load_scene(DEMO_SCENE)
+    host, partner = (demo.tetrahedron(name).array.tolist() for name in "AB")
+    assert [(a.array.tolist(), b.array.tolist()) for a, b in pair_measure_calls] == [
+        (host, partner), (host, report["results"]["conjugate"])]
+
+
 @pytest.mark.parametrize("argv,measured,fits,centers", [
     (["verify", "--pair", "A,B"], "pair", 1, 1),
     (["verify", "--pair", "A,B", "--corollary4"], "pair", 1, 1),
