@@ -56,14 +56,12 @@ class SphereReport:
     """Common quadric of the edge intersection points with per-point signed
     residuals (normalized) and the gap between the carrier center and the
     midpoint of the two orthology centers (None when a center is
-    unavailable, e.g. for flat partners), and the orthology centers that
-    gap was measured from (None likewise)."""
+    unavailable, e.g. for flat partners)."""
 
     carrier: SphereOrPlane
     residuals: Dict[Pairing, float]
     midpoint_gap: Optional[float]
     points: Dict[Pairing, Point]
-    orthology: Optional[OrthologyReport] = None
 
     @property
     def max_abs_residual(self) -> float:
@@ -82,29 +80,33 @@ def verify_sphere(a: Tetrahedron, b: Tetrahedron,
     edge pairs suffice for co-sphericity).
     """
     tol = tol or pair_tolerance(a, b)
-    return sphere_from_measures(a, b, pair_measures(a, b, tol), five_point, tol)
+    measures = pair_measures(a, b, tol)
+    try:
+        centers = centers_from_residuals(a, b, measures[0], tol)
+    except DegenerateError:   # a flat partner's centers are at infinity
+        centers = None
+    return sphere_from_measures(measures, centers, five_point, tol)
 
 
-def sphere_from_measures(a: Tetrahedron, b: Tetrahedron, measures, five_point: bool,
+def sphere_from_measures(measures, centers: Optional[OrthologyReport], five_point: bool,
                          tol: Tolerance) -> SphereReport:
-    """``verify_sphere`` on the pair's ``pair_measures`` at ``tol``."""
+    """``verify_sphere`` on the pair's ``pair_measures`` at ``tol`` and its
+    orthology ``centers``, which give the midpoint gap (None without
+    them)."""
     pairings, feet = require_orthosecting(measures, tol, drop_worst_gap=five_point)
     carrier, _ = carrier_through(feet, tol)
     pts = {p: Point.of(q) for p, q in zip(pairings, feet)}
     residuals = {p: carrier.signed_distance(q) / tol.scene_scale
                  for p, q in pts.items()}
-    midpoint_gap = rep = None
-    try:
-        rep = centers_from_residuals(a, b, measures[0], tol)
-        mid = 0.5 * (rep.center_a.array + rep.center_b.array)
+    midpoint_gap = None
+    if centers is not None:
+        mid = 0.5 * (centers.center_a.array + centers.center_b.array)
         if carrier.kind == "sphere":
             midpoint_gap = float(np.linalg.norm(carrier.center.array - mid)) / tol.scene_scale
         else:
             midpoint_gap = abs(carrier.carrier.signed_distance(mid)) / tol.scene_scale
-    except DegenerateError:
-        pass
     return SphereReport(carrier=carrier, residuals=residuals,
-                        midpoint_gap=midpoint_gap, points=pts, orthology=rep)
+                        midpoint_gap=midpoint_gap, points=pts)
 
 
 def conjugate(a: Tetrahedron, b: Tetrahedron,
@@ -314,41 +316,28 @@ def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, f
 
 
 def _link_segments(segments: List[Tuple[int, int]]) -> List[List[int]]:
-    """Chain segment index pairs into maximal paths (open ones first, then
-    leftover cycles)."""
-    adj: Dict[int, List[int]] = {}
+    """Chain segment index pairs into polylines. A crossing lies on one
+    lattice edge, which at most two cells share, and a cell pairs each of
+    its crossing edges once, so every index has one or two neighbours and
+    the segments form disjoint paths and cycles. Open paths are walked from
+    their end points in ascending order, then cycles from their smallest
+    index toward its first-listed neighbour, each ending on its start."""
+    nbrs: Dict[int, List[int]] = {}
     for s, t in segments:
-        adj.setdefault(s, []).append(t)
-        adj.setdefault(t, []).append(s)
-    unused = {tuple(sorted(seg)) for seg in segments}
-    paths = []
-
-    def walk(start: int):
-        path = [start]
-        current = start
-        while True:
-            nxt = None
-            for nb in adj.get(current, ()):
-                key = tuple(sorted((current, nb)))
-                if key in unused:
-                    unused.discard(key)
-                    nxt = nb
-                    break
-            if nxt is None:
-                break
-            path.append(nxt)
-            current = nxt
-        return path
-
-    endpoints = sorted(p for p, nbs in adj.items() if len(nbs) == 1)
-    for p in endpoints:
-        if any(tuple(sorted((p, nb))) in unused for nb in adj[p]):
-            paths.append(walk(p))
-    remaining = sorted({p for seg in unused for p in seg})
-    for p in remaining:
-        if any(tuple(sorted((p, nb))) in unused for nb in adj[p]):
-            paths.append(walk(p))
-    return [p for p in paths if len(p) >= 2]
+        nbrs.setdefault(s, []).append(t)
+        nbrs.setdefault(t, []).append(s)
+    paths: List[List[int]] = []
+    linked = set()
+    for start in sorted(p for p, nb in nbrs.items() if len(nb) == 1) + sorted(nbrs):
+        if start in linked:
+            continue
+        path = [start, nbrs[start][0]]
+        while len(nbrs[path[-1]]) == 2 and path[-1] != start:
+            a, b = nbrs[path[-1]]
+            path.append(b if a == path[-2] else a)
+        linked.update(path)
+        paths.append(path)
+    return paths
 
 
 def trace_curve(host: Tetrahedron, face: int,
@@ -496,12 +485,11 @@ def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: flo
 
 @dataclass(frozen=True, eq=False)
 class SequenceRun:
-    """Repeated conjugation run: the tetrahedra, per-pair sphere reports,
-    the first pair's carrier with the worst residual of every pair's
-    intersection points against it, and the clustered orthology centers."""
+    """Repeated conjugation run: the tetrahedra, the first pair's carrier
+    with the worst residual of every pair's intersection points against
+    it, and the clustered orthology centers."""
 
     tetrahedra: Tuple[Tetrahedron, ...]
-    reports: Tuple[SphereReport, ...]
     carrier: SphereOrPlane
     shared_max_residual: float
     centers: Tuple[Point, ...]
@@ -527,11 +515,11 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     """Iterate the conjugate construction: each new member is the conjugate
     of the previous-but-one with respect to the previous.
 
-    Records a sphere report for every consecutive pair, the worst residual
-    of all intersection points against the first pair's carrier, and the
-    orthology centers of all pairs clustered at CLUSTER_RADIUS_FACTOR scene
-    scales. A degeneracy mid-run truncates the sequence and reports the
-    step."""
+    Checks that every consecutive pair orthosects, and records the worst
+    residual of all their intersection points against the first pair's
+    carrier and the orthology centers of all pairs clustered at
+    CLUSTER_RADIUS_FACTOR scene scales. A degeneracy mid-run truncates the
+    sequence and reports the step."""
     tol = tol or pair_tolerance(b0, b1)
     # per consecutive pair, its pair_measures: each conjugate's comes from
     # the reconstruction postcondition
@@ -550,21 +538,16 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
             break
         seq.append(c)
         measured.append(measures)
-    reports: List[SphereReport] = []
+    feet: List[np.ndarray] = []
     centers: List[Point] = []
     for m, measures in enumerate(measured):
-        rep = sphere_from_measures(seq[m], seq[m + 1], measures, False, tol)
-        reports.append(rep)
-        # the sphere report swallowed the error when it has no centers; raise it here
-        oc = rep.orthology or centers_from_residuals(seq[m], seq[m + 1], measures[0], tol)
+        feet.append(require_orthosecting(measures, tol)[1])
+        oc = centers_from_residuals(seq[m], seq[m + 1], measures[0], tol)
         centers.extend([oc.center_a, oc.center_b])
-    carrier = reports[0].carrier
-    shared = 0.0
-    for rep in reports:
-        for p in rep.points.values():
-            shared = max(shared, abs(carrier.signed_distance(p)) / tol.scene_scale)
+    carrier, _ = carrier_through(feet[0], tol)
+    shared = max(abs(carrier.signed_distance(p)) / tol.scene_scale
+                 for p in np.concatenate(feet))
     distinct = _cluster_points(centers, CLUSTER_RADIUS_FACTOR * tol.scene_scale)
-    return SequenceRun(tetrahedra=tuple(seq), reports=tuple(reports),
-                       carrier=carrier, shared_max_residual=shared,
+    return SequenceRun(tetrahedra=tuple(seq), carrier=carrier, shared_max_residual=shared,
                        centers=tuple(centers), distinct_centers=tuple(distinct),
                        truncated_at=truncated_at, truncation_reason=reason)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import analysis, export, solver
-from .errors import GeometryError, NotOrthologicError, NotOrthosectingError, SceneError
+from .errors import GeometryError, SceneError
 from .geom_core import carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, centers_from_residuals, pair_measures,
                         pairing_key, require_orthosecting)
@@ -103,19 +103,16 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     report.add_verdict("orthologic", max_ortho, tol.eps_rel)
     # with --corollary4 the worst gap is exempt: five intersections suffice
     worst = max(max_ortho, float(sorted(gaps)[-2] if args.corollary4 else gaps.max()))
-    rep = None
-    if worst <= tol.eps_rel:
-        rep = analysis.sphere_from_measures(a, b, measures, args.corollary4, tol)
     if max_ortho <= tol.eps_rel:
-        # the sphere report's centers, unless it swallowed their error or did not run
-        oc = (rep and rep.orthology) or centers_from_residuals(a, b, ortho, tol)
+        oc = centers_from_residuals(a, b, ortho, tol)
         report.results["orthology_centers"] = {
             "center_a": _point_list(oc.center_a), "center_b": _point_list(oc.center_b),
             "spread_a": oc.spread_a, "spread_b": oc.spread_b}
     report.add_verdict("five_intersections" if args.corollary4 else "orthosecting",
                        worst, tol.eps_rel)
-    if rep is None:
+    if not worst <= tol.eps_rel:   # past here the pair is orthologic and oc is set
         return
+    rep = analysis.sphere_from_measures(measures, oc, args.corollary4, tol)
     report.results["sphere"] = _carrier_dict(rep.carrier)
     report.results["sphere_residuals"] = {pairing_key(p): v for p, v in rep.residuals.items()}
     if args.corollary4:
@@ -348,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotOrthologicError, NotOrthosectingError, GeometryError) as exc:
+    except GeometryError as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     report.wall_time_s = time.monotonic() - started
     text = report.to_json(include_timing=args.timing)

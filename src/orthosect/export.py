@@ -16,7 +16,6 @@ from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import GeometryError, SceneError
 from .geom_core import Point, as_array, carrier_through, circle_through
 from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_measures, require_orthosecting
-from .pedal import chain_from_pair
 from .scene import Scene, dumps_canonical, scene_to_dict
 
 
@@ -166,32 +165,38 @@ def trace_to_svg(trace: CurveTrace) -> str:
     return canvas.render()
 
 
-def _auto_pair(scene: Scene) -> Optional[Tuple[str, str]]:
+def _auto_pair(scene: Scene):
+    """The first orthosecting pair of the scene, by sorted names, and its
+    ``pair_measures``; (None, None) when no pair orthosects."""
     names = sorted(scene.tetrahedra)
     for i, a_name in enumerate(names):
         for b_name in names[i + 1:]:
             a, b = scene.tetrahedra[a_name], scene.tetrahedra[b_name]
             try:
                 tol = scene.tolerance(np.vstack((a.array, b.array)))
-                require_orthosecting(pair_measures(a, b, tol), tol)
-                return a_name, b_name
+                measures = pair_measures(a, b, tol)
+                require_orthosecting(measures, tol)
+                return (a_name, b_name), measures
             except GeometryError:
                 continue
-    return None
+    return None, None
 
 
 def scene_to_svg(scene: Scene, face: int,
                  pair: Optional[Tuple[str, str]] = None,
                  trace: Optional[CurveTrace] = None) -> str:
     """Pedal diagram of a scene on one face plane: host face triangle, the
-    chain feet on that face, the source point, circumcircle and pedal
-    circle, plus an optional curve-trace overlay."""
+    pair's intersection points on the face's edges (the pedal feet), the
+    source (the partner's vertex opposite the face projected onto its
+    plane), circumcircle and pedal circle, plus an optional curve-trace
+    overlay. The feet come from the pair's one ``pair_measures``."""
     if face not in (1, 2, 3, 4):
         raise SceneError("SVG export of a 3D scene needs a face index in 1..4")
     if not scene.tetrahedra:
         raise SceneError("scene has no tetrahedra to draw")
+    measures = None
     if pair is None:
-        pair = _auto_pair(scene)
+        pair, measures = _auto_pair(scene)
     canvas = _SvgCanvas()
     if pair is not None:
         host = scene.tetrahedron(pair[0])
@@ -199,7 +204,6 @@ def scene_to_svg(scene: Scene, face: int,
     else:
         host = scene.tetrahedra[sorted(scene.tetrahedra)[0]]
         guest = None
-    face_indices = [m for m in (1, 2, 3, 4) if m != face]
     verts = host.array[FACE_VERTICES[face - 1]]
     frame = face_frame(host, face)
     canvas.path("triangle", [frame_uv(frame, v) for v in verts], closed=True)
@@ -207,13 +211,17 @@ def scene_to_svg(scene: Scene, face: int,
     canvas.circle("circles", frame_uv(frame, circum.center), circum.radius,
                   cls="circumcircle")
     if guest is not None:
-        tol = scene.tolerance(np.vstack((host.array, guest.array)))
-        chain = chain_from_pair(host, guest, tol)
-        feet = [chain.foot(face_indices[i], face_indices[j])
-                for i, j in ((0, 1), (0, 2), (1, 2))]
+        if measures is None:
+            measures = pair_measures(host, guest,
+                                     scene.tolerance(np.vstack((host.array, guest.array))))
+        # the host edges not through vertex ``face``: the face's three edges
+        feet = measures[2][[r for r, (ij, _) in enumerate(EDGE_PAIRINGS) if face not in ij]]
         for foot in feet:
             canvas.dot("feet", frame_uv(frame, foot), 0.0)
-        canvas.dot("sources", frame_uv(frame, chain.source(face)), 0.0)
+        normal, offset = host.faces[face - 1, :3], host.faces[face - 1, 3]
+        source = guest.array[face - 1]
+        source = source - (np.dot(normal, source) - offset) * normal
+        canvas.dot("sources", frame_uv(frame, source), 0.0)
         pedal = circle_through(*feet)
         canvas.circle("circles", frame_uv(frame, pedal.center), pedal.radius, cls="pedal")
     if trace is not None:

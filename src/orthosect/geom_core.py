@@ -45,9 +45,6 @@ class Tolerance:
         return cls(scene_scale=scale, **overrides)
 
 
-DEFAULT_TOL = Tolerance()
-
-
 @dataclass(frozen=True)
 class Point:
     x: float
@@ -235,10 +232,12 @@ def closest_rows(p: np.ndarray, u: np.ndarray, q: np.ndarray, v: np.ndarray,
     and two (n,) flags. Parallel lines report the distance between them,
     the smaller of the two anchors' distances to the other line, and c1 at
     the first anchor; they are identical (first anchor as both closest
-    points, gap 0) only when both anchors lie on the other line. Every
-    value is the one the scalar formulas give for that row alone.
+    points, gap 0) only when both anchors lie on the other line, within
+    ``tol``; by default its scene scale is the diameter of all the anchors.
+    Every value is the one the scalar formulas give for that row alone at
+    the same ``tol``.
     """
-    tol = tol or DEFAULT_TOL
+    tol = tol or Tolerance.for_points(np.vstack((p, q)))
     b = dot_rows(u, v)
     w0 = p - q
     denom = 1.0 - b * b

@@ -306,9 +306,9 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     below ACCEPT_RESIDUAL, pass the degeneracy filters, and are
     deduplicated; the result is deterministic for a fixed seed.
     """
-    if a.is_flat():
-        raise DegenerateError("host tetrahedron is flat")
     tol = tol or Tolerance.for_points(a.array)
+    if a.is_flat(tol):
+        raise DegenerateError("host tetrahedron is flat")
     sys = OrthosectSystem(a, tol)
     scale = sys.scale
     null_basis = _orthogonality_null_basis(sys)

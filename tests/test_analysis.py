@@ -19,7 +19,8 @@ from orthosect.analysis import (
 )
 from orthosect.errors import DegenerateError, NotOrthologicError, NotOrthosectingError
 from orthosect.geom_core import SphereOrPlane, project_to_plane
-from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
+from orthosect.orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
+                                 pair_tolerance)
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
 from orthosect.solver import (
     SolverConfig,
@@ -343,6 +344,14 @@ def test_trace_curve_symmetric_host():
         assert dist <= 2.0 * cell
 
 
+def test_link_segments_paths_then_cycles():
+    """Open paths from their end points in ascending order, then cycles
+    from their smallest index toward its first-listed neighbour, ending on
+    their start."""
+    segments = [(5, 3), (9, 7), (3, 8), (4, 6), (6, 2), (2, 4), (7, 1)]
+    assert analysis._link_segments(segments) == [[1, 7, 9], [5, 3, 8], [2, 6, 4, 2]]
+
+
 # --- iterate_sequence -------------------------------------------------------
 
 
@@ -359,7 +368,7 @@ def test_sequence_shared_sphere_and_two_centers(demo_pair):
     run = iterate_sequence(a, b, 5, tol)
     assert run.truncated_at is None
     assert len(run.tetrahedra) == 6
-    assert len(run.reports) == 5
+    assert len(run.centers) == 10
     assert run.shared_max_residual <= 1e-6
     assert len(run.distinct_centers) == 2
 
@@ -370,31 +379,30 @@ def test_sequence_rejects_nonpair():
 
 
 def test_sequence_one_orthology_centers_call_per_pair(orthology_center_calls, demo_pair):
-    """The centers of each consecutive pair come from its sphere report,
-    not from a second orthology-centers computation."""
+    """Each consecutive pair's centers come from one orthology-centers
+    computation, and they are the pair's ``orthology_centers``."""
     a, b, tol = demo_pair
     calls = orthology_center_calls
     run = iterate_sequence(a, b, 6, tol)
     pairs = list(zip(run.tetrahedra, run.tetrahedra[1:]))
     assert len(pairs) == 6
     assert [(id(x), id(y)) for x, y in calls] == [(id(x), id(y)) for x, y in pairs]
-    assert list(run.centers) == [c for rep in run.reports
-                                 for c in (rep.orthology.center_a, rep.orthology.center_b)]
+    expected = [orthology_centers(x, y, tol) for x, y in pairs]
+    assert list(run.centers) == [c for oc in expected for c in (oc.center_a, oc.center_b)]
 
 
 def test_sequence_raises_where_verify_sphere_swallowed(orthology_center_calls, pair_measure_calls,
                                                       flat_pair):
-    """A flat partner has no orthology center: the sphere report leaves
-    its midpoint gap and centers empty, and iterate_sequence computes the
-    centers again from the pair's measurement to raise the flat-partner
-    error."""
+    """A flat partner has no orthology center: verify_sphere leaves its
+    midpoint gap empty, and iterate_sequence raises the flat-partner error
+    from the one centers computation on the pair's one measurement."""
     a, flat = flat_pair
     rep = verify_sphere(a, flat)
-    assert rep.orthology is None and rep.midpoint_gap is None
+    assert rep.midpoint_gap is None
     calls = orthology_center_calls
     calls.clear()   # count iterate_sequence's calls only
     pair_measure_calls.clear()
     with pytest.raises(DegenerateError, match="^flat partner: "):
         iterate_sequence(a, flat, 1)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert len(pair_measure_calls) == 1

@@ -356,8 +356,8 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--corollary4"]], ids=["verify", "corollary4"])
 def test_verify_computes_orthology_centers_once(capsys, orthology_center_calls, extra):
-    """The report's centers come from the sphere report, which reads
-    verify's one measurement."""
+    """verify computes the centers once, from its one measurement, and
+    hands them to the sphere report for the midpoint gap."""
     calls = orthology_center_calls
     code, report = _run(capsys, ["verify", "--scene", DEMO_SCENE, "--pair", "A,B", *extra])
     assert code == 0 and "orthology_centers" in report["results"]
@@ -426,20 +426,23 @@ def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):
     (["verify", "--pair", "A,B"], "pair", 1, 1),
     (["verify", "--pair", "A,B", "--corollary4"], "pair", 1, 1),
     (["conjugate", "--pair", "A,B"], "conjugate", 2, 0),
-    (["sequence", "--pair", "A,B", "--n", "6"], "sequence", 11, 6),
+    (["sequence", "--pair", "A,B", "--n", "6"], "sequence", 6, 6),
     (["export", "--format", "obj", "--out", "demo.obj"], "pair", 1, 0),
-], ids=["verify", "corollary4", "conjugate", "sequence", "export-obj"])
+    (["export", "--format", "svg", "--face", "4", "--out", "demo.svg"], "pair", 0, 0),
+], ids=["verify", "corollary4", "conjugate", "sequence", "export-obj", "export-svg"])
 def test_pair_commands_measure_each_pair_once(tmp_path, capsys, monkeypatch, pair_measure_calls,
                                               orthology_center_calls, argv, measured, fits,
                                               centers):
     """Each pair command measures every pair it checks once, with one
-    ``pair_measures`` call that its guard, sphere report, conjugate and
-    centers all read: verify the demo pair; conjugate the demo pair, then
-    (host, conjugate) in the reconstruction postcondition; sequence the
-    first pair, then per conjugate step the reversed pair it conjugates
-    and the new pair, whose postcondition measurement its sphere report
-    reuses. One carrier fit per checked pair, and orthology centers only
-    where the report prints them."""
+    ``pair_measures`` call that its guard, sphere report, conjugate,
+    centers and drawing all read: verify the demo pair; conjugate the demo
+    pair, then (host, conjugate) in the reconstruction postcondition;
+    sequence the first pair, then per conjugate step the reversed pair it
+    conjugates and the new pair, whose postcondition measurement its guard
+    and centers reuse; both exports the pair they find. One carrier fit
+    per carrier the command uses (sequence fits each conjugate step's and
+    the first pair's), and orthology centers only where the report prints
+    them."""
     fitted = []
     real = cli.carrier_through
 
@@ -471,9 +474,8 @@ def test_pair_commands_measure_each_pair_once(tmp_path, capsys, monkeypatch, pai
 
 def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_center_calls,
                                                   pair_measure_calls, flat_pair):
-    """The sphere report swallows a flat partner's center error; verify
-    computes the centers again from its one measurement to report it,
-    after the orthologic verdict."""
+    """verify reports a flat partner's center error after the orthologic
+    verdict, from one centers computation on its one measurement."""
     a, flat = flat_pair
     path = tmp_path / "flat.json"
     save_scene(Scene(tetrahedra={"A": a, "B": flat}), path)
@@ -482,7 +484,7 @@ def test_verify_flat_partner_reports_center_error(tmp_path, capsys, orthology_ce
     assert code == 1
     assert report["error"].startswith("DegenerateError: flat partner: ")
     assert [v["name"] for v in report["verdicts"]] == ["orthologic"]
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert len(pair_measure_calls) == 1
 
 
@@ -546,3 +548,17 @@ def test_solve_on_coincident_host_reports_flat(capsys, tmp_path):
     code, report = _run(capsys, ["solve", "--scene", str(path), "--tet", "P", "--seed", "1"])
     assert code == 1
     assert report["error"] == "DegenerateError: host tetrahedron is flat"
+
+
+def test_solve_gates_flat_host_at_scene_tolerance(capsys, tmp_path):
+    """solve judges the host flat at the scene's tolerance: a host with apex
+    height 3e-9 is flat at the default eps_rel = 1e-7, but not at the
+    declared 1e-10, where solve runs its restarts."""
+    thin = Tetrahedron.of([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 3e-9)])
+    argv = ["solve", "--tet", "T", "--seed", "1", "--restarts", "2"]
+    for eps_rel, error in ((1e-7, "DegenerateError: host tetrahedron is flat"), (1e-10, None)):
+        path = tmp_path / f"thin_{eps_rel}.json"
+        save_scene(Scene(tetrahedra={"T": thin}, eps_rel=eps_rel), path)
+        _, report = _run(capsys, [argv[0], "--scene", str(path), *argv[1:]])
+        assert report.get("error") == error
+    assert len(report["results"]["diagnostics"]) == 2

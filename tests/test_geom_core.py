@@ -100,15 +100,18 @@ def test_closest_points_matches_grid_oracle():
 
 
 def test_closest_points_parallel_and_identical():
-    base = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
-    parallel = Line(Point(0, 2, 0), np.array([-1.0, 0, 0]))
-    r = closest_points(base, parallel)
-    assert r.parallel and not r.identical
-    assert r.gap == pytest.approx(2.0, abs=1e-15)
-    same = Line(Point(5, 0, 0), np.array([1.0, 0, 0]))
-    r = closest_points(base, same)
-    assert r.identical and r.gap == 0.0
-    assert r.p1 == base.anchor
+    """Without a tolerance, closest_points judges identity at the scale of
+    the lines' own anchors, so the verdicts hold at every scale."""
+    for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        base = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
+        parallel = Line(Point(0, 2 * scale, 0), np.array([-1.0, 0, 0]))
+        r = closest_points(base, parallel)
+        assert r.parallel and not r.identical
+        assert r.gap == pytest.approx(2.0 * scale, rel=1e-15)
+        same = Line(Point(5 * scale, 0, 0), np.array([1.0, 0, 0]))
+        r = closest_points(base, same)
+        assert r.identical and r.gap == 0.0
+        assert r.p1 == base.anchor
 
 
 def test_closest_points_nearly_parallel_gap_is_order_free():
