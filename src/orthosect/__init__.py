@@ -24,7 +24,6 @@ from .geom_core import (
     Line,
     LineClosest,
     Plane,
-    Point,
     SphereOrPlane,
     Tolerance,
     circle_through,

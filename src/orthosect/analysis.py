@@ -11,8 +11,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateError, GeometryError
-from .geom_core import (Point, SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows,
-                        unit)
+from .geom_core import SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows, unit
 from .orthology import (
     FACE_VERTICES,
     OrthologyReport,
@@ -53,15 +52,15 @@ MIN_GRID = 16
 
 @dataclass(frozen=True, eq=False)
 class SphereReport:
-    """Common quadric of the edge intersection points with per-point signed
-    residuals (normalized) and the gap between the carrier center and the
-    midpoint of the two orthology centers (None when a center is
-    unavailable, e.g. for flat partners)."""
+    """Common quadric of the edge intersection points (3,), one per checked
+    pairing, with per-point signed residuals (normalized) and the gap
+    between the carrier center and the midpoint of the two orthology
+    centers (None when a center is unavailable, e.g. for flat partners)."""
 
     carrier: SphereOrPlane
     residuals: Dict[Pairing, float]
     midpoint_gap: Optional[float]
-    points: Dict[Pairing, Point]
+    points: Dict[Pairing, np.ndarray]
 
     @property
     def max_abs_residual(self) -> float:
@@ -95,14 +94,14 @@ def sphere_from_measures(measures, centers: Optional[OrthologyReport], five_poin
     them)."""
     pairings, feet = require_orthosecting(measures, tol, drop_worst_gap=five_point)
     carrier, _ = carrier_through(feet, tol)
-    pts = {p: Point.of(q) for p, q in zip(pairings, feet)}
+    pts = dict(zip(pairings, feet))
     residuals = {p: carrier.signed_distance(q) / tol.scene_scale
                  for p, q in pts.items()}
     midpoint_gap = None
     if centers is not None:
-        mid = 0.5 * (centers.center_a.array + centers.center_b.array)
+        mid = 0.5 * (centers.center_a + centers.center_b)
         if carrier.kind == "sphere":
-            midpoint_gap = float(np.linalg.norm(carrier.center.array - mid)) / tol.scene_scale
+            midpoint_gap = float(np.linalg.norm(carrier.center - mid)) / tol.scene_scale
         else:
             midpoint_gap = abs(carrier.carrier.signed_distance(mid)) / tol.scene_scale
     return SphereReport(carrier=carrier, residuals=residuals,
@@ -142,7 +141,7 @@ def conjugate_from_measures(a: Tetrahedron, measures, tol: Tolerance):
     u = a.array[_I] - a.array[_J]
     d = u / np.sqrt(dot_rows(u, u))[:, None]
     c = _partner_vertices(
-        a, points - 2.0 * dot_rows(points - carrier.center.array, d)[:, None] * d, tol)
+        a, points - 2.0 * dot_rows(points - carrier.center, d)[:, None] * d, tol)
     conjugate_measures = pair_measures(a, c, tol)
     _check_orthosection(conjugate_measures)
     return c, carrier, conjugate_measures
@@ -194,7 +193,7 @@ class CurveTrace:
     a report."""
 
     face: int
-    origin: Point
+    origin: np.ndarray
     axis_u: np.ndarray
     axis_v: np.ndarray
     polylines: Tuple[Polyline, ...]
@@ -231,13 +230,12 @@ class _FaceFrame:
     and holds its ``face_frame`` and chain kernel."""
 
     def __init__(self, host: Tetrahedron, face: int, tol: Tolerance | None):
-        origin, self.axis_u, self.axis_v = face_frame(host, face)
-        self.origin = Point.of(origin)
+        self.origin, self.axis_u, self.axis_v = face_frame(host, face)
         self.tol = tol or Tolerance.for_points(host.array)
         others = [m for m in (1, 2, 3, 4) if m != face]
         self.kernel = ChainKernel(host.relabeled((*others, face)), self.tol)
         # frame coordinates to the kernel's local ones: origin and axes
-        self._local = (self.kernel.to_local(origin), self.axis_u / self.kernel.scale,
+        self._local = (self.kernel.to_local(self.origin), self.axis_u / self.kernel.scale,
                        self.axis_v / self.kernel.scale)
 
     def to_local(self, uv: np.ndarray) -> np.ndarray:
@@ -487,27 +485,30 @@ def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: flo
 class SequenceRun:
     """Repeated conjugation run: the tetrahedra, the first pair's carrier
     with the worst residual of every pair's intersection points against
-    it, and the clustered orthology centers."""
+    it, the orthology centers of every pair (k, 3) and those centers
+    clustered (m, 3)."""
 
     tetrahedra: Tuple[Tetrahedron, ...]
     carrier: SphereOrPlane
     shared_max_residual: float
-    centers: Tuple[Point, ...]
-    distinct_centers: Tuple[Point, ...]
+    centers: np.ndarray
+    distinct_centers: np.ndarray
     truncated_at: Optional[int]
     truncation_reason: Optional[str]
 
 
-def _cluster_points(points: List[Point], radius: float) -> List[Point]:
+def _cluster_points(points: np.ndarray, radius: float) -> np.ndarray:
+    """The means (m, 3) of the rows of ``points`` grouped greedily: a row
+    joins the first group whose running mean lies within ``radius``."""
     clusters: List[List[np.ndarray]] = []
     for p in points:
         for cl in clusters:
-            if np.linalg.norm(np.mean(cl, axis=0) - p.array) <= radius:
-                cl.append(p.array)
+            if np.linalg.norm(np.mean(cl, axis=0) - p) <= radius:
+                cl.append(p)
                 break
         else:
-            clusters.append([p.array])
-    return [Point.of(np.mean(cl, axis=0)) for cl in clusters]
+            clusters.append([p])
+    return np.array([np.mean(cl, axis=0) for cl in clusters])
 
 
 def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
@@ -539,7 +540,7 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
         seq.append(c)
         measured.append(measures)
     feet: List[np.ndarray] = []
-    centers: List[Point] = []
+    centers: List[np.ndarray] = []
     for m, measures in enumerate(measured):
         feet.append(require_orthosecting(measures, tol)[1])
         oc = centers_from_residuals(seq[m], seq[m + 1], measures[0], tol)
@@ -547,7 +548,8 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     carrier, _ = carrier_through(feet[0], tol)
     shared = max(abs(carrier.signed_distance(p)) / tol.scene_scale
                  for p in np.concatenate(feet))
-    distinct = _cluster_points(centers, CLUSTER_RADIUS_FACTOR * tol.scene_scale)
+    rows = np.array(centers)
+    distinct = _cluster_points(rows, CLUSTER_RADIUS_FACTOR * tol.scene_scale)
     return SequenceRun(tetrahedra=tuple(seq), carrier=carrier, shared_max_residual=shared,
-                       centers=tuple(centers), distinct_centers=tuple(distinct),
+                       centers=rows, distinct_centers=distinct,
                        truncated_at=truncated_at, truncation_reason=reason)

@@ -24,7 +24,7 @@ from .geom_core import carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, centers_from_residuals, pair_measures,
                         pairing_key, require_orthosecting)
 from .pedal import VERTEX_TOL
-from .scene import Report, Scene, _point_list, _read_json, load_scene, scene_from_dict
+from .scene import Report, Scene, _read_json, load_scene, scene_from_dict
 
 # gates for the conjugation command
 CONJUGATE_CARRIER_TOL = 1e-8
@@ -43,6 +43,14 @@ def _number(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A positive finite float, as an argparse ``type``."""
+    value = _number(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -82,7 +90,7 @@ def _pair(scene: Scene, spec: str) -> Tuple[str, str, Tetrahedron, Tetrahedron]:
 
 def _carrier_dict(carrier) -> dict:
     if carrier.kind == "sphere":
-        return {"kind": "sphere", "center": _point_list(carrier.center),
+        return {"kind": "sphere", "center": carrier.center.tolist(),
                 "radius": carrier.radius}
     return {"kind": "plane",
             "normal": [float(c) for c in carrier.carrier.normal],
@@ -106,7 +114,7 @@ def cmd_verify(args, scene: Scene, report: Report) -> None:
     if max_ortho <= tol.eps_rel:
         oc = centers_from_residuals(a, b, ortho, tol)
         report.results["orthology_centers"] = {
-            "center_a": _point_list(oc.center_a), "center_b": _point_list(oc.center_b),
+            "center_a": oc.center_a.tolist(), "center_b": oc.center_b.tolist(),
             "spread_a": oc.spread_a, "spread_b": oc.spread_b}
     report.add_verdict("five_intersections" if args.corollary4 else "orthosecting",
                        worst, tol.eps_rel)
@@ -179,7 +187,7 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     report.results["carrier_b"] = _carrier_dict(carrier_b)
     report.results["carrier_c"] = _carrier_dict(carrier_c)
     if carrier_b.kind == "sphere" and carrier_c.kind == "sphere":
-        gap = (carrier_b.center.distance_to(carrier_c.center)
+        gap = (float(np.linalg.norm(carrier_b.center - carrier_c.center))
                + abs(carrier_b.radius - carrier_c.radius)) / tol.scene_scale
     else:
         gap = max(abs(carrier_b.signed_distance(p)) for p in points_c) / tol.scene_scale
@@ -205,8 +213,8 @@ def cmd_sequence(args, scene: Scene, report: Report) -> None:
     report.results["tetrahedra"] = [t.array.tolist() for t in run.tetrahedra]
     report.results["carrier"] = _carrier_dict(run.carrier)
     report.results["shared_max_residual"] = run.shared_max_residual
-    report.results["centers"] = [_point_list(p) for p in run.centers]
-    report.results["distinct_centers"] = [_point_list(p) for p in run.distinct_centers]
+    report.results["centers"] = run.centers.tolist()
+    report.results["distinct_centers"] = run.distinct_centers.tolist()
     if run.truncated_at is not None:
         report.results["truncated_at"] = run.truncated_at
         report.results["truncation_reason"] = run.truncation_reason
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tet", required=True)
     p.add_argument("--start", required=True, help="solved partner to start from")
     p.add_argument("--steps", required=True, type=_at_least(0))
-    p.add_argument("--step", required=True, type=_number, help="step size (scene units)")
+    p.add_argument("--step", required=True, type=_positive, help="step size (scene units)")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("conjugate", help="construct the conjugate partner")

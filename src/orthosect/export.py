@@ -13,8 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import CurveTrace, Polyline, face_frame, frame_uv
-from .errors import GeometryError, SceneError
-from .geom_core import Point, as_array, carrier_through, circle_through
+from .errors import DegenerateError, GeometryError, SceneError
+from .geom_core import as_array, carrier_through, circle_through
 from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_measures, require_orthosecting
 from .scene import Scene, dumps_canonical, scene_to_dict
 
@@ -38,7 +38,7 @@ def trace_to_dict(trace: CurveTrace) -> dict:
         "grid": trace.grid,
         "window": list(trace.window),
         "frame": {
-            "origin": [trace.origin.x, trace.origin.y, trace.origin.z],
+            "origin": trace.origin.tolist(),
             "axis_u": [float(c) for c in trace.axis_u],
             "axis_v": [float(c) for c in trace.axis_v],
         },
@@ -66,7 +66,7 @@ def trace_from_dict(doc: dict) -> CurveTrace:
                      ts=np.array(p["ts"], dtype=float))
             for p in doc["polylines"])
         return CurveTrace(face=int(doc["face"]),
-                          origin=Point.of(frame["origin"]),
+                          origin=as_array(frame["origin"]),
                           axis_u=np.asarray(frame["axis_u"], dtype=float),
                           axis_v=np.asarray(frame["axis_v"], dtype=float),
                           polylines=polylines,
@@ -189,7 +189,9 @@ def scene_to_svg(scene: Scene, face: int,
     pair's intersection points on the face's edges (the pedal feet), the
     source (the partner's vertex opposite the face projected onto its
     plane), circumcircle and pedal circle, plus an optional curve-trace
-    overlay. The feet come from the pair's one ``pair_measures``."""
+    overlay. The feet come from the pair's one ``pair_measures``; a flat
+    partner's feet on a face can be collinear, and then the pedal circle
+    alone is left out."""
     if face not in (1, 2, 3, 4):
         raise SceneError("SVG export of a 3D scene needs a face index in 1..4")
     if not scene.tetrahedra:
@@ -222,8 +224,12 @@ def scene_to_svg(scene: Scene, face: int,
         source = guest.array[face - 1]
         source = source - (np.dot(normal, source) - offset) * normal
         canvas.dot("sources", frame_uv(frame, source), 0.0)
-        pedal = circle_through(*feet)
-        canvas.circle("circles", frame_uv(frame, pedal.center), pedal.radius, cls="pedal")
+        try:
+            pedal = circle_through(*feet)
+        except DegenerateError:
+            pass
+        else:
+            canvas.circle("circles", frame_uv(frame, pedal.center), pedal.radius, cls="pedal")
     if trace is not None:
         for poly in trace.polylines:
             canvas.path("curve", [(float(u), float(v)) for u, v in poly.points])
@@ -317,7 +323,7 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
                 writer.point(writer.vertex(point))
             if carrier.kind == "sphere":
                 writer.obj(f"sphere_{a_name}_{b_name}")
-                _sphere_mesh(writer, carrier.center.array, carrier.radius, sphere_res)
+                _sphere_mesh(writer, carrier.center, carrier.radius, sphere_res)
     return writer.render()
 
 

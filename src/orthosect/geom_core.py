@@ -1,15 +1,14 @@
 """Tolerance-aware 3D primitives: points, lines, planes, circles, spheres.
 
-Every operation is a pure function; all residuals and degeneracy thresholds
-are normalized by a scene scale (the diameter of the input points) so that
-tolerances are scale-free.
+A point is a (3,) float array. Every operation is a pure function; all
+residuals and degeneracy thresholds are normalized by a scene scale (the
+diameter of the input points) so that tolerances are scale-free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, List
 
 import numpy as np
@@ -45,35 +44,8 @@ class Tolerance:
         return cls(scene_scale=scale, **overrides)
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite point coordinates: {(self.x, self.y, self.z)}")
-
-    @classmethod
-    def of(cls, arr) -> "Point":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array([self.x, self.y, self.z])
-        a.setflags(write=False)
-        return a
-
-    def distance_to(self, other: "Point") -> float:
-        return float(np.linalg.norm(self.array - other.array))
-
-
 def as_array(p) -> np.ndarray:
-    """Coerce a Point or any 3-sequence to a float array of shape (3,)."""
-    if isinstance(p, Point):
-        return p.array
+    """Coerce any 3-sequence to a float array of shape (3,)."""
     return np.asarray(p, dtype=float).reshape(3)
 
 
@@ -88,21 +60,23 @@ def unit(v: np.ndarray) -> np.ndarray:
 class Line:
     """Infinite line given by an anchor point and a unit direction."""
 
-    anchor: Point
+    anchor: np.ndarray
     direction: np.ndarray
 
     def __post_init__(self):
+        a = np.array(self.anchor, dtype=float).reshape(3)
         d = unit(np.asarray(self.direction, dtype=float).reshape(3))
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
+        for name, v in (("anchor", a), ("direction", d)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
+    def through(cls, p, q) -> "Line":
         # anchor is the input point nearest the origin, for reproducible output
         pa, qa = as_array(p), as_array(q)
         if np.dot(qa, qa) < np.dot(pa, pa):
-            p, pa, qa = q, qa, pa
-        return cls(anchor=Point.of(pa), direction=qa - pa)
+            pa, qa = qa, pa
+        return cls(anchor=pa, direction=qa - pa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +110,7 @@ class Plane:
 
 @dataclass(frozen=True, eq=False)
 class Circle3D:
-    center: Point
+    center: np.ndarray
     radius: float
     carrier: Plane
 
@@ -152,7 +126,7 @@ class SphereOrPlane:
     factor)."""
 
     kind: str  # "sphere" | "plane"
-    center: Point | None = None
+    center: np.ndarray | None = None
     radius: float | None = None
     carrier: Plane | None = None
 
@@ -169,7 +143,7 @@ class SphereOrPlane:
             raise ValueError(f"unknown kind {self.kind!r}")
 
     @classmethod
-    def sphere(cls, center: Point, radius: float) -> "SphereOrPlane":
+    def sphere(cls, center: np.ndarray, radius: float) -> "SphereOrPlane":
         return cls(kind="sphere", center=center, radius=radius)
 
     @classmethod
@@ -180,7 +154,7 @@ class SphereOrPlane:
         """Signed deviation of ``p`` from the quadric (outside positive for
         spheres; normal side positive for planes)."""
         if self.kind == "sphere":
-            return float(np.linalg.norm(as_array(p) - self.center.array) - self.radius)
+            return float(np.linalg.norm(as_array(p) - self.center) - self.radius)
         return self.carrier.signed_distance(p)
 
 
@@ -188,8 +162,8 @@ class SphereOrPlane:
 class LineClosest:
     """Result of the closest-approach computation between two lines."""
 
-    p1: Point
-    p2: Point
+    p1: np.ndarray
+    p2: np.ndarray
     gap: float
     cos_angle: float
     parallel: bool = False
@@ -262,23 +236,20 @@ def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClos
     """Closest points of two lines, their gap, and the angle cosine: the
     one-row view of :func:`closest_rows`."""
     c1, c2, gap, cos, parallel, identical = closest_rows(
-        l1.anchor.array[None], l1.direction[None], l2.anchor.array[None],
-        l2.direction[None], tol)
-    return LineClosest(Point.of(c1[0]), Point.of(c2[0]), float(gap[0]), float(cos[0]),
+        l1.anchor[None], l1.direction[None], l2.anchor[None], l2.direction[None], tol)
+    return LineClosest(c1[0], c2[0], float(gap[0]), float(cos[0]),
                        parallel=bool(parallel[0]), identical=bool(identical[0]))
 
 
-def project_to_plane(p, pl: Plane) -> Point:
+def project_to_plane(p, pl: Plane) -> np.ndarray:
     """Orthographic projection of a point onto a plane."""
     a = as_array(p)
-    return Point.of(a - pl.signed_distance(a) * pl.normal)
+    return a - pl.signed_distance(a) * pl.normal
 
 
-def foot_on_line(p, l: Line) -> Point:
+def foot_on_line(p, l: Line) -> np.ndarray:
     """Foot of the perpendicular from a point onto a line."""
-    a = as_array(p)
-    w = a - l.anchor.array
-    return Point.of(l.anchor.array + np.dot(w, l.direction) * l.direction)
+    return l.anchor + np.dot(as_array(p) - l.anchor, l.direction) * l.direction
 
 
 def circle_through(p1, p2, p3, tol: Tolerance | None = None) -> Circle3D:
@@ -302,7 +273,7 @@ def circle_through(p1, p2, p3, tol: Tolerance | None = None) -> Circle3D:
     beta = 0.5 * (uu * vv - uu * uv) / det
     center = a + alpha * u + beta * v
     radius = float(np.linalg.norm(center - a))
-    return Circle3D(center=Point.of(center), radius=radius,
+    return Circle3D(center=center, radius=radius,
                     carrier=Plane(normal=n, offset=float(np.dot(n, a))))
 
 
@@ -380,7 +351,7 @@ def carrier_through(points, tol: Tolerance):
     fit = {k: v[0] for k, v in _sphere_fit((pts - shift)[None] / tol.scene_scale).items()}
     residual = float(fit["residual"]) * tol.scene_scale
     if fit["sphere"]:
-        carrier = SphereOrPlane.sphere(Point.of(fit["center"] * tol.scene_scale + shift),
+        carrier = SphereOrPlane.sphere(fit["center"] * tol.scene_scale + shift,
                                        float(fit["radius"]) * tol.scene_scale)
     else:
         n = fit["normal"]

@@ -19,7 +19,6 @@ from .errors import DegenerateError, NotOrthologicError, NotOrthosectingError
 from .geom_core import (
     Line,
     Plane,
-    Point,
     Tolerance,
     as_array,
     closest_rows,
@@ -59,7 +58,7 @@ def pairing_key(pairing: Pairing) -> str:
 @dataclass(frozen=True, eq=False)
 class Tetrahedron:
     """Four labeled 3D vertices (indices 1..4), stored as one read-only
-    (4, 3) array built from four points or any 4x3 coordinates.
+    (4, 3) array built from any 4x3 coordinates.
 
     Flat tetrahedra are not rejected: they carry ``flat flag`` semantics via
     :meth:`is_flat` so degenerate members of solution families stay
@@ -69,10 +68,7 @@ class Tetrahedron:
     array: np.ndarray
 
     def __post_init__(self):
-        coords = self.array
-        if not isinstance(coords, np.ndarray):
-            coords = [p.array if isinstance(p, Point) else p for p in coords]
-        a = np.array(coords, dtype=float)
+        a = np.array(self.array, dtype=float)
         if a.shape != (4, 3):
             raise ValueError(f"expected 4x3 coordinates, got shape {a.shape}")
         if not np.isfinite(a).all():
@@ -84,17 +80,19 @@ class Tetrahedron:
     def of(cls, coords) -> "Tetrahedron":
         return cls(coords)
 
-    @cached_property
-    def vertices(self) -> Tuple[Point, Point, Point, Point]:
-        return tuple(Point(*row) for row in self.array.tolist())
+    @property
+    def vertices(self) -> Tuple[np.ndarray, ...]:
+        """The four vertices as read-only rows of ``array``."""
+        return tuple(self.array)
 
     @cached_property
     def signed_volume(self) -> float:
         a = self.array
         return float(np.linalg.det(a[1:] - a[0])) / 6.0
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i - 1]
+    def vertex(self, i: int) -> np.ndarray:
+        """Vertex ``i`` (1..4) as a read-only row of ``array``."""
+        return self.array[i - 1]
 
     def edge_line(self, i: int, j: int) -> Line:
         return Line.through(self.array[i - 1], self.array[j - 1])
@@ -133,8 +131,8 @@ class OrthologyReport:
     centers) of the two perpendicular bundles, with spreads."""
 
     residuals: Dict[Pairing, float]
-    center_a: Point
-    center_b: Point
+    center_a: np.ndarray
+    center_b: np.ndarray
     spread_a: float
     spread_b: float
 
@@ -249,8 +247,8 @@ def centers_from_residuals(a: Tetrahedron, b: Tetrahedron, residuals: np.ndarray
             concurrency_rows(t.array, n, tol) for t, n in zip((a, b), normals))
     except DegenerateError as exc:
         raise DegenerateError(f"flat partner: {exc}") from exc
-    return OrthologyReport(residuals=by_pairing(residuals), center_a=Point.of(center_a),
-                           center_b=Point.of(center_b), spread_a=spread_a, spread_b=spread_b)
+    return OrthologyReport(residuals=by_pairing(residuals), center_a=center_a,
+                           center_b=center_b, spread_a=spread_a, spread_b=spread_b)
 
 
 def construct_orthologic(a: Tetrahedron, center,

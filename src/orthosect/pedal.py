@@ -10,7 +10,7 @@ partner tetrahedron, rebuilt here from the feet planes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .geom_core import (
     Circle3D,
     Line,
     Plane,
-    Point,
     SphereOrPlane,
     Tolerance,
     _sphere_fit,
@@ -69,12 +68,13 @@ _EDGE_ROW = {ij: r for r, (ij, _) in enumerate(EDGE_PAIRINGS)}
 @dataclass(frozen=True, eq=False)
 class PedalTriangle:
     """Perpendicular feet of a source point on the three edge lines of a
-    host triangle. Feet are ordered by FACE_EDGE_ORDER of the face vertices
+    host triangle: the source (3,), the face's vertices (3, 3) and the
+    feet (3, 3). Feet are ordered by FACE_EDGE_ORDER of the face vertices
     and may fall outside the edge segments (edge lines, not segments)."""
 
-    source: Point
-    face: Tuple[Point, Point, Point]
-    feet: Tuple[Point, Point, Point]
+    source: np.ndarray
+    face: np.ndarray
+    feet: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +96,13 @@ class PedalChain:
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)
 
-    def foot(self, i: int, j: int) -> Point:
-        return Point.of(self.feet[_EDGE_ROW[min(i, j), max(i, j)]])
+    def foot(self, i: int, j: int) -> np.ndarray:
+        """The foot on host edge (i, j), a read-only row of ``feet``."""
+        return self.feet[_EDGE_ROW[min(i, j), max(i, j)]]
 
-    def source(self, i: int) -> Point:
-        return Point.of(self.sources[i - 1])
+    def source(self, i: int) -> np.ndarray:
+        """The source on face plane i, a read-only row of ``sources``."""
+        return self.sources[i - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +115,14 @@ class SphericalChain:
 def pedal_triangle(source, face) -> PedalTriangle:
     """Pedal triangle of a point with respect to a host triangle. A source
     off the carrier plane is projected onto it first."""
-    face = tuple(Point.of(f) if not isinstance(f, Point) else f for f in face)
+    face = np.array(face, dtype=float).reshape(3, 3)
     try:
         plane = Plane.through(*face)
     except DegenerateError as exc:
         raise DegenerateError(f"degenerate face: {exc}") from exc
     src = project_to_plane(source, plane)
-    feet = tuple(foot_on_line(src, Line.through(face[i], face[j])) for i, j in FACE_EDGE_ORDER)
+    feet = np.array([foot_on_line(src, Line.through(face[i], face[j]))
+                     for i, j in FACE_EDGE_ORDER])
     return PedalTriangle(source=src, face=face, feet=feet)
 
 
@@ -130,21 +133,20 @@ def pedal_circle(source, face, tol: Tolerance | None = None) -> Circle3D:
     circumcircle; that raises SimsonDegenerateError.
     """
     tri = pedal_triangle(source, face)
-    tol = tol or Tolerance.for_points(list(tri.face) + [tri.source])
+    tol = tol or Tolerance.for_points(np.vstack((tri.face, tri.source)))
     circum = circle_through(*tri.face, tol=tol)
-    on_circle = abs(tri.source.distance_to(circum.center) - circum.radius)
+    on_circle = abs(float(np.linalg.norm(tri.source - circum.center)) - circum.radius)
     if on_circle <= SIMSON_TOL * tol.scene_scale:
         raise SimsonDegenerateError(
             "source on the circumcircle: pedal feet are collinear")
     return circle_through(*tri.feet, tol=tol)
 
 
-def isogonal_conjugate(source, face, tol: Tolerance | None = None) -> Point:
+def isogonal_conjugate(source, face, tol: Tolerance | None = None) -> np.ndarray:
     """Partner point sharing the same pedal circle: the reflection of the
     source in the pedal-circle center."""
     circle = pedal_circle(source, face, tol)
-    src = project_to_plane(source, circle.carrier)
-    return Point.of(2.0 * circle.center.array - src.array)
+    return 2.0 * circle.center - project_to_plane(source, circle.carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +234,12 @@ class ChainKernel:
         # vertex 1, as in-plane (anchor, normal) rows
         self.divisor_lines = (a[[1, 0, 0]], np.array([np.cross(self.n123, d23), d12, d13]))
         circ = circle_through(a[0], a[1], a[2], tol=Tolerance(scene_scale=1.0))
-        self.circumcenter = circ.center.array
+        self.circumcenter = circ.center
         self.circumradius = circ.radius
 
     def to_local(self, p) -> np.ndarray:
         """Local coordinates of a point, or of (N, 3) stacked points."""
-        p = p.array if isinstance(p, Point) else np.asarray(p, dtype=float)
-        return (p - self.shift) / self.scale
+        return (np.asarray(p, dtype=float) - self.shift) / self.scale
 
     def base_feet(self, b4_local: np.ndarray) -> np.ndarray:
         """Feet 12, 13, 23 of a local point (3,) or (N, 3), as (3, 3) or

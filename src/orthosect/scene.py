@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .errors import SceneError
-from .geom_core import Point, Tolerance
+from .geom_core import Tolerance
 from .orthology import Tetrahedron
 
 _TOP_LEVEL_KEYS = {"tetrahedra", "tolerance", "metadata"}
@@ -138,10 +138,6 @@ def _read_json(path):
 
 def load_scene(path) -> Scene:
     return scene_from_dict(_read_json(path))
-
-
-def _point_list(p: Point) -> List[float]:
-    return [p.x, p.y, p.z]
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -62,7 +62,7 @@ def trace_vertices(trace) -> np.ndarray:
     by polyline (a cycle's repeated first vertex once), as an (n, 3)
     array."""
     uv = np.concatenate([poly.points[:poly.vertex_count] for poly in trace.polylines])
-    return trace.origin.array + uv[:, :1] * trace.axis_u + uv[:, 1:] * trace.axis_v
+    return trace.origin + uv[:, :1] * trace.axis_u + uv[:, 1:] * trace.axis_v
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from orthosect.errors import DegenerateError
 from orthosect.geom_core import (
     FLAT_SPHERE_RADIUS_FACTOR,
     Plane,
-    Point,
     SphereOrPlane,
     Tolerance,
     as_array,
@@ -50,7 +49,7 @@ def exact_sphere_through(p1, p2, p3, p4, tol: Tolerance | None = None) -> Sphere
     radius = math.sqrt(max(float(np.dot(center, center) - sol[3]), 0.0))
     if radius > FLAT_SPHERE_RADIUS_FACTOR * tol.scene_scale:
         return SphereOrPlane.plane(fit_plane(pts))
-    return SphereOrPlane.sphere(Point.of(center), radius)
+    return SphereOrPlane.sphere(center, radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +57,7 @@ class CircularNet:
     """3x3 grid of points built from a chain around one host edge; every
     elementary quadrilateral of a valid chain is concyclic."""
 
-    grid: Tuple[Tuple[Point, Point, Point], ...]
+    grid: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     residuals: Dict[Tuple[int, int], float]  # keyed by top-left grid corner
 
     @property
@@ -79,7 +78,7 @@ def circular_net(chain: PedalChain, edge: Sequence[int] = (1, 2)) -> CircularNet
         (chain.source(l), chain.foot(i, j), chain.source(k)),
         (chain.foot(j, k), host.vertex(j), chain.foot(j, l)),
     )
-    tol = Tolerance.for_points(host.vertices)
+    tol = Tolerance.for_points(host.array)
     residuals = {(r, c): _concyclicity_residual(
                      [grid[r][c], grid[r][c + 1], grid[r + 1][c + 1], grid[r + 1][c]], tol)
                  for r in (0, 1) for c in (0, 1)}
@@ -99,6 +98,6 @@ def _concyclicity_residual(quad, tol: Tolerance) -> float:
     _, skip, tri = best
     circ = circle_through(*tri, tol=tol)
     rest = pts[skip]
-    in_plane = abs(np.linalg.norm(rest - circ.center.array) - circ.radius)
+    in_plane = abs(np.linalg.norm(rest - circ.center) - circ.radius)
     off_plane = abs(circ.carrier.signed_distance(rest))
     return float(max(in_plane, off_plane))

@@ -22,7 +22,7 @@ from orthosect.analysis import (
 )
 from orthosect.cli import main
 from orthosect.errors import GeometryError, SimsonDegenerateError
-from orthosect.geom_core import Point, Tolerance, project_to_plane
+from orthosect.geom_core import Tolerance, project_to_plane
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
@@ -85,8 +85,7 @@ def test_prop1_equivalence_via_construction():
     while done < 200:
         a = random_tetrahedron(rng)
         tol = Tolerance.for_points(a.vertices)
-        center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.5
-                          * tol.scene_scale)
+        center = a.array.mean(axis=0) + rng.normal(size=3) * 0.5 * tol.scene_scale
         offsets = rng.normal(size=4) * tol.scene_scale
         try:
             b = construct_orthologic(a, center, offsets, tol)
@@ -113,7 +112,7 @@ def test_five_orthogonality_conditions_imply_sixth():
         a = random_tetrahedron(rng)
         rows = []
         for (i, j), (k, l) in EDGE_PAIRINGS[:5]:
-            u = a.vertex(i).array - a.vertex(j).array
+            u = a.vertex(i) - a.vertex(j)
             row = np.zeros(12)
             row[3 * (k - 1):3 * k] = u
             row[3 * (l - 1):3 * l] = -u
@@ -199,7 +198,7 @@ def test_chain_completion_closure():
             tol = Tolerance.for_points(host.vertices)
             plane = host.face_plane(4)
         w = rng.dirichlet((1.0, 1.0, 1.0))
-        p = sum(wi * host.vertex(m).array for wi, m in zip(w, (1, 2, 3)))
+        p = sum(wi * host.vertex(m) for wi, m in zip(w, (1, 2, 3)))
         b4 = project_to_plane(p + rng.normal(size=3) * 0.8, plane)
         t = float(rng.uniform(-1, 1)) * tol.scene_scale
         try:
@@ -249,10 +248,10 @@ def test_isogonal_conjugate_pedal_circles():
                       np.linalg.norm(pts[2] - pts[1]))
         if area2 / longest < 0.2:
             continue
-        face = [Point.of(p) for p in pts]
+        face = list(pts)
         tol = Tolerance.for_points(face)
         w = rng.dirichlet((1.5, 1.5, 1.5))
-        src = Point.of(sum(wi * f.array for wi, f in zip(w, face)))
+        src = sum(wi * f for wi, f in zip(w, face))
         try:
             c_p = pedal_circle(src, face, tol)
             q = isogonal_conjugate(src, face, tol)
@@ -261,10 +260,10 @@ def test_isogonal_conjugate_pedal_circles():
         except SimsonDegenerateError:
             continue
         worst_circle = max(worst_circle,
-                           (c_p.center.distance_to(c_q.center)
+                           (np.linalg.norm(c_p.center - c_q.center)
                             + abs(c_p.radius - c_q.radius)) / tol.scene_scale)
         worst_involution = max(worst_involution,
-                               back.distance_to(src) / tol.scene_scale)
+                               np.linalg.norm(back - src) / tol.scene_scale)
         done += 1
     elapsed = time.monotonic() - started
     ok = worst_circle <= 1e-10 and worst_involution <= 1e-10
@@ -286,7 +285,7 @@ def test_conjugate_pairs_share_carrier():
         rep_b = verify_sphere(a, b, tol=tol)
         rep_c = verify_sphere(a, c, tol=tol)
         assert rep_b.carrier.kind == rep_c.carrier.kind == "sphere"
-        gap = (rep_b.carrier.center.distance_to(rep_c.carrier.center)
+        gap = (np.linalg.norm(rep_b.carrier.center - rep_c.carrier.center)
                + abs(rep_b.carrier.radius - rep_c.carrier.radius)) / tol.scene_scale
         worst_carrier = max(worst_carrier, gap)
     elapsed = time.monotonic() - started

@@ -111,12 +111,12 @@ def test_verify_sphere_fit_matches_best_four_reference(demo_pair, flat_pair):
     for a, b in pairs:
         tol = pair_tolerance(a, b)
         rep = verify_sphere(a, b, tol=tol)
-        points = np.array([p.array for p in rep.points.values()])
+        points = np.array(list(rep.points.values()))
         ref = _best_four_carrier(points, tol)
         assert rep.carrier.kind == ref.kind
         kinds.append(ref.kind)
         if ref.kind == "sphere":
-            assert rep.carrier.center.distance_to(ref.center) <= FIT_BOUND * ref.radius
+            assert np.linalg.norm(rep.carrier.center - ref.center) <= FIT_BOUND * ref.radius
             assert abs(rep.carrier.radius - ref.radius) <= FIT_BOUND * ref.radius
         else:
             got, want = rep.carrier.carrier, ref.carrier
@@ -165,7 +165,7 @@ def test_conjugate_shares_carrier(demo_pair):
     rep_b = verify_sphere(a, b, tol=tol)
     rep_c = verify_sphere(a, c, tol=tol)
     assert rep_b.carrier.kind == rep_c.carrier.kind == "sphere"
-    gap = rep_b.carrier.center.distance_to(rep_c.carrier.center)
+    gap = np.linalg.norm(rep_b.carrier.center - rep_c.carrier.center)
     assert gap <= 1e-8 * tol.scene_scale
     assert abs(rep_b.carrier.radius - rep_c.carrier.radius) <= 1e-8 * tol.scene_scale
 
@@ -236,9 +236,9 @@ def test_conjugate_matches_exact_isogonal_conjugates(oracle_pairs):
         tol = pair_tolerance(a, b)
         c = conjugate(a, b, tol)
         for i in (1, 2, 3, 4):
-            face = [a.vertex(m).array for m in (1, 2, 3, 4) if m != i]
-            want = _exact_isogonal(face, b.vertex(i).array)
-            got = _exact_projection(face, c.vertex(i).array)[0]
+            face = [a.vertex(m) for m in (1, 2, 3, 4) if m != i]
+            want = _exact_isogonal(face, b.vertex(i))
+            got = _exact_projection(face, c.vertex(i))[0]
             err = float(sum((g - w) ** 2 for g, w in zip(got, want))) ** 0.5
             assert err <= 1e-7 * tol.scene_scale
 
@@ -276,7 +276,7 @@ def traced(demo_pair):
 def test_trace_curve_finds_solution_projection(demo_pair, traced):
     a, b, tol = demo_pair
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
-    d = b4.array - traced.origin.array
+    d = b4 - traced.origin
     uv = np.array([np.dot(d, traced.axis_u), np.dot(d, traced.axis_v)])
     best = min(np.linalg.norm(poly.points - uv, axis=1).min()
                for poly in traced.polylines)
@@ -388,7 +388,7 @@ def test_sequence_one_orthology_centers_call_per_pair(orthology_center_calls, de
     assert len(pairs) == 6
     assert [(id(x), id(y)) for x, y in calls] == [(id(x), id(y)) for x, y in pairs]
     expected = [orthology_centers(x, y, tol) for x, y in pairs]
-    assert list(run.centers) == [c for oc in expected for c in (oc.center_a, oc.center_b)]
+    assert np.array_equal(run.centers, [c for oc in expected for c in (oc.center_a, oc.center_b)])
 
 
 def test_sequence_raises_where_verify_sphere_swallowed(orthology_center_calls, pair_measure_calls,

@@ -1,12 +1,16 @@
 """The benchmark harness reaches into the engine by name: the names its
 scripts import from orthosect (and the attributes they read off imported
-engine modules), and the span names bench/run.py counts. A renamed engine
-function breaks a bench script, or leaves a count silently at zero; these
-checks catch that in the test suite."""
+engine modules), the span names bench/run.py counts, and the calls
+bench/layers.py makes. A renamed engine function, or a changed argument or
+return type, breaks a bench script or leaves a count silently at zero;
+these checks catch that in the test suite."""
 
 import ast
 import importlib
 import inspect
+import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,25 @@ def test_counted_span_names_resolve():
         cls = getattr(importlib.import_module(f"orthosect.{module}"), cls_name)
         # the tracer wraps public plain functions of the class body
         assert inspect.isfunction(vars(cls).get(attr)), span
+
+
+def test_layer_calls_run(monkeypatch):
+    """bench/layers.py's measure runs every layer call once (its timing
+    loops cut to a single call) and reads a finite value for each per-layer
+    metric BENCHMARK.json declares it under: vertex rows, chain sources and
+    edge lines go through the object views as the bench hands them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+
+    def once(fn, *_args, **_kwargs):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    monkeypatch.setattr(layers, "_median_call", once)
+    monkeypatch.setattr(layers, "_median_per_unit", once)
+    out = layers.measure(BENCH.parent)
+    declared = {m["name"]: m["unit"]
+                for m in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
+    assert {name: unit for name, (_, unit) in out.items()}.items() <= declared.items()
+    assert all(math.isfinite(value) and value >= 0 for value, _ in out.values())

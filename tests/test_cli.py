@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_similarity
 from orthosect import analysis, cli, export, geom_core, pedal, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
@@ -201,6 +203,10 @@ def test_cli_import_loads_no_optional_dependency():
                   "--step", "nan"], id="step-nan"),
     pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "3",
                   "--step", "inf"], id="step-inf"),
+    pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "5",
+                  "--step", "0"], id="step-zero"),
+    pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "5",
+                  "--step", "-0.03"], id="step-negative"),
     pytest.param(["trace-family", "--tet", "A", "--start", "B", "--steps", "-1",
                   "--step", "0.03"], id="steps-negative"),
     pytest.param(["sequence", "--pair", "A,B", "--n", "0"], id="n-0"),
@@ -312,6 +318,55 @@ def test_pair_commands_pass_on_shrunk_demo(tmp_path, capsys, scale):
     for argv in (["verify"], ["conjugate"], ["sequence", "--n", "6"]):
         code, report = _run(capsys, [argv[0], "--scene", str(path), "--pair", "A,B", *argv[1:]])
         assert code == 0, report
+
+
+# the pair commands the equivariance test runs, and the results holding
+# their tetrahedra
+_PAIR_COMMANDS = ((["verify"], None), (["verify", "--corollary4"], None),
+                  (["conjugate"], "conjugate"), (["sequence", "--n", "6"], "tetrahedra"))
+
+
+def _pair_reports(scene: str, out: Path):
+    """Exit code and report of each of _PAIR_COMMANDS on the pair A, B."""
+    runs = []
+    for argv, _ in _PAIR_COMMANDS:
+        code = main([argv[0], "--scene", scene, "--pair", "A,B", *argv[1:], "--out", str(out)])
+        runs.append((code, json.loads(out.read_text())))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def demo_pair_reports(tmp_path_factory):
+    return _pair_reports(DEMO_SCENE, tmp_path_factory.mktemp("demo") / "report.json")
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
+@settings(max_examples=15, deadline=None)
+def test_pair_commands_equivariant_under_similarity(tmp_path_factory, demo_pair_reports,
+                                                    seed, log_scale):
+    """verify, verify --corollary4, conjugate and sequence --n 6 on the
+    demo pair moved by a similarity (scale 1e-12..1e12, a random rotation
+    and a translation) exit as on the unmoved pair, with the same verdict
+    names and pass flags and every verdict value within 1e-9 of the
+    unmoved one; the conjugate and sequence tetrahedra are the unmoved ones
+    moved, within 1e-9 scene scales."""
+    demo = load_scene(DEMO_SCENE)
+    move = random_similarity(np.random.default_rng(seed), log_scale)
+    moved = {name: move(t.array) for name, t in demo.tetrahedra.items()}
+    scale = geom_core.diameter(np.vstack(list(moved.values())))
+    work = tmp_path_factory.mktemp("moved")
+    save_scene(Scene(tetrahedra={n: Tetrahedron.of(x) for n, x in moved.items()}),
+               work / "scene.json")
+    runs = _pair_reports(str(work / "scene.json"), work / "report.json")
+    for (_, key), (want_code, want), (code, got) in zip(_PAIR_COMMANDS, demo_pair_reports, runs):
+        assert code == want_code
+        assert ([(v["name"], v["passed"]) for v in got["verdicts"]]
+                == [(v["name"], v["passed"]) for v in want["verdicts"]])
+        for v, w in zip(got["verdicts"], want["verdicts"]):
+            assert abs(v["value"] - w["value"]) <= 1e-9
+        if key is not None:
+            tets = np.array(got["results"][key])
+            assert np.abs(tets - move(np.array(want["results"][key]))).max() <= 1e-9 * scale
 
 
 def test_parser_built_once_and_reused(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_batch_equals_single_point_calls():
     x0, y0, x1, y1 = default_window(host, 4)
     uv = np.stack(np.meshgrid(np.linspace(x0, x1, 16), np.linspace(y0, y1, 16),
                               indexing="ij"), axis=-1).reshape(-1, 2)
-    local = frame.kernel.to_local(frame.origin.array + uv[:, :1] * frame.axis_u
+    local = frame.kernel.to_local(frame.origin + uv[:, :1] * frame.axis_u
                                   + uv[:, 1:] * frame.axis_v)
     t_batch, f_batch, _ = frame.kernel.sphericity_batch(local)
     # the feet at each validated root are sixth_foot's there, NaN elsewhere;

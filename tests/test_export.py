@@ -80,6 +80,22 @@ def test_trace_dict_roundtrip(small_trace):
     assert svg1 == svg2
 
 
+@pytest.mark.parametrize("origin", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]], ids=["two", "four"])
+def test_saved_trace_with_wrong_length_origin_is_scene_error(tmp_path, capsys, small_trace,
+                                                             origin):
+    """A saved curve report whose frame origin is not three numbers is
+    rejected as a bad input (exit 2), not read as a point."""
+    doc = {"results": trace_to_dict(small_trace)}
+    doc["results"]["frame"]["origin"] = origin
+    with pytest.raises(SceneError, match="not a curve trace"):
+        trace_from_dict(doc["results"])
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export", "--scene", str(path), "--format", "svg",
+                 "--out", str(tmp_path / "curve.svg")]) == 2
+    assert "not a curve trace" in capsys.readouterr().err
+
+
 def test_obj_needs_no_orthology_centers(demo_scene, orthology_center_calls):
     """The OBJ writes intersection points and carriers only."""
     assert "o sphere_A_B" in scene_to_obj(demo_scene)
@@ -147,3 +163,26 @@ def test_export_honours_scene_tolerance(tmp_path, demo_scene):
     assert "o vpoints_A_B" in text and "o sphere_A_B" in text
     feet = svg.read_text().split('<g id="feet">')[1].split("</g>")[0]
     assert feet.count("<circle") == 3
+
+
+def _layer(svg: str, name: str) -> str:
+    return svg.split(f'<g id="{name}">')[1].split("</g>")[0]
+
+
+def test_svg_of_flat_partner_leaves_out_collinear_pedal_circle(tmp_path, flat_pair):
+    """A flat partner's three feet on faces 2-4 lie on the line where its
+    plane meets the face plane: the SVG draws the triangle, circumcircle,
+    feet and source of every face, and leaves out only those faces' pedal
+    circles."""
+    a, flat = flat_pair
+    path = tmp_path / "flat.json"
+    save_scene(Scene(tetrahedra={"A": a, "B": flat}), path)
+    out = tmp_path / "flat.svg"
+    for face in (1, 2, 3, 4):
+        assert main(["export", "--scene", str(path), "--format", "svg", "--face", str(face),
+                     "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert _layer(svg, "feet").count("<circle") == 3
+        assert _layer(svg, "sources").count("<circle") == 1
+        assert 'class="circumcircle"' in _layer(svg, "circles")
+        assert ('class="pedal"' in svg) == (face == 1)

@@ -13,7 +13,6 @@ from orthosect.errors import DegenerateError
 from orthosect.geom_core import (
     Line,
     Plane,
-    Point,
     Tolerance,
     circle_through,
     closest_points,
@@ -34,7 +33,7 @@ def _rng(seed=0):
 
 
 def random_line(rng):
-    return Line(Point.of(rng.normal(size=3)), rng.normal(size=3))
+    return Line(rng.normal(size=3), rng.normal(size=3))
 
 
 def unit_rows(v):
@@ -45,19 +44,19 @@ def unit_rows(v):
 
 
 def test_closest_points_concurrent_axes():
-    x_axis = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
-    y_axis = Line(Point(0, 0, 0), np.array([0, 1.0, 0]))
+    x_axis = Line((0, 0, 0), np.array([1.0, 0, 0]))
+    y_axis = Line((0, 0, 0), np.array([0, 1.0, 0]))
     r = closest_points(x_axis, y_axis)
     assert r.gap == 0.0
-    assert r.p1 == Point(0, 0, 0) and r.p2 == Point(0, 0, 0)
+    assert np.array_equal(r.p1, [0, 0, 0]) and np.array_equal(r.p2, [0, 0, 0])
 
 
 def test_closest_points_unit_offset():
-    x_axis = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
-    other = Line(Point(0, 1, 0), np.array([0, 0, 1.0]))
+    x_axis = Line((0, 0, 0), np.array([1.0, 0, 0]))
+    other = Line((0, 1, 0), np.array([0, 0, 1.0]))
     r = closest_points(x_axis, other)
-    assert r.p1 == Point(0, 0, 0)
-    assert r.p2 == Point(0, 1, 0)
+    assert np.array_equal(r.p1, [0, 0, 0])
+    assert np.array_equal(r.p2, [0, 1, 0])
     assert r.gap == pytest.approx(1.0, abs=1e-15)
 
 
@@ -69,8 +68,8 @@ def _min_gap_oracle(l1, l2):
     for _ in range(7):
         ts = np.linspace(t_lo, t_hi, 41)
         ss = np.linspace(s_lo, s_hi, 41)
-        p = l1.anchor.array[None, :] + ts[:, None] * l1.direction
-        q = l2.anchor.array[None, :] + ss[:, None] * l2.direction
+        p = l1.anchor[None, :] + ts[:, None] * l1.direction
+        q = l2.anchor[None, :] + ss[:, None] * l2.direction
         d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
         i, j = np.unravel_index(np.argmin(d), d.shape)
         best = min(best, float(d[i, j]))
@@ -87,13 +86,13 @@ def test_closest_points_matches_grid_oracle():
         l1, l2 = random_line(rng), random_line(rng)
         r = closest_points(l1, l2)
         # only trust the oracle when the approach lies inside its search box
-        t_star = float(np.dot(r.p1.array - l1.anchor.array, l1.direction))
-        s_star = float(np.dot(r.p2.array - l2.anchor.array, l2.direction))
+        t_star = float(np.dot(r.p1 - l1.anchor, l1.direction))
+        s_star = float(np.dot(r.p2 - l2.anchor, l2.direction))
         if max(abs(t_star), abs(s_star)) > 15.0:
             continue
         assert r.gap == pytest.approx(_min_gap_oracle(l1, l2), abs=1e-9)
         # the connecting segment is perpendicular to both lines
-        seg = r.p2.array - r.p1.array
+        seg = r.p2 - r.p1
         if r.gap > 1e-9:
             assert abs(np.dot(seg, l1.direction)) < 1e-9
             assert abs(np.dot(seg, l2.direction)) < 1e-9
@@ -103,23 +102,23 @@ def test_closest_points_parallel_and_identical():
     """Without a tolerance, closest_points judges identity at the scale of
     the lines' own anchors, so the verdicts hold at every scale."""
     for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
-        base = Line(Point(0, 0, 0), np.array([1.0, 0, 0]))
-        parallel = Line(Point(0, 2 * scale, 0), np.array([-1.0, 0, 0]))
+        base = Line((0, 0, 0), np.array([1.0, 0, 0]))
+        parallel = Line((0, 2 * scale, 0), np.array([-1.0, 0, 0]))
         r = closest_points(base, parallel)
         assert r.parallel and not r.identical
         assert r.gap == pytest.approx(2.0 * scale, rel=1e-15)
-        same = Line(Point(5 * scale, 0, 0), np.array([1.0, 0, 0]))
+        same = Line((5 * scale, 0, 0), np.array([1.0, 0, 0]))
         r = closest_points(base, same)
         assert r.identical and r.gap == 0.0
-        assert r.p1 == base.anchor
+        assert np.array_equal(r.p1, base.anchor)
 
 
 def test_closest_points_nearly_parallel_gap_is_order_free():
     # lines meeting at (0, 0, 1) at 6e-8 rad, below the parallel cut-off:
     # l2's anchor lies on l1, while l1's anchor is 6e-8 away from l2
     angle = 6e-8
-    l1 = Line(Point(0, 0, 0), np.array([0, 0, 1.0]))
-    l2 = Line(Point(0, 0, 1), np.array([math.sin(angle), 0, math.cos(angle)]))
+    l1 = Line((0, 0, 0), np.array([0, 0, 1.0]))
+    l2 = Line((0, 0, 1), np.array([math.sin(angle), 0, math.cos(angle)]))
     r12 = closest_points(l1, l2)
     r21 = closest_points(l2, l1)
     assert r12.parallel and r21.parallel
@@ -132,14 +131,14 @@ def test_closest_points_nearly_parallel_gap_is_order_free():
 def test_closest_points_symmetry(a1, d1, a2, d2):
     if np.linalg.norm(d1) < 1e-3 or np.linalg.norm(d2) < 1e-3:
         return
-    l1 = Line(Point.of(a1), np.asarray(d1))
-    l2 = Line(Point.of(a2), np.asarray(d2))
+    l1 = Line(a1, np.asarray(d1))
+    l2 = Line(a2, np.asarray(d2))
     r12 = closest_points(l1, l2)
     r21 = closest_points(l2, l1)
     assert r12.gap == pytest.approx(r21.gap, abs=1e-10)
     if not r12.parallel:
-        assert np.allclose(r12.p1.array, r21.p2.array, atol=1e-8)
-        assert np.allclose(r12.p2.array, r21.p1.array, atol=1e-8)
+        assert np.allclose(r12.p1, r21.p2, atol=1e-8)
+        assert np.allclose(r12.p2, r21.p1, atol=1e-8)
 
 
 # --- project_to_plane -------------------------------------------------------
@@ -147,8 +146,8 @@ def test_closest_points_symmetry(a1, d1, a2, d2):
 
 def test_project_trivial():
     pl = Plane(np.array([0, 0, 1.0]), 0.0)
-    assert project_to_plane((1, 2, 3), pl) == Point(1, 2, 0)
-    assert project_to_plane((1, 2, 0), pl) == Point(1, 2, 0)
+    assert np.array_equal(project_to_plane((1, 2, 3), pl), [1, 2, 0])
+    assert np.array_equal(project_to_plane((1, 2, 0), pl), [1, 2, 0])
 
 
 @given(p=point3, n=point3, off=coord)
@@ -159,7 +158,7 @@ def test_project_idempotent(p, n, off):
     pl = Plane(np.asarray(n), off)
     once = project_to_plane(p, pl)
     twice = project_to_plane(once, pl)
-    assert np.allclose(once.array, twice.array, atol=1e-9)
+    assert np.allclose(once, twice, atol=1e-9)
 
 
 def test_project_minimizes_distance():
@@ -169,11 +168,11 @@ def test_project_minimizes_distance():
         p = rng.normal(size=3) * 3
         result = project_to_plane(p, pl)
         # grid of plane points around the projection cannot beat it
-        ref = np.linalg.norm(p - result.array)
+        ref = np.linalg.norm(p - result)
         basis = np.linalg.svd(np.outer(pl.normal, pl.normal) - np.eye(3))[0][:, :2]
         for du in np.linspace(-2, 2, 21):
             for dv in np.linspace(-2, 2, 21):
-                q = result.array + basis @ np.array([du, dv])
+                q = result + basis @ np.array([du, dv])
                 q -= (np.dot(pl.normal, q) - pl.offset) * pl.normal
                 assert np.linalg.norm(p - q) >= ref - 1e-12
 
@@ -182,15 +181,15 @@ def test_project_minimizes_distance():
 
 
 def test_foot_analytic():
-    line = Line.through(Point(1, 0, 0), Point(0, 1, 0))
+    line = Line.through((1, 0, 0), (0, 1, 0))
     foot = foot_on_line((0.2, 0.3, 0), line)
-    assert np.allclose(foot.array, [0.45, 0.55, 0.0], atol=1e-15)
+    assert np.allclose(foot, [0.45, 0.55, 0.0], atol=1e-15)
 
 
 def test_foot_point_on_line():
-    line = Line(Point(1, 1, 1), np.array([1.0, 2.0, 3.0]))
-    p = line.anchor.array + 0.7 * line.direction
-    assert np.allclose(foot_on_line(p, line).array, p, atol=1e-14)
+    line = Line((1, 1, 1), np.array([1.0, 2.0, 3.0]))
+    p = line.anchor + 0.7 * line.direction
+    assert np.allclose(foot_on_line(p, line), p, atol=1e-14)
 
 
 def test_foot_matches_1d_minimization():
@@ -204,13 +203,13 @@ def test_foot_matches_1d_minimization():
         for _ in range(200):
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
-            if np.linalg.norm(line.anchor.array + m1 * line.direction - p) < np.linalg.norm(
-                    line.anchor.array + m2 * line.direction - p):
+            if np.linalg.norm(line.anchor + m1 * line.direction - p) < np.linalg.norm(
+                    line.anchor + m2 * line.direction - p):
                 hi = m2
             else:
                 lo = m1
-        oracle = line.anchor.array + 0.5 * (lo + hi) * line.direction
-        assert np.allclose(foot.array, oracle, atol=1e-9)
+        oracle = line.anchor + 0.5 * (lo + hi) * line.direction
+        assert np.allclose(foot, oracle, atol=1e-9)
 
 
 @given(p=point3, a=point3, d=point3)
@@ -218,10 +217,10 @@ def test_foot_matches_1d_minimization():
 def test_foot_perpendicularity(p, a, d):
     if np.linalg.norm(d) < 1e-3:
         return
-    line = Line(Point.of(a), np.asarray(d))
+    line = Line(a, np.asarray(d))
     foot = foot_on_line(p, line)
-    scale = max(1.0, np.linalg.norm(np.asarray(p)), np.linalg.norm(line.anchor.array))
-    assert abs(np.dot(np.asarray(p) - foot.array, line.direction)) <= 1e-12 * scale
+    scale = max(1.0, np.linalg.norm(np.asarray(p)), np.linalg.norm(line.anchor))
+    assert abs(np.dot(np.asarray(p) - foot, line.direction)) <= 1e-12 * scale
 
 
 # --- circle_through ---------------------------------------------------------
@@ -229,7 +228,7 @@ def test_foot_perpendicularity(p, a, d):
 
 def test_circle_trivial():
     c = circle_through((1, 0, 0), (-1, 0, 0), (0, 1, 0))
-    assert np.allclose(c.center.array, 0, atol=1e-15)
+    assert np.allclose(c.center, 0, atol=1e-15)
     assert c.radius == pytest.approx(1.0, abs=1e-15)
 
 
@@ -237,7 +236,7 @@ def test_circle_equilateral():
     ang = 2 * np.pi / 3
     pts = [(np.cos(k * ang), np.sin(k * ang), 0.0) for k in range(3)]
     c = circle_through(*pts)
-    assert np.allclose(c.center.array, 0, atol=1e-12)
+    assert np.allclose(c.center, 0, atol=1e-12)
     assert c.radius == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,7 +255,7 @@ def test_circle_center_on_carrier():
             continue
         assert abs(c.carrier.signed_distance(c.center)) < 1e-10
         for p in pts:
-            assert np.linalg.norm(p - c.center.array) == pytest.approx(c.radius, abs=1e-9)
+            assert np.linalg.norm(p - c.center) == pytest.approx(c.radius, abs=1e-9)
 
 
 # --- sphere_through ---------------------------------------------------------
@@ -265,7 +264,7 @@ def test_circle_center_on_carrier():
 def test_sphere_trivial():
     s = sphere_through((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert s.kind == "sphere"
-    assert np.allclose(s.center.array, 0, atol=1e-14)
+    assert np.allclose(s.center, 0, atol=1e-14)
     assert s.radius == pytest.approx(1.0, abs=1e-14)
 
 
@@ -298,9 +297,9 @@ def test_sphere_matches_linear_oracle():
         if s.kind != "sphere":
             continue
         center = _circumcenter_oracle(pts)
-        assert np.allclose(s.center.array, center, atol=1e-9)
+        assert np.allclose(s.center, center, atol=1e-9)
         for p in pts:
-            assert abs(np.linalg.norm(p - s.center.array) - s.radius) \
+            assert abs(np.linalg.norm(p - s.center) - s.radius) \
                 < 1e-10 * tol.scene_scale
 
 
@@ -310,7 +309,7 @@ def test_sphere_cross_consistency_on_pair(demo_pair):
     a, b, tol = demo_pair
     closest = [closest_points(a.edge_line(i, j), b.edge_line(k, l), tol)
                for (i, j), (k, l) in EDGE_PAIRINGS]
-    pts = [0.5 * (c.p1.array + c.p2.array) for c in closest]
+    pts = [0.5 * (c.p1 + c.p2) for c in closest]
     spheres = []
     for quad in itertools.combinations(range(6), 4):
         try:
@@ -322,7 +321,7 @@ def test_sphere_cross_consistency_on_pair(demo_pair):
     assert len(spheres) >= 10
     ref = spheres[0]
     for s in spheres[1:]:
-        assert ref.center.distance_to(s.center) <= 1e-8 * tol.scene_scale
+        assert np.linalg.norm(ref.center - s.center) <= 1e-8 * tol.scene_scale
         assert abs(ref.radius - s.radius) <= 1e-8 * tol.scene_scale
 
 
@@ -358,7 +357,7 @@ def test_sphere_through_matches_exact_oracle(seed, log_scale, log_flat):
     assert got.kind == want.kind
     if want.kind == "sphere":
         bound = 1e-9 * tol.scene_scale * max(1.0, want.radius / tol.scene_scale) ** 2
-        assert got.center.distance_to(want.center) <= bound
+        assert np.linalg.norm(got.center - want.center) <= bound
         assert abs(got.radius - want.radius) <= bound
 
 

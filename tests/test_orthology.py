@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
-from orthosect import geom_core
 from orthosect.errors import DegenerateError, GeometryError, NotOrthologicError
-from orthosect.geom_core import (Line, Plane, Point, Tolerance, closest_points,
-                                 concurrency_rows)
+from orthosect.geom_core import Line, Plane, Tolerance, closest_points, concurrency_rows
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
@@ -25,55 +23,44 @@ from orthosect.scene import Scene, load_scene, save_scene
 T_REG = Tetrahedron.of([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
 
 
-# --- Tetrahedron: one (4, 3) array, Points as views --------------------------
+# --- Tetrahedron: one (4, 3) array, vertices as its rows ---------------------
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
        perm=st.permutations((1, 2, 3, 4)))
 @settings(max_examples=60, deadline=None)
 def test_tetrahedron_forms_agree_bit_for_bit(tmp_path_factory, seed, log_scale, perm):
-    """Built from four Points, from a 4x3 array, or loaded back from a
-    scene file, a tetrahedron holds the same array and the same vertex
-    Points; relabeled copies index the rows."""
+    """Built from four points, from a 4x3 array, or loaded back from a
+    scene file, a tetrahedron holds the same array and the same vertices;
+    relabeled copies index the rows."""
     rng = np.random.default_rng(seed)
     coords = random_similarity(rng, log_scale)(rng.normal(size=(4, 3)))
     from_array = Tetrahedron.of(coords)
-    points = tuple(Point(*row) for row in coords.tolist())
+    points = tuple(coords.copy())
     path = tmp_path_factory.mktemp("tet") / "scene.json"
     save_scene(Scene(tetrahedra={"T": from_array}), path)
     for t in (Tetrahedron(points), load_scene(path).tetrahedron("T")):
         assert np.array_equal(t.array, from_array.array)
-        assert t.vertices == from_array.vertices == points
+        assert np.array_equal(t.vertices, from_array.vertices)
+        assert np.array_equal(t.vertices, points)
     assert not from_array.array.flags.writeable
     original = coords.copy()
     coords[:] = math.nan    # the tetrahedron holds a copy
     assert np.array_equal(from_array.array, original)
     relabeled = from_array.relabeled(perm)
     assert np.array_equal(relabeled.array, from_array.array[np.array(perm) - 1])
-    assert relabeled.vertices == tuple(points[p - 1] for p in perm)
+    assert np.array_equal(relabeled.vertices, [original[p - 1] for p in perm])
 
 
-def test_array_built_tetrahedron_makes_no_points(monkeypatch):
-    """Building a tetrahedron from an array and reading its array, face
-    table, volume and relabeled copies creates no Point; the vertex views
-    are built on the first read, once."""
-    made = []
-    real = geom_core.Point.__post_init__
-
-    def counted(self):
-        made.append(self)
-        real(self)
-
-    monkeypatch.setattr(geom_core.Point, "__post_init__", counted)
-    coords = np.random.default_rng(3).normal(size=(4, 3))
-    t = Tetrahedron(coords)
-    for u in (t, Tetrahedron.of(coords), t.relabeled((2, 4, 1, 3))):
-        u.array, u.faces, u.signed_volume
-    assert not t.is_flat()
-    assert made == []
-    t.vertex(2)
-    t.vertices
-    assert len(made) == 4
+def test_vertices_are_read_only_rows_of_the_array():
+    """vertex(i) and vertices are rows of ``array`` itself, not copies, and
+    cannot be written through."""
+    t = Tetrahedron(np.random.default_rng(3).normal(size=(4, 3)))
+    assert len(t.vertices) == 4
+    for i, v in enumerate(t.vertices, start=1):
+        for row in (v, t.vertex(i)):
+            assert row.shape == (3,) and not row.flags.writeable
+            assert np.shares_memory(row, t.array) and np.array_equal(row, t.array[i - 1])
 
 
 @pytest.mark.parametrize("coords", [
@@ -81,7 +68,7 @@ def test_array_built_tetrahedron_makes_no_points(monkeypatch):
     pytest.param(np.zeros((4, 2)), id="two-columns"),
     pytest.param(np.zeros(12), id="flat-twelve"),
     pytest.param([(0, 0, 0)] * 5, id="five-points"),
-    pytest.param([Point(0, 0, 0)] * 3, id="three-points"),
+    pytest.param([np.zeros(3)] * 3, id="three-points"),
     pytest.param([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)], id="ragged"),
     pytest.param([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, math.nan)], id="nan"),
     pytest.param(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -math.inf]]), id="inf"),
@@ -96,8 +83,8 @@ def test_treg_self_orthologic():
     assert len(res) == 6
     assert max(res.values()) == 0.0
     rep = orthology_centers(T_REG, T_REG)
-    assert np.allclose(rep.center_a.array, 0, atol=1e-12)
-    assert np.allclose(rep.center_b.array, 0, atol=1e-12)
+    assert np.allclose(rep.center_a, 0, atol=1e-12)
+    assert np.allclose(rep.center_b, 0, atol=1e-12)
     assert rep.spread_a < 1e-12 and rep.spread_b < 1e-12
 
 
@@ -114,14 +101,14 @@ def test_residuals_translation_invariant():
 def test_center_translates_with_partner():
     rng = np.random.default_rng(1)
     a = random_tetrahedron(rng)
-    center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.4)
+    center = a.array.mean(axis=0) + rng.normal(size=3) * 0.4
     b = construct_orthologic(a, center)
     delta = np.array([3.0, -2.0, 1.0])
     rep0 = orthology_centers(a, b)
     rep1 = orthology_centers(a, Tetrahedron(b.array + delta))
-    assert np.allclose(rep1.center_b.array, rep0.center_b.array + delta, atol=1e-8)
+    assert np.allclose(rep1.center_b, rep0.center_b + delta, atol=1e-8)
     # the host-side center is defined by directions only, so it stays put
-    assert np.allclose(rep1.center_a.array, rep0.center_a.array, atol=1e-8)
+    assert np.allclose(rep1.center_a, rep0.center_a, atol=1e-8)
 
 
 def test_residuals_match_independent_recomputation():
@@ -130,8 +117,8 @@ def test_residuals_match_independent_recomputation():
     b = random_tetrahedron(rng)
     res = edge_orthogonality_residuals(a, b)
     for (i, j), (k, l) in EDGE_PAIRINGS:
-        u = [a.vertex(i).array[m] - a.vertex(j).array[m] for m in range(3)]
-        w = [b.vertex(k).array[m] - b.vertex(l).array[m] for m in range(3)]
+        u = [a.vertex(i)[m] - a.vertex(j)[m] for m in range(3)]
+        w = [b.vertex(k)[m] - b.vertex(l)[m] for m in range(3)]
         dot = sum(u[m] * w[m] for m in range(3))
         nu = math.sqrt(sum(c * c for c in u))
         nw = math.sqrt(sum(c * c for c in w))
@@ -243,7 +230,7 @@ def test_pair_measures_match_loop_reference_bit_for_bit(seed, log_scale, force, 
         cp = closest_points(ta.edge_line(m, n), tb.edge_line(r, s), tol)
         ref = _ref_closest(*_ref_line_through(a[m - 1], a[n - 1]),
                            *_ref_line_through(b[r - 1], b[s - 1]), tol)
-        assert np.array_equal(cp.p1.array, ref[0]) and np.array_equal(cp.p2.array, ref[1])
+        assert np.array_equal(cp.p1, ref[0]) and np.array_equal(cp.p2, ref[1])
         assert (cp.gap, cp.cos_angle, cp.parallel, cp.identical) == ref[2:]
         flags.append((cp.parallel, cp.identical))
     if force != "none":
@@ -278,14 +265,14 @@ def _ref_concurrency(lines, tol):
     for line in lines:
         proj = np.eye(3) - np.outer(line.direction, line.direction)
         m += proj
-        rhs += proj @ line.anchor.array
+        rhs += proj @ line.anchor
     eigvals = np.linalg.eigvalsh(m)
     if eigvals[0] <= 1e-9 * max(eigvals[-1], 1e-300):
         raise DegenerateError("all lines parallel: concurrency point at infinity")
     x = np.linalg.solve(m, rhs)
     dists = []
     for line in lines:
-        w = x - line.anchor.array
+        w = x - line.anchor
         dists.append(float(np.linalg.norm(w - np.dot(w, line.direction) * line.direction)))
     return x, math.sqrt(sum(d ** 2 for d in dists) / len(lines)) / tol.scene_scale
 
@@ -299,7 +286,7 @@ def test_orthology_centers_match_line_loop_bit_for_bit(seed, log_scale):
     motion at scales 1e-12..1e12."""
     rng = np.random.default_rng(seed)
     a = random_tetrahedron(rng)
-    center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.5)
+    center = a.array.mean(axis=0) + rng.normal(size=3) * 0.5
     try:
         b = construct_orthologic(a, center, rng.normal(size=4) * 2)
     except GeometryError:
@@ -311,7 +298,7 @@ def test_orthology_centers_match_line_loop_bit_for_bit(seed, log_scale):
     for s, t in ((a, b), (b, a)):
         lines = [Line(anchor=s.vertex(i), direction=t.face_plane(i).normal) for i in (1, 2, 3, 4)]
         ref, ref_msg = _outcome(_ref_concurrency, lines, tol)
-        got, got_msg = _outcome(concurrency_rows, np.array([l.anchor.array for l in lines]),
+        got, got_msg = _outcome(concurrency_rows, np.array([l.anchor for l in lines]),
                                 np.array([l.direction for l in lines]), tol)
         assert got_msg == ref_msg
         if ref is not None:
@@ -326,15 +313,15 @@ def test_orthology_centers_match_line_loop_bit_for_bit(seed, log_scale):
         return
     (center_a, spread_a), _ = want[0]
     (center_b, spread_b), _ = want[1]
-    assert np.array_equal(rep.center_a.array, center_a) and rep.spread_a == spread_a
-    assert np.array_equal(rep.center_b.array, center_b) and rep.spread_b == spread_b
+    assert np.array_equal(rep.center_a, center_a) and rep.spread_a == spread_a
+    assert np.array_equal(rep.center_b, center_b) and rep.spread_b == spread_b
 
 
 def test_construct_orthologic_default_offsets():
     rng = np.random.default_rng(3)
     for trial in range(20):
         a = random_tetrahedron(rng)
-        center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.5)
+        center = a.array.mean(axis=0) + rng.normal(size=3) * 0.5
         b = construct_orthologic(a, center)
         res = edge_orthogonality_residuals(a, b)
         assert max(res.values()) < 1e-12
@@ -344,7 +331,7 @@ def test_construct_orthologic_center_roundtrip():
     rng = np.random.default_rng(4)
     for trial in range(20):
         a = random_tetrahedron(rng)
-        center = Point.of(a.array.mean(axis=0) + rng.normal(size=3) * 0.6)
+        center = a.array.mean(axis=0) + rng.normal(size=3) * 0.6
         offsets = rng.normal(size=4) * 2
         try:
             b = construct_orthologic(a, center, offsets)
@@ -352,17 +339,17 @@ def test_construct_orthologic_center_roundtrip():
             continue
         tol = pair_tolerance(a, b)
         rep = orthology_centers(a, b, tol)
-        assert rep.center_a.distance_to(center) <= 1e-9 * tol.scene_scale
+        assert np.linalg.norm(rep.center_a - center) <= 1e-9 * tol.scene_scale
         assert rep.spread_a <= 1e-9 and rep.spread_b <= 1e-9
 
 
 def test_construct_orthologic_degenerate_offsets():
     rng = np.random.default_rng(5)
     a = random_tetrahedron(rng)
-    center = Point.of(a.array.mean(axis=0) + np.array([0.1, 0.2, 0.05]))
+    center = a.array.mean(axis=0) + np.array([0.1, 0.2, 0.05])
     # offsets that put all four face planes through the chosen center
-    normals = [(a.vertex(i).array - center.array) for i in (1, 2, 3, 4)]
-    offsets = [float(np.dot(n / np.linalg.norm(n), center.array)) for n in normals]
+    normals = [(a.vertex(i) - center) for i in (1, 2, 3, 4)]
+    offsets = [float(np.dot(n / np.linalg.norm(n), center)) for n in normals]
     with pytest.raises(DegenerateError, match="single point"):
         construct_orthologic(a, center, offsets)
 
@@ -376,7 +363,7 @@ def test_construct_orthologic_center_at_vertex():
 def test_orthology_centers_rejects_nonorthologic():
     rng = np.random.default_rng(6)
     a = random_tetrahedron(rng)
-    b = construct_orthologic(a, Point.of(a.array.mean(axis=0) + 0.3))
+    b = construct_orthologic(a, a.array.mean(axis=0) + 0.3)
     tol = pair_tolerance(a, b)
     arr = b.array.copy()
     arr[0] += 0.1 * tol.scene_scale
@@ -394,7 +381,7 @@ def test_five_conditions_imply_sixth():
         a = random_tetrahedron(rng)
         rows = []
         for (i, j), (k, l) in EDGE_PAIRINGS[:5]:
-            u = a.vertex(i).array - a.vertex(j).array
+            u = a.vertex(i) - a.vertex(j)
             row = np.zeros(12)
             row[3 * (k - 1):3 * k] = u
             row[3 * (l - 1):3 * l] = -u
@@ -421,7 +408,7 @@ def test_flat_partner_center_error():
         a = random_tetrahedron(rng)
         rows = []
         for (i, j), (k, l) in EDGE_PAIRINGS:
-            u = a.vertex(i).array - a.vertex(j).array
+            u = a.vertex(i) - a.vertex(j)
             row = np.zeros(8)  # unknowns: (x_m, y_m) of the planar partner
             row[2 * (k - 1):2 * k] = u[:2]
             row[2 * (l - 1):2 * l] = -u[:2]

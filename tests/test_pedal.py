@@ -16,7 +16,6 @@ from orthosect.errors import (
 )
 from orthosect.geom_core import (
     Plane,
-    Point,
     Tolerance,
     circle_through,
     foot_on_line,
@@ -52,12 +51,12 @@ def random_triangle(rng, min_height=0.2):
         longest = max(np.linalg.norm(pts[1] - pts[0]), np.linalg.norm(pts[2] - pts[0]),
                       np.linalg.norm(pts[2] - pts[1]))
         if area2 / longest > min_height:
-            return [Point.of(p) for p in pts]
+            return list(pts)
 
 
 def random_interior_source(rng, face):
     w = rng.dirichlet((1.5, 1.5, 1.5))
-    return Point.of(sum(wi * f.array for wi, f in zip(w, face)))
+    return sum(wi * f for wi, f in zip(w, face))
 
 
 # --- pedal_triangle ---------------------------------------------------------
@@ -65,9 +64,9 @@ def random_interior_source(rng, face):
 
 def test_pedal_triangle_analytic():
     tri = pedal_triangle((0.2, 0.3, 0), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    assert np.allclose(tri.feet[0].array, [0.2, 0, 0], atol=1e-15)
-    assert np.allclose(tri.feet[1].array, [0, 0.3, 0], atol=1e-15)
-    assert np.allclose(tri.feet[2].array, [0.45, 0.55, 0], atol=1e-14)
+    assert np.allclose(tri.feet[0], [0.2, 0, 0], atol=1e-15)
+    assert np.allclose(tri.feet[1], [0, 0.3, 0], atol=1e-15)
+    assert np.allclose(tri.feet[2], [0.45, 0.55, 0], atol=1e-14)
 
 
 def test_pedal_triangle_circumcenter_gives_midpoints():
@@ -75,7 +74,7 @@ def test_pedal_triangle_circumcenter_gives_midpoints():
     face = [np.asarray(p) for p in EQUILATERAL]
     mids = [0.5 * (face[0] + face[1]), 0.5 * (face[0] + face[2]), 0.5 * (face[1] + face[2])]
     for foot, mid in zip(tri.feet, mids):
-        assert np.allclose(foot.array, mid, atol=1e-14)
+        assert np.allclose(foot, mid, atol=1e-14)
 
 
 def test_pedal_triangle_feet_perpendicular():
@@ -85,10 +84,10 @@ def test_pedal_triangle_feet_perpendicular():
         src = random_interior_source(rng, face)
         tri = pedal_triangle(src, face)
         for (i, j), foot in zip(((0, 1), (0, 2), (1, 2)), tri.feet):
-            edge = face[j].array - face[i].array
-            assert abs(np.dot(src.array - foot.array, edge)) < 1e-10
+            edge = face[j] - face[i]
+            assert abs(np.dot(src - foot, edge)) < 1e-10
             # foot is on the edge line
-            cross = np.cross(foot.array - face[i].array, edge)
+            cross = np.cross(foot - face[i], edge)
             assert np.linalg.norm(cross) < 1e-10 * np.linalg.norm(edge)
 
 
@@ -101,7 +100,7 @@ def test_pedal_triangle_strict_mode():
     face = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     off_plane = (0.2, 0.3, 0.5)
     tri = pedal_triangle(off_plane, face)  # an off-plane source is projected first
-    assert tri.source == Point(0.2, 0.3, 0.0)
+    assert np.array_equal(tri.source, [0.2, 0.3, 0.0])
 
 
 # --- pedal_circle -----------------------------------------------------------
@@ -109,7 +108,7 @@ def test_pedal_triangle_strict_mode():
 
 def test_pedal_circle_center_is_medial():
     c = pedal_circle((0, 0, 0), EQUILATERAL)
-    assert np.allclose(c.center.array, 0, atol=1e-12)
+    assert np.allclose(c.center, 0, atol=1e-12)
     assert c.radius == pytest.approx(0.5, abs=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_pedal_circle_feet_equidistant():
             continue
         tri = pedal_triangle(src, face)
         for foot in tri.feet:
-            assert abs(foot.distance_to(circle.center) - circle.radius) < 1e-10
+            assert abs(np.linalg.norm(foot - circle.center) - circle.radius) < 1e-10
 
 
 # --- isogonal_conjugate -----------------------------------------------------
@@ -163,25 +162,25 @@ def test_isogonal_conjugate_cevian_oracle():
     face = [(0, 0, 0), (5, 0, 0), (1, 3, 0)]
     got = isogonal_conjugate((2, 1, 0), face)
     expected = _cevian_reflection_oracle((2, 1, 0), face)
-    assert np.allclose(got.array, expected, atol=1e-10)
+    assert np.allclose(got, expected, atol=1e-10)
 
 
 def test_isogonal_conjugate_center_fixed():
     q = isogonal_conjugate((0, 0, 0), EQUILATERAL)
-    assert np.allclose(q.array, 0, atol=1e-12)
+    assert np.allclose(q, 0, atol=1e-12)
 
 
 def test_isogonal_conjugate_incenter_fixed():
     rng = np.random.default_rng(2)
     for _ in range(10):
         face = random_triangle(rng)
-        a, b, c = (f.array for f in face)
+        a, b, c = face
         la = np.linalg.norm(b - c)
         lb = np.linalg.norm(a - c)
         lc = np.linalg.norm(a - b)
         incenter = (la * a + lb * b + lc * c) / (la + lb + lc)
         q = isogonal_conjugate(incenter, face)
-        assert np.allclose(q.array, incenter, atol=1e-9)
+        assert np.allclose(q, incenter, atol=1e-9)
 
 
 def test_isogonal_conjugate_involution_and_shared_circle():
@@ -198,9 +197,9 @@ def test_isogonal_conjugate_involution_and_shared_circle():
         except SimsonDegenerateError:
             continue
         scale = Tolerance.for_points(face).scene_scale
-        assert c_p.center.distance_to(c_q.center) < 1e-10 * scale
+        assert np.linalg.norm(c_p.center - c_q.center) < 1e-10 * scale
         assert abs(c_p.radius - c_q.radius) < 1e-10 * scale
-        assert back.distance_to(src) < 1e-10 * scale
+        assert np.linalg.norm(back - src) < 1e-10 * scale
         checked += 1
 
 
@@ -211,7 +210,7 @@ def _face_source(rng, host: Tetrahedron, spread=0.8):
     """Random point in the face plane spanned by host vertices 1..3."""
     w = rng.dirichlet((1.0, 1.0, 1.0))
     jitter = rng.normal(size=3) * spread
-    p = sum(wi * host.vertex(m).array for wi, m in zip(w, (1, 2, 3)))
+    p = sum(wi * host.vertex(m) for wi, m in zip(w, (1, 2, 3)))
     return project_to_plane(p + jitter, host.face_plane(4))
 
 
@@ -247,7 +246,7 @@ def test_complete_chain_feet_are_pedal():
             # the final closure foot is the one consistency gap
             limit = 1e-9 * tol.scene_scale if {p, q} != {3, 4} or i != 1 \
                 else chain.closure_spread + 1e-12
-            assert foot.distance_to(chain.foot(p, q)) <= max(limit, 1e-12)
+            assert np.linalg.norm(foot - chain.foot(p, q)) <= max(limit, 1e-12)
 
 
 def test_chain_arrays_read_only(demo_pair):
@@ -266,7 +265,7 @@ def test_chain_arrays_read_only(demo_pair):
 def test_complete_chain_simson_error():
     host = Tetrahedron.of([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 2)])
     circ = circle_through((1, 0, 0), (-1, 0, 0), (0, 1, 0))
-    on_circle = circ.center.array + circ.radius * np.array([1.0, 0, 0])
+    on_circle = circ.center + circ.radius * np.array([1.0, 0, 0])
     with pytest.raises(SimsonDegenerateError):
         complete_chain(host, on_circle, 0.1)
 
@@ -276,14 +275,14 @@ def test_complete_chain_solver_roundtrip(demo_pair):
     chain = chain_from_pair(a, b, tol)
     b4 = chain.source(4)
     # displacement of source 3 from the shared foot, in the documented frame
-    d12 = unit(a.vertex(2).array - a.vertex(1).array)
-    n124 = unit(np.cross(a.vertex(2).array - a.vertex(1).array,
-                         a.vertex(4).array - a.vertex(1).array))
+    d12 = unit(a.vertex(2) - a.vertex(1))
+    n124 = unit(np.cross(a.vertex(2) - a.vertex(1),
+                         a.vertex(4) - a.vertex(1)))
     u = np.cross(n124, d12)
     foot4 = foot_on_line(a.vertex(4), a.edge_line(1, 2))
-    if np.dot(u, a.vertex(4).array - foot4.array) < 0:
+    if np.dot(u, a.vertex(4) - foot4) < 0:
         u = -u
-    t = float(np.dot(chain.source(3).array - chain.foot(1, 2).array, u))
+    t = float(np.dot(chain.source(3) - chain.foot(1, 2), u))
     rebuilt = complete_chain(a, b4, t, tol)
     assert np.linalg.norm(rebuilt.feet - chain.feet, axis=1).max() <= 1e-8 * tol.scene_scale
 
@@ -325,19 +324,19 @@ def test_spherical_parameters_roundtrip(demo_pair):
     b4 = chain.source(4)
     ts = sphericity_roots(a, b4, tol)
     assert ts, "projection of a true solution must admit a sphericity parameter"
-    best = min(ts, key=lambda t: complete_chain(a, b4, t, tol)
-               .foot(1, 4).distance_to(chain.foot(1, 4)))
+    best = min(ts, key=lambda t: np.linalg.norm(complete_chain(a, b4, t, tol).foot(1, 4)
+                                                - chain.foot(1, 4)))
     rebuilt = complete_chain(a, b4, best, tol)
-    assert rebuilt.foot(1, 4).distance_to(chain.foot(1, 4)) <= 1e-8 * tol.scene_scale
-    assert rebuilt.foot(2, 4).distance_to(chain.foot(2, 4)) <= 1e-8 * tol.scene_scale
+    assert np.linalg.norm(rebuilt.foot(1, 4) - chain.foot(1, 4)) <= 1e-8 * tol.scene_scale
+    assert np.linalg.norm(rebuilt.foot(2, 4) - chain.foot(2, 4)) <= 1e-8 * tol.scene_scale
 
 
 def test_spherical_parameters_empty_far_out():
     rng = np.random.default_rng(10)
     host = random_tetrahedron(rng)
     tol = Tolerance.for_points(host.vertices)
-    centroid = sum(host.vertex(m).array for m in (1, 2, 3)) / 3
-    e1 = unit(host.vertex(2).array - host.vertex(1).array)
+    centroid = sum(host.vertex(m) for m in (1, 2, 3)) / 3
+    e1 = unit(host.vertex(2) - host.vertex(1))
     n = host.face_plane(4).normal
     e2 = np.cross(n, e1)
     empties = 0
@@ -365,13 +364,13 @@ def test_chain_sphere_residual_grows_off_curve(demo_pair):
     # from zero or the point left the real sphericity locus entirely
     a, b, tol = demo_pair
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
-    e1 = unit(a.vertex(2).array - a.vertex(1).array)
+    e1 = unit(a.vertex(2) - a.vertex(1))
     n = a.face_plane(4).normal
     e2 = np.cross(n, e1)
     nonempty = 0
     for ang in np.linspace(0, 2 * math.pi, 8, endpoint=False):
         step = math.cos(ang) * e1 + math.sin(ang) * e2
-        shifted = Point.of(b4.array + 0.05 * tol.scene_scale * step)
+        shifted = b4 + 0.05 * tol.scene_scale * step
         fs = chain_sphere_residual(a, shifted, tol)
         if fs:
             nonempty += 1
@@ -383,11 +382,11 @@ def test_chain_sphere_residual_sign_change(demo_pair):
     # crossing the curve flips the sign of the matching branch residual
     a, b, tol = demo_pair
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
-    e1 = unit(a.vertex(2).array - a.vertex(1).array)
+    e1 = unit(a.vertex(2) - a.vertex(1))
     eps = 0.01 * tol.scene_scale
     ts0 = sphericity_roots(a, b4, tol)
-    fs_lo = chain_sphere_residual(a, Point.of(b4.array - eps * e1), tol)
-    fs_hi = chain_sphere_residual(a, Point.of(b4.array + eps * e1), tol)
+    fs_lo = chain_sphere_residual(a, b4 - eps * e1, tol)
+    fs_hi = chain_sphere_residual(a, b4 + eps * e1, tol)
     idx = int(np.argmin([abs(f) for f in chain_sphere_residual(a, b4, tol)]))
     assert len(fs_lo) == len(ts0) and len(fs_hi) == len(ts0)
     assert (fs_lo[idx] > 0) != (fs_hi[idx] > 0)
@@ -446,9 +445,9 @@ def test_circular_net_corners(demo_pair):
     a, b, tol = demo_pair
     chain = chain_from_pair(a, b, tol)
     net = circular_net(chain, (1, 2))
-    assert net.grid[0][1] == a.vertex(1)
-    assert net.grid[2][1] == a.vertex(2)
-    assert net.grid[1][1] == chain.foot(1, 2)
+    assert np.array_equal(net.grid[0][1], a.vertex(1))
+    assert np.array_equal(net.grid[2][1], a.vertex(2))
+    assert np.array_equal(net.grid[1][1], chain.foot(1, 2))
 
 
 def test_circular_net_detects_perturbation(demo_pair):
@@ -472,7 +471,7 @@ def test_chain_sharing_structure(demo_pair):
         for source_idx in (k, l):
             src = chain.source(source_idx)
             recomputed = foot_on_line(src, a.edge_line(i, j))
-            assert recomputed.distance_to(foot) <= 1e-9 * tol.scene_scale
+            assert np.linalg.norm(recomputed - foot) <= 1e-9 * tol.scene_scale
 
 
 # --- the array paths against the object loops they replaced ----------------
@@ -504,7 +503,7 @@ def _ref_partner_from_feet(host, feet, tol):
         if abs(float(np.linalg.det(normals))) <= 1e-12:
             raise DegenerateError("ill-conditioned feet planes: planes with coplanar normals "
                                   "have no unique common point")
-        verts.append(Point.of(np.linalg.solve(normals, np.array([pl.offset for pl in others]))))
+        verts.append(np.linalg.solve(normals, np.array([pl.offset for pl in others])))
     return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
 
 
@@ -541,14 +540,14 @@ def _ref_chain_from_pair(a, b, tol):
     """chain_from_pair's sources and closure spread as the loop over
     face_plane, edge_line and foot_on_line it was."""
     sources = [project_to_plane(b.vertex(i), a.face_plane(i)) for i in (1, 2, 3, 4)]
-    feet = {ij: Point.of(f) for (ij, _), f in zip(EDGE_PAIRINGS, pair_measures(a, b, tol)[2])}
+    feet = {ij: f for (ij, _), f in zip(EDGE_PAIRINGS, pair_measures(a, b, tol)[2])}
     spread = 0.0
     for i in (1, 2, 3, 4):
         others = [m for m in (1, 2, 3, 4) if m != i]
         for p, q in ((others[0], others[1]), (others[0], others[2]), (others[1], others[2])):
             foot = foot_on_line(sources[i - 1], a.edge_line(p, q))
-            spread = max(spread, foot.distance_to(feet[p, q]))
-    return np.array([s.array for s in sources]), spread
+            spread = max(spread, float(np.linalg.norm(foot - feet[p, q])))
+    return np.array(sources), spread
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
@@ -579,7 +578,7 @@ def test_chain_feet_in_pair_kernel_edge_order(demo_pair, seed, log_scale):
     chain = chain_from_pair(a, b, tol)
     assert np.array_equal(chain.feet, pair_measures(a, b, tol)[2])
     for row, ((i, j), _) in enumerate(EDGE_PAIRINGS):
-        assert np.array_equal(chain.foot(i, j).array, chain.feet[row])
-        assert chain.foot(j, i) == chain.foot(i, j)
+        assert np.array_equal(chain.foot(i, j), chain.feet[row])
+        assert np.array_equal(chain.foot(j, i), chain.foot(i, j))
     rebuilt = reconstruct_tetrahedron(spherical_chain(chain, tol), tol)
     assert np.abs(rebuilt.array - b.array).max() <= 1e-11 * tol.scene_scale

@@ -17,7 +17,7 @@ def test_minimal_scene_loads(tmp_path):
     path.write_text(json.dumps(T_REG_DOC))
     scene = load_scene(path)
     assert set(scene.tetrahedra) == {"A"}
-    assert scene.tetrahedron("A").vertex(1).x == 1.0
+    assert scene.tetrahedron("A").vertex(1)[0] == 1.0
 
 
 def test_roundtrip_bit_exact(tmp_path, demo_pair):

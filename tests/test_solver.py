@@ -12,7 +12,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from conftest import random_tetrahedron, trace_vertices
 from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
-from orthosect.geom_core import Point, Tolerance, project_to_plane
+from orthosect.geom_core import Tolerance, project_to_plane
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import chain_sphere_residual
 from orthosect.scene import load_scene
@@ -604,10 +604,10 @@ def test_solve_from_curve_point_roundtrip(demo_pair):
 def test_solve_from_curve_point_rejects_off_curve(demo_pair):
     a, b, tol = demo_pair
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
-    e1 = a.vertex(2).array - a.vertex(1).array
+    e1 = a.vertex(2) - a.vertex(1)
     e1 = e1 / np.linalg.norm(e1)
     for ang_step in range(8):
-        shifted = Point.of(b4.array + 0.05 * tol.scene_scale * e1)
+        shifted = b4 + 0.05 * tol.scene_scale * e1
         fs = chain_sphere_residual(a, shifted, tol)
         if fs:
             with pytest.raises(CurvePointError):
