@@ -11,7 +11,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateError, GeometryError
-from .geom_core import SphereOrPlane, Tolerance, as_array, carrier_through, dot_rows, unit
+from .geom_core import (SphereOrPlane, Tolerance, as_array, carrier_through, cross_rows, dot_rows,
+                        unit)
 from .orthology import (
     FACE_VERTICES,
     OrthologyReport,
@@ -215,7 +216,8 @@ def face_frame(host: Tetrahedron, face: int):
         raise ValueError("face index must be in 1..4")
     verts = host.array[FACE_VERTICES[face - 1]]
     axis_u = unit(verts[1] - verts[0])
-    return np.mean(verts, axis=0), axis_u, np.cross(host.faces[face - 1, :3], axis_u)
+    axis_v = cross_rows(host.faces[face - 1:face, :3], axis_u[None])[0]
+    return np.mean(verts, axis=0), axis_u, axis_v
 
 
 def frame_uv(frame, p) -> Tuple[float, float]:
@@ -245,13 +247,20 @@ class _FaceFrame:
 
 
 def _chebyshev(x: np.ndarray, slopes: bool = False) -> np.ndarray:
-    """T_0 .. T_NONIC at x, stacked on a new first axis; with ``slopes``
-    their derivatives k U_(k-1) instead."""
-    t = np.empty((NONIC + 1,) + x.shape)
-    t[0], t[1] = (0.0, 1.0) if slopes else (1.0, x)
+    """T_0 .. T_NONIC at the points x (..., N), as (..., NONIC + 1, N); with
+    ``slopes``, their derivatives k U_(k-1) from the same recurrence too,
+    stacked on a new first axis after them. Every (NONIC + 1, N) block is
+    contiguous, as matmul reads it."""
+    t = np.empty(((2,) if slopes else ()) + x.shape[:-1] + (NONIC + 1, x.shape[-1]))
+    t[..., 0, :], t[..., 1, :] = 1.0, x
+    if slopes:   # U_(-1) = 0 and U_0 = 1 start the slopes' recurrence
+        t[1, ..., 0, :], t[1, ..., 1, :] = 0.0, 1.0
+    x2 = 2.0 * x
     for k in range(2, NONIC + 1):
-        t[k] = 2.0 * x * t[k - 1] - t[k - 2]
-    return t * np.arange(NONIC + 1).reshape((-1,) + (1,) * x.ndim) if slopes else t
+        t[..., k, :] = x2 * t[..., k - 1, :] - t[..., k - 2, :]
+    if slopes:
+        t[1] *= np.arange(NONIC + 1)[:, None]
+    return t
 
 
 class _Chebyshev:
@@ -275,29 +284,27 @@ class _Chebyshev:
         if np.isfinite(f).all():
             # the basis is nearly orthogonal on these points (condition number
             # 2 on the full set), so the normal equations lose nothing
-            basis = _chebyshev(s[keep, 0])[:, None] * _chebyshev(s[keep, 1])
-            vander = basis[_TERMS].T
+            t_u, t_v = _chebyshev(s[keep].T)
+            vander = (t_u[:, None] * t_v)[_TERMS].T
             self.coef[:] = 0.0
             self.coef[_TERMS] = np.linalg.solve(vander.T @ vander, vander.T @ f)
 
     def __call__(self, uv: np.ndarray) -> np.ndarray:
-        s, r = ((uv - self.mid) / self.half).T
-        return ((self.coef @ _chebyshev(r)) * _chebyshev(s)).sum(axis=0)
+        t_u, t_v = _chebyshev(((uv - self.mid) / self.half).T)
+        return ((self.coef @ t_v) * t_u).sum(axis=0)
 
-    def gradient(self, uv: np.ndarray) -> np.ndarray:
-        s, r = ((uv - self.mid) / self.half).T
-        d_u = ((self.coef @ _chebyshev(r)) * _chebyshev(s, slopes=True)).sum(axis=0)
-        d_v = ((self.coef.T @ _chebyshev(s)) * _chebyshev(r, slopes=True)).sum(axis=0)
-        return np.column_stack([d_u, d_v]) / self.half
-
-    def exact(self, uv: np.ndarray):
+    def value_and_gradient(self, uv: np.ndarray):
         """At (M, 2) frame points: F, or the series where F is 0/0 (the
-        divisor below the fit's cut), the common root t in normalized units,
-        that mask and the kernel-local points."""
+        divisor below the fit's cut), and the series' gradient (M, 2)."""
+        kernel = self.frame.kernel
         local = self.frame.to_local(uv)
-        f, t = self.frame.kernel.nonic(local)
-        near = np.abs(self.frame.kernel.divisor(local)) < self.divisor_cut
-        return np.where(near, self(uv), f), t, near, local
+        f = kernel.nonic(local)[0]
+        near = np.abs(kernel.divisor(local)) < self.divisor_cut
+        (t_u, t_v), (d_u, d_v) = _chebyshev(((uv - self.mid) / self.half).T, slopes=True)
+        rows = self.coef @ t_v
+        grad = np.column_stack([(rows * d_u).sum(axis=0),
+                                ((self.coef.T @ t_u) * d_v).sum(axis=0)]) / self.half
+        return np.where(near, (rows * t_u).sum(axis=0), f), grad
 
 
 def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, float]:
@@ -354,11 +361,12 @@ def trace_curve(host: Tetrahedron, face: int,
     and links the crossings into polylines. Each vertex carries the common
     root t of its chain (next to those lines, the validated root of Q whose
     sixth foot fits best) and the |residual| of its sixth foot against the
-    carrier of the other five; a vertex whose residual exceeds VERTEX_TOL,
-    or two of whose six feet lie within FEET_TOL scene scales, is dropped
-    and ends the polyline there. The window must have positive width and
-    height (ValueError otherwise); an empty window yields an empty trace,
-    not an error.
+    carrier of the other five, both from one kernel pass at the polished
+    crossings (``ChainKernel.curve_chain``); a vertex whose residual
+    exceeds VERTEX_TOL, or two of whose six feet lie within FEET_TOL scene
+    scales, is dropped and ends the polyline there. The window must have
+    positive width and height (ValueError otherwise); an empty window
+    yields an empty trace, not an error.
     """
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
@@ -397,9 +405,10 @@ def trace_curve(host: Tetrahedron, face: int,
     su, sv = np.nonzero(flips.all(axis=-1))
     centre_pos[su, sv] = field(np.column_stack([0.5 * (us[su] + us[su + 1]),
                                                 0.5 * (vs[sv] + vs[sv + 1])])) > level
-    for iu, iv in np.argwhere(flips.any(axis=-1)).tolist():
+    cells = np.argwhere(flips.any(axis=-1))
+    for (iu, iv), flip in zip(cells.tolist(), flips[cells[:, 0], cells[:, 1]].tolist()):
         corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
-        e = [(corners[k], corners[(k + 1) % 4]) for k in np.flatnonzero(flips[iu, iv])]
+        e = [(corners[k], corners[(k + 1) % 4]) for k in range(4) if flip[k]]
         if len(e) == 2:
             pairs = [e]
         # saddle: connect crossings around corners matching the center
@@ -435,18 +444,18 @@ def trace_curve(host: Tetrahedron, face: int,
 def _polish(field: _Chebyshev, points: np.ndarray):
     """The bisected crossings (E, 2) after NEWTON_STEPS Newton steps, with
     their |sixth-foot residuals|, their ts in world units and which of them
-    are kept (see ``trace_curve``)."""
+    are kept (see ``trace_curve``). A step makes one F9 call and one
+    Chebyshev recurrence (``value_and_gradient``); the polished crossings
+    take one co-sphericity pass, and one sphericity call for those next to
+    the lines where F is 0/0."""
     kernel = field.frame.kernel
     if not len(points):
         return points, np.empty(0), np.empty(0), np.zeros(0, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
-            grad = field.gradient(points)
-            points = points - (field.exact(points)[0] / (grad * grad).sum(axis=1))[:, None] * grad
-    _, t, near, local = field.exact(points)
-    if near.any():   # the quotient t is 0/0 there too
-        t[near] = kernel.curve_root(local[near])[0]
-    feet, sixth = (a[:, 0] for a in kernel.sixth_foot(local, t[:, None]))
+            value, grad = field.value_and_gradient(points)
+            points = points - (value / (grad * grad).sum(axis=1))[:, None] * grad
+    t, feet, sixth = kernel.curve_chain(field.frame.to_local(points), field.divisor_cut)
     residuals = np.abs(sixth)
     return (points, residuals, t * kernel.scale,
             (residuals <= VERTEX_TOL) & (_feet_gap(feet) > FEET_TOL))

@@ -162,11 +162,11 @@ def _feet_on(anchor: np.ndarray, direction: np.ndarray, p: np.ndarray) -> np.nda
     return anchor + ((p - anchor) * direction).sum(axis=-1)[..., None] * direction
 
 
-def _in_plane_factor(d1: np.ndarray, d2: np.ndarray, n: np.ndarray):
+def _in_plane_factor(d1: np.ndarray, m: np.ndarray):
     """The vector w for which a1 + ((a2 - a1) . w) d1 is the common point of
     any two lines (a1, d1) and (a2, d2) lying in the plane with unit normal
-    n; None when the lines are parallel."""
-    m = np.cross(d2, n)   # (x cross d2) . n == x . (d2 cross n)
+    n, from m = d2 x n ((x cross d2) . n == x . m); None when the lines are
+    parallel."""
     denom = float(np.dot(d1, m))
     return None if abs(denom) < 1e-12 else m / denom
 
@@ -205,13 +205,18 @@ class ChainKernel:
         # the line table: anchors and unit directions in _LINE_ENDS order
         self.anchor = a[[i for i, _ in _LINE_ENDS]]
         self.direction = np.array([unit(a[j] - a[i]) for i, j in _LINE_ENDS])
-        d12, d13, d23, d14, d24, _ = self.direction
+        d12, d13, _, d14, d24, _ = self.direction
         # unit normals of the faces opposite vertices 1..4
-        n234, n134, n124, self.n123 = Tetrahedron.of(a).faces[:, :3]
+        normals = Tetrahedron.of(a).faces[:, :3]
+        self.n123 = normals[3]
         self.off123 = float(np.dot(self.n123, a[0]))
+        # in-plane perpendiculars, one cross product each: to edge 12 in
+        # plane (1,2,4), to edges 13 and 23 in planes (1,3,4) and (2,3,4), to
+        # edges 14 and 24 in the same two planes, and to edge 23 in (1,2,3)
+        perp = cross_rows(normals[[2, 1, 0, 1, 0, 3]], self.direction[[0, 1, 2, 3, 4, 2]])
+        u, self.p13, self.p23 = perp[:3]
         # displacement direction for source 3: in plane (1,2,4), perpendicular
         # to edge 1-2, pointing toward vertex 4's side
-        u = np.cross(n124, d12)
         toward4 = a[3] - _feet_on(a[0], d12, a[3])
         if np.dot(u, toward4) < 0:
             u = -u
@@ -219,10 +224,9 @@ class ChainKernel:
         # source 2 (source 1) is where the in-plane perpendiculars at feet
         # 13 and 14 (23 and 24) meet: foot 13 (23) plus a multiple of p13
         # (p23); None where they are parallel
-        self.p13 = np.cross(n134, d13)
-        self.p23 = np.cross(n234, d23)
-        self.w134 = _in_plane_factor(self.p13, np.cross(n134, d14), n134)
-        self.w234 = _in_plane_factor(self.p23, np.cross(n234, d24), n234)
+        m134, m234 = cross_rows(perp[3:5], normals[[1, 0]])
+        self.w134 = _in_plane_factor(self.p13, m134)
+        self.w234 = _in_plane_factor(self.p23, m234)
         # feet 14, 24 and 34 move along their edges by these per unit of t
         # (foot 34 through source 2, so only where source 2 exists)
         g14 = np.dot(u, d14) * d14
@@ -232,7 +236,7 @@ class ChainKernel:
         # the lines the resultant of the two determinants vanishes on besides
         # the nonic: edge line 23 and the perpendiculars to edges 12 and 13 at
         # vertex 1, as in-plane (anchor, normal) rows
-        self.divisor_lines = (a[[1, 0, 0]], np.array([np.cross(self.n123, d23), d12, d13]))
+        self.divisor_lines = (a[[1, 0, 0]], np.array([perp[5], d12, d13]))
         circ = circle_through(a[0], a[1], a[2], tol=Tolerance(scene_scale=1.0))
         self.circumcenter = circ.center
         self.circumradius = circ.radius
@@ -364,11 +368,17 @@ class ChainKernel:
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         if self.w134 is None:
             return np.full(len(p), np.nan), np.full(len(p), np.nan)
-        (a0, a1, a2), (b0, b1, b2) = map(self._quadratics, self._cosphericity_samples(p)[2])
-        x = a2 * b0 - a0 * b2
-        y = a1 * b2 - a2 * b1
+        x, y, z = self._resultant_terms(self._cosphericity_samples(p)[2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (x * x + y * (a1 * b0 - a0 * b1)) / self.divisor(p), x / y
+            return (x * x + y * z) / self.divisor(p), x / y
+
+    @classmethod
+    def _resultant_terms(cls, samples: np.ndarray):
+        """x, y and z of the resultant x^2 + y z of the quadratics Q and P
+        sampled at t = -1, 0, 1 (``_cosphericity_samples``' determinants);
+        their common root is x / y."""
+        (a0, a1, a2), (b0, b1, b2) = map(cls._quadratics, samples)
+        return a2 * b0 - a0 * b2, a1 * b2 - a2 * b1, a1 * b0 - a0 * b1
 
     def sixth_foot(self, b4_local: np.ndarray, t: np.ndarray):
         """At (N, 3) local face points and parameters t (N, K): the six feet
@@ -380,6 +390,28 @@ class ChainKernel:
         base, at0, _ = self._cosphericity_samples(p)
         feet, _, f = self._sixth_foot(base, at0, t)
         return feet, f
+
+    def curve_chain(self, b4_local: np.ndarray, divisor_cut: float):
+        """At (N, 3) local points of the curve, from one co-sphericity pass:
+        the chain parameter t (N,) in normalized units, the six feet
+        (N, 6, 3) at it and the signed residual f (N,) of foot 34 against
+        the carrier through the other five. t is the common root of
+        ``nonic``, or ``curve_root``'s where |``divisor``| is below
+        ``divisor_cut`` (F and the common root are 0/0 there); all NaN
+        without source 2."""
+        p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
+        n = len(p)
+        if self.w134 is None:
+            return np.full(n, np.nan), np.full((n, 6, 3), np.nan), np.full(n, np.nan)
+        base, at0, samples = self._cosphericity_samples(p)
+        x, y, _ = self._resultant_terms(samples)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = x / y
+        near = np.abs(self.divisor(p)) < divisor_cut
+        if near.any():
+            t[near] = self.curve_root(p[near])[0]
+        feet, _, f = self._sixth_foot(base, at0, t[:, None])
+        return t, feet[:, 0], f[:, 0]
 
     def curve_root(self, b4_local: np.ndarray):
         """The chain parameter of (N, 3) local face points without the

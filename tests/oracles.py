@@ -19,6 +19,7 @@ from orthosect.geom_core import (
     as_array,
     circle_through,
 )
+from orthosect.orthology import Tetrahedron
 from orthosect.pedal import PedalChain
 
 
@@ -101,3 +102,77 @@ def _concyclicity_residual(quad, tol: Tolerance) -> float:
     in_plane = abs(np.linalg.norm(rest - circ.center) - circ.radius)
     off_plane = abs(circ.carrier.signed_distance(rest))
     return float(max(in_plane, off_plane))
+
+
+# --- the curve engine's per-call constructions, before they were batched ---
+
+
+def chebyshev_rows(x: np.ndarray, slopes: bool = False) -> np.ndarray:
+    """T_0 .. T_9 at the points x (N,) as (10, N), one coordinate per call;
+    with ``slopes`` their derivatives k U_(k-1) instead."""
+    t = np.empty((10,) + x.shape)
+    t[0], t[1] = (0.0, 1.0) if slopes else (1.0, x)
+    for k in range(2, 10):
+        t[k] = 2.0 * x * t[k - 1] - t[k - 2]
+    return t * np.arange(10)[:, None] if slopes else t
+
+
+def series_value_and_gradient(coef: np.ndarray, mid: np.ndarray, half: np.ndarray,
+                              uv: np.ndarray):
+    """A Chebyshev series with coefficients ``coef[i, j]`` of T_i(u) T_j(v)
+    in the window (``mid``, ``half``) at (M, 2) points, and its gradient
+    (M, 2): two recurrences for the value and four more for the gradient."""
+    s, r = ((uv - mid) / half).T
+    value = ((coef @ chebyshev_rows(r)) * chebyshev_rows(s)).sum(axis=0)
+    d_u = ((coef @ chebyshev_rows(r)) * chebyshev_rows(s, slopes=True)).sum(axis=0)
+    d_v = ((coef.T @ chebyshev_rows(s)) * chebyshev_rows(r, slopes=True)).sum(axis=0)
+    return value, np.column_stack([d_u, d_v]) / half
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / float(np.linalg.norm(v))
+
+
+def chain_kernel_constants(a: np.ndarray) -> dict:
+    """The chain kernel's constants for the local host ``a`` (4, 3), one
+    np.cross per vector: u, p13, p23, w134, w234 (None for parallel lines),
+    g, the divisor lines' in-plane normals, and the circumcentre and
+    circumradius of face (1, 2, 3)."""
+    d12, d13, d23, d14, d24, d34 = (_unit(a[j] - a[i]) for i, j in
+                                    ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)))
+    n234, n134, n124, n123 = Tetrahedron.of(a).faces[:, :3]
+    u = np.cross(n124, d12)
+    if np.dot(u, a[3] - (a[0] + np.dot(a[3] - a[0], d12) * d12)) < 0:
+        u = -u
+
+    def factor(d1, d2, n):
+        m = np.cross(d2, n)
+        denom = float(np.dot(d1, m))
+        return None if abs(denom) < 1e-12 else m / denom
+
+    p13, p23 = np.cross(n134, d13), np.cross(n234, d23)
+    w134, w234 = factor(p13, np.cross(n134, d14), n134), factor(p23, np.cross(n234, d24), n234)
+    g14 = np.dot(u, d14) * d14
+    g34 = 0.0 if w134 is None else np.dot(g14, w134) * np.dot(p13, d34)
+    # the circumcentre from the Gram system of the edges from vertex 1
+    e1, e2 = a[1] - a[0], a[2] - a[0]
+    uu, uv, vv = float(np.dot(e1, e1)), float(np.dot(e1, e2)), float(np.dot(e2, e2))
+    det = uu * vv - uv * uv
+    centre = a[0] + 0.5 * (uu * vv - vv * uv) / det * e1 + 0.5 * (uu * vv - uu * uv) / det * e2
+    return {"u": u, "p13": p13, "p23": p23, "w134": w134, "w234": w234,
+            "g": np.array([g14, np.dot(u, d24) * d24, g34 * d34]),
+            "divisor_normals": np.array([np.cross(n123, d23), d12, d13]),
+            "circumcenter": centre, "circumradius": float(np.linalg.norm(centre - a[0]))}
+
+
+def curve_chain_reference(kernel, local: np.ndarray, divisor_cut: float):
+    """t, the six feet and the sixth-foot residual at (N, 3) local curve
+    points from the kernel's separate calls: the common root from ``nonic``,
+    ``curve_root``'s where |divisor| < ``divisor_cut``, then ``sixth_foot``,
+    two co-sphericity passes over the points."""
+    t = kernel.nonic(local)[1]
+    near = np.abs(kernel.divisor(local)) < divisor_cut
+    if near.any():
+        t[near] = kernel.curve_root(local[near])[0]
+    feet, sixth = kernel.sixth_foot(local, t[:, None])
+    return t, feet[:, 0], sixth[:, 0]

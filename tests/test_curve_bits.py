@@ -1,0 +1,117 @@
+"""The curve engine's batched paths against the per-call constructions they
+replaced (``oracles``), bit for bit, on random hosts at scales 1e-9..1e9:
+the stacked Chebyshev recurrence, the series value and gradient of one
+recurrence call, the chain kernel's constants from ``cross_rows``, the
+single co-sphericity pass at polished vertices, and the planes and frames
+built with ``cross_rows`` in place of np.cross."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_similarity, random_tetrahedron
+from oracles import (chain_kernel_constants, chebyshev_rows, curve_chain_reference,
+                     series_value_and_gradient)
+from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
+from orthosect.geom_core import Plane, Tolerance, circle_through
+from orthosect.orthology import FACE_VERTICES, Tetrahedron
+
+HOSTS = dict(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 9.0))
+
+
+def _host(seed, log_scale):
+    rng = np.random.default_rng(seed)
+    return rng, Tetrahedron.of(random_similarity(rng, log_scale)(random_tetrahedron(rng).array))
+
+
+def _field(host, face):
+    """The fitted series on the default window of ``face``, and (M, 2) frame
+    points: the face's vertices, which lie on two of the lines where F is
+    0/0, and random points of the window."""
+    frame = _FaceFrame(host, face, None)
+    window = default_window(host, face)
+    field = _Chebyshev(frame, window)
+    lo, hi = np.array(window[:2]), np.array(window[2:])
+    rng = np.random.default_rng(face)
+    corners = (host.array[FACE_VERTICES[face - 1]] - frame.origin) @ np.array(
+        [frame.axis_u, frame.axis_v]).T
+    return field, np.vstack([corners, lo + rng.random((40, 2)) * (hi - lo)])
+
+
+def _check_equal(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+@given(x=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=12))
+def test_stacked_chebyshev_matches_per_coordinate(x):
+    rows = np.array([x, x[::-1]])
+    t = _chebyshev(rows)
+    both = _chebyshev(rows, slopes=True)
+    for k, coord in enumerate(rows):
+        _check_equal(t[k], chebyshev_rows(coord))
+        _check_equal(both[0, k], chebyshev_rows(coord))
+        _check_equal(both[1, k], chebyshev_rows(coord, slopes=True))
+        assert both[0, k].flags.c_contiguous and both[1, k].flags.c_contiguous
+    _check_equal(_chebyshev(rows[0]), chebyshev_rows(rows[0]))
+
+
+@given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=30, deadline=None)
+def test_value_and_gradient_match_separate_recurrences(seed, log_scale, face):
+    """The series, and F or the series next to the lines where F is 0/0,
+    with the series' gradient, as the old six recurrences gave them."""
+    field, uv = _field(_host(seed, log_scale)[1], face)
+    series, grad = series_value_and_gradient(field.coef, field.mid, field.half, uv)
+    _check_equal(field(uv), series)
+    kernel = field.frame.kernel
+    local = field.frame.to_local(uv)
+    near = np.abs(kernel.divisor(local)) < field.divisor_cut
+    assert near[:3].any()
+    value, got_grad = field.value_and_gradient(uv)
+    _check_equal(got_grad, grad)
+    _check_equal(value, np.where(near, series, kernel.nonic(local)[0]))
+
+
+@given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=30, deadline=None)
+def test_curve_chain_matches_nonic_and_sixth_foot(seed, log_scale, face):
+    """One co-sphericity pass gives what ``nonic``, ``curve_root`` and
+    ``sixth_foot`` gave from two."""
+    field, uv = _field(_host(seed, log_scale)[1], face)
+    local = field.frame.to_local(uv)
+    kernel = field.frame.kernel
+    got = kernel.curve_chain(local, field.divisor_cut)
+    for g, w in zip(got, curve_chain_reference(kernel, local, field.divisor_cut)):
+        _check_equal(g, w)
+
+
+@given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=40, deadline=None)
+def test_chain_kernel_constants_match_np_cross(seed, log_scale, face):
+    kernel = _FaceFrame(_host(seed, log_scale)[1], face, None).kernel
+    want = chain_kernel_constants(kernel.a)
+    for name in ("u", "p13", "p23", "g", "circumcenter", "circumradius"):
+        _check_equal(getattr(kernel, name), want[name])
+    for name in ("w134", "w234"):
+        if want[name] is None:
+            assert getattr(kernel, name) is None
+        else:
+            _check_equal(getattr(kernel, name), want[name])
+    _check_equal(kernel.divisor_lines[1], want["divisor_normals"])
+
+
+@given(**HOSTS)
+@settings(max_examples=40, deadline=None)
+def test_planes_and_frames_match_np_cross(seed, log_scale):
+    rng, host = _host(seed, log_scale)
+    a, b, c = host.array[:3]
+    n = np.cross(b - a, c - a)
+    plane = Plane.through(a, b, c)
+    want = Plane(normal=n, offset=float(np.dot(n, a)))
+    _check_equal(plane.normal, want.normal)
+    assert plane.offset == want.offset
+    circle = circle_through(a, b, c, tol=Tolerance.for_points(host.array))
+    _check_equal(circle.carrier.normal, want.normal)
+    assert circle.carrier.offset == want.offset
+    face = int(rng.integers(1, 5))
+    _, axis_u, axis_v = face_frame(host, face)
+    _check_equal(axis_v, np.cross(host.faces[face - 1, :3], axis_u))
