@@ -267,8 +267,9 @@ class _Chebyshev:
     """F9 over a window as a total-degree-NONIC Chebyshev series in the
     window's coordinates scaled to [-1, 1], coefficients ``coef[i, j]`` of
     T_i(u) T_j(v): least squares on a FIT_NODES x FIT_NODES Chebyshev point
-    set, leaving out the samples where F is 0/0 (|L23 N12 N13| below
-    FIT_CUT of its largest value). All NaN where the kernel has no F."""
+    set from one kernel call, leaving out the samples where F is 0/0
+    (|L23 N12 N13| below FIT_CUT of its largest value). All NaN where the
+    kernel has no F."""
 
     def __init__(self, frame: _FaceFrame, window: Tuple[float, float, float, float]):
         self.frame = frame
@@ -276,10 +277,11 @@ class _Chebyshev:
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         s = np.stack(np.meshgrid(_FIT_NODES, _FIT_NODES, indexing="ij"), axis=-1).reshape(-1, 2)
         local = frame.to_local(self.mid + s * self.half)
-        divisor = np.abs(frame.kernel.divisor(local))
+        f, _, divisor = frame.kernel.nonic(local)
+        divisor = np.abs(divisor)
         self.divisor_cut = FIT_CUT * divisor.max()
         keep = divisor >= self.divisor_cut
-        f = frame.kernel.nonic(local[keep])[0]
+        f = f[keep]
         self.coef = np.full((NONIC + 1, NONIC + 1), np.nan)
         if np.isfinite(f).all():
             # the basis is nearly orthogonal on these points (condition number
@@ -296,10 +298,8 @@ class _Chebyshev:
     def value_and_gradient(self, uv: np.ndarray):
         """At (M, 2) frame points: F, or the series where F is 0/0 (the
         divisor below the fit's cut), and the series' gradient (M, 2)."""
-        kernel = self.frame.kernel
-        local = self.frame.to_local(uv)
-        f = kernel.nonic(local)[0]
-        near = np.abs(kernel.divisor(local)) < self.divisor_cut
+        f, _, divisor = self.frame.kernel.nonic(self.frame.to_local(uv))
+        near = np.abs(divisor) < self.divisor_cut
         (t_u, t_v), (d_u, d_v) = _chebyshev(((uv - self.mid) / self.half).T, slopes=True)
         rows = self.coef @ t_v
         grad = np.column_stack([(rows * d_u).sum(axis=0),

@@ -165,10 +165,10 @@ def _feet_on(anchor: np.ndarray, direction: np.ndarray, p: np.ndarray) -> np.nda
 def _in_plane_factor(d1: np.ndarray, m: np.ndarray):
     """The vector w for which a1 + ((a2 - a1) . w) d1 is the common point of
     any two lines (a1, d1) and (a2, d2) lying in the plane with unit normal
-    n, from m = d2 x n ((x cross d2) . n == x . m); None when the lines are
-    parallel."""
+    n, from m = d2 x n ((x cross d2) . n == x . m); all NaN when the lines
+    are parallel, so that what uses the common point is NaN too."""
     denom = float(np.dot(d1, m))
-    return None if abs(denom) < 1e-12 else m / denom
+    return np.full(3, np.nan) if abs(denom) < 1e-12 else m / denom
 
 
 # the kernel's edge lines as host vertex pairs: 12, 13, 23 on face (1, 2, 3),
@@ -223,15 +223,14 @@ class ChainKernel:
         self.u = u
         # source 2 (source 1) is where the in-plane perpendiculars at feet
         # 13 and 14 (23 and 24) meet: foot 13 (23) plus a multiple of p13
-        # (p23); None where they are parallel
+        # (p23); NaN where they are parallel
         m134, m234 = cross_rows(perp[3:5], normals[[1, 0]])
         self.w134 = _in_plane_factor(self.p13, m134)
         self.w234 = _in_plane_factor(self.p23, m234)
         # feet 14, 24 and 34 move along their edges by these per unit of t
-        # (foot 34 through source 2, so only where source 2 exists)
+        # (foot 34 through source 2, so NaN without it)
         g14 = np.dot(u, d14) * d14
-        g34 = (0.0 if self.w134 is None
-               else np.dot(g14, self.w134) * np.dot(self.p13, self.direction[5]))
+        g34 = np.dot(g14, self.w134) * np.dot(self.p13, self.direction[5])
         self.g = np.array([g14, np.dot(u, d24) * d24, g34 * self.direction[5]])
         # the lines the resultant of the two determinants vanishes on besides
         # the nonic: edge line 23 and the perpendiculars to edges 12 and 13 at
@@ -257,8 +256,8 @@ class ChainKernel:
         of feet 12, 13, 23 and 14 with foot 24 (Q) and with foot 34 (P), as
         (2, 3, N). Translated to foot 12 a determinant is det[|d|^2, d] of
         its last four feet: the sum of the fixed rows' (13, 23) 2x2 minors
-        times the moving rows' (14 with 24 or 34) complementary ones. Needs
-        source 2 (``self.w134``)."""
+        times the moving rows' (14 with 24 or 34) complementary ones. Foot
+        34 and P are NaN without source 2 (``self.w134``)."""
         base = self.base_feet(p)
         v12, v13 = base[:, :1], base[:, 1]
         at0 = np.empty((len(p), 3, 3))
@@ -305,14 +304,11 @@ class ChainKernel:
         by ascending t and the signed residual of the sixth foot against the
         carrier through the other five, and feet (N, 2, 6, 3) the six feet
         at that root; all NaN where a point has fewer roots. A root is
-        validated when the least-squares sphere (or plane) through its five
-        feet fits them within eps_rel. t is in normalized units (multiply
-        by the scene scale for world units); f is the scale-normalized
-        residual."""
+        validated when its sixth foot exists (it needs source 2) and the
+        least-squares sphere (or plane) through its five feet fits them
+        within eps_rel. t is in normalized units (multiply by the scene
+        scale for world units); f is the scale-normalized residual."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
-        n = len(p)
-        if self.w134 is None:   # no source 2, so no root validates
-            return np.full((n, 2), np.nan), np.full((n, 2), np.nan), np.full((n, 2, 6, 3), np.nan)
         base, at0, samples = self._cosphericity_samples(p)
         # the determinant is exactly quadratic in t
         c0, c1, c2 = self._quadratics(samples[0])
@@ -339,7 +335,7 @@ class ChainKernel:
                 real, np.maximum(r_a, r_b), np.where(double, vertex, np.nan))], axis=1)
 
         feet, fit, f = self._sixth_foot(base, at0, t)
-        valid = fit["residual"] <= self.tol.eps_rel
+        valid = (fit["residual"] <= self.tol.eps_rel) & ~np.isnan(f)
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
@@ -359,18 +355,18 @@ class ChainKernel:
     def nonic(self, b4_local: np.ndarray):
         """The curve's nonic F9 at (N, 3) local face points, with the
         common root t of the two co-sphericity determinants Q (feet 12, 13,
-        23, 14, 24) and P (foot 34 in place of 24), as two (N,) arrays.
-        Both determinants are exactly quadratic in t, so their resultant
-        (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1) is closed form;
-        it is L23 * N12 * N13 * F9, and F is the quotient. F is 0/0, so
-        unreliable, on and near the three lines. t is in normalized units;
-        all NaN without source 2."""
+        23, 14, 24) and P (foot 34 in place of 24) and the ``divisor`` F is
+        divided by, as three (N,) arrays. Both determinants are exactly
+        quadratic in t, so their resultant (a2 b0 - a0 b2)^2 - (a2 b1 -
+        a1 b2)(a1 b0 - a0 b1) is closed form; it is L23 * N12 * N13 * F9,
+        and F is the quotient. F is 0/0, so unreliable, on and near the
+        three lines. t is in normalized units; F and t are NaN without
+        source 2."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
-        if self.w134 is None:
-            return np.full(len(p), np.nan), np.full(len(p), np.nan)
         x, y, z = self._resultant_terms(self._cosphericity_samples(p)[2])
+        divisor = self.divisor(p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (x * x + y * z) / self.divisor(p), x / y
+            return (x * x + y * z) / divisor, x / y, divisor
 
     @classmethod
     def _resultant_terms(cls, samples: np.ndarray):
@@ -380,29 +376,15 @@ class ChainKernel:
         (a0, a1, a2), (b0, b1, b2) = map(cls._quadratics, samples)
         return a2 * b0 - a0 * b2, a1 * b2 - a2 * b1, a1 * b0 - a0 * b1
 
-    def sixth_foot(self, b4_local: np.ndarray, t: np.ndarray):
-        """At (N, 3) local face points and parameters t (N, K): the six feet
-        (N, K, 6, 3) and the signed residual f (N, K) of foot 34 against the
-        carrier through the other five (both NaN without source 2)."""
-        p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
-        if self.w134 is None:
-            return np.full(t.shape + (6, 3), np.nan), np.full(t.shape, np.nan)
-        base, at0, _ = self._cosphericity_samples(p)
-        feet, _, f = self._sixth_foot(base, at0, t)
-        return feet, f
-
     def curve_chain(self, b4_local: np.ndarray, divisor_cut: float):
         """At (N, 3) local points of the curve, from one co-sphericity pass:
         the chain parameter t (N,) in normalized units, the six feet
         (N, 6, 3) at it and the signed residual f (N,) of foot 34 against
         the carrier through the other five. t is the common root of
         ``nonic``, or ``curve_root``'s where |``divisor``| is below
-        ``divisor_cut`` (F and the common root are 0/0 there); all NaN
-        without source 2."""
+        ``divisor_cut`` (F and the common root are 0/0 there). Without source
+        2, t, f and all feet but 12, 13 and 23 are NaN."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
-        n = len(p)
-        if self.w134 is None:
-            return np.full(n, np.nan), np.full((n, 6, 3), np.nan), np.full(n, np.nan)
         base, at0, samples = self._cosphericity_samples(p)
         x, y, _ = self._resultant_terms(samples)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -432,7 +414,7 @@ class ChainKernel:
         source position on face (1, 2, 3) and a displacement parameter t in
         normalized units; ``closure_spread`` is the world distance between
         the two constructions of foot 34."""
-        if self.w134 is None or self.w234 is None:
+        if np.isnan([self.w134, self.w234]).any():
             raise DegenerateError("parallel in-plane perpendiculars")
         v12, v13, v23 = self.base_feet(b4_local)
         b3 = v12 + t * self.u

@@ -10,6 +10,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from orthosect.analysis import FIT_CUT, FIT_NODES, NONIC, _TERMS, _chebyshev
 from orthosect.errors import DegenerateError
 from orthosect.geom_core import (
     FLAT_SPHERE_RADIUS_FACTOR,
@@ -135,7 +136,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def chain_kernel_constants(a: np.ndarray) -> dict:
     """The chain kernel's constants for the local host ``a`` (4, 3), one
-    np.cross per vector: u, p13, p23, w134, w234 (None for parallel lines),
+    np.cross per vector: u, p13, p23, w134, w234 (NaN for parallel lines),
     g, the divisor lines' in-plane normals, and the circumcentre and
     circumradius of face (1, 2, 3)."""
     d12, d13, d23, d14, d24, d34 = (_unit(a[j] - a[i]) for i, j in
@@ -148,12 +149,12 @@ def chain_kernel_constants(a: np.ndarray) -> dict:
     def factor(d1, d2, n):
         m = np.cross(d2, n)
         denom = float(np.dot(d1, m))
-        return None if abs(denom) < 1e-12 else m / denom
+        return np.full(3, np.nan) if abs(denom) < 1e-12 else m / denom
 
     p13, p23 = np.cross(n134, d13), np.cross(n234, d23)
     w134, w234 = factor(p13, np.cross(n134, d14), n134), factor(p23, np.cross(n234, d24), n234)
     g14 = np.dot(u, d14) * d14
-    g34 = 0.0 if w134 is None else np.dot(g14, w134) * np.dot(p13, d34)
+    g34 = np.dot(g14, w134) * np.dot(p13, d34)
     # the circumcentre from the Gram system of the edges from vertex 1
     e1, e2 = a[1] - a[0], a[2] - a[0]
     uu, uv, vv = float(np.dot(e1, e1)), float(np.dot(e1, e2)), float(np.dot(e2, e2))
@@ -165,6 +166,15 @@ def chain_kernel_constants(a: np.ndarray) -> dict:
             "circumcenter": centre, "circumradius": float(np.linalg.norm(centre - a[0]))}
 
 
+def sixth_foot(kernel, local: np.ndarray, t: np.ndarray):
+    """At (N, 3) local face points and parameters t (N, K): the six feet
+    (N, K, 6, 3) and the signed residual (N, K) of foot 34 against the
+    carrier through the other five, from a co-sphericity pass of their own."""
+    base, at0, _ = kernel._cosphericity_samples(local)
+    feet, _, f = kernel._sixth_foot(base, at0, t)
+    return feet, f
+
+
 def curve_chain_reference(kernel, local: np.ndarray, divisor_cut: float):
     """t, the six feet and the sixth-foot residual at (N, 3) local curve
     points from the kernel's separate calls: the common root from ``nonic``,
@@ -174,5 +184,26 @@ def curve_chain_reference(kernel, local: np.ndarray, divisor_cut: float):
     near = np.abs(kernel.divisor(local)) < divisor_cut
     if near.any():
         t[near] = kernel.curve_root(local[near])[0]
-    feet, sixth = kernel.sixth_foot(local, t[:, None])
+    feet, sixth = sixth_foot(kernel, local, t[:, None])
     return t, feet[:, 0], sixth[:, 0]
+
+
+def chebyshev_fit_reference(frame, window) -> Tuple[np.ndarray, float]:
+    """The fitted series' coefficients and divisor cut from two kernel
+    calls: ``divisor`` on all fit nodes, then ``nonic`` on the kept ones."""
+    nodes = np.cos(np.pi * (np.arange(FIT_NODES) + 0.5) / FIT_NODES)
+    lo, hi = np.array(window[:2]), np.array(window[2:])
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    local = frame.to_local(mid + s * half)
+    divisor = np.abs(frame.kernel.divisor(local))
+    cut = FIT_CUT * divisor.max()
+    keep = divisor >= cut
+    f = frame.kernel.nonic(local[keep])[0]
+    coef = np.full((NONIC + 1, NONIC + 1), np.nan)
+    if np.isfinite(f).all():
+        t_u, t_v = _chebyshev(s[keep].T)
+        vander = (t_u[:, None] * t_v)[_TERMS].T
+        coef[:] = 0.0
+        coef[_TERMS] = np.linalg.solve(vander.T @ vander, vander.T @ f)
+    return coef, cut

@@ -1,16 +1,17 @@
 """The curve engine's batched paths against the per-call constructions they
 replaced (``oracles``), bit for bit, on random hosts at scales 1e-9..1e9:
-the stacked Chebyshev recurrence, the series value and gradient of one
-recurrence call, the chain kernel's constants from ``cross_rows``, the
-single co-sphericity pass at polished vertices, and the planes and frames
-built with ``cross_rows`` in place of np.cross."""
+the stacked Chebyshev recurrence, the series fitted from one kernel call,
+the series value and gradient of one recurrence call, the chain kernel's
+constants from ``cross_rows``, the single co-sphericity pass at polished
+vertices, and the planes and frames built with ``cross_rows`` in place of
+np.cross."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
-from oracles import (chain_kernel_constants, chebyshev_rows, curve_chain_reference,
-                     series_value_and_gradient)
+from oracles import (chain_kernel_constants, chebyshev_fit_reference, chebyshev_rows,
+                     curve_chain_reference, series_value_and_gradient)
 from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
 from orthosect.geom_core import Plane, Tolerance, circle_through
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
@@ -56,6 +57,19 @@ def test_stacked_chebyshev_matches_per_coordinate(x):
 
 @given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
 @settings(max_examples=30, deadline=None)
+def test_fit_matches_two_call_reference(seed, log_scale, face):
+    """One ``nonic`` call on all fit nodes, cut by the divisor it returns,
+    fits what ``divisor`` on all nodes and ``nonic`` on the kept ones
+    fitted."""
+    host = _host(seed, log_scale)[1]
+    field = _field(host, face)[0]
+    coef, cut = chebyshev_fit_reference(field.frame, default_window(host, face))
+    _check_equal(field.coef, coef)
+    assert field.divisor_cut == cut
+
+
+@given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=30, deadline=None)
 def test_value_and_gradient_match_separate_recurrences(seed, log_scale, face):
     """The series, and F or the series next to the lines where F is 0/0,
     with the series' gradient, as the old six recurrences gave them."""
@@ -74,8 +88,8 @@ def test_value_and_gradient_match_separate_recurrences(seed, log_scale, face):
 @given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
 @settings(max_examples=30, deadline=None)
 def test_curve_chain_matches_nonic_and_sixth_foot(seed, log_scale, face):
-    """One co-sphericity pass gives what ``nonic``, ``curve_root`` and
-    ``sixth_foot`` gave from two."""
+    """One co-sphericity pass gives what ``nonic``, ``curve_root`` and a
+    second pass for the sixth foot give."""
     field, uv = _field(_host(seed, log_scale)[1], face)
     local = field.frame.to_local(uv)
     kernel = field.frame.kernel
@@ -89,13 +103,8 @@ def test_curve_chain_matches_nonic_and_sixth_foot(seed, log_scale, face):
 def test_chain_kernel_constants_match_np_cross(seed, log_scale, face):
     kernel = _FaceFrame(_host(seed, log_scale)[1], face, None).kernel
     want = chain_kernel_constants(kernel.a)
-    for name in ("u", "p13", "p23", "g", "circumcenter", "circumradius"):
+    for name in ("u", "p13", "p23", "w134", "w234", "g", "circumcenter", "circumradius"):
         _check_equal(getattr(kernel, name), want[name])
-    for name in ("w134", "w234"):
-        if want[name] is None:
-            assert getattr(kernel, name) is None
-        else:
-            _check_equal(getattr(kernel, name), want[name])
     _check_equal(kernel.divisor_lines[1], want["divisor_normals"])
 
 

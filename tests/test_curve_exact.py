@@ -163,7 +163,7 @@ def test_engine_nonic_is_the_exact_nonic():
     world = np.zeros((200, 3))
     world[:, :2] = np.random.default_rng(18).uniform((-3.0, -3.0), (8.0, 7.0), size=(200, 2))
     local = kernel.to_local(world)
-    engine, _ = kernel.nonic(local)
+    engine = kernel.nonic(local)[0]
     divisor = np.abs(kernel.divisor(local))
     keep = divisor >= FIT_CUT * divisor.max()
     exact = np.array([float(f9(Rational(x), Rational(y))) for x, y in world[keep, :2]])

@@ -15,12 +15,16 @@ from numpy.polynomial import chebyshev as cheb
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
+from oracles import sixth_foot
 from orthosect.analysis import (FIT_CUT, NEWTON_STEPS, ZERO_TOL, _Chebyshev, _FaceFrame,
                                 default_window, trace_curve)
+from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Tolerance, _sphere_fit
 from orthosect.orthology import Tetrahedron
-from orthosect.pedal import VERTEX_TOL, ChainKernel, _feet_on
+from orthosect.pedal import (VERTEX_TOL, ChainKernel, _feet_on, chain_sphere_residual,
+                             complete_chain)
 from orthosect.scene import load_scene
+from orthosect.solver import solve_from_curve_point
 
 DEMO_SCENE = Path(__file__).parent.parent / "scenes" / "demo.json"
 
@@ -334,7 +338,7 @@ def test_batch_equals_single_point_calls():
     local = frame.kernel.to_local(frame.origin + uv[:, :1] * frame.axis_u
                                   + uv[:, 1:] * frame.axis_v)
     t_batch, f_batch, _ = frame.kernel.sphericity_batch(local)
-    # the feet at each validated root are sixth_foot's there, NaN elsewhere;
+    # the feet at each validated root are the oracle's there, NaN elsewhere;
     # an eps_rel so tight that round-off fails some first roots moves second
     # roots into column 0, and their feet with them
     tight = ChainKernel(host, Tolerance.for_points(host.array, eps_rel=1e-15))
@@ -342,7 +346,7 @@ def test_batch_equals_single_point_calls():
     for kernel in (frame.kernel, tight):
         t, _, feet = kernel.sphericity_batch(local)
         roots = np.isfinite(t)
-        assert np.array_equal(feet[roots], kernel.sixth_foot(local, t)[0][roots])
+        assert np.array_equal(feet[roots], sixth_foot(kernel, local, t)[0][roots])
         assert np.isnan(feet[~roots]).all()
     counts = set()
     for k, p in enumerate(local):
@@ -503,15 +507,48 @@ def test_trace_counts_empty_window():
     assert counts.bisection_rounds == counts.refine_evals == 0
 
 
+# vertex 4 of hosts whose edges 13 and 14 meet at about 5e-14 and 9.5e-13
+# rad; on the second, Q has real roots at (-2, -2) and (3, 1.5)
+@pytest.mark.parametrize("apex", [(0.0, 2.0, 1e-13), (0.0, 0.5, 4.75e-13)])
+def test_host_without_source_two(apex):
+    """The in-plane perpendiculars at feet 13 and 14 are parallel, so no
+    chain has a source 2: every kernel result is NaN, no parameter is
+    validated, no chain completes, no point is on the curve and faces 3
+    and 4 (whose kernels take source 2 on that face) trace nothing."""
+    host = Tetrahedron.of(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], apex], float))
+    kernel = ChainKernel(host)
+    points = np.array([[0.3, 0.2, 0.0], [0.1, 0.6, 0.0], [2.0, -1.0, 0.0], [-0.5, 0.4, 0.0],
+                       [-2.0, -2.0, 0.0], [3.0, 1.5, 0.0]])
+    local = kernel.to_local(points)
+    t, f, feet = kernel.sphericity_batch(local)
+    assert np.isnan(t).all() and np.isnan(f).all() and np.isnan(feet).all()
+    for values in (*kernel.nonic(local)[:2], *kernel.curve_root(local)):
+        assert np.isnan(values).all()
+    t, _, f = kernel.curve_chain(local, 0.0)
+    assert np.isnan(t).all() and np.isnan(f).all()
+    for b4 in points:
+        assert chain_sphere_residual(host, b4) == []
+        with pytest.raises(DegenerateError):
+            complete_chain(host, b4, 0.3)
+        with pytest.raises(CurvePointError):
+            solve_from_curve_point(host, b4)
+    for face in (3, 4):
+        trace = trace_curve(host, face, grid=16)
+        assert trace.polylines == ()
+        assert trace.counts.nan_nodes == 256
+
+
 @pytest.mark.parametrize("face", [1, 2, 3])
 def test_trace_kernel_calls(face, monkeypatch):
     """One co-sphericity pass for the fit, one per Newton step, one at the
     polished vertices and one in the sphericity call for the vertices next
     to the lines where F is 0/0 (the demo's grid-16 lattice has some on
-    every face); no LAPACK determinant and no np.cross anywhere in the
-    trace."""
+    every face); one ``nonic`` call for the fit and one per Newton step,
+    and one ``divisor`` call with each and at the polished vertices; no
+    LAPACK determinant and no np.cross anywhere in the trace."""
     host = load_scene(DEMO_SCENE).tetrahedron("A")
-    calls = {"_cosphericity_samples": 0, "sphericity_batch": 0, "det": 0, "cross": 0}
+    calls = {"_cosphericity_samples": 0, "sphericity_batch": 0, "nonic": 0, "divisor": 0,
+             "det": 0, "cross": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -519,12 +556,13 @@ def test_trace_kernel_calls(face, monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for name in ("_cosphericity_samples", "sphericity_batch"):
+    for name in ("_cosphericity_samples", "sphericity_batch", "nonic", "divisor"):
         monkeypatch.setattr(ChainKernel, name, counted(name, getattr(ChainKernel, name)))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np, "cross", counted("cross", np.cross))
     trace_curve(host, face, grid=16)
     assert calls == {"_cosphericity_samples": NEWTON_STEPS + 3, "sphericity_batch": 1,
+                     "nonic": NEWTON_STEPS + 1, "divisor": NEWTON_STEPS + 2,
                      "det": 0, "cross": 0}
 
 
@@ -560,8 +598,8 @@ def _check_vertices(host, face, trace):
     frame = _FaceFrame(host, face, None)
     points, ts = _vertices(trace)
     assert _first_order_distance(frame, points).max() <= FIRST_ORDER_TOL
-    feet, sixth = frame.kernel.sixth_foot(frame.to_local(points),
-                                          ts[:, None] / frame.kernel.scale)
+    feet, sixth = sixth_foot(frame.kernel, frame.to_local(points),
+                             ts[:, None] / frame.kernel.scale)
     i, j = np.triu_indices(6, 1)
     assert np.linalg.norm(feet[:, 0, i] - feet[:, 0, j], axis=-1).min() > 1e-9
     assert np.abs(sixth).max() <= VERTEX_TOL

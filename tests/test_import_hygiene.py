@@ -1,14 +1,17 @@
 """Source hygiene, read from each module's syntax tree. Every name a module
 of the package imports is read in that module: a deleted function often
 leaves behind an import that only it used (``__init__.py`` is exempt,
-because its imports are the package's exports). No module calls np.cross."""
+because its imports are the package's exports). No module calls np.cross.
+Every public function, method and class has a caller or a reader."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orthosect"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "orthosect"
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
@@ -35,3 +38,36 @@ def test_no_np_cross(module):
              and node.func.attr == "cross" and isinstance(node.func.value, ast.Name)
              and node.func.value.id in ("np", "numpy")]
     assert not calls, f"np.cross called on lines {calls}"
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of the module's public functions and classes
+    and of their classes' public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_public_names_have_a_caller():
+    """A public name stays in the package only if the package itself names
+    it (a call, an attribute read or an export), the benchmark calls it or
+    the README documents it; what only tests use belongs in the tests."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named |= {alias.name for alias in node.names}
+    texts = [p.read_text(encoding="utf-8")
+             for p in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "README.md"]]
+    named |= set(re.findall(r"\w+", "\n".join(texts)))
+    unnamed = [f"{module}:{qualified}" for module, tree in trees.items()
+               for qualified, name in _public_definitions(tree) if name not in named]
+    assert not unnamed, f"public names only tests use: {unnamed}"
