@@ -28,38 +28,30 @@ from .geom_core import (
     Tolerance,
     circle_through,
     closest_points,
-    foot_on_line,
-    project_to_plane,
     sphere_through,
 )
 from .orthology import (
     EDGE_PAIRINGS,
     OrthologyReport,
     Tetrahedron,
-    construct_orthologic,
     edge_orthogonality_residuals,
     orthology_centers,
     pair_tolerance,
 )
 from .pedal import (
     PedalChain,
-    PedalTriangle,
     SphericalChain,
     chain_from_pair,
     chain_sphere_residual,
     complete_chain,
     isogonal_conjugate,
-    pedal_circle,
-    pedal_triangle,
     reconstruct_tetrahedron,
     spherical_chain,
 )
 from .solver import (
-    ResidualVector,
     SolutionBranch,
     SolverConfig,
     SolveResult,
-    orthosect_residuals,
     solve,
     solve_detailed,
     solve_from_curve_point,

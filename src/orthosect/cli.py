@@ -149,7 +149,9 @@ def cmd_solve(args, scene: Scene, report: Report) -> None:
     count = len(result.solutions)
     report.add_verdict("solutions_found", float(count), 1.0, op=">=")
     if count:
-        worst = max(solver.orthosect_residuals(a, t, tol).max_abs for t in result.solutions)
+        system = solver.OrthosectSystem(a, tol)
+        worst = max(float(np.abs(system.residuals(t.array.reshape(12))).max())
+                    for t in result.solutions)
         report.add_verdict("solution_residual", worst, 1e-10)
 
 

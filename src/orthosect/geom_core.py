@@ -242,17 +242,6 @@ def closest_points(l1: Line, l2: Line, tol: Tolerance | None = None) -> LineClos
                        parallel=bool(parallel[0]), identical=bool(identical[0]))
 
 
-def project_to_plane(p, pl: Plane) -> np.ndarray:
-    """Orthographic projection of a point onto a plane."""
-    a = as_array(p)
-    return a - pl.signed_distance(a) * pl.normal
-
-
-def foot_on_line(p, l: Line) -> np.ndarray:
-    """Foot of the perpendicular from a point onto a line."""
-    return l.anchor + np.dot(as_array(p) - l.anchor, l.direction) * l.direction
-
-
 def circle_through(p1, p2, p3, tol: Tolerance | None = None) -> Circle3D:
     """Circle through three points; raises DegenerateError when collinear."""
     a, b, c = as_array(p1), as_array(p2), as_array(p3)

@@ -20,12 +20,10 @@ from .geom_core import (
     Line,
     Plane,
     Tolerance,
-    as_array,
     closest_rows,
     concurrency_rows,
     cross_rows,
     dot_rows,
-    meet_rows,
     plane_rows,
 )
 
@@ -249,33 +247,3 @@ def centers_from_residuals(a: Tetrahedron, b: Tetrahedron, residuals: np.ndarray
         raise DegenerateError(f"flat partner: {exc}") from exc
     return OrthologyReport(residuals=by_pairing(residuals), center_a=center_a,
                            center_b=center_b, spread_a=spread_a, spread_b=spread_b)
-
-
-def construct_orthologic(a: Tetrahedron, center,
-                         offsets: Sequence[float] | None = None,
-                         tol: Tolerance | None = None) -> Tetrahedron:
-    """Orthologic partner of ``a`` with prescribed orthology center.
-
-    The partner's face normals are the vectors from ``center`` to the
-    vertices of ``a``; ``offsets[i]`` places face plane i as
-    ``n_i . x = offsets[i]``. Partners with parallel faces are equivalent,
-    so the default offsets put each face plane through the corresponding
-    vertex of ``a`` to give a canonical representative.
-    """
-    c = as_array(center)
-    tol = tol or Tolerance.for_points(np.vstack((a.array, c)))
-    n = a.array - c
-    length = np.sqrt(dot_rows(n, n))
-    near = length <= tol.eps_abs * tol.scene_scale
-    if near.any():
-        raise DegenerateError(f"center coincides with vertex {int(np.argmax(near)) + 1}")
-    n = n / length[:, None]
-    offsets = dot_rows(n, a.array) if offsets is None else np.asarray(offsets, dtype=float)
-    if offsets.shape != (4,):
-        raise ValueError("need exactly four face offsets")
-    planes = np.column_stack((n, offsets))
-    # all four planes through one common point: degenerate (point partner)
-    common = meet_rows(planes[None, :3])[0]
-    if abs(np.dot(n[3], common) - offsets[3]) <= tol.eps_abs * tol.scene_scale:
-        raise DegenerateError("all four face planes pass through a single point")
-    return Tetrahedron.of(meet_rows(planes[FACE_VERTICES]))

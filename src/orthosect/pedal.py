@@ -1,10 +1,13 @@
-"""Pedal triangles, pedal circles, isogonal conjugation, and pedal chains.
+"""Isogonal conjugation in closed form, and pedal chains.
 
-A pedal chain on a tetrahedron is a set of four pedal triangles, one per
-face, sharing the foot on each common edge. Chains are completed from one
-prescribed pedal triangle plus a single scalar parameter; when the six feet
-are co-spherical (or co-planar) the chain determines a unique orthosecting
-partner tetrahedron, rebuilt here from the feet planes.
+The isogonal conjugate of a point on a triangle's plane is the barycentric
+map (x : y : z) -> (a^2 yz : b^2 zx : c^2 xy); a point and its conjugate
+share one pedal circle. A pedal chain on a tetrahedron is a set of four
+pedal triangles, one per face, sharing the foot on each common edge.
+Chains are completed from one prescribed pedal triangle plus a single
+scalar parameter; when the six feet are co-spherical (or co-planar) the
+chain determines a unique orthosecting partner tetrahedron, rebuilt here
+from the feet planes.
 """
 
 from __future__ import annotations
@@ -20,20 +23,17 @@ from .errors import (
     SimsonDegenerateError,
 )
 from .geom_core import (
-    Circle3D,
-    Line,
     Plane,
     SphereOrPlane,
     Tolerance,
     _sphere_fit,
+    as_array,
     carrier_through,
     circle_through,
     cross_rows,
     dot_rows,
-    foot_on_line,
     meet_rows,
     plane_rows,
-    project_to_plane,
     unit,
 )
 from .orthology import (EDGE_PAIRINGS, FACE_VERTICES, Tetrahedron, _I, _J, _edge_line_rows,
@@ -55,26 +55,12 @@ FEET_TOL = 1e-6
 # such vertices and solve_from_curve_point accepts such points
 VERTEX_TOL = 1e-6
 
-FACE_EDGE_ORDER = ((0, 1), (0, 2), (1, 2))
-
 # per host vertex, the EDGE_PAIRINGS rows of the host edges through it; then
 # the rows of the three edges of the face opposite each vertex in turn, flat
 _FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
 _FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
 # EDGE_PAIRINGS row of each host edge (i, j), i < j
 _EDGE_ROW = {ij: r for r, (ij, _) in enumerate(EDGE_PAIRINGS)}
-
-
-@dataclass(frozen=True, eq=False)
-class PedalTriangle:
-    """Perpendicular feet of a source point on the three edge lines of a
-    host triangle: the source (3,), the face's vertices (3, 3) and the
-    feet (3, 3). Feet are ordered by FACE_EDGE_ORDER of the face vertices
-    and may fall outside the edge segments (edge lines, not segments)."""
-
-    source: np.ndarray
-    face: np.ndarray
-    feet: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,41 +98,31 @@ class SphericalChain:
     max_residual: float
 
 
-def pedal_triangle(source, face) -> PedalTriangle:
-    """Pedal triangle of a point with respect to a host triangle. A source
-    off the carrier plane is projected onto it first."""
-    face = np.array(face, dtype=float).reshape(3, 3)
-    try:
-        plane = Plane.through(*face)
-    except DegenerateError as exc:
-        raise DegenerateError(f"degenerate face: {exc}") from exc
-    src = project_to_plane(source, plane)
-    feet = np.array([foot_on_line(src, Line.through(face[i], face[j]))
-                     for i, j in FACE_EDGE_ORDER])
-    return PedalTriangle(source=src, face=face, feet=feet)
-
-
-def pedal_circle(source, face, tol: Tolerance | None = None) -> Circle3D:
-    """Circumcircle of the pedal triangle.
-
-    Degenerates to a line (Simson case) when the source lies on the host's
-    circumcircle; that raises SimsonDegenerateError.
-    """
-    tri = pedal_triangle(source, face)
-    tol = tol or Tolerance.for_points(np.vstack((tri.face, tri.source)))
-    circum = circle_through(*tri.face, tol=tol)
-    on_circle = abs(float(np.linalg.norm(tri.source - circum.center)) - circum.radius)
-    if on_circle <= SIMSON_TOL * tol.scene_scale:
-        raise SimsonDegenerateError(
-            "source on the circumcircle: pedal feet are collinear")
-    return circle_through(*tri.feet, tol=tol)
-
-
 def isogonal_conjugate(source, face, tol: Tolerance | None = None) -> np.ndarray:
-    """Partner point sharing the same pedal circle: the reflection of the
-    source in the pedal-circle center."""
-    circle = pedal_circle(source, face, tol)
-    return 2.0 * circle.center - project_to_plane(source, circle.carrier)
+    """The isogonal conjugate of a point, projected onto the plane of the
+    triangle ``face`` first: with (x : y : z) its barycentrics, the point
+    (a^2 yz : b^2 zx : c^2 xy), a, b and c the sides opposite the face's
+    vertices. A point on a side line maps to the opposite vertex, and a
+    point and its conjugate share one pedal circle. Raises DegenerateError
+    for a collinear face and SimsonDegenerateError for a point on the
+    circumcircle, whose conjugate is at infinity."""
+    face = np.array(face, dtype=float).reshape(3, 3)
+    plane = Plane.through(*face)
+    p = as_array(source)
+    p = p - plane.signed_distance(p) * plane.normal
+    tol = tol or Tolerance.for_points(np.vstack((face, p)))
+    circum = circle_through(*face, tol=tol)
+    on_circle = abs(float(np.linalg.norm(p - circum.center)) - circum.radius)
+    if on_circle <= SIMSON_TOL * tol.scene_scale:
+        raise SimsonDegenerateError("source on the circumcircle: pedal feet are collinear")
+    to_face = face - p
+    nxt, last = [1, 2, 0], [2, 0, 1]
+    # p's barycentrics: twice the signed areas of (p, B, C), (p, C, A) and
+    # (p, A, B); the conjugate's are each squared side times the other two
+    x = cross_rows(to_face[nxt], to_face[last]) @ plane.normal
+    sides = face[last] - face[nxt]
+    w = dot_rows(sides, sides) * x[nxt] * x[last]
+    return p + w @ to_face / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +490,16 @@ def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
 
 def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) -> Tetrahedron:
     """Unique tetrahedron orthosecting the host with the chain's feet as
-    edge intersections (see ``partner_from_feet``).
+    edge intersections: face m lies in the plane of the three feet on the
+    host edges through vertex m.
 
     For a plane-kind carrier (flat partner) the feet planes all coincide
     with the carrier, so each vertex is instead recovered as the
     intersection of the carrier plane with the projection line through its
-    source point. Either way the orthosection postcondition holds or a
-    ReconstructionError is raised.
+    source point. Either way the orthosection postcondition (every gap and
+    orthogonality residual below POSTCONDITION_TOL) holds or a
+    ReconstructionError is raised, the symptom of feet that are not
+    co-spherical.
     """
     tol = tol or Tolerance.for_points(sc.chain.host.array)
     return _require_orthosection(sc.chain.host, _chain_partner(sc, tol), tol)
@@ -545,21 +524,11 @@ def _chain_partner(sc: SphericalChain, tol: Tolerance) -> Tetrahedron:
     return Tetrahedron.of(verts)
 
 
-def partner_from_feet(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
-    """Tetrahedron orthosecting ``host`` whose edge intersections are
-    ``feet`` (6, 3), one per host edge in EDGE_PAIRINGS order.
-
-    Face m of the result lies in the plane of the three feet on the host
-    edges through vertex m. The orthosection postcondition (all six gaps
-    and all six orthogonality residuals below POSTCONDITION_TOL) is
-    asserted and a ReconstructionError raised when it fails, which is the
-    symptom of feet that were not actually co-spherical.
-    """
-    return _require_orthosection(host, _partner_vertices(host, feet, tol), tol)
-
-
 def _partner_vertices(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
-    """``partner_from_feet`` without its orthosection postcondition."""
+    """The tetrahedron whose edge intersections with ``host`` are ``feet``
+    (6, 3), one per host edge in EDGE_PAIRINGS order, before the
+    orthosection postcondition: face m lies in the plane of the three feet
+    on the host edges through vertex m."""
     p = feet[_FEET_AT]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     n = cross_rows(u, v)

@@ -13,40 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import CurvePointError, DegenerateError
 from .geom_core import Tolerance, as_array, cross_rows, dot_rows
-from .orthology import (
-    Pairing,
-    Tetrahedron,
-    _I,
-    _J,
-    _K,
-    _L,
-    by_pairing,
-    pair_measures,
-    pair_tolerance,
-)
+from .orthology import Tetrahedron, _I, _J, _K, _L, pair_tolerance
 from .pedal import (VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
                     _require_orthosection, spherical_chain)
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualVector:
-    """Six signed edge-orthogonality residuals (normalized dot products)
-    and six signed intersection residuals (normalized triple products),
-    ordered as EDGE_PAIRINGS."""
-
-    orthogonality: Dict[Pairing, float]
-    intersection: Dict[Pairing, float]
-    values: np.ndarray
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
 
 
 # degeneracy filters shared by solve and trace_family, in scene scales: a
@@ -122,7 +97,9 @@ _KL = 3 * np.concatenate((_K, _L))[:, None] + np.arange(3)
 
 class OrthosectSystem:
     """Residuals and analytic Jacobian of the orthosecting conditions for a
-    fixed host, as functions of the twelve partner coordinates.
+    fixed host, as functions of the twelve partner coordinates. All twelve
+    residuals vanish exactly when the partner orthosects the host under the
+    given labeling.
 
     Row p uses host edge vector U[p] = A_i - A_j, partner edge vector
     W[p] = B_k - B_l and M[p] = B_k - A_i; the six pairings are stacked so
@@ -194,20 +171,6 @@ class OrthosectSystem:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[1]
-
-
-def orthosect_residuals(a: Tetrahedron, b: Tetrahedron,
-                        tol: Tolerance | None = None) -> ResidualVector:
-    """Signed residual vector of the orthosecting conditions for a pair.
-
-    All twelve vanish (within tolerance) iff the pair orthosects under the
-    given labeling: orthogonal non-corresponding edges that also intersect.
-    """
-    tol = tol or pair_tolerance(a, b)
-    pair_measures(a, b, tol)    # raises DegenerateError on a zero-length edge
-    vals = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
-    return ResidualVector(orthogonality=by_pairing(vals[:6]),
-                          intersection=by_pairing(vals[6:]), values=vals)
 
 
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):

@@ -47,6 +47,13 @@ def random_similarity(rng: np.random.Generator, log_scale: float):
     return lambda p: scale * p @ q.T + shift
 
 
+def max_residual(a: Tetrahedron, b: Tetrahedron, tol=None) -> float:
+    """The largest of the twelve orthosecting residuals of the pair, as the
+    ``solve`` and ``conjugate`` commands read them."""
+    system = OrthosectSystem(a, tol or pair_tolerance(a, b))
+    return float(np.abs(system.residuals(b.array.reshape(12))).max())
+
+
 def find_partner(a: Tetrahedron, base_seed: int) -> Tetrahedron:
     """First orthosecting partner found, escalating restarts if needed."""
     for attempt, restarts in enumerate((6, 18, 54)):
@@ -179,7 +186,7 @@ def pair_measure_calls(monkeypatch):
         calls.append(args[:2])
         return real(*args, **kwargs)
 
-    for module in (orthology, pedal, solver, analysis, export, cli):
+    for module in (orthology, pedal, analysis, export, cli):
         monkeypatch.setattr(module, "pair_measures", counted)
     return calls
 

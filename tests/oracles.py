@@ -11,17 +11,91 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from orthosect.analysis import FIT_CUT, FIT_NODES, NONIC, _TERMS, _chebyshev
-from orthosect.errors import DegenerateError
+from orthosect.errors import DegenerateError, SimsonDegenerateError
 from orthosect.geom_core import (
     FLAT_SPHERE_RADIUS_FACTOR,
+    Circle3D,
+    Line,
     Plane,
     SphereOrPlane,
     Tolerance,
     as_array,
     circle_through,
+    dot_rows,
+    meet_rows,
 )
-from orthosect.orthology import Tetrahedron
-from orthosect.pedal import PedalChain
+from orthosect.orthology import FACE_VERTICES, Tetrahedron
+from orthosect.pedal import SIMSON_TOL, PedalChain
+
+
+def project_to_plane(p, pl: Plane) -> np.ndarray:
+    """Orthographic projection of a point onto a plane."""
+    a = as_array(p)
+    return a - pl.signed_distance(a) * pl.normal
+
+
+def foot_on_line(p, l: Line) -> np.ndarray:
+    """Foot of the perpendicular from a point onto a line."""
+    return l.anchor + np.dot(as_array(p) - l.anchor, l.direction) * l.direction
+
+
+def pedal_triangle(source, face) -> Tuple[np.ndarray, np.ndarray]:
+    """The pedal triangle of a point with respect to a host triangle: the
+    source projected onto the face plane (3,) and its feet (3, 3) on the
+    edge lines (0, 1), (0, 2) and (1, 2) of the face, which may fall outside
+    the edge segments."""
+    face = np.array(face, dtype=float).reshape(3, 3)
+    try:
+        plane = Plane.through(*face)
+    except DegenerateError as exc:
+        raise DegenerateError(f"degenerate face: {exc}") from exc
+    src = project_to_plane(source, plane)
+    feet = np.array([foot_on_line(src, Line.through(face[i], face[j]))
+                     for i, j in ((0, 1), (0, 2), (1, 2))])
+    return src, feet
+
+
+def pedal_circle(source, face, tol: Tolerance | None = None) -> Circle3D:
+    """The circle through the pedal triangle's feet. Raises
+    SimsonDegenerateError when the source lies on the host's circumcircle,
+    where the feet are collinear (the Simson line)."""
+    src, feet = pedal_triangle(source, face)
+    face = np.array(face, dtype=float).reshape(3, 3)
+    tol = tol or Tolerance.for_points(np.vstack((face, src)))
+    circum = circle_through(*face, tol=tol)
+    if abs(float(np.linalg.norm(src - circum.center)) - circum.radius) \
+            <= SIMSON_TOL * tol.scene_scale:
+        raise SimsonDegenerateError("source on the circumcircle: pedal feet are collinear")
+    return circle_through(*feet, tol=tol)
+
+
+def construct_orthologic(a: Tetrahedron, center, offsets: Sequence[float] | None = None,
+                         tol: Tolerance | None = None) -> Tetrahedron:
+    """Orthologic partner of ``a`` with prescribed orthology center.
+
+    The partner's face normals are the vectors from ``center`` to the
+    vertices of ``a``; ``offsets[i]`` places face plane i as
+    ``n_i . x = offsets[i]``. Partners with parallel faces are equivalent,
+    so the default offsets put each face plane through the corresponding
+    vertex of ``a`` to give a canonical representative.
+    """
+    c = as_array(center)
+    tol = tol or Tolerance.for_points(np.vstack((a.array, c)))
+    n = a.array - c
+    length = np.sqrt(dot_rows(n, n))
+    near = length <= tol.eps_abs * tol.scene_scale
+    if near.any():
+        raise DegenerateError(f"center coincides with vertex {int(np.argmax(near)) + 1}")
+    n = n / length[:, None]
+    offsets = dot_rows(n, a.array) if offsets is None else np.asarray(offsets, dtype=float)
+    if offsets.shape != (4,):
+        raise ValueError("need exactly four face offsets")
+    planes = np.column_stack((n, offsets))
+    # all four planes through one common point: degenerate (point partner)
+    common = meet_rows(planes[None, :3])[0]
+    if abs(np.dot(n[3], common) - offsets[3]) <= tol.eps_abs * tol.scene_scale:
+        raise DegenerateError("all four face planes pass through a single point")
+    return Tetrahedron.of(meet_rows(planes[FACE_VERTICES]))
 
 
 def fit_plane(points: np.ndarray) -> Plane:

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (ACCEPTANCE_LINES, find_partner, five_point_partner, random_tetrahedron,
-                      trace_vertices)
-from oracles import circular_net
+from conftest import (ACCEPTANCE_LINES, find_partner, five_point_partner, max_residual,
+                      random_tetrahedron, trace_vertices)
+from oracles import circular_net, construct_orthologic, pedal_circle, project_to_plane
 from orthosect.analysis import (
     conjugate,
     iterate_sequence,
@@ -22,11 +22,10 @@ from orthosect.analysis import (
 )
 from orthosect.cli import main
 from orthosect.errors import GeometryError, SimsonDegenerateError
-from orthosect.geom_core import Tolerance, project_to_plane
+from orthosect.geom_core import Tolerance
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
-    construct_orthologic,
     edge_orthogonality_residuals,
     orthology_centers,
     pair_measures,
@@ -37,7 +36,6 @@ from orthosect.pedal import (
     chain_sphere_residual,
     complete_chain,
     isogonal_conjugate,
-    pedal_circle,
     reconstruct_tetrahedron,
     spherical_chain,
 )
@@ -45,7 +43,6 @@ from orthosect.scene import Scene, save_scene
 from orthosect.solver import (
     OrthosectSystem,
     SolverConfig,
-    orthosect_residuals,
     solve_detailed,
     solve_from_curve_point,
     trace_family,
@@ -317,7 +314,7 @@ def test_self_conjugate_curve():
         rebuilt = solve_from_curve_point(a, p, tol)
         worst_conj = max(worst_conj, min(abs(f) for f in fs_q))
         worst_solve = max(worst_solve,
-                          orthosect_residuals(a, rebuilt, tol).max_abs,
+                          max_residual(a, rebuilt, tol),
                           pair_measures(a, rebuilt, tol)[1].max())
         checked += 1
     elapsed = time.monotonic() - started

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import find_partner, five_point_partner, random_tetrahedron, trace_vertices
-from oracles import exact_sphere_through, fit_plane
+from conftest import (find_partner, five_point_partner, max_residual, random_tetrahedron,
+                      trace_vertices)
+from oracles import exact_sphere_through, fit_plane, project_to_plane
 from orthosect import analysis, pedal
 from orthosect.analysis import (
     conjugate,
@@ -18,15 +19,11 @@ from orthosect.analysis import (
     verify_sphere,
 )
 from orthosect.errors import DegenerateError, NotOrthologicError, NotOrthosectingError
-from orthosect.geom_core import SphereOrPlane, project_to_plane
+from orthosect.geom_core import SphereOrPlane
 from orthosect.orthology import (EDGE_PAIRINGS, Tetrahedron, orthology_centers, pair_measures,
                                  pair_tolerance)
 from orthosect.pedal import chain_sphere_residual, isogonal_conjugate
-from orthosect.solver import (
-    SolverConfig,
-    orthosect_residuals,
-    solve,
-)
+from orthosect.solver import SolverConfig, solve
 
 T_REG = Tetrahedron.of([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
 
@@ -154,7 +151,7 @@ def test_orthosecting_guard_exception_classes(call):
 def test_conjugate_involution(demo_pair):
     a, b, tol = demo_pair
     c = conjugate(a, b, tol)
-    assert orthosect_residuals(a, c, tol).max_abs <= tol.eps_rel
+    assert max_residual(a, c, tol) <= tol.eps_rel
     back = conjugate(a, c, tol)
     assert np.abs(back.array - b.array).max() <= 1e-7 * tol.scene_scale
 
@@ -248,12 +245,12 @@ def test_conjugate_uses_no_pedal_construction(monkeypatch, demo_pair):
     def refuse(*args, **kwargs):
         raise AssertionError("conjugate built a pedal construction")
 
-    for name in ("isogonal_conjugate", "pedal_triangle", "pedal_circle", "spherical_chain",
-                 "chain_from_pair", "reconstruct_tetrahedron"):
+    for name in ("isogonal_conjugate", "spherical_chain", "chain_from_pair",
+                 "reconstruct_tetrahedron"):
         monkeypatch.setattr(pedal, name, refuse)
         monkeypatch.setattr(analysis, name, refuse, raising=False)
     a, b, tol = demo_pair
-    assert orthosect_residuals(a, conjugate(a, b, tol), tol).max_abs <= tol.eps_rel
+    assert max_residual(a, conjugate(a, b, tol), tol) <= tol.eps_rel
 
 
 def test_conjugate_of_flat_partner_is_degenerate(flat_pair):

@@ -15,7 +15,7 @@ from orthosect import analysis, cli, export, geom_core, pedal, solver
 from orthosect.cli import build_parser, main
 from orthosect.errors import DegenerateError
 from orthosect.geom_core import Tolerance
-from orthosect.orthology import Tetrahedron
+from orthosect.orthology import Tetrahedron, pair_measures
 from orthosect.scene import Scene, dumps_canonical, load_scene, save_scene
 
 DEMO_SCENE = str(Path(__file__).parent.parent / "scenes" / "demo.json")
@@ -293,8 +293,11 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
     tol = Tolerance.for_points(np.vstack((a.array, collapsed.array)), eps_abs=1e-12)
     assert 1e-10 < tol.eps_abs * tol.scene_scale < 1e-7
     with pytest.raises(DegenerateError, match="^zero-length edge B12$"):
-        solver.orthosect_residuals(a, collapsed, tol)
-    assert np.isfinite(solver.orthosect_residuals(a, with_edge_b12(1e-7), tol).values).all()
+        pair_measures(a, collapsed, tol)
+    system = solver.OrthosectSystem(a, tol)
+    with pytest.raises(solver._Collapse):
+        system.residuals(collapsed.array.reshape(12))
+    assert np.isfinite(system.residuals(with_edge_b12(1e-7).array.reshape(12))).all()
     # the conjugate core measures the partner it rebuilt for its
     # postcondition; here the orthosecting pair's rebuilt "conjugate" is the
     # collapsed partner
@@ -367,6 +370,33 @@ def test_pair_commands_equivariant_under_similarity(tmp_path_factory, demo_pair_
         if key is not None:
             tets = np.array(got["results"][key])
             assert np.abs(tets - move(np.array(want["results"][key]))).max() <= 1e-9 * scale
+
+
+@given(perm=st.permutations((1, 2, 3, 4)))
+@settings(max_examples=24, deadline=None)
+def test_pair_commands_invariant_under_relabeling(tmp_path_factory, demo_pair_reports, perm):
+    """verify, verify --corollary4, conjugate and sequence --n 6 on the
+    demo pair with both tetrahedra relabeled by one permutation of 1..4
+    exit as on the pair as given, with the same verdict names and pass
+    flags and every verdict value within 1e-9; the conjugate and sequence
+    tetrahedra, mapped back to the given labels, are the given ones within
+    1e-9 scene scales."""
+    demo = load_scene(DEMO_SCENE)
+    scale = geom_core.diameter(np.vstack([t.array for t in demo.tetrahedra.values()]))
+    work = tmp_path_factory.mktemp("relabeled")
+    save_scene(Scene(tetrahedra={n: t.relabeled(perm) for n, t in demo.tetrahedra.items()}),
+               work / "scene.json")
+    runs = _pair_reports(str(work / "scene.json"), work / "report.json")
+    back = np.argsort(np.asarray(perm) - 1)
+    for (_, key), (want_code, want), (code, got) in zip(_PAIR_COMMANDS, demo_pair_reports, runs):
+        assert code == want_code
+        assert ([(v["name"], v["passed"]) for v in got["verdicts"]]
+                == [(v["name"], v["passed"]) for v in want["verdicts"]])
+        for v, w in zip(got["verdicts"], want["verdicts"]):
+            assert abs(v["value"] - w["value"]) <= 1e-9
+        if key is not None:
+            tets = np.array(got["results"][key])[..., back, :]
+            assert np.abs(tets - np.array(want["results"][key])).max() <= 1e-9 * scale
 
 
 def test_parser_built_once_and_reused(tmp_path, capsys):

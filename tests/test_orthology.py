@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
+from oracles import construct_orthologic
 from orthosect.errors import DegenerateError, GeometryError, NotOrthologicError
 from orthosect.geom_core import Line, Plane, Tolerance, closest_points, concurrency_rows
 from orthosect.orthology import (
     EDGE_PAIRINGS,
     Tetrahedron,
-    construct_orthologic,
     edge_orthogonality_residuals,
     orthology_centers,
     pair_measures,

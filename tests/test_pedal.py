@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
-from oracles import circular_net, exact_sphere_through
+from oracles import (
+    circular_net,
+    exact_sphere_through,
+    foot_on_line,
+    pedal_circle,
+    pedal_triangle,
+    project_to_plane,
+)
 from orthosect.errors import (
     DegenerateError,
     ReconstructionError,
@@ -18,8 +25,6 @@ from orthosect.geom_core import (
     Plane,
     Tolerance,
     circle_through,
-    foot_on_line,
-    project_to_plane,
     unit,
 )
 from orthosect import pedal
@@ -32,9 +37,6 @@ from orthosect.pedal import (
     chain_sphere_residual,
     complete_chain,
     isogonal_conjugate,
-    partner_from_feet,
-    pedal_circle,
-    pedal_triangle,
     reconstruct_tetrahedron,
     spherical_chain,
 )
@@ -63,17 +65,17 @@ def random_interior_source(rng, face):
 
 
 def test_pedal_triangle_analytic():
-    tri = pedal_triangle((0.2, 0.3, 0), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    assert np.allclose(tri.feet[0], [0.2, 0, 0], atol=1e-15)
-    assert np.allclose(tri.feet[1], [0, 0.3, 0], atol=1e-15)
-    assert np.allclose(tri.feet[2], [0.45, 0.55, 0], atol=1e-14)
+    _, feet = pedal_triangle((0.2, 0.3, 0), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert np.allclose(feet[0], [0.2, 0, 0], atol=1e-15)
+    assert np.allclose(feet[1], [0, 0.3, 0], atol=1e-15)
+    assert np.allclose(feet[2], [0.45, 0.55, 0], atol=1e-14)
 
 
 def test_pedal_triangle_circumcenter_gives_midpoints():
-    tri = pedal_triangle((0, 0, 0), EQUILATERAL)
+    _, feet = pedal_triangle((0, 0, 0), EQUILATERAL)
     face = [np.asarray(p) for p in EQUILATERAL]
     mids = [0.5 * (face[0] + face[1]), 0.5 * (face[0] + face[2]), 0.5 * (face[1] + face[2])]
-    for foot, mid in zip(tri.feet, mids):
+    for foot, mid in zip(feet, mids):
         assert np.allclose(foot, mid, atol=1e-14)
 
 
@@ -82,8 +84,8 @@ def test_pedal_triangle_feet_perpendicular():
     for _ in range(15):
         face = random_triangle(rng)
         src = random_interior_source(rng, face)
-        tri = pedal_triangle(src, face)
-        for (i, j), foot in zip(((0, 1), (0, 2), (1, 2)), tri.feet):
+        _, feet = pedal_triangle(src, face)
+        for (i, j), foot in zip(((0, 1), (0, 2), (1, 2)), feet):
             edge = face[j] - face[i]
             assert abs(np.dot(src - foot, edge)) < 1e-10
             # foot is on the edge line
@@ -92,15 +94,19 @@ def test_pedal_triangle_feet_perpendicular():
 
 
 def test_pedal_triangle_degenerate_face():
-    with pytest.raises(DegenerateError):
-        pedal_triangle((0, 0, 0), [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    for construction in (pedal_triangle, isogonal_conjugate):
+        with pytest.raises(DegenerateError):
+            construction((0, 0, 0), [(0, 0, 0), (1, 1, 1), (2, 2, 2)])
+    # a height of 1e-9 is below eps_rel: circle_through's collinear face
+    with pytest.raises(DegenerateError, match="collinear points"):
+        isogonal_conjugate((0, 0, 0), [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)])
 
 
 def test_pedal_triangle_strict_mode():
     face = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     off_plane = (0.2, 0.3, 0.5)
-    tri = pedal_triangle(off_plane, face)  # an off-plane source is projected first
-    assert np.array_equal(tri.source, [0.2, 0.3, 0.0])
+    src, _ = pedal_triangle(off_plane, face)  # an off-plane source is projected first
+    assert np.array_equal(src, [0.2, 0.3, 0.0])
 
 
 # --- pedal_circle -----------------------------------------------------------
@@ -114,8 +120,9 @@ def test_pedal_circle_center_is_medial():
 
 def test_pedal_circle_simson_degenerate():
     # any vertex of the host lies on the circumcircle
-    with pytest.raises(SimsonDegenerateError):
-        pedal_circle(EQUILATERAL[0], EQUILATERAL)
+    for construction in (pedal_circle, isogonal_conjugate):
+        with pytest.raises(SimsonDegenerateError):
+            construction(EQUILATERAL[0], EQUILATERAL)
 
 
 def test_pedal_circle_feet_equidistant():
@@ -127,8 +134,8 @@ def test_pedal_circle_feet_equidistant():
             circle = pedal_circle(src, face)
         except SimsonDegenerateError:
             continue
-        tri = pedal_triangle(src, face)
-        for foot in tri.feet:
+        _, feet = pedal_triangle(src, face)
+        for foot in feet:
             assert abs(np.linalg.norm(foot - circle.center) - circle.radius) < 1e-10
 
 
@@ -184,23 +191,42 @@ def test_isogonal_conjugate_incenter_fixed():
 
 
 def test_isogonal_conjugate_involution_and_shared_circle():
+    """A point and its conjugate share the pedal circle, and conjugating
+    twice gives the point back, on each face as drawn and moved by a random
+    rigid motion and similarity at scales 1e-9..1e9."""
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 20:
-        face = random_triangle(rng)
-        src = random_interior_source(rng, face)
-        try:
-            c_p = pedal_circle(src, face)
-            q = isogonal_conjugate(src, face)
-            c_q = pedal_circle(q, face)
-            back = isogonal_conjugate(q, face)
-        except SimsonDegenerateError:
-            continue
-        scale = Tolerance.for_points(face).scene_scale
-        assert np.linalg.norm(c_p.center - c_q.center) < 1e-10 * scale
-        assert abs(c_p.radius - c_q.radius) < 1e-10 * scale
-        assert np.linalg.norm(back - src) < 1e-10 * scale
+        drawn = np.array(random_triangle(rng))
+        src0 = random_interior_source(rng, drawn)
+        move = random_similarity(rng, rng.uniform(-9.0, 9.0))
+        for face, src in ((drawn, src0), (move(drawn), move(src0[None])[0])):
+            try:
+                c_p = pedal_circle(src, face)
+                q = isogonal_conjugate(src, face)
+                c_q = pedal_circle(q, face)
+                back = isogonal_conjugate(q, face)
+            except SimsonDegenerateError:
+                continue
+            scale = Tolerance.for_points(face).scene_scale
+            assert np.linalg.norm(c_p.center - c_q.center) < 1e-10 * scale
+            assert abs(c_p.radius - c_q.radius) < 1e-10 * scale
+            assert np.linalg.norm(back - src) < 1e-10 * scale
         checked += 1
+
+
+def test_isogonal_conjugate_maps_side_line_to_opposite_vertex():
+    """A point on the line of a side, inside the side or beyond either end,
+    is conjugate to the opposite vertex."""
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        face = np.array(random_triangle(rng))
+        scale = Tolerance.for_points(face).scene_scale
+        for k in range(3):
+            b, c = face[(k + 1) % 3], face[(k + 2) % 3]
+            for s in (-1.5, 0.3, 0.5, 0.8, 2.5):
+                q = isogonal_conjugate(b + s * (c - b), face)
+                assert np.linalg.norm(q - face[k]) < 1e-10 * scale
 
 
 # --- complete_chain ---------------------------------------------------------
@@ -485,7 +511,7 @@ def _outcome(fn, *args):
 
 
 def _ref_partner_from_feet(host, feet, tol):
-    """partner_from_feet as a loop over Plane.through, each vertex solved
+    """``partner_from_feet`` as a loop over Plane.through, each vertex solved
     from the normals and offsets of the other three planes."""
     planes = []
     for k, rows in enumerate(((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))):
@@ -507,6 +533,13 @@ def _ref_partner_from_feet(host, feet, tol):
     return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
 
 
+def partner_from_feet(host, feet, tol):
+    """The sphere-carrier reconstruction of ``reconstruct_tetrahedron``:
+    the partner from its feet planes, held to the orthosection
+    postcondition."""
+    return _require_orthosection(host, pedal._partner_vertices(host, feet, tol), tol)
+
+
 @pytest.fixture(scope="module")
 def family_members(demo_pair):
     """The demo pair's host and its partners 15 family steps either way."""
@@ -521,7 +554,7 @@ def family_members(demo_pair):
 @settings(max_examples=100, deadline=None)
 def test_partner_from_feet_matches_plane_loop_bit_for_bit(family_members, member, seed,
                                                           log_scale):
-    """partner_from_feet reproduces the loop of Plane.through and
+    """The partner from its feet reproduces the loop of Plane.through and
     per-vertex plane meets exactly, on the intersection points of family members of
     the demo pair under a random rigid motion at scales 1e-12..1e12."""
     a, members = family_members

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from conftest import random_tetrahedron, trace_vertices
+from conftest import max_residual, random_tetrahedron, trace_vertices
+from oracles import project_to_plane
 from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
-from orthosect.geom_core import Tolerance, project_to_plane
+from orthosect.geom_core import Tolerance
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
 from orthosect.pedal import chain_sphere_residual
 from orthosect.scene import load_scene
@@ -22,7 +23,6 @@ from orthosect.solver import (
     OrthosectSystem,
     _Collapse,
     SolverConfig,
-    orthosect_residuals,
     solve,
     solve_detailed,
     solve_from_curve_point,
@@ -34,15 +34,15 @@ T_REG = Tetrahedron.of([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
 
 def test_residuals_on_solution(demo_pair):
     a, b, tol = demo_pair
-    rv = orthosect_residuals(a, b, tol)
-    assert rv.max_abs < 1e-10
-    assert len(rv.values) == 12
+    values = OrthosectSystem(a, tol).residuals(b.array.reshape(12))
+    assert np.abs(values).max() < 1e-10
+    assert len(values) == 12
 
 
 def test_treg_orthologic_but_skew():
-    rv = orthosect_residuals(T_REG, T_REG)
-    assert max(abs(v) for v in rv.orthogonality.values()) == 0.0
-    assert max(abs(v) for v in rv.intersection.values()) > 0.1
+    values = OrthosectSystem(T_REG).residuals(T_REG.array.reshape(12))
+    assert np.abs(values[:6]).max() == 0.0
+    assert np.abs(values[6:]).max() > 0.1
     assert pair_measures(T_REG, T_REG)[1].max() > 0.1
 
 
@@ -50,21 +50,23 @@ def test_residuals_rigid_motion_invariant():
     rng = np.random.default_rng(0)
     a = random_tetrahedron(rng)
     b = random_tetrahedron(rng)
-    rv = orthosect_residuals(a, b)
+    values = OrthosectSystem(a, pair_tolerance(a, b)).residuals(b.array.reshape(12))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     shift = rng.normal(size=3) * 5
     a2 = Tetrahedron.of(a.array @ q.T + shift)
     b2 = Tetrahedron.of(b.array @ q.T + shift)
-    rv2 = orthosect_residuals(a2, b2)
-    assert np.allclose(np.abs(rv.values), np.abs(rv2.values), atol=1e-12)
+    moved = OrthosectSystem(a2, pair_tolerance(a2, b2)).residuals(b2.array.reshape(12))
+    assert np.allclose(np.abs(values), np.abs(moved), atol=1e-12)
 
 
 def test_residuals_zero_edge_error():
+    """The pair kernel, which measures every pair a command checks, rejects
+    a zero-length edge."""
     bad = Tetrahedron.of([(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(DegenerateError):
-        orthosect_residuals(bad, T_REG)
+        pair_measures(bad, T_REG)
 
 
 def test_jacobian_matches_central_differences():
@@ -505,7 +507,7 @@ def test_solve_finds_verified_solutions():
     solutions = solve(a, SolverConfig(seed=3, restarts=16))
     assert solutions
     for b in solutions[:3]:
-        assert orthosect_residuals(a, b).max_abs <= 1e-10
+        assert max_residual(a, b) <= 1e-10
         assert pair_measures(a, b)[1].max() <= 1e-10
 
 
@@ -598,7 +600,7 @@ def test_solve_from_curve_point_roundtrip(demo_pair):
     b4 = project_to_plane(b.vertex(4), a.face_plane(4))
     rebuilt = solve_from_curve_point(a, b4, tol)
     assert np.abs(rebuilt.array - b.array).max() <= 1e-7 * tol.scene_scale
-    assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-8
+    assert max_residual(a, rebuilt, tol) <= 1e-8
 
 
 def test_solve_from_curve_point_rejects_off_curve(demo_pair):
@@ -645,7 +647,7 @@ def test_solve_from_curve_point_polished_near_face_vertex(demo_pair):
         if np.linalg.norm(a.array[:3] - p, axis=1).min() > 1e-2 * tol.scene_scale:
             continue
         rebuilt = solve_from_curve_point(a, p, tol)
-        assert orthosect_residuals(a, rebuilt, tol).max_abs <= 1e-12
+        assert max_residual(a, rebuilt, tol) <= 1e-12
         assert pair_measures(a, rebuilt, tol)[1].max() <= 1e-12
         checked += 1
     assert checked >= 10
