@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import CurvePointError, DegenerateError
 from .geom_core import Tolerance, as_array, cross_rows, dot_rows
-from .orthology import Tetrahedron, _I, _J, _K, _L, pair_tolerance
+from .orthology import (Tetrahedron, _I, _J, _K, _L, pair_measures, pair_tolerance,
+                        require_orthosecting)
 from .pedal import (VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
                     _require_orthosection, spherical_chain)
 
@@ -310,11 +311,6 @@ def solve(a: Tetrahedron, cfg: SolverConfig, tol: Tolerance | None = None) -> Li
     return list(solve_detailed(a, cfg, tol).solutions)
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    return v if v[idx] >= 0 else -v
-
-
 def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                  direction: int = 1, tol: Tolerance | None = None) -> SolutionBranch:
     """Predictor-corrector continuation along the one-parameter family of
@@ -330,20 +326,23 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     nullity of two or more), corrector failure after step halving, or
     degeneracy filters, and reports the reason. The Jacobian's singular
     values at each sample, its tangent and its left null vector all come
-    from one SVD there.
+    from one SVD there. Raises ``require_orthosecting``'s errors when the
+    start does not orthosect the host at ``tol``: DegenerateError on a
+    zero-length edge, NotOrthologicError or NotOrthosectingError off the
+    family.
     """
     tol = tol or pair_tolerance(a, b0)
+    require_orthosecting(pair_measures(a, b0, tol), tol)
     sys = OrthosectSystem(a, tol)
     scale = sys.scale
     x = b0.array.reshape(12).copy()
     r, jac, _ = sys.evaluate(x)
-    if np.abs(r).max() > 1e-9:
-        raise ValueError(f"start is not on the family: max residual {np.abs(r).max():.3e}")
     points = [x]
     residuals = [float(np.abs(r).max())]
-    # the tangent is the last right singular vector of the Jacobian
+    # the tangent is the last right singular vector of the Jacobian, its
+    # largest entry made positive before ``direction`` applies
     u, s, vt = np.linalg.svd(jac)
-    tau = float(direction) * _canonical_sign(vt[-1])
+    tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
     singular_values = [s]
     stop = "steps exhausted"
     center = a.array.mean(axis=0)
@@ -365,20 +364,24 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
             try:
                 for _ in range(25):
                     r, jac, edges = sys.evaluate(y)
-                    if np.abs(r).max() <= 1e-12:
+                    worst = float(np.abs(r).max())
+                    if worst <= 1e-12:
                         break
                     aug[:12, :12] = jac
                     np.negative(r, out=rhs[:12])
                     rhs[12] = -(weight * float(np.dot(tau, y - x_pred)))
                     delta = np.linalg.solve(aug, rhs)[:12]
-                    if not np.isfinite(delta).all():
+                    # |delta|^2, non-finite when delta is; its root is np.linalg.norm's
+                    squared = float(delta.dot(delta))
+                    if not math.isfinite(squared):
                         raise np.linalg.LinAlgError("corrector step is not finite")
                     y += delta
-                    if np.linalg.norm(delta) < 1e-16 * scale:
+                    if math.sqrt(squared) < 1e-16 * scale:
                         r, jac, edges = sys.evaluate(y)
+                        worst = float(np.abs(r).max())
                         break
                 # accepted when the last evaluation, the one at y, is on the family
-                if np.abs(r).max() <= 1e-12:
+                if worst <= 1e-12:
                     break
             except (_Collapse, np.linalg.LinAlgError):
                 pass
@@ -394,7 +397,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
             stop = "degenerate: out of range"
             break
         points.append(x)
-        residuals.append(float(np.abs(r).max()))
+        residuals.append(worst)
         # tangent at the new sample, sign-aligned with the step just taken
         u, s, vt = np.linalg.svd(jac)
         tau = -vt[-1] if float(np.dot(vt[-1], tau)) < 0 else vt[-1]

@@ -186,7 +186,7 @@ def pair_measure_calls(monkeypatch):
         calls.append(args[:2])
         return real(*args, **kwargs)
 
-    for module in (orthology, pedal, analysis, export, cli):
+    for module in (orthology, pedal, analysis, export, solver, cli):
         monkeypatch.setattr(module, "pair_measures", counted)
     return calls
 

@@ -103,6 +103,9 @@ def test_solve_report_content(capsys, pair_scene):
     names = {v["name"]: v for v in report["verdicts"]}
     assert names["solutions_found"]["passed"]
     assert names["solution_residual"]["value"] <= 1e-10
+    # the verdict is the worst residual of the accepted restarts
+    assert names["solution_residual"]["value"] == max(
+        d["max_residual"] for d in report["results"]["diagnostics"] if d["reason"] == "solution")
 
 
 def test_trace_family_cli(capsys, pair_scene, demo_pair):
@@ -118,6 +121,39 @@ def test_trace_family_cli(capsys, pair_scene, demo_pair):
     assert names["nullity_one"]["passed"]
 
 
+def _collapsed_scene(tmp_path, name):
+    """The demo scene with vertex 2 of tetrahedron ``name`` moved onto its
+    vertex 1, or the demo scene itself when ``name`` is None."""
+    if name is None:
+        return DEMO_SCENE
+    demo = load_scene(DEMO_SCENE)
+    coords = demo.tetrahedron(name).array.copy()
+    coords[1] = coords[0]
+    path = tmp_path / f"zero_{name}.json"
+    save_scene(Scene(tetrahedra={**demo.tetrahedra, name: Tetrahedron.of(coords)}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("collapsed,start,error", [
+    ("A", "B", "DegenerateError: zero-length edge A12"),
+    ("B", "B", "DegenerateError: zero-length edge B12"),
+    (None, "A", "NotOrthologicError: "),
+], ids=["host-edge", "start-edge", "off-family"])
+def test_trace_family_reports_bad_start(tmp_path, capsys, collapsed, start, error):
+    """A start that does not orthosect the host fails the pair guard every
+    pair command uses, and trace-family reports it as JSON with exit 1: a
+    zero-length host or start edge, or the host itself as its start."""
+    scene = _collapsed_scene(tmp_path, collapsed)
+    code = main(["trace-family", "--scene", scene, "--tet", "A", "--start", start,
+                 "--steps", "3", "--step", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert report["error"].startswith(error)
+
+
 def test_conjugate_cli(capsys, pair_scene):
     code, report = _run(capsys, ["conjugate", "--scene", pair_scene, "--pair", "A,B"])
     assert code == 0
@@ -125,6 +161,13 @@ def test_conjugate_cli(capsys, pair_scene):
     assert names["conjugate_orthosects"]["passed"]
     assert names["carriers_match"]["passed"]
     assert len(report["results"]["conjugate"]) == 4
+    # the verdict is the worst orthogonality residual or gap of the
+    # (host, conjugate) pair measurement at the scene tolerance
+    scene = load_scene(pair_scene)
+    a, b = scene.tetrahedron("A"), scene.tetrahedron("B")
+    ortho, gaps, _ = pair_measures(a, Tetrahedron.of(report["results"]["conjugate"]),
+                                   scene.tolerance(np.vstack((a.array, b.array))))
+    assert names["conjugate_orthosects"]["value"] == max(ortho.max(), gaps.max())
 
 
 def test_sequence_cli(capsys, pair_scene):

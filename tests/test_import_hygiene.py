@@ -1,9 +1,9 @@
 """Source hygiene, read from each module's syntax tree. Every name a module
 of the package imports is read in that module: a deleted function often
 leaves behind an import that only it used (``__init__.py`` is exempt,
-because its imports are the package's exports). No module calls np.cross.
-Every public function, method and class has a caller or a reader; being
-exported is not being read."""
+because its imports are the package's exports). No module calls np.cross,
+and the CLI names no OrthosectSystem. Every public function, method and
+class has a caller or a reader; being exported is not being read."""
 
 import ast
 import re
@@ -39,6 +39,18 @@ def test_no_np_cross(module):
              and node.func.attr == "cross" and isinstance(node.func.value, ast.Name)
              and node.func.value.id in ("np", "numpy")]
     assert not calls, f"np.cross called on lines {calls}"
+
+
+def test_cli_names_no_orthosect_system():
+    """Every verdict and guard of the CLI reads ``pair_measures`` or the
+    solver's own results; ``OrthosectSystem`` is the solver's residual
+    vector, and the CLI builds none."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "OrthosectSystem")
+             or (isinstance(node, ast.Attribute) and node.attr == "OrthosectSystem")
+             or (isinstance(node, ast.alias) and node.name == "OrthosectSystem")]
+    assert not named, f"cli.py names OrthosectSystem on lines {named}"
 
 
 def _public_definitions(tree):
