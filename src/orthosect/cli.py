@@ -93,7 +93,7 @@ def _carrier_dict(carrier) -> dict:
         return {"kind": "sphere", "center": carrier.center.tolist(),
                 "radius": carrier.radius}
     return {"kind": "plane",
-            "normal": [float(c) for c in carrier.carrier.normal],
+            "normal": carrier.carrier.normal.tolist(),
             "offset": carrier.carrier.offset}
 
 

@@ -39,17 +39,17 @@ def trace_to_dict(trace: CurveTrace) -> dict:
         "window": list(trace.window),
         "frame": {
             "origin": trace.origin.tolist(),
-            "axis_u": [float(c) for c in trace.axis_u],
-            "axis_v": [float(c) for c in trace.axis_v],
+            "axis_u": trace.axis_u.tolist(),
+            "axis_v": trace.axis_v.tolist(),
         },
         "residual_bound": trace.residual_bound,
         "vertex_count": trace.vertex_count,
         "polylines": [
             {
                 "branch": poly.branch,
-                "points": [[float(u), float(v)] for u, v in poly.points],
-                "residuals": [float(r) for r in poly.residuals],
-                "ts": [float(t) for t in poly.ts],
+                "points": poly.points.tolist(),
+                "residuals": poly.residuals.tolist(),
+                "ts": poly.ts.tolist(),
             }
             for poly in trace.polylines
         ],
@@ -97,30 +97,31 @@ class _SvgCanvas:
         self.xs.append(float(u))
         self.ys.append(float(v))
 
-    def path(self, layer: str, points: Sequence[Tuple[float, float]],
-             closed: bool = False, cls: str = ""):
+    def path(self, layer: str, points: Sequence[Tuple[float, float]], closed: bool = False):
         cmds = []
         for idx, (u, v) in enumerate(points):
             self._track(u, v)
             cmds.append(f"{'M' if idx == 0 else 'L'} {_f(u)} {_f(-v)}")
         if closed:
             cmds.append("Z")
-        attr = f' class="{cls}"' if cls else ""
-        self.layers[layer].append(f'<path{attr} d="{" ".join(cmds)}"/>')
+        self.layers[layer].append(f'<path d="{" ".join(cmds)}"/>')
 
-    def circle(self, layer: str, center: Tuple[float, float], radius: float,
-               cls: str = "", track: bool = True):
+    def curve(self, trace: CurveTrace):
+        for poly in trace.polylines:
+            self.path("curve", poly.points.tolist())
+
+    def circle(self, center: Tuple[float, float], radius: float, cls: str):
         u, v = center
-        if track:
-            self._track(u - radius, v - radius)
-            self._track(u + radius, v + radius)
-        attr = f' class="{cls}"' if cls else ""
-        self.layers[layer].append(
-            f'<circle{attr} cx="{_f(u)}" cy="{_f(-v)}" r="{_f(radius)}"/>')
+        self._track(u - radius, v - radius)
+        self._track(u + radius, v + radius)
+        self.layers["circles"].append(
+            f'<circle class="{cls}" cx="{_f(u)}" cy="{_f(-v)}" r="{_f(radius)}"/>')
 
-    def dot(self, layer: str, center: Tuple[float, float], radius: float, cls: str = ""):
-        self.circle(layer, center, radius, cls=cls, track=False)
-        self._track(*center)
+    def dot(self, layer: str, center: Tuple[float, float]):
+        """A point marker; the layer's style sets its radius."""
+        u, v = center
+        self._track(u, v)
+        self.layers[layer].append(f'<circle cx="{_f(u)}" cy="{_f(-v)}" r="0.0"/>')
 
     def render(self) -> str:
         if not self.xs:
@@ -160,8 +161,7 @@ def trace_to_svg(trace: CurveTrace) -> str:
     canvas = _SvgCanvas()
     x0, y0, x1, y1 = trace.window
     canvas.path("triangle", [(x0, y0), (x1, y0), (x1, y1), (x0, y1)], closed=True)
-    for poly in trace.polylines:
-        canvas.path("curve", [(float(u), float(v)) for u, v in poly.points])
+    canvas.curve(trace)
     return canvas.render()
 
 
@@ -210,8 +210,7 @@ def scene_to_svg(scene: Scene, face: int,
     frame = face_frame(host, face)
     canvas.path("triangle", [frame_uv(frame, v) for v in verts], closed=True)
     circum = circle_through(*verts)
-    canvas.circle("circles", frame_uv(frame, circum.center), circum.radius,
-                  cls="circumcircle")
+    canvas.circle(frame_uv(frame, circum.center), circum.radius, "circumcircle")
     if guest is not None:
         if measures is None:
             measures = pair_measures(host, guest,
@@ -219,20 +218,19 @@ def scene_to_svg(scene: Scene, face: int,
         # the host edges not through vertex ``face``: the face's three edges
         feet = measures[2][[r for r, (ij, _) in enumerate(EDGE_PAIRINGS) if face not in ij]]
         for foot in feet:
-            canvas.dot("feet", frame_uv(frame, foot), 0.0)
+            canvas.dot("feet", frame_uv(frame, foot))
         normal, offset = host.faces[face - 1, :3], host.faces[face - 1, 3]
         source = guest.array[face - 1]
         source = source - (np.dot(normal, source) - offset) * normal
-        canvas.dot("sources", frame_uv(frame, source), 0.0)
+        canvas.dot("sources", frame_uv(frame, source))
         try:
             pedal = circle_through(*feet)
         except DegenerateError:
             pass
         else:
-            canvas.circle("circles", frame_uv(frame, pedal.center), pedal.radius, cls="pedal")
+            canvas.circle(frame_uv(frame, pedal.center), pedal.radius, "pedal")
     if trace is not None:
-        for poly in trace.polylines:
-            canvas.path("curve", [(float(u), float(v)) for u, v in poly.points])
+        canvas.curve(trace)
     return canvas.render()
 
 

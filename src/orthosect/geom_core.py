@@ -112,7 +112,6 @@ class Plane:
 class Circle3D:
     center: np.ndarray
     radius: float
-    carrier: Plane
 
     def __post_init__(self):
         if self.radius < 0:
@@ -263,8 +262,7 @@ def circle_through(p1, p2, p3, tol: Tolerance | None = None) -> Circle3D:
     beta = 0.5 * (uu * vv - uu * uv) / det
     center = a + alpha * u + beta * v
     radius = float(np.linalg.norm(center - a))
-    return Circle3D(center=center, radius=radius,
-                    carrier=Plane(normal=n, offset=float(np.dot(n, a))))
+    return Circle3D(center=center, radius=radius)
 
 
 def _sphere_fit(points: np.ndarray) -> dict:

@@ -104,7 +104,8 @@ class OrthosectSystem:
 
     Row p uses host edge vector U[p] = A_i - A_j, partner edge vector
     W[p] = B_k - B_l and M[p] = B_k - A_i; the six pairings are stacked so
-    that each quantity is one array operation.
+    that each quantity is one array operation. A host edge no longer than
+    the zero-length edge cut of ``pair_measures`` raises DegenerateError.
     """
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None):
@@ -115,6 +116,10 @@ class OrthosectSystem:
         self.ai = self.a[_I]
         self.u = self.ai - self.a[_J]
         self.nu = np.sqrt(dot_rows(self.u, self.u))
+        short = self.nu <= self.tol.eps_abs * self.scale
+        if short.any():
+            p = int(np.argmax(short))
+            raise DegenerateError(f"zero-length edge A{_I[p] + 1}{_J[p] + 1}")
         # flat Jacobian index of the B_k then the B_l columns of the (g, h)
         # rows, g in rows 0-5 and h in rows 6-11
         cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
@@ -130,11 +135,12 @@ class OrthosectSystem:
         m[rows, 3 * _L[:, None] + np.arange(3)] = -self.u
         return m
 
-    def _rows(self, x: np.ndarray):
-        """The orthogonality rows g = U.W / (|U||W|) over the intersection
-        rows h = (U x W).M / (|U||W| scale), all six of each, as (2, 6),
-        with the intermediates the Jacobian reuses. Raises _Collapse on the
-        first collapsed partner edge in pairing order."""
+    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The residuals, the orthogonality rows g = U.W / (|U||W|) then the
+        intersection rows h = (U x W).M / (|U||W| scale), all six of each;
+        their Jacobian (12, 12); and the six partner edge lengths, from one
+        pass. Raises _Collapse on the first collapsed partner edge in
+        pairing order."""
         kl = x.take(_KL)
         bk = kl[:6]
         w = bk - kl[6:]
@@ -152,15 +158,7 @@ class OrthosectSystem:
             raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
         # |U||W| over |U||W| scale, twice
         dens = (self.nu * nw) * self._den_factors
-        return dots[6:].reshape(2, 6) / dens[:2], (w, nw, vecs, dens)
-
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self._rows(x)[0].reshape(12)
-
-    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``residuals(x)``, ``jacobian(x)`` and the six partner edge lengths,
-        from one pass."""
-        gh, (w, nw, vecs, dens) = self._rows(x)
+        gh = dots[6:].reshape(2, 6) / dens[:2]
         # d(g)/dW over d(h)/dW, then d(h)/dM
         quot = vecs / dens[:, :, None]
         dw = quot[:2] - gh[:, :, None] * w / (nw * nw)[:, None]
@@ -169,6 +167,9 @@ class OrthosectSystem:
         jac = np.zeros(144)
         jac[self._jac_at] = np.concatenate((dk, -dw)).reshape(-1)
         return gh.reshape(12), jac.reshape(12, 12), nw
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[1]

@@ -175,7 +175,7 @@ def _concyclicity_residual(quad, tol: Tolerance) -> float:
     circ = circle_through(*tri, tol=tol)
     rest = pts[skip]
     in_plane = abs(np.linalg.norm(rest - circ.center) - circ.radius)
-    off_plane = abs(circ.carrier.signed_distance(rest))
+    off_plane = abs(Plane.through(*tri).signed_distance(rest))
     return float(max(in_plane, off_plane))
 
 

@@ -442,6 +442,41 @@ def test_pair_commands_invariant_under_relabeling(tmp_path_factory, demo_pair_re
             assert np.abs(tets - np.array(want["results"][key])).max() <= 1e-9 * scale
 
 
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       perm=st.permutations((1, 2, 3, 4)))
+@settings(max_examples=15, deadline=None)
+def test_pair_commands_invariant_under_relabeled_similarity(tmp_path_factory, demo_pair_reports,
+                                                            seed, log_scale, perm):
+    """verify, verify --corollary4 and conjugate on the demo pair with both
+    tetrahedra relabeled by one permutation of 1..4 and then moved by a
+    similarity (the draws of the similarity test above) exit as on the pair
+    as given, with the same verdict names and pass flags and every verdict
+    value within 1e-9; the conjugate, relabeled and moved back, is the given
+    one within 1e-9 scene scales. sequence is left out: its conjugate
+    residual grows 50-3e4x per step."""
+    demo = load_scene(DEMO_SCENE)
+    move = random_similarity(np.random.default_rng(seed), log_scale)
+    moved = {name: Tetrahedron.of(move(t.relabeled(perm).array))
+             for name, t in demo.tetrahedra.items()}
+    scale = geom_core.diameter(np.vstack([t.array for t in moved.values()]))
+    work = tmp_path_factory.mktemp("relabeled_moved")
+    save_scene(Scene(tetrahedra=moved), work / "scene.json")
+    back = np.argsort(np.asarray(perm) - 1)
+    for (argv, key), (want_code, want) in zip(_PAIR_COMMANDS[:3], demo_pair_reports):
+        out = work / "report.json"
+        code = main([argv[0], "--scene", str(work / "scene.json"), "--pair", "A,B",
+                     *argv[1:], "--out", str(out)])
+        got = json.loads(out.read_text())
+        assert code == want_code
+        assert ([(v["name"], v["passed"]) for v in got["verdicts"]]
+                == [(v["name"], v["passed"]) for v in want["verdicts"]])
+        for v, w in zip(got["verdicts"], want["verdicts"]):
+            assert abs(v["value"] - w["value"]) <= 1e-9
+        if key is not None:
+            tets = np.array(got["results"][key])[..., back, :]
+            assert np.abs(tets - move(np.array(want["results"][key]))).max() <= 1e-9 * scale
+
+
 def test_parser_built_once_and_reused(tmp_path, capsys):
     """One parser serves every in-process call: a mixed run, with an
     argparse rejection in the middle, prints what fresh parsers print."""

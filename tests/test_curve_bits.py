@@ -13,7 +13,7 @@ from conftest import random_similarity, random_tetrahedron
 from oracles import (chain_kernel_constants, chebyshev_fit_reference, chebyshev_rows,
                      curve_chain_reference, series_value_and_gradient)
 from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
-from orthosect.geom_core import Plane, Tolerance, circle_through
+from orthosect.geom_core import Plane
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
 
 HOSTS = dict(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 9.0))
@@ -118,9 +118,6 @@ def test_planes_and_frames_match_np_cross(seed, log_scale):
     want = Plane(normal=n, offset=float(np.dot(n, a)))
     _check_equal(plane.normal, want.normal)
     assert plane.offset == want.offset
-    circle = circle_through(a, b, c, tol=Tolerance.for_points(host.array))
-    _check_equal(circle.carrier.normal, want.normal)
-    assert circle.carrier.offset == want.offset
     face = int(rng.integers(1, 5))
     _, axis_u, axis_v = face_frame(host, face)
     _check_equal(axis_v, np.cross(host.faces[face - 1, :3], axis_u))

@@ -251,7 +251,7 @@ def test_circle_center_on_carrier():
             c = circle_through(*pts)
         except DegenerateError:
             continue
-        assert abs(c.carrier.signed_distance(c.center)) < 1e-10
+        assert abs(Plane.through(*pts).signed_distance(c.center)) < 1e-10
         for p in pts:
             assert np.linalg.norm(p - c.center) == pytest.approx(c.radius, abs=1e-9)
 

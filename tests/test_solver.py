@@ -69,6 +69,21 @@ def test_residuals_zero_edge_error():
         pair_measures(bad, T_REG)
 
 
+@pytest.mark.parametrize("coords, edge", [
+    ([(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)], "A12"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0)], "A34"),
+])
+def test_system_zero_edge_error(coords, edge):
+    """The solver's system rejects a host with a zero-length edge, with the
+    pair kernel's message, where it would divide by the edge length."""
+    bad = Tetrahedron.of(coords)
+    message = f"^zero-length edge {edge}$"
+    with pytest.raises(DegenerateError, match=message):
+        pair_measures(bad, T_REG)
+    with pytest.raises(DegenerateError, match=message):
+        OrthosectSystem(bad)
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(1)
     a = random_tetrahedron(rng)
