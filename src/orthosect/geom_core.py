@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List
 
 import numpy as np
@@ -175,12 +176,17 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+# the columns cross_rows gathers: u[c+1], u[c+2] and v[c+2], v[c+1] per component c
+_CROSS_U = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_V = np.array([2, 0, 1, 1, 2, 0])
+
+
 def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cross products of two (n, 3) arrays, bit-identical to
     np.cross at about a sixth of its call overhead: component c is
     u[c+1] v[c+2] - u[c+2] v[c+1], its operation order, with both products
     of every component from one gather each."""
-    prod = u.take([1, 2, 0, 2, 0, 1], 1) * v.take([2, 0, 1, 1, 2, 0], 1)
+    prod = u.take(_CROSS_U, 1) * v.take(_CROSS_V, 1)
     return prod[:, :3] - prod[:, 3:]
 
 
@@ -395,9 +401,19 @@ def concurrency_rows(anchors: np.ndarray, directions: np.ndarray,
     return x, math.sqrt(sum((dist * dist).tolist()) / len(anchors)) / tol.scene_scale
 
 
+@lru_cache(maxsize=32)
+def _pair_indices(n: int):
+    """The index pairs i < j of n points, read-only and made once per n
+    (scene scales are taken of a few small point counts)."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def diameter(points: np.ndarray | Iterable) -> float:
     """Diameter (max pairwise distance) of a point set, an (n, 3) array or
     an iterable of points; used as scene scale."""
     arr = points if isinstance(points, np.ndarray) else np.array([as_array(p) for p in points])
-    i, j = np.triu_indices(len(arr), 1)
+    i, j = _pair_indices(len(arr))
     return float(np.linalg.norm(arr[j] - arr[i], axis=1).max(initial=0.0))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional
 
 from .errors import SceneError
@@ -156,9 +157,90 @@ def scene_to_dict(scene: Scene) -> dict:
     return doc
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(value: float) -> str:
+    if value != value or value in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: floats, ints and the constants as the
+    strings of their values."""
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif key is True or key is False or key is None:
+        key = _CONSTANTS[key]
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _encode(value, newline: str, out) -> None:
+    """Pass the JSON text of ``value`` to ``out`` in pieces; ``newline`` is a
+    line break and the indent of the line ``value`` starts on. No builtin
+    type is two of list, float, str and dict, so their order here is free;
+    bool is an int, so the constants come first."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        try:
+            # a list of floats (np.float64 included) at one call; "inf" and
+            # "nan" hold an n, which no finite float's repr does
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:
+            text = "n"
+        if "n" not in text:
+            out(f"[{inner}{text}{newline}]")
+            return
+        lead = "[" + inner
+        for item in value:
+            out(lead)
+            _encode(item, inner, out)
+            lead = "," + inner
+        out(newline + "]")
+    elif isinstance(value, float):
+        out(_float_text(value))
+    elif isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            out(f"{lead}{_key_text(key)}: ")
+            _encode(item, inner, out)
+            lead = "," + inner
+        out(newline + "}")
+    elif value is None or value is True or value is False:
+        out(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps_canonical(doc) -> str:
-    """Deterministic JSON encoding used for scenes and reports."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic JSON encoding used for scenes and reports: the text of
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` and a
+    line break. Like json it raises ValueError on NaN and the infinities
+    and TypeError on other types and on keys it cannot sort or write; a
+    document must be a tree (json's circular-reference check is not made).
+    json encodes an indented document in pure Python, one generator step
+    per value; this encoder writes a list of floats, the bulk of every
+    report, with one join."""
+    pieces: List[str] = []
+    _encode(doc, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import CurvePointError, DegenerateError
-from .geom_core import Tolerance, as_array, cross_rows, dot_rows
+from .geom_core import _CROSS_U, _CROSS_V, Tolerance, as_array, dot_rows
 from .orthology import (Tetrahedron, _I, _J, _K, _L, pair_measures, pair_tolerance,
                         require_orthosecting)
 from .pedal import (VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
@@ -92,8 +92,20 @@ class _Collapse(Exception):
     """Partner collapsed onto a degenerate configuration mid-iteration."""
 
 
-# flat indices into x of B_k (rows 0-5) and of B_l (rows 6-11), per pairing
-_KL = 3 * np.concatenate((_K, _L))[:, None] + np.arange(3)
+# Gather indices of ``OrthosectSystem.evaluate``. Its input buffer holds
+# the host's vertices A_1..A_4 then the partner's B_1..B_4 (rows 4-7), and
+# its (30, 3) work array holds, six rows each per pairing: W = B_k - B_l,
+# M = B_k - A_i, U (constant), M x U and U x W.
+_WM = tuple(3 * np.stack((np.concatenate((_K, _K)) + 4, np.concatenate((_L + 4, _I))))[:, :, None]
+            + np.arange(3))
+_W, _M, _U, _UW = (np.arange(6) + 6 * q for q in (0, 1, 2, 4))
+# both cross products in np.cross's order (see geom_core.cross_rows): the
+# rows [M, U] times [U, W], component c as u[c+1] v[c+2] - u[c+2] v[c+1]
+_CROSS = (3 * np.concatenate((_M, _U))[:, None] + _CROSS_U,
+          3 * np.concatenate((_U, _W))[:, None] + _CROSS_V)
+# W.W, U.W and (U x W).M as one row-wise matmul (see geom_core.dot_rows)
+_DOTS = ((3 * np.concatenate((_W, _U, _UW))[:, None] + np.arange(3))[:, None, :],
+         (3 * np.concatenate((_W, _W, _M))[:, None] + np.arange(3))[:, :, None])
 
 
 class OrthosectSystem:
@@ -104,8 +116,9 @@ class OrthosectSystem:
 
     Row p uses host edge vector U[p] = A_i - A_j, partner edge vector
     W[p] = B_k - B_l and M[p] = B_k - A_i; the six pairings are stacked so
-    that each quantity is one array operation. A host edge no longer than
-    the zero-length edge cut of ``pair_measures`` raises DegenerateError.
+    that each quantity is one array operation, gathered from per-system
+    work buffers. A host edge no longer than the zero-length edge cut of
+    ``pair_measures`` raises DegenerateError.
     """
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None):
@@ -113,10 +126,10 @@ class OrthosectSystem:
         self.tol = tol or Tolerance.for_points(host.array)
         self.scale = self.tol.scene_scale
         self.a = host.array
-        self.ai = self.a[_I]
-        self.u = self.ai - self.a[_J]
+        self.u = self.a[_I] - self.a[_J]
         self.nu = np.sqrt(dot_rows(self.u, self.u))
-        short = self.nu <= self.tol.eps_abs * self.scale
+        self._zero_edge = self.tol.eps_abs * self.scale
+        short = self.nu <= self._zero_edge
         if short.any():
             p = int(np.argmax(short))
             raise DegenerateError(f"zero-length edge A{_I[p] + 1}{_J[p] + 1}")
@@ -125,6 +138,21 @@ class OrthosectSystem:
         cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
         self._jac_at = (12 * np.arange(12).reshape(2, 6, 1) + cols).reshape(-1)
         self._den_factors = np.array([[1.0], [self.scale], [self.scale]])
+        # evaluate's intermediates, and the views it reads and writes them
+        # through, made once: a view costs about what a small ufunc does.
+        # What evaluate returns is always a fresh array.
+        points = np.concatenate((self.a.reshape(12), np.zeros(12)))
+        work = np.zeros((30, 3))
+        work[_U] = self.u
+        prod, dots, dens, quot, scaled, blocks = (
+            np.empty(shape) for shape in ((12, 6), 18, (3, 6), (3, 6, 3), (2, 6, 3), (4, 6, 3)))
+        nw2 = np.empty((6, 1))
+        self._views = (
+            points, points[12:], work.reshape(90), work[:12], work[:6], work[18:],
+            work[12:].reshape(3, 6, 3), prod, prod[:, :3], prod[:, 3:],
+            dots.reshape(18, 1, 1), dots[:6], dots[6:].reshape(2, 6),
+            dens, dens[:2], dens[:, :, None], quot, quot[:2], quot[2], scaled,
+            nw2, nw2.reshape(6), blocks.reshape(72), blocks[:2], blocks[1], blocks[2:])
 
     def orthogonality_matrix(self) -> np.ndarray:
         """Constant 6x12 matrix of the (unnormalized) linear orthogonality
@@ -141,31 +169,35 @@ class OrthosectSystem:
         their Jacobian (12, 12); and the six partner edge lengths, from one
         pass. Raises _Collapse on the first collapsed partner edge in
         pairing order."""
-        kl = x.take(_KL)
-        bk = kl[:6]
-        w = bk - kl[6:]
-        m = bk - self.ai
-        # U over M x U over U x W
-        cross = cross_rows(np.concatenate((m, self.u)), np.concatenate((self.u, w)))
-        vecs = np.concatenate((self.u, cross)).reshape(3, 6, 3)
-        # W.W, U.W and (U x W).M as one row-wise dot (see dot_rows)
-        dots = np.matmul(np.concatenate((w, self.u, vecs[2]))[:, None, :],
-                         np.concatenate((w, w, m))[:, :, None])[:, 0, 0]
-        nw = np.sqrt(dots[:6])
-        collapsed = nw <= self.tol.eps_abs * self.scale
-        if collapsed.any():
-            p = int(np.argmax(collapsed))
+        (points, partner, flat, wm, w, cross, vecs, prod, prod_a, prod_b,
+         dots, ww, gh_dots, dens, gh_dens, vec_dens, quot, dg_dh, dm, scaled,
+         nw2, nw2_flat, jac_blocks, bk, bk_h, bl) = self._views
+        partner[...] = x
+        np.subtract(points.take(_WM[0]), points.take(_WM[1]), out=wm)
+        np.multiply(flat.take(_CROSS[0]), flat.take(_CROSS[1]), out=prod)
+        np.subtract(prod_a, prod_b, out=cross)
+        np.matmul(flat.take(_DOTS[0]), flat.take(_DOTS[1]), out=dots)
+        nw = np.sqrt(ww)
+        # fmin skips NaN: the least edge is collapsed iff some edge is
+        if np.fmin.reduce(nw) <= self._zero_edge:
+            p = int(np.argmax(nw <= self._zero_edge))
             raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
         # |U||W| over |U||W| scale, twice
-        dens = (self.nu * nw) * self._den_factors
-        gh = dots[6:].reshape(2, 6) / dens[:2]
-        # d(g)/dW over d(h)/dW, then d(h)/dM
-        quot = vecs / dens[:, :, None]
-        dw = quot[:2] - gh[:, :, None] * w / (nw * nw)[:, None]
-        dk = dw.copy()
-        dk[1] += quot[2]
+        np.multiply(self.nu * nw, self._den_factors, out=dens)
+        gh = gh_dots / gh_dens
+        # U, M x U and U x W over their denominators: d(g)/dW over d(h)/dW,
+        # then d(h)/dM
+        np.divide(vecs, vec_dens, out=quot)
+        # the B_k blocks d(g)/dW and d(h)/dW + d(h)/dM, then the B_l blocks
+        # -d(g)/dW and -d(h)/dW
+        np.multiply(gh[:, :, None], w, out=scaled)
+        np.multiply(nw, nw, out=nw2_flat)
+        np.divide(scaled, nw2, out=scaled)
+        np.subtract(dg_dh, scaled, out=bk)
+        np.negative(bk, out=bl)
+        np.add(bk_h, dm, out=bk_h)
         jac = np.zeros(144)
-        jac[self._jac_at] = np.concatenate((dk, -dw)).reshape(-1)
+        jac[self._jac_at] = jac_blocks
         return gh.reshape(12), jac.reshape(12, 12), nw
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
@@ -346,37 +378,39 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
     singular_values = [s]
     stop = "steps exhausted"
-    center = a.array.mean(axis=0)
+    # the host's centroid once per partner vertex, as x holds them
+    center = np.tile(a.array.mean(axis=0), 4)
     weight = 1.0 / scale
     # the corrector's system: Jacobian and left null vector over weighted
     # tangent and zero, negated rhs
     aug = np.zeros((13, 13))
     rhs = np.empty(13)
+    aug_jac, aug_phi, aug_tau, rhs_r = aug[:12, :12], aug[:12, 12], aug[12, :12], rhs[:12]
     for _ in range(steps):
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
-        aug[:12, 12] = u[:, -1]
-        np.multiply(weight, tau, out=aug[12, :12])
+        aug_phi[...] = u[:, -1]
+        np.multiply(weight, tau, out=aug_tau)
         step = h
         for _ in range(7):
-            x_pred = x + step * tau
-            y = x_pred.copy()
+            # every corrected point is a new array, so y starts as x_pred
+            y = x_pred = x + step * tau
             try:
                 for _ in range(25):
                     r, jac, edges = sys.evaluate(y)
                     worst = float(np.abs(r).max())
                     if worst <= 1e-12:
                         break
-                    aug[:12, :12] = jac
-                    np.negative(r, out=rhs[:12])
-                    rhs[12] = -(weight * float(np.dot(tau, y - x_pred)))
+                    aug_jac[...] = jac
+                    np.negative(r, out=rhs_r)
+                    rhs[12] = -(weight * float(tau.dot(y - x_pred)))
                     delta = np.linalg.solve(aug, rhs)[:12]
                     # |delta|^2, non-finite when delta is; its root is np.linalg.norm's
                     squared = float(delta.dot(delta))
                     if not math.isfinite(squared):
                         raise np.linalg.LinAlgError("corrector step is not finite")
-                    y += delta
+                    y = y + delta
                     if math.sqrt(squared) < 1e-16 * scale:
                         r, jac, edges = sys.evaluate(y)
                         worst = float(np.abs(r).max())
@@ -394,14 +428,14 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         if float(edges.min()) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
-        if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
+        if float(np.abs(x - center).max()) > MAX_COORD_FACTOR * scale:
             stop = "degenerate: out of range"
             break
         points.append(x)
         residuals.append(worst)
         # tangent at the new sample, sign-aligned with the step just taken
         u, s, vt = np.linalg.svd(jac)
-        tau = -vt[-1] if float(np.dot(vt[-1], tau)) < 0 else vt[-1]
+        tau = -vt[-1] if float(vt[-1].dot(tau)) < 0 else vt[-1]
         singular_values.append(s)
     coords = np.array(points).reshape(-1, 4, 3)
     coords.setflags(write=False)

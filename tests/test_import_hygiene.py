@@ -1,9 +1,10 @@
 """Source hygiene, read from each module's syntax tree. Every name a module
 of the package imports is read in that module: a deleted function often
 leaves behind an import that only it used (``__init__.py`` is exempt,
-because its imports are the package's exports). No module calls np.cross,
-and the CLI names no OrthosectSystem. Every public function, method and
-class has a caller or a reader; being exported is not being read."""
+because its imports are the package's exports). No module calls np.cross
+or json.dumps, and the CLI names no OrthosectSystem. Every public
+function, method and class has a caller or a reader; being exported is
+not being read."""
 
 import ast
 import re
@@ -39,6 +40,21 @@ def test_no_np_cross(module):
              and node.func.attr == "cross" and isinstance(node.func.value, ast.Name)
              and node.func.value.id in ("np", "numpy")]
     assert not calls, f"np.cross called on lines {calls}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_json_dumps(module):
+    """Every scene and report is encoded by ``scene.dumps_canonical``, which
+    gives the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
+    without its pure-Python indent path; no module names ``json.dumps`` or
+    ``json.dump``."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump")
+             and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    calls += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "json" and any(a.name in ("dumps", "dump") for a in node.names)]
+    assert not calls, f"json.dump or json.dumps named on lines {calls}"
 
 
 def test_cli_names_no_orthosect_system():

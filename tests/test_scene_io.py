@@ -1,13 +1,16 @@
 """Scene file schema, strictness, and bit-exact round-trips."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthosect.cli import main
 from orthosect.errors import SceneError
 from orthosect.geom_core import Tolerance
-from orthosect.scene import Scene, load_scene, save_scene, scene_from_dict
+from orthosect.scene import Scene, dumps_canonical, load_scene, save_scene, scene_from_dict
 
 T_REG_DOC = {"tetrahedra": {"A": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}}
 
@@ -125,3 +128,75 @@ def test_boolean_numbers_rejected(tmp_path):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--scene", str(path), "--pair", "A,A"]) == 2
+
+
+def _json_canonical(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome(encode, doc):
+    """The text ``encode`` gives for ``doc``, or the type of its error."""
+    try:
+        return encode(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+# keys with quotes, escapes and non-ASCII text
+_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "é", " ",
+                                             "\U0001f600", "a\tb"])
+
+
+def _documents(floats, key_types):
+    """Nested documents of the scalars reports hold, floats drawn from
+    ``floats`` as float and np.float64, dict keys from ``key_types``."""
+    floats = floats | floats.map(np.float64)
+    scalars = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=6)
+
+    def containers(children):
+        return (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                | st.lists(floats, max_size=5)
+                | st.one_of(*(st.dictionaries(keys, children, max_size=4)
+                              for keys in key_types)))
+    return st.recursive(scalars, containers, max_leaves=30)
+
+
+# every float (st.floats draws NaN and both infinities), and keys of every
+# kind json takes, mixed kinds that do not sort included
+_DOCUMENTS = _documents(st.floats(), (_KEYS, st.integers() | st.floats(),
+                                      st.booleans() | st.none()))
+_FINITE_DOCUMENTS = _documents(st.floats(allow_nan=False, allow_infinity=False), (_KEYS,))
+
+
+def _nest(doc, depth, key):
+    """``doc`` at the bottom of ``depth`` alternating list and dict layers."""
+    for level in range(depth):
+        doc = [1, doc] if level % 2 else {key: doc, "z": []}
+    return doc
+
+
+@given(doc=_DOCUMENTS, depth=st.integers(0, 6), key=_KEYS)
+@settings(max_examples=400, deadline=None)
+def test_dumps_canonical_is_json_indent_2(doc, depth, key):
+    """The canonical encoder gives json.dumps's indent-2, sorted-key text,
+    byte for byte, and fails where json does: ValueError on NaN and the
+    infinities at any depth, TypeError on keys that do not sort."""
+    doc = _nest(doc, depth, key)
+    assert _outcome(dumps_canonical, doc) == _outcome(_json_canonical, doc)
+
+
+@given(doc=_FINITE_DOCUMENTS, depth=st.integers(0, 6), key=_KEYS,
+       bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                            np.float64(-math.inf)]),
+       where=st.sampled_from(["value", "list", "float list", "key"]))
+@settings(max_examples=200, deadline=None)
+def test_dumps_canonical_rejects_nonfinite_floats(doc, depth, key, bad, where):
+    """A non-finite float anywhere, as a value, in a list, in a list of
+    floats or as a key, raises ValueError as json does."""
+    planted = {"value": {"x": bad, "y": doc}, "list": [doc, bad, "s"],
+               "float list": [0.5, bad, 2.0], "key": {bad: doc}}[where]
+    doc = _nest(planted, depth, key)
+    with pytest.raises(ValueError):
+        _json_canonical(doc)
+    with pytest.raises(ValueError):
+        dumps_canonical(doc)

@@ -457,12 +457,14 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
     than bordered (square LU) solves, and no least-squares solve is made.
-    The residual-only and Jacobian-only views are never called."""
+    The residual-only and Jacobian-only views are never called. One SVD
+    per sample, the start's included, gives its tangent and singular
+    values."""
     a, b, tol = demo_pair
-    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0}
+    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0, "svd": 0}
     for name in ("evaluate", "residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
-    for name in ("solve", "lstsq"):
+    for name in ("solve", "lstsq", "svd"):
         _count_calls(monkeypatch, calls, np.linalg, name)
     branch = trace_family(a, b, steps=20, h=0.03 * tol.scene_scale, tol=tol)
     assert branch.stop_reason == "steps exhausted" and len(branch) == 21
@@ -471,6 +473,7 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     assert calls["lstsq"] == 0
     # the start's evaluate, then per step one more than its solves
     assert calls["evaluate"] == 1 + calls["solve"] + steps
+    assert calls["svd"] == len(branch)
     assert calls["residuals"] == calls["jacobian"] == 0
 
 
