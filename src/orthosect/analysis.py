@@ -121,15 +121,15 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     carrier) has its conjugate at infinity and raises DegenerateError.
     """
     tol = tol or pair_tolerance(a, b)
-    return conjugate_from_measures(a, pair_measures(a, b, tol), tol)[0]
+    _, points = require_orthosecting(pair_measures(a, b, tol), tol)
+    return conjugate_from_points(a, points, tol)[0]
 
 
-def conjugate_from_measures(a: Tetrahedron, measures, tol: Tolerance):
-    """``conjugate`` on the pair's ``pair_measures`` at ``tol``: the
-    conjugate, the carrier of the pair's intersection points, and the
-    ``pair_measures`` of (``a``, conjugate) that the reconstruction
-    postcondition checked."""
-    _, points = require_orthosecting(measures, tol)
+def conjugate_from_points(a: Tetrahedron, points: np.ndarray, tol: Tolerance):
+    """``conjugate`` from the pair's guarded intersection points (6, 3), as
+    ``require_orthosecting`` returns them: the conjugate, the carrier of the
+    points, and the ``pair_measures`` of (``a``, conjugate) that the
+    reconstruction postcondition checked."""
     carrier, residual = carrier_through(points, tol)
     if residual > tol.eps_rel * tol.scene_scale:
         raise DegenerateError(f"intersection points deviate from a common sphere/plane "
@@ -528,31 +528,31 @@ def iterate_sequence(b0: Tetrahedron, b1: Tetrahedron, n: int,
     Checks that every consecutive pair orthosects, and records the worst
     residual of all their intersection points against the first pair's
     carrier and the orthology centers of all pairs clustered at
-    CLUSTER_RADIUS_FACTOR scene scales. A degeneracy mid-run truncates the
-    sequence and reports the step."""
+    CLUSTER_RADIUS_FACTOR scene scales. Each pair is measured, guarded and
+    centred once, as its second member is built: the first pair raises, and
+    a GeometryError on a later pair truncates the run before that member."""
     tol = tol or pair_tolerance(b0, b1)
-    # per consecutive pair, its pair_measures: each conjugate's comes from
-    # the reconstruction postcondition
-    measured = [pair_measures(b0, b1, tol)]
-    require_orthosecting(measured[0], tol)
-    seq: List[Tetrahedron] = [b0, b1]
-    truncated_at = None
-    reason = None
-    for m in range(1, n):
-        try:
-            c, _, measures = conjugate_from_measures(
-                seq[m], pair_measures(seq[m], seq[m - 1], tol), tol)
-        except GeometryError as exc:
-            truncated_at = m + 1
-            reason = str(exc)
-            break
-        seq.append(c)
-        measured.append(measures)
+    seq: List[Tetrahedron] = [b0]
     feet: List[np.ndarray] = []
     centers: List[np.ndarray] = []
-    for m, measures in enumerate(measured):
-        feet.append(require_orthosecting(measures, tol)[1])
-        oc = centers_from_residuals(seq[m], seq[m + 1], measures[0], tol)
+    truncated_at = reason = None
+    for m in range(n):
+        try:
+            if m:
+                # (seq[m], seq[m - 1]) measures as the pair before it with
+                # every array reversed: its points are that pair's, reversed
+                member, _, measures = conjugate_from_points(seq[m], feet[-1][::-1], tol)
+            else:
+                member, measures = b1, pair_measures(b0, b1, tol)
+            points = require_orthosecting(measures, tol)[1]
+            oc = centers_from_residuals(seq[m], member, measures[0], tol)
+        except GeometryError as exc:
+            if not m:
+                raise
+            truncated_at, reason = m + 1, str(exc)
+            break
+        seq.append(member)
+        feet.append(points)
         centers.extend([oc.center_a, oc.center_b])
     carrier, _ = carrier_through(feet[0], tol)
     shared = max(abs(carrier.signed_distance(p)) / tol.scene_scale

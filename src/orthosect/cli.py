@@ -177,7 +177,8 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
     a_name, b_name, a, b = _pair(scene, args.pair)
     tol = scene.tolerance(np.vstack((a.array, b.array)))
     report.results["pair"] = [a_name, b_name]
-    c, carrier_b, measures = analysis.conjugate_from_measures(a, pair_measures(a, b, tol), tol)
+    _, points_b = require_orthosecting(pair_measures(a, b, tol), tol)
+    c, carrier_b, measures = analysis.conjugate_from_points(a, points_b, tol)
     report.results["conjugate"] = c.array.tolist()
     report.add_verdict("conjugate_orthosects", max(float(m.max()) for m in measures[:2]),
                        tol.eps_rel)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List
+from typing import Iterable
 
 import numpy as np
 
@@ -282,28 +282,24 @@ def _sphere_fit(points: np.ndarray) -> dict:
     it gets the total least-squares plane. Only the entries of its own kind
     are meaningful; stacks with non-finite points get NaN throughout."""
     k, m, _ = points.shape
-    # modified Gram-Schmidt QR of the columns [x, y, z, 1], then -|p|^2
-    # projected onto Q and back-substituted; every step is an elementwise
-    # operation on (m, K) arrays
+    # one right-looking modified Gram-Schmidt sweep over the columns
+    # [x, y, z, 1, -|p|^2]: R (4, 4) and Q^T rhs in the last column of r;
+    # every step is an elementwise operation on (m, K) arrays
     xyz = np.ascontiguousarray(points.transpose(2, 1, 0))
-    cols = [xyz[0], xyz[1], xyz[2], np.ones((m, k))]
-    rhs = -(xyz * xyz).sum(axis=0)
-    q: List[np.ndarray] = []
-    r = np.zeros((4, 4, k))
-    # right-hand sides: Q^T rhs, then the identity, so that back-substitution
-    # yields the solution and R^-1 together
-    y = np.zeros((4, 5, k))
-    y[:, 1:] = np.eye(4)[:, :, None]
+    a = np.concatenate([xyz, np.ones((1, m, k)), -(xyz * xyz).sum(axis=0)[None]])
+    r = np.zeros((4, 5, k))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j, v in enumerate(cols):
-            for i, qi in enumerate(q):
-                r[i, j] = (qi * v).sum(axis=0)
-                v = v - r[i, j] * qi
-            r[j, j] = np.sqrt((v * v).sum(axis=0))
-            q.append(v / r[j, j])
-        for j, qj in enumerate(q):
-            y[j, 0] = (qj * rhs).sum(axis=0)
-            rhs = rhs - y[j, 0] * qj
+        for j in range(4):
+            r[j, j] = np.sqrt((a[j] * a[j]).sum(axis=0))
+            a[j] = a[j] / r[j, j]
+            r[j, j + 1:] = (a[j] * a[j + 1:]).sum(axis=1)
+            a[j + 1:] = a[j + 1:] - r[j, j + 1:, None] * a[j]
+        # right-hand sides: Q^T rhs, then the identity, so that
+        # back-substitution yields the solution and R^-1 together
+        y = np.zeros((4, 5, k))
+        y[:, 0] = r[:, 4]
+        y[:, 1:] = np.eye(4)[:, :, None]
+        r = r[:, :4]
         for j in range(3, -1, -1):
             for i in range(j + 1, 4):
                 y[j] = y[j] - r[j, i] * y[i]

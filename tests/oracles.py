@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -281,3 +281,56 @@ def chebyshev_fit_reference(frame, window) -> Tuple[np.ndarray, float]:
         coef[:] = 0.0
         coef[_TERMS] = np.linalg.solve(vander.T @ vander, vander.T @ f)
     return coef, cut
+
+
+def sphere_fit_two_loops(points: np.ndarray) -> dict:
+    """``geom_core._sphere_fit`` as a left-looking modified Gram-Schmidt
+    QR: each of the columns [x, y, z, 1] in turn projected on the earlier
+    ones, then the right-hand side -|p|^2 projected on all four in a loop of
+    its own. Each column takes the same projections in the same order as in
+    the engine's one sweep."""
+    k, m, _ = points.shape
+    xyz = np.ascontiguousarray(points.transpose(2, 1, 0))
+    cols = [xyz[0], xyz[1], xyz[2], np.ones((m, k))]
+    rhs = -(xyz * xyz).sum(axis=0)
+    q: List[np.ndarray] = []
+    r = np.zeros((4, 4, k))
+    y = np.zeros((4, 5, k))
+    y[:, 1:] = np.eye(4)[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, v in enumerate(cols):
+            for i, qi in enumerate(q):
+                r[i, j] = (qi * v).sum(axis=0)
+                v = v - r[i, j] * qi
+            r[j, j] = np.sqrt((v * v).sum(axis=0))
+            q.append(v / r[j, j])
+        for j, qj in enumerate(q):
+            y[j, 0] = (qj * rhs).sum(axis=0)
+            rhs = rhs - y[j, 0] * qj
+        for j in range(3, -1, -1):
+            for i in range(j + 1, 4):
+                y[j] = y[j] - r[j, i] * y[i]
+            y[j] = y[j] / r[j, j]
+        sol = y[:, 0]
+        cond = np.sqrt((r * r).sum(axis=(0, 1)) * (y[:, 1:] * y[:, 1:]).sum(axis=(0, 1)))
+        full_rank = np.finfo(float).eps * max(m, 4) * cond < 1.0
+        center = -0.5 * sol[:3]
+        r2 = (center * center).sum(axis=0) - sol[3]
+        radius = np.sqrt(np.where(r2 > 0, r2, np.nan))
+        sphere = full_rank & (radius <= FLAT_SPHERE_RADIUS_FACTOR)
+        center = np.where(sphere, center, np.nan)
+        radius = np.where(sphere, radius, np.nan)
+        d = xyz - center[:, None]
+        residual = np.abs(np.sqrt((d * d).sum(axis=0)) - radius).max(axis=0)
+    normal = np.full((k, 3), np.nan)
+    offset = np.full(k, np.nan)
+    flat = ~sphere & np.isfinite(points).all(axis=(1, 2))
+    if flat.any():
+        pts = points[flat]
+        centroid = pts.mean(axis=1)
+        n = np.linalg.svd(pts - centroid[:, None])[2][:, -1]
+        normal[flat] = n
+        offset[flat] = (n * centroid).sum(axis=1)
+        residual[flat] = np.abs(((pts - centroid[:, None]) * n[:, None]).sum(axis=2)).max(axis=1)
+    return {"sphere": sphere, "center": center.T, "radius": radius,
+            "normal": normal, "offset": offset, "residual": residual}

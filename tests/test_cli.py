@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report shape, determinism, tolerance overrides."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from orthosect.orthology import Tetrahedron, pair_measures
 from orthosect.scene import Scene, dumps_canonical, load_scene, save_scene
 
 DEMO_SCENE = str(Path(__file__).parent.parent / "scenes" / "demo.json")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture()
@@ -573,6 +575,53 @@ def test_conjugate_guards_and_fits_each_pair_once(capsys, monkeypatch, orthology
     assert orthology_center_calls == []
 
 
+def test_sequence_guards_each_pair_once(capsys, monkeypatch):
+    """sequence --n 6 guards each of its six consecutive pairs once, and
+    each guard reads the one measurement of its pair: the first pair's
+    ``pair_measures``, then each conjugate's postcondition measurement."""
+    measured, guarded = [], []
+    real_measures, real_guard = analysis.pair_measures, analysis.require_orthosecting
+
+    def measuring(a, b, *args, **kwargs):
+        measures = real_measures(a, b, *args, **kwargs)
+        measured.append((a, b, measures))
+        return measures
+
+    def guarding(measures, *args, **kwargs):
+        guarded.append(measures)
+        return real_guard(measures, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "pair_measures", measuring)
+    monkeypatch.setattr(analysis, "require_orthosecting", guarding)
+    code, report = _run(capsys, ["sequence", "--scene", DEMO_SCENE, "--pair", "A,B", "--n", "6"])
+    assert code == 0
+    tets = report["results"]["tetrahedra"]
+    pair_of = {id(measures): (a.array.tolist(), b.array.tolist()) for a, b, measures in measured}
+    assert [pair_of[id(measures)] for measures in guarded] == [
+        (tets[m], tets[m + 1]) for m in range(6)]
+
+
+def test_sequence_truncates_where_a_conjugate_fails_the_guard(tmp_path, capsys, monkeypatch):
+    """A conjugate that passes the reconstruction postcondition (1e-6) but
+    not the orthosecting guard at the scene's eps_rel ends the run before
+    it, as any later member's GeometryError does: the report names the
+    member and the guard's message, and holds no error. The pair is slot 5
+    of the seed-1 bench pairs deck, a well-conditioned host at scale 1e6."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    inputs = importlib.import_module("inputs")
+    deck = inputs.make_deck("pairs", 1, BENCH.parent, tmp_path)
+    op = next(op for op in deck if op.kind == "sequence" and op.meta["slot"] == 5)
+    code, report = _run(capsys, op.argv)
+    assert code == 1
+    assert "error" not in report
+    results = report["results"]
+    assert results["truncated_at"] == len(results["tetrahedra"]) == 3
+    # 3.393e-07 here: round-off grown over three conjugations at scale 1e6
+    assert results["truncation_reason"].startswith("pair is not orthologic: max residual ")
+    complete = next(v for v in report["verdicts"] if v["name"] == "complete")
+    assert not complete["passed"]
+
+
 def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):
     """The conjugate command measures each pair once: (host, partner) for
     its guard, and (host, conjugate) for the reconstruction postcondition,
@@ -600,9 +649,10 @@ def test_pair_commands_measure_each_pair_once(tmp_path, capsys, monkeypatch, pai
     ``pair_measures`` call that its guard, sphere report, conjugate,
     centers and drawing all read: verify the demo pair; conjugate the demo
     pair, then (host, conjugate) in the reconstruction postcondition;
-    sequence the first pair, then per conjugate step the reversed pair it
-    conjugates and the new pair, whose postcondition measurement its guard
-    and centers reuse; both exports the pair they find. One carrier fit
+    sequence each forward pair once, the first directly and every later
+    one in its conjugate's postcondition, whose measurement its guard and
+    centers reuse, while each conjugate step reads the pair before it
+    reversed; both exports the pair they find. One carrier fit
     per carrier the command uses (sequence fits each conjugate step's and
     the first pair's), and orthology centers only where the report prints
     them."""
@@ -627,9 +677,7 @@ def test_pair_commands_measure_each_pair_once(tmp_path, capsys, monkeypatch, pai
     else:
         tets = report["results"]["tetrahedra"]
         assert len(tets) == 7
-        expected = [(tets[0], tets[1])] + [pair for m in range(1, 6)
-                                           for pair in ((tets[m], tets[m - 1]),
-                                                        (tets[m], tets[m + 1]))]
+        expected = [(tets[m], tets[m + 1]) for m in range(6)]
     assert [(a.array.tolist(), b.array.tolist()) for a, b in pair_measure_calls] == expected
     assert len(fitted) == fits
     assert len(orthology_center_calls) == centers

@@ -3,17 +3,17 @@ replaced (``oracles``), bit for bit, on random hosts at scales 1e-9..1e9:
 the stacked Chebyshev recurrence, the series fitted from one kernel call,
 the series value and gradient of one recurrence call, the chain kernel's
 constants from ``cross_rows``, the single co-sphericity pass at polished
-vertices, and the planes and frames built with ``cross_rows`` in place of
-np.cross."""
+vertices, the planes and frames built with ``cross_rows`` in place of
+np.cross, and the sphere fit's one Gram-Schmidt sweep."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import (chain_kernel_constants, chebyshev_fit_reference, chebyshev_rows,
-                     curve_chain_reference, series_value_and_gradient)
+                     curve_chain_reference, series_value_and_gradient, sphere_fit_two_loops)
 from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
-from orthosect.geom_core import Plane
+from orthosect.geom_core import Plane, _sphere_fit
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
 
 HOSTS = dict(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 9.0))
@@ -121,3 +121,22 @@ def test_planes_and_frames_match_np_cross(seed, log_scale):
     face = int(rng.integers(1, 5))
     _, axis_u, axis_v = face_frame(host, face)
     _check_equal(axis_v, np.cross(host.faces[face - 1, :3], axis_u))
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 49), m=st.sampled_from([4, 5, 6]))
+@settings(max_examples=60, deadline=None)
+def test_sphere_fit_sweep_matches_two_loops(seed, k, m):
+    """All six outputs of the one-sweep fit equal the two-loop QR's, on
+    stacks at scales 1e-3..1e3: random, about a third near-flat (1e-12..1e-3
+    off a plane), and some with a NaN point."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1, 1))
+    points = rng.normal(size=(k, m, 3))
+    flat = rng.random(k) < 1.0 / 3.0
+    points[flat, :, 2] *= 10.0 ** rng.uniform(-12.0, -3.0, (int(flat.sum()), 1))
+    points = points * scale + rng.normal(size=(k, 1, 3)) * scale
+    points[rng.random(k) < 0.1, int(rng.integers(m)), int(rng.integers(3))] = np.nan
+    got, want = _sphere_fit(points), sphere_fit_two_loops(points)
+    assert got.keys() == want.keys()
+    for key in want:
+        _check_equal(got[key], want[key])
