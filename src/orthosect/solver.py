@@ -36,6 +36,10 @@ LM_MAX_ITERATIONS = 150
 LM_LAMBDA0 = 1e-3
 LM_LAMBDA_UP = 4.0
 LM_LAMBDA_DOWN = 3.0
+# continuation: the corrector starts from the cubic Hermite extrapolation of
+# the last two samples when the tangent turned by less than acos() of this
+# over the last step, and from the Euler point otherwise
+HERMITE_MIN_COS = 0.999
 # max residual that stops the damped iteration, and the one a solution needs
 TARGET_RESIDUAL = 1e-12
 ACCEPT_RESIDUAL = 1e-11
@@ -355,14 +359,18 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     bordered system [[J, phi], [tau^T / scale, 0]] (Allgower & Georg,
     ch. 2): the Jacobian closed by the left null vector phi of the last
     sample's Jacobian and by the pseudo-arclength row, solved by LU; the
-    border unknown is discarded. Stops early on branch points (numerical
-    nullity of two or more), corrector failure after step halving, or
-    degeneracy filters, and reports the reason. The Jacobian's singular
-    values at each sample, its tangent and its left null vector all come
-    from one SVD there. Raises ``require_orthosecting``'s errors when the
-    start does not orthosect the host at ``tol``: DegenerateError on a
-    zero-length edge, NotOrthologicError or NotOrthosectingError off the
-    family.
+    border unknown is discarded. Newton starts at the Euler point on the
+    first step and after the tangent turned by acos(HERMITE_MIN_COS) or
+    more; otherwise at the cubic Hermite extrapolation of the last two
+    samples and their tangents, moved onto the same pseudo-arclength
+    plane, which lands the same sample from nearer. Stops early on branch
+    points (numerical nullity of two or more), corrector failure after
+    step halving, or degeneracy filters, and reports the reason. The
+    Jacobian's singular values at each sample, its tangent and its left
+    null vector all come from one SVD there. Raises
+    ``require_orthosecting``'s errors when the start does not orthosect
+    the host at ``tol``: DegenerateError on a zero-length edge,
+    NotOrthologicError or NotOrthosectingError off the family.
     """
     tol = tol or pair_tolerance(a, b0)
     require_orthosecting(pair_measures(a, b0, tol), tol)
@@ -386,16 +394,31 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     aug = np.zeros((13, 13))
     rhs = np.empty(13)
     aug_jac, aug_phi, aug_tau, rhs_r = aug[:12, :12], aug[:12, 12], aug[12, :12], rhs[:12]
+    tau_prev = None
     for _ in range(steps):
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
         aug_phi[...] = u[:, -1]
         np.multiply(weight, tau, out=aug_tau)
+        hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
+        if hermite:
+            chord = x - x_prev
+            chord_length = math.sqrt(float(chord.dot(chord)))
         step = h
         for _ in range(7):
-            # every corrected point is a new array, so y starts as x_pred
+            # every corrected point is a new array, so y may start as x_pred
             y = x_pred = x + step * tau
+            if hermite:
+                # the cubic through x_prev and x with end slopes tau_prev and
+                # tau in the chord's arclength, taken step past x: its offset
+                # from x_pred less the offset's tau part, which puts the
+                # start on x_pred's pseudo-arclength plane (tau is a unit
+                # vector); the offset's tau term is left out, as it drops
+                sigma = step / chord_length
+                v = ((step * sigma * (1.0 + sigma)) * tau_prev
+                     - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord)
+                y = x_pred + (v - float(tau.dot(v)) * tau)
             try:
                 for _ in range(25):
                     r, jac, edges = sys.evaluate(y)
@@ -424,7 +447,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         else:
             stop = "corrector divergence"
             break
-        x = y
+        x_prev, tau_prev, x = x, tau, y
         if float(edges.min()) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break

@@ -18,6 +18,7 @@ from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_
 from orthosect.pedal import chain_sphere_residual
 from orthosect.scene import load_scene
 from orthosect.solver import (
+    HERMITE_MIN_COS,
     MAX_COORD_FACTOR,
     MIN_EDGE_FACTOR,
     OrthosectSystem,
@@ -216,14 +217,29 @@ def _lstsq_step(jac, r, tau, phi, weight, offset):
     return np.linalg.lstsq(aug, -np.append(r, weight * offset), rcond=1e-13)[0]
 
 
-def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, system=None):
+def _hermite_start(x_prev, tau_prev, x, tau, step, x_pred):
+    """trace_family's corrector start: the cubic Hermite extrapolation of
+    the last two samples at step past x, in the chord's arclength, moved
+    along tau onto the pseudo-arclength plane through ``x_pred``. Of its
+    offset from x_pred only the tau_prev and chord terms are formed, since
+    the move drops the tau term."""
+    chord = x - x_prev
+    sigma = step / np.linalg.norm(chord)
+    v = (step * sigma * (1.0 + sigma)) * tau_prev - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord
+    return x_pred + (v - float(np.dot(tau, v)) * tau)
+
+
+def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, system=None,
+                     hermite=True):
     """Reference: the continuation loop with residuals and Jacobian
     evaluated separately on ``system`` (by default the per-pairing loop
     system), and both evaluated again at each accepted point for its
     residual and tangent; each corrector iterate takes ``corrector``'s
-    step. Returns (samples, max residuals, singular values, stop reason,
-    step halvings, corrections); the corrections are |point - prediction|
-    / step of every accepted corrector point."""
+    step. The corrector starts at the Euler point x_pred, or with
+    ``hermite`` where trace_family's guard allows at ``_hermite_start``.
+    Returns (samples, max residuals, singular values, stop reason, step
+    halvings, corrections); the corrections are |point - prediction| /
+    step of every accepted corrector point."""
     system = system or _LoopSystem(a.array, tol.scene_scale)
     scale = tol.scene_scale
 
@@ -240,15 +256,19 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
     stop, halvings, corrections = "steps exhausted", 0, []
     center = a.array.mean(axis=0)
     weight = 1.0 / scale
+    x_prev = tau_prev = None
     for _ in range(steps):
         if s[-2] <= 1e-8 * max(s[-3], 1e-300):
             stop = "branch point (nullity >= 2)"
             break
         step = h
         accepted = None
+        smooth = (hermite and tau_prev is not None
+                  and float(np.dot(tau_prev, tau)) > HERMITE_MIN_COS)
         for _ in range(7):
             x_pred = x + step * tau
-            y = x_pred.copy()
+            y = (_hermite_start(x_prev, tau_prev, x, tau, step, x_pred) if smooth
+                 else x_pred.copy())
             ok = False
             try:
                 for _ in range(25):
@@ -274,7 +294,7 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
         if accepted is None:
             stop = "corrector divergence"
             break
-        x = accepted
+        x_prev, x = x, accepted
         corrections.append(float(np.linalg.norm(x - x_pred)) / step)
         if _min_edge(x) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
@@ -287,7 +307,7 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
         tau_new, s, phi = tangent(system.jacobian(x))
         if float(np.dot(tau_new, tau)) < 0:
             tau_new = -tau_new
-        tau = tau_new
+        tau_prev, tau = tau, tau_new
         singular_values.append(s)
     return samples, residuals, singular_values, stop, halvings, corrections
 
@@ -372,12 +392,17 @@ def _assert_traces_agree(branch, oracle, scale):
 
 
 @given(**_TRACE_DRAWS)
+# a long-step trace whose tangent turns by more than acos(0.999) but less
+# than acos(0.99) over a step: a Hermite start there settles on a sample
+# 1.5 scene scales from the least-squares trace's
+@example(host="random", seed=0, log_scale=0.0, direction=-1, log_step=1.0703125, steps=8)
 @settings(max_examples=60, deadline=None)
 def test_trace_family_matches_least_squares_corrector(demo_pair, host, seed, log_scale,
                                                       direction, log_step, steps):
-    """The bordered corrector traces what the least-squares corrector it
-    replaced traced: the same stop reason and sample count, and samples
-    within ORACLE_SAMPLE_TOL scene scales, wherever the least-squares trace
+    """The bordered corrector, started where trace_family starts it, traces
+    what the least-squares corrector it replaced traced from the Euler
+    point: the same stop reason and sample count, and samples within
+    ORACLE_SAMPLE_TOL scene scales, wherever the least-squares trace
     converged near its predictions (each accepted point within one step of
     its prediction, no step halved). Beyond that, the pseudo-arclength
     hyperplane of a long step can meet the family again far away, and the
@@ -389,7 +414,7 @@ def test_trace_family_matches_least_squares_corrector(demo_pair, host, seed, log
     tol = pair_tolerance(a, b)
     h = 10.0 ** log_step * tol.scene_scale
     oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step,
-                              OrthosectSystem(a, tol))
+                              OrthosectSystem(a, tol), hermite=False)
     halvings, corrections = oracle[4:]
     assume(halvings == 0 and max(corrections, default=0.0) <= 1.0)
     event(f"stop: {oracle[3]}")
@@ -424,22 +449,42 @@ def bench_family_ops(tmp_path_factory):
     return op
 
 
+# the bench ops on which the least-squares corrector, from the Euler point,
+# leaps 295 steps along the family after sample 37, past a partner edge
+# that shrinks toward the min-edge filter by 1.1e-3 scene scales a step
+_ORACLE_JUMPS = {(seed, 6, 1) for seed in (1, 2, 3)}
+_JUMP_SAMPLES = 38
+
+
 @pytest.mark.parametrize("seed, slot, direction", [
     (seed, slot, direction) for seed in (1, 2, 3)
     for slot in range(sum(_BENCH_INPUTS.PAIR_HOSTS.values())) for direction in (1, -1)])
 def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_ops, seed,
                                                                    slot, direction):
     """The benchmark's 48 trace-family ops (pairs decks of seeds 1-3) trace
-    what the least-squares corrector traced, each one."""
+    what the least-squares corrector traced, each one, and no step of
+    theirs is longer than 1.5 steps. Where the least-squares trace jumps
+    (``_ORACLE_JUMPS``), the two agree on the samples before the jump, and
+    trace_family stops there at the min-edge filter."""
     argv = bench_family_ops(seed, slot, direction)
     scene = load_scene(argv[argv.index("--scene") + 1])
     a, b = scene.tetrahedron("A"), scene.tetrahedron("B")
     steps, h = int(argv[argv.index("--steps") + 1]), float(argv[argv.index("--step") + 1])
     tol = pair_tolerance(a, b)
     oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step,
-                              OrthosectSystem(a, tol))
+                              OrthosectSystem(a, tol), hermite=False)
     branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
-    _assert_traces_agree(branch, oracle, tol.scene_scale)
+    lengths = np.linalg.norm(np.diff(branch.coords.reshape(-1, 12), axis=0), axis=1)
+    assert (lengths <= 1.5 * h).all()
+    if (seed, slot, direction) not in _ORACLE_JUMPS:
+        _assert_traces_agree(branch, oracle, tol.scene_scale)
+        return
+    samples = np.reshape(oracle[0], (-1, 4, 3))
+    assert np.linalg.norm(samples[_JUMP_SAMPLES] - samples[_JUMP_SAMPLES - 1]) > 100.0 * h
+    assert branch.stop_reason == "degenerate: min edge filter"
+    assert len(branch) == _JUMP_SAMPLES
+    diff = np.abs(branch.coords - samples[:_JUMP_SAMPLES]).max()
+    assert diff <= ORACLE_SAMPLE_TOL * tol.scene_scale
 
 
 def _count_calls(monkeypatch, calls, owner, name):
@@ -457,24 +502,32 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
     than bordered (square LU) solves, and no least-squares solve is made.
-    The residual-only and Jacobian-only views are never called. One SVD
-    per sample, the start's included, gives its tangent and singular
-    values."""
-    a, b, tol = demo_pair
+    The residual-only and Jacobian-only views are never called. One SVD per
+    sample, the start's included, gives its tangent and singular values.
+    On the demo scene's 50-step trace the first step, from the Euler
+    point, takes two Newton iterations, and every later one, from the
+    Hermite start, takes one."""
     calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0, "svd": 0}
     for name in ("evaluate", "residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
     for name in ("solve", "lstsq", "svd"):
         _count_calls(monkeypatch, calls, np.linalg, name)
-    branch = trace_family(a, b, steps=20, h=0.03 * tol.scene_scale, tol=tol)
-    assert branch.stop_reason == "steps exhausted" and len(branch) == 21
-    steps = len(branch) - 1
-    assert calls["solve"] >= steps
-    assert calls["lstsq"] == 0
-    # the start's evaluate, then per step one more than its solves
-    assert calls["evaluate"] == 1 + calls["solve"] + steps
-    assert calls["svd"] == len(branch)
-    assert calls["residuals"] == calls["jacobian"] == 0
+    a, b, tol = demo_pair
+    demo_a, demo_b = _DEMO_SCENE.tetrahedron("A"), _DEMO_SCENE.tetrahedron("B")
+    for a, b, tol, steps, h in (
+            (a, b, tol, 20, 0.03 * tol.scene_scale),
+            (demo_a, demo_b, _DEMO_SCENE.tolerance(np.vstack((demo_a.array, demo_b.array))),
+             50, 0.03)):
+        calls.update(dict.fromkeys(calls, 0))
+        branch = trace_family(a, b, steps=steps, h=h, tol=tol)
+        assert branch.stop_reason == "steps exhausted" and len(branch) == steps + 1
+        assert calls["solve"] >= steps
+        assert calls["lstsq"] == 0
+        # the start's evaluate, then per step one more than its solves
+        assert calls["evaluate"] == 1 + calls["solve"] + steps
+        assert calls["svd"] == len(branch)
+        assert calls["residuals"] == calls["jacobian"] == 0
+    assert calls["solve"] == steps + 1
 
 
 @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
