@@ -24,7 +24,8 @@ from .geom_core import carrier_through
 from .orthology import (EDGE_PAIRINGS, Tetrahedron, centers_from_residuals, pair_measures,
                         pairing_key, require_orthosecting)
 from .pedal import VERTEX_TOL
-from .scene import Report, Scene, _read_json, load_scene, scene_from_dict
+from .scene import (Report, Scene, _read_json, dumps_canonical, load_scene, scene_from_dict,
+                    scene_to_dict)
 
 # gates for the conjugation command
 CONJUGATE_CARRIER_TOL = 1e-8
@@ -224,26 +225,46 @@ def cmd_sequence(args, scene: Scene, report: Report) -> None:
                        op="==")
 
 
-def cmd_export(args, scene_doc, report: Report) -> None:
-    pair = _pair_names(args.pair) if args.pair else None
-    trace = None
-    if args.curve:
-        doc = _load_any(args.curve)
-        if not isinstance(doc, dict):
-            raise SceneError(f"--curve file {args.curve} is not a report JSON")
-        trace = export.trace_from_dict(doc.get("results", doc))
-    if isinstance(scene_doc, Scene):
-        obj = scene_doc
-    elif isinstance(scene_doc, dict):
-        payload = scene_doc.get("results", scene_doc)
-        if "polylines" in payload:
-            obj = export.trace_from_dict(payload)
-        else:
-            obj = scene_doc
-    else:
+def cmd_export(args, report: Report) -> None:
+    """Render the --scene document, read once: a scene as an SVG pedal
+    diagram of --face, an OBJ or JSON; a saved curve report as SVG or JSON;
+    any other report as JSON. --face, --pair and --curve serve the SVG of a
+    scene alone and are rejected with any other export."""
+    doc = _read_json(args.scene)
+    if not isinstance(doc, dict):
         raise SceneError("unsupported export input")
-    text = export.export_text(obj, args.format, face=args.face, pair=pair,
-                              trace=trace, sphere_res=args.sphere_res)
+    results = doc.get("results", doc)
+    kind = ("scene" if "tetrahedra" in doc else
+            "curve report" if isinstance(results, dict) and "polylines" in results else "report")
+    given = [flag for flag, value in (("--face", args.face), ("--pair", args.pair),
+                                      ("--curve", args.curve)) if value is not None]
+    if given and (kind, args.format) != ("scene", "svg"):
+        raise SceneError(f"{', '.join(given)}: for the SVG export of a scene only")
+    if kind == "scene":
+        scene = scene_from_dict(doc)
+        if args.format == "svg":
+            if args.face is None:
+                raise SceneError("SVG export of a 3D scene requires a declared face (--face)")
+            trace = None
+            if args.curve is not None:
+                saved = _read_json(args.curve)
+                if not isinstance(saved, dict):
+                    raise SceneError(f"--curve file {args.curve} is not a report JSON")
+                trace = export.trace_from_dict(saved.get("results", saved))
+            pair = None if args.pair is None else _pair_names(args.pair)
+            text = export.scene_to_svg(scene, args.face, pair, trace)
+        elif args.format == "obj":
+            text = export.scene_to_obj(scene, args.sphere_res)
+        else:
+            text = dumps_canonical(scene_to_dict(scene))
+    elif kind == "curve report" and args.format != "obj":
+        trace = export.trace_from_dict(results)
+        text = (export.trace_to_svg(trace) if args.format == "svg"
+                else dumps_canonical(export.trace_to_dict(trace)))
+    elif kind == "report" and args.format == "json":
+        text = dumps_canonical(doc)
+    else:
+        raise SceneError(f"cannot export a saved {kind} as {args.format}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     report.results["written"] = args.out
@@ -329,14 +350,6 @@ _HANDLERS = {
 }
 
 
-def _load_any(path):
-    """Scene file, or a previously written report (for export)."""
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "tetrahedra" in doc:
-        return scene_from_dict(doc)
-    return doc
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -345,11 +358,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         if args.command == "export":
-            doc = _load_any(args.scene)
-            cmd_export(args, doc, report)
+            cmd_export(args, report)
         else:
-            scene = load_scene(args.scene)
-            _HANDLERS[args.command](args, scene, report)
+            _HANDLERS[args.command](args, load_scene(args.scene), report)
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

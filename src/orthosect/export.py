@@ -1,6 +1,7 @@
 """Figure export: layered SVG for face-plane content (pedal diagrams and
-curve traces), OBJ for 3D scenes (tetrahedron wireframes, labeled edge
-intersection points, tessellated carrier spheres), and canonical JSON.
+curve traces) and OBJ for 3D scenes (tetrahedron wireframes, labeled edge
+intersection points, tessellated carrier spheres); the CLI writes JSON
+exports with ``dumps_canonical``.
 
 All output is deterministic for identical inputs.
 """
@@ -16,7 +17,7 @@ from .analysis import CurveTrace, Polyline, face_frame, frame_uv
 from .errors import DegenerateError, GeometryError, SceneError
 from .geom_core import as_array, carrier_through, circle_through
 from .orthology import EDGE_PAIRINGS, FACE_VERTICES, pair_measures, require_orthosecting
-from .scene import Scene, dumps_canonical, scene_to_dict
+from .scene import Scene
 
 
 # the SVG view box extends past the drawing by this share of its span
@@ -67,8 +68,8 @@ def trace_from_dict(doc: dict) -> CurveTrace:
             for p in doc["polylines"])
         return CurveTrace(face=int(doc["face"]),
                           origin=as_array(frame["origin"]),
-                          axis_u=np.asarray(frame["axis_u"], dtype=float),
-                          axis_v=np.asarray(frame["axis_v"], dtype=float),
+                          axis_u=as_array(frame["axis_u"]),
+                          axis_v=as_array(frame["axis_v"]),
                           polylines=polylines,
                           grid=int(doc["grid"]),
                           window=tuple(float(w) for w in doc["window"]),
@@ -165,21 +166,21 @@ def trace_to_svg(trace: CurveTrace) -> str:
     return canvas.render()
 
 
-def _auto_pair(scene: Scene):
-    """The first orthosecting pair of the scene, by sorted names, and its
-    ``pair_measures``; (None, None) when no pair orthosects."""
+def _orthosecting_pairs(scene: Scene):
+    """Each orthosecting pair of the scene, by sorted names: its names, its
+    ``pair_measures``, the guarded pairings and intersection points, and
+    its tolerance. Lazy, so a caller that stops early measures no more."""
     names = sorted(scene.tetrahedra)
     for i, a_name in enumerate(names):
         for b_name in names[i + 1:]:
             a, b = scene.tetrahedra[a_name], scene.tetrahedra[b_name]
+            tol = scene.tolerance(np.vstack((a.array, b.array)))
             try:
-                tol = scene.tolerance(np.vstack((a.array, b.array)))
                 measures = pair_measures(a, b, tol)
-                require_orthosecting(measures, tol)
-                return (a_name, b_name), measures
+                guarded = require_orthosecting(measures, tol)
             except GeometryError:
                 continue
-    return None, None
+            yield (a_name, b_name), measures, guarded, tol
 
 
 def scene_to_svg(scene: Scene, face: int,
@@ -198,16 +199,22 @@ def scene_to_svg(scene: Scene, face: int,
         raise SceneError("scene has no tetrahedra to draw")
     measures = None
     if pair is None:
-        pair, measures = _auto_pair(scene)
-    canvas = _SvgCanvas()
-    if pair is not None:
-        host = scene.tetrahedron(pair[0])
-        guest = scene.tetrahedron(pair[1])
-    else:
-        host = scene.tetrahedra[sorted(scene.tetrahedra)[0]]
-        guest = None
+        pair, measures, _, _ = next(_orthosecting_pairs(scene), (None,) * 4)
+    host_name = pair[0] if pair else min(scene.tetrahedra)
+    host = scene.tetrahedron(host_name)
+    guest = scene.tetrahedron(pair[1]) if pair else None
     verts = host.array[FACE_VERTICES[face - 1]]
     frame = face_frame(host, face)
+    if trace is not None:
+        # the overlay's frame coordinates mean something only in this frame
+        if trace.face != face:
+            raise SceneError(f"the curve trace is of face {trace.face}, not face {face}")
+        tol = scene.tolerance(host.array)
+        gap = np.abs(np.concatenate(((trace.origin - frame[0]) / tol.scene_scale,
+                                     trace.axis_u - frame[1], trace.axis_v - frame[2]))).max()
+        if not gap <= tol.eps_rel:
+            raise SceneError(f"the curve trace's frame is not that of face {face} of {host_name}")
+    canvas = _SvgCanvas()
     canvas.path("triangle", [frame_uv(frame, v) for v in verts], closed=True)
     circum = circle_through(*verts)
     canvas.circle(frame_uv(frame, circum.center), circum.radius, "circumcircle")
@@ -238,40 +245,14 @@ def scene_to_svg(scene: Scene, face: int,
 # OBJ
 # ---------------------------------------------------------------------------
 
-class _ObjWriter:
-    def __init__(self):
-        self.lines: List[str] = ["# orthosect scene export"]
-        self.vertex_count = 0
-
-    def comment(self, text: str):
-        self.lines.append(f"# {text}")
-
-    def obj(self, name: str):
-        self.lines.append(f"o {name}")
-
-    def vertices(self, rows: np.ndarray) -> int:
-        """Write the rows of an (n, 3) array; returns the first one's index."""
-        self.lines.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in rows.tolist())
-        self.vertex_count += len(rows)
-        return self.vertex_count - len(rows) + 1
-
-    def vertex(self, p) -> int:
-        return self.vertices(as_array(p)[None])
-
-    def line(self, *idx: int):
-        self.lines.append("l " + " ".join(str(i) for i in idx))
-
-    def point(self, idx: int):
-        self.lines.append(f"p {idx}")
-
-    def faces(self, idx: np.ndarray):
-        self.lines.extend("f %d %d %d" % tuple(f) for f in idx.tolist())
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def _vertex_lines(rows) -> List[str]:
+    return ["v %r %r %r" % tuple(row) for row in rows]
 
 
-def _sphere_mesh(writer: _ObjWriter, center: np.ndarray, radius: float, res: int):
+def _sphere_mesh(lines: List[str], top: int, center: np.ndarray, radius: float,
+                 res: int) -> int:
+    """Append a sphere mesh to ``lines``, numbering its vertices from
+    ``top``; returns the number of its last vertex."""
     res = max(4, int(res))
     n = 2 * res
     # unit directions: the north pole, res - 1 rings of n at polar angle phi,
@@ -280,15 +261,17 @@ def _sphere_mesh(writer: _ObjWriter, center: np.ndarray, radius: float, res: int
               math.sin(phi) * math.sin(math.pi * j / res), math.cos(phi))
              for phi in (math.pi * i / res for i in range(1, res)) for j in range(n)]
     units = np.array([(0.0, 0.0, 1.0)] + rings + [(0.0, 0.0, -1.0)])
-    top = writer.vertices(center + radius * units)
+    lines.extend(_vertex_lines((center + radius * units).tolist()))
     bottom = top + 1 + (res - 1) * n
     # ring k's vertex j is ring[k] + j; the seam wraps j + 1 to 0
     ring = top + 1 + n * np.arange(res - 1)[:, None]
     j, j1 = np.arange(n), (np.arange(n) + 1) % n
-    writer.faces(np.stack((np.full(n, top), ring[0] + j, ring[0] + j1), axis=1))
     a, b, c, d = ring[:-1] + j, ring[:-1] + j1, ring[1:] + j1, ring[1:] + j
-    writer.faces(np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3))
-    writer.faces(np.stack((np.full(n, bottom), ring[-1] + j1, ring[-1] + j), axis=1))
+    faces = np.concatenate((np.stack((np.full(n, top), ring[0] + j, ring[0] + j1), axis=1),
+                            np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3),
+                            np.stack((np.full(n, bottom), ring[-1] + j1, ring[-1] + j), axis=1)))
+    lines.extend("f %d %d %d" % tuple(f) for f in faces.tolist())
+    return bottom
 
 
 def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
@@ -297,63 +280,21 @@ def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:
     tessellated carrier sphere."""
     if not scene.tetrahedra:
         raise SceneError("scene has no tetrahedra to export")
-    writer = _ObjWriter()
+    lines = ["# orthosect scene export"]
+    count = 0   # vertices written so far; OBJ numbers them from 1
     for name in sorted(scene.tetrahedra):
-        tet = scene.tetrahedra[name]
-        writer.obj(f"tet_{name}")
-        first = writer.vertices(tet.array)
-        for (i, j), _ in EDGE_PAIRINGS:
-            writer.line(first + i - 1, first + j - 1)
-    names = sorted(scene.tetrahedra)
-    for i, a_name in enumerate(names):
-        for b_name in names[i + 1:]:
-            a = scene.tetrahedra[a_name]
-            b = scene.tetrahedra[b_name]
-            tol = scene.tolerance(np.vstack((a.array, b.array)))
-            try:
-                pairings, points = require_orthosecting(pair_measures(a, b, tol), tol)
-                carrier, _ = carrier_through(points, tol)
-            except GeometryError:
-                continue
-            writer.obj(f"vpoints_{a_name}_{b_name}")
-            for ((p, q), _), point in sorted(zip(pairings, points.tolist())):
-                writer.comment(f"vpoint V{p}{q} {a_name} {b_name}")
-                writer.point(writer.vertex(point))
-            if carrier.kind == "sphere":
-                writer.obj(f"sphere_{a_name}_{b_name}")
-                _sphere_mesh(writer, carrier.center, carrier.radius, sphere_res)
-    return writer.render()
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def export_text(obj, fmt: str, face: Optional[int] = None,
-                pair: Optional[Tuple[str, str]] = None,
-                trace: Optional[CurveTrace] = None,
-                sphere_res: int = 16) -> str:
-    """Render a Scene, CurveTrace or report dict to svg/obj/json text."""
-    if fmt == "json":
-        if isinstance(obj, Scene):
-            return dumps_canonical(scene_to_dict(obj))
-        if isinstance(obj, CurveTrace):
-            return dumps_canonical(trace_to_dict(obj))
-        if isinstance(obj, dict):
-            return dumps_canonical(obj)
-        raise SceneError(f"cannot export {type(obj).__name__} as json")
-    if fmt == "svg":
-        if isinstance(obj, CurveTrace):
-            return trace_to_svg(obj)
-        if isinstance(obj, Scene):
-            if face is None:
-                raise SceneError(
-                    "SVG export of a 3D scene requires a declared face (--face)")
-            return scene_to_svg(obj, face, pair=pair, trace=trace)
-        raise SceneError(f"cannot export {type(obj).__name__} as svg")
-    if fmt == "obj":
-        if isinstance(obj, Scene):
-            return scene_to_obj(obj, sphere_res=sphere_res)
-        raise SceneError(f"cannot export {type(obj).__name__} as obj")
-    raise SceneError(f"unknown export format {fmt!r}")
+        lines.append(f"o tet_{name}")
+        lines.extend(_vertex_lines(scene.tetrahedra[name].array.tolist()))
+        lines.extend(f"l {count + i} {count + j}" for (i, j), _ in EDGE_PAIRINGS)
+        count += 4
+    for (a_name, b_name), _, (pairings, points), tol in _orthosecting_pairs(scene):
+        carrier, _ = carrier_through(points, tol)
+        lines.append(f"o vpoints_{a_name}_{b_name}")
+        for ((p, q), _), point in sorted(zip(pairings, points.tolist())):
+            count += 1
+            lines += [f"# vpoint V{p}{q} {a_name} {b_name}", *_vertex_lines([point]),
+                      f"p {count}"]
+        if carrier.kind == "sphere":
+            lines.append(f"o sphere_{a_name}_{b_name}")
+            count = _sphere_mesh(lines, count + 1, carrier.center, carrier.radius, sphere_res)
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from orthosect.analysis import trace_curve
 from orthosect.cli import main
 from orthosect.errors import SceneError
 from orthosect.export import (
-    export_text,
     scene_to_obj,
     scene_to_svg,
     trace_from_dict,
@@ -19,7 +18,7 @@ from orthosect.export import (
 )
 from orthosect.geom_core import Tolerance
 from orthosect.orthology import Tetrahedron
-from orthosect.scene import Scene, load_scene, save_scene
+from orthosect.scene import Scene, dumps_canonical, load_scene, save_scene, scene_to_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_face4.svg"
 GOLDEN_OBJ = Path(__file__).parent / "golden" / "demo_scene.obj"
@@ -80,13 +79,14 @@ def test_trace_dict_roundtrip(small_trace):
     assert svg1 == svg2
 
 
-@pytest.mark.parametrize("origin", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]], ids=["two", "four"])
+@pytest.mark.parametrize("key,origin", [("origin", [0.0, 1.0]), ("origin", [0.0, 1.0, 2.0, 3.0]),
+                                        ("axis_u", [1.0, 0.0])], ids=["two", "four", "axis-two"])
 def test_saved_trace_with_wrong_length_origin_is_scene_error(tmp_path, capsys, small_trace,
-                                                             origin):
-    """A saved curve report whose frame origin is not three numbers is
-    rejected as a bad input (exit 2), not read as a point."""
+                                                             key, origin):
+    """A saved curve report whose frame origin or axis is not three numbers
+    is rejected as a bad input (exit 2), not read as a vector."""
     doc = {"results": trace_to_dict(small_trace)}
-    doc["results"]["frame"]["origin"] = origin
+    doc["results"]["frame"][key] = origin
     with pytest.raises(SceneError, match="not a curve trace"):
         trace_from_dict(doc["results"])
     path = tmp_path / "curve.json"
@@ -124,17 +124,98 @@ def test_obj_sphere_resolution(demo_scene):
     assert faces(fine) > 2 * faces(coarse)
 
 
-def test_svg_requires_face(demo_scene):
-    with pytest.raises(SceneError, match="face"):
-        export_text(demo_scene, "svg")
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Saved documents to export: the demo scene, curve reports of A's faces
+    4 and 2 and of B's face 4, a verify report, and a JSON list."""
+    work = tmp_path_factory.mktemp("saved")
+    paths = {"scene": str(DEMO_SCENE), "list": str(work / "list.json")}
+    Path(paths["list"]).write_text("[1, 2]")
+    for key, argv in (("curve", ["curve", "--tet", "A", "--face", "4", "--grid", "16"]),
+                      ("curve-face2", ["curve", "--tet", "A", "--face", "2", "--grid", "16"]),
+                      ("curve-B", ["curve", "--tet", "B", "--face", "4", "--grid", "16"]),
+                      ("report", ["verify", "--pair", "A,B"])):
+        paths[key] = str(work / f"{key}.json")
+        assert main([argv[0], "--scene", str(DEMO_SCENE), *argv[1:],
+                     "--out", paths[key]]) == 0
+    return paths
 
 
-def test_json_mirror(demo_scene, small_trace):
-    scene_json = export_text(demo_scene, "json")
-    assert json.loads(scene_json)["tetrahedra"].keys() == {"A", "B"}
-    trace_json = export_text(small_trace, "json")
-    doc = json.loads(trace_json)
-    assert doc["vertex_count"] == small_trace.vertex_count
+def _rendered(saved, source, fmt):
+    """What the renderers make of a saved document, called directly."""
+    doc = json.loads(Path(saved[source]).read_text())
+    if source == "scene":
+        scene = load_scene(DEMO_SCENE)
+        return {"svg": lambda: scene_to_svg(scene, 4), "obj": lambda: scene_to_obj(scene),
+                "json": lambda: dumps_canonical(scene_to_dict(scene))}[fmt]()
+    if source == "curve":
+        trace = trace_from_dict(doc["results"])
+        return trace_to_svg(trace) if fmt == "svg" else dumps_canonical(trace_to_dict(trace))
+    return dumps_canonical(doc)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("scene", {"svg-face": 0, "svg": 2, "obj": 0, "json": 0}),
+    ("curve", {"svg-face": 2, "svg": 0, "obj": 2, "json": 0}),
+    ("report", {"svg-face": 2, "svg": 2, "obj": 2, "json": 0}),
+    ("list", {"svg-face": 2, "svg": 2, "obj": 2, "json": 2}),
+], ids=["scene", "curve", "report", "list"])
+@pytest.mark.parametrize("fmt", ["svg-face", "svg", "obj", "json"])
+def test_export_dispatch(tmp_path, capsys, saved, source, expected, fmt):
+    """export reads its input once and renders a scene as an SVG of a
+    declared face, an OBJ or JSON, a saved curve report as SVG or JSON and
+    any other report as JSON; every other input and format is exit 2 and
+    writes nothing. What it writes is the renderer's text, byte for byte."""
+    out = tmp_path / "exported"
+    face = ["--face", "4"] if fmt == "svg-face" else []
+    code = main(["export", "--scene", saved[source], "--format", fmt.split("-")[0],
+                 *face, "--out", str(out)])
+    capsys.readouterr()
+    assert code == expected[fmt]
+    if code == 0:
+        assert out.read_text() == _rendered(saved, source, fmt.split("-")[0])
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("trace", ["curve-face2", "curve-B"])
+def test_overlay_of_another_frame_is_rejected(tmp_path, capsys, saved, trace):
+    """A saved trace is drawn only over the face it was traced on, of the
+    host the SVG draws: a trace of face 2, or of B's face 4, on the demo
+    scene's face 4 (host A) is rejected input."""
+    out = tmp_path / "fig.svg"
+    code = main(["export", "--scene", saved["scene"], "--format", "svg", "--face", "4",
+                 "--curve", saved[trace], "--out", str(out)])
+    assert code == 2
+    assert "curve trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlay_on_its_own_face(tmp_path, capsys, saved):
+    out = tmp_path / "fig.svg"
+    assert main(["export", "--scene", saved["scene"], "--format", "svg", "--face", "4",
+                 "--curve", saved["curve"], "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = trace_from_dict(json.loads(Path(saved["curve"]).read_text())["results"])
+    assert out.read_text() == scene_to_svg(load_scene(DEMO_SCENE), 4, trace=trace)
+
+
+@pytest.mark.parametrize("source,argv", [
+    ("scene", ["--format", "obj", "--pair", "A,Z"]),
+    ("scene", ["--format", "obj", "--face", "4"]),
+    ("scene", ["--format", "json", "--curve", "curve"]),
+    ("curve", ["--format", "svg", "--face", "4"]),
+    ("curve", ["--format", "svg", "--pair", "A,B"]),
+    ("curve", ["--format", "json", "--curve", "curve"]),
+], ids=["obj-pair", "obj-face", "json-curve", "trace-face", "trace-pair", "trace-json-curve"])
+def test_export_rejects_flags_it_would_ignore(tmp_path, capsys, saved, source, argv):
+    """--face, --pair and --curve serve the SVG of a scene alone: given with
+    an OBJ, a JSON export or a saved trace they are rejected, not ignored."""
+    argv = [saved.get(a, a) for a in argv]
+    out = tmp_path / "exported"
+    assert main(["export", "--scene", saved[source], *argv, "--out", str(out)]) == 2
+    assert "for the SVG export of a scene only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_deterministic(demo_scene):
