@@ -25,7 +25,7 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _check_orthosection, _feet_gap,
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _check_orthosection,
                     _partner_vertices)
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
@@ -446,8 +446,7 @@ def _polish(field: _Chebyshev, points: np.ndarray):
     their |sixth-foot residuals|, their ts in world units and which of them
     are kept (see ``trace_curve``). A step makes one F9 call and one
     Chebyshev recurrence (``value_and_gradient``); the polished crossings
-    take one co-sphericity pass, and one sphericity call for those next to
-    the lines where F is 0/0."""
+    take one co-sphericity pass and one sphere fit (``curve_chain``)."""
     kernel = field.frame.kernel
     if not len(points):
         return points, np.empty(0), np.empty(0), np.zeros(0, dtype=bool)
@@ -455,10 +454,9 @@ def _polish(field: _Chebyshev, points: np.ndarray):
         for _ in range(NEWTON_STEPS):
             value, grad = field.value_and_gradient(points)
             points = points - (value / (grad * grad).sum(axis=1))[:, None] * grad
-    t, feet, sixth = kernel.curve_chain(field.frame.to_local(points), field.divisor_cut)
+    t, sixth, gap = kernel.curve_chain(field.frame.to_local(points), field.divisor_cut)
     residuals = np.abs(sixth)
-    return (points, residuals, t * kernel.scale,
-            (residuals <= VERTEX_TOL) & (_feet_gap(feet) > FEET_TOL))
+    return points, residuals, t * kernel.scale, (residuals <= VERTEX_TOL) & (gap > FEET_TOL)
 
 
 def _refine_crossings(field: _Chebyshev, us, vs, f, ends: np.ndarray, level: float,

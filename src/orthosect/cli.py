@@ -228,18 +228,18 @@ def cmd_sequence(args, scene: Scene, report: Report) -> None:
 def cmd_export(args, report: Report) -> None:
     """Render the --scene document, read once: a scene as an SVG pedal
     diagram of --face, an OBJ or JSON; a saved curve report as SVG or JSON;
-    any other report as JSON. --face, --pair and --curve serve the SVG of a
-    scene alone and are rejected with any other export."""
+    any other report as JSON. --face, --pair, --curve (SVG) and --sphere-res
+    (OBJ) serve one export of a scene and are rejected with any other."""
     doc = _read_json(args.scene)
     if not isinstance(doc, dict):
         raise SceneError("unsupported export input")
     results = doc.get("results", doc)
     kind = ("scene" if "tetrahedra" in doc else
             "curve report" if isinstance(results, dict) and "polylines" in results else "report")
-    given = [flag for flag, value in (("--face", args.face), ("--pair", args.pair),
-                                      ("--curve", args.curve)) if value is not None]
-    if given and (kind, args.format) != ("scene", "svg"):
-        raise SceneError(f"{', '.join(given)}: for the SVG export of a scene only")
+    for fmt, flags in (("svg", ("face", "pair", "curve")), ("obj", ("sphere_res",))):
+        given = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is not None]
+        if given and (kind, args.format) != ("scene", fmt):
+            raise SceneError(f"{', '.join(given)}: for the {fmt.upper()} export of a scene only")
     if kind == "scene":
         scene = scene_from_dict(doc)
         if args.format == "svg":
@@ -254,7 +254,8 @@ def cmd_export(args, report: Report) -> None:
             pair = None if args.pair is None else _pair_names(args.pair)
             text = export.scene_to_svg(scene, args.face, pair, trace)
         elif args.format == "obj":
-            text = export.scene_to_obj(scene, args.sphere_res)
+            text = (export.scene_to_obj(scene) if args.sphere_res is None
+                    else export.scene_to_obj(scene, args.sphere_res))
         else:
             text = dumps_canonical(scene_to_dict(scene))
     elif kind == "curve report" and args.format != "obj":
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--face", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--pair", metavar="NAME,NAME")
     p.add_argument("--curve", help="saved curve report to overlay on the SVG")
-    p.add_argument("--sphere-res", type=_at_least(4), default=16)
+    p.add_argument("--sphere-res", type=_at_least(4))
     return parser
 
 

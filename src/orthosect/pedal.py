@@ -286,8 +286,16 @@ class ChainKernel:
         scale for world units); f is the scale-normalized residual."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         base, at0, samples = self._cosphericity_samples(p)
+        t = self._q_roots(samples)
+        feet, fit, f = self._sixth_foot(base, at0, t)
+        return self._validated(t, f, feet, fit["residual"])
+
+    @classmethod
+    def _q_roots(cls, samples: np.ndarray) -> np.ndarray:
+        """Q's real roots (N, 2) from the co-sphericity samples (2, 3, N), in
+        either order; NaN where Q has fewer."""
         # the determinant is exactly quadratic in t
-        c0, c1, c2 = self._quadratics(samples[0])
+        c0, c1, c2 = cls._quadratics(samples[0])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             abs1, abs2 = np.abs(c1), np.abs(c2)
             mag = np.maximum(np.maximum(np.abs(c0), abs1), abs2)
@@ -307,11 +315,14 @@ class ChainKernel:
             double = quad & (disc < 0) & (root / (2.0 * abs2) <= 1e-8 * (1.0 + np.abs(vertex)))
             real = quad & (disc >= 0)
             lo = np.where(double, vertex, np.where(lin, -c0 / c1, np.nan))
-            t = np.stack([np.where(real, np.minimum(r_a, r_b), lo), np.where(
+            return np.stack([np.where(real, np.minimum(r_a, r_b), lo), np.where(
                 real, np.maximum(r_a, r_b), np.where(double, vertex, np.nan))], axis=1)
 
-        feet, fit, f = self._sixth_foot(base, at0, t)
-        valid = (fit["residual"] <= self.tol.eps_rel) & ~np.isnan(f)
+    def _validated(self, t: np.ndarray, f: np.ndarray, feet: np.ndarray, residual: np.ndarray):
+        """Roots t (N, 2) with their f, six feet and five-foot fit residuals
+        as ``sphericity_batch`` returns them: NaN unless validated, and
+        without duplicates, by ascending t."""
+        valid = (residual <= self.tol.eps_rel) & ~np.isnan(f)
         # a second root within 1e-9 of a validated first one is the same root
         valid[:, 1] &= ~(valid[:, 0] & (np.abs(t[:, 1] - t[:, 0])
                                          <= 1e-9 * (1.0 + np.abs(t[:, 1]))))
@@ -353,37 +364,32 @@ class ChainKernel:
         return a2 * b0 - a0 * b2, a1 * b2 - a2 * b1, a1 * b0 - a0 * b1
 
     def curve_chain(self, b4_local: np.ndarray, divisor_cut: float):
-        """At (N, 3) local points of the curve, from one co-sphericity pass:
-        the chain parameter t (N,) in normalized units, the six feet
-        (N, 6, 3) at it and the signed residual f (N,) of foot 34 against
-        the carrier through the other five. t is the common root of
-        ``nonic``, or ``curve_root``'s where |``divisor``| is below
-        ``divisor_cut`` (F and the common root are 0/0 there). Without source
-        2, t, f and all feet but 12, 13 and 23 are NaN."""
+        """At (N, 3) local points of the curve, from one co-sphericity pass
+        and one sphere fit: the chain parameter t in normalized units, the
+        signed residual f of foot 34 against the carrier through the other
+        five and the least distance between two of the six feet, as (N,)
+        arrays. t is the common root of ``nonic``, but where |``divisor``| <
+        ``divisor_cut`` (F and the common root are 0/0 there) the validated
+        root of Q whose six feet stay more than FEET_TOL apart and whose
+        sixth foot fits best, all three NaN where none does. Without source
+        2, t and f are NaN."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         base, at0, samples = self._cosphericity_samples(p)
         x, y, _ = self._resultant_terms(samples)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = x / y
         near = np.abs(self.divisor(p)) < divisor_cut
-        if near.any():
-            t[near] = self.curve_root(p[near])[0]
-        feet, _, f = self._sixth_foot(base, at0, t[:, None])
-        return t, feet[:, 0], f[:, 0]
-
-    def curve_root(self, b4_local: np.ndarray):
-        """The chain parameter of (N, 3) local face points without the
-        common root, which is 0/0 next to the divisor lines: of the
-        validated roots of Q whose six feet stay more than FEET_TOL apart
-        (next to those lines one root of Q makes two feet coincide), the
-        one whose sixth foot fits best. Returns t and the signed sixth-foot
-        residual f as (N,) arrays, NaN where no root qualifies."""
-        roots, sixth, feet = self.sphericity_batch(b4_local)
-        fit = np.where(_feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
-        rows, best = np.arange(len(roots)), fit.argmin(axis=1)
-        found = np.isfinite(fit[rows, best])
-        return (np.where(found, roots[rows, best], np.nan),
-                np.where(found, sixth[rows, best], np.nan))
+        # candidates: the common root, or Q's two roots on the near rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.stack([x / y, np.full(len(p), np.nan)], axis=1)
+        t[near] = self._q_roots(samples[..., near])
+        feet, fit, f = self._sixth_foot(base, at0, t)
+        t[near], f[near], feet[near] = self._validated(t[near], f[near], feet[near],
+                                                       fit["residual"][near])
+        gap = np.linalg.norm(feet[..., _I6, :] - feet[..., _J6, :], axis=-1).min(axis=-1)
+        score = np.where(gap > FEET_TOL, np.abs(f), np.inf)
+        score[~near] = 0.0, np.inf   # the common root, whatever its feet
+        rows, best = np.arange(len(p)), score.argmin(axis=1)
+        found = np.isfinite(score[rows, best])
+        return tuple(np.where(found, v[rows, best], np.nan) for v in (t, f, gap))
 
     def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
         """The pedal chain, in world coordinates, completed from a local
@@ -402,11 +408,6 @@ class ChainKernel:
         world = local * self.scale + self.shift
         return PedalChain(host=self.host, feet=world[:6], sources=world[6:],
                           closure_spread=float(np.linalg.norm(closing - v34)) * self.scale)
-
-
-def _feet_gap(feet: np.ndarray) -> np.ndarray:
-    """The smallest distance between two of the six feet (..., 6, 3)."""
-    return np.linalg.norm(feet[..., _I6, :] - feet[..., _J6, :], axis=-1).min(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -470,9 +470,9 @@ def solve_from_curve_point(a: Tetrahedron, b4,
                            tol: Tolerance | None = None) -> Tetrahedron:
     """Orthosecting partner from a point of the self-conjugate curve on the
     face of host vertices 1, 2, 3: the chain completed at the kernel's
-    ``curve_root``, rebuilt as ``reconstruct_tetrahedron`` does, polished
-    by damped least squares on ``OrthosectSystem`` and then held to the
-    reconstruction postcondition (ReconstructionError).
+    ``curve_chain`` root, rebuilt as ``reconstruct_tetrahedron`` does,
+    polished by damped least squares on ``OrthosectSystem`` and then held
+    to the reconstruction postcondition (ReconstructionError).
 
     Raises CurvePointError when no validated root keeps the six feet apart
     or the point's sixth-foot residual exceeds VERTEX_TOL, i.e. the
@@ -482,7 +482,7 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
     b4_local = _face_source(kernel, b4)
-    t, f = (float(v[0]) for v in kernel.curve_root(b4_local[None]))
+    t, f, _ = (float(v[0]) for v in kernel.curve_chain(b4_local[None], math.inf))
     if math.isnan(t):
         raise CurvePointError("no sphericity root with six distinct feet at this point")
     if abs(f) > VERTEX_TOL:

@@ -25,7 +25,7 @@ from orthosect.geom_core import (
     meet_rows,
 )
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
-from orthosect.pedal import SIMSON_TOL, PedalChain
+from orthosect.pedal import FEET_TOL, SIMSON_TOL, PedalChain
 
 
 def project_to_plane(p, pl: Plane) -> np.ndarray:
@@ -249,17 +249,37 @@ def sixth_foot(kernel, local: np.ndarray, t: np.ndarray):
     return feet, f
 
 
+def feet_gap(feet: np.ndarray) -> np.ndarray:
+    """The smallest distance between two of the six feet (..., 6, 3)."""
+    i, j = np.triu_indices(6, 1)
+    return np.linalg.norm(feet[..., i, :] - feet[..., j, :], axis=-1).min(axis=-1)
+
+
+def curve_root_reference(kernel, local: np.ndarray):
+    """The chain parameter t and sixth-foot residual f (N,) at (N, 3) local
+    face points, picked from ``sphericity_batch``'s roots: of the validated
+    roots whose six feet stay more than FEET_TOL apart, the one with the
+    smallest |f|; NaN where none qualifies."""
+    roots, sixth, feet = kernel.sphericity_batch(local)
+    fit = np.where(feet_gap(feet) > FEET_TOL, np.abs(sixth), np.inf)
+    rows, best = np.arange(len(roots)), fit.argmin(axis=1)
+    found = np.isfinite(fit[rows, best])
+    return (np.where(found, roots[rows, best], np.nan),
+            np.where(found, sixth[rows, best], np.nan))
+
+
 def curve_chain_reference(kernel, local: np.ndarray, divisor_cut: float):
-    """t, the six feet and the sixth-foot residual at (N, 3) local curve
-    points from the kernel's separate calls: the common root from ``nonic``,
-    ``curve_root``'s where |divisor| < ``divisor_cut``, then ``sixth_foot``,
-    two co-sphericity passes over the points."""
+    """t, the sixth-foot residual and the least distance between two of
+    the six feet at (N, 3) local curve points from the kernel's separate
+    calls: the common root from ``nonic``, ``curve_root_reference``'s where
+    |divisor| < ``divisor_cut``, then ``sixth_foot``: up to three
+    co-sphericity passes over the points and two sphere fits."""
     t = kernel.nonic(local)[1]
     near = np.abs(kernel.divisor(local)) < divisor_cut
     if near.any():
-        t[near] = kernel.curve_root(local[near])[0]
+        t[near] = curve_root_reference(kernel, local[near])[0]
     feet, sixth = sixth_foot(kernel, local, t[:, None])
-    return t, feet[:, 0], sixth[:, 0]
+    return t, sixth[:, 0], feet_gap(feet[:, 0])
 
 
 def chebyshev_fit_reference(frame, window) -> Tuple[np.ndarray, float]:

@@ -2,18 +2,22 @@
 replaced (``oracles``), bit for bit, on random hosts at scales 1e-9..1e9:
 the stacked Chebyshev recurrence, the series fitted from one kernel call,
 the series value and gradient of one recurrence call, the chain kernel's
-constants from ``cross_rows``, the single co-sphericity pass at polished
-vertices, the planes and frames built with ``cross_rows`` in place of
-np.cross, and the sphere fit's one Gram-Schmidt sweep."""
+constants from ``cross_rows``, the single co-sphericity pass and sphere fit
+at polished vertices and the root it picks next to the divisor lines, the
+planes and frames built with ``cross_rows`` in place of np.cross, and the
+sphere fit's one Gram-Schmidt sweep."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import (chain_kernel_constants, chebyshev_fit_reference, chebyshev_rows,
-                     curve_chain_reference, series_value_and_gradient, sphere_fit_two_loops)
+                     curve_chain_reference, curve_root_reference, series_value_and_gradient,
+                     sphere_fit_two_loops)
 from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
-from orthosect.geom_core import Plane, _sphere_fit
+from orthosect.geom_core import Plane, _sphere_fit, cross_rows
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
 
 HOSTS = dict(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 9.0))
@@ -88,14 +92,37 @@ def test_value_and_gradient_match_separate_recurrences(seed, log_scale, face):
 @given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
 @settings(max_examples=30, deadline=None)
 def test_curve_chain_matches_nonic_and_sixth_foot(seed, log_scale, face):
-    """One co-sphericity pass gives what ``nonic``, ``curve_root`` and a
-    second pass for the sixth foot give."""
+    """One co-sphericity pass and one sphere fit give what ``nonic``, the
+    root picked from ``sphericity_batch`` and a second pass for the sixth
+    foot give."""
     field, uv = _field(_host(seed, log_scale)[1], face)
     local = field.frame.to_local(uv)
     kernel = field.frame.kernel
     got = kernel.curve_chain(local, field.divisor_cut)
     for g, w in zip(got, curve_chain_reference(kernel, local, field.divisor_cut)):
         _check_equal(g, w)
+
+
+@given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=30, deadline=None)
+def test_curve_chain_picks_the_sphericity_root(seed, log_scale, face):
+    """With every point counted as next to the divisor lines, the one pass
+    picks the root and residual that ``sphericity_batch``'s roots give: at
+    the face vertices, on the lines L23, N12 and N13 and at random points
+    of the face plane."""
+    rng, host = _host(seed, log_scale)
+    kernel = _FaceFrame(host, face, None).kernel
+    anchor, normal = kernel.divisor_lines
+    along = cross_rows(np.broadcast_to(kernel.n123, normal.shape), normal)
+    a = kernel.a[:3]
+    on_lines = anchor[:, None] + rng.normal(size=(3, 4, 1)) * along[:, None]
+    in_face = a[0] + rng.normal(size=(12, 2)) @ (a[1:] - a[0])
+    local = np.vstack([a, on_lines.reshape(-1, 3), in_face])
+    t, f, _ = kernel.curve_chain(local, math.inf)
+    want_t, want_f = curve_root_reference(kernel, local)
+    _check_equal(t, want_t)
+    _check_equal(f, want_f)
+    assert np.isfinite(t).any()
 
 
 @given(**HOSTS, face=st.sampled_from([1, 2, 3, 4]))

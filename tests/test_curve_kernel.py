@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import sixth_foot
+from orthosect import pedal
 from orthosect.analysis import (FIT_CUT, NEWTON_STEPS, ZERO_TOL, _Chebyshev, _FaceFrame,
                                 default_window, trace_curve)
 from orthosect.errors import CurvePointError, DegenerateError
@@ -522,9 +523,9 @@ def test_host_without_source_two(apex):
     local = kernel.to_local(points)
     t, f, feet = kernel.sphericity_batch(local)
     assert np.isnan(t).all() and np.isnan(f).all() and np.isnan(feet).all()
-    for values in (*kernel.nonic(local)[:2], *kernel.curve_root(local)):
+    for values in (*kernel.nonic(local)[:2], *kernel.curve_chain(local, math.inf)):
         assert np.isnan(values).all()
-    t, _, f = kernel.curve_chain(local, 0.0)
+    t, f, _ = kernel.curve_chain(local, 0.0)
     assert np.isnan(t).all() and np.isnan(f).all()
     for b4 in points:
         assert chain_sphere_residual(host, b4) == []
@@ -540,15 +541,16 @@ def test_host_without_source_two(apex):
 
 @pytest.mark.parametrize("face", [1, 2, 3])
 def test_trace_kernel_calls(face, monkeypatch):
-    """One co-sphericity pass for the fit, one per Newton step, one at the
-    polished vertices and one in the sphericity call for the vertices next
-    to the lines where F is 0/0 (the demo's grid-16 lattice has some on
-    every face); one ``nonic`` call for the fit and one per Newton step,
-    and one ``divisor`` call with each and at the polished vertices; no
-    LAPACK determinant and no np.cross anywhere in the trace."""
+    """One co-sphericity pass for the fit, one per Newton step and one at
+    the polished vertices, whose one sphere fit also serves the vertices
+    next to the lines where F is 0/0 (the demo's grid-16 lattice has some
+    on every face), so no sphericity call; one ``nonic`` call for the fit
+    and one per Newton step, and one ``divisor`` call with each and at the
+    polished vertices; no LAPACK determinant and no np.cross anywhere in
+    the trace."""
     host = load_scene(DEMO_SCENE).tetrahedron("A")
     calls = {"_cosphericity_samples": 0, "sphericity_batch": 0, "nonic": 0, "divisor": 0,
-             "det": 0, "cross": 0}
+             "_sphere_fit": 0, "det": 0, "cross": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -558,12 +560,13 @@ def test_trace_kernel_calls(face, monkeypatch):
 
     for name in ("_cosphericity_samples", "sphericity_batch", "nonic", "divisor"):
         monkeypatch.setattr(ChainKernel, name, counted(name, getattr(ChainKernel, name)))
+    monkeypatch.setattr(pedal, "_sphere_fit", counted("_sphere_fit", pedal._sphere_fit))
     monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(np, "cross", counted("cross", np.cross))
     trace_curve(host, face, grid=16)
-    assert calls == {"_cosphericity_samples": NEWTON_STEPS + 3, "sphericity_batch": 1,
+    assert calls == {"_cosphericity_samples": NEWTON_STEPS + 2, "sphericity_batch": 0,
                      "nonic": NEWTON_STEPS + 1, "divisor": NEWTON_STEPS + 2,
-                     "det": 0, "cross": 0}
+                     "_sphere_fit": 1, "det": 0, "cross": 0}
 
 
 def _first_order_distance(frame, points):

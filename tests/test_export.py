@@ -200,21 +200,26 @@ def test_overlay_on_its_own_face(tmp_path, capsys, saved):
     assert out.read_text() == scene_to_svg(load_scene(DEMO_SCENE), 4, trace=trace)
 
 
-@pytest.mark.parametrize("source,argv", [
-    ("scene", ["--format", "obj", "--pair", "A,Z"]),
-    ("scene", ["--format", "obj", "--face", "4"]),
-    ("scene", ["--format", "json", "--curve", "curve"]),
-    ("curve", ["--format", "svg", "--face", "4"]),
-    ("curve", ["--format", "svg", "--pair", "A,B"]),
-    ("curve", ["--format", "json", "--curve", "curve"]),
-], ids=["obj-pair", "obj-face", "json-curve", "trace-face", "trace-pair", "trace-json-curve"])
-def test_export_rejects_flags_it_would_ignore(tmp_path, capsys, saved, source, argv):
-    """--face, --pair and --curve serve the SVG of a scene alone: given with
-    an OBJ, a JSON export or a saved trace they are rejected, not ignored."""
+@pytest.mark.parametrize("source,argv,served", [
+    ("scene", ["--format", "obj", "--pair", "A,Z"], "SVG"),
+    ("scene", ["--format", "obj", "--face", "4"], "SVG"),
+    ("scene", ["--format", "json", "--curve", "curve"], "SVG"),
+    ("curve", ["--format", "svg", "--face", "4"], "SVG"),
+    ("curve", ["--format", "svg", "--pair", "A,B"], "SVG"),
+    ("curve", ["--format", "json", "--curve", "curve"], "SVG"),
+    ("scene", ["--format", "svg", "--face", "4", "--sphere-res", "8"], "OBJ"),
+    ("scene", ["--format", "json", "--sphere-res", "8"], "OBJ"),
+    ("curve", ["--format", "svg", "--sphere-res", "8"], "OBJ"),
+], ids=["obj-pair", "obj-face", "json-curve", "trace-face", "trace-pair", "trace-json-curve",
+        "svg-sphere-res", "json-sphere-res", "trace-sphere-res"])
+def test_export_rejects_flags_it_would_ignore(tmp_path, capsys, saved, source, argv, served):
+    """--face, --pair and --curve serve the SVG of a scene alone, and
+    --sphere-res its OBJ: given with another export of a scene or with a
+    saved trace they are rejected, not ignored."""
     argv = [saved.get(a, a) for a in argv]
     out = tmp_path / "exported"
     assert main(["export", "--scene", saved[source], *argv, "--out", str(out)]) == 2
-    assert "for the SVG export of a scene only" in capsys.readouterr().err
+    assert f"for the {served} export of a scene only" in capsys.readouterr().err
     assert not out.exists()
 
 
