@@ -263,6 +263,13 @@ def _chebyshev(x: np.ndarray, slopes: bool = False) -> np.ndarray:
     return t
 
 
+# the fit's point set (FIT_NODES ** 2, 2) and basis (terms, points): T_i(u) T_j(v)
+# for i + j <= NONIC, multiplied in place (a full product table raises peak RSS)
+_FIT_POINTS = np.stack(np.meshgrid(_FIT_NODES, _FIT_NODES, indexing="ij"), axis=-1).reshape(-1, 2)
+_FIT_BASIS = _chebyshev(_FIT_POINTS.T)[0, np.nonzero(_TERMS)[0]]
+_FIT_BASIS *= _chebyshev(_FIT_POINTS.T)[1, np.nonzero(_TERMS)[1]]
+
+
 class _Chebyshev:
     """F9 over a window as a total-degree-NONIC Chebyshev series in the
     window's coordinates scaled to [-1, 1], coefficients ``coef[i, j]`` of
@@ -275,8 +282,7 @@ class _Chebyshev:
         self.frame = frame
         lo, hi = np.array(window[:2]), np.array(window[2:])
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = np.stack(np.meshgrid(_FIT_NODES, _FIT_NODES, indexing="ij"), axis=-1).reshape(-1, 2)
-        local = frame.to_local(self.mid + s * self.half)
+        local = frame.to_local(self.mid + _FIT_POINTS * self.half)
         f, _, divisor = frame.kernel.nonic(local)
         divisor = np.abs(divisor)
         self.divisor_cut = FIT_CUT * divisor.max()
@@ -286,8 +292,9 @@ class _Chebyshev:
         if np.isfinite(f).all():
             # the basis is nearly orthogonal on these points (condition number
             # 2 on the full set), so the normal equations lose nothing
-            t_u, t_v = _chebyshev(s[keep].T)
-            vander = (t_u[:, None] * t_v)[_TERMS].T
+            # the kept columns in C order: an F-ordered copy ([:, keep]) would
+            # take the Gram product down another BLAS path, to other bits
+            vander = _FIT_BASIS.compress(keep, axis=1).T
             self.coef[:] = 0.0
             self.coef[_TERMS] = np.linalg.solve(vander.T @ vander, vander.T @ f)
 
@@ -312,15 +319,39 @@ def default_window(host: Tetrahedron, face: int) -> Tuple[float, float, float, f
     WINDOW_INFLATE times about its center."""
     frame = face_frame(host, face)
     uv = np.array([frame_uv(frame, v) for v in host.array[FACE_VERTICES[face - 1]]])
-    lo = uv.min(axis=0)
-    hi = uv.max(axis=0)
+    lo, hi = uv.min(axis=0), uv.max(axis=0)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * WINDOW_INFLATE
     return (float(mid[0] - half[0]), float(mid[1] - half[1]),
             float(mid[0] + half[0]), float(mid[1] + half[1]))
 
 
-def _link_segments(segments: List[Tuple[int, int]]) -> List[List[int]]:
+# corner k of cell (iu, iv) is node (iu, iv) + _CORNERS[k]; edge k joins
+# corners k and k + 1 (mod 4): edges 0 and 2 run along u, 1 and 3 along v
+_CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def _crossing_table(flips: np.ndarray, joins_0_3: np.ndarray):
+    """Marching squares on the cell edges that change sign, ``flips``
+    (grid - 1, grid - 1, 4): a cell joins its two in ascending order, a
+    saddle (all four) 0-3 and 1-2 where ``joins_0_3`` holds (one per saddle,
+    row-major), else 0-1 and 2-3. Returns the lattice edges by first use,
+    rows iu1, iv1, iu2, iv2 (E, 4) oriented as first used, and the segments
+    (M, 2) joining them, both in row-major cell order."""
+    cells = np.argwhere(flips.any(axis=-1))
+    flip = flips[cells[:, 0], cells[:, 1]]
+    order = np.tile(np.arange(4), (len(cells), 1))   # each cell's edges, as it joins them
+    order[np.flatnonzero(flip.all(axis=1))[joins_0_3]] = (0, 3, 1, 2)
+    use, slot = np.nonzero(flip)
+    k = order[use, slot]
+    ends = (cells[use, None] + _CORNERS[np.column_stack([k, (k + 1) % 4])]).reshape(-1, 4)
+    # an edge's key: its lower node and its direction
+    key = np.minimum(ends[:, :2], ends[:, 2:]) @ (2 * len(flips) + 2, 2) + k % 2
+    _, first, edge = np.unique(key, return_index=True, return_inverse=True)
+    return ends[np.sort(first)], np.argsort(np.argsort(first))[edge].reshape(-1, 2)
+
+
+def _link_segments(segments: List[List[int]]) -> List[List[int]]:
     """Chain segment index pairs into polylines. A crossing lies on one
     lattice edge, which at most two cells share, and a cell pairs each of
     its crossing edges once, so every index has one or two neighbours and
@@ -378,57 +409,26 @@ def trace_curve(host: Tetrahedron, face: int,
     frame = _FaceFrame(host, face, tol)
     tol = frame.tol
     field = _Chebyshev(frame, (x0, y0, x1, y1))
-    us = np.linspace(x0, x1, grid)
-    vs = np.linspace(y0, y1, grid)
+    us, vs = np.linspace(x0, x1, grid), np.linspace(y0, y1, grid)
     nodes = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
     f = field(nodes).reshape(grid, grid)
     level = ZERO_TOL * np.abs(f).max()
 
-    # lattice edges with a sign change, numbered in order of first use; each
-    # is refined from the end its first cell lists first
-    edge_ids: Dict[Tuple, int] = {}
-    ends: List[Tuple] = []
-
-    def edge(n1, n2) -> int:
-        key = (min(n1, n2), max(n1, n2))
-        if key not in edge_ids:
-            edge_ids[key] = len(ends)
-            ends.append((*n1, *n2))
-        return edge_ids[key]
-
-    # in cell order, the edge pairs marching squares joins
-    segments: List[Tuple[int, int]] = []
-    corner = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1)
-    pos = corner > level
-    flips = pos != np.roll(pos, -1, axis=-1)   # edge e joins corners e, e+1
-    centre_pos = np.zeros(flips.shape[:2], dtype=bool)
+    # the cells' corner signs in _CORNERS order, the edges that flip, and
+    # the sign at each saddle cell's centre, which picks the edges it joins
+    corner = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1) > level
+    flips = corner != np.roll(corner, -1, axis=-1)
     su, sv = np.nonzero(flips.all(axis=-1))
-    centre_pos[su, sv] = field(np.column_stack([0.5 * (us[su] + us[su + 1]),
-                                                0.5 * (vs[sv] + vs[sv + 1])])) > level
-    cells = np.argwhere(flips.any(axis=-1))
-    for (iu, iv), flip in zip(cells.tolist(), flips[cells[:, 0], cells[:, 1]].tolist()):
-        corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
-        e = [(corners[k], corners[(k + 1) % 4]) for k in range(4) if flip[k]]
-        if len(e) == 2:
-            pairs = [e]
-        # saddle: connect crossings around corners matching the center
-        elif centre_pos[iu, iv] == pos[iu, iv, 0]:
-            pairs = [(e[0], e[3]), (e[1], e[2])]
-        else:
-            pairs = [(e[0], e[1]), (e[2], e[3])]
-        segments.extend((edge(*ea), edge(*eb)) for ea, eb in pairs)
-    points, rounds, evals = _refine_crossings(field, us, vs, f, np.array(ends, dtype=int)
-                                              .reshape(-1, 4), level, REFINE_TOL * tol.scene_scale)
+    centre = field(np.column_stack([0.5 * (us[su] + us[su + 1]),
+                                    0.5 * (vs[sv] + vs[sv + 1])])) > level
+    ends, segments = _crossing_table(flips, centre == corner[su, sv, 0])
+    points, rounds, evals = _refine_crossings(field, us, vs, f, ends, level,
+                                              REFINE_TOL * tol.scene_scale)
     points, residuals, ts, accepted = _polish(field, points)
 
-    polylines: List[Polyline] = []
-    bound = 0.0
-    kept = [(a, b) for a, b in segments if accepted[a] and accepted[b]]
-    for path in _link_segments(kept):
-        polylines.append(Polyline(branch=0, points=points[path],
-                                  residuals=residuals[path], ts=ts[path]))
-        bound = max(bound, float(residuals[path].max()))
-
+    paths = _link_segments(segments[accepted[segments].all(axis=1)].tolist())
+    polylines = tuple(Polyline(branch=0, points=points[p], residuals=residuals[p], ts=ts[p])
+                      for p in paths)
     counts = TraceCounts(lattice_nodes=grid * grid,
                          nan_nodes=int(np.isnan(f).sum()),
                          bisection_rounds=rounds,
@@ -436,9 +436,10 @@ def trace_curve(host: Tetrahedron, face: int,
                          crossings=int(accepted.sum()),
                          rejected_crossings=int((~accepted).sum()))
     return CurveTrace(face=face, origin=frame.origin, axis_u=frame.axis_u,
-                      axis_v=frame.axis_v, polylines=tuple(polylines),
-                      grid=grid, window=(x0, y0, x1, y1), residual_bound=bound,
-                      counts=counts)
+                      axis_v=frame.axis_v, polylines=polylines,
+                      grid=grid, window=(x0, y0, x1, y1),
+                      residual_bound=max((float(p.residuals.max()) for p in polylines),
+                                         default=0.0), counts=counts)
 
 
 def _polish(field: _Chebyshev, points: np.ndarray):

@@ -21,8 +21,8 @@ import numpy as np
 from . import analysis, export, solver
 from .errors import GeometryError, SceneError
 from .geom_core import carrier_through
-from .orthology import (EDGE_PAIRINGS, Tetrahedron, centers_from_residuals, pair_measures,
-                        pairing_key, require_orthosecting)
+from .orthology import (EDGE_PAIRINGS, centers_from_residuals, pair_measures, pairing_key,
+                        require_orthosecting)
 from .pedal import VERTEX_TOL
 from .scene import (Report, Scene, _read_json, dumps_canonical, load_scene, scene_from_dict,
                     scene_to_dict)
@@ -84,9 +84,13 @@ def _pair_names(spec: str) -> Tuple[str, str]:
     return names[0].strip(), names[1].strip()
 
 
-def _pair(scene: Scene, spec: str) -> Tuple[str, str, Tetrahedron, Tetrahedron]:
-    a_name, b_name = _pair_names(spec)
-    return a_name, b_name, scene.tetrahedron(a_name), scene.tetrahedron(b_name)
+def _pair(scene: Scene, spec: str, report: Report):
+    """The tetrahedra of the pair ``spec`` names, which the report records,
+    and their tolerance."""
+    names = _pair_names(spec)
+    a, b = (scene.tetrahedron(name) for name in names)
+    report.results["pair"] = list(names)
+    return a, b, scene.tolerance(np.vstack((a.array, b.array)))
 
 
 def _carrier_dict(carrier) -> dict:
@@ -99,9 +103,7 @@ def _carrier_dict(carrier) -> dict:
 
 
 def cmd_verify(args, scene: Scene, report: Report) -> None:
-    a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = scene.tolerance(np.vstack((a.array, b.array)))
-    report.results["pair"] = [a_name, b_name]
+    a, b, tol = _pair(scene, args.pair, report)
     report.results["scene_scale"] = tol.scene_scale
     measures = pair_measures(a, b, tol)
     ortho, gaps, _ = measures
@@ -175,9 +177,7 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
 
 
 def cmd_conjugate(args, scene: Scene, report: Report) -> None:
-    a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = scene.tolerance(np.vstack((a.array, b.array)))
-    report.results["pair"] = [a_name, b_name]
+    a, b, tol = _pair(scene, args.pair, report)
     _, points_b = require_orthosecting(pair_measures(a, b, tol), tol)
     c, carrier_b, measures = analysis.conjugate_from_points(a, points_b, tol)
     report.results["conjugate"] = c.array.tolist()
@@ -207,10 +207,8 @@ def cmd_curve(args, scene: Scene, report: Report) -> None:
 
 
 def cmd_sequence(args, scene: Scene, report: Report) -> None:
-    a_name, b_name, a, b = _pair(scene, args.pair)
-    tol = scene.tolerance(np.vstack((a.array, b.array)))
+    a, b, tol = _pair(scene, args.pair, report)
     run = analysis.iterate_sequence(a, b, args.n, tol)
-    report.results["pair"] = [a_name, b_name]
     report.results["tetrahedra"] = [t.array.tolist() for t in run.tetrahedra]
     report.results["carrier"] = _carrier_dict(run.carrier)
     report.results["shared_max_residual"] = run.shared_max_residual
@@ -353,8 +351,10 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    for i in reversed(range(len(argv) - 1)):   # as --window=X, a negative x0 is no option
+        if argv[i] == "--window":
+            argv[i:i + 2] = [f"--window={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     report = Report(command=argv)
     started = time.monotonic()
     try:

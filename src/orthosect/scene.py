@@ -21,6 +21,9 @@ from .geom_core import Tolerance
 from .orthology import Tetrahedron
 
 _TOP_LEVEL_KEYS = {"tetrahedra", "tolerance", "metadata"}
+# a tetrahedron's scale band: beyond it, fourth powers of lengths leave the float range
+MAX_COORDINATE = 1e60
+MIN_DIAMETER = 1e-60
 
 
 @dataclass(eq=False)
@@ -87,7 +90,13 @@ def _parse_tetrahedron(name: str, value) -> Tetrahedron:
     if not isinstance(value, list) or len(value) != 4:
         raise SceneError(f"{where}: expected 4 vertices, got "
                          f"{len(value) if isinstance(value, list) else type(value).__name__}")
-    return Tetrahedron([_check_point(v, f"{where}[{i}]") for i, v in enumerate(value)])
+    points = [_check_point(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    largest = max(abs(c) for p in points for c in p)
+    diameter = max(math.dist(p, q) for i, p in enumerate(points) for q in points[:i])
+    if largest > MAX_COORDINATE or 0.0 < diameter < MIN_DIAMETER:
+        raise SceneError(f"{where}: out of the scale band (|x| <= {MAX_COORDINATE:g}, diameter 0 "
+                         f"or >= {MIN_DIAMETER:g}): max |x| {largest:.3g}, diameter {diameter:.3g}")
+    return Tetrahedron(points)
 
 
 def scene_from_dict(doc) -> Scene:
@@ -145,12 +154,9 @@ def scene_to_dict(scene: Scene) -> dict:
     doc: Dict[str, Any] = {
         "tetrahedra": {name: tet.array.tolist() for name, tet in scene.tetrahedra.items()},
     }
-    if scene.eps_abs is not None or scene.eps_rel is not None:
-        tol = {}
-        if scene.eps_abs is not None:
-            tol["eps_abs"] = scene.eps_abs
-        if scene.eps_rel is not None:
-            tol["eps_rel"] = scene.eps_rel
+    tol = {k: v for k, v in (("eps_abs", scene.eps_abs), ("eps_rel", scene.eps_rel))
+           if v is not None}
+    if tol:
         doc["tolerance"] = tol
     if scene.metadata:
         doc["metadata"] = scene.metadata

@@ -273,14 +273,6 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
     return x, float(np.abs(r).max()), iterations, "ok", edges
 
 
-def _orthogonality_null_basis(sys: OrthosectSystem) -> np.ndarray:
-    m = sys.orthogonality_matrix()
-    _, s, vt = np.linalg.svd(m)
-    # five independent conditions; everything from index 5 on spans the
-    # solution space of the linear subsystem
-    return vt[5:].T
-
-
 def _seed_start(null_basis: np.ndarray, rng: np.random.Generator,
                 center: np.ndarray, scale: float) -> np.ndarray:
     for _ in range(20):
@@ -312,7 +304,9 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
         raise DegenerateError("host tetrahedron is flat")
     sys = OrthosectSystem(a, tol)
     scale = sys.scale
-    null_basis = _orthogonality_null_basis(sys)
+    # five independent orthogonality conditions: the right singular vectors
+    # from index 5 on span the solution space of the linear subsystem
+    null_basis = np.linalg.svd(sys.orthogonality_matrix())[2][5:].T
     rng = np.random.default_rng(cfg.seed)
     center = a.array.mean(axis=0)
     solutions: List[np.ndarray] = []
@@ -321,23 +315,19 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
         x0 = _seed_start(null_basis, rng, center, scale)
         x, max_res, iters, reason, edges = _lm_minimize(sys, x0)
         if max_res > ACCEPT_RESIDUAL:
-            diags.append(RestartDiagnostic(restart, False, max_res, iters,
-                                           reason if reason != "ok" else "no convergence"))
-            continue
-        if float(edges.min()) < MIN_EDGE_FACTOR * scale:
-            diags.append(RestartDiagnostic(restart, False, max_res, iters, "min edge filter"))
-            continue
-        if np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
-            diags.append(RestartDiagnostic(restart, False, max_res, iters, "out of range"))
-            continue
-        duplicate = any(
-            np.linalg.norm((x - known).reshape(4, 3), axis=1).max() < DEDUPE_FACTOR * scale
-            for known in solutions)
-        if duplicate:
-            diags.append(RestartDiagnostic(restart, True, max_res, iters, "duplicate"))
-            continue
-        solutions.append(x)
-        diags.append(RestartDiagnostic(restart, True, max_res, iters, "solution"))
+            reason = reason if reason != "ok" else "no convergence"
+        elif float(edges.min()) < MIN_EDGE_FACTOR * scale:
+            reason = "min edge filter"
+        elif np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
+            reason = "out of range"
+        elif any(np.linalg.norm((x - known).reshape(4, 3), axis=1).max() < DEDUPE_FACTOR * scale
+                 for known in solutions):
+            reason = "duplicate"
+        else:
+            reason = "solution"
+            solutions.append(x)
+        diags.append(RestartDiagnostic(restart, reason in ("duplicate", "solution"), max_res,
+                                       iters, reason))
     tets = tuple(Tetrahedron.of(x.reshape(4, 3)) for x in solutions)
     return SolveResult(solutions=tets, diagnostics=tuple(diags))
 
@@ -360,10 +350,11 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     ch. 2): the Jacobian closed by the left null vector phi of the last
     sample's Jacobian and by the pseudo-arclength row, solved by LU; the
     border unknown is discarded. Newton starts at the Euler point on the
-    first step and after the tangent turned by acos(HERMITE_MIN_COS) or
-    more; otherwise at the cubic Hermite extrapolation of the last two
-    samples and their tangents, moved onto the same pseudo-arclength
-    plane, which lands the same sample from nearer. Stops early on branch
+    first step, after a step that left the sample where it was, and after
+    the tangent turned by acos(HERMITE_MIN_COS) or more; otherwise at the
+    cubic Hermite extrapolation of the last two samples and their
+    tangents, moved onto the same pseudo-arclength plane, which lands the
+    same sample from nearer. Stops early on branch
     points (numerical nullity of two or more), corrector failure after
     step halving, or degeneracy filters, and reports the reason. The
     Jacobian's singular values at each sample, its tangent and its left
@@ -402,9 +393,10 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         aug_phi[...] = u[:, -1]
         np.multiply(weight, tau, out=aug_tau)
         hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
-        if hermite:
+        if hermite:   # a step below the coordinates' resolution leaves no chord
             chord = x - x_prev
             chord_length = math.sqrt(float(chord.dot(chord)))
+            hermite = chord_length > 0.0
         step = h
         for _ in range(7):
             # every corrected point is a new array, so y may start as x_pred

@@ -282,6 +282,40 @@ def curve_chain_reference(kernel, local: np.ndarray, divisor_cut: float):
     return t, sixth[:, 0], feet_gap(feet[:, 0])
 
 
+def crossing_table_reference(pos: np.ndarray, centre: np.ndarray):
+    """``analysis._crossing_table`` cell by cell, as ``trace_curve`` once
+    numbered its crossings, from the lattice's node signs ``pos`` (G, G)
+    and the signs at its cell centres ``centre`` (G - 1, G - 1), read at
+    saddle cells only: the ends (E, 4) and the segments (M, 2)."""
+    edge_ids: Dict[Tuple, int] = {}
+    ends: List[Tuple] = []
+
+    def edge(n1, n2) -> int:
+        key = (min(n1, n2), max(n1, n2))
+        if key not in edge_ids:
+            edge_ids[key] = len(ends)
+            ends.append((*n1, *n2))
+        return edge_ids[key]
+
+    segments: List[Tuple[int, int]] = []
+    corner = np.stack([pos[:-1, :-1], pos[1:, :-1], pos[1:, 1:], pos[:-1, 1:]], axis=-1)
+    flips = corner != np.roll(corner, -1, axis=-1)   # edge e joins corners e, e+1
+    cells = np.argwhere(flips.any(axis=-1))
+    for (iu, iv), flip in zip(cells.tolist(), flips[cells[:, 0], cells[:, 1]].tolist()):
+        corners = [(iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1)]
+        e = [(corners[k], corners[(k + 1) % 4]) for k in range(4) if flip[k]]
+        if len(e) == 2:
+            pairs = [e]
+        # saddle: connect crossings around corners matching the center
+        elif centre[iu, iv] == corner[iu, iv, 0]:
+            pairs = [(e[0], e[3]), (e[1], e[2])]
+        else:
+            pairs = [(e[0], e[1]), (e[2], e[3])]
+        segments.extend((edge(*ea), edge(*eb)) for ea, eb in pairs)
+    return (np.array(ends, dtype=int).reshape(-1, 4),
+            np.array(segments, dtype=int).reshape(-1, 2))
+
+
 def chebyshev_fit_reference(frame, window) -> Tuple[np.ndarray, float]:
     """The fitted series' coefficients and divisor cut from two kernel
     calls: ``divisor`` on all fit nodes, then ``nonic`` on the kept ones."""

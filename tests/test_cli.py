@@ -123,6 +123,20 @@ def test_trace_family_cli(capsys, pair_scene, demo_pair):
     assert names["nullity_one"]["passed"]
 
 
+@pytest.mark.parametrize("step", ["1e-16", "1e-17", "1e-300"])
+def test_trace_family_step_below_resolution(capsys, step):
+    """A step too small to move the demo's coordinates leaves each sample
+    where it was, so there is no chord for the cubic Hermite start; the run
+    starts from the Euler point instead and reports JSON."""
+    code = main(["trace-family", "--scene", DEMO_SCENE, "--tet", "A", "--start", "B",
+                 "--steps", "3", "--step", step])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert code == 0, report
+    assert report["results"]["stop_reason"] == "steps exhausted"
+
+
 def _collapsed_scene(tmp_path, name):
     """The demo scene with vertex 2 of tetrahedron ``name`` moved onto its
     vertex 1, or the demo scene itself when ``name`` is None."""
@@ -271,6 +285,19 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_curve_window_with_negative_x0(capsys):
+    """A window whose first coordinate is negative parses given apart from
+    --window as it does attached, to the same report bytes."""
+    texts = []
+    for window in (["--window", "-1,-1,1,1"], ["--window=-1,-1,1,1"]):
+        assert main(["curve", "--scene", DEMO_SCENE, "--tet", "A", "--face", "4",
+                     "--grid", "16", *window]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    results = json.loads(texts[0])["results"]
+    assert results["window"] == [-1.0, -1.0, 1.0, 1.0] and results["polylines"]
+
+
 def test_missing_scene_exits_2(capsys):
     code = main(["verify", "--scene", "/nonexistent.json", "--pair", "A,B"])
     capsys.readouterr()
@@ -366,6 +393,20 @@ def test_pair_commands_pass_on_shrunk_demo(tmp_path, capsys, scale):
     for argv in (["verify"], ["conjugate"], ["sequence", "--n", "6"]):
         code, report = _run(capsys, [argv[0], "--scene", str(path), "--pair", "A,B", *argv[1:]])
         assert code == 0, report
+
+
+@pytest.mark.parametrize("scale,code", [(1e50, 0), (1e-50, 0), (1e80, 2), (1e-85, 2)])
+def test_scene_scale_band(tmp_path, capsys, scale, code):
+    """The demo pair scaled by 1e50 or 1e-50 verifies; scaled by 1e80 or
+    1e-85, out of the scale band, where fourth powers of its lengths leave
+    the float range, its scene is rejected, naming the first tetrahedron."""
+    demo = load_scene(DEMO_SCENE)
+    path = tmp_path / "scaled.json"
+    save_scene(Scene(tetrahedra={name: Tetrahedron.of(t.array * scale)
+                                 for name, t in demo.tetrahedra.items()}), path)
+    assert main(["verify", "--scene", str(path), "--pair", "A,B"]) == code
+    err = capsys.readouterr().err
+    assert ("error: tetrahedra.A: " in err and "scale band" in err) == (code == 2)
 
 
 # the pair commands the equivariance test runs, and the results holding

@@ -4,8 +4,9 @@ the stacked Chebyshev recurrence, the series fitted from one kernel call,
 the series value and gradient of one recurrence call, the chain kernel's
 constants from ``cross_rows``, the single co-sphericity pass and sphere fit
 at polished vertices and the root it picks next to the divisor lines, the
-planes and frames built with ``cross_rows`` in place of np.cross, and the
-sphere fit's one Gram-Schmidt sweep."""
+planes and frames built with ``cross_rows`` in place of np.cross, the
+sphere fit's one Gram-Schmidt sweep, and the crossing table built with array
+operations in place of a loop over the lattice's cells."""
 
 import math
 
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import (chain_kernel_constants, chebyshev_fit_reference, chebyshev_rows,
-                     curve_chain_reference, curve_root_reference, series_value_and_gradient,
-                     sphere_fit_two_loops)
-from orthosect.analysis import _Chebyshev, _FaceFrame, _chebyshev, default_window, face_frame
+                     crossing_table_reference, curve_chain_reference, curve_root_reference,
+                     series_value_and_gradient, sphere_fit_two_loops)
+from orthosect.analysis import (MIN_GRID, _Chebyshev, _FaceFrame, _chebyshev, _crossing_table,
+                                default_window, face_frame)
 from orthosect.geom_core import Plane, _sphere_fit, cross_rows
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
 
@@ -167,3 +169,31 @@ def test_sphere_fit_sweep_matches_two_loops(seed, k, m):
     assert got.keys() == want.keys()
     for key in want:
         _check_equal(got[key], want[key])
+
+
+@given(seed=st.integers(0, 2**32 - 1), grid=st.integers(MIN_GRID, 24),
+       kind=st.sampled_from(["random", "all positive", "all saddles"]))
+@settings(max_examples=60, deadline=None)
+def test_crossing_table_matches_cell_loop(seed, grid, kind):
+    """The crossing table numbers, orients and joins the lattice edges as
+    the loop over cells did, on random corner-sign lattices with random
+    saddle-centre signs, on a lattice with no sign change and on a
+    checkerboard, whose every cell is a saddle."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        pos = rng.random((grid, grid)) < rng.uniform(0.2, 0.8)
+    elif kind == "all positive":
+        pos = np.ones((grid, grid), dtype=bool)
+    else:
+        pos = np.add.outer(np.arange(grid), np.arange(grid)) % 2 == rng.integers(2)
+    centre = rng.random((grid - 1, grid - 1)) < 0.5
+    corner = np.stack([pos[:-1, :-1], pos[1:, :-1], pos[1:, 1:], pos[:-1, 1:]], axis=-1)
+    flips = corner != np.roll(corner, -1, axis=-1)
+    su, sv = np.nonzero(flips.all(axis=-1))
+    ends, segments = _crossing_table(flips, centre[su, sv] == corner[su, sv, 0])
+    want_ends, want_segments = crossing_table_reference(pos, centre)
+    _check_equal(ends, want_ends)
+    _check_equal(segments, want_segments)
+    if kind != "random":
+        saddles = (kind == "all saddles") * (grid - 1) ** 2
+        assert len(su) == saddles and len(segments) == 2 * saddles
