@@ -165,7 +165,7 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
     report.results["tet"] = args.tet
     report.results["start"] = args.start
     coords = branch.coords
-    report.results["samples"] = coords.tolist()
+    report.results["samples"] = coords
     report.results["max_residuals"] = list(branch.max_residuals)
     # Tetrahedron.signed_volume of every sample, from one stacked det
     report.results["volumes"] = (np.linalg.det(coords[:, 1:] - coords[:, :1]) / 6.0).tolist()

@@ -8,6 +8,7 @@ All output is deterministic for identical inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -249,29 +250,41 @@ def _vertex_lines(rows) -> List[str]:
     return ["v %r %r %r" % tuple(row) for row in rows]
 
 
-def _sphere_mesh(lines: List[str], top: int, center: np.ndarray, radius: float,
-                 res: int) -> int:
-    """Append a sphere mesh to ``lines``, numbering its vertices from
-    ``top``; returns the number of its last vertex."""
-    res = max(4, int(res))
+@functools.lru_cache(maxsize=8)
+def _unit_sphere(res: int):
+    """The sphere mesh of resolution ``res`` about the origin: its unit
+    directions (V, 3) and faces (F, 3) numbered from 0, read-only, and the
+    %-formats of its vertex block and its face block."""
     n = 2 * res
-    # unit directions: the north pole, res - 1 rings of n at polar angle phi,
-    # the south pole; the trig stays in math, whose rounding the mesh keeps
+    # the north pole, res - 1 rings of n at polar angle phi, the south pole;
+    # the trig stays in math, whose rounding the mesh keeps
     rings = [(math.sin(phi) * math.cos(math.pi * j / res),
               math.sin(phi) * math.sin(math.pi * j / res), math.cos(phi))
              for phi in (math.pi * i / res for i in range(1, res)) for j in range(n)]
     units = np.array([(0.0, 0.0, 1.0)] + rings + [(0.0, 0.0, -1.0)])
-    lines.extend(_vertex_lines((center + radius * units).tolist()))
-    bottom = top + 1 + (res - 1) * n
+    bottom = len(units) - 1
     # ring k's vertex j is ring[k] + j; the seam wraps j + 1 to 0
-    ring = top + 1 + n * np.arange(res - 1)[:, None]
+    ring = 1 + n * np.arange(res - 1)[:, None]
     j, j1 = np.arange(n), (np.arange(n) + 1) % n
     a, b, c, d = ring[:-1] + j, ring[:-1] + j1, ring[1:] + j1, ring[1:] + j
-    faces = np.concatenate((np.stack((np.full(n, top), ring[0] + j, ring[0] + j1), axis=1),
+    faces = np.concatenate((np.stack((np.zeros(n, int), ring[0] + j, ring[0] + j1), axis=1),
                             np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3),
                             np.stack((np.full(n, bottom), ring[-1] + j1, ring[-1] + j), axis=1)))
-    lines.extend("f %d %d %d" % tuple(f) for f in faces.tolist())
-    return bottom
+    units.setflags(write=False)
+    faces.setflags(write=False)
+    return (units, faces, "\n".join(["v %r %r %r"] * len(units)),
+            "\n".join(["f %d %d %d"] * len(faces)))
+
+
+def _sphere_mesh(lines: List[str], top: int, center: np.ndarray, radius: float,
+                 res: int) -> int:
+    """Append a sphere mesh to ``lines`` as two blocks of lines, its
+    vertices numbered from ``top``; returns the number of its last
+    vertex."""
+    units, faces, vertex_format, face_format = _unit_sphere(max(4, int(res)))
+    lines.append(vertex_format % tuple((center + radius * units).ravel().tolist()))
+    lines.append(face_format % tuple((faces + top).ravel().tolist()))
+    return top + len(units) - 1
 
 
 def scene_to_obj(scene: Scene, sphere_res: int = 16) -> str:

@@ -5,9 +5,16 @@ map (x : y : z) -> (a^2 yz : b^2 zx : c^2 xy); a point and its conjugate
 share one pedal circle. A pedal chain on a tetrahedron is a set of four
 pedal triangles, one per face, sharing the foot on each common edge.
 Chains are completed from one prescribed pedal triangle plus a single
-scalar parameter; when the six feet are co-spherical (or co-planar) the
-chain determines a unique orthosecting partner tetrahedron, rebuilt here
-from the feet planes.
+scalar parameter; when the six feet are co-spherical (or co-planar) and
+stay apart, the chain determines a unique orthosecting partner
+tetrahedron, rebuilt here from the feet planes.
+
+A point of the self-conjugate curve is the projected source of such a
+chain, but not always of exactly one: where the curve is smooth it gives
+one partner, at a crunode (two real branches crossing) both roots of the
+sphericity quadratic fit and it gives two, at an acnode (an isolated real
+point) none, and at the orthogonal projection of host vertex 4 onto the
+face the root that fits has coincident feet, a degenerate chain.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ recorded numbers and tolerances alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import SceneError
 from .geom_core import Tolerance
@@ -186,6 +189,19 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
+@functools.lru_cache(maxsize=64)
+def _array_template(shape: Tuple[int, ...], newline: str) -> str:
+    """The JSON text of a float array of ``shape`` whose first line ends in
+    ``newline``, as a %-format with one %r slot per entry in C order."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = newline + "  "
+    item = _array_template(shape[1:], inner)
+    return f"[{inner}{(',' + inner).join([item] * shape[0])}{newline}]"
+
+
 def _encode(value, newline: str, out) -> None:
     """Pass the JSON text of ``value`` to ``out`` in pieces; ``newline`` is a
     line break and the indent of the line ``value`` starts on. No builtin
@@ -230,6 +246,14 @@ def _encode(value, newline: str, out) -> None:
         out(_CONSTANTS[value])
     elif isinstance(value, int):
         out(int.__repr__(value))
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64:
+        # as its tolist() at one format; a NaN or an infinity (whose repr
+        # holds an n) goes the list way, to json's ValueError
+        text = _array_template(value.shape, newline) % tuple(value.ravel().tolist())
+        if "n" in text:
+            _encode(value.tolist(), newline, out)
+        else:
+            out(text)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -240,9 +264,10 @@ def dumps_canonical(doc) -> str:
     line break. Like json it raises ValueError on NaN and the infinities
     and TypeError on other types and on keys it cannot sort or write; a
     document must be a tree (json's circular-reference check is not made).
-    json encodes an indented document in pure Python, one generator step
-    per value; this encoder writes a list of floats, the bulk of every
-    report, with one join."""
+    A float64 ndarray is written as its ``tolist()``. json encodes an
+    indented document in pure Python, one generator step per value; this
+    encoder writes a list of floats, the bulk of every report, with one
+    join, and a float64 array with one format."""
     pieces: List[str] = []
     _encode(doc, "\n", pieces.append)
     pieces.append("\n")

@@ -21,7 +21,7 @@ from .errors import CurvePointError, DegenerateError
 from .geom_core import _CROSS_U, _CROSS_V, Tolerance, as_array, dot_rows
 from .orthology import (Tetrahedron, _I, _J, _K, _L, pair_measures, pair_tolerance,
                         require_orthosecting)
-from .pedal import (VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
                     _require_orthosection, spherical_chain)
 
 
@@ -343,24 +343,29 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     """Predictor-corrector continuation along the one-parameter family of
     orthosecting partners, starting from a solved member.
 
-    The predictor steps along the Jacobian's smallest singular direction
-    (sign-aligned with the previous tangent; ``direction`` flips the first
-    step). The corrector re-converges with Newton steps on the square
-    bordered system [[J, phi], [tau^T / scale, 0]] (Allgower & Georg,
-    ch. 2): the Jacobian closed by the left null vector phi of the last
-    sample's Jacobian and by the pseudo-arclength row, solved by LU; the
-    border unknown is discarded. Newton starts at the Euler point on the
-    first step, after a step that left the sample where it was, and after
-    the tangent turned by acos(HERMITE_MIN_COS) or more; otherwise at the
-    cubic Hermite extrapolation of the last two samples and their
-    tangents, moved onto the same pseudo-arclength plane, which lands the
-    same sample from nearer. Stops early on branch
-    points (numerical nullity of two or more), corrector failure after
-    step halving, or degeneracy filters, and reports the reason. The
-    Jacobian's singular values at each sample, its tangent and its left
-    null vector all come from one SVD there. Raises
-    ``require_orthosecting``'s errors when the start does not orthosect
-    the host at ``tol``: DegenerateError on a zero-length edge,
+    The predictor steps along the tangent, the Jacobian's null direction.
+    The corrector re-converges with Newton steps on the square bordered
+    system [[J, phi], [tau^T / scale, 0]] (Allgower & Georg, ch. 2): the
+    Jacobian closed by phi, the left null vector of the start's Jacobian,
+    and by the pseudo-arclength row, solved by LU; the border unknown is
+    discarded. The start's tangent (its largest entry made positive, then
+    flipped by ``direction``) and phi come from one SVD there; every later
+    tangent is the solution t of the same bordered system at the accepted
+    sample with right-hand side e_13, normalized: the tau row signs it
+    along the step just taken, and phi needs only a component along the
+    sample's left null vector. Newton starts at the Euler point on the
+    first step and after the tangent turned by acos(HERMITE_MIN_COS) or
+    more; otherwise at the cubic Hermite extrapolation of the last two
+    samples and their tangents, moved onto the same pseudo-arclength plane,
+    which lands the same sample from nearer. Stops early on corrector
+    failure after step halving, on a step whose chord has no length (below
+    the coordinates' resolution, it left the sample where it was), on
+    degeneracy filters, and at the first of samples 0 .. steps - 1 that is
+    a branch point (numerical nullity of two or more), and reports the
+    reason. The singular values of every sample's Jacobian come from one
+    stacked SVD after the loop, which the branch-point test reads. Raises
+    ``require_orthosecting``'s errors when the start does not orthosect the
+    host at ``tol``: DegenerateError on a zero-length edge,
     NotOrthologicError or NotOrthosectingError off the family.
     """
     tol = tol or pair_tolerance(a, b0)
@@ -371,42 +376,37 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     r, jac, _ = sys.evaluate(x)
     points = [x]
     residuals = [float(np.abs(r).max())]
-    # the tangent is the last right singular vector of the Jacobian, its
-    # largest entry made positive before ``direction`` applies
-    u, s, vt = np.linalg.svd(jac)
+    jacobians = [jac]
+    # the start's tangent is the last right singular vector of the Jacobian,
+    # its largest entry made positive before ``direction`` applies
+    u, _, vt = np.linalg.svd(jac)
     tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
-    singular_values = [s]
     stop = "steps exhausted"
     # the host's centroid once per partner vertex, as x holds them
     center = np.tile(a.array.mean(axis=0), 4)
     weight = 1.0 / scale
-    # the corrector's system: Jacobian and left null vector over weighted
-    # tangent and zero, negated rhs
+    # the bordered system: Jacobian and left null vector over weighted
+    # tangent and zero; the corrector's negated rhs, and the tangent's e_13
     aug = np.zeros((13, 13))
+    aug[:12, 12] = u[:, -1]
     rhs = np.empty(13)
-    aug_jac, aug_phi, aug_tau, rhs_r = aug[:12, :12], aug[:12, 12], aug[12, :12], rhs[:12]
+    e13 = np.eye(13)[12]
+    aug_jac, aug_tau, rhs_r = aug[:12, :12], aug[12, :12], rhs[:12]
     tau_prev = None
     for _ in range(steps):
-        if s[-2] <= 1e-8 * max(s[-3], 1e-300):
-            stop = "branch point (nullity >= 2)"
-            break
-        aug_phi[...] = u[:, -1]
         np.multiply(weight, tau, out=aug_tau)
         hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
-        if hermite:   # a step below the coordinates' resolution leaves no chord
-            chord = x - x_prev
-            chord_length = math.sqrt(float(chord.dot(chord)))
-            hermite = chord_length > 0.0
         step = h
         for _ in range(7):
             # every corrected point is a new array, so y may start as x_pred
             y = x_pred = x + step * tau
             if hermite:
-                # the cubic through x_prev and x with end slopes tau_prev and
-                # tau in the chord's arclength, taken step past x: its offset
-                # from x_pred less the offset's tau part, which puts the
-                # start on x_pred's pseudo-arclength plane (tau is a unit
-                # vector); the offset's tau term is left out, as it drops
+                # the cubic through the last two samples (their chord)
+                # with end slopes tau_prev and tau in the chord's arclength,
+                # taken step past x: its offset from x_pred less the
+                # offset's tau part, which puts the start on x_pred's
+                # pseudo-arclength plane (tau is a unit vector); the
+                # offset's tau term is left out, as it drops
                 sigma = step / chord_length
                 v = ((step * sigma * (1.0 + sigma)) * tau_prev
                      - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord)
@@ -439,7 +439,12 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         else:
             stop = "corrector divergence"
             break
-        x_prev, tau_prev, x = x, tau, y
+        chord = y - x
+        chord_length = math.sqrt(float(chord.dot(chord)))
+        if chord_length == 0.0:
+            stop = "step below resolution"
+            break
+        tau_prev, x = tau, y
         if float(edges.min()) < MIN_EDGE_FACTOR * scale:
             stop = "degenerate: min edge filter"
             break
@@ -448,10 +453,27 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
             break
         points.append(x)
         residuals.append(worst)
-        # tangent at the new sample, sign-aligned with the step just taken
-        u, s, vt = np.linalg.svd(jac)
-        tau = -vt[-1] if float(vt[-1].dot(tau)) < 0 else vt[-1]
-        singular_values.append(s)
+        jacobians.append(jac)
+        # the tangent at the new sample, from the bordered system at it; the
+        # next corrector would solve that system too, so it failing ends the trace
+        aug_jac[...] = jac
+        try:
+            t = np.linalg.solve(aug, e13)[:12]
+            squared = float(t.dot(t))
+            if not math.isfinite(squared):
+                raise np.linalg.LinAlgError("tangent is not finite")
+        except np.linalg.LinAlgError:
+            stop = "corrector divergence"
+            break
+        tau = t / math.sqrt(squared)
+    singular_values = np.linalg.svd(np.array(jacobians), compute_uv=False)
+    # the branch-point test of each sample a step was taken from
+    branch = singular_values[:steps, -2] <= 1e-8 * np.maximum(singular_values[:steps, -3], 1e-300)
+    if branch.any():
+        stop = "branch point (nullity >= 2)"
+        count = int(branch.argmax()) + 1
+        del points[count:], residuals[count:]
+        singular_values = singular_values[:count]
     coords = np.array(points).reshape(-1, 4, 3)
     coords.setflags(write=False)
     return SolutionBranch(coords=coords, step_size=h, max_residuals=tuple(residuals),
@@ -466,18 +488,32 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     polished by damped least squares on ``OrthosectSystem`` and then held
     to the reconstruction postcondition (ReconstructionError).
 
-    Raises CurvePointError when no validated root keeps the six feet apart
-    or the point's sixth-foot residual exceeds VERTEX_TOL, i.e. the
-    point is not on the curve, and SimsonDegenerateError when it lies on
-    the face circumcircle.
+    One curve point gives one partner only where the curve is smooth and
+    the chain there is not degenerate: a crunode of the curve gives two
+    (both roots of Q fit), of which this returns the one ``curve_chain``
+    picks, and an acnode none; at the orthogonal projection of host vertex
+    4 onto the face the root that fits has coincident feet.
+
+    Raises CurvePointError when the point is on the curve but every root
+    that fits it has two feet within FEET_TOL (a degenerate chain), when
+    no validated root keeps the six feet apart, or when the point's
+    sixth-foot residual exceeds VERTEX_TOL, i.e. the point is not on the
+    curve; and SimsonDegenerateError when it lies on the face
+    circumcircle.
     """
     tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
     b4_local = _face_source(kernel, b4)
     t, f, _ = (float(v[0]) for v in kernel.curve_chain(b4_local[None], math.inf))
-    if math.isnan(t):
-        raise CurvePointError("no sphericity root with six distinct feet at this point")
-    if abs(f) > VERTEX_TOL:
+    if not abs(f) <= VERTEX_TOL:
+        # curve_chain passes over roots whose feet coincide, so one that
+        # fits here is such a root
+        fits = np.abs(kernel.sphericity_batch(b4_local[None])[1]) <= VERTEX_TOL
+        if fits.any():
+            raise CurvePointError("point is on the curve, but every root that fits it has "
+                                  f"coincident feet (within {FEET_TOL:.0e} scene scales)")
+        if math.isnan(t):
+            raise CurvePointError("no sphericity root with six distinct feet at this point")
         raise CurvePointError(
             f"point is off the curve: |residual| {abs(f):.3e} > {VERTEX_TOL:.1e}",
             residual=f)

@@ -125,16 +125,18 @@ def test_trace_family_cli(capsys, pair_scene, demo_pair):
 
 @pytest.mark.parametrize("step", ["1e-16", "1e-17", "1e-300"])
 def test_trace_family_step_below_resolution(capsys, step):
-    """A step too small to move the demo's coordinates leaves each sample
-    where it was, so there is no chord for the cubic Hermite start; the run
-    starts from the Euler point instead and reports JSON."""
+    """A step too small to move the demo's coordinates leaves the start
+    where it was: the trace stops at the first step with its own reason
+    and reports only the start, as JSON, rather than repeating the start as
+    samples of a family it never followed."""
     code = main(["trace-family", "--scene", DEMO_SCENE, "--tet", "A", "--start", "B",
                  "--steps", "3", "--step", step])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)
     assert code == 0, report
-    assert report["results"]["stop_reason"] == "steps exhausted"
+    assert report["results"]["stop_reason"] == "step below resolution"
+    assert report["results"]["samples"] == [load_scene(DEMO_SCENE).tetrahedron("B").array.tolist()]
 
 
 def _collapsed_scene(tmp_path, name):

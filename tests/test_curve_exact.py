@@ -18,6 +18,7 @@ constant.
 import functools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -27,8 +28,11 @@ sympy = pytest.importorskip("sympy")
 from sympy import Matrix, Poly, Rational  # noqa: E402
 
 from orthosect.analysis import FIT_CUT  # noqa: E402
+from orthosect.errors import CurvePointError  # noqa: E402
 from orthosect.orthology import Tetrahedron  # noqa: E402
-from orthosect.pedal import ChainKernel  # noqa: E402
+from orthosect.pedal import VERTEX_TOL, ChainKernel, chain_sphere_residual  # noqa: E402
+from orthosect.scene import load_scene  # noqa: E402
+from orthosect.solver import solve_from_curve_point  # noqa: E402
 
 U, V, T = sympy.symbols("u v t")
 
@@ -170,3 +174,30 @@ def test_engine_nonic_is_the_exact_nonic():
     ratio = engine[keep] / exact
     assert keep.sum() >= 150
     assert np.abs(ratio / np.median(ratio) - 1.0).max() <= 1e-9
+
+
+_DEMO_HOST = load_scene(Path(__file__).resolve().parent.parent / "scenes" / "demo.json"
+                        ).tetrahedron("A")
+
+
+@pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["demo", "host1", "host2", "host3"])
+def test_solve_from_curve_point_names_coincident_feet(index):
+    """F9 passes through the orthogonal projection of host vertex 4 onto
+    face 123, exactly on the rational hosts, and a root of Q fits there,
+    but its chain has coincident feet: solve_from_curve_point says so
+    rather than calling the point off the curve. A point 0.05 of edge 12
+    away, where both of Q's roots validate and neither fits, is off the
+    curve."""
+    host = _DEMO_HOST if index is None else Tetrahedron.of(np.array(HOSTS[index], dtype=float))
+    normal, offset = host.faces[3, :3], host.faces[3, 3]
+    foot = host.array[3] - (np.dot(normal, host.array[3]) - offset) * normal
+    if index is not None:
+        assert exact_curve(index).factor("F9")(*map(Rational, HOSTS[index][3][:2])) == 0
+    assert min(abs(f) for f in chain_sphere_residual(host, foot)) <= VERTEX_TOL
+    with pytest.raises(CurvePointError, match="coincident feet"):
+        solve_from_curve_point(host, foot)
+    off = foot + 0.05 * (host.array[1] - host.array[0])
+    residuals = chain_sphere_residual(host, off)
+    assert len(residuals) == 2 and min(abs(f) for f in residuals) > VERTEX_TOL
+    with pytest.raises(CurvePointError, match="point is off the curve"):
+        solve_from_curve_point(host, off)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orthosect.cli import main
 from orthosect.errors import SceneError
@@ -183,6 +184,39 @@ def test_dumps_canonical_is_json_indent_2(doc, depth, key):
     infinities at any depth, TypeError on keys that do not sort."""
     doc = _nest(doc, depth, key)
     assert _outcome(dumps_canonical, doc) == _outcome(_json_canonical, doc)
+
+
+# float64 arrays of 0-3 dimensions, empty dimensions included
+_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                  max_side=4),
+                     elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _error(encode, doc):
+    """The type and text of the error ``encode`` raises on ``doc``."""
+    with pytest.raises(ValueError) as info:
+        encode(doc)
+    return type(info.value), str(info.value)
+
+
+@given(array=_ARRAYS, doc=_FINITE_DOCUMENTS, depth=st.integers(0, 6), key=_KEYS,
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.integers(0, 63))
+@settings(max_examples=300, deadline=None)
+def test_dumps_canonical_writes_float_arrays_as_lists(array, doc, depth, key, bad, where):
+    """A float64 ndarray beside other values in dicts and lists encodes
+    byte for byte as its tolist(); with a NaN or an infinity planted
+    anywhere in it, it raises the ValueError its list raises, json's."""
+    planted = {"array": array, "doc": doc}
+    as_list = {"array": array.tolist(), "doc": doc}
+    assert dumps_canonical(_nest(planted, depth, key)) == _json_canonical(_nest(as_list, depth,
+                                                                                key))
+    if not array.size:
+        return
+    array.reshape(-1)[where % array.size] = bad
+    as_list["array"] = array.tolist()
+    want = _error(_json_canonical, _nest(as_list, depth, key))
+    assert _error(dumps_canonical, _nest(as_list, depth, key)) == want
+    assert _error(dumps_canonical, _nest(planted, depth, key)) == want
 
 
 @given(doc=_FINITE_DOCUMENTS, depth=st.integers(0, 6), key=_KEYS,

@@ -229,29 +229,46 @@ def _hermite_start(x_prev, tau_prev, x, tau, step, x_pred):
     return x_pred + (v - float(np.dot(tau, v)) * tau)
 
 
+def _svd_tangent(jac, tau, phi, weight):
+    """The tangent trace_family took before it was bordered: the last right
+    singular vector of the Jacobian, signed along ``tau``, with the last
+    left one as the next ``phi``."""
+    u, _, vt = np.linalg.svd(jac)
+    return (-vt[-1] if float(np.dot(vt[-1], tau)) < 0 else vt[-1]), u[:, -1]
+
+
+def _bordered_tangent(jac, tau, phi, weight):
+    """trace_family's tangent: the bordered corrector matrix solved for
+    e_13 and normalized; ``phi`` stays the start's."""
+    border = np.vstack([np.column_stack([jac, phi]), np.append(weight * tau, 0.0)])
+    t = np.linalg.solve(border, np.eye(13)[12])[:12]
+    return t / np.linalg.norm(t), phi
+
+
 def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, system=None,
-                     hermite=True):
+                     hermite=True, tangent=_svd_tangent):
     """Reference: the continuation loop with residuals and Jacobian
     evaluated separately on ``system`` (by default the per-pairing loop
     system), and both evaluated again at each accepted point for its
-    residual and tangent; each corrector iterate takes ``corrector``'s
-    step. The corrector starts at the Euler point x_pred, or with
-    ``hermite`` where trace_family's guard allows at ``_hermite_start``.
-    Returns (samples, max residuals, singular values, stop reason, step
-    halvings, corrections); the corrections are |point - prediction| /
-    step of every accepted corrector point."""
+    residual and ``tangent``; each corrector iterate takes ``corrector``'s
+    step. The start's tangent and phi come from its SVD, every sample's
+    singular values from an SVD without vectors, and the branch-point test
+    is made before each step. The corrector starts at the Euler point
+    x_pred, or with ``hermite`` where trace_family's guard allows at
+    ``_hermite_start``; a step whose chord has no length stops the
+    trace. Returns (samples, max residuals, singular values, stop
+    reason, step halvings, corrections); the corrections are |point -
+    prediction| / step of every accepted corrector point."""
     system = system or _LoopSystem(a.array, tol.scene_scale)
     scale = tol.scene_scale
-
-    def tangent(jac):
-        u, s, vt = np.linalg.svd(jac)
-        return vt[-1], s, u[:, -1]
-
     x = b0.array.reshape(12).copy()
     samples, residuals = [x], [float(np.abs(system.residuals(x)).max())]
-    tau, s, phi = tangent(system.jacobian(x))
+    jac = system.jacobian(x)
+    u, _, vt = np.linalg.svd(jac)
+    tau, phi = vt[-1], u[:, -1]
     idx = int(np.argmax(np.abs(tau)))
     tau = float(direction) * (tau if tau[idx] >= 0 else -tau)
+    s = np.linalg.svd(jac, compute_uv=False)
     singular_values = [s]
     stop, halvings, corrections = "steps exhausted", 0, []
     center = a.array.mean(axis=0)
@@ -294,6 +311,9 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
         if accepted is None:
             stop = "corrector divergence"
             break
+        if np.linalg.norm(accepted - x) == 0.0:
+            stop = "step below resolution"
+            break
         x_prev, x = x, accepted
         corrections.append(float(np.linalg.norm(x - x_pred)) / step)
         if _min_edge(x) < MIN_EDGE_FACTOR * scale:
@@ -304,10 +324,10 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
             break
         samples.append(x)
         residuals.append(float(np.abs(system.residuals(x)).max()))
-        tau_new, s, phi = tangent(system.jacobian(x))
-        if float(np.dot(tau_new, tau)) < 0:
-            tau_new = -tau_new
+        jac = system.jacobian(x)
+        tau_new, phi = tangent(jac, tau, phi, weight)
         tau_prev, tau = tau, tau_new
+        s = np.linalg.svd(jac, compute_uv=False)
         singular_values.append(s)
     return samples, residuals, singular_values, stop, halvings, corrections
 
@@ -363,7 +383,7 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
     h = 10.0 ** log_step * tol.scene_scale
     branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
     samples, residuals, singular_values, stop, halvings, _ = _reference_trace(
-        a, b, steps, h, direction, tol)
+        a, b, steps, h, direction, tol, tangent=_bordered_tangent)
     event(f"stop: {stop}")
     event(f"halved: {halvings > 0}")
     assert branch.stop_reason == stop
@@ -501,12 +521,14 @@ def _count_calls(monkeypatch, calls, owner, name):
 def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatch):
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
-    than bordered (square LU) solves, and no least-squares solve is made.
-    The residual-only and Jacobian-only views are never called. One SVD per
-    sample, the start's included, gives its tangent and singular values.
-    On the demo scene's 50-step trace the first step, from the Euler
-    point, takes two Newton iterations, and every later one, from the
-    Hermite start, takes one."""
+    than Newton (square LU) solves, and no least-squares solve is made.
+    Each accepted sample adds one LU solve for its tangent. The
+    residual-only and Jacobian-only views are never called. A trace makes
+    two SVDs: the start's, for its tangent and left null vector, and one
+    stacked over every sample for the singular values. On the demo scene's
+    50-step trace the first step, from the Euler point, takes two Newton
+    iterations, and every later one, from the Hermite start, takes one:
+    102 evaluates and 101 solves."""
     calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0, "svd": 0}
     for name in ("evaluate", "residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
@@ -521,13 +543,58 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
         calls.update(dict.fromkeys(calls, 0))
         branch = trace_family(a, b, steps=steps, h=h, tol=tol)
         assert branch.stop_reason == "steps exhausted" and len(branch) == steps + 1
-        assert calls["solve"] >= steps
+        newton = calls["solve"] - steps
+        assert newton >= steps
         assert calls["lstsq"] == 0
-        # the start's evaluate, then per step one more than its solves
-        assert calls["evaluate"] == 1 + calls["solve"] + steps
-        assert calls["svd"] == len(branch)
+        # the start's evaluate, then per step one more than its Newton solves
+        assert calls["evaluate"] == 1 + newton + steps
+        assert calls["svd"] == 2
         assert calls["residuals"] == calls["jacobian"] == 0
-    assert calls["solve"] == steps + 1
+    assert (calls["evaluate"], calls["solve"]) == (102, 101)
+
+
+def _in_loop_branch_cut(singular_values, steps):
+    """The branch-point rule as a loop makes it before each step: the
+    sample count and stop reason of a trace of len(singular_values)
+    samples that ran out of steps."""
+    for k, s in enumerate(singular_values[:steps]):
+        if s[-2] <= 1e-8 * max(s[-3], 1e-300):
+            return k + 1, "branch point (nullity >= 2)"
+    return len(singular_values), "steps exhausted"
+
+
+# per case, the samples whose (s[-3], s[-2]) are set, and to what
+@pytest.mark.parametrize("crafted", [
+    {}, {0: (1.0, 1e-9)}, {5: (1.0, 1e-8)}, {6: (1.0, 1e-12)}, {5: (1.0, 1.01e-8)},
+    {2: (1.0, 1e-9), 4: (1.0, 1e-12)}, {3: (0.0, 0.0)}, {1: (0.0, 1e-309)},
+    {1: (0.0, 1e-307), 3: (2.0, 1e-8)},
+], ids=["none", "start", "last-step", "end-sample", "near-miss", "first-of-two",
+        "zeros", "floor-hit", "floor-miss"])
+def test_trace_family_branch_cut_matches_in_loop_rule(demo_pair, monkeypatch, crafted):
+    """The branch-point test trace_family makes on its stacked singular
+    values after the loop cuts the trace where the same test made before
+    each step would have stopped it, on crafted stacks: a hit at the start,
+    at sample steps - 1 (the last a step is taken from) and none at sample
+    steps, the first of two hits, ratios at and just past 1e-8, and the
+    1e-300 floor on s[-3]."""
+    a, b, tol = demo_pair
+    steps = 6
+    stack = np.tile(np.linspace(10.0, 1.0, 12), (steps + 1, 1))
+    stack[:, -1] = 1e-15
+    for k, (s3, s2) in crafted.items():
+        stack[k, -3:-1] = s3, s2
+    real = np.linalg.svd
+
+    def svd(m, *args, compute_uv=True, **kwargs):
+        if compute_uv:
+            return real(m, *args, **kwargs)
+        return stack[:len(m)].copy()
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    branch = trace_family(a, b, steps=steps, h=0.03 * tol.scene_scale, tol=tol)
+    count, stop = _in_loop_branch_cut(stack, steps)
+    assert (len(branch), branch.stop_reason) == (count, stop)
+    assert len(branch.max_residuals) == len(branch.singular_values) == count
+    assert np.array_equal(np.array(branch.singular_values), stack[:count])
 
 
 @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
