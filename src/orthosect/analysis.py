@@ -25,8 +25,8 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _check_orthosection,
-                    _partner_vertices)
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _partner_vertices,
+                    _require_orthosection)
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
 # FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
@@ -143,9 +143,7 @@ def conjugate_from_points(a: Tetrahedron, points: np.ndarray, tol: Tolerance):
     d = u / np.sqrt(dot_rows(u, u))[:, None]
     c = _partner_vertices(
         a, points - 2.0 * dot_rows(points - carrier.center, d)[:, None] * d, tol)
-    conjugate_measures = pair_measures(a, c, tol)
-    _check_orthosection(conjugate_measures)
-    return c, carrier, conjugate_measures
+    return c, carrier, _require_orthosection(pair_measures(a, c, tol))
 
 
 @dataclass(frozen=True, eq=False)

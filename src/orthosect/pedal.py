@@ -5,9 +5,11 @@ map (x : y : z) -> (a^2 yz : b^2 zx : c^2 xy); a point and its conjugate
 share one pedal circle. A pedal chain on a tetrahedron is a set of four
 pedal triangles, one per face, sharing the foot on each common edge.
 Chains are completed from one prescribed pedal triangle plus a single
-scalar parameter; when the six feet are co-spherical (or co-planar) and
-stay apart, the chain determines a unique orthosecting partner
-tetrahedron, rebuilt here from the feet planes.
+scalar parameter t, by one construction: the kernel pass the curve trace
+runs builds the six feet at t, and the sources and closure come from those
+feet. When the six feet are co-spherical (or co-planar) and stay apart,
+the chain determines a unique orthosecting partner tetrahedron, rebuilt
+here from the feet planes.
 
 A point of the self-conjugate curve is the projected source of such a
 chain, but not always of exactly one: where the curve is smooth it gives
@@ -155,8 +157,9 @@ def _in_plane_factor(d1: np.ndarray, m: np.ndarray):
 
 
 # the kernel's edge lines as host vertex pairs: 12, 13, 23 on face (1, 2, 3),
-# then 14, 24 and 34
+# then 14, 24 and 34; and the kernel's lines in EDGE_PAIRINGS order
 _LINE_ENDS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+_PAIRING_ROWS = np.array([0, 1, 3, 2, 4, 5])
 # the three samples of the co-sphericity determinant, as t
 _T_SAMPLES = np.array([-1.0, 0.0, 1.0])[:, None]
 # the 15 pairs of six feet
@@ -183,8 +186,7 @@ class ChainKernel:
         self.tol = tol or Tolerance.for_points(host.array)
         self.shift = host.array.mean(axis=0)
         self.scale = self.tol.scene_scale
-        a = (host.array - self.shift) / self.scale
-        self.a = a
+        self.a = a = (host.array - self.shift) / self.scale
         # the line table: anchors and unit directions in _LINE_ENDS order
         self.anchor = a[[i for i, _ in _LINE_ENDS]]
         self.direction = np.array([unit(a[j] - a[i]) for i, j in _LINE_ENDS])
@@ -201,9 +203,7 @@ class ChainKernel:
         # displacement direction for source 3: in plane (1,2,4), perpendicular
         # to edge 1-2, pointing toward vertex 4's side
         toward4 = a[3] - _feet_on(a[0], d12, a[3])
-        if np.dot(u, toward4) < 0:
-            u = -u
-        self.u = u
+        self.u = u = -u if np.dot(u, toward4) < 0 else u
         # source 2 (source 1) is where the in-plane perpendiculars at feet
         # 13 and 14 (23 and 24) meet: foot 13 (23) plus a multiple of p13
         # (p23); NaN where they are parallel
@@ -220,17 +220,11 @@ class ChainKernel:
         # vertex 1, as in-plane (anchor, normal) rows
         self.divisor_lines = (a[[1, 0, 0]], np.array([perp[5], d12, d13]))
         circ = circle_through(a[0], a[1], a[2], tol=Tolerance(scene_scale=1.0))
-        self.circumcenter = circ.center
-        self.circumradius = circ.radius
+        self.circumcenter, self.circumradius = circ.center, circ.radius
 
     def to_local(self, p) -> np.ndarray:
         """Local coordinates of a point, or of (N, 3) stacked points."""
         return (np.asarray(p, dtype=float) - self.shift) / self.scale
-
-    def base_feet(self, b4_local: np.ndarray) -> np.ndarray:
-        """Feet 12, 13, 23 of a local point (3,) or (N, 3), as (3, 3) or
-        (N, 3, 3)."""
-        return _feet_on(self.anchor[:3], self.direction[:3], b4_local[..., None, :])
 
     def _cosphericity_samples(self, p: np.ndarray):
         """For (N, 3) local points: feet 12, 13, 23 (N, 3, 3), feet 14, 24
@@ -241,7 +235,7 @@ class ChainKernel:
         its last four feet: the sum of the fixed rows' (13, 23) 2x2 minors
         times the moving rows' (14 with 24 or 34) complementary ones. Foot
         34 and P are NaN without source 2 (``self.w134``)."""
-        base = self.base_feet(p)
+        base = _feet_on(self.anchor[:3], self.direction[:3], p[:, None])
         v12, v13 = base[:, :1], base[:, 1]
         at0 = np.empty((len(p), 3, 3))
         at0[:, :2] = _feet_on(self.anchor[3:5], self.direction[3:5], v12)
@@ -259,15 +253,21 @@ class ChainKernel:
         return base, at0, (minors[:, None, None] * (first[j] * second[k]
                                                      - first[k] * second[j])).sum(axis=0)
 
+    def _feet(self, base: np.ndarray, at0: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The six feet (N, K, 6, 3) at parameters t (N, K) in the kernel's
+        line order: ``_cosphericity_samples``' base feet 12, 13 and 23, then
+        its at0 feet 14, 24 and 34 moved by g t."""
+        feet = np.empty((*t.shape, 6, 3))
+        feet[:, :, :3], feet[:, :, 3:] = base[:, None], at0[:, None] + t[..., None, None] * self.g
+        return feet
+
     def _sixth_foot(self, base: np.ndarray, at0: np.ndarray, t: np.ndarray):
-        """The six feet (N, K, 6, 3) at parameters t (N, K), the carrier fit
-        of the first five (feet 12, 13, 23, 14, 24) and the signed residual
-        f (N, K) of the sixth, foot 34, against that carrier."""
-        n, k = t.shape
-        feet = np.empty((n, k, 6, 3))
-        feet[:, :, :3] = base[:, None]
-        feet[:, :, 3:] = at0[:, None] + t[..., None, None] * self.g
-        fit = {key: val.reshape(n, k, *val.shape[1:])
+        """The six feet (N, K, 6, 3) at parameters t (N, K) (``_feet``), the
+        carrier fit of the first five (feet 12, 13, 23, 14, 24) and the
+        signed residual f (N, K) of the sixth, foot 34, against that
+        carrier."""
+        feet = self._feet(base, at0, t)
+        fit = {key: val.reshape(*t.shape, *val.shape[1:])
                for key, val in _sphere_fit(feet[:, :, :5].reshape(-1, 5, 3)).items()}
         v34 = feet[:, :, 5]
         f = np.where(fit["sphere"], np.linalg.norm(v34 - fit["center"], axis=-1) - fit["radius"],
@@ -380,6 +380,11 @@ class ChainKernel:
         root of Q whose six feet stay more than FEET_TOL apart and whose
         sixth foot fits best, all three NaN where none does. Without source
         2, t and f are NaN."""
+        return self._curve_feet(b4_local, divisor_cut)[:3]
+
+    def _curve_feet(self, b4_local: np.ndarray, divisor_cut: float):
+        """``curve_chain``'s t, f and gap, then the six feet (N, 6, 3) of the
+        picked root in the kernel's line order, meaningful where t is not NaN."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         base, at0, samples = self._cosphericity_samples(p)
         x, y, _ = self._resultant_terms(samples)
@@ -396,25 +401,25 @@ class ChainKernel:
         score[~near] = 0.0, np.inf   # the common root, whatever its feet
         rows, best = np.arange(len(p)), score.argmin(axis=1)
         found = np.isfinite(score[rows, best])
-        return tuple(np.where(found, v[rows, best], np.nan) for v in (t, f, gap))
+        return (*(np.where(found, v[rows, best], np.nan) for v in (t, f, gap)), feet[rows, best])
 
-    def chain(self, b4_local: np.ndarray, t: float) -> PedalChain:
-        """The pedal chain, in world coordinates, completed from a local
-        source position on face (1, 2, 3) and a displacement parameter t in
-        normalized units; ``closure_spread`` is the world distance between
-        the two constructions of foot 34."""
+    def _chains(self, p: np.ndarray, t: np.ndarray, feet: np.ndarray) -> List[PedalChain]:
+        """World pedal chains of (N, 3) local face points, their t (N,) and
+        their ``_feet`` (N, 6, 3): source 3 is foot 12 + t u, source 2 (1) the
+        meet of the in-plane perpendiculars at feet 13 and 14 (23 and 24),
+        and the closure spread |foot of source 1 on edge line 34 - foot 34|.
+        Raises DegenerateError without source 1 or 2."""
         if np.isnan([self.w134, self.w234]).any():
             raise DegenerateError("parallel in-plane perpendiculars")
-        v12, v13, v23 = self.base_feet(b4_local)
-        b3 = v12 + t * self.u
-        v14, v24 = _feet_on(self.anchor[3:5], self.direction[3:5], b3)
-        b2 = v13 + np.dot(v14 - v13, self.w134) * self.p13
-        b1 = v23 + np.dot(v24 - v23, self.w234) * self.p23
-        v34, closing = _feet_on(self.anchor[5], self.direction[5], np.array([b2, b1]))
-        local = np.array((v12, v13, v14, v23, v24, v34, b1, b2, b3, b4_local))
-        world = local * self.scale + self.shift
-        return PedalChain(host=self.host, feet=world[:6], sources=world[6:],
-                          closure_spread=float(np.linalg.norm(closing - v34)) * self.scale)
+        v12, v13, v23, v14, v24, v34 = np.moveaxis(feet, 1, 0)
+        b1 = v23 + ((v24 - v23) @ self.w234)[:, None] * self.p23
+        b2 = v13 + ((v14 - v13) @ self.w134)[:, None] * self.p13
+        closing = _feet_on(self.anchor[5], self.direction[5], b1)
+        sources = np.stack((b1, b2, v12 + t[:, None] * self.u, p), axis=1)
+        world = np.concatenate((feet[:, _PAIRING_ROWS], sources), axis=1) * self.scale + self.shift
+        spread = np.linalg.norm(closing - v34, axis=-1) * self.scale
+        return [PedalChain(host=self.host, feet=w[:6], sources=w[6:], closure_spread=float(d))
+                for w, d in zip(world, spread)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +435,7 @@ def _face_source(kernel: ChainKernel, b4) -> np.ndarray:
     b4_local = p - (np.dot(kernel.n123, p) - kernel.off123) * kernel.n123
     simson = abs(float(np.linalg.norm(b4_local - kernel.circumcenter)) - kernel.circumradius)
     if simson <= SIMSON_TOL:
-        raise SimsonDegenerateError(
-            "source on the face circumcircle: base pedal feet collinear")
+        raise SimsonDegenerateError("source on the face circumcircle: base pedal feet collinear")
     return b4_local
 
 
@@ -442,12 +446,15 @@ def complete_chain(host: Tetrahedron, b4, t: float,
     The source on face (1,2,3) is ``b4`` (projected onto the face plane);
     the source on face (1,2,4) is displaced from the shared foot by ``t``
     (world units) along the in-plane perpendicular to edge 1-2, oriented
-    toward vertex 4. The remaining feet and sources are then determined;
-    ``closure_spread`` reports the final consistency distance, which is
-    zero (to round-off) for every valid input.
+    toward vertex 4. The remaining feet, as the curve trace's kernel pass
+    builds them, and sources are then determined; ``closure_spread``
+    reports the final consistency distance, which is zero (to round-off)
+    for every valid input. Raises DegenerateError without source 1 or 2.
     """
     kernel = ChainKernel(host, tol)
-    return kernel.chain(_face_source(kernel, b4), float(t) / kernel.scale)
+    p, t = _face_source(kernel, b4)[None], np.array([float(t) / kernel.scale])
+    base, at0, _ = kernel._cosphericity_samples(p)
+    return kernel._chains(p, t, kernel._feet(base, at0, t[:, None])[:, 0])[0]
 
 
 def chain_sphere_residual(host: Tetrahedron, b4,
@@ -510,18 +517,17 @@ def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) ->
     co-spherical.
     """
     tol = tol or Tolerance.for_points(sc.chain.host.array)
-    return _require_orthosection(sc.chain.host, _chain_partner(sc, tol), tol)
+    partner = _chain_partner(sc, tol)
+    _require_orthosection(pair_measures(sc.chain.host, partner, tol))
+    return partner
 
 
 def _chain_partner(sc: SphericalChain, tol: Tolerance) -> Tetrahedron:
     """``reconstruct_tetrahedron`` without its orthosection postcondition."""
-    chain = sc.chain
-    host = chain.host
+    host, feet, sources = sc.chain.host, sc.chain.feet, sc.chain.sources
     if sc.carrier.kind == "sphere":
-        return _partner_vertices(host, chain.feet, tol)
-    flat = sc.carrier.carrier
-    n = host.faces[:, :3]
-    sources = chain.sources
+        return _partner_vertices(host, feet, tol)
+    flat, n = sc.carrier.carrier, host.faces[:, :3]
     normal = np.broadcast_to(flat.normal, n.shape)
     denom = dot_rows(normal, n)
     parallel = np.abs(denom) <= 1e-9
@@ -556,18 +562,14 @@ def _partner_vertices(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Te
     return Tetrahedron.of(verts)
 
 
-def _require_orthosection(host: Tetrahedron, b: Tetrahedron, tol: Tolerance) -> Tetrahedron:
-    _check_orthosection(pair_measures(host, b, tol))
-    return b
-
-
-def _check_orthosection(measures) -> None:
+def _require_orthosection(measures):
     """The reconstruction postcondition on a (host, partner) pair's
-    ``pair_measures``: raises ReconstructionError when some orthogonality
-    residual or gap exceeds POSTCONDITION_TOL."""
+    ``pair_measures``, which it returns: raises ReconstructionError when
+    some orthogonality residual or gap exceeds POSTCONDITION_TOL."""
     ortho, gaps, _ = measures
     if ortho.max() > POSTCONDITION_TOL or gaps.max() > POSTCONDITION_TOL:
         raise ReconstructionError(
             f"reconstructed tetrahedron fails orthosection: orthogonality "
             f"{ortho.max():.3e}, gap {gaps.max():.3e} (tol {POSTCONDITION_TOL:.1e})",
             orthogonality=by_pairing(ortho), gaps=by_pairing(gaps))
+    return measures

@@ -350,8 +350,9 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     and by the pseudo-arclength row, solved by LU; the border unknown is
     discarded. The start's tangent (its largest entry made positive, then
     flipped by ``direction``) and phi come from one SVD there; every later
-    tangent is the solution t of the same bordered system at the accepted
-    sample with right-hand side e_13, normalized: the tau row signs it
+    tangent, solved when the next step reads it, is the solution t of the
+    same bordered system at the last sample with right-hand side e_13,
+    normalized: the tau row signs it
     along the step just taken, and phi needs only a component along the
     sample's left null vector. Newton starts at the Euler point on the
     first step and after the tangent turned by acos(HERMITE_MIN_COS) or
@@ -394,6 +395,19 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     aug_jac, aug_tau, rhs_r = aug[:12, :12], aug[12, :12], rhs[:12]
     tau_prev = None
     for _ in range(steps):
+        if tau_prev is not None:
+            # the tangent at the last sample, from the bordered system there,
+            # which the corrector solves too: it failing ends the trace
+            aug_jac[...] = jac
+            try:
+                t = np.linalg.solve(aug, e13)[:12]
+                squared = float(t.dot(t))
+                if not math.isfinite(squared):
+                    raise np.linalg.LinAlgError("tangent is not finite")
+            except np.linalg.LinAlgError:
+                stop = "corrector divergence"
+                break
+            tau = t / math.sqrt(squared)
         np.multiply(weight, tau, out=aug_tau)
         hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
         step = h
@@ -454,18 +468,6 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         points.append(x)
         residuals.append(worst)
         jacobians.append(jac)
-        # the tangent at the new sample, from the bordered system at it; the
-        # next corrector would solve that system too, so it failing ends the trace
-        aug_jac[...] = jac
-        try:
-            t = np.linalg.solve(aug, e13)[:12]
-            squared = float(t.dot(t))
-            if not math.isfinite(squared):
-                raise np.linalg.LinAlgError("tangent is not finite")
-        except np.linalg.LinAlgError:
-            stop = "corrector divergence"
-            break
-        tau = t / math.sqrt(squared)
     singular_values = np.linalg.svd(np.array(jacobians), compute_uv=False)
     # the branch-point test of each sample a step was taken from
     branch = singular_values[:steps, -2] <= 1e-8 * np.maximum(singular_values[:steps, -3], 1e-300)
@@ -483,16 +485,13 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
 def solve_from_curve_point(a: Tetrahedron, b4,
                            tol: Tolerance | None = None) -> Tetrahedron:
     """Orthosecting partner from a point of the self-conjugate curve on the
-    face of host vertices 1, 2, 3: the chain completed at the kernel's
-    ``curve_chain`` root, rebuilt as ``reconstruct_tetrahedron`` does,
-    polished by damped least squares on ``OrthosectSystem`` and then held
-    to the reconstruction postcondition (ReconstructionError).
-
-    One curve point gives one partner only where the curve is smooth and
-    the chain there is not degenerate: a crunode of the curve gives two
-    (both roots of Q fit), of which this returns the one ``curve_chain``
-    picks, and an acnode none; at the orthogonal projection of host vertex
-    4 onto the face the root that fits has coincident feet.
+    face of host vertices 1, 2, 3: the chain of the root that the kernel's
+    one ``curve_chain`` pass picks, built from the feet that pass fitted,
+    rebuilt as ``reconstruct_tetrahedron`` does, polished by damped least
+    squares on ``OrthosectSystem`` and then held to the reconstruction
+    postcondition (ReconstructionError). At a crunode of the curve, which
+    has two partners (see ``pedal``), this returns the one ``curve_chain``
+    picks.
 
     Raises CurvePointError when the point is on the curve but every root
     that fits it has two feet within FEET_TOL (a degenerate chain), when
@@ -503,22 +502,22 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     """
     tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
-    b4_local = _face_source(kernel, b4)
-    t, f, _ = (float(v[0]) for v in kernel.curve_chain(b4_local[None], math.inf))
+    p = _face_source(kernel, b4)[None]
+    t, f, _, feet = kernel._curve_feet(p, math.inf)
+    f = float(f[0])
     if not abs(f) <= VERTEX_TOL:
         # curve_chain passes over roots whose feet coincide, so one that
         # fits here is such a root
-        fits = np.abs(kernel.sphericity_batch(b4_local[None])[1]) <= VERTEX_TOL
-        if fits.any():
+        if (np.abs(kernel.sphericity_batch(p)[1]) <= VERTEX_TOL).any():
             raise CurvePointError("point is on the curve, but every root that fits it has "
                                   f"coincident feet (within {FEET_TOL:.0e} scene scales)")
-        if math.isnan(t):
+        if math.isnan(t[0]):
             raise CurvePointError("no sphericity root with six distinct feet at this point")
-        raise CurvePointError(
-            f"point is off the curve: |residual| {abs(f):.3e} > {VERTEX_TOL:.1e}",
-            residual=f)
-    chain = kernel.chain(b4_local, t)
+        raise CurvePointError(f"point is off the curve: |residual| {abs(f):.3e} > {VERTEX_TOL:.1e}",
+                              residual=f)
     allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
-    b = _chain_partner(spherical_chain(chain, tol, max_residual=allowed), tol)
-    x = _lm_minimize(OrthosectSystem(a, tol), b.array.reshape(12))[0]
-    return _require_orthosection(a, Tetrahedron.of(x.reshape(4, 3)), tol)
+    chain = spherical_chain(kernel._chains(p, t, feet)[0], tol, max_residual=allowed)
+    x = _lm_minimize(OrthosectSystem(a, tol), _chain_partner(chain, tol).array.reshape(12))[0]
+    partner = Tetrahedron.of(x.reshape(4, 3))
+    _require_orthosection(pair_measures(a, partner, tol))
+    return partner

@@ -25,7 +25,7 @@ from orthosect.geom_core import (
     meet_rows,
 )
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
-from orthosect.pedal import FEET_TOL, SIMSON_TOL, PedalChain
+from orthosect.pedal import FEET_TOL, SIMSON_TOL, PedalChain, _feet_on
 
 
 def project_to_plane(p, pl: Plane) -> np.ndarray:
@@ -238,6 +238,26 @@ def chain_kernel_constants(a: np.ndarray) -> dict:
             "g": np.array([g14, np.dot(u, d24) * d24, g34 * d34]),
             "divisor_normals": np.array([np.cross(n123, d23), d12, d13]),
             "circumcenter": centre, "circumradius": float(np.linalg.norm(centre - a[0]))}
+
+
+def chain_through_sources(kernel, b4_local: np.ndarray, t: float):
+    """The pedal chain of a local point of face (1, 2, 3) and its parameter
+    t (normalized units), completed source by source as ``ChainKernel``
+    once did: source 3 is foot 12 moved by t along ``u``, feet 14 and 24
+    are its feet, sources 2 and 1 the meets of the in-plane perpendiculars
+    at feet 13 and 14, and 23 and 24, and foot 34 source 2's foot on edge
+    line 34. Returns the feet (6, 3) in EDGE_PAIRINGS order and the sources
+    (4, 3), in world coordinates, and the world distance from foot 34 to
+    source 1's foot on edge line 34."""
+    v12, v13, v23 = _feet_on(kernel.anchor[:3], kernel.direction[:3], b4_local)
+    b3 = v12 + t * kernel.u
+    v14, v24 = _feet_on(kernel.anchor[3:5], kernel.direction[3:5], b3)
+    b2 = v13 + np.dot(v14 - v13, kernel.w134) * kernel.p13
+    b1 = v23 + np.dot(v24 - v23, kernel.w234) * kernel.p23
+    v34, closing = _feet_on(kernel.anchor[5], kernel.direction[5], np.array([b2, b1]))
+    local = np.array((v12, v13, v14, v23, v24, v34, b1, b2, b3, b4_local))
+    world = local * kernel.scale + kernel.shift
+    return world[:6], world[6:], float(np.linalg.norm(closing - v34)) * kernel.scale
 
 
 def sixth_foot(kernel, local: np.ndarray, t: np.ndarray):

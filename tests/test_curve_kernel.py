@@ -74,7 +74,7 @@ def reference_roots(kernel, b4_local):
     determinant samples at t = -1, 0, 1 of the float feet, in rational
     arithmetic, then np.roots, Newton polish, dedupe and a per-root lstsq
     sphere fit; plus the relative discriminant of the quadratic."""
-    v12, v13, v23 = kernel.base_feet(b4_local)
+    v12, v13, v23 = _feet_on(kernel.anchor[:3], kernel.direction[:3], b4_local)
     base14, base24 = _feet_on(kernel.anchor[3:5], kernel.direction[3:5], v12)
     g14, g24 = kernel.g[:2]
     # source 2 is where the perpendiculars to edges 13 and 14 in face

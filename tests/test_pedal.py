@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import (
+    chain_through_sources,
     circular_net,
     exact_sphere_through,
     foot_on_line,
@@ -313,6 +314,54 @@ def test_complete_chain_solver_roundtrip(demo_pair):
     assert np.linalg.norm(rebuilt.feet - chain.feet, axis=1).max() <= 1e-8 * tol.scene_scale
 
 
+def _completed(seed, log_scale, t_share):
+    """A random host under a random similarity at 10**log_scale, a random
+    point of its face (1, 2, 3), t = t_share scene scales and the chain
+    complete_chain builds from them; rejected (hypothesis ``assume``) where
+    the chain does not exist."""
+    rng = np.random.default_rng(seed)
+    host = Tetrahedron.of(random_similarity(rng, log_scale)(random_tetrahedron(rng).array))
+    tol = Tolerance.for_points(host.array)
+    b4 = _face_source(rng, host, spread=0.8 * tol.scene_scale)
+    t = t_share * tol.scene_scale
+    try:
+        chain = complete_chain(host, b4, t, tol)
+    except (SimsonDegenerateError, DegenerateError):
+        assume(False)
+    return host, tol, b4, t, chain
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       t_share=st.floats(-1.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_complete_chain_feet_are_the_curve_kernel_feet(seed, log_scale, t_share):
+    """complete_chain's feet are, bit for bit, the feet the curve trace's
+    kernel pass builds at the same local point and t (``_sixth_foot``), in
+    EDGE_PAIRINGS order and world coordinates, at scales 1e-12..1e12."""
+    host, tol, b4, t, chain = _completed(seed, log_scale, t_share)
+    kernel = ChainKernel(host, tol)
+    base, at0, _ = kernel._cosphericity_samples(pedal._face_source(kernel, b4)[None])
+    feet = kernel._sixth_foot(base, at0, np.array([[t / kernel.scale]]))[0][0, 0]
+    assert np.array_equal(chain.feet, feet[[0, 1, 3, 2, 4, 5]] * kernel.scale + kernel.shift)
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),
+       t_share=st.floats(-1.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_complete_chain_matches_source_by_source_completion(seed, log_scale, t_share):
+    """complete_chain's feet, sources and closure spread are within 1e-13
+    scene scales of the chain completed source by source, at scales
+    1e-12..1e12."""
+    host, tol, b4, t, chain = _completed(seed, log_scale, t_share)
+    kernel = ChainKernel(host, tol)
+    feet, sources, spread = chain_through_sources(kernel, pedal._face_source(kernel, b4),
+                                                  t / kernel.scale)
+    bound = 1e-13 * tol.scene_scale
+    assert np.abs(chain.feet - feet).max() <= bound
+    assert np.abs(chain.sources - sources).max() <= bound
+    assert abs(chain.closure_spread - spread) <= bound
+
+
 # --- sphericity parameters / chain_sphere_residual --------------------------
 
 
@@ -530,14 +579,18 @@ def _ref_partner_from_feet(host, feet, tol):
             raise DegenerateError("ill-conditioned feet planes: planes with coplanar normals "
                                   "have no unique common point")
         verts.append(np.linalg.solve(normals, np.array([pl.offset for pl in others])))
-    return _require_orthosection(host, Tetrahedron(tuple(verts)), tol)
+    partner = Tetrahedron(tuple(verts))
+    _require_orthosection(pair_measures(host, partner, tol))
+    return partner
 
 
 def partner_from_feet(host, feet, tol):
     """The sphere-carrier reconstruction of ``reconstruct_tetrahedron``:
     the partner from its feet planes, held to the orthosection
     postcondition."""
-    return _require_orthosection(host, pedal._partner_vertices(host, feet, tol), tol)
+    partner = pedal._partner_vertices(host, feet, tol)
+    _require_orthosection(pair_measures(host, partner, tol))
+    return partner
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from orthosect.analysis import trace_curve
 from orthosect.errors import CurvePointError, DegenerateError
 from orthosect.geom_core import Tolerance
 from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_tolerance
-from orthosect.pedal import chain_sphere_residual
+from orthosect.pedal import ChainKernel, chain_sphere_residual
 from orthosect.scene import load_scene
 from orthosect.solver import (
     HERMITE_MIN_COS,
@@ -522,13 +522,15 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
     """Every corrector iterate, the predicted point and each corrected one,
     is one evaluate; an attempt that converges makes one more evaluate
     than Newton (square LU) solves, and no least-squares solve is made.
-    Each accepted sample adds one LU solve for its tangent. The
-    residual-only and Jacobian-only views are never called. A trace makes
-    two SVDs: the start's, for its tangent and left null vector, and one
-    stacked over every sample for the singular values. On the demo scene's
-    50-step trace the first step, from the Euler point, takes two Newton
-    iterations, and every later one, from the Hermite start, takes one:
-    102 evaluates and 101 solves."""
+    Every step after the first adds one LU solve for the tangent at the
+    sample it starts from, so the last sample's tangent, which no step
+    reads, is never solved. The residual-only and Jacobian-only views are
+    never called. A trace makes two SVDs: the start's, for its tangent and
+    left null vector, and one stacked over every sample for the singular
+    values. On the demo scene's 50-step trace the first step, from the
+    Euler point, takes two Newton iterations, and every later one, from the
+    Hermite start, takes one: 102 evaluates and 100 solves, 51 Newton and
+    49 tangent solves."""
     calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0, "svd": 0}
     for name in ("evaluate", "residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
@@ -543,14 +545,14 @@ def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatc
         calls.update(dict.fromkeys(calls, 0))
         branch = trace_family(a, b, steps=steps, h=h, tol=tol)
         assert branch.stop_reason == "steps exhausted" and len(branch) == steps + 1
-        newton = calls["solve"] - steps
+        newton = calls["solve"] - (steps - 1)
         assert newton >= steps
         assert calls["lstsq"] == 0
         # the start's evaluate, then per step one more than its Newton solves
         assert calls["evaluate"] == 1 + newton + steps
         assert calls["svd"] == 2
         assert calls["residuals"] == calls["jacobian"] == 0
-    assert (calls["evaluate"], calls["solve"]) == (102, 101)
+    assert (calls["evaluate"], calls["solve"]) == (102, 100)
 
 
 def _in_loop_branch_cut(singular_values, steps):
@@ -739,6 +741,19 @@ def test_solve_from_curve_point_roundtrip(demo_pair):
     rebuilt = solve_from_curve_point(a, b4, tol)
     assert np.abs(rebuilt.array - b.array).max() <= 1e-7 * tol.scene_scale
     assert max_residual(a, rebuilt, tol) <= 1e-8
+
+
+def test_solve_from_curve_point_builds_one_chain(demo_pair, monkeypatch):
+    """A successful call makes one co-sphericity pass, builds the six feet
+    once, in that pass, and builds its chain from them: no second
+    completion and no sphericity call."""
+    a, b, tol = demo_pair
+    calls = dict.fromkeys(("_cosphericity_samples", "_feet", "_chains", "sphericity_batch"), 0)
+    for name in calls:
+        _count_calls(monkeypatch, calls, ChainKernel, name)
+    solve_from_curve_point(a, project_to_plane(b.vertex(4), a.face_plane(4)), tol)
+    assert calls == {"_cosphericity_samples": 1, "_feet": 1, "_chains": 1,
+                     "sphericity_batch": 0}
 
 
 def test_solve_from_curve_point_rejects_off_curve(demo_pair):
