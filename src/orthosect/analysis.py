@@ -25,8 +25,7 @@ from .orthology import (
     pair_tolerance,
     require_orthosecting,
 )
-from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _partner_vertices,
-                    _require_orthosection)
+from .pedal import FEET_TOL, VERTEX_TOL, ChainKernel, _require_orthosection, partner_from_points
 
 # trace_curve fits F9 as a Chebyshev series of total degree NONIC on a
 # FIT_NODES x FIT_NODES Chebyshev point set, leaving out the samples where
@@ -116,9 +115,11 @@ def conjugate(a: Tetrahedron, b: Tetrahedron,
     Isogonal conjugates share their pedal circle, which on each face of
     ``a`` is the section of the carrier sphere through the pair's six
     intersection points. So the conjugate meets each host edge line at the
-    sphere's second point on it, and is rebuilt from those six points.
-    Applying the construction twice returns ``b``. A flat ``b`` (plane
-    carrier) has its conjugate at infinity and raises DegenerateError.
+    sphere's second point on it, and is rebuilt from those six points by
+    ``pedal.partner_from_points``, each vertex on the normal line through
+    its source. Applying the construction twice returns ``b``. A flat ``b``
+    (plane carrier) has its conjugate at infinity and raises
+    DegenerateError.
     """
     tol = tol or pair_tolerance(a, b)
     _, points = require_orthosecting(pair_measures(a, b, tol), tol)
@@ -141,8 +142,8 @@ def conjugate_from_points(a: Tetrahedron, points: np.ndarray, tol: Tolerance):
     # edge line; stepping along the edge from the point keeps its accuracy
     u = a.array[_I] - a.array[_J]
     d = u / np.sqrt(dot_rows(u, u))[:, None]
-    c = _partner_vertices(
-        a, points - 2.0 * dot_rows(points - carrier.center, d)[:, None] * d, tol)
+    c = Tetrahedron.of(partner_from_points(
+        a, points - 2.0 * dot_rows(points - carrier.center, d)[:, None] * d))
     return c, carrier, _require_orthosection(pair_measures(a, c, tol))
 
 

@@ -24,8 +24,8 @@ from .geom_core import carrier_through
 from .orthology import (EDGE_PAIRINGS, centers_from_residuals, pair_measures, pairing_key,
                         require_orthosecting)
 from .pedal import VERTEX_TOL
-from .scene import (Report, Scene, _read_json, dumps_canonical, load_scene, scene_from_dict,
-                    scene_to_dict)
+from .scene import (MAX_COORDINATE, Report, Scene, _read_json, dumps_canonical, load_scene,
+                    scene_from_dict, scene_to_dict)
 
 # gates for the conjugation command
 CONJUGATE_CARRIER_TOL = 1e-8
@@ -199,6 +199,11 @@ def cmd_conjugate(args, scene: Scene, report: Report) -> None:
 def cmd_curve(args, scene: Scene, report: Report) -> None:
     a = scene.tetrahedron(args.tet)
     tol = scene.tolerance(a.array)
+    if args.window is not None:
+        x0, y0, x1, y1 = args.window
+        if math.hypot(max(-x0, x1), max(-y0, y1)) > MAX_COORDINATE * tol.scene_scale:
+            raise SceneError(f"--window: a corner lies more than {MAX_COORDINATE:g} scene scales "
+                             f"from the face centroid")
     trace = analysis.trace_curve(a, args.face, window=args.window, grid=args.grid, tol=tol)
     report.results.update(export.trace_to_dict(trace))
     report.results["tet"] = args.tet

@@ -9,7 +9,8 @@ scalar parameter t, by one construction: the kernel pass the curve trace
 runs builds the six feet at t, and the sources and closure come from those
 feet. When the six feet are co-spherical (or co-planar) and stay apart,
 the chain determines a unique orthosecting partner tetrahedron, rebuilt
-here from the feet planes.
+here from the six feet alone: each vertex on the normal line through its
+source, at the height its three feet planes agree on.
 
 A point of the self-conjugate curve is the projected source of such a
 chain, but not always of exactly one: where the curve is smooth it gives
@@ -41,11 +42,9 @@ from .geom_core import (
     circle_through,
     cross_rows,
     dot_rows,
-    meet_rows,
-    plane_rows,
     unit,
 )
-from .orthology import (EDGE_PAIRINGS, FACE_VERTICES, Tetrahedron, _I, _J, _edge_line_rows,
+from .orthology import (EDGE_PAIRINGS, Tetrahedron, _I, _J, _edge_line_rows,
                         by_pairing, pair_measures, pair_tolerance)
 
 # |dist(source, circumcenter) - circumradius| below this (times scene scale)
@@ -68,6 +67,14 @@ VERTEX_TOL = 1e-6
 # the rows of the three edges of the face opposite each vertex in turn, flat
 _FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
 _FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
+# the (partner vertex m, feet plane k) pairs with k != m, the planes through B_m
+_OTHER = ~np.eye(4, dtype=bool)
+# matrices taking the host's vertices to each face's edge vectors A_i - A_j
+# (_FACE_EDGES order), and the six points to each feet triangle's first
+# point, then its sides from it to its second and to its third point
+_FACE_EDGE_VECTORS = np.eye(4)[_I[_FACE_EDGES]] - np.eye(4)[_J[_FACE_EDGES]]
+_FEET_TRIANGLES = np.eye(6)[_FEET_AT.T.ravel()] - np.concatenate(
+    (np.zeros((4, 6)), np.tile(np.eye(6)[_FEET_AT[:, 0]], (2, 1))))
 # EDGE_PAIRINGS row of each host edge (i, j), i < j
 _EDGE_ROW = {ij: r for r, (ij, _) in enumerate(EDGE_PAIRINGS)}
 
@@ -505,61 +512,55 @@ def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
 
 def reconstruct_tetrahedron(sc: SphericalChain, tol: Tolerance | None = None) -> Tetrahedron:
     """Unique tetrahedron orthosecting the host with the chain's feet as
-    edge intersections: face m lies in the plane of the three feet on the
-    host edges through vertex m.
-
-    For a plane-kind carrier (flat partner) the feet planes all coincide
-    with the carrier, so each vertex is instead recovered as the
-    intersection of the carrier plane with the projection line through its
-    source point. Either way the orthosection postcondition (every gap and
-    orthogonality residual below POSTCONDITION_TOL) holds or a
-    ReconstructionError is raised, the symptom of feet that are not
+    edge intersections, rebuilt from the feet alone by
+    ``partner_from_points``, for either kind of carrier: a flat chain's
+    feet planes are its carrier plane. The orthosection postcondition
+    (every gap and orthogonality residual below POSTCONDITION_TOL) holds or
+    a ReconstructionError is raised, the symptom of feet that are not
     co-spherical.
     """
     tol = tol or Tolerance.for_points(sc.chain.host.array)
-    partner = _chain_partner(sc, tol)
+    partner = Tetrahedron.of(partner_from_points(sc.chain.host, sc.chain.feet))
     _require_orthosection(pair_measures(sc.chain.host, partner, tol))
     return partner
 
 
-def _chain_partner(sc: SphericalChain, tol: Tolerance) -> Tetrahedron:
-    """``reconstruct_tetrahedron`` without its orthosection postcondition."""
-    host, feet, sources = sc.chain.host, sc.chain.feet, sc.chain.sources
-    if sc.carrier.kind == "sphere":
-        return _partner_vertices(host, feet, tol)
-    flat, n = sc.carrier.carrier, host.faces[:, :3]
-    normal = np.broadcast_to(flat.normal, n.shape)
-    denom = dot_rows(normal, n)
-    parallel = np.abs(denom) <= 1e-9
-    if parallel.any():
-        raise DegenerateError(f"carrier plane parallel to the projection direction of face "
-                              f"{int(np.argmax(parallel)) + 1}")
-    verts = sources + ((flat.offset - dot_rows(normal, sources)) / denom)[:, None] * n
-    return Tetrahedron.of(verts)
-
-
-def _partner_vertices(host: Tetrahedron, feet: np.ndarray, tol: Tolerance) -> Tetrahedron:
-    """The tetrahedron whose edge intersections with ``host`` are ``feet``
-    (6, 3), one per host edge in EDGE_PAIRINGS order, before the
-    orthosection postcondition: face m lies in the plane of the three feet
-    on the host edges through vertex m."""
-    p = feet[_FEET_AT]
-    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    n = cross_rows(u, v)
-    # twice the triangle's area over its longer side from the first foot
-    height = np.sqrt(dot_rows(n, n)) / np.maximum(
-        np.maximum(np.sqrt(dot_rows(u, u)), np.sqrt(dot_rows(v, v))), 1e-300)
-    low = height <= tol.eps_rel * tol.scene_scale
-    if low.any():
-        raise DegenerateError(
-            f"collinear feet around vertex {int(np.argmax(low)) + 1}: degenerate partner "
-            f"whose face contains a host vertex")
-    try:
-        # vertex m is the common point of the feet planes other than m's
-        verts = meet_rows(plane_rows(n, p[:, 0])[FACE_VERTICES])
-    except DegenerateError as exc:
-        raise DegenerateError(f"ill-conditioned feet planes: {exc}") from exc
-    return Tetrahedron.of(verts)
+def partner_from_points(host: Tetrahedron, points) -> np.ndarray:
+    """The vertices (..., 4, 3) of the tetrahedron whose edges meet the
+    host's orthogonally at ``points`` (..., 6, 3), EDGE_PAIRINGS order, with
+    no postcondition. Vertex m is S_m + s_m n_m: S_m, its source, is the
+    least-squares meet in host face plane m of the perpendiculars to the
+    face's edges at their points, n_m the face's normal, and s_m fits the
+    three feet planes through it (of the points around host vertices
+    k != m), each weighted by its feet triangle's area. Raises
+    DegenerateError where s_m has no fit: that normal line parallel to
+    those planes, within 1e-9 of the four planes' size."""
+    points = np.asarray(points, dtype=float)
+    # per face, its edges' unit directions d (4, 3, 3) and a normal n: the
+    # source's part along the face plane solves d . S = d . point on each
+    # edge and n . S = 0 in least squares, and the fit below finds the rest
+    u = _FACE_EDGE_VECTORS @ host.array
+    d = (u / np.sqrt(dot_rows(u, u))[:, None]).reshape(4, 3, 3)
+    n = cross_rows(d[:, 0], d[:, 1])
+    dt = d.transpose(0, 2, 1)
+    along = (points[..., _FACE_EDGES, :].reshape(*points.shape[:-2], 4, 3, 3) * d).sum(axis=-1)
+    sources = np.linalg.solve(np.matmul(dt, d) + n[:, :, None] * n[:, None, :],
+                              np.matmul(dt, along[..., None]))[..., 0]
+    # the feet plane around host vertex k, c_k . x = c_k . q_k: q_k its first
+    # point and c_k the cross product of its triangle's sides from q_k
+    q = np.matmul(_FEET_TRIANGLES, points)
+    c = cross_rows(q[..., 4:8, :], q[..., 8:, :])
+    # row m, column k != m: c_k . n_m s_m = c_k . (q_k - S_m)
+    ct = np.swapaxes(c, -1, -2)
+    tilt = np.matmul(n, ct) * _OTHER
+    miss = (c * q[..., :4, :]).sum(axis=-1)[..., None, :] - np.matmul(sources, ct)
+    den = (tilt * tilt).sum(axis=-1)
+    crossing = den > 1e-18 * (c * c).sum(axis=(-1, -2))[..., None]
+    if not crossing.all():
+        m = int(np.argmin(crossing.reshape(-1, 4).all(axis=0))) + 1
+        raise DegenerateError(f"feet planes parallel to the normal line of face {m}: "
+                              f"partner vertex {m} at infinity")
+    return sources + ((tilt * miss).sum(axis=-1) / den)[..., None] * n
 
 
 def _require_orthosection(measures):

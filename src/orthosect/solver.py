@@ -21,8 +21,8 @@ from .errors import CurvePointError, DegenerateError
 from .geom_core import _CROSS_U, _CROSS_V, Tolerance, as_array, dot_rows
 from .orthology import (Tetrahedron, _I, _J, _K, _L, pair_measures, pair_tolerance,
                         require_orthosecting)
-from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _chain_partner, _face_source,
-                    _require_orthosection, spherical_chain)
+from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _face_source, _require_orthosection,
+                    partner_from_points)
 
 
 # degeneracy filters shared by solve and trace_family, in scene scales: a
@@ -487,11 +487,12 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     """Orthosecting partner from a point of the self-conjugate curve on the
     face of host vertices 1, 2, 3: the chain of the root that the kernel's
     one ``curve_chain`` pass picks, built from the feet that pass fitted,
-    rebuilt as ``reconstruct_tetrahedron`` does, polished by damped least
-    squares on ``OrthosectSystem`` and then held to the reconstruction
-    postcondition (ReconstructionError). At a crunode of the curve, which
-    has two partners (see ``pedal``), this returns the one ``curve_chain``
-    picks.
+    rebuilt from those feet by ``partner_from_points`` (the kernel's
+    sixth-foot residual is the only gate on them; no carrier is fitted),
+    polished by damped least squares on ``OrthosectSystem`` and then held
+    to the reconstruction postcondition (ReconstructionError). At a
+    crunode of the curve, which has two partners (see ``pedal``), this
+    returns the one ``curve_chain`` picks.
 
     Raises CurvePointError when the point is on the curve but every root
     that fits it has two feet within FEET_TOL (a degenerate chain), when
@@ -515,9 +516,8 @@ def solve_from_curve_point(a: Tetrahedron, b4,
             raise CurvePointError("no sphericity root with six distinct feet at this point")
         raise CurvePointError(f"point is off the curve: |residual| {abs(f):.3e} > {VERTEX_TOL:.1e}",
                               residual=f)
-    allowed = max(2.0 * abs(f), tol.eps_rel) * kernel.scale
-    chain = spherical_chain(kernel._chains(p, t, feet)[0], tol, max_residual=allowed)
-    x = _lm_minimize(OrthosectSystem(a, tol), _chain_partner(chain, tol).array.reshape(12))[0]
+    start = partner_from_points(a, kernel._chains(p, t, feet)[0].feet)
+    x = _lm_minimize(OrthosectSystem(a, tol), start.reshape(12))[0]
     partner = Tetrahedron.of(x.reshape(4, 3))
     _require_orthosection(pair_measures(a, partner, tol))
     return partner

@@ -22,7 +22,6 @@ from orthosect.geom_core import (
     as_array,
     circle_through,
     dot_rows,
-    meet_rows,
 )
 from orthosect.orthology import FACE_VERTICES, Tetrahedron
 from orthosect.pedal import FEET_TOL, SIMSON_TOL, PedalChain, _feet_on
@@ -67,6 +66,19 @@ def pedal_circle(source, face, tol: Tolerance | None = None) -> Circle3D:
             <= SIMSON_TOL * tol.scene_scale:
         raise SimsonDegenerateError("source on the circumcircle: pedal feet are collinear")
     return circle_through(*feet, tol=tol)
+
+
+# |det| of three unit plane normals at or below which they count as coplanar
+MEET_DET_TOL = 1e-12
+
+
+def meet_rows(planes: np.ndarray) -> np.ndarray:
+    """Common points (k, 3) of k triples of (unit normal, offset) plane
+    rows (k, 3, 4); raises DegenerateError on (nearly) coplanar normals."""
+    normals = planes[:, :, :3]
+    if (np.abs(np.linalg.det(normals)) <= MEET_DET_TOL).any():
+        raise DegenerateError("planes with coplanar normals have no unique common point")
+    return np.linalg.solve(normals, planes[:, :, 3:])[:, :, 0]
 
 
 def construct_orthologic(a: Tetrahedron, center, offsets: Sequence[float] | None = None,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +378,7 @@ def test_partner_edge_below_collapse_cut_is_degenerate_error(tmp_path, capsys, m
     # collapsed partner
     path = tmp_path / "collapse.json"
     save_scene(Scene(tetrahedra={"A": a, "B": b}, eps_abs=1e-12), path)
-    monkeypatch.setattr(analysis, "_partner_vertices", lambda host, feet, tol: collapsed)
+    monkeypatch.setattr(analysis, "partner_from_points", lambda host, points: collapsed.array)
     code, report = _run(capsys, ["conjugate", "--scene", str(path), "--pair", "A,B"])
     assert code == 1
     assert report["error"] == "DegenerateError: zero-length edge B12"
@@ -409,6 +410,21 @@ def test_scene_scale_band(tmp_path, capsys, scale, code):
     assert main(["verify", "--scene", str(path), "--pair", "A,B"]) == code
     err = capsys.readouterr().err
     assert ("error: tetrahedra.A: " in err and "scale band" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("corner,code", [(1e59, 0), (1e75, 2)])
+def test_curve_window_scale_band(capsys, corner, code):
+    """A --window corner more than MAX_COORDINATE scene scales from the face
+    centroid is rejected as the scene scale band rejects a coordinate, with
+    exit 2 and no report; one inside the band traces (here, nothing)."""
+    argv = ["curve", "--scene", DEMO_SCENE, "--tet", "A", "--face", "4", "--grid", "16",
+            "--window", f"{-corner!r},{-corner!r},{corner!r},{corner!r}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("error: --window: a corner lies more than 1e+60 scene scales" in err) == (code == 2)
+    assert (out == "") == (code == 2)
 
 
 # the pair commands the equivariance test runs, and the results holding
@@ -644,12 +660,41 @@ def test_sequence_guards_each_pair_once(capsys, monkeypatch):
         (tets[m], tets[m + 1]) for m in range(6)]
 
 
-def test_sequence_truncates_where_a_conjugate_fails_the_guard(tmp_path, capsys, monkeypatch):
+def test_sequence_truncates_where_a_conjugate_fails_the_guard(capsys, monkeypatch):
     """A conjugate that passes the reconstruction postcondition (1e-6) but
     not the orthosecting guard at the scene's eps_rel ends the run before
     it, as any later member's GeometryError does: the report names the
-    member and the guard's message, and holds no error. The pair is slot 5
-    of the seed-1 bench pairs deck, a well-conditioned host at scale 1e6."""
+    member and the guard's message, and holds no error. Here the demo
+    pair's second conjugate has its first vertex moved by 1e-6 (about
+    2e-7 scene scales), which leaves a residual between the two."""
+    real = analysis.partner_from_points
+    built = []
+
+    def nudged(host, points):
+        vertices = real(host, points)
+        built.append(vertices)
+        if len(built) == 2:
+            vertices = vertices + np.array([[1e-6, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3])
+        return vertices
+
+    monkeypatch.setattr(analysis, "partner_from_points", nudged)
+    code, report = _run(capsys, ["sequence", "--scene", DEMO_SCENE, "--pair", "A,B", "--n", "6"])
+    assert code == 1
+    assert "error" not in report
+    results = report["results"]
+    assert results["truncated_at"] == len(results["tetrahedra"]) == 3
+    assert results["truncation_reason"].startswith("pair is not orthologic: max residual ")
+    complete = next(v for v in report["verdicts"] if v["name"] == "complete")
+    assert not complete["passed"]
+
+
+def test_sequence_truncates_at_a_flat_partner(tmp_path, capsys, monkeypatch):
+    """Slot 5 of the seed-1 bench pairs deck, a well-conditioned host at
+    scale 1e6, runs three members. The third is small (7.2e-4 scene
+    scales) and nearly flat (volume over diameter cubed 1.7e-4); the pair
+    of it and its conjugate has a parallel perpendicular bundle, so the run
+    stops before the fourth, with the orthology centers' message and no
+    error."""
     monkeypatch.syspath_prepend(str(BENCH))
     inputs = importlib.import_module("inputs")
     deck = inputs.make_deck("pairs", 1, BENCH.parent, tmp_path)
@@ -659,10 +704,8 @@ def test_sequence_truncates_where_a_conjugate_fails_the_guard(tmp_path, capsys, 
     assert "error" not in report
     results = report["results"]
     assert results["truncated_at"] == len(results["tetrahedra"]) == 3
-    # 3.393e-07 here: round-off grown over three conjugations at scale 1e6
-    assert results["truncation_reason"].startswith("pair is not orthologic: max residual ")
-    complete = next(v for v in report["verdicts"] if v["name"] == "complete")
-    assert not complete["passed"]
+    assert results["truncation_reason"] == ("flat partner: all lines parallel: concurrency "
+                                            "point at infinity")
 
 
 def test_conjugate_measures_each_pair_once(capsys, pair_measure_calls):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_similarity
-from oracles import exact_sphere_through, foot_on_line, project_to_plane
+from oracles import exact_sphere_through, foot_on_line, meet_rows, project_to_plane
 from orthosect.errors import DegenerateError
 from orthosect.geom_core import (
     Line,
@@ -17,7 +17,6 @@ from orthosect.geom_core import (
     circle_through,
     closest_points,
     concurrency_rows,
-    meet_rows,
     sphere_through,
 )
 
