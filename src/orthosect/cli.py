@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tet", required=True)
     p.add_argument("--start", required=True, help="solved partner to start from")
     p.add_argument("--steps", required=True, type=_at_least(0))
-    p.add_argument("--step", required=True, type=_positive, help="step size (scene units)")
+    p.add_argument("--step", required=True, type=_positive,
+                   help="distance between samples along the family (scene units): a "
+                        "skeleton at 5 steps filled in by one batched correction, walked "
+                        "at this step where the family turns too fast to fill")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("conjugate", help="construct the conjugate partner")

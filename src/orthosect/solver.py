@@ -5,7 +5,11 @@ orthogonality conditions (only five independent) and six quadratic
 intersection conditions, so solutions form a one-parameter family.
 ``solve`` finds members by restarted damped least squares seeded inside
 the orthogonality null space; ``trace_family`` follows the family with a
-predictor-corrector continuation along the Jacobian's null direction.
+predictor-corrector continuation along the Jacobian's null direction: a
+skeleton at FILL_SPAN steps, the samples between its nodes corrected in
+one stacked batch (``OrthosectSystem.evaluate`` over (R, 12) rows, one
+stacked LU solve per iterate), and a walk at one step where the family
+turns too fast to fill.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ LM_LAMBDA_DOWN = 3.0
 # the last two samples when the tangent turned by less than acos() of this
 # over the last step, and from the Euler point otherwise
 HERMITE_MIN_COS = 0.999
+# a trace of 2 FILL_SPAN steps or more walks a skeleton at FILL_SPAN steps
+# and corrects the samples between its nodes in one stacked batch; a
+# skeleton step, and each chord of a batched sample, stays within
+# FILL_CHORD_TOL of its step's length
+FILL_SPAN = 5
+FILL_CHORD_TOL = 0.01
 # max residual that stops the damped iteration, and the one a solution needs
 TARGET_RESIDUAL = 1e-12
 ACCEPT_RESIDUAL = 1e-11
@@ -142,21 +152,34 @@ class OrthosectSystem:
         cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
         self._jac_at = (12 * np.arange(12).reshape(2, 6, 1) + cols).reshape(-1)
         self._den_factors = np.array([[1.0], [self.scale], [self.scale]])
-        # evaluate's intermediates, and the views it reads and writes them
-        # through, made once: a view costs about what a small ufunc does.
-        # What evaluate returns is always a fresh array.
-        points = np.concatenate((self.a.reshape(12), np.zeros(12)))
-        work = np.zeros((30, 3))
-        work[_U] = self.u
-        prod, dots, dens, quot, scaled, blocks = (
-            np.empty(shape) for shape in ((12, 6), 18, (3, 6), (3, 6, 3), (2, 6, 3), (4, 6, 3)))
-        nw2 = np.empty((6, 1))
-        self._views = (
-            points, points[12:], work.reshape(90), work[:12], work[:6], work[18:],
-            work[12:].reshape(3, 6, 3), prod, prod[:, :3], prod[:, 3:],
-            dots.reshape(18, 1, 1), dots[:6], dots[6:].reshape(2, 6),
-            dens, dens[:2], dens[:, :, None], quot, quot[:2], quot[2], scaled,
-            nw2, nw2.reshape(6), blocks.reshape(72), blocks[:2], blocks[1], blocks[2:])
+        self._views = self._buffers(())
+
+    def _buffers(self, lead: Tuple[int, ...]):
+        """evaluate's intermediates for one partner, lead (), or for R of
+        them, lead (R,); the views it reads and writes them through; and the
+        flat Jacobian index of the blocks, offset to each row. The
+        one-partner set is made once per system: a view costs about what a
+        small ufunc does. The denominators keep their three kinds first, so
+        that (R, 6) edge lengths broadcast against the (3, 1, 1) factors."""
+        points = np.empty(lead + (24,))
+        points[..., :12] = self.a.reshape(12)
+        work = np.zeros(lead + (30, 3))
+        work[..., _U, :] = self.u
+        prod, dots, quot, scaled, blocks, nw2 = (
+            np.empty(lead + shape) for shape in ((12, 6), (18,), (3, 6, 3), (2, 6, 3), (4, 6, 3),
+                                                 (1, 6, 1)))
+        dens = np.empty((3,) + lead + (6,))
+        by_row = np.moveaxis(dens, 0, -2)
+        jac_at = (self._jac_at + 144 * np.arange(lead[0] if lead else 1)[:, None]).reshape(-1)
+        factors = self._den_factors.reshape((3,) + (1,) * len(lead) + (1,))
+        return (lead, points, points[..., 12:], work.reshape(lead + (90,)), work[..., :12, :],
+                work[..., None, :6, :], work[..., 18:, :],
+                work[..., 12:, :].reshape(lead + (3, 6, 3)), prod, prod[..., :3], prod[..., 3:],
+                dots.reshape(lead + (18, 1, 1)), dots[..., :6],
+                dots[..., 6:].reshape(lead + (2, 6, 1)), dens, factors, by_row[..., :2, :, None],
+                by_row[..., None], quot, quot[..., :2, :, :], quot[..., 2, :, :], scaled, nw2,
+                nw2[..., 0, :, 0], blocks.reshape(-1), blocks[..., :2, :, :], blocks[..., 1, :, :],
+                blocks[..., 2:, :, :], jac_at)
 
     def orthogonality_matrix(self) -> np.ndarray:
         """Constant 6x12 matrix of the (unnormalized) linear orthogonality
@@ -171,38 +194,47 @@ class OrthosectSystem:
         """The residuals, the orthogonality rows g = U.W / (|U||W|) then the
         intersection rows h = (U x W).M / (|U||W| scale), all six of each;
         their Jacobian (12, 12); and the six partner edge lengths, from one
-        pass. Raises _Collapse on the first collapsed partner edge in
-        pairing order."""
-        (points, partner, flat, wm, w, cross, vecs, prod, prod_a, prod_b,
-         dots, ww, gh_dots, dens, gh_dens, vec_dens, quot, dg_dh, dm, scaled,
-         nw2, nw2_flat, jac_blocks, bk, bk_h, bl) = self._views
+        pass, of one partner x (12,) or of each of R partners x (R, 12),
+        with a leading R axis on each result. Every row is the same
+        arithmetic, so row r is bit for bit the one-partner call on x[r].
+        A collapsed partner edge raises _Collapse for one partner, naming
+        the first in pairing order; of R partners it flags the row: its
+        residuals, and the Jacobian entries they depend on, are NaN."""
+        (lead, points, partner, flat, wm, w, cross, vecs, prod, prod_a, prod_b, dots, ww,
+         gh_dots, dens, factors, gh_dens, vec_dens, quot, dg_dh, dm, scaled, nw2, nw2_rows,
+         jac_blocks, bk, bk_h, bl, jac_at) = (
+            self._views if x.ndim == 1 else self._buffers(x.shape[:1]))
         partner[...] = x
-        np.subtract(points.take(_WM[0]), points.take(_WM[1]), out=wm)
-        np.multiply(flat.take(_CROSS[0]), flat.take(_CROSS[1]), out=prod)
+        np.subtract(points.take(_WM[0], -1), points.take(_WM[1], -1), out=wm)
+        np.multiply(flat.take(_CROSS[0], -1), flat.take(_CROSS[1], -1), out=prod)
         np.subtract(prod_a, prod_b, out=cross)
-        np.matmul(flat.take(_DOTS[0]), flat.take(_DOTS[1]), out=dots)
-        nw = np.sqrt(ww)
+        np.matmul(flat.take(_DOTS[0], -1), flat.take(_DOTS[1], -1), out=dots)
+        edges = nw = np.sqrt(ww)
         # fmin skips NaN: the least edge is collapsed iff some edge is
-        if np.fmin.reduce(nw) <= self._zero_edge:
-            p = int(np.argmax(nw <= self._zero_edge))
-            raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
+        short = np.fmin.reduce(nw, axis=-1) <= self._zero_edge
+        if not lead:
+            if short:
+                p = int(np.argmax(nw <= self._zero_edge))
+                raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
+        elif short.any():
+            nw = np.where(short[:, None], np.nan, nw)
         # |U||W| over |U||W| scale, twice
-        np.multiply(self.nu * nw, self._den_factors, out=dens)
+        np.multiply(self.nu * nw, factors, out=dens)
         gh = gh_dots / gh_dens
         # U, M x U and U x W over their denominators: d(g)/dW over d(h)/dW,
         # then d(h)/dM
         np.divide(vecs, vec_dens, out=quot)
         # the B_k blocks d(g)/dW and d(h)/dW + d(h)/dM, then the B_l blocks
         # -d(g)/dW and -d(h)/dW
-        np.multiply(gh[:, :, None], w, out=scaled)
-        np.multiply(nw, nw, out=nw2_flat)
+        np.multiply(gh, w, out=scaled)
+        np.multiply(nw, nw, out=nw2_rows)
         np.divide(scaled, nw2, out=scaled)
         np.subtract(dg_dh, scaled, out=bk)
         np.negative(bk, out=bl)
         np.add(bk_h, dm, out=bk_h)
-        jac = np.zeros(144)
-        jac[self._jac_at] = jac_blocks
-        return gh.reshape(12), jac.reshape(12, 12), nw
+        jac = np.zeros(2 * jac_at.size)
+        jac[jac_at] = jac_blocks
+        return gh.reshape(x.shape), jac.reshape(lead + (12, 12)), edges
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[0]
@@ -338,10 +370,190 @@ def solve(a: Tetrahedron, cfg: SolverConfig, tol: Tolerance | None = None) -> Li
     return list(solve_detailed(a, cfg, tol).solutions)
 
 
+class _Walk:
+    """The continuation of one trace: its system, the start's left null
+    vector phi, and the bordered corrector matrix [[J, phi], [tau^T /
+    scale, 0]] with the views its steps fill."""
+
+    def __init__(self, sys: OrthosectSystem, phi: np.ndarray, center: np.ndarray):
+        self.sys = sys
+        self.phi = phi
+        self.weight = 1.0 / sys.scale
+        # the host's centroid once per partner vertex, as x holds them
+        self.center = np.tile(center, 4)
+        # the bordered system: Jacobian and left null vector over weighted
+        # tangent and zero; the corrector's negated rhs, and the tangent's e_13
+        self.aug = np.zeros((13, 13))
+        self.aug[:12, 12] = phi
+        self.rhs = np.empty(13)
+        self.e13 = np.eye(13)[12]
+
+    def tangent(self, jac: np.ndarray) -> np.ndarray:
+        """The unit tangent at the sample of Jacobian ``jac``: the bordered
+        system there, its tau row the last step's, solved for e_13, which
+        signs it along that step. Raises LinAlgError where it has none."""
+        self.aug[:12, :12] = jac
+        t = np.linalg.solve(self.aug, self.e13)[:12]
+        squared = float(t.dot(t))
+        if not math.isfinite(squared):
+            raise np.linalg.LinAlgError("tangent is not finite")
+        return t / math.sqrt(squared)
+
+    def walk(self, samples: list, tau: np.ndarray, count: int, h: float, whole: bool = False):
+        """Up to ``count`` steps of h from the last of ``samples``, each
+        sample an (x, max |residual|, Jacobian) triple, with tangent ``tau``
+        there, appending every accepted sample. The corrector starts at the
+        Euler point on the first step and after the tangent turned by
+        acos(HERMITE_MIN_COS) or more, and otherwise at the cubic Hermite
+        extrapolation of the last two samples and their tangents, moved
+        onto the same pseudo-arclength plane; a failed attempt halves the
+        step, up to six times. With ``whole`` the walk ends before a step
+        that was halved or whose chord is longer than (1 + FILL_CHORD_TOL) h,
+        where the family turns too fast for a batched fill. Returns the
+        reason it ended (None after ``count`` steps) and the tangents at the
+        samples it stepped from."""
+        x, _, jac = samples[-1]
+        scale, weight, center, sys = self.sys.scale, self.weight, self.center, self.sys
+        aug, rhs = self.aug, self.rhs
+        aug_jac, aug_tau, rhs_r = aug[:12, :12], aug[12, :12], rhs[:12]
+        tangents = [tau]
+        tau_prev = None
+        for _ in range(count):
+            if tau_prev is not None:
+                # the tangent at the last sample, from the bordered system
+                # there, which the corrector solves too: it failing ends the walk
+                try:
+                    tau = self.tangent(jac)
+                except np.linalg.LinAlgError:
+                    return "corrector divergence", tangents
+                tangents.append(tau)
+            np.multiply(weight, tau, out=aug_tau)
+            hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
+            step = h
+            for _ in range(7):
+                # every corrected point is a new array, so y may start as x_pred
+                y = x_pred = x + step * tau
+                if hermite:
+                    # the cubic through the last two samples (their chord)
+                    # with end slopes tau_prev and tau in the chord's arclength,
+                    # taken step past x: its offset from x_pred less the
+                    # offset's tau part, which puts the start on x_pred's
+                    # pseudo-arclength plane (tau is a unit vector); the
+                    # offset's tau term is left out, as it drops
+                    sigma = step / chord_length
+                    v = ((step * sigma * (1.0 + sigma)) * tau_prev
+                         - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord)
+                    y = x_pred + (v - float(tau.dot(v)) * tau)
+                try:
+                    for _ in range(25):
+                        r, jac, edges = sys.evaluate(y)
+                        worst = float(np.abs(r).max())
+                        if worst <= 1e-12:
+                            break
+                        aug_jac[...] = jac
+                        np.negative(r, out=rhs_r)
+                        rhs[12] = -(weight * float(tau.dot(y - x_pred)))
+                        delta = np.linalg.solve(aug, rhs)[:12]
+                        # |delta|^2, non-finite when delta is; its root is np.linalg.norm's
+                        squared = float(delta.dot(delta))
+                        if not math.isfinite(squared):
+                            raise np.linalg.LinAlgError("corrector step is not finite")
+                        y = y + delta
+                        if math.sqrt(squared) < 1e-16 * scale:
+                            r, jac, edges = sys.evaluate(y)
+                            worst = float(np.abs(r).max())
+                            break
+                    # accepted when the last evaluation, the one at y, is on the family
+                    if worst <= 1e-12:
+                        break
+                except (_Collapse, np.linalg.LinAlgError):
+                    pass
+                step *= 0.5
+            else:
+                return "corrector divergence", tangents
+            chord = y - x
+            chord_length = math.sqrt(float(chord.dot(chord)))
+            if whole and (step < h or chord_length > (1.0 + FILL_CHORD_TOL) * h):
+                return "step not whole", tangents
+            if chord_length == 0.0:
+                return "step below resolution", tangents
+            tau_prev, x = tau, y
+            if float(edges.min()) < MIN_EDGE_FACTOR * scale:
+                return "degenerate: min edge filter", tangents
+            if float(np.abs(x - center).max()) > MAX_COORD_FACTOR * scale:
+                return "degenerate: out of range", tangents
+            samples.append((x, worst, jac))
+        return None, tangents
+
+    def fill(self, nodes: np.ndarray, tangents: np.ndarray, h: float):
+        """The FILL_SPAN - 1 samples between each two neighbouring ``nodes``
+        (K + 1, 12) with unit ``tangents``: predicted on the cubic Hermite
+        interpolant of the two in their chord's length at chord fractions
+        j / FILL_SPAN, and corrected on the interpolant's normal plane there
+        by bordered Newton steps, every row at once, a row leaving the stack
+        as it converges. Returns the samples (K, FILL_SPAN - 1, 12), their
+        max |residual| and Jacobians, and how many leading segments pass
+        the guard: every sample converged, within h / 2 of its prediction
+        and inside the degeneracy filters, and every chord of the segment
+        within FILL_CHORD_TOL h of h."""
+        sys, scale, weight = self.sys, self.sys.scale, self.weight
+        x0, x1, t0, t1 = (v[:, None] for v in (nodes[:-1], nodes[1:], tangents[:-1], tangents[1:]))
+        chord = x1 - x0
+        length = np.sqrt(dot_rows(chord[:, 0], chord[:, 0]))[:, None, None]
+        s = (np.arange(1, FILL_SPAN) / FILL_SPAN)[:, None]
+        pred = (x0 + (s * s * (3.0 - 2.0 * s)) * chord
+                + length * ((s * (1.0 - s) ** 2) * t0 - (s * s * (1.0 - s)) * t1)).reshape(-1, 12)
+        slope = ((6.0 * s * (1.0 - s)) * chord
+                 + length * (((1.0 - s) * (1.0 - 3.0 * s)) * t0 + (s * (3.0 * s - 2.0)) * t1))
+        normal = (slope / np.sqrt((slope * slope).sum(axis=-1))[..., None]).reshape(-1, 12)
+        rows = len(pred)
+        y, worst = pred.copy(), np.full(rows, np.inf)
+        jacs, edges = np.empty((rows, 12, 12)), np.empty((rows, 6))
+        active = np.arange(rows)
+        for _ in range(25):
+            r, jac, edge = sys.evaluate(y[active])
+            worst[active], jacs[active], edges[active] = np.abs(r).max(axis=1), jac, edge
+            # NaN, a collapsed row's, is neither: such a row fails
+            going = worst[active] > 1e-12
+            active = active[going]
+            if not active.size:
+                break
+            # the bordered system of each row: its Jacobian and phi over its
+            # weighted normal and zero
+            system = np.zeros((len(active), 13, 13))
+            system[:, :12, :12] = jac[going]
+            system[:, :12, 12] = self.phi
+            system[:, 12, :12] = weight * normal[active]
+            offset = y[active] - pred[active]
+            rhs = np.concatenate((-r[going], -weight * dot_rows(normal[active], offset)[:, None]),
+                                 axis=1)
+            try:
+                moved = y[active] + np.linalg.solve(system, rhs[..., None])[:, :12, 0]
+            except np.linalg.LinAlgError:
+                break
+            # a row more than h / 2 from its prediction, or not finite, fails
+            offset = moved - pred[active]
+            near = np.sqrt(dot_rows(offset, offset)) <= 0.5 * h
+            worst[active[~near]] = np.inf
+            y[active[near]] = moved[near]
+            active = active[near]
+        passed = ((worst <= 1e-12) & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
+                  & (np.abs(y - self.center).max(axis=1) <= MAX_COORD_FACTOR * scale))
+        y = y.reshape(-1, FILL_SPAN - 1, 12)
+        steps = np.diff(np.concatenate((x0, y, x1), axis=1), axis=1)
+        chords = np.sqrt((steps * steps).sum(axis=-1))
+        good = (passed.reshape(-1, FILL_SPAN - 1).all(axis=1)
+                & (np.abs(chords - h) <= FILL_CHORD_TOL * h).all(axis=1))
+        kept = len(good) if good.all() else int(good.argmin())
+        return (y, worst.reshape(-1, FILL_SPAN - 1), jacs.reshape(-1, FILL_SPAN - 1, 12, 12),
+                kept)
+
+
 def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                  direction: int = 1, tol: Tolerance | None = None) -> SolutionBranch:
     """Predictor-corrector continuation along the one-parameter family of
-    orthosecting partners, starting from a solved member.
+    orthosecting partners, starting from a solved member: ``steps`` steps
+    of about h.
 
     The predictor steps along the tangent, the Jacobian's null direction.
     The corrector re-converges with Newton steps on the square bordered
@@ -350,136 +562,77 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     and by the pseudo-arclength row, solved by LU; the border unknown is
     discarded. The start's tangent (its largest entry made positive, then
     flipped by ``direction``) and phi come from one SVD there; every later
-    tangent, solved when the next step reads it, is the solution t of the
-    same bordered system at the last sample with right-hand side e_13,
-    normalized: the tau row signs it
-    along the step just taken, and phi needs only a component along the
-    sample's left null vector. Newton starts at the Euler point on the
-    first step and after the tangent turned by acos(HERMITE_MIN_COS) or
-    more; otherwise at the cubic Hermite extrapolation of the last two
-    samples and their tangents, moved onto the same pseudo-arclength plane,
-    which lands the same sample from nearer. Stops early on corrector
-    failure after step halving, on a step whose chord has no length (below
-    the coordinates' resolution, it left the sample where it was), on
-    degeneracy filters, and at the first of samples 0 .. steps - 1 that is
-    a branch point (numerical nullity of two or more), and reports the
-    reason. The singular values of every sample's Jacobian come from one
-    stacked SVD after the loop, which the branch-point test reads. Raises
-    ``require_orthosecting``'s errors when the start does not orthosect the
-    host at ``tol``: DegenerateError on a zero-length edge,
-    NotOrthologicError or NotOrthosectingError off the family.
+    tangent is the solution t of the same bordered system at its sample
+    with right-hand side e_13, normalized: the tau row signs it along the
+    step just taken, and phi needs only a component along the sample's
+    left null vector (see ``_Walk.walk`` for the corrector's start and
+    step halving).
+
+    A trace of 2 FILL_SPAN steps or more first walks a skeleton at step
+    FILL_SPAN h, and then corrects the FILL_SPAN - 1 samples between each
+    two neighbouring nodes in one stacked batch (``_Walk.fill``): numpy's
+    per-call cost is paid once per batch, not once per sample. Where a
+    skeleton step halves, fails or stops, or a segment's fill fails its
+    guard, the trace keeps the batched prefix up to the last good node and
+    walks on from it at step h; a shorter trace walks at step h throughout.
+
+    Stops early on corrector failure after step halving, on a step whose
+    chord has no length (below the coordinates' resolution, it left the
+    sample where it was), on degeneracy filters, and at the first of
+    samples 0 .. steps - 1 that is a branch point (numerical nullity of two
+    or more), and reports the reason. The singular values of every
+    sample's Jacobian come from one stacked SVD after the walk, which the
+    branch-point test reads. Raises ``require_orthosecting``'s errors when
+    the start does not orthosect the host at ``tol``: DegenerateError on a
+    zero-length edge, NotOrthologicError or NotOrthosectingError off the
+    family.
     """
     tol = tol or pair_tolerance(a, b0)
     require_orthosecting(pair_measures(a, b0, tol), tol)
     sys = OrthosectSystem(a, tol)
-    scale = sys.scale
     x = b0.array.reshape(12).copy()
     r, jac, _ = sys.evaluate(x)
-    points = [x]
-    residuals = [float(np.abs(r).max())]
-    jacobians = [jac]
+    samples = [(x, float(np.abs(r).max()), jac)]
     # the start's tangent is the last right singular vector of the Jacobian,
     # its largest entry made positive before ``direction`` applies
     u, _, vt = np.linalg.svd(jac)
     tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
-    stop = "steps exhausted"
-    # the host's centroid once per partner vertex, as x holds them
-    center = np.tile(a.array.mean(axis=0), 4)
-    weight = 1.0 / scale
-    # the bordered system: Jacobian and left null vector over weighted
-    # tangent and zero; the corrector's negated rhs, and the tangent's e_13
-    aug = np.zeros((13, 13))
-    aug[:12, 12] = u[:, -1]
-    rhs = np.empty(13)
-    e13 = np.eye(13)[12]
-    aug_jac, aug_tau, rhs_r = aug[:12, :12], aug[12, :12], rhs[:12]
-    tau_prev = None
-    for _ in range(steps):
-        if tau_prev is not None:
-            # the tangent at the last sample, from the bordered system there,
-            # which the corrector solves too: it failing ends the trace
-            aug_jac[...] = jac
+    walk = _Walk(sys, u[:, -1], a.array.mean(axis=0))
+    left = steps
+    if steps >= 2 * FILL_SPAN:
+        stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h, whole=True)
+        if stop is None:
             try:
-                t = np.linalg.solve(aug, e13)[:12]
-                squared = float(t.dot(t))
-                if not math.isfinite(squared):
-                    raise np.linalg.LinAlgError("tangent is not finite")
+                tangents.append(walk.tangent(samples[-1][2]))
             except np.linalg.LinAlgError:
-                stop = "corrector divergence"
-                break
-            tau = t / math.sqrt(squared)
-        np.multiply(weight, tau, out=aug_tau)
-        hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
-        step = h
-        for _ in range(7):
-            # every corrected point is a new array, so y may start as x_pred
-            y = x_pred = x + step * tau
-            if hermite:
-                # the cubic through the last two samples (their chord)
-                # with end slopes tau_prev and tau in the chord's arclength,
-                # taken step past x: its offset from x_pred less the
-                # offset's tau part, which puts the start on x_pred's
-                # pseudo-arclength plane (tau is a unit vector); the
-                # offset's tau term is left out, as it drops
-                sigma = step / chord_length
-                v = ((step * sigma * (1.0 + sigma)) * tau_prev
-                     - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord)
-                y = x_pred + (v - float(tau.dot(v)) * tau)
-            try:
-                for _ in range(25):
-                    r, jac, edges = sys.evaluate(y)
-                    worst = float(np.abs(r).max())
-                    if worst <= 1e-12:
-                        break
-                    aug_jac[...] = jac
-                    np.negative(r, out=rhs_r)
-                    rhs[12] = -(weight * float(tau.dot(y - x_pred)))
-                    delta = np.linalg.solve(aug, rhs)[:12]
-                    # |delta|^2, non-finite when delta is; its root is np.linalg.norm's
-                    squared = float(delta.dot(delta))
-                    if not math.isfinite(squared):
-                        raise np.linalg.LinAlgError("corrector step is not finite")
-                    y = y + delta
-                    if math.sqrt(squared) < 1e-16 * scale:
-                        r, jac, edges = sys.evaluate(y)
-                        worst = float(np.abs(r).max())
-                        break
-                # accepted when the last evaluation, the one at y, is on the family
-                if worst <= 1e-12:
-                    break
-            except (_Collapse, np.linalg.LinAlgError):
                 pass
-            step *= 0.5
-        else:
-            stop = "corrector divergence"
-            break
-        chord = y - x
-        chord_length = math.sqrt(float(chord.dot(chord)))
-        if chord_length == 0.0:
-            stop = "step below resolution"
-            break
-        tau_prev, x = tau, y
-        if float(edges.min()) < MIN_EDGE_FACTOR * scale:
-            stop = "degenerate: min edge filter"
-            break
-        if float(np.abs(x - center).max()) > MAX_COORD_FACTOR * scale:
-            stop = "degenerate: out of range"
-            break
-        points.append(x)
-        residuals.append(worst)
-        jacobians.append(jac)
+        nodes = samples[:len(tangents)]
+        del samples[1:]
+        kept = 0
+        if len(nodes) > 1:
+            fills, worst, jacs, kept = walk.fill(np.array([n[0] for n in nodes]),
+                                                 np.array(tangents), h)
+            for k in range(kept):
+                samples.extend(zip(fills[k], worst[k], jacs[k]))
+                samples.append(nodes[k + 1])
+        tau = tangents[kept]
+        left -= FILL_SPAN * kept
+    stop = walk.walk(samples, tau, left, h)[0] if left else None
+    points, residuals, jacobians = zip(*samples)
     singular_values = np.linalg.svd(np.array(jacobians), compute_uv=False)
     # the branch-point test of each sample a step was taken from
     branch = singular_values[:steps, -2] <= 1e-8 * np.maximum(singular_values[:steps, -3], 1e-300)
+    count = len(points)
     if branch.any():
         stop = "branch point (nullity >= 2)"
         count = int(branch.argmax()) + 1
-        del points[count:], residuals[count:]
         singular_values = singular_values[:count]
-    coords = np.array(points).reshape(-1, 4, 3)
+    coords = np.array(points[:count]).reshape(-1, 4, 3)
     coords.setflags(write=False)
-    return SolutionBranch(coords=coords, step_size=h, max_residuals=tuple(residuals),
-                          stop_reason=stop, singular_values=tuple(singular_values))
+    return SolutionBranch(coords=coords, step_size=h,
+                          max_residuals=tuple(float(v) for v in residuals[:count]),
+                          stop_reason=stop or "steps exhausted",
+                          singular_values=tuple(singular_values))
 
 
 def solve_from_curve_point(a: Tetrahedron, b4,

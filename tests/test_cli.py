@@ -447,16 +447,64 @@ def demo_pair_reports(tmp_path_factory):
     return _pair_reports(DEMO_SCENE, tmp_path_factory.mktemp("demo") / "report.json")
 
 
+# the demo's trace-family step (README), in scene units, and the bound in
+# scene scales within which a trace of the moved or relabeled demo pair maps
+# onto the demo's: at most 5.9e-15 over 460 similarities (scales 1e-12..1e12)
+# and the 24 relabelings
+_TRACE_STEP = 0.03
+_TRACE_MAP_TOL = 1e-12
+
+
+def _trace_report(scene: str, out: Path, step: float, direction: int = 1):
+    """Exit code and report of a 20-step trace-family from B on host A,
+    which walks a skeleton and fills it in batches (20 >= 2 FILL_SPAN)."""
+    code = main(["trace-family", "--scene", scene, "--tet", "A", "--start", "B", "--steps", "20",
+                 "--step", repr(step), "--direction", str(direction), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def demo_trace_reports(tmp_path_factory):
+    """The demo pair's 20-step traces, direction 1 then -1."""
+    out = tmp_path_factory.mktemp("demo_trace") / "report.json"
+    return [_trace_report(DEMO_SCENE, out, _TRACE_STEP, d) for d in (1, -1)]
+
+
+def _assert_trace_maps(run, demo_runs, forward, scale):
+    """The trace ``run`` is one of the demo's two directions mapped by
+    ``forward``: the same exit code, stop reason, sample count and verdicts
+    (names, pass flags, values within 1e-9), and its samples within
+    _TRACE_MAP_TOL scene scales of that direction's, mapped. Which way
+    --direction 1 goes depends on the frame (see ``bench/inputs.py``), so
+    either direction may match."""
+    code, got = run
+    samples = np.array(got["results"]["samples"])
+    matches = [(want_code, want) for want_code, want in demo_runs
+               if len(want["results"]["samples"]) == len(samples)
+               and np.abs(samples - forward(np.array(want["results"]["samples"]))).max()
+               <= _TRACE_MAP_TOL * scale]
+    assert matches
+    want_code, want = matches[0]
+    assert code == want_code
+    assert got["results"]["stop_reason"] == want["results"]["stop_reason"]
+    assert ([(v["name"], v["passed"]) for v in got["verdicts"]]
+            == [(v["name"], v["passed"]) for v in want["verdicts"]])
+    for v, w in zip(got["verdicts"], want["verdicts"]):
+        assert abs(v["value"] - w["value"]) <= 1e-9
+
+
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
 @settings(max_examples=15, deadline=None)
 def test_pair_commands_equivariant_under_similarity(tmp_path_factory, demo_pair_reports,
-                                                    seed, log_scale):
+                                                    demo_trace_reports, seed, log_scale):
     """verify, verify --corollary4, conjugate and sequence --n 6 on the
     demo pair moved by a similarity (scale 1e-12..1e12, a random rotation
     and a translation) exit as on the unmoved pair, with the same verdict
     names and pass flags and every verdict value within 1e-9 of the
     unmoved one; the conjugate and sequence tetrahedra are the unmoved ones
-    moved, within 1e-9 scene scales."""
+    moved, within 1e-9 scene scales. trace-family --steps 20, at the demo
+    step scaled alike, traces the unmoved pair's family moved
+    (``_assert_trace_maps``)."""
     demo = load_scene(DEMO_SCENE)
     move = random_similarity(np.random.default_rng(seed), log_scale)
     moved = {name: move(t.array) for name, t in demo.tetrahedra.items()}
@@ -474,17 +522,22 @@ def test_pair_commands_equivariant_under_similarity(tmp_path_factory, demo_pair_
         if key is not None:
             tets = np.array(got["results"][key])
             assert np.abs(tets - move(np.array(want["results"][key]))).max() <= 1e-9 * scale
+    run = _trace_report(str(work / "scene.json"), work / "report.json",
+                        _TRACE_STEP * 10.0 ** log_scale)
+    _assert_trace_maps(run, demo_trace_reports, move, scale)
 
 
 @given(perm=st.permutations((1, 2, 3, 4)))
 @settings(max_examples=24, deadline=None)
-def test_pair_commands_invariant_under_relabeling(tmp_path_factory, demo_pair_reports, perm):
+def test_pair_commands_invariant_under_relabeling(tmp_path_factory, demo_pair_reports,
+                                                  demo_trace_reports, perm):
     """verify, verify --corollary4, conjugate and sequence --n 6 on the
     demo pair with both tetrahedra relabeled by one permutation of 1..4
     exit as on the pair as given, with the same verdict names and pass
     flags and every verdict value within 1e-9; the conjugate and sequence
     tetrahedra, mapped back to the given labels, are the given ones within
-    1e-9 scene scales."""
+    1e-9 scene scales. trace-family --steps 20 traces the given pair's
+    family, relabeled (``_assert_trace_maps``)."""
     demo = load_scene(DEMO_SCENE)
     scale = geom_core.diameter(np.vstack([t.array for t in demo.tetrahedra.values()]))
     work = tmp_path_factory.mktemp("relabeled")
@@ -501,6 +554,8 @@ def test_pair_commands_invariant_under_relabeling(tmp_path_factory, demo_pair_re
         if key is not None:
             tets = np.array(got["results"][key])[..., back, :]
             assert np.abs(tets - np.array(want["results"][key])).max() <= 1e-9 * scale
+    run = _trace_report(str(work / "scene.json"), work / "report.json", _TRACE_STEP)
+    _assert_trace_maps(run, demo_trace_reports, lambda p: p[:, np.asarray(perm) - 1], scale)
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0),

@@ -2,6 +2,7 @@
 the constructive curve-point solver."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_
 from orthosect.pedal import ChainKernel, chain_sphere_residual
 from orthosect.scene import load_scene
 from orthosect.solver import (
+    FILL_CHORD_TOL,
+    FILL_SPAN,
     HERMITE_MIN_COS,
     MAX_COORD_FACTOR,
     MIN_EDGE_FACTOR,
@@ -200,6 +203,42 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
             assert np.array_equal(fused[idx], want)
     if not merged:
         assert fused[2].min() == _min_edge(x)
+
+
+@given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-12.0, 12.0), rows=st.sampled_from((1, 2, 40)),
+       collapsed=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_evaluate_matches_one_partner_calls(demo_pair, host, seed, log_scale, rows,
+                                                    collapsed):
+    """evaluate over (R, 12) rows, drawn within 0.05 scene scales of a
+    solved pair at scales 1e-12..1e12, returns (R, 12) residuals, (R, 12, 12)
+    Jacobians and (R, 6) edge lengths, each row bit for bit the one-partner
+    call on it. A row with a collapsed edge is flagged by NaN residuals and
+    NaN in the 72 Jacobian entries they depend on, keeps its edge lengths
+    and leaves the other rows as they are; the one-partner call on it,
+    which LM and the corrector make, still raises _Collapse."""
+    a, b = _drawn_pair(demo_pair, host, seed, log_scale)
+    tol = pair_tolerance(a, b)
+    system = OrthosectSystem(a, tol)
+    rng = np.random.default_rng(seed)
+    x = b.array.reshape(12) + 0.05 * tol.scene_scale * rng.normal(size=(rows, 12))
+    bad = int(rng.integers(rows)) if collapsed else -1
+    if collapsed:
+        x[bad, 3:6] = x[bad, 0:3]
+    r, jac, edges = system.evaluate(x)
+    assert (r.shape, jac.shape, edges.shape) == ((rows, 12), (rows, 12, 12), (rows, 6))
+    for k in range(rows):
+        if k == bad:
+            with pytest.raises(_Collapse, match="^edge B12 collapsed$"):
+                system.evaluate(x[k])
+            assert np.isnan(r[k]).all() and np.isnan(jac[k]).sum() == 72
+            assert edges[k].min() == 0.0 and edges[k].min() == _min_edge(x[k])
+            continue
+        one = system.evaluate(x[k])
+        assert np.array_equal(r[k], one[0])
+        assert np.array_equal(jac[k], one[1])
+        assert np.array_equal(edges[k], one[2])
 
 
 def _bordered_step(jac, r, tau, phi, weight, offset):
@@ -469,42 +508,153 @@ def bench_family_ops(tmp_path_factory):
     return op
 
 
+def _whole_steps(samples, step):
+    """How many leading steps of a per-step trace (its samples) were whole:
+    not halved, and a chord no longer than (1 + FILL_CHORD_TOL) step, as
+    trace_family's skeleton takes them. A step's chord is at least the step,
+    its length along the tangent, unless it was halved."""
+    chords = np.linalg.norm(np.diff(np.reshape(samples, (-1, 12)), axis=0), axis=1)
+    whole = (chords >= (1.0 - 1e-9) * step) & (chords <= (1.0 + FILL_CHORD_TOL) * step)
+    return len(whole) if whole.all() else int(whole.argmin())
+
+
+def _least_squares_fill(system, coords, count):
+    """A reference for the samples trace_family fills in between its first
+    ``count`` + 1 skeleton nodes (every FILL_SPAN-th of ``coords``): each
+    predicted on the cubic Hermite curve through two neighbouring nodes
+    with their SVD tangents, signed along the chord, in the chord's length,
+    at chord fraction j / FILL_SPAN, and corrected by least-squares Newton
+    steps on [J; n^T / scale], n the curve's unit tangent there, holding
+    n . (y - prediction) = 0. Returns the samples (count, FILL_SPAN - 1, 12)."""
+    scale = system.scale
+    nodes = coords.reshape(-1, 12)[::FILL_SPAN][:count + 1]
+    fills = np.empty((count, FILL_SPAN - 1, 12))
+    for i in range(count):
+        x0, x1 = nodes[i], nodes[i + 1]
+        chord = x1 - x0
+        length = np.linalg.norm(chord)
+        t0, t1 = (np.linalg.svd(system.jacobian(x))[2][-1] for x in (x0, x1))
+        t0, t1 = (t if np.dot(t, chord) > 0 else -t for t in (t0, t1))
+        for j in range(1, FILL_SPAN):
+            u = j / FILL_SPAN
+            # the Hermite basis h00, h10, h01, h11 and its derivative at u
+            basis = (2 * u**3 - 3 * u**2 + 1, u**3 - 2 * u**2 + u, -2 * u**3 + 3 * u**2,
+                     u**3 - u**2)
+            slope = (6 * u**2 - 6 * u, 3 * u**2 - 4 * u + 1, -6 * u**2 + 6 * u, 3 * u**2 - 2 * u)
+            p = basis[0] * x0 + basis[1] * length * t0 + basis[2] * x1 + basis[3] * length * t1
+            n = slope[0] * x0 + slope[1] * length * t0 + slope[2] * x1 + slope[3] * length * t1
+            n = n / np.linalg.norm(n)
+            y = p.copy()
+            for _ in range(25):
+                r = system.residuals(y)
+                if np.abs(r).max() <= 1e-12:
+                    break
+                y = y + _lstsq_step(system.jacobian(y), r, n, None, 1.0 / scale,
+                                    float(np.dot(n, y - p)))
+            fills[i, j - 1] = y
+    return fills
+
+
 # the bench ops on which the least-squares corrector, from the Euler point,
 # leaps 295 steps along the family after sample 37, past a partner edge
 # that shrinks toward the min-edge filter by 1.1e-3 scene scales a step
-_ORACLE_JUMPS = {(seed, 6, 1) for seed in (1, 2, 3)}
+_ORACLE_JUMPS = {(seed, 6, 1) for seed in (1, 2, 3, 4)}
 _JUMP_SAMPLES = 38
 
 
 @pytest.mark.parametrize("seed, slot, direction", [
-    (seed, slot, direction) for seed in (1, 2, 3)
+    (seed, slot, direction) for seed in (1, 2, 3, 4)
     for slot in range(sum(_BENCH_INPUTS.PAIR_HOSTS.values())) for direction in (1, -1)])
 def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_ops, seed,
                                                                    slot, direction):
-    """The benchmark's 48 trace-family ops (pairs decks of seeds 1-3) trace
-    what the least-squares corrector traced, each one, and no step of
-    theirs is longer than 1.5 steps. Where the least-squares trace jumps
-    (``_ORACLE_JUMPS``), the two agree on the samples before the jump, and
-    trace_family stops there at the min-edge filter."""
+    """The benchmark's 64 trace-family ops (pairs decks of seeds 1-4) keep
+    the stop reason and sample count of the least-squares corrector's trace
+    at step h, and no step of theirs is longer than 1.5 steps; where the
+    least-squares trace jumps (``_ORACLE_JUMPS``), trace_family stops before
+    the jump at the min-edge filter. Each op either batches throughout or
+    not at all: where the least-squares trace at step FILL_SPAN h takes
+    whole steps (``_whole_steps``) to the end, its samples are
+    trace_family's skeleton nodes, every FILL_SPAN-th sample, within
+    ORACLE_SAMPLE_TOL scene scales, each sample in between lies within
+    ORACLE_SAMPLE_TOL of ``_least_squares_fill``'s, and every chord lies
+    within FILL_CHORD_TOL h of h; where its first step is not whole (the
+    slot-6 ops, whose first chords at step FILL_SPAN h are 3.3% and 4.6%
+    longer than the step), trace_family walks at step h from the start,
+    and its samples are the least-squares trace's within
+    ORACLE_SAMPLE_TOL."""
     argv = bench_family_ops(seed, slot, direction)
     scene = load_scene(argv[argv.index("--scene") + 1])
     a, b = scene.tetrahedron("A"), scene.tetrahedron("B")
     steps, h = int(argv[argv.index("--steps") + 1]), float(argv[argv.index("--step") + 1])
     tol = pair_tolerance(a, b)
-    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step,
-                              OrthosectSystem(a, tol), hermite=False)
+    system = OrthosectSystem(a, tol)
+    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step, system, hermite=False)
     branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
     lengths = np.linalg.norm(np.diff(branch.coords.reshape(-1, 12), axis=0), axis=1)
     assert (lengths <= 1.5 * h).all()
-    if (seed, slot, direction) not in _ORACLE_JUMPS:
-        _assert_traces_agree(branch, oracle, tol.scene_scale)
-        return
     samples = np.reshape(oracle[0], (-1, 4, 3))
-    assert np.linalg.norm(samples[_JUMP_SAMPLES] - samples[_JUMP_SAMPLES - 1]) > 100.0 * h
-    assert branch.stop_reason == "degenerate: min edge filter"
-    assert len(branch) == _JUMP_SAMPLES
-    diff = np.abs(branch.coords - samples[:_JUMP_SAMPLES]).max()
+    if (seed, slot, direction) in _ORACLE_JUMPS:
+        assert np.linalg.norm(samples[_JUMP_SAMPLES] - samples[_JUMP_SAMPLES - 1]) > 100.0 * h
+        assert branch.stop_reason == "degenerate: min edge filter"
+        assert len(branch) == _JUMP_SAMPLES
+    else:
+        assert (branch.stop_reason, len(branch)) == (oracle[3], len(samples))
+    skeleton = _reference_trace(a, b, steps // FILL_SPAN, FILL_SPAN * h, direction, tol,
+                                _lstsq_step, system, hermite=False)[0]
+    whole = _whole_steps(skeleton, FILL_SPAN * h)
+    if whole == 0:
+        diff = np.abs(branch.coords - samples[:len(branch)]).max()
+        assert diff <= ORACLE_SAMPLE_TOL * tol.scene_scale
+        return
+    assert whole == steps // FILL_SPAN == len(skeleton) - 1 and len(branch) == steps + 1
+    nodes = branch.coords[::FILL_SPAN]
+    diff = np.abs(nodes - np.reshape(skeleton, (-1, 4, 3))).max()
     assert diff <= ORACLE_SAMPLE_TOL * tol.scene_scale
+    fills = np.delete(branch.coords.reshape(-1, 12), np.s_[::FILL_SPAN], axis=0)
+    want = _least_squares_fill(system, branch.coords, whole).reshape(-1, 12)
+    assert np.abs(fills - want).max() <= ORACLE_SAMPLE_TOL * tol.scene_scale
+    assert (np.abs(lengths - h) <= FILL_CHORD_TOL * h).all()
+
+
+@given(**{**_TRACE_DRAWS, "steps": st.integers(10, 60)})
+# the demo scene's pair, batched throughout; and the random pair at a step
+# whose skeleton turns too fast after one node: its one segment fails the
+# chord band and it walks at step h from the start
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-2.5, steps=50)
+@example(host="random", seed=0, log_scale=0.0, direction=1, log_step=math.log10(0.03), steps=20)
+@settings(max_examples=40, deadline=None)
+def test_batched_trace_keeps_the_skeleton_and_takes_no_long_chord(
+        demo_pair, host, seed, log_scale, direction, log_step, steps):
+    """A trace of 10-60 steps walks its skeleton as the per-step walk at step
+    FILL_SPAN h does, bit for bit: the FILL_SPAN-th samples of its batched
+    prefix are that walk's samples (``_reference_trace``, today's loop), and
+    the prefix ends at or before the walk's first step that is not whole
+    (``_whole_steps``), its chords within FILL_CHORD_TOL h of h. Wherever
+    the per-step trace at step h takes no chord longer than 1.5 h, the
+    batched trace takes none either."""
+    a, b = _drawn_pair(demo_pair, host, seed, log_scale)
+    tol = pair_tolerance(a, b)
+    h = 10.0 ** log_step * tol.scene_scale
+    system = OrthosectSystem(a, tol)
+    branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
+    skeleton = _reference_trace(a, b, steps // FILL_SPAN, FILL_SPAN * h, direction, tol,
+                                system=system, tangent=_bordered_tangent)[0]
+    flat = branch.coords.reshape(-1, 12)
+    kept = 0
+    while (kept + 1 < len(skeleton) and FILL_SPAN * (kept + 1) < len(flat)
+           and np.array_equal(flat[FILL_SPAN * (kept + 1)], skeleton[kept + 1])):
+        kept += 1
+    whole = _whole_steps(skeleton, FILL_SPAN * h)
+    assert kept <= whole
+    event("no whole skeleton step" if whole == 0 else
+          f"batched: {'every whole node' if kept == whole else 'fewer nodes'}")
+    lengths = np.linalg.norm(np.diff(flat, axis=0), axis=1)
+    assert (np.abs(lengths[:FILL_SPAN * kept] - h) <= FILL_CHORD_TOL * h).all()
+    today = _reference_trace(a, b, steps, h, direction, tol, system=system,
+                             tangent=_bordered_tangent)
+    event(f"stop: {'as today' if branch.stop_reason == today[3] else 'differs'}")
+    if (np.linalg.norm(np.diff(np.reshape(today[0], (-1, 12)), axis=0), axis=1) <= 1.5 * h).all():
+        assert (lengths <= 1.5 * h).all()
 
 
 def _count_calls(monkeypatch, calls, owner, name):
@@ -519,40 +669,57 @@ def _count_calls(monkeypatch, calls, owner, name):
 
 
 def test_trace_family_evaluates_once_per_corrector_iterate(demo_pair, monkeypatch):
-    """Every corrector iterate, the predicted point and each corrected one,
-    is one evaluate; an attempt that converges makes one more evaluate
-    than Newton (square LU) solves, and no least-squares solve is made.
-    Every step after the first adds one LU solve for the tangent at the
-    sample it starts from, so the last sample's tangent, which no step
-    reads, is never solved. The residual-only and Jacobian-only views are
-    never called. A trace makes two SVDs: the start's, for its tangent and
-    left null vector, and one stacked over every sample for the singular
-    values. On the demo scene's 50-step trace the first step, from the
-    Euler point, takes two Newton iterations, and every later one, from the
-    Hermite start, takes one: 102 evaluates and 100 solves, 51 Newton and
-    49 tangent solves."""
-    calls = {"evaluate": 0, "residuals": 0, "jacobian": 0, "solve": 0, "lstsq": 0, "svd": 0}
-    for name in ("evaluate", "residuals", "jacobian"):
+    """Every corrector iterate is one evaluate: of one partner on a walk
+    (the skeleton, or the walk at step h), of every fill-in still
+    correcting in the batch. On a walk an attempt that converges makes one
+    more evaluate than Newton (square LU) solves, and the batch makes one
+    stacked solve per iterate but its last; no least-squares solve is made,
+    and the residual-only and Jacobian-only views are never called. Every
+    walk step but a walk's first adds one LU solve for the tangent at the
+    sample it starts from, and a skeleton that takes all its steps one
+    more for its last node, which its fill reads. A trace makes two SVDs:
+    the start's, for its tangent and left null vector, and one stacked over
+    every sample for the singular values.
+
+    - The demo scene's 50-step trace: a skeleton of 10 steps of 0.15 (24
+      Newton iterations, 10 tangents), then its 40 fill-ins in 2 stacked
+      evaluates and 1 stacked solve: 35 evaluates and 34 solves of one
+      partner, where the walk at step h made 102 and 100.
+    - The random demo pair's 20-step trace at 0.03 scene scales: its second
+      skeleton step is longer than (1 + FILL_CHORD_TOL) 5 h, the fill-ins of
+      its one whole segment fail the chord band (3 stacked evaluates, 2
+      stacked solves), and it walks its 20 steps at step h from the start:
+      78 evaluates and 75 solves of one partner, where the walk alone made
+      69 and 67."""
+    calls = dict.fromkeys(("evaluate", "stacked evaluate", "solve", "stacked solve",
+                           "residuals", "jacobian", "lstsq", "svd"), 0)
+
+    def counted(owner, name, stacked):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls["stacked " + name if stacked(*args) else name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(OrthosectSystem, "evaluate", lambda system, x: x.ndim == 2)
+    counted(np.linalg, "solve", lambda m, rhs: m.ndim == 3)
+    for name in ("residuals", "jacobian"):
         _count_calls(monkeypatch, calls, OrthosectSystem, name)
-    for name in ("solve", "lstsq", "svd"):
+    for name in ("lstsq", "svd"):
         _count_calls(monkeypatch, calls, np.linalg, name)
     a, b, tol = demo_pair
     demo_a, demo_b = _DEMO_SCENE.tetrahedron("A"), _DEMO_SCENE.tetrahedron("B")
-    for a, b, tol, steps, h in (
-            (a, b, tol, 20, 0.03 * tol.scene_scale),
+    for a, b, tol, steps, h, want in (
+            (a, b, tol, 20, 0.03 * tol.scene_scale, (78, 3, 75, 2)),
             (demo_a, demo_b, _DEMO_SCENE.tolerance(np.vstack((demo_a.array, demo_b.array))),
-             50, 0.03)):
+             50, 0.03, (35, 2, 34, 1))):
         calls.update(dict.fromkeys(calls, 0))
         branch = trace_family(a, b, steps=steps, h=h, tol=tol)
         assert branch.stop_reason == "steps exhausted" and len(branch) == steps + 1
-        newton = calls["solve"] - (steps - 1)
-        assert newton >= steps
-        assert calls["lstsq"] == 0
-        # the start's evaluate, then per step one more than its Newton solves
-        assert calls["evaluate"] == 1 + newton + steps
+        assert (calls["evaluate"], calls["stacked evaluate"], calls["solve"],
+                calls["stacked solve"]) == want
         assert calls["svd"] == 2
-        assert calls["residuals"] == calls["jacobian"] == 0
-    assert (calls["evaluate"], calls["solve"]) == (102, 100)
+        assert calls["lstsq"] == calls["residuals"] == calls["jacobian"] == 0
 
 
 def _in_loop_branch_cut(singular_values, steps):
