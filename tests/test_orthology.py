@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_similarity, random_tetrahedron
 from oracles import construct_orthologic
@@ -300,10 +300,13 @@ def _ref_concurrency(lines, tol):
     for line in lines:
         w = x - line.anchor
         dists.append(float(np.linalg.norm(w - np.dot(w, line.direction) * line.direction)))
-    return x, math.sqrt(sum(d ** 2 for d in dists) / len(lines)) / tol.scene_scale
+    # d * d, not d ** 2: a float's ** 2 is libm pow, which may miss the
+    # correctly rounded square by an ulp (d = 0x1.150ed9b5d1502p-81)
+    return x, math.sqrt(sum(d * d for d in dists) / len(lines)) / tol.scene_scale
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 12.0))
+@example(seed=176640, log_scale=-9.3901623268758)
 @settings(max_examples=100, deadline=None)
 def test_orthology_centers_match_line_loop_bit_for_bit(seed, log_scale):
     """orthology_centers and concurrency_rows reproduce the loop over the

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from orthosect.cli import main
@@ -172,7 +172,8 @@ _FINITE_DOCUMENTS = _documents(st.floats(allow_nan=False, allow_infinity=False),
 def _nest(doc, depth, key):
     """``doc`` at the bottom of ``depth`` alternating list and dict layers."""
     for level in range(depth):
-        doc = [1, doc] if level % 2 else {key: doc, "z": []}
+        # key last, so a key "z" replaces the sibling and not doc
+        doc = [1, doc] if level % 2 else {"z": [], key: doc}
     return doc
 
 
@@ -201,6 +202,7 @@ def _error(encode, doc):
 
 @given(array=_ARRAYS, doc=_FINITE_DOCUMENTS, depth=st.integers(0, 6), key=_KEYS,
        bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.integers(0, 63))
+@example(array=np.array(0.0), doc=None, depth=1, key="z", bad=math.nan, where=0)
 @settings(max_examples=300, deadline=None)
 def test_dumps_canonical_writes_float_arrays_as_lists(array, doc, depth, key, bad, where):
     """A float64 ndarray beside other values in dicts and lists encodes
