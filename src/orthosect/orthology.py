@@ -46,13 +46,6 @@ EDGE_PAIRINGS: Tuple[Pairing, ...] = (
 _I, _J, _K, _L = (np.array(c) - 1 for c in zip(*(ij + kl for ij, kl in EDGE_PAIRINGS)))
 # 0-based vertices of the face opposite each vertex, ascending
 FACE_VERTICES = np.array([[m for m in range(4) if m != i] for i in range(4)])
-# per vertex, the EDGE_PAIRINGS rows of the host edges through it; then the
-# rows of the three edges of the face opposite each vertex in turn, flat
-_FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
-_FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
-# the matrix taking the vertices to each face's edge vectors A_i - A_j
-# (_FACE_EDGES order)
-_FACE_EDGE_VECTORS = np.eye(4)[_I[_FACE_EDGES]] - np.eye(4)[_J[_FACE_EDGES]]
 
 
 def pairing_key(pairing: Pairing) -> str:
@@ -115,23 +108,6 @@ class Tetrahedron:
         rows = plane_rows(cross_rows(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), p[:, 0])
         rows.setflags(write=False)
         return rows
-
-    @cached_property
-    def face_edge_frames(self) -> Tuple[np.ndarray, ...]:
-        """Per face, opposite vertex 1..4 in turn: the unit directions d
-        (4, 3, 3) of its three edges (_FACE_EDGES order) and their
-        transpose, the normal n = d_1 x d_2 (4, 3) and the matrix
-        d^T d + n n^T (4, 3, 3), which ``pedal.partner_from_points`` solves
-        for each source; made once per tetrahedron, as every rebuild on it
-        shares them."""
-        u = _FACE_EDGE_VECTORS @ self.array
-        d = (u / np.sqrt(dot_rows(u, u))[:, None]).reshape(4, 3, 3)
-        dt = d.transpose(0, 2, 1)
-        n = cross_rows(d[:, 0], d[:, 1])
-        frames = d, dt, n, np.matmul(dt, d) + n[:, :, None] * n[:, None, :]
-        for m in frames:
-            m.setflags(write=False)
-        return frames
 
     def is_flat(self, tol: Tolerance | None = None) -> bool:
         tol = tol or Tolerance.for_points(self.array)

@@ -44,8 +44,8 @@ from .geom_core import (
     dot_rows,
     unit,
 )
-from .orthology import (EDGE_PAIRINGS, Tetrahedron, _FACE_EDGES, _FEET_AT, _I, _J,
-                        _edge_line_rows, by_pairing, pair_measures, pair_tolerance)
+from .orthology import (EDGE_PAIRINGS, Tetrahedron, _I, _J, _edge_line_rows,
+                        by_pairing, pair_measures, pair_tolerance)
 
 # |dist(source, circumcenter) - circumradius| below this (times scene scale)
 # counts as the Simson degeneracy: collinear feet, no pedal circle.
@@ -63,10 +63,16 @@ FEET_TOL = 1e-6
 # such vertices and solve_from_curve_point accepts such points
 VERTEX_TOL = 1e-6
 
+# per host vertex, the EDGE_PAIRINGS rows of the host edges through it; then
+# the rows of the three edges of the face opposite each vertex in turn, flat
+_FEET_AT = np.array([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)])
+_FACE_EDGES = np.array([r for at in _FEET_AT for r in range(6) if r not in at])
 # the (partner vertex m, feet plane k) pairs with k != m, the planes through B_m
 _OTHER = ~np.eye(4, dtype=bool)
-# the matrix taking the six points to each feet triangle's first point, then
-# its sides from it to its second and to its third point
+# matrices taking the host's vertices to each face's edge vectors A_i - A_j
+# (_FACE_EDGES order), and the six points to each feet triangle's first
+# point, then its sides from it to its second and to its third point
+_FACE_EDGE_VECTORS = np.eye(4)[_I[_FACE_EDGES]] - np.eye(4)[_J[_FACE_EDGES]]
 _FEET_TRIANGLES = np.eye(6)[_FEET_AT.T.ravel()] - np.concatenate(
     (np.zeros((4, 6)), np.tile(np.eye(6)[_FEET_AT[:, 0]], (2, 1))))
 # EDGE_PAIRINGS row of each host edge (i, j), i < j
@@ -533,10 +539,13 @@ def partner_from_points(host: Tetrahedron, points) -> np.ndarray:
     # per face, its edges' unit directions d (4, 3, 3) and a normal n: the
     # source's part along the face plane solves d . S = d . point on each
     # edge and n . S = 0 in least squares, and the fit below finds the rest
-    d, dt, n, normal_matrix = host.face_edge_frames
-    along = np.add.reduce(points[..., _FACE_EDGES, :].reshape(points.shape[:-2] + (4, 3, 3)) * d,
-                          axis=-1)
-    sources = np.linalg.solve(normal_matrix, np.matmul(dt, along[..., None]))[..., 0]
+    u = _FACE_EDGE_VECTORS @ host.array
+    d = (u / np.sqrt(dot_rows(u, u))[:, None]).reshape(4, 3, 3)
+    n = cross_rows(d[:, 0], d[:, 1])
+    dt = d.transpose(0, 2, 1)
+    along = (points[..., _FACE_EDGES, :].reshape(*points.shape[:-2], 4, 3, 3) * d).sum(axis=-1)
+    sources = np.linalg.solve(np.matmul(dt, d) + n[:, :, None] * n[:, None, :],
+                              np.matmul(dt, along[..., None]))[..., 0]
     # the feet plane around host vertex k, c_k . x = c_k . q_k: q_k its first
     # point and c_k the cross product of its triangle's sides from q_k
     q = np.matmul(_FEET_TRIANGLES, points)
@@ -544,14 +553,14 @@ def partner_from_points(host: Tetrahedron, points) -> np.ndarray:
     # row m, column k != m: c_k . n_m s_m = c_k . (q_k - S_m)
     ct = np.swapaxes(c, -1, -2)
     tilt = np.matmul(n, ct) * _OTHER
-    miss = np.add.reduce(c * q[..., :4, :], axis=-1)[..., None, :] - np.matmul(sources, ct)
-    den = np.add.reduce(tilt * tilt, axis=-1)
-    crossing = den > 1e-18 * np.add.reduce(c * c, axis=(-1, -2))[..., None]
+    miss = (c * q[..., :4, :]).sum(axis=-1)[..., None, :] - np.matmul(sources, ct)
+    den = (tilt * tilt).sum(axis=-1)
+    crossing = den > 1e-18 * (c * c).sum(axis=(-1, -2))[..., None]
     if not crossing.all():
         m = int(np.argmin(crossing.reshape(-1, 4).all(axis=0))) + 1
         raise DegenerateError(f"feet planes parallel to the normal line of face {m}: "
                               f"partner vertex {m} at infinity")
-    return sources + (np.add.reduce(tilt * miss, axis=-1) / den)[..., None] * n
+    return sources + ((tilt * miss).sum(axis=-1) / den)[..., None] * n
 
 
 def _require_orthosection(measures):

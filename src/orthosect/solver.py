@@ -50,6 +50,10 @@ HERMITE_MIN_COS = 0.999
 # FILL_CHORD_TOL of its step's length
 FILL_SPAN = 5
 FILL_CHORD_TOL = 0.01
+# on such a trace a step at h whose corrected point lies more than
+# JUMP_FACTOR h from the last sample is halved: the corrector jumped along
+# the family
+JUMP_FACTOR = 1.5
 # max residual that stops the damped iteration, and the one a solution needs
 TARGET_RESIDUAL = 1e-12
 ACCEPT_RESIDUAL = 1e-11
@@ -399,19 +403,20 @@ class _Walk:
             raise np.linalg.LinAlgError("tangent is not finite")
         return t / math.sqrt(squared)
 
-    def walk(self, samples: list, tau: np.ndarray, count: int, h: float, whole: bool = False):
+    def walk(self, samples: list, tau: np.ndarray, count: int, h: float,
+             reach: float = math.inf, whole: bool = False):
         """Up to ``count`` steps of h from the last of ``samples``, each
         sample an (x, max |residual|, Jacobian) triple, with tangent ``tau``
         there, appending every accepted sample. The corrector starts at the
         Euler point on the first step and after the tangent turned by
         acos(HERMITE_MIN_COS) or more, and otherwise at the cubic Hermite
         extrapolation of the last two samples and their tangents, moved
-        onto the same pseudo-arclength plane; a failed attempt halves the
-        step, up to six times. With ``whole`` the walk ends before a step
-        that was halved or whose chord is longer than (1 + FILL_CHORD_TOL) h,
-        where the family turns too fast for a batched fill. Returns the
-        reason it ended (None after ``count`` steps) and the tangents at the
-        samples it stepped from."""
+        onto the same pseudo-arclength plane. An attempt fails where the
+        corrector does not converge or its point is farther than ``reach``
+        from x, and a failed attempt halves the step, up to six times; with
+        ``whole`` it ends the walk instead, as a halved step would not be
+        kept. Returns the reason it ended (None after ``count`` steps) and the
+        tangents at the samples it stepped from."""
         x, _, jac = samples[-1]
         scale, weight, center, sys = self.sys.scale, self.weight, self.center, self.sys
         aug, rhs = self.aug, self.rhs
@@ -463,18 +468,20 @@ class _Walk:
                             r, jac, edges = sys.evaluate(y)
                             worst = float(np.abs(r).max())
                             break
-                    # accepted when the last evaluation, the one at y, is on the family
-                    if worst <= 1e-12:
+                    move = y - x
+                    move_length = math.sqrt(float(move.dot(move)))
+                    # accepted when the last evaluation, the one at y, is on
+                    # the family, and y is within reach of x
+                    if worst <= 1e-12 and move_length <= reach:
                         break
                 except (_Collapse, np.linalg.LinAlgError):
                     pass
+                if whole:
+                    return "step not whole", tangents
                 step *= 0.5
             else:
                 return "corrector divergence", tangents
-            chord = y - x
-            chord_length = math.sqrt(float(chord.dot(chord)))
-            if whole and (step < h or chord_length > (1.0 + FILL_CHORD_TOL) * h):
-                return "step not whole", tangents
+            chord, chord_length = move, move_length
             if chord_length == 0.0:
                 return "step below resolution", tangents
             tau_prev, x = tau, y
@@ -491,18 +498,26 @@ class _Walk:
         interpolant of the two in their chord's length at chord fractions
         j / FILL_SPAN, and corrected on the interpolant's normal plane there
         by bordered Newton steps, every row at once, a row leaving the stack
-        as it converges. Returns the samples (K, FILL_SPAN - 1, 12), their
-        max |residual| and Jacobians, and how many leading segments pass
-        the guard: every sample converged, within h / 2 of its prediction
-        and inside the degeneracy filters, and every chord of the segment
-        within FILL_CHORD_TOL h of h."""
+        as it converges. Only the leading segments whose predictions space
+        their chords within FILL_CHORD_TOL h of h are corrected: the
+        correction moves a sample about its normal plane, so it keeps them
+        about as spaced. Returns the samples (K', FILL_SPAN - 1, 12) of those
+        K' segments, their max |residual| and Jacobians, and how many leading
+        segments pass the guard: every sample converged, within h / 2 of its
+        prediction and inside the degeneracy filters, and every chord of the
+        segment within FILL_CHORD_TOL h of h."""
         sys, scale, weight = self.sys, self.sys.scale, self.weight
         x0, x1, t0, t1 = (v[:, None] for v in (nodes[:-1], nodes[1:], tangents[:-1], tangents[1:]))
         chord = x1 - x0
         length = np.sqrt(dot_rows(chord[:, 0], chord[:, 0]))[:, None, None]
         s = (np.arange(1, FILL_SPAN) / FILL_SPAN)[:, None]
         pred = (x0 + (s * s * (3.0 - 2.0 * s)) * chord
-                + length * ((s * (1.0 - s) ** 2) * t0 - (s * s * (1.0 - s)) * t1)).reshape(-1, 12)
+                + length * ((s * (1.0 - s) ** 2) * t0 - (s * s * (1.0 - s)) * t1))
+        ready = _leading(_in_band(x0, pred, x1, h))
+        if not ready:
+            return None, None, None, 0
+        x0, x1, t0, t1, chord, length = (v[:ready] for v in (x0, x1, t0, t1, chord, length))
+        pred = pred[:ready].reshape(-1, 12)
         slope = ((6.0 * s * (1.0 - s)) * chord
                  + length * (((1.0 - s) * (1.0 - 3.0 * s)) * t0 + (s * (3.0 * s - 2.0)) * t1))
         normal = (slope / np.sqrt((slope * slope).sum(axis=-1))[..., None]).reshape(-1, 12)
@@ -540,13 +555,22 @@ class _Walk:
         passed = ((worst <= 1e-12) & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
                   & (np.abs(y - self.center).max(axis=1) <= MAX_COORD_FACTOR * scale))
         y = y.reshape(-1, FILL_SPAN - 1, 12)
-        steps = np.diff(np.concatenate((x0, y, x1), axis=1), axis=1)
-        chords = np.sqrt((steps * steps).sum(axis=-1))
-        good = (passed.reshape(-1, FILL_SPAN - 1).all(axis=1)
-                & (np.abs(chords - h) <= FILL_CHORD_TOL * h).all(axis=1))
-        kept = len(good) if good.all() else int(good.argmin())
+        kept = _leading(passed.reshape(-1, FILL_SPAN - 1).all(axis=1) & _in_band(x0, y, x1, h))
         return (y, worst.reshape(-1, FILL_SPAN - 1), jacs.reshape(-1, FILL_SPAN - 1, 12, 12),
                 kept)
+
+
+def _in_band(x0, y, x1, h):
+    """Per segment, whether every chord from x0 (K, 1, 12) through its
+    samples y (K, FILL_SPAN - 1, 12) to x1 (K, 1, 12) lies within
+    FILL_CHORD_TOL h of h."""
+    steps = np.diff(np.concatenate((x0, y, x1), axis=1), axis=1)
+    return (np.abs(np.sqrt((steps * steps).sum(axis=-1)) - h) <= FILL_CHORD_TOL * h).all(axis=1)
+
+
+def _leading(good):
+    """How many leading entries of the boolean array ``good`` are true."""
+    return len(good) if good.all() else int(good.argmin())
 
 
 def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
@@ -572,9 +596,11 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     FILL_SPAN h, and then corrects the FILL_SPAN - 1 samples between each
     two neighbouring nodes in one stacked batch (``_Walk.fill``): numpy's
     per-call cost is paid once per batch, not once per sample. Where a
-    skeleton step halves, fails or stops, or a segment's fill fails its
-    guard, the trace keeps the batched prefix up to the last good node and
-    walks on from it at step h; a shorter trace walks at step h throughout.
+    skeleton step fails, stops or is more than FILL_CHORD_TOL longer than
+    FILL_SPAN h, or a segment's fill fails its guard, the trace keeps the batched prefix up to the last good node and
+    walks on from it at step h, halving a step whose corrected point lies
+    more than JUMP_FACTOR h away, so that no chord is longer; a shorter
+    trace walks at step h throughout, with no such bound.
 
     Stops early on corrector failure after step halving, on a step whose
     chord has no length (below the coordinates' resolution, it left the
@@ -600,7 +626,8 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     walk = _Walk(sys, u[:, -1], a.array.mean(axis=0))
     left = steps
     if steps >= 2 * FILL_SPAN:
-        stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h, whole=True)
+        stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h,
+                                   (1.0 + FILL_CHORD_TOL) * FILL_SPAN * h, whole=True)
         if stop is None:
             try:
                 tangents.append(walk.tangent(samples[-1][2]))
@@ -617,7 +644,8 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
                 samples.append(nodes[k + 1])
         tau = tangents[kept]
         left -= FILL_SPAN * kept
-    stop = walk.walk(samples, tau, left, h)[0] if left else None
+    reach = JUMP_FACTOR * h if steps >= 2 * FILL_SPAN else math.inf
+    stop = walk.walk(samples, tau, left, h, reach)[0] if left else None
     points, residuals, jacobians = zip(*samples)
     singular_values = np.linalg.svd(np.array(jacobians), compute_uv=False)
     # the branch-point test of each sample a step was taken from
