@@ -171,7 +171,8 @@ def cmd_trace_family(args, scene: Scene, report: Report) -> None:
     report.results["volumes"] = (np.linalg.det(coords[:, 1:] - coords[:, :1]) / 6.0).tolist()
     report.results["stop_reason"] = branch.stop_reason
     report.add_verdict("samples_residual", max(branch.max_residuals), FAMILY_RESIDUAL_TOL)
-    worst_ratio = max(float(sv[-1] / max(sv[-2], 1e-300)) for sv in branch.singular_values)
+    sv = branch.singular_values
+    worst_ratio = float((sv[:, -1] / np.maximum(sv[:, -2], 1e-300)).max())
     report.results["max_nullity_ratio"] = worst_ratio
     report.add_verdict("nullity_one", worst_ratio, NULLITY_RATIO_TOL)
 
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", required=True, type=_at_least(0))
     p.add_argument("--step", required=True, type=_positive,
                    help="distance between samples along the family (scene units): a "
-                        "skeleton at 5 steps filled in by one batched correction, walked "
-                        "at this step where the family turns too fast to fill")
+                        "skeleton at 5 steps filled in by one batched correction, the rest "
+                        "walked at this step, no step longer than 1.5 of these")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
 
     p = sub.add_parser("conjugate", help="construct the conjugate partner")

@@ -8,8 +8,8 @@ the orthogonality null space; ``trace_family`` follows the family with a
 predictor-corrector continuation along the Jacobian's null direction: a
 skeleton at FILL_SPAN steps, the samples between its nodes corrected in
 one stacked batch (``OrthosectSystem.evaluate`` over (R, 12) rows, one
-stacked LU solve per iterate), and a walk at one step where the family
-turns too fast to fill.
+stacked LU solve per iterate), and a walk at one step for the steps left,
+no chord longer than JUMP_FACTOR steps.
 """
 
 from __future__ import annotations
@@ -44,15 +44,15 @@ LM_LAMBDA_DOWN = 3.0
 # the last two samples when the tangent turned by less than acos() of this
 # over the last step, and from the Euler point otherwise
 HERMITE_MIN_COS = 0.999
-# a trace of 2 FILL_SPAN steps or more walks a skeleton at FILL_SPAN steps
-# and corrects the samples between its nodes in one stacked batch; a
-# skeleton step, and each chord of a batched sample, stays within
-# FILL_CHORD_TOL of its step's length
+# a trace walks a skeleton at FILL_SPAN steps, none when it has fewer, and
+# corrects the samples between its nodes in one stacked batch; a skeleton
+# step, and each chord of a batched sample, stays within FILL_CHORD_TOL of
+# its step's length
 FILL_SPAN = 5
 FILL_CHORD_TOL = 0.01
-# on such a trace a step at h whose corrected point lies more than
-# JUMP_FACTOR h from the last sample is halved: the corrector jumped along
-# the family
+# the walk at step h after the batched prefix halves a step whose
+# corrected point lies more than JUMP_FACTOR h from the last sample: the
+# corrector jumped along the family
 JUMP_FACTOR = 1.5
 # max residual that stops the damped iteration, and the one a solution needs
 TARGET_RESIDUAL = 1e-12
@@ -74,14 +74,14 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class SolutionBranch:
     """Samples of a traced family, their vertices as one read-only
-    (n, 4, 3) array, with per sample the max residual and the singular
-    values of the Jacobian (descending)."""
+    (n, 4, 3) array, with per sample the max residual and, as one read-only
+    (n, 12) array, the singular values of the Jacobian (descending)."""
 
     coords: np.ndarray
     step_size: float
     max_residuals: Tuple[float, ...]
     stop_reason: str
-    singular_values: Tuple[np.ndarray, ...]
+    singular_values: np.ndarray
 
     @cached_property
     def samples(self) -> Tuple[Tetrahedron, ...]:
@@ -403,8 +403,8 @@ class _Walk:
             raise np.linalg.LinAlgError("tangent is not finite")
         return t / math.sqrt(squared)
 
-    def walk(self, samples: list, tau: np.ndarray, count: int, h: float,
-             reach: float = math.inf, whole: bool = False):
+    def walk(self, samples: list, tau: np.ndarray, count: int, h: float, reach: float,
+             whole: bool = False):
         """Up to ``count`` steps of h from the last of ``samples``, each
         sample an (x, max |residual|, Jacobian) triple, with tangent ``tau``
         there, appending every accepted sample. The corrector starts at the
@@ -592,15 +592,15 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     left null vector (see ``_Walk.walk`` for the corrector's start and
     step halving).
 
-    A trace of 2 FILL_SPAN steps or more first walks a skeleton at step
-    FILL_SPAN h, and then corrects the FILL_SPAN - 1 samples between each
-    two neighbouring nodes in one stacked batch (``_Walk.fill``): numpy's
-    per-call cost is paid once per batch, not once per sample. Where a
-    skeleton step fails, stops or is more than FILL_CHORD_TOL longer than
-    FILL_SPAN h, or a segment's fill fails its guard, the trace keeps the batched prefix up to the last good node and
-    walks on from it at step h, halving a step whose corrected point lies
-    more than JUMP_FACTOR h away, so that no chord is longer; a shorter
-    trace walks at step h throughout, with no such bound.
+    Every trace first walks a skeleton of steps // FILL_SPAN steps of
+    FILL_SPAN h (none below FILL_SPAN steps), and then corrects the
+    FILL_SPAN - 1 samples between each two neighbouring nodes in one
+    stacked batch (``_Walk.fill``): numpy's per-call cost is paid once per
+    batch, not once per sample. Where a skeleton step fails, stops or is
+    more than FILL_CHORD_TOL longer than FILL_SPAN h, or a segment's fill
+    fails its guard, the trace keeps the batched prefix up to the last good
+    node. It walks the steps left at step h, halving a step whose corrected
+    point lies more than JUMP_FACTOR h away, so that no chord is longer.
 
     Stops early on corrector failure after step halving, on a step whose
     chord has no length (below the coordinates' resolution, it left the
@@ -624,32 +624,30 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     u, _, vt = np.linalg.svd(jac)
     tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
     walk = _Walk(sys, u[:, -1], a.array.mean(axis=0))
-    left = steps
-    if steps >= 2 * FILL_SPAN:
-        stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h,
-                                   (1.0 + FILL_CHORD_TOL) * FILL_SPAN * h, whole=True)
-        if stop is None:
-            try:
-                tangents.append(walk.tangent(samples[-1][2]))
-            except np.linalg.LinAlgError:
-                pass
-        nodes = samples[:len(tangents)]
-        del samples[1:]
-        kept = 0
-        if len(nodes) > 1:
-            fills, worst, jacs, kept = walk.fill(np.array([n[0] for n in nodes]),
-                                                 np.array(tangents), h)
-            for k in range(kept):
-                samples.extend(zip(fills[k], worst[k], jacs[k]))
-                samples.append(nodes[k + 1])
-        tau = tangents[kept]
-        left -= FILL_SPAN * kept
-    reach = JUMP_FACTOR * h if steps >= 2 * FILL_SPAN else math.inf
-    stop = walk.walk(samples, tau, left, h, reach)[0] if left else None
+    stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h,
+                               (1.0 + FILL_CHORD_TOL) * FILL_SPAN * h, whole=True)
+    if stop is None and len(samples) > 1:
+        # the skeleton took all its steps, one at least: the tangent at its
+        # last node, which that node's segment's fill reads
+        try:
+            tangents.append(walk.tangent(samples[-1][2]))
+        except np.linalg.LinAlgError:
+            pass
+    nodes = samples[:len(tangents)]
+    del samples[1:]
+    kept = 0
+    if len(nodes) > 1:
+        fills, worst, jacs, kept = walk.fill(np.array([n[0] for n in nodes]),
+                                             np.array(tangents), h)
+        for k in range(kept):
+            samples.extend(zip(fills[k], worst[k], jacs[k]))
+            samples.append(nodes[k + 1])
+    stop = walk.walk(samples, tangents[kept], steps - FILL_SPAN * kept, h, JUMP_FACTOR * h)[0]
     points, residuals, jacobians = zip(*samples)
     singular_values = np.linalg.svd(np.array(jacobians), compute_uv=False)
-    # the branch-point test of each sample a step was taken from
-    branch = singular_values[:steps, -2] <= 1e-8 * np.maximum(singular_values[:steps, -3], 1e-300)
+    # the branch-point test of each sample a step was taken from: all but the last if steps ran out
+    tested = singular_values[:len(points) - (stop is None)]
+    branch = tested[:, -2] <= 1e-8 * np.maximum(tested[:, -3], 1e-300)
     count = len(points)
     if branch.any():
         stop = "branch point (nullity >= 2)"
@@ -657,10 +655,10 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
         singular_values = singular_values[:count]
     coords = np.array(points[:count]).reshape(-1, 4, 3)
     coords.setflags(write=False)
+    singular_values.setflags(write=False)
     return SolutionBranch(coords=coords, step_size=h,
                           max_residuals=tuple(float(v) for v in residuals[:count]),
-                          stop_reason=stop or "steps exhausted",
-                          singular_values=tuple(singular_values))
+                          stop_reason=stop or "steps exhausted", singular_values=singular_values)
 
 
 def solve_from_curve_point(a: Tetrahedron, b4,

@@ -457,7 +457,7 @@ _TRACE_MAP_TOL = 1e-12
 
 def _trace_report(scene: str, out: Path, step: float, direction: int = 1):
     """Exit code and report of a 20-step trace-family from B on host A,
-    which walks a skeleton and fills it in batches (20 >= 2 FILL_SPAN)."""
+    which walks a skeleton of 4 steps and fills it in batches."""
     code = main(["trace-family", "--scene", scene, "--tet", "A", "--start", "B", "--steps", "20",
                  "--step", repr(step), "--direction", str(direction), "--out", str(out)])
     return code, json.loads(out.read_text())

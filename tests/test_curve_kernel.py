@@ -230,7 +230,9 @@ def _fit_disagreements(fit, points):
     """Stacks where ``fit`` departs from the SVD reference by more than the
     least-squares forward-error bound: a different sphere flag, centre,
     radius, residual or residual <= 1e-7 verdict, or (for planes) any
-    difference at all. Returns (stack, what) pairs."""
+    difference at all. A full-rank stack whose reference radius lies
+    within that bound of the 1e6 cut may be either kind. Returns (stack,
+    what) pairs."""
     ref = _svd_sphere_fit(points)
     m = points.shape[1]
     mat = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
@@ -247,15 +249,15 @@ def _fit_disagreements(fit, points):
     for k in range(len(points)):
         if RANK_BAND[0] <= kappa[k] * EPS * max(m, 4) <= RANK_BAND[1]:
             continue
+        c, r = ref["center"][k], ref["radius"][k]
+        d_r = tol[k] * (1.0 + np.linalg.norm(c)) / r
+        if kappa[k] * EPS * max(m, 4) < 1.0 and abs(r - 1e6) <= d_r:
+            continue   # full rank at the radius cut: a sphere, or the plane the cut chose
         if not ref["sphere"][k]:
             if fit["sphere"][k] or not all(np.array_equal(fit[key][k], ref[key][k])
                                            for key in ("normal", "offset", "residual")):
                 out.append((k, "plane"))
             continue
-        c, r = ref["center"][k], ref["radius"][k]
-        d_r = tol[k] * (1.0 + np.linalg.norm(c)) / r
-        if abs(r - 1e6) <= d_r:
-            continue   # at the radius cut
         if not fit["sphere"][k]:
             out.append((k, "sphere flag"))
             continue
@@ -307,6 +309,9 @@ def _fit_stacks(rng, m, n):
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([5, 6]))
+# stack 28: a reference plane of radius 1.043e6, which the fit, at 9.42e5,
+# calls a sphere; the forward-error bound on the radius is about 2.7e9
+@example(seed=2999, m=6)
 @settings(max_examples=40, deadline=None)
 def test_sphere_fit_matches_svd_reference(seed, m):
     points = _fit_stacks(np.random.default_rng(seed), m, 8)

@@ -10,6 +10,8 @@ from orthosect.analysis import trace_curve
 from orthosect.cli import main
 from orthosect.errors import SceneError
 from orthosect.export import (
+    _sphere_mesh,
+    _unit_sphere,
     scene_to_obj,
     scene_to_svg,
     trace_from_dict,
@@ -114,6 +116,20 @@ def test_obj_structure(demo_scene):
     assert sum(1 for l in lines if l.startswith("p ")) == 6
     assert any(l.startswith("o sphere_") for l in lines)
     assert sum(1 for l in lines if l.startswith("f ")) > 50
+
+
+def test_sphere_mesh_writes_every_coordinate_as_its_repr():
+    """The vertex block is a per-vertex loop's "v %r %r %r" lines, with
+    0.0 and -0.0 kept apart (a negative radius puts -0.0 beside 0.0), and
+    the face block numbers the vertices from ``top``."""
+    center = np.array([-0.0, 0.0, 1.5])
+    lines = []
+    assert _sphere_mesh(lines, 7, center, -1.0, 6) == 7 + len(_unit_sphere(6)[0]) - 1
+    rows = (center - _unit_sphere(6)[0]).tolist()
+    assert lines[0] == "\n".join("v %r %r %r" % tuple(row) for row in rows)
+    assert lines[0].startswith("v -0.0 0.0 0.5\n")
+    faces = _unit_sphere(6)[1] + 7
+    assert lines[1] == "\n".join("f %d %d %d" % tuple(face) for face in faces.tolist())
 
 
 def test_obj_sphere_resolution(demo_scene):

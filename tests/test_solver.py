@@ -288,7 +288,7 @@ def _bordered_tangent(jac, tau, phi, weight):
 
 
 def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, system=None,
-                     hermite=True, tangent=_svd_tangent):
+                     hermite=True, tangent=_svd_tangent, jump=JUMP_FACTOR):
     """Reference: the continuation loop with residuals and Jacobian
     evaluated separately on ``system`` (by default the per-pairing loop
     system), and both evaluated again at each accepted point for its
@@ -297,10 +297,12 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
     singular values from an SVD without vectors, and the branch-point test
     is made before each step. The corrector starts at the Euler point
     x_pred, or with ``hermite`` where trace_family's guard allows at
-    ``_hermite_start``; a step whose chord has no length stops the
-    trace. Returns (samples, max residuals, singular values, stop
-    reason, step halvings, corrections); the corrections are |point -
-    prediction| / step of every accepted corrector point."""
+    ``_hermite_start``; a converged point more than ``jump`` h from x
+    fails its attempt, which halves the step, as trace_family's walk at
+    step h does; a step whose chord has no length stops the trace. Returns
+    (samples, max residuals, singular values, stop reason, step halvings,
+    corrections); the corrections are |point - prediction| / step of every
+    accepted corrector point."""
     system = system or _LoopSystem(a.array, tol.scene_scale)
     scale = tol.scene_scale
     x = b0.array.reshape(12).copy()
@@ -345,7 +347,7 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
                         break
             except (_Collapse, np.linalg.LinAlgError):
                 ok = False
-            if ok:
+            if ok and np.linalg.norm(y - x) <= jump * h:
                 accepted = y
                 break
             step *= 0.5
@@ -400,17 +402,25 @@ def _drawn_pair(demo_pair, host, seed, log_scale):
 
 
 # traces of a solved pair under a similarity transform, both directions,
-# steps from a thousandth of the scene scale to about thirty times it
+# steps from a thousandth of the scene scale to about thirty times it, fewer
+# than FILL_SPAN of them: such a trace takes no skeleton step and walks at
+# step h throughout
 _TRACE_DRAWS = dict(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
                     log_scale=st.floats(-12.0, 12.0), direction=st.sampled_from((1, -1)),
-                    log_step=st.floats(-3.0, 1.5), steps=st.integers(1, 8))
+                    log_step=st.floats(-3.0, 1.5), steps=st.integers(1, FILL_SPAN - 1))
 
 
 @given(**_TRACE_DRAWS)
-# the demo pair: a trace that halves its step four times, and one that
-# halves it twice and leaves the coordinate range after three steps
-@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-0.4, steps=8)
-@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=1.4, steps=8)
+# the demo pair: a trace that halves its step three times, its first step
+# twice as the half step's corrected point lies more than JUMP_FACTOR h
+# away, and one that halves it twice and leaves the coordinate range after
+# three steps; and the random pair where the walk with no jump bound leaps
+# out of the coordinate range at its last step, after 4 samples, while the
+# bounded walk halves that step and takes all 4
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-0.4, steps=4)
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=1.4, steps=4)
+@example(host="random", seed=4292546943, log_scale=5.695330206894251, direction=1,
+         log_step=-0.33861323084339867, steps=4)
 @settings(max_examples=60, deadline=None)
 def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, log_scale,
                                                         direction, log_step, steps):
@@ -419,7 +429,8 @@ def test_trace_family_matches_loop_reference_bit_for_bit(demo_pair, host, seed, 
     separate evaluations: samples, max residuals, singular values and
     stop reason, for solved pairs under similarity transforms, both
     directions, and steps from a thousandth of the scene scale to about
-    thirty times it (halved steps, early stops)."""
+    thirty times it (halved steps, steps halved for leaping past JUMP_FACTOR
+    h, early stops)."""
     a, b = _drawn_pair(demo_pair, host, seed, log_scale)
     tol = pair_tolerance(a, b)
     h = 10.0 ** log_step * tol.scene_scale
@@ -457,7 +468,7 @@ def _assert_traces_agree(branch, oracle, scale):
 # a long-step trace whose tangent turns by more than acos(0.999) but less
 # than acos(0.99) over a step: a Hermite start there settles on a sample
 # 1.5 scene scales from the least-squares trace's
-@example(host="random", seed=0, log_scale=0.0, direction=-1, log_step=1.0703125, steps=8)
+@example(host="random", seed=0, log_scale=0.0, direction=-1, log_step=1.0703125, steps=4)
 @settings(max_examples=60, deadline=None)
 def test_trace_family_matches_least_squares_corrector(demo_pair, host, seed, log_scale,
                                                       direction, log_step, steps):
@@ -597,7 +608,7 @@ def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_
                                                                    slot, direction):
     """The benchmark's 64 trace-family ops (pairs decks of seeds 1-4) keep
     the stop reason and sample count of the least-squares corrector's trace
-    at step h, and no step of theirs is longer than 1.5 steps; where the
+    at step h with no jump bound, and no step of theirs is longer than 1.5 steps; where the
     least-squares trace jumps (``_ORACLE_JUMPS``), trace_family stops before
     the jump at the min-edge filter. Each op either batches throughout or
     not at all: where the least-squares trace at step FILL_SPAN h takes
@@ -616,7 +627,8 @@ def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_
     steps, h = int(argv[argv.index("--steps") + 1]), float(argv[argv.index("--step") + 1])
     tol = pair_tolerance(a, b)
     system = OrthosectSystem(a, tol)
-    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step, system, hermite=False)
+    oracle = _reference_trace(a, b, steps, h, direction, tol, _lstsq_step, system, hermite=False,
+                              jump=math.inf)
     branch = trace_family(a, b, steps=steps, h=h, direction=direction, tol=tol)
     lengths = np.linalg.norm(np.diff(branch.coords.reshape(-1, 12), axis=0), axis=1)
     assert (lengths <= 1.5 * h).all()
@@ -644,7 +656,7 @@ def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_
     assert (np.abs(lengths - h) <= FILL_CHORD_TOL * h).all()
 
 
-@given(**{**_TRACE_DRAWS, "steps": st.integers(10, 60)})
+@given(**{**_TRACE_DRAWS, "steps": st.integers(1, 60)})
 # the demo scene's pair, batched throughout; and the random pair at a step
 # whose skeleton turns too fast after one node: its one segment's
 # predictions are spaced outside the chord band, and it walks at step h
@@ -659,10 +671,15 @@ def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_
          log_step=0.6271761626794894, steps=22)
 @example(host="random", seed=2369019378, log_scale=10.912562942832022, direction=1,
          log_step=-1.6066000778640535, steps=45)
+# a 7-step trace whose walk at step h with no jump bound takes a chord of
+# 1.92 h and leaves the coordinate range after 6 samples; with the bound it
+# takes all 7 steps
+@example(host="demo", seed=1215283013, log_scale=10.456477340179838, direction=1,
+         log_step=0.9232670290774831, steps=7)
 @settings(max_examples=40, deadline=None)
 def test_batched_trace_keeps_the_skeleton_and_takes_no_long_chord(
         demo_pair, host, seed, log_scale, direction, log_step, steps):
-    """A trace of 10-60 steps walks its skeleton as the per-step walk at step
+    """A trace of 1-60 steps walks its skeleton as the per-step walk at step
     FILL_SPAN h does, bit for bit: the nodes it hands ``_Walk.fill`` are
     that walk's samples (``_reference_trace``, today's loop) up to its first
     step that is not whole (``_whole_steps``), and every FILL_SPAN-th sample
@@ -671,8 +688,9 @@ def test_batched_trace_keeps_the_skeleton_and_takes_no_long_chord(
     one it drops, as the least-squares fill confirms
     (``_fill_guard_fails``), and the prefix's chords lie within
     FILL_CHORD_TOL h of h. No chord is longer than JUMP_FACTOR h = 1.5 h;
-    the per-step trace at step h takes such a chord in 822 of 3,000
-    uniform draws of these parameters."""
+    the per-step trace at step h with no such bound takes one in 822 of
+    3,000 uniform draws of these parameters at 10-60 steps, and in 93 of
+    400 at 1-9 steps."""
     a, b = _drawn_pair(demo_pair, host, seed, log_scale)
     tol = pair_tolerance(a, b)
     h = 10.0 ** log_step * tol.scene_scale
@@ -702,11 +720,11 @@ def test_batched_trace_keeps_the_skeleton_and_takes_no_long_chord(
     lengths = np.linalg.norm(np.diff(flat, axis=0), axis=1)
     assert (np.abs(lengths[:FILL_SPAN * kept] - h) <= FILL_CHORD_TOL * h).all()
     assert (lengths <= JUMP_FACTOR * h).all()
-    today = _reference_trace(a, b, steps, h, direction, tol, system=system,
-                             tangent=_bordered_tangent)
-    event(f"stop: {'as today' if branch.stop_reason == today[3] else 'differs'}")
-    jumps = np.linalg.norm(np.diff(np.reshape(today[0], (-1, 12)), axis=0), axis=1) > 1.5 * h
-    event(f"the per-step trace {'jumps' if jumps.any() else 'takes no chord over 1.5 h'}")
+    unbounded = _reference_trace(a, b, steps, h, direction, tol, system=system,
+                                 tangent=_bordered_tangent, jump=math.inf)
+    event(f"stop: {'as unbounded' if branch.stop_reason == unbounded[3] else 'differs'}")
+    jumps = np.linalg.norm(np.diff(np.reshape(unbounded[0], (-1, 12)), axis=0), axis=1) > 1.5 * h
+    event(f"the unbounded trace {'jumps' if jumps.any() else 'takes no chord over 1.5 h'}")
 
 
 def _count_calls(monkeypatch, calls, owner, name):
@@ -820,11 +838,14 @@ def test_trace_family_branch_cut_matches_in_loop_rule(demo_pair, monkeypatch, cr
 
 @pytest.mark.parametrize("failure", ["LinAlgError", "non-finite step"])
 def test_trace_family_halves_the_step_after_a_failed_solve(demo_pair, monkeypatch, failure):
-    """A corrector solve that raises LinAlgError, or returns a non-finite
-    step, fails its attempt as a collapse does: the step is halved, with no
-    warning, and the trace goes on at the full step."""
+    """A corrector solve of the walk at step h that raises LinAlgError, or
+    returns a non-finite step, fails its attempt as a collapse does: the
+    step is halved, with no warning, and the trace goes on at the full step.
+    A trace of fewer than FILL_SPAN steps takes no skeleton step, so its
+    first solve is the walk's."""
     a, b, tol = demo_pair
     h = 0.03 * tol.scene_scale
+    steps = FILL_SPAN - 1
     half = trace_family(a, b, steps=1, h=0.5 * h, tol=tol)
     real = np.linalg.solve
     failed = []
@@ -838,8 +859,8 @@ def test_trace_family_halves_the_step_after_a_failed_solve(demo_pair, monkeypatc
         return np.full(13, np.inf)
 
     monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
-    branch = trace_family(a, b, steps=5, h=h, tol=tol)
-    assert failed and branch.stop_reason == "steps exhausted" and len(branch) == 6
+    branch = trace_family(a, b, steps=steps, h=h, tol=tol)
+    assert failed and branch.stop_reason == "steps exhausted" and len(branch) == steps + 1
     # the first sample is the half step's, bit for bit
     assert np.array_equal(branch.coords[1], half.coords[1])
     lengths = np.linalg.norm(np.diff(branch.coords.reshape(-1, 12), axis=0), axis=1)
