@@ -272,16 +272,8 @@ def _unit_sphere(res: int):
                             np.stack((np.full(n, bottom), ring[-1] + j1, ring[-1] + j), axis=1)))
     units.setflags(write=False)
     faces.setflags(write=False)
-    return (units, faces, "\n".join(["v %s %s %s"] * len(units)),
+    return (units, faces, "\n".join(["v %r %r %r"] * len(units)),
             "\n".join(["f %d %d %d"] * len(faces)))
-
-
-@functools.lru_cache(maxsize=8)
-def _face_block(res: int, top: int) -> str:
-    """The face block of the sphere mesh of resolution ``res`` whose
-    vertices are numbered from ``top``."""
-    _, faces, _, face_format = _unit_sphere(res)
-    return face_format % tuple((faces + top).ravel().tolist())
 
 
 def _sphere_mesh(lines: List[str], top: int, center: np.ndarray, radius: float,
@@ -289,15 +281,9 @@ def _sphere_mesh(lines: List[str], top: int, center: np.ndarray, radius: float,
     """Append a sphere mesh to ``lines`` as two blocks of lines, its
     vertices numbered from ``top``; returns the number of its last
     vertex."""
-    res = max(4, int(res))
-    units, _, vertex_format, _ = _unit_sphere(res)
-    coords = (center + radius * units).ravel()
-    # each distinct coordinate formatted once, keyed by its bits, so that
-    # 0.0 and -0.0 stay apart
-    bits = coords.view(np.int64).tolist()
-    text = {key: repr(value) for key, value in dict(zip(bits, coords.tolist())).items()}
-    lines.append(vertex_format % tuple(map(text.__getitem__, bits)))
-    lines.append(_face_block(res, top))
+    units, faces, vertex_format, face_format = _unit_sphere(max(4, int(res)))
+    lines.append(vertex_format % tuple((center + radius * units).ravel().tolist()))
+    lines.append(face_format % tuple((faces + top).ravel().tolist()))
     return top + len(units) - 1
 
 

@@ -230,9 +230,11 @@ def _fit_disagreements(fit, points):
     """Stacks where ``fit`` departs from the SVD reference by more than the
     least-squares forward-error bound: a different sphere flag, centre,
     radius, residual or residual <= 1e-7 verdict, or (for planes) any
-    difference at all. A full-rank stack whose reference radius lies
-    within that bound of the 1e6 cut may be either kind. Returns (stack,
-    what) pairs."""
+    difference at all. Where the reference radius lies within that bound
+    of the 1e6 cut, a reference sphere is not compared, and a full-rank
+    reference plane (one the cut chose) may be a sphere in ``fit``; a plane
+    there in both is compared as any plane is. Returns (stack, what)
+    pairs."""
     ref = _svd_sphere_fit(points)
     m = points.shape[1]
     mat = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
@@ -251,13 +253,17 @@ def _fit_disagreements(fit, points):
             continue
         c, r = ref["center"][k], ref["radius"][k]
         d_r = tol[k] * (1.0 + np.linalg.norm(c)) / r
-        if kappa[k] * EPS * max(m, 4) < 1.0 and abs(r - 1e6) <= d_r:
-            continue   # full rank at the radius cut: a sphere, or the plane the cut chose
+        at_cut = abs(r - 1e6) <= d_r
         if not ref["sphere"][k]:
-            if fit["sphere"][k] or not all(np.array_equal(fit[key][k], ref[key][k])
-                                           for key in ("normal", "offset", "residual")):
+            if fit["sphere"][k]:
+                if not (at_cut and kappa[k] * EPS * max(m, 4) < 1.0):
+                    out.append((k, "plane"))   # not the plane the cut chose
+            elif not all(np.array_equal(fit[key][k], ref[key][k])
+                         for key in ("normal", "offset", "residual")):
                 out.append((k, "plane"))
             continue
+        if at_cut:
+            continue   # at the radius cut
         if not fit["sphere"][k]:
             out.append((k, "sphere flag"))
             continue

@@ -676,6 +676,14 @@ def test_trace_family_matches_least_squares_corrector_on_bench_ops(bench_family_
 # takes all 7 steps
 @example(host="demo", seed=1215283013, log_scale=10.456477340179838, direction=1,
          log_step=0.9232670290774831, steps=7)
+# the 8-step draws of the short-trace oracle tests: a skeleton step that is
+# halved three times and a walk at step h whose first chord is 0.27 h; one
+# that leaves the coordinate range after three steps; and the long step
+# whose tangent turns by more than acos(0.999); none has a whole skeleton
+# step
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=-0.4, steps=8)
+@example(host="demo", seed=1, log_scale=0.0, direction=-1, log_step=1.4, steps=8)
+@example(host="random", seed=0, log_scale=0.0, direction=-1, log_step=1.0703125, steps=8)
 @settings(max_examples=40, deadline=None)
 def test_batched_trace_keeps_the_skeleton_and_takes_no_long_chord(
         demo_pair, host, seed, log_scale, direction, log_step, steps):
