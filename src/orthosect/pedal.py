@@ -391,7 +391,9 @@ class ChainKernel:
 
     def _curve_feet(self, b4_local: np.ndarray, divisor_cut: float):
         """``curve_chain``'s t, f and gap, then the six feet (N, 6, 3) of the
-        picked root in the kernel's line order, meaningful where t is not NaN."""
+        picked root in the kernel's line order, meaningful where t is not
+        NaN, and f (N, 2) of both candidates: on rows near the divisor lines,
+        Q's validated roots' as ``sphericity_batch`` returns them."""
         p = np.asarray(b4_local, dtype=float).reshape(-1, 3)
         base, at0, samples = self._cosphericity_samples(p)
         x, y, _ = self._resultant_terms(samples)
@@ -408,7 +410,8 @@ class ChainKernel:
         score[~near] = 0.0, np.inf   # the common root, whatever its feet
         rows, best = np.arange(len(p)), score.argmin(axis=1)
         found = np.isfinite(score[rows, best])
-        return (*(np.where(found, v[rows, best], np.nan) for v in (t, f, gap)), feet[rows, best])
+        return (*(np.where(found, v[rows, best], np.nan) for v in (t, f, gap)), feet[rows, best],
+                f)
 
     def _chains(self, p: np.ndarray, t: np.ndarray, feet: np.ndarray) -> List[PedalChain]:
         """World pedal chains of (N, 3) local face points, their t (N,) and
@@ -495,13 +498,11 @@ def chain_from_pair(a: Tetrahedron, b: Tetrahedron,
                       closure_spread=float(np.sqrt(dot_rows(miss, miss)).max()))
 
 
-def spherical_chain(chain: PedalChain, tol: Tolerance | None = None,
-                    max_residual: float | None = None) -> SphericalChain:
+def spherical_chain(chain: PedalChain, tol: Tolerance | None = None) -> SphericalChain:
     """Wrap a chain whose feet are co-spherical (or co-planar) within
-    tolerance; raises DegenerateError otherwise."""
+    eps_rel scene scales; raises DegenerateError otherwise."""
     tol = tol or Tolerance.for_points(chain.host.array)
-    if max_residual is None:
-        max_residual = tol.eps_rel * tol.scene_scale
+    max_residual = tol.eps_rel * tol.scene_scale
     carrier, residual = carrier_through(chain.feet, tol)
     if residual > max_residual:
         raise DegenerateError(

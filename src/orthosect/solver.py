@@ -54,7 +54,8 @@ FILL_CHORD_TOL = 0.01
 # corrected point lies more than JUMP_FACTOR h from the last sample: the
 # corrector jumped along the family
 JUMP_FACTOR = 1.5
-# max residual that stops the damped iteration, and the one a solution needs
+# max residual that stops the damped iteration and the continuation's
+# correctors, and the one a solution needs
 TARGET_RESIDUAL = 1e-12
 ACCEPT_RESIDUAL = 1e-11
 # solutions whose vertices all lie within this many scene scales are one
@@ -104,10 +105,6 @@ class RestartDiagnostic:
 class SolveResult:
     solutions: Tuple[Tetrahedron, ...]
     diagnostics: Tuple[RestartDiagnostic, ...]
-
-
-class _Collapse(Exception):
-    """Partner collapsed onto a degenerate configuration mid-iteration."""
 
 
 # Gather indices of ``OrthosectSystem.evaluate``. Its input buffer holds
@@ -201,9 +198,9 @@ class OrthosectSystem:
         pass, of one partner x (12,) or of each of R partners x (R, 12),
         with a leading R axis on each result. Every row is the same
         arithmetic, so row r is bit for bit the one-partner call on x[r].
-        A collapsed partner edge raises _Collapse for one partner, naming
-        the first in pairing order; of R partners it flags the row: its
-        residuals, and the Jacobian entries they depend on, are NaN."""
+        A partner with a collapsed edge is flagged, one partner as a row of
+        R: its residuals, and the Jacobian entries they depend on, are NaN,
+        and its edge lengths are returned as they are."""
         (lead, points, partner, flat, wm, w, cross, vecs, prod, prod_a, prod_b, dots, ww,
          gh_dots, dens, factors, gh_dens, vec_dens, quot, dg_dh, dm, scaled, nw2, nw2_rows,
          jac_blocks, bk, bk_h, bl, jac_at) = (
@@ -214,14 +211,10 @@ class OrthosectSystem:
         np.subtract(prod_a, prod_b, out=cross)
         np.matmul(flat.take(_DOTS[0], -1), flat.take(_DOTS[1], -1), out=dots)
         edges = nw = np.sqrt(ww)
-        # fmin skips NaN: the least edge is collapsed iff some edge is
-        short = np.fmin.reduce(nw, axis=-1) <= self._zero_edge
-        if not lead:
-            if short:
-                p = int(np.argmax(nw <= self._zero_edge))
-                raise _Collapse(f"edge B{_K[p] + 1}{_L[p] + 1} collapsed")
-        elif short.any():
-            nw = np.where(short[:, None], np.nan, nw)
+        # fmin skips NaN: a partner is collapsed iff its least edge is; one
+        # reduce over every partner first, as a collapse is rare
+        if np.fmin.reduce(nw, axis=None) <= self._zero_edge:
+            nw = np.where(np.fmin.reduce(nw, axis=-1, keepdims=True) <= self._zero_edge, np.nan, nw)
         # |U||W| over |U||W| scale, twice
         np.multiply(self.nu * nw, factors, out=dens)
         gh = gh_dots / gh_dens
@@ -250,14 +243,17 @@ class OrthosectSystem:
 def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
     """Damped least squares followed by a Gauss-Newton polish; every point
     is evaluated once, residuals and Jacobian together, and an accepted
-    trial point keeps its Jacobian for the next step. Returns the point, its
-    max |residual|, the iterations, the reason and the six partner edge
-    lengths at the point (None when the start collapsed)."""
+    trial point keeps its Jacobian for the next step; a trial point with a
+    collapsed edge, NaN cost, is rejected. Returns the point, its max
+    |residual|, the iterations, the reason and the six partner edge lengths
+    at the point (None when the start collapsed, and the reason names its
+    first collapsed edge in pairing order)."""
     x = x0.copy()
-    try:
-        r, jac, edges = sys.evaluate(x)
-    except _Collapse as exc:
-        return x, math.inf, 0, str(exc), None
+    r, jac, edges = sys.evaluate(x)
+    short = edges <= sys._zero_edge
+    if short.any():
+        p = int(np.argmax(short))
+        return x, math.inf, 0, f"edge B{_K[p] + 1}{_L[p] + 1} collapsed", None
     cost = float(r @ r)
     lam = LM_LAMBDA0
     iterations = 0
@@ -276,12 +272,11 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
                 lam *= LM_LAMBDA_UP
                 continue
             x_new = x + delta
-            try:
-                r_new, jac_new, edges_new = sys.evaluate(x_new)
-            except _Collapse:
+            r_new, jac_new, edges_new = sys.evaluate(x_new)
+            cost_new = float(r_new @ r_new)
+            if math.isnan(cost_new):
                 lam *= LM_LAMBDA_UP
                 continue
-            cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 x, r, jac, edges, cost = x_new, r_new, jac_new, edges_new, cost_new
                 lam = max(lam / LM_LAMBDA_DOWN, 1e-14)
@@ -299,9 +294,9 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
             break
         try:
             x_new = x + np.linalg.lstsq(jac, -r, rcond=1e-12)[0]
-            r_new, jac_new, edges_new = sys.evaluate(x_new)
-        except (_Collapse, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             break
+        r_new, jac_new, edges_new = sys.evaluate(x_new)
         if float(r_new @ r_new) <= cost:
             x, r, jac, edges, cost = x_new, r_new, jac_new, edges_new, float(r_new @ r_new)
         else:
@@ -411,12 +406,13 @@ class _Walk:
         Euler point on the first step and after the tangent turned by
         acos(HERMITE_MIN_COS) or more, and otherwise at the cubic Hermite
         extrapolation of the last two samples and their tangents, moved
-        onto the same pseudo-arclength plane. An attempt fails where the
-        corrector does not converge or its point is farther than ``reach``
-        from x, and a failed attempt halves the step, up to six times; with
-        ``whole`` it ends the walk instead, as a halved step would not be
-        kept. Returns the reason it ended (None after ``count`` steps) and the
-        tangents at the samples it stepped from."""
+        onto the same pseudo-arclength plane. An attempt fails where 25
+        corrector iterates do not bring max |residual| to TARGET_RESIDUAL, a
+        step is not finite (as at a collapsed partner's NaN row) or the point
+        is farther than ``reach`` from x. A failed attempt halves the step,
+        up to six times; with ``whole`` it ends the walk instead, as a halved
+        step would not be kept. Returns the reason it ended (None after
+        ``count`` steps) and the tangents at the samples it stepped from."""
         x, _, jac = samples[-1]
         scale, weight, center, sys = self.sys.scale, self.weight, self.center, self.sys
         aug, rhs = self.aug, self.rhs
@@ -453,7 +449,7 @@ class _Walk:
                     for _ in range(25):
                         r, jac, edges = sys.evaluate(y)
                         worst = float(np.abs(r).max())
-                        if worst <= 1e-12:
+                        if worst <= TARGET_RESIDUAL:
                             break
                         aug_jac[...] = jac
                         np.negative(r, out=rhs_r)
@@ -464,17 +460,13 @@ class _Walk:
                         if not math.isfinite(squared):
                             raise np.linalg.LinAlgError("corrector step is not finite")
                         y = y + delta
-                        if math.sqrt(squared) < 1e-16 * scale:
-                            r, jac, edges = sys.evaluate(y)
-                            worst = float(np.abs(r).max())
-                            break
                     move = y - x
                     move_length = math.sqrt(float(move.dot(move)))
                     # accepted when the last evaluation, the one at y, is on
                     # the family, and y is within reach of x
-                    if worst <= 1e-12 and move_length <= reach:
+                    if worst <= TARGET_RESIDUAL and move_length <= reach:
                         break
-                except (_Collapse, np.linalg.LinAlgError):
+                except np.linalg.LinAlgError:
                     pass
                 if whole:
                     return "step not whole", tangents
@@ -529,7 +521,7 @@ class _Walk:
             r, jac, edge = sys.evaluate(y[active])
             worst[active], jacs[active], edges[active] = np.abs(r).max(axis=1), jac, edge
             # NaN, a collapsed row's, is neither: such a row fails
-            going = worst[active] > 1e-12
+            going = worst[active] > TARGET_RESIDUAL
             active = active[going]
             if not active.size:
                 break
@@ -552,7 +544,7 @@ class _Walk:
             worst[active[~near]] = np.inf
             y[active[near]] = moved[near]
             active = active[near]
-        passed = ((worst <= 1e-12) & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
+        passed = ((worst <= TARGET_RESIDUAL) & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
                   & (np.abs(y - self.center).max(axis=1) <= MAX_COORD_FACTOR * scale))
         y = y.reshape(-1, FILL_SPAN - 1, 12)
         kept = _leading(passed.reshape(-1, FILL_SPAN - 1).all(axis=1) & _in_band(x0, y, x1, h))
@@ -683,12 +675,12 @@ def solve_from_curve_point(a: Tetrahedron, b4,
     tol = tol or Tolerance.for_points(np.vstack((a.array, as_array(b4))))
     kernel = ChainKernel(a, tol)
     p = _face_source(kernel, b4)[None]
-    t, f, _, feet = kernel._curve_feet(p, math.inf)
+    t, f, _, feet, validated = kernel._curve_feet(p, math.inf)
     f = float(f[0])
     if not abs(f) <= VERTEX_TOL:
-        # curve_chain passes over roots whose feet coincide, so one that
-        # fits here is such a root
-        if (np.abs(kernel.sphericity_batch(p)[1]) <= VERTEX_TOL).any():
+        # curve_chain passes over roots whose feet coincide, so a validated
+        # root that fits here is such a root
+        if (np.abs(validated) <= VERTEX_TOL).any():
             raise CurvePointError("point is on the curve, but every root that fits it has "
                                   f"coincident feet (within {FEET_TOL:.0e} scene scales)")
         if math.isnan(t[0]):

@@ -4,9 +4,10 @@ leaves behind an import that only it used (``__init__.py`` is exempt,
 because its imports are the package's exports). No module calls np.cross
 or json.dumps, and the CLI names no OrthosectSystem. Every public
 function, method and class has a caller or a reader; being exported is
-not being read."""
+not being read. Every exception class is one of ``errors.py``'s."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -100,3 +101,28 @@ def test_public_names_have_a_caller():
     unnamed = [f"{module}:{qualified}" for module, tree in trees.items()
                for qualified, name in _public_definitions(tree) if name not in named]
     assert not unnamed, f"public names only tests use: {unnamed}"
+
+
+def test_every_exception_is_a_package_error():
+    """Every exception class the package defines, at any depth of any
+    module, is defined in ``errors.py`` and derives from GeometryError or
+    SceneError, the two bases callers catch: no private exception can
+    escape the API."""
+    from orthosect.errors import GeometryError, SceneError
+
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("orthosect" if path.stem == "__init__"
+                                         else f"orthosect.{path.stem}")
+        namespace = vars(module)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [eval(ast.unparse(base), namespace) for base in node.bases]
+            if not any(isinstance(base, type) and issubclass(base, BaseException)
+                       for base in bases):
+                continue
+            if path.name != "errors.py" or not issubclass(namespace[node.name],
+                                                          (GeometryError, SceneError)):
+                stray.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not stray, f"exception classes outside the package's errors: {stray}"

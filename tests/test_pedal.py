@@ -25,6 +25,7 @@ from orthosect.errors import (
 from orthosect.geom_core import (
     Plane,
     Tolerance,
+    carrier_through,
     circle_through,
     unit,
 )
@@ -33,6 +34,7 @@ from orthosect.orthology import EDGE_PAIRINGS, Tetrahedron, pair_measures, pair_
 from orthosect.pedal import (
     ChainKernel,
     PedalChain,
+    SphericalChain,
     _require_orthosection,
     chain_from_pair,
     chain_sphere_residual,
@@ -489,7 +491,8 @@ def test_reconstruct_rejects_nonspherical_chain():
     chain = complete_chain(host, b4, t_bad, tol)
     with pytest.raises(DegenerateError):
         spherical_chain(chain, tol)  # carrier fit already refuses
-    forced = spherical_chain(chain, tol, max_residual=math.inf)
+    carrier, residual = carrier_through(chain.feet, tol)
+    forced = SphericalChain(chain=chain, carrier=carrier, max_residual=residual)
     with pytest.raises(ReconstructionError) as err:
         reconstruct_tetrahedron(forced, tol)
     assert err.value.orthogonality is not None and err.value.gaps is not None
@@ -627,7 +630,7 @@ def test_partner_from_points_is_stable_on_the_curve(demo_pair):
     kernel = ChainKernel(a, tol)
     trace = trace_curve(a, 4, grid=128, tol=tol)
     p = np.array([pedal._face_source(kernel, v) for v in trace_vertices(trace)])
-    t, _, _, feet = kernel._curve_feet(p, math.inf)
+    t, _, _, feet, _ = kernel._curve_feet(p, math.inf)
     points = np.array([chain.feet for chain in kernel._chains(p, t, feet)])
     assert len(points) == 730
     exact = pedal.partner_from_points(a, points)

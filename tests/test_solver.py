@@ -27,8 +27,8 @@ from orthosect.solver import (
     MAX_COORD_FACTOR,
     MIN_EDGE_FACTOR,
     OrthosectSystem,
-    _Collapse,
     _Walk,
+    _lm_minimize,
     SolverConfig,
     solve,
     solve_detailed,
@@ -108,9 +108,15 @@ def test_jacobian_matches_central_differences():
     assert np.abs(jac - fd).max() / denom < 1e-6
 
 
+class _LoopCollapse(Exception):
+    """The loop reference's collapse, naming the first collapsed partner
+    edge in pairing order."""
+
+
 class _LoopSystem:
     """Reference: the orthosecting system evaluated one pairing at a time
-    with np.dot, np.cross and np.linalg.norm on 3-vectors."""
+    with np.dot, np.cross and np.linalg.norm on 3-vectors; a collapsed
+    partner edge raises _LoopCollapse."""
 
     def __init__(self, host, scale):
         self.scale = scale
@@ -126,7 +132,7 @@ class _LoopSystem:
             w = b[k - 1] - b[l - 1]
             nw = float(np.linalg.norm(w))
             if nw <= 1e-9 * self.scale:
-                raise _Collapse(f"edge B{k}{l} collapsed")
+                raise _LoopCollapse(f"edge B{k}{l} collapsed")
             out.append((k, l, u, nu, ai, b[k - 1], w, nw))
         return out
 
@@ -167,7 +173,7 @@ def _min_edge(x):
 def _evaluate(fn, x):
     try:
         return fn(x), None
-    except _Collapse as exc:
+    except _LoopCollapse as exc:
         return None, str(exc)
 
 
@@ -177,10 +183,12 @@ def _evaluate(fn, x):
 def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
     """The array kernel reproduces the per-pairing loop exactly: the same
     residuals and Jacobian bits, from ``residuals``, ``jacobian`` and the
-    fused ``evaluate`` alike, the same shortest partner edge from
-    ``evaluate``'s edge lengths, and the same collapse
-    message (merging partner vertices collapses edges; the first in
-    pairing order is named)."""
+    fused ``evaluate`` alike, and the same shortest partner edge from
+    ``evaluate``'s edge lengths. Merging partner vertices collapses edges:
+    where the loop names the first collapsed edge in pairing order, the
+    kernel returns NaN residuals and NaN in the 72 Jacobian entries they
+    depend on, from all three alike, and LM from that start names the same
+    edge."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -195,17 +203,19 @@ def test_system_matches_loop_reference_bit_for_bit(seed, log_scale, merged):
     tol = Tolerance.for_points(host)
     system = OrthosectSystem(Tetrahedron.of(host), tol)
     ref = _LoopSystem(host, tol.scene_scale)
-    fused, fused_msg = _evaluate(system.evaluate, x)
+    fused = system.evaluate(x)
     for idx, name in enumerate(("residuals", "jacobian")):
-        got, got_msg = _evaluate(getattr(system, name), x)
+        got = getattr(system, name)(x)
         want, want_msg = _evaluate(getattr(ref, name), x)
-        assert got_msg == want_msg == fused_msg
-        assert (got_msg is None) == (not merged)
-        if not merged:
+        assert (want_msg is None) == (not merged)
+        assert np.array_equal(got, fused[idx], equal_nan=True)
+        if merged:
+            assert np.isnan(got).sum() == (12, 72)[idx]
+        else:
             assert np.array_equal(got, want)
-            assert np.array_equal(fused[idx], want)
-    if not merged:
-        assert fused[2].min() == _min_edge(x)
+    assert fused[2].min() == _min_edge(x)
+    if merged:
+        assert _lm_minimize(system, x)[1:] == (math.inf, 0, want_msg, None)
 
 
 @given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
@@ -220,7 +230,7 @@ def test_stacked_evaluate_matches_one_partner_calls(demo_pair, host, seed, log_s
     call on it. A row with a collapsed edge is flagged by NaN residuals and
     NaN in the 72 Jacobian entries they depend on, keeps its edge lengths
     and leaves the other rows as they are; the one-partner call on it,
-    which LM and the corrector make, still raises _Collapse."""
+    which LM and the corrector make, returns the same NaN row."""
     a, b = _drawn_pair(demo_pair, host, seed, log_scale)
     tol = pair_tolerance(a, b)
     system = OrthosectSystem(a, tol)
@@ -232,16 +242,38 @@ def test_stacked_evaluate_matches_one_partner_calls(demo_pair, host, seed, log_s
     r, jac, edges = system.evaluate(x)
     assert (r.shape, jac.shape, edges.shape) == ((rows, 12), (rows, 12, 12), (rows, 6))
     for k in range(rows):
+        one = system.evaluate(x[k])
+        for stacked, single in zip((r, jac, edges), one):
+            assert np.array_equal(stacked[k], single, equal_nan=k == bad)
         if k == bad:
-            with pytest.raises(_Collapse, match="^edge B12 collapsed$"):
-                system.evaluate(x[k])
             assert np.isnan(r[k]).all() and np.isnan(jac[k]).sum() == 72
             assert edges[k].min() == 0.0 and edges[k].min() == _min_edge(x[k])
-            continue
-        one = system.evaluate(x[k])
-        assert np.array_equal(r[k], one[0])
-        assert np.array_equal(jac[k], one[1])
-        assert np.array_equal(edges[k], one[2])
+
+
+@given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-12.0, 12.0), gap=st.sampled_from((0.0, 0.5)))
+@settings(max_examples=60, deadline=None)
+def test_collapsed_partner_is_a_nan_row_and_never_raises(demo_pair, host, seed, log_scale, gap):
+    """A solved partner at scales 1e-12..1e12 with vertex B2 moved onto B1,
+    or half the zero-length edge cut from it in a seeded direction:
+    ``evaluate``, ``residuals`` and ``jacobian`` raise nothing, not even a
+    floating-point error, and return NaN residuals and NaN in the 72
+    Jacobian entries they depend on, with the six edge lengths as they are.
+    LM from that start stops at once and names edge B12, the only collapsed
+    one."""
+    a, b = _drawn_pair(demo_pair, host, seed, log_scale)
+    system = OrthosectSystem(a, pair_tolerance(a, b))
+    direction = np.random.default_rng(seed).normal(size=3)
+    x = b.array.copy()
+    x[1] = x[0] + gap * system._zero_edge * direction / np.linalg.norm(direction)
+    x = x.reshape(12)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        r, jac, edges = system.evaluate(x)
+        assert np.array_equal(system.residuals(x), r, equal_nan=True)
+        assert np.array_equal(system.jacobian(x), jac, equal_nan=True)
+        assert _lm_minimize(system, x)[1:] == (math.inf, 0, "edge B12 collapsed", None)
+    assert np.isnan(r).all() and np.isnan(jac).sum() == 72
+    assert edges.min() == edges[5] == _min_edge(x) <= system._zero_edge
 
 
 def _bordered_step(jac, r, tau, phi, weight, offset):
@@ -342,10 +374,7 @@ def _reference_trace(a, b0, steps, h, direction, tol, corrector=_bordered_step, 
                     if not np.isfinite(delta).all():
                         break
                     y = y + delta
-                    if np.linalg.norm(delta) < 1e-16 * scale:
-                        ok = np.abs(system.residuals(y)).max() <= 1e-12
-                        break
-            except (_Collapse, np.linalg.LinAlgError):
+            except (_LoopCollapse, np.linalg.LinAlgError):
                 ok = False
             if ok and np.linalg.norm(y - x) <= jump * h:
                 accepted = y
@@ -992,16 +1021,32 @@ def test_solve_from_curve_point_roundtrip(demo_pair):
 
 
 def test_solve_from_curve_point_builds_one_chain(demo_pair, monkeypatch):
-    """A successful call makes one co-sphericity pass, builds the six feet
-    once, in that pass, and builds its chain from them: no second
-    completion and no sphericity call."""
+    """Every call makes one co-sphericity pass, builds the six feet once, in
+    that pass, and makes no sphericity call. A successful call builds its
+    chain from those feet, with no second completion. Each CurvePointError
+    reads the validated roots of the same pass: coincident feet at the
+    projection of the demo host's vertex 4 onto its face, no root far out
+    on a face, and off the curve 0.05 of the demo host's edge 12 from that
+    projection."""
     a, b, tol = demo_pair
+    demo = _DEMO_SCENE.tetrahedron("A")
+    foot = project_to_plane(demo.vertex(4), demo.face_plane(4))
+    cases = {"on the curve": (a, project_to_plane(b.vertex(4), a.face_plane(4)), tol),
+             "coincident feet": (demo, foot, None),
+             "no sphericity root": (a, _rootless_point(a, tol), tol),
+             "off the curve": (demo, foot + 0.05 * (demo.vertex(2) - demo.vertex(1)), None)}
     calls = dict.fromkeys(("_cosphericity_samples", "_feet", "_chains", "sphericity_batch"), 0)
     for name in calls:
         _count_calls(monkeypatch, calls, ChainKernel, name)
-    solve_from_curve_point(a, project_to_plane(b.vertex(4), a.face_plane(4)), tol)
-    assert calls == {"_cosphericity_samples": 1, "_feet": 1, "_chains": 1,
-                     "sphericity_batch": 0}
+    for case, (host, point, tol) in cases.items():
+        calls.update(dict.fromkeys(calls, 0))
+        if case == "on the curve":
+            solve_from_curve_point(host, point, tol)
+        else:
+            with pytest.raises(CurvePointError, match=case):
+                solve_from_curve_point(host, point, tol)
+        assert calls == {"_cosphericity_samples": 1, "_feet": 1,
+                         "_chains": int(case == "on the curve"), "sphericity_batch": 0}, case
 
 
 def test_solve_from_curve_point_rejects_off_curve(demo_pair):
@@ -1020,9 +1065,9 @@ def test_solve_from_curve_point_rejects_off_curve(demo_pair):
     pytest.skip("no real roots near the shifted point for this seed")
 
 
-def test_solve_from_curve_point_without_root_raises(demo_pair):
-    """A face point where Q has no validated root is not a curve point."""
-    a, _, tol = demo_pair
+def _rootless_point(a, tol):
+    """A point of face 123, 3, 6 or 12 scene scales from its centroid,
+    where Q has no validated root."""
     face = a.array[:3]
     e1 = (face[1] - face[0]) / np.linalg.norm(face[1] - face[0])
     e2 = np.cross(a.face_plane(4).normal, e1)
@@ -1031,10 +1076,15 @@ def test_solve_from_curve_point_without_root_raises(demo_pair):
             p = face.mean(axis=0) + radius * tol.scene_scale * (np.cos(ang) * e1
                                                                 + np.sin(ang) * e2)
             if not chain_sphere_residual(a, p, tol):
-                with pytest.raises(CurvePointError, match="no sphericity root"):
-                    solve_from_curve_point(a, p, tol)
-                return
+                return p
     pytest.fail("no face point without a sphericity root in a wide scan")
+
+
+def test_solve_from_curve_point_without_root_raises(demo_pair):
+    """A face point where Q has no validated root is not a curve point."""
+    a, _, tol = demo_pair
+    with pytest.raises(CurvePointError, match="no sphericity root"):
+        solve_from_curve_point(a, _rootless_point(a, tol), tol)
 
 
 def test_solve_from_curve_point_polished_near_face_vertex(demo_pair):
