@@ -211,10 +211,8 @@ class OrthosectSystem:
         np.subtract(prod_a, prod_b, out=cross)
         np.matmul(flat.take(_DOTS[0], -1), flat.take(_DOTS[1], -1), out=dots)
         edges = nw = np.sqrt(ww)
-        # fmin skips NaN: a partner is collapsed iff its least edge is; one
-        # reduce over every partner first, as a collapse is rare
-        if np.fmin.reduce(nw, axis=None) <= self._zero_edge:
-            nw = np.where(np.fmin.reduce(nw, axis=-1, keepdims=True) <= self._zero_edge, np.nan, nw)
+        # fmin skips NaN: a partner is collapsed iff its least edge is
+        nw = np.where(np.fmin.reduce(nw, axis=-1, keepdims=True) <= self._zero_edge, np.nan, nw)
         # |U||W| over |U||W| scale, twice
         np.multiply(self.nu * nw, factors, out=dens)
         gh = gh_dots / gh_dens
@@ -244,10 +242,10 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
     """Damped least squares followed by a Gauss-Newton polish; every point
     is evaluated once, residuals and Jacobian together, and an accepted
     trial point keeps its Jacobian for the next step; a trial point with a
-    collapsed edge, NaN cost, is rejected. Returns the point, its max
-    |residual|, the iterations, the reason and the six partner edge lengths
-    at the point (None when the start collapsed, and the reason names its
-    first collapsed edge in pairing order)."""
+    collapsed edge is rejected without the damping cap's check. Returns the
+    point, its max |residual|, the iterations, the reason and the six
+    partner edge lengths at the point (None when the start collapsed, and
+    the reason names its first collapsed edge in pairing order)."""
     x = x0.copy()
     r, jac, edges = sys.evaluate(x)
     short = edges <= sys._zero_edge
@@ -273,10 +271,10 @@ def _lm_minimize(sys: OrthosectSystem, x0: np.ndarray):
                 continue
             x_new = x + delta
             r_new, jac_new, edges_new = sys.evaluate(x_new)
-            cost_new = float(r_new @ r_new)
-            if math.isnan(cost_new):
+            if (edges_new <= sys._zero_edge).any():
                 lam *= LM_LAMBDA_UP
                 continue
+            cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 x, r, jac, edges, cost = x_new, r_new, jac_new, edges_new, cost_new
                 lam = max(lam / LM_LAMBDA_DOWN, 1e-14)

@@ -250,6 +250,35 @@ def test_stacked_evaluate_matches_one_partner_calls(demo_pair, host, seed, log_s
             assert edges[k].min() == 0.0 and edges[k].min() == _min_edge(x[k])
 
 
+def test_empty_stack_and_a_fill_that_loses_every_row_raise_nothing(demo_pair):
+    """evaluate over (0, 12) rows returns empty (0, 12), (0, 12, 12) and
+    (0, 6) results. The fill evaluates such a stack when every row still
+    correcting leaves h / 2 of its prediction in one iterate: here two nodes
+    3 h off the family, across its tangent, so that the first Newton step
+    of every sample moves it about 3 h. The fill keeps no segment and
+    raises nothing."""
+    a, b, tol = demo_pair
+    system = OrthosectSystem(a, tol)
+    r, jac, edges = system.evaluate(np.empty((0, 12)))
+    assert (r.shape, jac.shape, edges.shape) == ((0, 12), (0, 12, 12), (0, 6))
+    x = b.array.reshape(12)
+    u, _, vt = np.linalg.svd(system.jacobian(x))
+    h = 1e-3 * tol.scene_scale
+    start = x + 3.0 * h * vt[0]
+    nodes = np.array([start, start + FILL_SPAN * h * vt[-1]])
+    evaluated = []
+    real_evaluate = OrthosectSystem.evaluate
+
+    def evaluate(sys_, y):
+        evaluated.append(len(y))
+        return real_evaluate(sys_, y)
+    with mock.patch.object(OrthosectSystem, "evaluate", evaluate):
+        kept = _Walk(system, u[:, -1], a.array.mean(axis=0)).fill(
+            nodes, np.array([vt[-1], vt[-1]]), h)[3]
+    assert kept == 0
+    assert evaluated[:2] == [FILL_SPAN - 1, 0]
+
+
 @given(host=st.sampled_from(("demo", "random")), seed=st.integers(0, 2**32 - 1),
        log_scale=st.floats(-12.0, 12.0), gap=st.sampled_from((0.0, 0.5)))
 @settings(max_examples=60, deadline=None)
