@@ -7,9 +7,9 @@ intersection conditions, so solutions form a one-parameter family.
 the orthogonality null space; ``trace_family`` follows the family with a
 predictor-corrector continuation along the Jacobian's null direction: a
 skeleton at FILL_SPAN steps, the samples between its nodes corrected in
-one stacked batch (``OrthosectSystem.evaluate`` over (R, 12) rows, one
-stacked LU solve per iterate), and a walk at one step for the steps left,
-no chord longer than JUMP_FACTOR steps.
+one stacked batch, and a walk at one step for the steps left, no chord
+longer than JUMP_FACTOR steps, all three by one bordered Newton corrector
+over one partner or R of them (``_Walk.correct``).
 """
 
 from __future__ import annotations
@@ -153,14 +153,14 @@ class OrthosectSystem:
         cols = 3 * np.stack((_K, _L))[:, None, :, None] + np.arange(3)
         self._jac_at = (12 * np.arange(12).reshape(2, 6, 1) + cols).reshape(-1)
         self._den_factors = np.array([[1.0], [self.scale], [self.scale]])
-        self._views = self._buffers(())
+        self._views = {}
 
     def _buffers(self, lead: Tuple[int, ...]):
         """evaluate's intermediates for one partner, lead (), or for R of
         them, lead (R,); the views it reads and writes them through; and the
-        flat Jacobian index of the blocks, offset to each row. The
-        one-partner set is made once per system: a view costs about what a
-        small ufunc does. The denominators keep their three kinds first, so
+        flat Jacobian index of the blocks, offset to each row. evaluate makes
+        one set per input shape, once per system, as a view costs about what
+        a small ufunc does. The denominators keep their three kinds first, so
         that (R, 6) edge lengths broadcast against the (3, 1, 1) factors."""
         points = np.empty(lead + (24,))
         points[..., :12] = self.a.reshape(12)
@@ -200,11 +200,14 @@ class OrthosectSystem:
         arithmetic, so row r is bit for bit the one-partner call on x[r].
         A partner with a collapsed edge is flagged, one partner as a row of
         R: its residuals, and the Jacobian entries they depend on, are NaN,
-        and its edge lengths are returned as they are."""
+        and its edge lengths are returned as they are. Neither it nor a NaN
+        partner raises a floating-point error."""
+        views = self._views.get(x.shape)
+        if views is None:
+            views = self._views[x.shape] = self._buffers(x.shape[:-1])
         (lead, points, partner, flat, wm, w, cross, vecs, prod, prod_a, prod_b, dots, ww,
          gh_dots, dens, factors, gh_dens, vec_dens, quot, dg_dh, dm, scaled, nw2, nw2_rows,
-         jac_blocks, bk, bk_h, bl, jac_at) = (
-            self._views if x.ndim == 1 else self._buffers(x.shape[:1]))
+         jac_blocks, bk, bk_h, bl, jac_at) = views
         partner[...] = x
         np.subtract(points.take(_WM[0], -1), points.take(_WM[1], -1), out=wm)
         np.multiply(flat.take(_CROSS[0], -1), flat.take(_CROSS[1], -1), out=prod)
@@ -369,8 +372,9 @@ def solve(a: Tetrahedron, cfg: SolverConfig, tol: Tolerance | None = None) -> Li
 
 class _Walk:
     """The continuation of one trace: its system, the start's left null
-    vector phi, and the bordered corrector matrix [[J, phi], [tau^T /
-    scale, 0]] with the views its steps fill."""
+    vector phi, and the bordered corrector matrix [[J, phi], [n^T / scale,
+    0]] of one partner, with its right-hand side, which ``correct`` fills
+    and ``tangent`` reads."""
 
     def __init__(self, sys: OrthosectSystem, phi: np.ndarray, center: np.ndarray):
         self.sys = sys
@@ -378,17 +382,16 @@ class _Walk:
         self.weight = 1.0 / sys.scale
         # the host's centroid once per partner vertex, as x holds them
         self.center = np.tile(center, 4)
-        # the bordered system: Jacobian and left null vector over weighted
-        # tangent and zero; the corrector's negated rhs, and the tangent's e_13
         self.aug = np.zeros((13, 13))
         self.aug[:12, 12] = phi
-        self.rhs = np.empty(13)
+        self.rhs = np.empty((13, 1))
         self.e13 = np.eye(13)[12]
 
     def tangent(self, jac: np.ndarray) -> np.ndarray:
         """The unit tangent at the sample of Jacobian ``jac``: the bordered
-        system there, its tau row the last step's, solved for e_13, which
-        signs it along that step. Raises LinAlgError where it has none."""
+        system there, its plane row the last one-partner ``correct``'s (the
+        last step's tau), solved for e_13, which signs it along that step.
+        Raises LinAlgError where it has none."""
         self.aug[:12, :12] = jac
         t = np.linalg.solve(self.aug, self.e13)[:12]
         squared = float(t.dot(t))
@@ -396,25 +399,69 @@ class _Walk:
             raise np.linalg.LinAlgError("tangent is not finite")
         return t / math.sqrt(squared)
 
+    def correct(self, y: np.ndarray, anchor: np.ndarray, normal: np.ndarray):
+        """Bordered Newton iterates on [[J, phi], [normal^T / scale, 0]] from
+        y, one partner (12,) or R partners (R, 12), each held on the plane
+        through its ``anchor`` normal to its unit ``normal``: per iterate one
+        evaluate of every row and one LU solve of the rows still correcting.
+        A row stops, frozen, once max |residual| <= TARGET_RESIDUAL, and
+        after 25 iterates; a row whose step is not finite, and every row
+        still correcting when the solve raises LinAlgError, becomes a NaN
+        row. Returns the points, their max |residual| (above the target or
+        NaN where a row failed), Jacobians and edge lengths; row r is bit for
+        bit the one-partner call on it. The callers judge the points."""
+        one = y.ndim == 1
+        if one:
+            aug, rhs = self.aug, self.rhs
+        else:
+            aug = np.zeros((len(y), 13, 13))
+            aug[:, :12, 12] = self.phi
+            rhs = np.empty((len(y), 13, 1))
+            # the stacked rows are corrected in place
+            y = y.copy()
+        np.multiply(self.weight, normal, out=aug[..., 12, :12])
+        for _ in range(25):
+            r, jac, edges = self.sys.evaluate(y)
+            worst = np.abs(r).max(axis=-1)
+            # NaN, a failed row's, is not above the target
+            going = worst > TARGET_RESIDUAL
+            if not (going if one else going.any()):
+                break
+            aug[..., :12, :12] = jac
+            np.negative(r, out=rhs[..., :12, 0])
+            rhs[..., 12, 0] = -(self.weight * np.vecdot(normal, y - anchor))
+            try:
+                delta = (np.linalg.solve(aug, rhs) if one else
+                         np.linalg.solve(aug[going], rhs[going]))[..., :12, 0]
+            except np.linalg.LinAlgError:
+                y = np.where(going[..., None], np.nan, y)
+                break
+            # a step not finite, or whose square overflows, makes its row a NaN row
+            if not math.isfinite(np.vdot(delta, delta)):
+                delta[~np.isfinite(np.vecdot(delta, delta))] = np.nan
+            if one:
+                y = y + delta
+            else:
+                y[going] += delta
+        return y, worst, jac, edges
+
     def walk(self, samples: list, tau: np.ndarray, count: int, h: float, reach: float,
              whole: bool = False):
         """Up to ``count`` steps of h from the last of ``samples``, each
         sample an (x, max |residual|, Jacobian) triple, with tangent ``tau``
-        there, appending every accepted sample. The corrector starts at the
-        Euler point on the first step and after the tangent turned by
-        acos(HERMITE_MIN_COS) or more, and otherwise at the cubic Hermite
-        extrapolation of the last two samples and their tangents, moved
-        onto the same pseudo-arclength plane. An attempt fails where 25
-        corrector iterates do not bring max |residual| to TARGET_RESIDUAL, a
-        step is not finite (as at a collapsed partner's NaN row) or the point
-        is farther than ``reach`` from x. A failed attempt halves the step,
-        up to six times; with ``whole`` it ends the walk instead, as a halved
-        step would not be kept. Returns the reason it ended (None after
-        ``count`` steps) and the tangents at the samples it stepped from."""
+        there, appending every accepted sample. Each attempt is one
+        ``correct`` on the pseudo-arclength plane through the Euler point,
+        normal to tau; it starts there on the first step and after the
+        tangent turned by acos(HERMITE_MIN_COS) or more, and otherwise at
+        the cubic Hermite extrapolation of the last two samples and their
+        tangents, moved onto that plane. An attempt is accepted where its
+        point converged to TARGET_RESIDUAL and lies within ``reach`` of x. A
+        failed attempt halves the step, up to six times; with ``whole`` it
+        ends the walk instead, as a halved step would not be kept. Returns
+        the reason it ended (None after ``count`` steps) and the tangents at
+        the samples it stepped from."""
         x, _, jac = samples[-1]
-        scale, weight, center, sys = self.sys.scale, self.weight, self.center, self.sys
-        aug, rhs = self.aug, self.rhs
-        aug_jac, aug_tau, rhs_r = aug[:12, :12], aug[12, :12], rhs[:12]
+        scale, center = self.sys.scale, self.center
         tangents = [tau]
         tau_prev = None
         for _ in range(count):
@@ -426,11 +473,9 @@ class _Walk:
                 except np.linalg.LinAlgError:
                     return "corrector divergence", tangents
                 tangents.append(tau)
-            np.multiply(weight, tau, out=aug_tau)
             hermite = tau_prev is not None and float(tau_prev.dot(tau)) > HERMITE_MIN_COS
             step = h
             for _ in range(7):
-                # every corrected point is a new array, so y may start as x_pred
                 y = x_pred = x + step * tau
                 if hermite:
                     # the cubic through the last two samples (their chord)
@@ -443,29 +488,11 @@ class _Walk:
                     v = ((step * sigma * (1.0 + sigma)) * tau_prev
                          - (sigma * sigma * (3.0 + 2.0 * sigma)) * chord)
                     y = x_pred + (v - float(tau.dot(v)) * tau)
-                try:
-                    for _ in range(25):
-                        r, jac, edges = sys.evaluate(y)
-                        worst = float(np.abs(r).max())
-                        if worst <= TARGET_RESIDUAL:
-                            break
-                        aug_jac[...] = jac
-                        np.negative(r, out=rhs_r)
-                        rhs[12] = -(weight * float(tau.dot(y - x_pred)))
-                        delta = np.linalg.solve(aug, rhs)[:12]
-                        # |delta|^2, non-finite when delta is; its root is np.linalg.norm's
-                        squared = float(delta.dot(delta))
-                        if not math.isfinite(squared):
-                            raise np.linalg.LinAlgError("corrector step is not finite")
-                        y = y + delta
-                    move = y - x
-                    move_length = math.sqrt(float(move.dot(move)))
-                    # accepted when the last evaluation, the one at y, is on
-                    # the family, and y is within reach of x
-                    if worst <= TARGET_RESIDUAL and move_length <= reach:
-                        break
-                except np.linalg.LinAlgError:
-                    pass
+                y, worst, jac, edges = self.correct(y, x_pred, tau)
+                move = y - x
+                move_length = math.sqrt(float(move.dot(move)))
+                if worst <= TARGET_RESIDUAL and move_length <= reach:
+                    break
                 if whole:
                     return "step not whole", tangents
                 step *= 0.5
@@ -486,17 +513,16 @@ class _Walk:
         """The FILL_SPAN - 1 samples between each two neighbouring ``nodes``
         (K + 1, 12) with unit ``tangents``: predicted on the cubic Hermite
         interpolant of the two in their chord's length at chord fractions
-        j / FILL_SPAN, and corrected on the interpolant's normal plane there
-        by bordered Newton steps, every row at once, a row leaving the stack
-        as it converges. Only the leading segments whose predictions space
-        their chords within FILL_CHORD_TOL h of h are corrected: the
-        correction moves a sample about its normal plane, so it keeps them
-        about as spaced. Returns the samples (K', FILL_SPAN - 1, 12) of those
-        K' segments, their max |residual| and Jacobians, and how many leading
-        segments pass the guard: every sample converged, within h / 2 of its
-        prediction and inside the degeneracy filters, and every chord of the
-        segment within FILL_CHORD_TOL h of h."""
-        sys, scale, weight = self.sys, self.sys.scale, self.weight
+        j / FILL_SPAN, and corrected on the interpolant's normal planes
+        there by one ``correct`` over every row. Only the leading segments
+        whose predictions space their chords within FILL_CHORD_TOL h of h are
+        corrected: the correction moves a sample about its normal plane, so
+        it keeps them about as spaced. Returns the samples (K', FILL_SPAN -
+        1, 12) of those K' segments, their max |residual| and Jacobians, and
+        how many leading segments pass the guard: every sample converged,
+        within h / 2 of its prediction and inside the degeneracy filters,
+        and every chord of the segment within FILL_CHORD_TOL h of h."""
+        scale = self.sys.scale
         x0, x1, t0, t1 = (v[:, None] for v in (nodes[:-1], nodes[1:], tangents[:-1], tangents[1:]))
         chord = x1 - x0
         length = np.sqrt(dot_rows(chord[:, 0], chord[:, 0]))[:, None, None]
@@ -511,38 +537,11 @@ class _Walk:
         slope = ((6.0 * s * (1.0 - s)) * chord
                  + length * (((1.0 - s) * (1.0 - 3.0 * s)) * t0 + (s * (3.0 * s - 2.0)) * t1))
         normal = (slope / np.sqrt((slope * slope).sum(axis=-1))[..., None]).reshape(-1, 12)
-        rows = len(pred)
-        y, worst = pred.copy(), np.full(rows, np.inf)
-        jacs, edges = np.empty((rows, 12, 12)), np.empty((rows, 6))
-        active = np.arange(rows)
-        for _ in range(25):
-            r, jac, edge = sys.evaluate(y[active])
-            worst[active], jacs[active], edges[active] = np.abs(r).max(axis=1), jac, edge
-            # NaN, a collapsed row's, is neither: such a row fails
-            going = worst[active] > TARGET_RESIDUAL
-            active = active[going]
-            if not active.size:
-                break
-            # the bordered system of each row: its Jacobian and phi over its
-            # weighted normal and zero
-            system = np.zeros((len(active), 13, 13))
-            system[:, :12, :12] = jac[going]
-            system[:, :12, 12] = self.phi
-            system[:, 12, :12] = weight * normal[active]
-            offset = y[active] - pred[active]
-            rhs = np.concatenate((-r[going], -weight * dot_rows(normal[active], offset)[:, None]),
-                                 axis=1)
-            try:
-                moved = y[active] + np.linalg.solve(system, rhs[..., None])[:, :12, 0]
-            except np.linalg.LinAlgError:
-                break
-            # a row more than h / 2 from its prediction, or not finite, fails
-            offset = moved - pred[active]
-            near = np.sqrt(dot_rows(offset, offset)) <= 0.5 * h
-            worst[active[~near]] = np.inf
-            y[active[near]] = moved[near]
-            active = active[near]
-        passed = ((worst <= TARGET_RESIDUAL) & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
+        y, worst, jacs, edges = self.correct(pred, pred, normal)
+        offset = y - pred
+        # NaN, a failed row's, passes no test
+        passed = ((worst <= TARGET_RESIDUAL) & (np.sqrt(np.vecdot(offset, offset)) <= 0.5 * h)
+                  & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
                   & (np.abs(y - self.center).max(axis=1) <= MAX_COORD_FACTOR * scale))
         y = y.reshape(-1, FILL_SPAN - 1, 12)
         kept = _leading(passed.reshape(-1, FILL_SPAN - 1).all(axis=1) & _in_band(x0, y, x1, h))
@@ -570,23 +569,23 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     of about h.
 
     The predictor steps along the tangent, the Jacobian's null direction.
-    The corrector re-converges with Newton steps on the square bordered
-    system [[J, phi], [tau^T / scale, 0]] (Allgower & Georg, ch. 2): the
-    Jacobian closed by phi, the left null vector of the start's Jacobian,
-    and by the pseudo-arclength row, solved by LU; the border unknown is
-    discarded. The start's tangent (its largest entry made positive, then
-    flipped by ``direction``) and phi come from one SVD there; every later
-    tangent is the solution t of the same bordered system at its sample
-    with right-hand side e_13, normalized: the tau row signs it along the
-    step just taken, and phi needs only a component along the sample's
-    left null vector (see ``_Walk.walk`` for the corrector's start and
-    step halving).
+    One corrector, ``_Walk.correct``, re-converges every sample by Newton
+    steps on the square bordered system [[J, phi], [n^T / scale, 0]]
+    (Allgower & Georg, ch. 2): the Jacobian closed by phi, the left null
+    vector of the start's Jacobian, and by the row of the sample's plane,
+    normal n, solved by LU; the border unknown is discarded. The start's
+    tangent (its largest entry made positive, then flipped by
+    ``direction``) and phi come from one SVD there; every later tangent is
+    the solution t of that system at its sample with right-hand side e_13,
+    normalized: the step's tau row signs it along the step, and phi needs
+    only a component along the sample's left null vector (see
+    ``_Walk.walk`` for the corrector's start and step halving).
 
     Every trace first walks a skeleton of steps // FILL_SPAN steps of
     FILL_SPAN h (none below FILL_SPAN steps), and then corrects the
     FILL_SPAN - 1 samples between each two neighbouring nodes in one
-    stacked batch (``_Walk.fill``): numpy's per-call cost is paid once per
-    batch, not once per sample. Where a skeleton step fails, stops or is
+    stacked ``correct`` (``_Walk.fill``): numpy's per-call cost is paid once
+    per batch, not once per sample. Where a skeleton step fails, stops or is
     more than FILL_CHORD_TOL longer than FILL_SPAN h, or a segment's fill
     fails its guard, the trace keeps the batched prefix up to the last good
     node. It walks the steps left at step h, halving a step whose corrected
