@@ -31,9 +31,14 @@ from .pedal import (FEET_TOL, VERTEX_TOL, ChainKernel, _face_source, _require_or
 
 # degeneracy filters shared by solve and trace_family, in scene scales: a
 # partner edge shorter than MIN_EDGE_FACTOR, or a partner vertex farther
-# than MAX_COORD_FACTOR from the host's centroid, is rejected
+# than MAX_COORD_FACTOR from the host's centroid along an axis, is rejected
+# (``OrthosectSystem.degenerate``)
 MIN_EDGE_FACTOR = 1e-3
 MAX_COORD_FACTOR = 50.0
+# a corrector iterate with a vertex farther than DIVERGE_FACTOR from the
+# host's centroid along an axis is diverging, and becomes a NaN row before
+# its next evaluate can overflow
+DIVERGE_FACTOR = 1e4
 # damped least squares: iteration cap, initial damping and the factors that
 # raise it after a rejected step and lower it after an accepted one
 LM_MAX_ITERATIONS = 150
@@ -133,7 +138,8 @@ class OrthosectSystem:
     W[p] = B_k - B_l and M[p] = B_k - A_i; the six pairings are stacked so
     that each quantity is one array operation, gathered from per-system
     work buffers. A host edge no longer than the zero-length edge cut of
-    ``pair_measures`` raises DegenerateError.
+    ``pair_measures`` raises DegenerateError. ``degenerate`` is the member
+    filter that ``solve_detailed`` and ``trace_family`` share.
     """
 
     def __init__(self, host: Tetrahedron, tol: Tolerance | None = None):
@@ -141,6 +147,8 @@ class OrthosectSystem:
         self.tol = tol or Tolerance.for_points(host.array)
         self.scale = self.tol.scene_scale
         self.a = host.array
+        # the host's centroid once per partner vertex, as x holds them
+        self.center = np.tile(self.a.mean(axis=0), 4)
         self.u = self.a[_I] - self.a[_J]
         self.nu = np.sqrt(dot_rows(self.u, self.u))
         self._zero_edge = self.tol.eps_abs * self.scale
@@ -233,6 +241,23 @@ class OrthosectSystem:
         jac = np.zeros(2 * jac_at.size)
         jac[jac_at] = jac_blocks
         return gh.reshape(x.shape), jac.reshape(lead + (12, 12)), edges
+
+    def beyond(self, x: np.ndarray, factor: float) -> np.ndarray:
+        """Per partner of x (..., 12), whether one of its vertices lies more
+        than ``factor`` scene scales from the host's centroid along an axis:
+        |x - c|_inf > factor scale, the factor multiplied, never divided. A
+        NaN row is not beyond, an infinite one is."""
+        return np.abs(x - self.center).max(axis=-1) > factor * self.scale
+
+    def degenerate(self, x: np.ndarray, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The member filter, per partner of x (..., 12) with the six edge
+        lengths ``edges`` (..., 6) that ``evaluate`` returns: ``short``,
+        its least edge below MIN_EDGE_FACTOR scene scales, and ``far``, a
+        vertex beyond MAX_COORD_FACTOR (see ``beyond``). A least edge of
+        exactly the bound is kept, and so is a vertex at exactly it. Neither
+        flag is set on a NaN row, which the callers' convergence test
+        rejects. Callers test ``short`` first and name their own reasons."""
+        return edges.min(axis=-1) < MIN_EDGE_FACTOR * self.scale, self.beyond(x, MAX_COORD_FACTOR)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.evaluate(x)[0]
@@ -328,36 +353,37 @@ def solve_detailed(a: Tetrahedron, cfg: SolverConfig,
     Starts are drawn inside the orthogonality null space (so the linear
     conditions hold exactly from the outset), recentered near the host and
     rescaled to comparable size. Accepted solutions have max residual
-    below ACCEPT_RESIDUAL, pass the degeneracy filters, and are
+    below ACCEPT_RESIDUAL, pass the member filter
+    (``OrthosectSystem.degenerate``: min edge, then out of range), and are
     deduplicated; the result is deterministic for a fixed seed.
     """
     tol = tol or Tolerance.for_points(a.array)
     if a.is_flat(tol):
         raise DegenerateError("host tetrahedron is flat")
     sys = OrthosectSystem(a, tol)
-    scale = sys.scale
     # five independent orthogonality conditions: the right singular vectors
     # from index 5 on span the solution space of the linear subsystem
     null_basis = np.linalg.svd(sys.orthogonality_matrix())[2][5:].T
     rng = np.random.default_rng(cfg.seed)
-    center = a.array.mean(axis=0)
     solutions: List[np.ndarray] = []
     diags: List[RestartDiagnostic] = []
     for restart in range(cfg.restarts):
-        x0 = _seed_start(null_basis, rng, center, scale)
+        x0 = _seed_start(null_basis, rng, sys.center[:3], sys.scale)
         x, max_res, iters, reason, edges = _lm_minimize(sys, x0)
         if max_res > ACCEPT_RESIDUAL:
             reason = reason if reason != "ok" else "no convergence"
-        elif float(edges.min()) < MIN_EDGE_FACTOR * scale:
-            reason = "min edge filter"
-        elif np.abs(x.reshape(4, 3) - center).max() > MAX_COORD_FACTOR * scale:
-            reason = "out of range"
-        elif any(np.linalg.norm((x - known).reshape(4, 3), axis=1).max() < DEDUPE_FACTOR * scale
-                 for known in solutions):
-            reason = "duplicate"
         else:
-            reason = "solution"
-            solutions.append(x)
+            short, far = sys.degenerate(x, edges)
+            if short:
+                reason = "min edge filter"
+            elif far:
+                reason = "out of range"
+            elif any(np.linalg.norm((x - known).reshape(4, 3), axis=1).max()
+                     < DEDUPE_FACTOR * sys.scale for known in solutions):
+                reason = "duplicate"
+            else:
+                reason = "solution"
+                solutions.append(x)
         diags.append(RestartDiagnostic(restart, reason in ("duplicate", "solution"), max_res,
                                        iters, reason))
     tets = tuple(Tetrahedron.of(x.reshape(4, 3)) for x in solutions)
@@ -376,12 +402,10 @@ class _Walk:
     0]] of one partner, with its right-hand side, which ``correct`` fills
     and ``tangent`` reads."""
 
-    def __init__(self, sys: OrthosectSystem, phi: np.ndarray, center: np.ndarray):
+    def __init__(self, sys: OrthosectSystem, phi: np.ndarray):
         self.sys = sys
         self.phi = phi
         self.weight = 1.0 / sys.scale
-        # the host's centroid once per partner vertex, as x holds them
-        self.center = np.tile(center, 4)
         self.aug = np.zeros((13, 13))
         self.aug[:12, 12] = phi
         self.rhs = np.empty((13, 1))
@@ -405,11 +429,15 @@ class _Walk:
         through its ``anchor`` normal to its unit ``normal``: per iterate one
         evaluate of every row and one LU solve of the rows still correcting.
         A row stops, frozen, once max |residual| <= TARGET_RESIDUAL, and
-        after 25 iterates; a row whose step is not finite, and every row
-        still correcting when the solve raises LinAlgError, becomes a NaN
-        row. Returns the points, their max |residual| (above the target or
-        NaN where a row failed), Jacobians and edge lengths; row r is bit for
-        bit the one-partner call on it. The callers judge the points."""
+        after 25 iterates; a row whose new iterate is NaN, or infinite, or
+        has a vertex beyond DIVERGE_FACTOR scene scales of the host's
+        centroid (``OrthosectSystem.beyond``), and every row still
+        correcting when the solve raises LinAlgError, becomes a NaN row, so
+        that no evaluate overflows. Returns the points, their max |residual|
+        (above the target or NaN where a row failed), Jacobians and edge
+        lengths; row r is bit for bit the one-partner call on it. The
+        callers judge the points with the member filter
+        (``OrthosectSystem.degenerate``)."""
         one = y.ndim == 1
         if one:
             aug, rhs = self.aug, self.rhs
@@ -436,13 +464,13 @@ class _Walk:
             except np.linalg.LinAlgError:
                 y = np.where(going[..., None], np.nan, y)
                 break
-            # a step not finite, or whose square overflows, makes its row a NaN row
-            if not math.isfinite(np.vdot(delta, delta)):
-                delta[~np.isfinite(np.vecdot(delta, delta))] = np.nan
             if one:
                 y = y + delta
+                if self.sys.beyond(y, DIVERGE_FACTOR):
+                    y = y + np.nan
             else:
                 y[going] += delta
+                y[going & self.sys.beyond(y, DIVERGE_FACTOR)] = np.nan
         return y, worst, jac, edges
 
     def walk(self, samples: list, tau: np.ndarray, count: int, h: float, reach: float,
@@ -457,11 +485,11 @@ class _Walk:
         tangents, moved onto that plane. An attempt is accepted where its
         point converged to TARGET_RESIDUAL and lies within ``reach`` of x. A
         failed attempt halves the step, up to six times; with ``whole`` it
-        ends the walk instead, as a halved step would not be kept. Returns
-        the reason it ended (None after ``count`` steps) and the tangents at
-        the samples it stepped from."""
+        ends the walk instead, as a halved step would not be kept. An
+        accepted point that the member filter (``OrthosectSystem.degenerate``)
+        flags ends the walk unkept. Returns the reason it ended (None after
+        ``count`` steps) and the tangents at the samples it stepped from."""
         x, _, jac = samples[-1]
-        scale, center = self.sys.scale, self.center
         tangents = [tau]
         tau_prev = None
         for _ in range(count):
@@ -502,10 +530,9 @@ class _Walk:
             if chord_length == 0.0:
                 return "step below resolution", tangents
             tau_prev, x = tau, y
-            if float(edges.min()) < MIN_EDGE_FACTOR * scale:
-                return "degenerate: min edge filter", tangents
-            if float(np.abs(x - center).max()) > MAX_COORD_FACTOR * scale:
-                return "degenerate: out of range", tangents
+            short, far = self.sys.degenerate(x, edges)
+            if short or far:
+                return "degenerate: " + ("min edge filter" if short else "out of range"), tangents
             samples.append((x, worst, jac))
         return None, tangents
 
@@ -520,9 +547,9 @@ class _Walk:
         it keeps them about as spaced. Returns the samples (K', FILL_SPAN -
         1, 12) of those K' segments, their max |residual| and Jacobians, and
         how many leading segments pass the guard: every sample converged,
-        within h / 2 of its prediction and inside the degeneracy filters,
-        and every chord of the segment within FILL_CHORD_TOL h of h."""
-        scale = self.sys.scale
+        within h / 2 of its prediction and kept by the member filter
+        (``OrthosectSystem.degenerate``), and every chord of the segment
+        within FILL_CHORD_TOL h of h."""
         x0, x1, t0, t1 = (v[:, None] for v in (nodes[:-1], nodes[1:], tangents[:-1], tangents[1:]))
         chord = x1 - x0
         length = np.sqrt(dot_rows(chord[:, 0], chord[:, 0]))[:, None, None]
@@ -539,10 +566,9 @@ class _Walk:
         normal = (slope / np.sqrt((slope * slope).sum(axis=-1))[..., None]).reshape(-1, 12)
         y, worst, jacs, edges = self.correct(pred, pred, normal)
         offset = y - pred
-        # NaN, a failed row's, passes no test
+        # NaN, a failed row's, fails the first two tests
         passed = ((worst <= TARGET_RESIDUAL) & (np.sqrt(np.vecdot(offset, offset)) <= 0.5 * h)
-                  & (edges.min(axis=1) >= MIN_EDGE_FACTOR * scale)
-                  & (np.abs(y - self.center).max(axis=1) <= MAX_COORD_FACTOR * scale))
+                  & ~np.logical_or(*self.sys.degenerate(y, edges)))
         y = y.reshape(-1, FILL_SPAN - 1, 12)
         kept = _leading(passed.reshape(-1, FILL_SPAN - 1).all(axis=1) & _in_band(x0, y, x1, h))
         return (y, worst.reshape(-1, FILL_SPAN - 1), jacs.reshape(-1, FILL_SPAN - 1, 12, 12),
@@ -593,9 +619,10 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
 
     Stops early on corrector failure after step halving, on a step whose
     chord has no length (below the coordinates' resolution, it left the
-    sample where it was), on degeneracy filters, and at the first of
-    samples 0 .. steps - 1 that is a branch point (numerical nullity of two
-    or more), and reports the reason. The singular values of every
+    sample where it was), at the member filter
+    (``OrthosectSystem.degenerate``), and at the first of samples 0 ..
+    steps - 1 that is a branch point (numerical nullity of two or more),
+    and reports the reason. The singular values of every
     sample's Jacobian come from one stacked SVD after the walk, which the
     branch-point test reads. Raises ``require_orthosecting``'s errors when
     the start does not orthosect the host at ``tol``: DegenerateError on a
@@ -612,7 +639,7 @@ def trace_family(a: Tetrahedron, b0: Tetrahedron, steps: int, h: float,
     # its largest entry made positive before ``direction`` applies
     u, _, vt = np.linalg.svd(jac)
     tau = float(direction) * (vt[-1] if vt[-1][np.argmax(np.abs(vt[-1]))] >= 0 else -vt[-1])
-    walk = _Walk(sys, u[:, -1], a.array.mean(axis=0))
+    walk = _Walk(sys, u[:, -1])
     stop, tangents = walk.walk(samples, tau, steps // FILL_SPAN, FILL_SPAN * h,
                                (1.0 + FILL_CHORD_TOL) * FILL_SPAN * h, whole=True)
     if stop is None and len(samples) > 1:
